@@ -36,6 +36,44 @@ class ConfigError(ValueError):
     """A config file failed schema validation; the message names the field."""
 
 
+def _finite_squeezing(r: float) -> bool:
+    """True if e^{2r} and e^{-2r} are both finite floats."""
+    try:
+        return math.isfinite(math.exp(2 * abs(r)))
+    except OverflowError:
+        return False
+
+
+# field -> (caster, condition on the cast value, message if it fails)
+_SCALAR_FIELDS = {
+    "squeezing_db": (
+        float,
+        lambda v: v >= 0 and _finite_squeezing(protocols.db_to_squeezing_r(v)),
+        "must be finite and >= 0, with e^{2r} finite",
+    ),
+    "kappa": (float, math.isfinite, "must be finite"),
+    "n_nodes": (int, lambda v: v >= 2, "must be >= 2"),
+    "segments": (int, lambda v: v >= 1, "must be >= 1"),
+    "r_gate": (float, _finite_squeezing, "must be finite, with e^{2|r_gate|} finite"),
+    "seed": (int, lambda v: v >= 0, "must be a non-negative integer"),
+    "trials": (int, lambda v: v >= 1, "must be >= 1"),
+}
+_SWEEP_PARAMS = ("squeezing_db", "kappa", "n_nodes", "segments", "r_gate")
+
+
+def _checked_scalar(name: str, raw, label: str | None = None):
+    """Cast a raw config value for field ``name`` and check its condition."""
+    caster, cond, what = _SCALAR_FIELDS[name]
+    label = label or name
+    try:
+        value = caster(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"field {label!r}: expected {caster.__name__}")
+    if not cond(value):
+        raise ConfigError(f"field {label!r}: {what}")
+    return value
+
+
 @dataclass
 class ExperimentConfig:
     protocol: str
@@ -69,23 +107,9 @@ class ExperimentConfig:
                 f"field 'protocol': unknown protocol {cfg.protocol!r}; "
                 f"known: {', '.join(protocols.PROTOCOL_IDS)}"
             )
-        for name, caster, cond, what in (
-            ("squeezing_db", float, lambda v: v >= 0, "must be >= 0"),
-            ("kappa", float, lambda v: math.isfinite(v), "must be finite"),
-            ("n_nodes", int, lambda v: v >= 2, "must be >= 2"),
-            ("segments", int, lambda v: v >= 1, "must be >= 1"),
-            ("r_gate", float, lambda v: math.isfinite(v), "must be finite"),
-            ("seed", int, lambda v: v >= 0, "must be a non-negative integer"),
-            ("trials", int, lambda v: v >= 1, "must be >= 1"),
-        ):
+        for name in _SCALAR_FIELDS:
             if name in raw:
-                try:
-                    value = caster(raw[name])
-                except (TypeError, ValueError):
-                    raise ConfigError(f"field {name!r}: expected {caster.__name__}")
-                if not cond(value):
-                    raise ConfigError(f"field {name!r}: {what}")
-                setattr(cfg, name, value)
+                setattr(cfg, name, _checked_scalar(name, raw[name]))
         if "input" in raw:
             cfg.input = raw["input"]
             build_input_state(cfg.input)  # validate eagerly
@@ -97,10 +121,11 @@ class ExperimentConfig:
                 raise ConfigError("field 'sweep': expected {param, values}")
             if not isinstance(sweep["values"], list) or len(sweep["values"]) == 0:
                 raise ConfigError("field 'sweep.values': must be a nonempty list")
-            if sweep["param"] not in (
-                "squeezing_db", "kappa", "n_nodes", "segments", "r_gate",
-            ):
+            if sweep["param"] not in _SWEEP_PARAMS:
                 raise ConfigError(f"field 'sweep.param': cannot sweep {sweep['param']!r}")
+            # the raw values are kept: they are echoed verbatim in the CSV
+            for i, value in enumerate(sweep["values"]):
+                _checked_scalar(sweep["param"], value, f"sweep.values[{i}]")
             cfg.sweep = {"param": str(sweep["param"]), "values": list(sweep["values"])}
         return cfg
 
@@ -129,15 +154,23 @@ def build_input_state(spec: dict) -> GaussianState:
         return vacuum_state(1)
     if kind == "coherent":
         try:
-            return coherent_state(float(spec["re"]), float(spec["im"]))
+            re, im = float(spec["re"]), float(spec["im"])
         except KeyError as missing:
             raise ConfigError(f"field 'input': coherent input needs {missing}")
+        except (TypeError, ValueError):
+            raise ConfigError("field 'input': coherent re and im must be numbers")
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ConfigError("field 'input': coherent re and im must be finite")
+        return coherent_state(re, im)
     if kind == "squeezed":
         try:
-            return squeezed_vacuum(float(spec["r"]), str(spec["axis"]))
+            r = float(spec["r"])
+            if not _finite_squeezing(r):
+                raise ValueError("squeezed r must be finite, with e^{2|r|} finite")
+            return squeezed_vacuum(r, str(spec["axis"]))
         except KeyError as missing:
             raise ConfigError(f"field 'input': squeezed input needs {missing}")
-        except ValueError as bad:
+        except (TypeError, ValueError) as bad:
             raise ConfigError(f"field 'input': {bad}")
     raise ConfigError(f"field 'input.kind': unknown kind {kind!r}")
 
@@ -216,7 +249,8 @@ def sweep_table(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
 
 
 def emit_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    # NaN and infinity are not JSON; refuse them rather than write them
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def parse_result(text: str) -> dict:
@@ -230,6 +264,8 @@ def emit_csv(header: list[str], rows: list[list]) -> str:
         if isinstance(v, bool):
             return "true" if v else "false"
         if isinstance(v, float):
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite value {v!r} in a CSV cell")
             return repr(v)
         return str(v)
 
@@ -262,6 +298,7 @@ def cmd_run(path: str, seed: int | None, output: str | None, quiet: bool) -> int
     try:
         cfg = _load_config(path, seed)
         doc = run_document(cfg)
+        text = emit_json(doc)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -269,7 +306,7 @@ def cmd_run(path: str, seed: int | None, output: str | None, quiet: bool) -> int
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
     out_path = output or cfg.output_path or "result.json"
-    Path(out_path).write_text(emit_json(doc))
+    Path(out_path).write_text(text)
     if not quiet:
         print(f"{cfg.protocol}: deviation={_sig12(doc['deviation'])} "
               f"noise_trace={_sig12(doc['noise_trace'])} fidelity={_sig12(doc['fidelity'])}")
@@ -281,6 +318,7 @@ def cmd_sweep(path: str, seed: int | None, output: str | None, quiet: bool) -> i
     try:
         cfg = _load_config(path, seed)
         header, rows = sweep_table(cfg)
+        text = emit_csv(header, rows)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -288,7 +326,7 @@ def cmd_sweep(path: str, seed: int | None, output: str | None, quiet: bool) -> i
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
     out_path = output or cfg.output_path or "sweep.csv"
-    Path(out_path).write_text(emit_csv(header, rows))
+    Path(out_path).write_text(text)
     if not quiet:
         for row in rows:
             print(f"{row[1]}={row[2]}: deviation={_sig12(row[3])} "

@@ -10,11 +10,24 @@ so the corrected output operators
 
     x_out - u(s_1..s_k),   p_out - v(s_1..s_k)
 
-are affine combinations of the pre-measurement quadratures. Their first and
-second moments are computed directly from the initial product state, which
-makes the corrected output exactly outcome- and seed-independent, with
-finite squeezing entering only as additive noise. Outcome records are drawn
-from the exact joint distribution of the measured functionals.
+are affine combinations of the initial quadratures: the input mode 0 and
+the independent p-squeezed resource modes 1..k. The CZ chain only couples
+neighbours, so the measured functional of step j is the banded row
+m_j = p_j + kappa_j x_j + x_{j-1} + x_{j+1}, and the whole evaluation is
+O(k) in the number of steps:
+
+* one backward pass over the steps folds the linear action of
+  ``update_frame`` into the frame weights T[:, j] = d(frame)/d(s_j);
+* the corrected output ``out - T m`` is read off as coefficient vectors
+  over the initial quadratures, a few shifted slices of T, and its moments
+  follow from the product-state moments (input block plus one variance per
+  resource quadrature);
+* outcome records are drawn exactly by sampling the product state (a 2x2
+  Cholesky factor for the input, independent normals for the resource) and
+  applying the banded functionals.
+
+This makes the corrected output exactly outcome- and seed-independent, with
+finite squeezing entering only as additive noise.
 
 The single-shot Bayesian posterior (where the conditional mean is pulled
 toward the finite-squeezing envelope) is a different object; it is available
@@ -33,9 +46,7 @@ from .phase_space import (
     VACUUM_VARIANCE,
     GaussianState,
     coherent_state,
-    controlled_z,
     controlled_z_pp,
-    embed_symplectic,
     vacuum_state,
 )
 
@@ -127,48 +138,87 @@ def apply_correction(state: GaussianState, frame: ByproductFrame) -> GaussianSta
 
 
 # ---------------------------------------------------------------------------
-# internal assembly of the chain in factored form
+# per-step evaluation of the chain
 #
-# Working with the initial product covariance and the (integer) total
-# symplectic of the CZ chain keeps the byproduct cancellations exact; forming
-# the entangled covariance first would lose them to rounding at high
-# squeezing, where the anti-squeezed variances reach 1e9.
+# The corrected output is assembled as coefficient vectors over the initial
+# product-state quadratures, never as the entangled covariance: the weights
+# on the anti-squeezed resource positions (variance 2.5e9 at 100 dB) cancel
+# between the output row and the frame correction before any variance
+# multiplies them. Forming the entangled covariance first would lose that
+# cancellation to rounding at high squeezing.
 
-
-def _chain_symplectic(n_modes: int) -> np.ndarray:
-    S = np.eye(2 * n_modes)
-    cz = controlled_z().S
-    for i in range(n_modes - 1):
-        S = embed_symplectic(cz, [i, i + 1], n_modes) @ S
-    return S
-
-
-def _initial_moments(
-    input_state: GaussianState, n_nodes: int, r: float
-) -> tuple[np.ndarray, np.ndarray]:
-    n = n_nodes + 1
-    mu = np.zeros(2 * n)
-    mu[:2] = input_state.mean
-    cov = np.zeros((2 * n, 2 * n))
-    cov[:2, :2] = input_state.cov
-    var_x = math.exp(2 * r) * VACUUM_VARIANCE
-    var_p = math.exp(-2 * r) * VACUUM_VARIANCE
-    for m in range(1, n):
-        cov[2 * m, 2 * m] = var_x
-        cov[2 * m + 1, 2 * m + 1] = var_p
-    return mu, cov
+_ZERO_FRAME = ByproductFrame()
+_UNIT_U = ByproductFrame(1.0, 0.0)
+_UNIT_V = ByproductFrame(0.0, 1.0)
 
 
 def _frame_weights(kappas: Sequence[float]) -> np.ndarray:
-    """d(frame)/d(s_j): the fold of update_frame is linear in the outcomes."""
+    """T[:, j] = d(frame)/d(s_j), by one backward pass over the steps.
+
+    update_frame is linear in (frame, s): on the zero frame with s = 1 it
+    gives the injection b_j of step j's outcome, on the unit frames with
+    s = 0 the columns of its propagation matrix A_j. The final frame is
+    then sum_j A_{k-1} ... A_{j+1} b_j s_j.
+    """
     k = len(kappas)
-    T = np.zeros((2, k))
-    for j in range(k):
-        frame = ByproductFrame()
-        for i, kap in enumerate(kappas):
-            frame = update_frame(frame, 1.0 if i == j else 0.0, kap)
-        T[:, j] = (frame.u, frame.v)
+    T = np.empty((2, k))
+    g00, g01, g10, g11 = 1.0, 0.0, 0.0, 1.0  # A_{k-1} ... A_{j+1}
+    for j in range(k - 1, -1, -1):
+        kappa = float(kappas[j])
+        b = update_frame(_ZERO_FRAME, 1.0, kappa)
+        a0 = update_frame(_UNIT_U, 0.0, kappa)
+        a1 = update_frame(_UNIT_V, 0.0, kappa)
+        T[0, j] = g00 * b.u + g01 * b.v
+        T[1, j] = g10 * b.u + g11 * b.v
+        g00, g01, g10, g11 = (
+            g00 * a0.u + g01 * a0.v,
+            g00 * a1.u + g01 * a1.v,
+            g10 * a0.u + g11 * a0.v,
+            g10 * a1.u + g11 * a1.v,
+        )
     return T
+
+
+def _corrected_weights(
+    kappas: np.ndarray, T: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients (Wx, Wp) of the corrected output rows over x_0..x_k and
+    p_0..p_k of the product state (mode 0 the input, modes 1..k resource).
+
+    After the CZ chain the measured functional of step j is
+    m_j = p_j + kappa_j x_j + x_{j-1} + x_{j+1}, and the output mode k
+    carries x_out = x_k, p_out = p_k + x_{k-1}; the corrected rows are
+    out - T m.
+    """
+    k = kappas.size
+    padded = np.zeros((2, k + 3))  # column j + 1 holds T_j; T_{-1} = T_k = T_{k+1} = 0
+    padded[:, 1 : k + 1] = T
+    kappa_x = np.append(kappas, 0.0)
+    Wx = -(padded[:, : k + 1] + kappa_x * padded[:, 1 : k + 2] + padded[:, 2:])
+    Wp = -padded[:, 1 : k + 2]
+    Wx[0, k] += 1.0
+    Wx[1, k - 1] += 1.0
+    Wp[1, k] += 1.0
+    return Wx, Wp
+
+
+def _generator(outcome_source) -> np.random.Generator | None:
+    """The generator a seed or Generator outcome source draws from; None for
+    forced outcomes."""
+    if isinstance(outcome_source, np.random.Generator):
+        return outcome_source
+    if isinstance(outcome_source, (int, np.integer)):
+        return np.random.Generator(np.random.PCG64(outcome_source))
+    return None
+
+
+def _forced_outcomes(outcome_source, k: int) -> np.ndarray:
+    forced = np.atleast_1d(np.asarray(outcome_source, dtype=float))
+    if forced.size == 1:
+        forced = np.full(k, forced[0])
+    if forced.shape != (k,):
+        raise ValueError(f"expected {k} forced outcomes, got shape {forced.shape}")
+    return forced
 
 
 def _sample_or_force(
@@ -178,20 +228,33 @@ def _sample_or_force(
     k: int,
 ) -> np.ndarray:
     """Joint outcome vector: forced raw values, or one draw from N(mean, cov)."""
-    if isinstance(outcome_source, (int, np.integer, np.random.Generator)):
-        rng = (
-            outcome_source
-            if isinstance(outcome_source, np.random.Generator)
-            else np.random.Generator(np.random.PCG64(outcome_source))
-        )
-        chol = np.linalg.cholesky(cov)
-        return mean + chol @ rng.standard_normal(k)
-    forced = np.atleast_1d(np.asarray(outcome_source, dtype=float))
-    if forced.size == 1:
-        forced = np.full(k, forced[0])
-    if forced.shape != (k,):
-        raise ValueError(f"expected {k} forced outcomes, got shape {forced.shape}")
-    return forced
+    rng = _generator(outcome_source)
+    if rng is None:
+        return _forced_outcomes(outcome_source, k)
+    chol = np.linalg.cholesky(cov)
+    return mean + chol @ rng.standard_normal(k)
+
+
+def _sample_functionals(
+    rng: np.random.Generator,
+    input_state: GaussianState,
+    kappas: np.ndarray,
+    var_x: float,
+    var_p: float,
+) -> np.ndarray:
+    """One exact draw of (m_0..m_{k-1}): sample the product state, then apply
+    the banded functionals."""
+    k = kappas.size
+    z = rng.standard_normal(2 * (k + 1))
+    q_in = input_state.mean + np.linalg.cholesky(input_state.cov) @ z[:2]
+    x = np.empty(k + 2)  # x[j + 1] = x_j, with x_{-1} = 0
+    x[0] = 0.0
+    x[1] = q_in[0]
+    x[2:] = math.sqrt(var_x) * z[2::2]
+    p = np.empty(k)
+    p[0] = q_in[1]
+    p[1:] = math.sqrt(var_p) * z[3:-2:2]
+    return p + kappas * x[1 : k + 1] + x[:k] + x[2:]
 
 
 def run_protocol(
@@ -215,38 +278,28 @@ def run_protocol(
     if len(steps) < 1:
         raise ValueError("at least one step is required")
     k = len(steps)
-    n = k + 1
     kappas = np.array([s.kappa for s in steps])
+    var_x = math.exp(2 * cluster_r) * VACUUM_VARIANCE
+    var_p = math.exp(-2 * cluster_r) * VACUUM_VARIANCE
 
-    S_chain = _chain_symplectic(n)
-    mu0, cov0 = _initial_moments(input_state, k, cluster_r)
-
-    # rescaled measured functionals p_j + kappa_j x_j, in initial coordinates
-    C = np.zeros((k, 2 * n))
-    for j in range(k):
-        C[j, 2 * j] = kappas[j]
-        C[j, 2 * j + 1] = 1.0
-    C = C @ S_chain
-
-    T = _frame_weights(kappas)
-    P = np.zeros((2, 2 * n))
-    P[0, 2 * k] = 1.0
-    P[1, 2 * k + 1] = 1.0
-    M = P @ S_chain - T @ C
-
-    mean_corr = M @ mu0
-    cov_corr = M @ cov0 @ M.T
+    Wx, Wp = _corrected_weights(kappas, _frame_weights(kappas))
+    S_in = np.column_stack([Wx[:, 0], Wp[:, 0]])
+    mean_corr = S_in @ input_state.mean
+    cov_corr = (
+        S_in @ input_state.cov @ S_in.T
+        + var_x * (Wx[:, 1:] @ Wx[:, 1:].T)
+        + var_p * (Wp[:, 1:] @ Wp[:, 1:].T)
+    )
     cov_corr = 0.5 * (cov_corr + cov_corr.T)
 
     thetas = np.arctan(-kappas)
     rescales = np.sqrt(1.0 + kappas**2)
-    m_mean = C @ mu0
-    m_cov = C @ cov0 @ C.T
-    if isinstance(outcome_source, (int, np.integer, np.random.Generator)):
-        rescaled = _sample_or_force(m_mean, m_cov, outcome_source, k)
+    rng = _generator(outcome_source)
+    if rng is not None:
+        rescaled = _sample_functionals(rng, input_state, kappas, var_x, var_p)
         raws = rescaled / rescales
     else:
-        raws = _sample_or_force(m_mean, m_cov, outcome_source, k)
+        raws = _forced_outcomes(outcome_source, k)
         rescaled = raws * rescales
 
     frame = ByproductFrame()

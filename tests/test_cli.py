@@ -57,6 +57,54 @@ class TestConfigParsing:
                 {"protocol": "offline_teleport", "squeezing_db": -3}
             )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("squeezing_db", "inf"),
+            ("squeezing_db", "nan"),
+            ("squeezing_db", 1e9),
+            ("r_gate", "inf"),
+            ("r_gate", -1e3),
+        ],
+    )
+    def test_nonfinite_or_overflowing_squeezing_rejected(self, field, value):
+        with pytest.raises(cli.ConfigError, match=field):
+            cli.ExperimentConfig.from_dict({"protocol": "offline_squeezer", field: value})
+
+    def test_largest_representable_squeezing_accepted(self):
+        cfg = cli.ExperimentConfig.from_dict(
+            {"protocol": "identity_chain", "squeezing_db": 3000.0, "r_gate": -300.0}
+        )
+        assert (cfg.squeezing_db, cfg.r_gate) == (3000.0, -300.0)
+
+    @pytest.mark.parametrize(
+        "param, values, bad_index",
+        [
+            ("n_nodes", [1], 0),
+            ("squeezing_db", [10, -1], 1),
+            ("squeezing_db", ["inf"], 0),
+            ("kappa", [0.1, "x"], 1),
+            ("r_gate", [float("nan")], 0),
+        ],
+    )
+    def test_sweep_values_go_through_field_validators(self, param, values, bad_index):
+        with pytest.raises(cli.ConfigError, match=rf"sweep\.values\[{bad_index}\]"):
+            cli.ExperimentConfig.from_dict(
+                {"protocol": "identity_chain", "sweep": {"param": param, "values": values}}
+            )
+
+    def test_nonfinite_input_rejected(self):
+        with pytest.raises(cli.ConfigError, match="input"):
+            cli.build_input_state({"kind": "coherent", "re": "nan", "im": 0.0})
+        with pytest.raises(cli.ConfigError, match="input"):
+            cli.build_input_state({"kind": "squeezed", "r": 1e9, "axis": "x"})
+
+    def test_emitters_refuse_nan(self):
+        with pytest.raises(ValueError):
+            cli.emit_json({"value": float("nan")})
+        with pytest.raises(ValueError):
+            cli.emit_csv(["value"], [[float("inf")]])
+
     def test_input_kinds(self):
         state = cli.build_input_state({"kind": "coherent", "re": 0.5, "im": -1.0})
         assert np.array_equal(state.mean, [0.5, -1.0])
@@ -115,6 +163,15 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "protocol" in err and "warp_drive" in err
 
+    def test_infinite_squeezing_exits_2_without_output(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "inf.json", {"protocol": "identity_chain", "squeezing_db": "inf"}
+        )
+        out = tmp_path / "result.json"
+        assert cli.main(["run", cfg, "--output", str(out), "--quiet"]) == 2
+        assert "squeezing_db" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -171,6 +228,36 @@ class TestSweepCommand:
         cli.main(["sweep", cfg, "--output", str(out1), "--quiet"])
         cli.main(["sweep", cfg, "--output", str(out2), "--quiet"])
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "param, values",
+        [("n_nodes", [1]), ("squeezing_db", [10, -1]), ("squeezing_db", ["inf"]), ("kappa", ["x"])],
+    )
+    def test_invalid_sweep_value_exits_2_without_output(self, tmp_path, capsys, param, values):
+        cfg = write_config(
+            tmp_path,
+            "sweep.json",
+            {"protocol": "identity_chain", "sweep": {"param": param, "values": values}},
+        )
+        out = tmp_path / "table.csv"
+        assert cli.main(["sweep", cfg, "--output", str(out), "--quiet"]) == 2
+        assert "sweep.values" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_value_cells_echo_the_config(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "sweep.json",
+            {
+                "protocol": "identity_chain",
+                "squeezing_db": 10.0,
+                "sweep": {"param": "n_nodes", "values": [2, "3", 4.0]},
+            },
+        )
+        out = tmp_path / "table.csv"
+        assert cli.main(["sweep", cfg, "--output", str(out), "--quiet"]) == 0
+        cells = [line.split(",")[2] for line in out.read_text().strip().splitlines()[1:]]
+        assert cells == ["2", "3", "4.0"]
 
     def test_sweep_requires_sweep_block(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "nosweep.json", {"protocol": "offline_teleport"})

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cvcluster as cv
+from cvcluster import engine
 from conftest import random_gaussian_state
 
 IDEAL = cv.IDEAL_SQUEEZING_R
@@ -113,32 +114,101 @@ class TestRunProtocol:
         np.testing.assert_allclose(corrected.mean, S @ state.mean, atol=1e-11)
 
     def test_matches_assembled_cluster_route(self):
-        # cross-check the factored evaluation against explicit row algebra on
+        # cross-check the per-step evaluation against explicit row algebra on
         # the fully assembled input-plus-cluster covariance
-        kappas, r = [0.4, -0.7, 0.2], 1.1
+        kappas = [0.4, -0.7, 0.2, 0.0, 1.3, -0.1, 0.6, -1.2, 0.3, 0.0, -0.5, 0.9]
+        k, r = len(kappas), 1.1
         state = random_gaussian_state(8, 1)
-        steps = [cv.StepPlan(k) for k in kappas]
-        out, _, frame = cv.run_protocol(state, steps, r, [0.0, 0.0, 0.0])
+        steps = [cv.StepPlan(kappa) for kappa in kappas]
+        out, _, frame = cv.run_protocol(state, steps, r, [0.0] * k)
         corrected = cv.apply_correction(out, frame)
 
-        big = cv.attach_input(state, cv.linear_cluster(cv.ClusterSpec(3, r)))
+        big = cv.attach_input(state, cv.linear_cluster(cv.ClusterSpec(k, r)))
         n = big.n_modes
-        C = np.zeros((3, 2 * n))
+        C = np.zeros((k, 2 * n))
         for j, kappa in enumerate(kappas):
             C[j, 2 * j] = kappa
             C[j, 2 * j + 1] = 1.0
-        T = np.zeros((2, 3))
-        for j in range(3):
+        T = np.zeros((2, k))
+        for j in range(k):
             frame_j = cv.ByproductFrame()
             for i, kappa in enumerate(kappas):
                 frame_j = cv.update_frame(frame_j, 1.0 if i == j else 0.0, kappa)
             T[:, j] = (frame_j.u, frame_j.v)
         P = np.zeros((2, 2 * n))
-        P[0, 2 * 3] = 1.0
-        P[1, 2 * 3 + 1] = 1.0
+        P[0, 2 * k] = 1.0
+        P[1, 2 * k + 1] = 1.0
         R = P - T @ C
         np.testing.assert_allclose(corrected.mean, R @ big.mean, atol=1e-10)
         np.testing.assert_allclose(corrected.cov, R @ big.cov @ R.T, atol=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kappas=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=300),
+        db=st.floats(0.0, 60.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_corrected_moments_match_recursion_oracle(self, kappas, db, seed):
+        r = cv.db_to_squeezing_r(db)
+        steps = [cv.StepPlan(kappa) for kappa in kappas]
+        S, N = step_noise_oracle(kappas, r)
+        state = random_gaussian_state(seed, 1)
+        out, _, frame = cv.run_protocol(state, steps, r, seed)
+        corrected = cv.apply_correction(out, frame)
+
+        def scale(a):
+            return float(np.max(np.abs(a)))
+
+        # apply_correction subtracts the frame, so the mean is good to the
+        # frame's rounding; the covariance to that of S cov S^T + N
+        mean_tol = 1e-9 * (scale(S) * scale(state.mean) + abs(frame.u) + abs(frame.v))
+        assert scale(corrected.mean - S @ state.mean) <= mean_tol
+        expected_cov = S @ state.cov @ S.T + N
+        assert scale(corrected.cov - expected_cov) <= 1e-9 * scale(expected_cov)
+
+        # N alone, from an input without covariance, at its own scale
+        point = cv.GaussianState(np.zeros(2), np.zeros((2, 2)))
+        out, _, _ = cv.run_protocol(point, steps, r, [0.0] * len(kappas))
+        assert scale(out.cov - N) <= 1e-9 * scale(N)
+
+    def test_five_thousand_step_chain_matches_oracle(self):
+        # far beyond what a dense 2n x 2n chain assembly could finish
+        kappas = [0.02, 0.02, -0.02, -0.02] * 1250
+        r = TEN_DB_R
+        state = random_gaussian_state(13, 1)
+        out, records, frame = cv.run_protocol(
+            state, [cv.StepPlan(kappa) for kappa in kappas], r, 5
+        )
+        corrected = cv.apply_correction(out, frame)
+        S, N = step_noise_oracle(kappas, r)
+        assert len(records) == 5000
+        np.testing.assert_allclose(corrected.cov, S @ state.cov @ S.T + N, rtol=1e-9)
+        np.testing.assert_allclose(corrected.mean, S @ state.mean, rtol=1e-9, atol=1e-9)
+
+    def test_sampled_outcomes_follow_joint_law(self):
+        # the outcome vector of p_j + kappa_j x_j read off the assembled
+        # input-plus-cluster state has mean C mu and covariance C cov C^T
+        kappas, r = [0.5, -0.3, 0.8], 0.4
+        state = random_gaussian_state(3, 1)
+        big = cv.attach_input(state, cv.linear_cluster(cv.ClusterSpec(3, r)))
+        C = np.zeros((3, 2 * big.n_modes))
+        for j, kappa in enumerate(kappas):
+            C[j, 2 * j] = kappa
+            C[j, 2 * j + 1] = 1.0
+        L = np.linalg.cholesky(C @ big.cov @ C.T)
+
+        steps = [cv.StepPlan(kappa) for kappa in kappas]
+        rng = np.random.Generator(np.random.PCG64(2024))
+        draws = np.array(
+            [
+                [rec.rescaled_outcome for rec in cv.run_protocol(state, steps, r, rng)[1]]
+                for _ in range(4000)
+            ]
+        )
+        white = np.linalg.solve(L, (draws - C @ big.mean).T)
+        # 4000 draws: standard errors about 0.016 (mean) and 0.022 (variances)
+        assert np.max(np.abs(white.mean(axis=1))) < 0.1
+        assert np.max(np.abs(np.cov(white) - np.eye(3))) < 0.1
 
     def test_forced_outcomes_are_echoed_raw(self):
         out, records, _ = cv.run_protocol(
@@ -213,6 +283,20 @@ class TestRunProtocol:
             return cv.apply_correction(out, frame)
 
         assert cv.outcome_independence_check(run, range(5)) == 0.0
+
+
+class TestMutationGuard:
+    def test_flipped_frame_sign_breaks_the_step_budget(self, monkeypatch):
+        # the engine derives its correction from update_frame, so a wrong
+        # frame rule must show up as noise from the anti-squeezed quadratures
+        def flipped(frame, s, kappa):
+            return cv.ByproductFrame(s - kappa * frame.u + frame.v, frame.u)
+
+        monkeypatch.setattr(engine, "update_frame", flipped)
+        report = cv.identity_chain(5, cv.db_to_squeezing_r(100.0), cv.vacuum_state(1))
+        check = report.check("noise_trace_matches_step_budget")
+        assert not check.passed
+        assert check.value > 1e9
 
 
 class TestChannelTomography:
