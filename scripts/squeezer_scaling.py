@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Cubic-error scaling of the measurement-implemented squeezer.
 
-For each shear strength the tomographed channel is compared against the
+For each shear strength the protocol's channel is compared against the
 first-order target diag(1 - k^2, 1 + k^2); the residual shrinks as k^3 and
 the off-line squeezer with matching gate strength r = k^2 stays within the
 same cubic error.

@@ -35,7 +35,7 @@ from .phase_space import (
     IDEAL_SQUEEZING_R,
 )
 from .cluster import ClusterSpec, attach_input, linear_cluster
-from .engine import StepPlan, apply_correction, outcome_independence_check, run_protocol
+from .engine import StepPlan, apply_correction, chain_channel, run_protocol
 
 
 @dataclass(frozen=True)
@@ -213,35 +213,18 @@ def homodyne_oracle_checks(n_states: int = 100, seed: int = 12345) -> list[Check
     return [CheckResult("homodyne_matches_conditioning_oracle", worst <= 1e-10, worst)]
 
 
-def _protocol_runs() -> dict[str, callable]:
-    vac = vacuum_state(1)
-    ten_db = protocols.db_to_squeezing_r(10.0)
-
-    def cluster_run(steps, r):
-        def run(s):
-            out, _, frame = run_protocol(vac, steps, r, s)
-            return apply_correction(out, frame)
-
-        return run
-
-    return {
-        "identity_chain_ideal": cluster_run([StepPlan(0.0)] * 4, IDEAL_SQUEEZING_R),
-        "identity_chain_10db": cluster_run([StepPlan(0.0)] * 4, ten_db),
-        "squeezer_ideal": cluster_run(
-            [StepPlan(0.2), StepPlan(0.2), StepPlan(-0.2), StepPlan(-0.2)],
-            IDEAL_SQUEEZING_R,
-        ),
-        "squeezer_10db": cluster_run(
-            [StepPlan(0.2), StepPlan(0.2), StepPlan(-0.2), StepPlan(-0.2)], ten_db
-        ),
-    }
-
-
 def outcome_independence_checks() -> list[CheckResult]:
+    ten_db = protocols.db_to_squeezing_r(10.0)
+    squeezer_steps = [StepPlan(0.2), StepPlan(0.2), StepPlan(-0.2), StepPlan(-0.2)]
     results = []
-    for name, run in _protocol_runs().items():
-        dev = outcome_independence_check(run, range(20))
-        results.append(CheckResult(f"outcome_independent_{name}", dev <= 1e-9, dev))
+    for name, steps, r in (
+        ("identity_chain_ideal", [StepPlan(0.0)] * 4, IDEAL_SQUEEZING_R),
+        ("identity_chain_10db", [StepPlan(0.0)] * 4, ten_db),
+        ("squeezer_ideal", squeezer_steps, IDEAL_SQUEEZING_R),
+        ("squeezer_10db", squeezer_steps, ten_db),
+    ):
+        _, leak = chain_channel(steps, r)
+        results.append(CheckResult(f"outcome_independent_{name}", leak <= 1e-9, leak))
     vac = vacuum_state(1)
     for name, rescale, limit in (
         ("offline_squeezer_corrected", True, None),

@@ -19,9 +19,9 @@ O(k) in the number of steps:
 * one backward pass over the steps folds the linear action of
   ``update_frame`` into the frame weights T[:, j] = d(frame)/d(s_j);
 * the corrected output ``out - T m`` is read off as coefficient vectors
-  over the initial quadratures, a few shifted slices of T, and its moments
-  follow from the product-state moments (input block plus one variance per
-  resource quadrature);
+  over the initial quadratures, a few shifted slices of T. That affine map
+  is the protocol's channel (``chain_channel``): its input columns are S,
+  and the product-state variances of its resource columns give N;
 * outcome records are drawn exactly by sampling the product state (a 2x2
   Cholesky factor for the input, independent normals for the resource) and
   applying the banded functionals.
@@ -179,9 +179,7 @@ def _frame_weights(kappas: Sequence[float]) -> np.ndarray:
     return T
 
 
-def _corrected_weights(
-    kappas: np.ndarray, T: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _corrected_weights(kappas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients (Wx, Wp) of the corrected output rows over x_0..x_k and
     p_0..p_k of the product state (mode 0 the input, modes 1..k resource).
 
@@ -192,14 +190,54 @@ def _corrected_weights(
     """
     k = kappas.size
     padded = np.zeros((2, k + 3))  # column j + 1 holds T_j; T_{-1} = T_k = T_{k+1} = 0
-    padded[:, 1 : k + 1] = T
+    padded[:, 1 : k + 1] = _frame_weights(kappas)
     kappa_x = np.append(kappas, 0.0)
-    Wx = -(padded[:, : k + 1] + kappa_x * padded[:, 1 : k + 2] + padded[:, 2:])
+    # kappa_j T_j + T_{j+1} is summed in the order the backward pass folds
+    # it into T_{j-1}, so a correct frame rule cancels the weights on the
+    # anti-squeezed x_1..x_k exactly rather than to rounding: at 300 dB their
+    # variance is 2.5e29, and any residue would swamp N.
+    Wx = -(padded[:, : k + 1] + (kappa_x * padded[:, 1 : k + 2] + padded[:, 2:]))
     Wp = -padded[:, 1 : k + 2]
     Wx[0, k] += 1.0
     Wx[1, k - 1] += 1.0
     Wp[1, k] += 1.0
     return Wx, Wp
+
+
+def _kappas(steps: Sequence[StepPlan]) -> np.ndarray:
+    if len(steps) < 1:
+        raise ValueError("at least one step is required")
+    return np.array([s.kappa for s in steps])
+
+
+def _resource_variances(cluster_r: float) -> tuple[float, float]:
+    """Variances of each resource node's (x, p) before the CZ chain."""
+    return (
+        math.exp(2 * cluster_r) * VACUUM_VARIANCE,
+        math.exp(-2 * cluster_r) * VACUUM_VARIANCE,
+    )
+
+
+def chain_channel(
+    steps: Sequence[StepPlan], cluster_r: float
+) -> tuple[GaussianChannel, float]:
+    """The corrected channel of a cluster chain, read off its affine map.
+
+    The corrected output is an outcome-free affine map of the product state
+    (Heisenberg picture), so S is its pair of input columns, d = 0, and
+    N = var_x Wx Wx^T + var_p Wp Wp^T over the resource columns.
+
+    Also returns the leak: the largest weight the corrected output puts on
+    the anti-squeezed resource quadratures x_1..x_k. The byproduct
+    correction cancels those weights exactly, so a nonzero leak means the
+    frame rule is wrong and the output depends on the outcomes.
+    """
+    Wx, Wp = _corrected_weights(_kappas(steps))
+    var_x, var_p = _resource_variances(cluster_r)
+    S = np.column_stack([Wx[:, 0], Wp[:, 0]])
+    N = var_x * (Wx[:, 1:] @ Wx[:, 1:].T) + var_p * (Wp[:, 1:] @ Wp[:, 1:].T)
+    leak = float(np.max(np.abs(Wx[:, 1:])))
+    return GaussianChannel(S=S, N=0.5 * (N + N.T), d=np.zeros(2)), leak
 
 
 def _generator(outcome_source) -> np.random.Generator | None:
@@ -275,22 +313,10 @@ def run_protocol(
     """
     if input_state.n_modes != 1:
         raise ValueError("input must be a single-mode state")
-    if len(steps) < 1:
-        raise ValueError("at least one step is required")
-    k = len(steps)
-    kappas = np.array([s.kappa for s in steps])
-    var_x = math.exp(2 * cluster_r) * VACUUM_VARIANCE
-    var_p = math.exp(-2 * cluster_r) * VACUUM_VARIANCE
-
-    Wx, Wp = _corrected_weights(kappas, _frame_weights(kappas))
-    S_in = np.column_stack([Wx[:, 0], Wp[:, 0]])
-    mean_corr = S_in @ input_state.mean
-    cov_corr = (
-        S_in @ input_state.cov @ S_in.T
-        + var_x * (Wx[:, 1:] @ Wx[:, 1:].T)
-        + var_p * (Wp[:, 1:] @ Wp[:, 1:].T)
-    )
-    cov_corr = 0.5 * (cov_corr + cov_corr.T)
+    kappas = _kappas(steps)
+    k = kappas.size
+    var_x, var_p = _resource_variances(cluster_r)
+    corrected = chain_channel(steps, cluster_r)[0].apply(input_state)
 
     thetas = np.arctan(-kappas)
     rescales = np.sqrt(1.0 + kappas**2)
@@ -317,7 +343,7 @@ def run_protocol(
             )
         )
 
-    uncorrected = GaussianState(mean_corr + np.array([frame.u, frame.v]), cov_corr)
+    uncorrected = GaussianState(corrected.mean + np.array([frame.u, frame.v]), corrected.cov)
     return uncorrected, records, frame
 
 
@@ -387,10 +413,14 @@ def _state_distance(a: GaussianState, b: GaussianState) -> float:
 
 
 def channel_tomography(protocol: ProtocolRunner) -> GaussianChannel:
-    """Reconstruct (S, N, d) of a corrected single-mode protocol.
+    """Reconstruct (S, N, d) of a corrected single-mode protocol from its
+    outputs alone.
 
-    Three mean probes (vacuum, coherent(1,0), coherent(0,1)) determine the
-    affine mean map; the vacuum output covariance then gives
+    A black-box tool for protocols given only as runners; the protocol
+    reports no longer use it and read their channel off the affine map
+    instead (``chain_channel`` for cluster chains). Three mean probes
+    (vacuum, coherent(1,0), coherent(0,1)) determine the affine mean map;
+    the vacuum output covariance then gives
     N = cov_out - S (I/4) S^T. Refuses with NonDeterministicChannelError if
     two differently seeded runs disagree, since the channel is only defined
     for outcome-independent (corrected Clifford) protocols.

@@ -2,9 +2,10 @@
 
 Cluster protocols run the measurement engine on a linear chain; the off-line
 protocols teleport through a (possibly gate-modified) two-mode squeezed
-resource. Every report carries the tomographed channel, the deviation from
-the protocol's target matrix, the accumulated noise, and named pass/fail
-checks.
+resource. Every corrected protocol is an affine map of its initial product
+state; each report reads its channel off that map, and carries the
+deviation from the protocol's target matrix, the accumulated noise, and
+named pass/fail checks.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .phase_space import (
     GaussianState,
     SymplecticGate,
     beamsplitter_5050,
-    coherent_state,
     embed_symplectic,
     fourier,
     overlap_fidelity,
@@ -33,14 +33,12 @@ from .engine import (
     GaussianChannel,
     MeasurementRecord,
     StepPlan,
-    apply_correction,
-    channel_tomography,
-    outcome_independence_check,
+    chain_channel,
     run_protocol,
 )
 
-INDEPENDENCE_SEEDS = range(20)
 INDEPENDENCE_TOL = 1e-9
+DEPENDENCE_MIN = 1e-3
 NOISE_PSD_TOL = -1e-10
 
 
@@ -123,20 +121,40 @@ def _fidelity_to_ideal(
 ) -> float | None:
     ideal_cov = target_S @ input_state.cov @ target_S.T
     ideal = GaussianState(target_S @ input_state.mean, 0.5 * (ideal_cov + ideal_cov.T))
-    if abs(purity(ideal) - 1.0) > 1e-9:
+    # a target too ill-conditioned for double precision leaves the ideal
+    # covariance numerically singular, and its purity unresolved
+    if not np.linalg.det(ideal.cov) > 0 or abs(purity(ideal) - 1.0) > 1e-9:
         return None
     return overlap_fidelity(ideal, achieved)
 
 
-def _common_checks(
-    channel: GaussianChannel, run: Callable[[int], GaussianState]
-) -> list[ProtocolCheck]:
-    indep = outcome_independence_check(run, INDEPENDENCE_SEEDS)
+def _report(
+    name: str,
+    parameters: dict,
+    channel: GaussianChannel,
+    independence: ProtocolCheck,
+    extra_checks: Callable[[GaussianChannel], list[ProtocolCheck]],
+    target_S: np.ndarray,
+    fidelity: float | None,
+    records: Sequence[MeasurementRecord],
+) -> ProtocolReport:
     lam_min = float(np.linalg.eigvalsh(channel.N)[0])
-    return [
-        ProtocolCheck("outcome_independent", indep <= INDEPENDENCE_TOL, indep),
+    checks = [
+        independence,
         ProtocolCheck("channel_noise_psd", lam_min >= NOISE_PSD_TOL, lam_min),
     ]
+    checks.extend(extra_checks(channel))
+    return ProtocolReport(
+        name=name,
+        parameters=parameters,
+        channel=channel,
+        target_S=np.array(target_S, dtype=float),
+        deviation=float(np.linalg.norm(channel.S - target_S, ord="fro")),
+        noise_trace=float(np.trace(channel.N)),
+        fidelity=fidelity,
+        records=tuple(records),
+        checks=tuple(checks),
+    )
 
 
 def _cluster_report(
@@ -150,28 +168,20 @@ def _cluster_report(
     extra_checks: Callable[[GaussianChannel], list[ProtocolCheck]],
     fidelity_reference_S: np.ndarray | None = None,
 ) -> ProtocolReport:
-    def runner(state: GaussianState, run_seed: int) -> GaussianState:
-        out, _, frame = run_protocol(state, steps, r, run_seed)
-        return apply_correction(out, frame)
-
-    channel = channel_tomography(runner)
+    channel, leak = chain_channel(steps, r)
     _, records, _ = run_protocol(input_state, steps, r, seed)
-    achieved = channel.apply(input_state)
     # fidelity needs a pure reference, so it is taken against a symplectic
     # matrix even when the protocol's comparison target is an approximation
     reference = target_S if fidelity_reference_S is None else fidelity_reference_S
-    checks = _common_checks(channel, lambda s: runner(input_state, s))
-    checks.extend(extra_checks(channel))
-    return ProtocolReport(
-        name=name,
-        parameters=parameters,
-        channel=channel,
-        target_S=np.array(target_S, dtype=float),
-        deviation=float(np.linalg.norm(channel.S - target_S, ord="fro")),
-        noise_trace=float(np.trace(channel.N)),
-        fidelity=_fidelity_to_ideal(np.asarray(reference, float), input_state, achieved),
-        records=tuple(records),
-        checks=tuple(checks),
+    return _report(
+        name,
+        parameters,
+        channel,
+        ProtocolCheck("outcome_independent", leak <= INDEPENDENCE_TOL, leak),
+        extra_checks,
+        target_S,
+        _fidelity_to_ideal(np.asarray(reference, float), input_state, channel.apply(input_state)),
+        records,
     )
 
 
@@ -307,16 +317,6 @@ def _offline_assembly(input_state: GaussianState, r_resource: float, gate_S: np.
     return mu0, cov0, uv_rows, out_rows
 
 
-def _affine_channel(build: Callable[[GaussianState], tuple[np.ndarray, np.ndarray]]) -> GaussianChannel:
-    """Channel of a map given directly by its ensemble output moments."""
-    m_vac, c_vac = build(vacuum_state(1))
-    m_x, _ = build(coherent_state(1.0, 0.0))
-    m_p, _ = build(coherent_state(0.0, 1.0))
-    S = np.column_stack([m_x - m_vac, m_p - m_vac])
-    N = c_vac - VACUUM_VARIANCE * S @ S.T
-    return GaussianChannel(S=S, N=0.5 * (N + N.T), d=m_vac)
-
-
 def _offline_report(
     name: str,
     parameters: dict,
@@ -328,40 +328,35 @@ def _offline_report(
     extra_checks: Callable[[GaussianChannel], list[ProtocolCheck]],
 ) -> ProtocolReport:
     gate_S = np.eye(2) if gate is None else gate.S
-    target = gate_S
+    mu0, cov0, uv_rows, out_rows = _offline_assembly(input_state, r_resource, gate_S)
     # byproduct of the modified resource: the gate maps X(-u)Z(-v) to the
-    # displacement with coefficients gate_S (u, v)
-    gain_true = gate_S
+    # displacement with coefficients gate_S (u, v); the unscaled control
+    # applies the plain teleportation gain instead
     gain_applied = gate_S if rescale_correction else np.eye(2)
+    D = gain_applied - gate_S
+    M = out_rows + gate_S @ uv_rows
+    applied = M + D @ uv_rows
 
-    def moments(state: GaussianState) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        mu0, cov0, uv_rows, out_rows = _offline_assembly(state, r_resource, gate_S)
-        M = out_rows + gain_true @ uv_rows
-        return mu0, cov0, uv_rows, M
+    def ensemble_cov(cov: np.ndarray) -> np.ndarray:
+        """Output covariance averaged over the outcomes."""
+        c = M @ cov @ M.T + D @ (uv_rows @ cov @ uv_rows.T) @ D.T
+        return 0.5 * (c + c.T)
 
-    def run(state: GaussianState, run_seed: int) -> GaussianState:
-        mu0, cov0, uv_rows, M = moments(state)
-        rng = np.random.Generator(np.random.PCG64(run_seed))
-        uv_cov = uv_rows @ cov0 @ uv_rows.T
-        uv = uv_rows @ mu0 + np.linalg.cholesky(uv_cov) @ rng.standard_normal(2)
-        mean = M @ mu0 + (gain_applied - gain_true) @ uv
-        cov = M @ cov0 @ M.T
-        return GaussianState(mean, 0.5 * (cov + cov.T))
-
-    def ensemble(state: GaussianState) -> tuple[np.ndarray, np.ndarray]:
-        mu0, cov0, uv_rows, M = moments(state)
-        D = gain_applied - gain_true
-        mean = M @ mu0 + D @ (uv_rows @ mu0)
-        cov = M @ cov0 @ M.T + D @ (uv_rows @ cov0 @ uv_rows.T) @ D.T
-        return mean, 0.5 * (cov + cov.T)
-
+    vac_cov0 = cov0.copy()
+    vac_cov0[:2, :2] = VACUUM_VARIANCE * np.eye(2)
+    S = applied[:, :2]
+    N = ensemble_cov(vac_cov0) - VACUUM_VARIANCE * S @ S.T
+    channel = GaussianChannel(S=S, N=0.5 * (N + N.T), d=np.zeros(2))
+    # weight of the applied correction on the anti-squeezed resource
+    # quadratures (x_1 and p_2): zero exactly when the gain matches the
+    # byproduct, so the output is then outcome independent
+    leak = float(np.max(np.abs(applied[:, [2, 5]])))
     if rescale_correction:
-        channel = channel_tomography(run)
+        independence = ProtocolCheck("outcome_independent", leak <= INDEPENDENCE_TOL, leak)
     else:
-        channel = _affine_channel(ensemble)
+        independence = ProtocolCheck("outcome_dependence_detected", leak > DEPENDENCE_MIN, leak)
 
     # records for the seeded run: u from the x port, v from the p port
-    mu0, cov0, uv_rows, _ = moments(input_state)
     rng = np.random.Generator(np.random.PCG64(seed))
     uv_cov = uv_rows @ cov0 @ uv_rows.T
     uv = uv_rows @ mu0 + np.linalg.cholesky(uv_cov) @ rng.standard_normal(2)
@@ -371,20 +366,16 @@ def _offline_report(
         MeasurementRecord(1, 0, 0.0, 0.0, float(uv[1]) * half, float(uv[1])),
     )
 
-    mean_e, cov_e = ensemble(input_state)
-    achieved = GaussianState(mean_e, cov_e)
-    checks = _common_checks(channel, lambda s: run(input_state, s))
-    checks.extend(extra_checks(channel))
-    return ProtocolReport(
-        name=name,
-        parameters=parameters,
-        channel=channel,
-        target_S=target,
-        deviation=float(np.linalg.norm(channel.S - target, ord="fro")),
-        noise_trace=float(np.trace(channel.N)),
-        fidelity=_fidelity_to_ideal(target, input_state, achieved),
-        records=records,
-        checks=tuple(checks),
+    achieved = GaussianState(applied @ mu0, ensemble_cov(cov0))
+    return _report(
+        name,
+        parameters,
+        channel,
+        independence,
+        extra_checks,
+        gate_S,
+        _fidelity_to_ideal(gate_S, input_state, achieved),
+        records,
     )
 
 
@@ -458,7 +449,7 @@ def offline_squeezer(
         ]
         return checks
 
-    report = _offline_report(
+    return _offline_report(
         "offline_squeezer",
         {
             "r_resource": r_resource,
@@ -473,22 +464,6 @@ def offline_squeezer(
         rescale_correction,
         extra,
     )
-    if not rescale_correction:
-        dep = report.check("outcome_independent").value
-        checks = tuple(c for c in report.checks if c.name != "outcome_independent")
-        checks += (ProtocolCheck("outcome_dependence_detected", dep > 1e-3, dep),)
-        report = ProtocolReport(
-            name=report.name,
-            parameters=report.parameters,
-            channel=report.channel,
-            target_S=report.target_S,
-            deviation=report.deviation,
-            noise_trace=report.noise_trace,
-            fidelity=report.fidelity,
-            records=report.records,
-            checks=checks,
-        )
-    return report
 
 
 # ---------------------------------------------------------------------------

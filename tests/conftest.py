@@ -77,3 +77,21 @@ def random_gaussian_state(seed: int, n_modes: int, displaced: bool = True) -> cv
     if displaced:
         state = cv.GaussianState(state.mean + rng.normal(0.0, 1.0, 2 * n_modes), state.cov)
     return state
+
+
+def step_noise_oracle(kappas, r):
+    """Accumulate the per-step channel independently of the engine.
+
+    Step j contributes e^{-2r}/4 to the momentum quadrature right after its
+    Fourier-shear map; downstream steps conjugate it. S is the ordered
+    product of the single-step matrices.
+    """
+    a = math.exp(-2 * r) / 4
+    S_total = np.eye(2)
+    N = np.zeros((2, 2))
+    for kappa in kappas:
+        step = cv.fourier_shear_step(kappa)
+        S_total = step @ S_total
+        N = step @ N @ step.T
+        N[1, 1] += a
+    return S_total, N

@@ -69,7 +69,7 @@ def test_03_outcome_independence_all_protocols():
     report_line(
         3,
         all(v <= 1e-9 for v in worst.values()),
-        "20-seed corrected-output deviation per protocol: "
+        "corrected-output weight on anti-squeezed resource quadratures per protocol: "
         + ", ".join(f"{k}={v:.1e}" for k, v in worst.items()),
     )
 

@@ -6,28 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 import cvcluster as cv
 from cvcluster import engine
-from conftest import random_gaussian_state
+from conftest import random_gaussian_state, step_noise_oracle
 
 IDEAL = cv.IDEAL_SQUEEZING_R
 TEN_DB_R = math.log(10.0) / 2.0
-
-
-def step_noise_oracle(kappas, r):
-    """Accumulate the per-step channel independently of the engine.
-
-    Step j contributes e^{-2r}/4 to the momentum quadrature right after its
-    Fourier-shear map; downstream steps conjugate it. S is the ordered
-    product of the single-step matrices.
-    """
-    a = math.exp(-2 * r) / 4
-    S_total = np.eye(2)
-    N = np.zeros((2, 2))
-    for kappa in kappas:
-        step = cv.fourier_shear_step(kappa)
-        S_total = step @ S_total
-        N = step @ N @ step.T
-        N[1, 1] += a
-    return S_total, N
 
 
 class TestMeasurementBasis:

@@ -1,9 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cvcluster as cv
+from cvcluster import checks, cli, engine, protocols
+from conftest import step_noise_oracle
 
 IDEAL = cv.IDEAL_SQUEEZING_R
 TEN_DB_R = math.log(10.0) / 2.0
@@ -277,3 +281,153 @@ class TestProtocolStatesPhysical:
             assert cv.uncertainty_defect(resource) <= 1e-12
             mixed = cv.apply_gate(cv.tensor(VAC, resource), cv.beamsplitter_5050(), [0, 1])
             assert cv.uncertainty_defect(mixed) <= 1e-12
+
+
+def _flipped_frame_sign(frame, s, kappa):
+    return cv.ByproductFrame(s - kappa * frame.u + frame.v, frame.u)
+
+
+class TestChannelFromAffineMap:
+    def test_flipped_frame_sign_fails_outcome_independence(self, monkeypatch):
+        # a wrong frame rule leaves weight on the anti-squeezed resource
+        # quadratures, which the check reads off the protocol's map
+        monkeypatch.setattr(engine, "update_frame", _flipped_frame_sign)
+        report = cv.squeezer_four_step(0.2, cv.db_to_squeezing_r(100.0), VAC)
+        check = report.check("outcome_independent")
+        assert not check.passed
+        assert check.value == pytest.approx(2.0)
+
+    def test_flipped_frame_sign_fails_verify_rows(self, monkeypatch):
+        monkeypatch.setattr(engine, "update_frame", _flipped_frame_sign)
+        rows = {row.name: row for row in checks.outcome_independence_checks()}
+        for name in ("identity_chain_ideal", "identity_chain_10db", "squeezer_ideal", "squeezer_10db"):
+            assert not rows[f"outcome_independent_{name}"].passed, name
+
+    def test_cli_run_at_300_db_matches_step_budget(self, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"protocol": "squeezer_four_step", "squeezing_db": 300}))
+        out = tmp_path / "result.json"
+        assert cli.main(["run", str(config), "--output", str(out), "--quiet"]) == 0
+        doc = json.loads(out.read_text())
+        kappa = 0.2  # the config default
+        _, N = step_noise_oracle([kappa, kappa, -kappa, -kappa], cv.db_to_squeezing_r(300.0))
+        assert doc["noise_trace"] == pytest.approx(np.trace(N), rel=1e-9)
+        n00, n01, n11 = doc["channel"]["N"]
+        assert np.linalg.eigvalsh([[n00, n01], [n01, n11]])[0] >= 0.0
+        assert all(c["passed"] for c in doc["checks"])
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        protocol=st.sampled_from(["identity_chain", "squeezer_four_step", "repeated_squeezer"]),
+        db=st.floats(0.0, 300.0),
+        kappa=st.floats(-1.0, 1.0),
+        k=st.integers(1, 200),
+    )
+    def test_report_channel_matches_recursion_oracle(self, protocol, db, kappa, k):
+        r = cv.db_to_squeezing_r(db)
+        if protocol == "identity_chain":
+            report = cv.identity_chain(k + 1, r, VAC)
+            kappas = [0.0] * k
+        elif protocol == "squeezer_four_step":
+            report = cv.squeezer_four_step(kappa, r, VAC)
+            kappas = [kappa, kappa, -kappa, -kappa]
+        else:
+            segments = max(1, k // 4)
+            report = cv.repeated_squeezer(segments, kappa, r, VAC)
+            kappas = [kappa, kappa, -kappa, -kappa] * segments
+        S, N = step_noise_oracle(kappas, r)
+
+        def scale(a):
+            return float(np.max(np.abs(a)))
+
+        assert scale(report.channel.S - S) <= 1e-9 * scale(S)
+        assert scale(report.channel.N - N) <= 1e-9 * scale(N)
+        assert report.noise_trace == pytest.approx(float(np.trace(N)), rel=1e-9)
+        assert np.array_equal(report.channel.d, np.zeros(2))
+        check = report.check("outcome_independent")
+        assert check.passed and check.value <= protocols.INDEPENDENCE_TOL
+
+
+def _cluster_runner(steps, r):
+    def run(state, seed):
+        out, _, frame = cv.run_protocol(state, steps, r, seed)
+        return cv.apply_correction(out, frame)
+
+    return run
+
+
+def _offline_moments(state, r, gate_S, gain_applied):
+    """Corrected output rows M, the applied-minus-true gain D, and the
+    assembled initial moments, as the off-line teleporter builds them."""
+    mu0, cov0, uv_rows, out_rows = protocols._offline_assembly(state, r, gate_S)
+    return mu0, cov0, uv_rows, out_rows + gate_S @ uv_rows, gain_applied - gate_S
+
+
+def _offline_runner(r, gate_S):
+    """A seeded corrected run: draw (u, v), then apply the rescaled gain."""
+
+    def run(state, seed):
+        mu0, cov0, uv_rows, M, D = _offline_moments(state, r, gate_S, gate_S)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        uv_cov = uv_rows @ cov0 @ uv_rows.T
+        uv = uv_rows @ mu0 + np.linalg.cholesky(uv_cov) @ rng.standard_normal(2)
+        cov = M @ cov0 @ M.T
+        return cv.GaussianState(M @ mu0 + D @ uv, 0.5 * (cov + cov.T))
+
+    return run
+
+
+def _ensemble_readout(r, gate_S):
+    """Channel of the unscaled control read off its outcome-averaged output
+    for three probe inputs."""
+
+    def moments(state):
+        mu0, cov0, uv_rows, M, D = _offline_moments(state, r, gate_S, np.eye(2))
+        cov = M @ cov0 @ M.T + D @ (uv_rows @ cov0 @ uv_rows.T) @ D.T
+        return M @ mu0 + D @ (uv_rows @ mu0), 0.5 * (cov + cov.T)
+
+    m_vac, c_vac = moments(VAC)
+    m_x, _ = moments(cv.coherent_state(1.0, 0.0))
+    m_p, _ = moments(cv.coherent_state(0.0, 1.0))
+    S = np.column_stack([m_x - m_vac, m_p - m_vac])
+    N = c_vac - 0.25 * S @ S.T
+    return cv.GaussianChannel(S=S, N=0.5 * (N + N.T), d=m_vac)
+
+
+class TestChannelAgreesWithTomography:
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "identity_chain",
+            "squeezer_four_step",
+            "repeated_squeezer",
+            "offline_teleport",
+            "offline_squeezer",
+            "offline_squeezer_unscaled",
+        ],
+    )
+    def test_ten_db(self, name):
+        r, r_gate = TEN_DB_R, 0.04
+        squeezer_steps = [cv.StepPlan(k) for k in (0.2, 0.2, -0.2, -0.2)]
+        repeated_steps = [cv.StepPlan(k) for k in (0.1, 0.1, -0.1, -0.1)] * 2
+        if name == "identity_chain":
+            report = cv.identity_chain(5, r, VAC)
+            expected = cv.channel_tomography(_cluster_runner([cv.StepPlan(0.0)] * 4, r))
+        elif name == "squeezer_four_step":
+            report = cv.squeezer_four_step(0.2, r, VAC)
+            expected = cv.channel_tomography(_cluster_runner(squeezer_steps, r))
+        elif name == "repeated_squeezer":
+            report = cv.repeated_squeezer(2, 0.1, r, VAC)
+            expected = cv.channel_tomography(_cluster_runner(repeated_steps, r))
+        elif name == "offline_teleport":
+            report = cv.offline_teleport(VAC, r)
+            expected = cv.channel_tomography(_offline_runner(r, np.eye(2)))
+        elif name == "offline_squeezer":
+            report = cv.offline_squeezer(VAC, r, r_gate)
+            expected = cv.channel_tomography(_offline_runner(r, cv.squeezer(r_gate).S))
+        else:
+            report = cv.offline_squeezer(VAC, r, r_gate, rescale_correction=False)
+            expected = _ensemble_readout(r, cv.squeezer(r_gate).S)
+        np.testing.assert_allclose(report.channel.S, expected.S, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(report.channel.N, expected.N, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(report.channel.d, expected.d, rtol=0, atol=1e-12)

@@ -1,0 +1,39 @@
+"""The experiment scripts in scripts/ run end to end against the package."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name: str) -> list[list[str]]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return [line.split() for line in result.stdout.splitlines()]
+
+
+def test_squeezer_scaling_shows_cubic_error():
+    rows = run_script("squeezer_scaling.py")
+    table = rows[1:5]
+    assert [float(row[0]) for row in table] == [0.025, 0.05, 0.1, 0.2]
+    # deviation / kappa^3 is the same constant at every shear strength
+    normalized = [float(row[2]) for row in table]
+    assert max(normalized) / min(normalized) < 1.05
+
+
+def test_teleport_fidelity_matches_closed_form():
+    rows = run_script("teleport_fidelity.py")
+    table = rows[1:]
+    assert len(table) == 6
+    for db, fidelity, closed, _ in table:
+        assert fidelity == closed, db
