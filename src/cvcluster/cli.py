@@ -58,7 +58,10 @@ _SCALAR_FIELDS = {
     "seed": (int, lambda v: v >= 0, "must be a non-negative integer"),
     "trials": (int, lambda v: v >= 1, "must be >= 1"),
 }
-_SWEEP_PARAMS = ("squeezing_db", "kappa", "n_nodes", "segments", "r_gate")
+_DEFAULTS = protocols.PARAMETER_DEFAULTS
+_KNOWN_FIELDS = {
+    "schema_version", "protocol", *_DEFAULTS, "input", "seed", "trials", "sweep", "output_path",
+}
 
 
 def _checked_scalar(name: str, raw, label: str | None = None):
@@ -77,11 +80,11 @@ def _checked_scalar(name: str, raw, label: str | None = None):
 @dataclass
 class ExperimentConfig:
     protocol: str
-    squeezing_db: float = 100.0
-    kappa: float = 0.2
-    n_nodes: int = 5
-    segments: int = 1
-    r_gate: float = 0.04
+    squeezing_db: float = _DEFAULTS["squeezing_db"]
+    kappa: float = _DEFAULTS["kappa"]
+    n_nodes: int = _DEFAULTS["n_nodes"]
+    segments: int = _DEFAULTS["segments"]
+    r_gate: float = _DEFAULTS["r_gate"]
     input: dict = field(default_factory=lambda: {"kind": "vacuum"})
     seed: int = 0
     trials: int = 1
@@ -92,12 +95,8 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        known = {
-            "schema_version", "protocol", "squeezing_db", "kappa", "n_nodes",
-            "segments", "r_gate", "input", "seed", "trials", "sweep", "output_path",
-        }
         for key in raw:
-            if key not in known:
+            if key not in _KNOWN_FIELDS:
                 raise ConfigError(f"unknown config field {key!r}")
         if "protocol" not in raw:
             raise ConfigError("missing required field 'protocol'")
@@ -121,7 +120,7 @@ class ExperimentConfig:
                 raise ConfigError("field 'sweep': expected {param, values}")
             if not isinstance(sweep["values"], list) or len(sweep["values"]) == 0:
                 raise ConfigError("field 'sweep.values': must be a nonempty list")
-            if sweep["param"] not in _SWEEP_PARAMS:
+            if sweep["param"] not in _DEFAULTS:
                 raise ConfigError(f"field 'sweep.param': cannot sweep {sweep['param']!r}")
             # the raw values are kept: they are echoed verbatim in the CSV
             for i, value in enumerate(sweep["values"]):
@@ -133,11 +132,7 @@ class ExperimentConfig:
         return {
             "schema_version": SCHEMA_VERSION,
             "protocol": self.protocol,
-            "squeezing_db": float(self.squeezing_db),
-            "kappa": float(self.kappa),
-            "n_nodes": int(self.n_nodes),
-            "segments": int(self.segments),
-            "r_gate": float(self.r_gate),
+            **{name: type(default)(getattr(self, name)) for name, default in _DEFAULTS.items()},
             "input": self.input,
             "seed": int(self.seed),
             "trials": int(self.trials),
@@ -176,14 +171,9 @@ def build_input_state(spec: dict) -> GaussianState:
 
 
 def _protocol_params(cfg: ExperimentConfig) -> dict:
-    return {
-        "squeezing_db": cfg.squeezing_db,
-        "kappa": cfg.kappa,
-        "n_nodes": cfg.n_nodes,
-        "segments": cfg.segments,
-        "r_gate": cfg.r_gate,
-        "input_state": build_input_state(cfg.input),
-    }
+    params = {name: getattr(cfg, name) for name in _DEFAULTS}
+    params["input_state"] = build_input_state(cfg.input)
+    return params
 
 
 def run_document(cfg: ExperimentConfig) -> dict:

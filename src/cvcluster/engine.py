@@ -20,7 +20,8 @@ O(k) in the number of steps:
   ``update_frame`` into the frame weights T[:, j] = d(frame)/d(s_j);
 * the corrected output ``out - T m`` is read off as coefficient vectors
   over the initial quadratures, a few shifted slices of T. That affine map
-  is the protocol's channel (``chain_channel``): its input columns are S,
+  is the protocol's channel (``chain_channel``, through the readout
+  ``affine_channel`` that every protocol shares): its input columns are S,
   and the product-state variances of its resource columns give N;
 * outcome records are drawn exactly by sampling the product state (a 2x2
   Cholesky factor for the input, independent normals for the resource) and
@@ -210,34 +211,34 @@ def _kappas(steps: Sequence[StepPlan]) -> np.ndarray:
     return np.array([s.kappa for s in steps])
 
 
-def _resource_variances(cluster_r: float) -> tuple[float, float]:
-    """Variances of each resource node's (x, p) before the CZ chain."""
-    return (
-        math.exp(2 * cluster_r) * VACUUM_VARIANCE,
-        math.exp(-2 * cluster_r) * VACUUM_VARIANCE,
-    )
+def _resource_variances(r: float) -> tuple[float, float]:
+    """Variances of an anti-squeezed and a squeezed resource quadrature."""
+    return math.exp(2 * r) * VACUUM_VARIANCE, math.exp(-2 * r) * VACUUM_VARIANCE
 
 
-def chain_channel(
-    steps: Sequence[StepPlan], cluster_r: float
+def affine_channel(
+    S: np.ndarray, anti: np.ndarray, squeezed: np.ndarray, r: float
 ) -> tuple[GaussianChannel, float]:
-    """The corrected channel of a cluster chain, read off its affine map.
+    """The channel of a corrected protocol, an outcome-free affine map of a
+    product state (Heisenberg picture), read off the map's weights on the
+    input (S), on the anti-squeezed resource quadratures (variance
+    e^{2r}/4) and on the squeezed ones (e^{-2r}/4): d = 0 and
+    N = var_anti anti anti^T + var_squeezed squeezed squeezed^T.
 
-    The corrected output is an outcome-free affine map of the product state
-    (Heisenberg picture), so S is its pair of input columns, d = 0, and
-    N = var_x Wx Wx^T + var_p Wp Wp^T over the resource columns.
-
-    Also returns the leak: the largest weight the corrected output puts on
-    the anti-squeezed resource quadratures x_1..x_k. The byproduct
-    correction cancels those weights exactly, so a nonzero leak means the
-    frame rule is wrong and the output depends on the outcomes.
+    Also returns the leak, the largest anti-squeezed weight: a correction
+    that matches the byproduct cancels those weights exactly.
     """
-    Wx, Wp = _corrected_weights(_kappas(steps))
-    var_x, var_p = _resource_variances(cluster_r)
-    S = np.column_stack([Wx[:, 0], Wp[:, 0]])
-    N = var_x * (Wx[:, 1:] @ Wx[:, 1:].T) + var_p * (Wp[:, 1:] @ Wp[:, 1:].T)
-    leak = float(np.max(np.abs(Wx[:, 1:])))
+    var_anti, var_squeezed = _resource_variances(r)
+    N = var_anti * (anti @ anti.T) + var_squeezed * (squeezed @ squeezed.T)
+    leak = float(np.max(np.abs(anti)))
     return GaussianChannel(S=S, N=0.5 * (N + N.T), d=np.zeros(2)), leak
+
+
+def chain_channel(steps: Sequence[StepPlan], cluster_r: float) -> tuple[GaussianChannel, float]:
+    """The corrected channel and leak of a cluster chain (``affine_channel``);
+    of its resource quadratures, x_1..x_k are anti-squeezed."""
+    Wx, Wp = _corrected_weights(_kappas(steps))
+    return affine_channel(np.column_stack([Wx[:, 0], Wp[:, 0]]), Wx[:, 1:], Wp[:, 1:], cluster_r)
 
 
 def _generator(outcome_source) -> np.random.Generator | None:
@@ -373,18 +374,16 @@ def dual_step(
 
     S = controlled_z_pp().S
     c = S[0]  # x of mode 0 after the coupling, in initial coordinates
-    P = S[2:4]
-    # corrected p row absorbs +1 times the measured functional (undoes Z(-t))
-    M = P + np.array([[0.0], [1.0]]) @ c[None, :]
-
-    mean_corr = M @ mu0
-    cov_corr = M @ cov0 @ M.T
+    # corrected output rows over (x, p, x_a, p_a): the p row absorbs +1 times
+    # the measured functional (undoes Z(-t)); p_a is the anti-squeezed one
+    M = S[2:4] + np.array([[0.0], [1.0]]) @ c[None, :]
+    corrected = affine_channel(M[:, :2], M[:, [3]], M[:, [2]], r)[0].apply(input_state)
 
     m_mean = np.array([c @ mu0])
     m_cov = np.array([[c @ cov0 @ c]])
     t = float(_sample_or_force(m_mean, m_cov, outcome_source, 1)[0])
 
-    output = GaussianState(mean_corr + np.array([0.0, -t]), 0.5 * (cov_corr + cov_corr.T))
+    output = GaussianState(corrected.mean + np.array([0.0, -t]), corrected.cov)
     record = MeasurementRecord(
         step_index=0,
         mode=0,

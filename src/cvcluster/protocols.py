@@ -33,13 +33,35 @@ from .engine import (
     GaussianChannel,
     MeasurementRecord,
     StepPlan,
+    affine_channel,
     chain_channel,
     run_protocol,
 )
 
 INDEPENDENCE_TOL = 1e-9
 DEPENDENCE_MIN = 1e-3
-NOISE_PSD_TOL = -1e-10
+NOISE_PSD_TOL = 1e-10
+ROUNDING_TOL = 64 * np.finfo(float).eps
+
+# config-style protocol parameters and their defaults (the CLI's too)
+PARAMETER_DEFAULTS = {
+    "squeezing_db": 100.0,
+    "kappa": 0.2,
+    "n_nodes": 5,
+    "segments": 1,
+    "r_gate": 0.04,
+}
+
+
+def _bound(absolute: float, scale: float) -> float:
+    """An absolute check bound, no tighter than the rounding of a quantity of
+    size ``scale``: |N|max for a noise matrix, |target|^2 (the condition
+    number) for a 2x2 symplectic matrix."""
+    return max(absolute, ROUNDING_TOL * scale)
+
+
+def _max_abs(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a)))
 
 
 def db_to_squeezing_r(db: float) -> float:
@@ -117,7 +139,7 @@ class ProtocolReport:
 
 
 def _fidelity_to_ideal(
-    target_S: np.ndarray, input_state: GaussianState, achieved: GaussianState
+    target_S: np.ndarray, input_state: GaussianState, channel: GaussianChannel
 ) -> float | None:
     ideal_cov = target_S @ input_state.cov @ target_S.T
     ideal = GaussianState(target_S @ input_state.mean, 0.5 * (ideal_cov + ideal_cov.T))
@@ -125,7 +147,7 @@ def _fidelity_to_ideal(
     # covariance numerically singular, and its purity unresolved
     if not np.linalg.det(ideal.cov) > 0 or abs(purity(ideal) - 1.0) > 1e-9:
         return None
-    return overlap_fidelity(ideal, achieved)
+    return overlap_fidelity(ideal, channel.apply(input_state))
 
 
 def _report(
@@ -135,14 +157,16 @@ def _report(
     independence: ProtocolCheck,
     extra_checks: Callable[[GaussianChannel], list[ProtocolCheck]],
     target_S: np.ndarray,
-    fidelity: float | None,
+    input_state: GaussianState,
     records: Sequence[MeasurementRecord],
+    fidelity_reference_S: np.ndarray | None = None,
 ) -> ProtocolReport:
+    # fidelity needs a pure reference, so it is taken against a symplectic
+    # matrix even when the protocol's comparison target is an approximation
+    reference = target_S if fidelity_reference_S is None else fidelity_reference_S
     lam_min = float(np.linalg.eigvalsh(channel.N)[0])
-    checks = [
-        independence,
-        ProtocolCheck("channel_noise_psd", lam_min >= NOISE_PSD_TOL, lam_min),
-    ]
+    psd_ok = lam_min >= -_bound(NOISE_PSD_TOL, _max_abs(channel.N))
+    checks = [independence, ProtocolCheck("channel_noise_psd", psd_ok, lam_min)]
     checks.extend(extra_checks(channel))
     return ProtocolReport(
         name=name,
@@ -151,7 +175,7 @@ def _report(
         target_S=np.array(target_S, dtype=float),
         deviation=float(np.linalg.norm(channel.S - target_S, ord="fro")),
         noise_trace=float(np.trace(channel.N)),
-        fidelity=fidelity,
+        fidelity=_fidelity_to_ideal(reference, input_state, channel),
         records=tuple(records),
         checks=tuple(checks),
     )
@@ -170,9 +194,6 @@ def _cluster_report(
 ) -> ProtocolReport:
     channel, leak = chain_channel(steps, r)
     _, records, _ = run_protocol(input_state, steps, r, seed)
-    # fidelity needs a pure reference, so it is taken against a symplectic
-    # matrix even when the protocol's comparison target is an approximation
-    reference = target_S if fidelity_reference_S is None else fidelity_reference_S
     return _report(
         name,
         parameters,
@@ -180,8 +201,9 @@ def _cluster_report(
         ProtocolCheck("outcome_independent", leak <= INDEPENDENCE_TOL, leak),
         extra_checks,
         target_S,
-        _fidelity_to_ideal(np.asarray(reference, float), input_state, channel.apply(input_state)),
+        input_state,
         records,
+        fidelity_reference_S,
     )
 
 
@@ -231,9 +253,10 @@ def squeezer_four_step(
     def extra(channel: GaussianChannel) -> list[ProtocolCheck]:
         exact_dev = float(np.linalg.norm(channel.S - exact, ord="fro"))
         target_dev = float(np.linalg.norm(channel.S - target, ord="fro"))
+        exact_ok = exact_dev <= _bound(1e-6, _max_abs(exact) ** 2)
         out = channel.apply(input_state)
         return [
-            ProtocolCheck("matches_exact_four_step_matrix", exact_dev <= 1e-6, exact_dev),
+            ProtocolCheck("matches_exact_four_step_matrix", exact_ok, exact_dev),
             ProtocolCheck(
                 "within_cubic_error_of_target",
                 target_dev <= 2.0 * abs(kappa) ** 3 + 1e-12,
@@ -268,7 +291,8 @@ def repeated_squeezer(
 
     def extra(channel: GaussianChannel) -> list[ProtocolCheck]:
         dev = float(np.linalg.norm(channel.S - target, ord="fro"))
-        return [ProtocolCheck("matches_exact_segment_power", dev <= 1e-6, dev)]
+        ok = dev <= _bound(1e-6, _max_abs(target) ** 2)
+        return [ProtocolCheck("matches_exact_segment_power", ok, dev)]
 
     return _cluster_report(
         "repeated_squeezer",
@@ -331,26 +355,13 @@ def _offline_report(
     mu0, cov0, uv_rows, out_rows = _offline_assembly(input_state, r_resource, gate_S)
     # byproduct of the modified resource: the gate maps X(-u)Z(-v) to the
     # displacement with coefficients gate_S (u, v); the unscaled control
-    # applies the plain teleportation gain instead
-    gain_applied = gate_S if rescale_correction else np.eye(2)
-    D = gain_applied - gate_S
-    M = out_rows + gate_S @ uv_rows
-    applied = M + D @ uv_rows
-
-    def ensemble_cov(cov: np.ndarray) -> np.ndarray:
-        """Output covariance averaged over the outcomes."""
-        c = M @ cov @ M.T + D @ (uv_rows @ cov @ uv_rows.T) @ D.T
-        return 0.5 * (c + c.T)
-
-    vac_cov0 = cov0.copy()
-    vac_cov0[:2, :2] = VACUUM_VARIANCE * np.eye(2)
-    S = applied[:, :2]
-    N = ensemble_cov(vac_cov0) - VACUUM_VARIANCE * S @ S.T
-    channel = GaussianChannel(S=S, N=0.5 * (N + N.T), d=np.zeros(2))
-    # weight of the applied correction on the anti-squeezed resource
-    # quadratures (x_1 and p_2): zero exactly when the gain matches the
-    # byproduct, so the output is then outcome independent
-    leak = float(np.max(np.abs(applied[:, [2, 5]])))
+    # applies the plain teleportation gain instead, and its channel is then
+    # the outcome-averaged one. Of the resource columns (x_1, p_1, x_2, p_2),
+    # x_1 and p_2 are anti-squeezed.
+    applied = out_rows + (gate_S if rescale_correction else np.eye(2)) @ uv_rows
+    channel, leak = affine_channel(
+        applied[:, :2], applied[:, [2, 5]], applied[:, [3, 4]], r_resource
+    )
     if rescale_correction:
         independence = ProtocolCheck("outcome_independent", leak <= INDEPENDENCE_TOL, leak)
     else:
@@ -365,17 +376,8 @@ def _offline_report(
         MeasurementRecord(0, 1, 0.0, -math.pi / 2, float(uv[0]) * half, float(uv[0])),
         MeasurementRecord(1, 0, 0.0, 0.0, float(uv[1]) * half, float(uv[1])),
     )
-
-    achieved = GaussianState(applied @ mu0, ensemble_cov(cov0))
     return _report(
-        name,
-        parameters,
-        channel,
-        independence,
-        extra_checks,
-        gate_S,
-        _fidelity_to_ideal(gate_S, input_state, achieved),
-        records,
+        name, parameters, channel, independence, extra_checks, gate_S, input_state, records
     )
 
 
@@ -394,13 +396,11 @@ def offline_teleport(
     )
 
     def extra(channel: GaussianChannel) -> list[ProtocolCheck]:
-        noise_err = float(np.max(np.abs(channel.N - 0.5 * eps * np.eye(2))))
-        checks = [
-            ProtocolCheck("noise_is_isotropic_teleportation_noise", noise_err <= 1e-9, noise_err)
-        ]
+        noise_err = _max_abs(channel.N - 0.5 * eps * np.eye(2))
+        noise_ok = noise_err <= _bound(1e-9, _max_abs(channel.N))
+        checks = [ProtocolCheck("noise_is_isotropic_teleportation_noise", noise_ok, noise_err)]
         if is_vacuum:
-            achieved = channel.apply(input_state)
-            fid = overlap_fidelity(input_state, achieved)
+            fid = overlap_fidelity(input_state, channel.apply(input_state))
             fid_err = abs(fid - 1.0 / (1.0 + eps))
             checks.append(
                 ProtocolCheck("vacuum_fidelity_matches_closed_form", fid_err <= 1e-6, fid_err)
@@ -436,18 +436,18 @@ def offline_squeezer(
     """
     gate = squeezer(r_gate)
     eps = math.exp(-2 * r_resource)
+    target = np.diag([math.exp(-r_gate), math.exp(r_gate)])
 
     def extra(channel: GaussianChannel) -> list[ProtocolCheck]:
-        target_dev = float(
-            np.linalg.norm(channel.S - np.diag([math.exp(-r_gate), math.exp(r_gate)]), ord="fro")
-        )
+        target_dev = float(np.linalg.norm(channel.S - target, ord="fro"))
+        target_ok = target_dev <= _bound(1e-6, _max_abs(target) ** 2)
         noise_oracle = 0.5 * eps * np.diag([math.exp(-2 * r_gate), math.exp(2 * r_gate)])
-        noise_err = float(np.max(np.abs(channel.N - noise_oracle)))
-        checks = [
-            ProtocolCheck("channel_matches_target_squeezer", target_dev <= 1e-6, target_dev),
-            ProtocolCheck("noise_is_squeezed_teleportation_noise", noise_err <= 1e-9, noise_err),
+        noise_err = _max_abs(channel.N - noise_oracle)
+        noise_ok = noise_err <= _bound(1e-9, _max_abs(channel.N))
+        return [
+            ProtocolCheck("channel_matches_target_squeezer", target_ok, target_dev),
+            ProtocolCheck("noise_is_squeezed_teleportation_noise", noise_ok, noise_err),
         ]
-        return checks
 
     return _offline_report(
         "offline_squeezer",
@@ -482,33 +482,28 @@ def run_named_protocol(protocol_id: str, params: dict, seed: int = 0) -> Protoco
     """Run a protocol by name with config-style parameters.
 
     ``params`` may give the resource squeezing as ``squeezing_db`` (converted
-    here, once) or directly as ``squeezing_r``; ``input_state`` defaults to
-    the vacuum.
+    here, once) or directly as ``squeezing_r``; missing parameters take their
+    ``PARAMETER_DEFAULTS`` value, and ``input_state`` defaults to the vacuum.
     """
     if protocol_id not in PROTOCOL_IDS:
         raise ValueError(f"unknown protocol {protocol_id!r}; known: {PROTOCOL_IDS}")
+    params = {**PARAMETER_DEFAULTS, **params}
     if "squeezing_r" in params:
         r = float(params["squeezing_r"])
     else:
-        r = db_to_squeezing_r(float(params.get("squeezing_db", 100.0)))
+        r = db_to_squeezing_r(float(params["squeezing_db"]))
     input_state = params.get("input_state") or vacuum_state(1)
     if protocol_id == "identity_chain":
-        return identity_chain(int(params.get("n_nodes", 5)), r, input_state, seed)
+        return identity_chain(int(params["n_nodes"]), r, input_state, seed)
     if protocol_id == "squeezer_four_step":
-        return squeezer_four_step(float(params.get("kappa", 0.2)), r, input_state, seed)
+        return squeezer_four_step(float(params["kappa"]), r, input_state, seed)
     if protocol_id == "repeated_squeezer":
         return repeated_squeezer(
-            int(params.get("segments", 1)),
-            float(params.get("kappa", 0.2)),
-            r,
-            input_state,
-            seed,
+            int(params["segments"]), float(params["kappa"]), r, input_state, seed
         )
     if protocol_id == "offline_teleport":
         return offline_teleport(input_state, r, seed)
-    return offline_squeezer(
-        input_state, r, float(params.get("r_gate", 0.04)), seed
-    )
+    return offline_squeezer(input_state, r, float(params["r_gate"]), seed)
 
 
 def sweep(

@@ -176,6 +176,9 @@ class TestOfflineSqueezer:
         )
         np.testing.assert_allclose(report.channel.N, expected, atol=1e-9)
         assert report.check("noise_is_squeezed_teleportation_noise").passed
+        # at 150 dB with r_gate = 30, N reaches 5.7e10 and its check is held
+        # to the rounding of that scale
+        assert cv.offline_squeezer(VAC, cv.db_to_squeezing_r(150.0), 30.0).all_passed()
 
     def test_comparable_to_cluster_squeezer(self):
         # same target squeezing r = kappa^2; the schemes agree to O(kappa^3)
@@ -346,6 +349,8 @@ class TestChannelFromAffineMap:
         assert np.array_equal(report.channel.d, np.zeros(2))
         check = report.check("outcome_independent")
         assert check.passed and check.value <= protocols.INDEPENDENCE_TOL
+        # the checks' bounds follow the scale of S and N
+        assert report.all_passed(), [c for c in report.checks if not c.passed]
 
 
 def _cluster_runner(steps, r):
@@ -377,21 +382,40 @@ def _offline_runner(r, gate_S):
     return run
 
 
-def _ensemble_readout(r, gate_S):
-    """Channel of the unscaled control read off its outcome-averaged output
-    for three probe inputs."""
+def _conditioned_state_channel(r, r_gate, rescale_correction):
+    """Channel of the off-line squeezer read off the explicit three-mode state.
+
+    The input joins ``cluster.modified_resource`` at the beamsplitter; the
+    output mode is conditioned on the measured (x_1', p_0') by the Gaussian
+    rule, and the correction (mode 2 displaced by gain (u, v), with
+    (u, v) = sqrt2 (x_1', p_0')) is averaged over the outcomes by the law of
+    total variance. Also returns the largest entry of the state's
+    covariance: the oracle works at that scale and resolves N only to
+    rounding of it.
+    """
+    gate = cv.squeezer(r_gate)
+    gain = math.sqrt(2.0) * (gate.S if rescale_correction else np.eye(2))
+    measured, out = [2, 1], [4, 5]
 
     def moments(state):
-        mu0, cov0, uv_rows, M, D = _offline_moments(state, r, gate_S, np.eye(2))
-        cov = M @ cov0 @ M.T + D @ (uv_rows @ cov0 @ uv_rows.T) @ D.T
-        return M @ mu0 + D @ (uv_rows @ mu0), 0.5 * (cov + cov.T)
+        mixed = cv.apply_gate(
+            cv.tensor(state, cv.modified_resource(r, gate)), cv.beamsplitter_5050(), [0, 1]
+        )
+        mu, cov = mixed.mean, mixed.cov
+        cov_mm = cov[np.ix_(measured, measured)]
+        cov_om = cov[np.ix_(out, measured)]
+        regression = cov_om @ np.linalg.inv(cov_mm)  # of out on m
+        conditional = cov[np.ix_(out, out)] - regression @ cov_om.T
+        spread = regression + gain  # outcome dependence of the corrected conditional mean
+        total = conditional + spread @ cov_mm @ spread.T
+        return mu[out] + gain @ mu[measured], 0.5 * (total + total.T), float(np.max(np.abs(cov)))
 
-    m_vac, c_vac = moments(VAC)
-    m_x, _ = moments(cv.coherent_state(1.0, 0.0))
-    m_p, _ = moments(cv.coherent_state(0.0, 1.0))
+    m_vac, c_vac, scale = moments(VAC)
+    m_x, _, _ = moments(cv.coherent_state(1.0, 0.0))
+    m_p, _, _ = moments(cv.coherent_state(0.0, 1.0))
     S = np.column_stack([m_x - m_vac, m_p - m_vac])
     N = c_vac - 0.25 * S @ S.T
-    return cv.GaussianChannel(S=S, N=0.5 * (N + N.T), d=m_vac)
+    return cv.GaussianChannel(S=S, N=0.5 * (N + N.T), d=m_vac), scale
 
 
 class TestChannelAgreesWithTomography:
@@ -427,7 +451,36 @@ class TestChannelAgreesWithTomography:
             expected = cv.channel_tomography(_offline_runner(r, cv.squeezer(r_gate).S))
         else:
             report = cv.offline_squeezer(VAC, r, r_gate, rescale_correction=False)
-            expected = _ensemble_readout(r, cv.squeezer(r_gate).S)
+            expected, _ = _conditioned_state_channel(r, r_gate, rescale_correction=False)
         np.testing.assert_allclose(report.channel.S, expected.S, rtol=0, atol=1e-12)
         np.testing.assert_allclose(report.channel.N, expected.N, rtol=0, atol=1e-12)
         np.testing.assert_allclose(report.channel.d, expected.d, rtol=0, atol=1e-12)
+
+
+def _max_abs(a):
+    return float(np.max(np.abs(a)))
+
+
+class TestOfflineChannelAgreesWithExplicitState:
+    @pytest.mark.parametrize("rescale_correction", [True, False])
+    @pytest.mark.parametrize("db", [0.0, 10.0, 50.0])
+    @pytest.mark.parametrize("r_gate", [0.04, 0.3])
+    def test_matches_conditioned_state(self, rescale_correction, db, r_gate):
+        # the control's channel is the outcome-averaged one, with the
+        # covariance between the matched-gain output and the residual
+        # displacement included
+        r = cv.db_to_squeezing_r(db)
+        report = cv.offline_squeezer(VAC, r, r_gate, rescale_correction=rescale_correction)
+        expected, state_scale = _conditioned_state_channel(r, r_gate, rescale_correction)
+        assert _max_abs(report.channel.S - expected.S) <= 1e-12 * _max_abs(expected.S)
+        n_scale = max(_max_abs(expected.N), state_scale)
+        assert _max_abs(report.channel.N - expected.N) <= 1e-12 * n_scale
+        assert _max_abs(report.channel.d - expected.d) <= 1e-12
+
+    @pytest.mark.parametrize("db", [150.0, 200.0])
+    def test_teleport_noise_follows_resource_at_high_squeezing(self, db):
+        r = cv.db_to_squeezing_r(db)
+        expected = 0.5 * math.exp(-2 * r) * np.eye(2)
+        report = cv.offline_teleport(VAC, r)
+        assert _max_abs(report.channel.N - expected) <= 1e-9 * _max_abs(expected)
+        assert report.all_passed()

@@ -1,4 +1,5 @@
-"""The experiment scripts in scripts/ run end to end against the package."""
+"""The experiment scripts in scripts/ and the README's library sketch run
+end to end against the package."""
 
 import os
 import subprocess
@@ -8,11 +9,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name: str) -> list[list[str]]:
+def run_python(args: list[str]) -> list[list[str]]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name)],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -20,6 +21,17 @@ def run_script(name: str) -> list[list[str]]:
     )
     assert result.returncode == 0, result.stderr
     return [line.split() for line in result.stdout.splitlines()]
+
+
+def run_script(name: str) -> list[list[str]]:
+    return run_python([str(ROOT / "scripts" / name)])
+
+
+def test_readme_library_sketch_runs():
+    readme = (ROOT / "README.md").read_text()
+    sketch = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert sketch.startswith("import cvcluster")
+    assert run_python(["-c", sketch])
 
 
 def test_squeezer_scaling_shows_cubic_error():
