@@ -25,7 +25,14 @@ O(k) in the number of steps:
   and the product-state variances of its resource columns give N;
 * outcome records are drawn exactly by sampling the product state (a 2x2
   Cholesky factor for the input, independent normals for the resource) and
-  applying the banded functionals.
+  applying the banded functionals, then folded through ``update_frame``.
+
+Teleportation-style protocols (``dual_step`` and the off-line reports) share
+one path, ``_teleportation``: given their output and measured rows over the
+product state, the correction gain and which resource columns are
+anti-squeezed or squeezed, it reads the channel and leak through
+``affine_channel`` and draws the measured values jointly from their Gaussian
+law. The protocols' resource variances and outcome draws all live here.
 
 This makes the corrected output exactly outcome- and seed-independent, with
 finite squeezing entering only as additive noise.
@@ -296,6 +303,45 @@ def _sample_functionals(
     return p + kappas * x[1 : k + 1] + x[:k] + x[2:]
 
 
+def _chain_records(
+    input_state: GaussianState,
+    steps: Sequence[StepPlan],
+    cluster_r: float,
+    outcome_source,
+) -> tuple[list[MeasurementRecord], ByproductFrame]:
+    """Draw (or force) a chain's outcomes and fold them through
+    ``update_frame``: the measurement records and the final byproduct frame."""
+    if input_state.n_modes != 1:
+        raise ValueError("input must be a single-mode state")
+    kappas = _kappas(steps)
+    thetas = np.arctan(-kappas)
+    rescales = np.sqrt(1.0 + kappas**2)
+    rng = _generator(outcome_source)
+    if rng is not None:
+        var_x, var_p = _resource_variances(cluster_r)
+        rescaled = _sample_functionals(rng, input_state, kappas, var_x, var_p)
+        raws = rescaled / rescales
+    else:
+        raws = _forced_outcomes(outcome_source, kappas.size)
+        rescaled = raws * rescales
+
+    frame = ByproductFrame()
+    records = []
+    for j in range(kappas.size):
+        frame = update_frame(frame, float(rescaled[j]), float(kappas[j]))
+        records.append(
+            MeasurementRecord(
+                step_index=j,
+                mode=j,
+                kappa=float(kappas[j]),
+                theta=float(thetas[j]),
+                raw_outcome=float(raws[j]),
+                rescaled_outcome=float(rescaled[j]),
+            )
+        )
+    return records, frame
+
+
 def run_protocol(
     input_state: GaussianState,
     steps: Sequence[StepPlan],
@@ -312,40 +358,49 @@ def run_protocol(
     Returns the uncorrected output state (byproduct displacement still in its
     mean), the measurement records, and the accumulated byproduct frame.
     """
-    if input_state.n_modes != 1:
-        raise ValueError("input must be a single-mode state")
-    kappas = _kappas(steps)
-    k = kappas.size
-    var_x, var_p = _resource_variances(cluster_r)
+    records, frame = _chain_records(input_state, steps, cluster_r, outcome_source)
     corrected = chain_channel(steps, cluster_r)[0].apply(input_state)
-
-    thetas = np.arctan(-kappas)
-    rescales = np.sqrt(1.0 + kappas**2)
-    rng = _generator(outcome_source)
-    if rng is not None:
-        rescaled = _sample_functionals(rng, input_state, kappas, var_x, var_p)
-        raws = rescaled / rescales
-    else:
-        raws = _forced_outcomes(outcome_source, k)
-        rescaled = raws * rescales
-
-    frame = ByproductFrame()
-    records = []
-    for j in range(k):
-        frame = update_frame(frame, float(rescaled[j]), float(kappas[j]))
-        records.append(
-            MeasurementRecord(
-                step_index=j,
-                mode=j,
-                kappa=float(kappas[j]),
-                theta=float(thetas[j]),
-                raw_outcome=float(raws[j]),
-                rescaled_outcome=float(rescaled[j]),
-            )
-        )
-
     uncorrected = GaussianState(corrected.mean + np.array([frame.u, frame.v]), corrected.cov)
     return uncorrected, records, frame
+
+
+def _teleportation(
+    input_state: GaussianState,
+    r: float,
+    out_rows: np.ndarray,
+    measured_rows: np.ndarray,
+    gain: np.ndarray,
+    anti: Sequence[int],
+    squeezed: Sequence[int],
+    outcome_source,
+) -> tuple[GaussianChannel, float, np.ndarray]:
+    """Channel, leak and outcomes of a teleportation-style protocol, from one
+    evaluation of its affine map.
+
+    The rows are over the product state's quadratures: the input's (x, p),
+    then resource columns, of which ``anti`` have variance e^{2r}/4 and
+    ``squeezed`` e^{-2r}/4. The correction adds ``gain`` times the measured
+    values to the output, so the corrected rows are out + gain measured. The
+    measured values are forced, or drawn jointly from their Gaussian law.
+    """
+    if input_state.n_modes != 1:
+        raise ValueError("input must be a single-mode state")
+    n = out_rows.shape[1]
+    mu0 = np.concatenate([input_state.mean, np.zeros(n - 2)])
+    cov0 = np.zeros((n, n))
+    cov0[:2, :2] = input_state.cov
+    var_anti, var_squeezed = _resource_variances(r)
+    cov0[anti, anti] = var_anti
+    cov0[squeezed, squeezed] = var_squeezed
+    applied = out_rows + gain @ measured_rows
+    channel, leak = affine_channel(applied[:, :2], applied[:, anti], applied[:, squeezed], r)
+    outcomes = _sample_or_force(
+        measured_rows @ mu0,
+        measured_rows @ cov0 @ measured_rows.T,
+        outcome_source,
+        len(measured_rows),
+    )
+    return channel, leak, outcomes
 
 
 def dual_step(
@@ -364,25 +419,15 @@ def dual_step(
     conjugated by Fourier gates on both modes (the coupling gates satisfy
     that conjugation identity exactly at the symplectic level).
     """
-    if input_state.n_modes != 1:
-        raise ValueError("input must be a single-mode state")
-    mu0 = np.concatenate([input_state.mean, np.zeros(2)])
-    cov0 = np.zeros((4, 4))
-    cov0[:2, :2] = input_state.cov
-    cov0[2, 2] = math.exp(-2 * r) * VACUUM_VARIANCE
-    cov0[3, 3] = math.exp(2 * r) * VACUUM_VARIANCE
-
     S = controlled_z_pp().S
-    c = S[0]  # x of mode 0 after the coupling, in initial coordinates
-    # corrected output rows over (x, p, x_a, p_a): the p row absorbs +1 times
-    # the measured functional (undoes Z(-t)); p_a is the anti-squeezed one
-    M = S[2:4] + np.array([[0.0], [1.0]]) @ c[None, :]
-    corrected = affine_channel(M[:, :2], M[:, [3]], M[:, [2]], r)[0].apply(input_state)
-
-    m_mean = np.array([c @ mu0])
-    m_cov = np.array([[c @ cov0 @ c]])
-    t = float(_sample_or_force(m_mean, m_cov, outcome_source, 1)[0])
-
+    # over (x, p, x_a, p_a): the output is mode 1, the measured row is x of
+    # mode 0, and the p row absorbs +1 times it (undoes Z(-t)); p_a is the
+    # anti-squeezed quadrature
+    channel, _, outcomes = _teleportation(
+        input_state, r, S[2:4], S[:1], np.array([[0.0], [1.0]]), [3], [2], outcome_source
+    )
+    corrected = channel.apply(input_state)
+    t = float(outcomes[0])
     output = GaussianState(corrected.mean + np.array([0.0, -t]), corrected.cov)
     record = MeasurementRecord(
         step_index=0,

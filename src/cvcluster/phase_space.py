@@ -73,12 +73,6 @@ class GaussianState:
             raise ValueError(f"mode {mode} out of range for {self.n_modes} modes")
         return 2 * mode, 2 * mode + 1
 
-    def marginal(self, mode: int) -> "GaussianState":
-        """Single-mode marginal (partial trace over the other modes)."""
-        i, j = self.mode_indices(mode)
-        idx = [i, j]
-        return GaussianState(self.mean[idx], self.cov[np.ix_(idx, idx)])
-
 
 @dataclass(frozen=True)
 class SymplecticGate:
@@ -135,13 +129,6 @@ def purity(state: GaussianState) -> float:
     """Tr rho^2 = (1/4)^N / sqrt(det cov)."""
     n = state.n_modes
     return float(VACUUM_VARIANCE**n / math.sqrt(np.linalg.det(state.cov)))
-
-
-def min_uncertainty_eigenvalue(state: GaussianState) -> float:
-    """Smallest eigenvalue of cov + (i/4) J; >= 0 for a physical state."""
-    J = symplectic_form(state.n_modes)
-    herm = state.cov.astype(complex) + 0.25j * J
-    return float(np.linalg.eigvalsh(herm)[0].real)
 
 
 def uncertainty_defect(state: GaussianState) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from . import algebra
 from .phase_space import (
     VACUUM_VARIANCE,
     GaussianState,
-    SymplecticGate,
     beamsplitter_5050,
     embed_symplectic,
     fourier,
@@ -33,9 +32,9 @@ from .engine import (
     GaussianChannel,
     MeasurementRecord,
     StepPlan,
-    affine_channel,
+    _chain_records,
+    _teleportation,
     chain_channel,
-    run_protocol,
 )
 
 INDEPENDENCE_TOL = 1e-9
@@ -55,8 +54,9 @@ PARAMETER_DEFAULTS = {
 
 def _bound(absolute: float, scale: float) -> float:
     """An absolute check bound, no tighter than the rounding of a quantity of
-    size ``scale``: |N|max for a noise matrix, |target|^2 (the condition
-    number) for a 2x2 symplectic matrix."""
+    size ``scale``: |N|max for a noise matrix, k |target|max for a matrix
+    that a k-step chain multiplies up (each step's rounding is carried to the
+    end), |target|max for a matrix formed in one step."""
     return max(absolute, ROUNDING_TOL * scale)
 
 
@@ -155,7 +155,7 @@ def _report(
     parameters: dict,
     channel: GaussianChannel,
     independence: ProtocolCheck,
-    extra_checks: Callable[[GaussianChannel], list[ProtocolCheck]],
+    checks: Sequence[ProtocolCheck],
     target_S: np.ndarray,
     input_state: GaussianState,
     records: Sequence[MeasurementRecord],
@@ -166,8 +166,6 @@ def _report(
     reference = target_S if fidelity_reference_S is None else fidelity_reference_S
     lam_min = float(np.linalg.eigvalsh(channel.N)[0])
     psd_ok = lam_min >= -_bound(NOISE_PSD_TOL, _max_abs(channel.N))
-    checks = [independence, ProtocolCheck("channel_noise_psd", psd_ok, lam_min)]
-    checks.extend(extra_checks(channel))
     return ProtocolReport(
         name=name,
         parameters=parameters,
@@ -177,34 +175,12 @@ def _report(
         noise_trace=float(np.trace(channel.N)),
         fidelity=_fidelity_to_ideal(reference, input_state, channel),
         records=tuple(records),
-        checks=tuple(checks),
+        checks=(independence, ProtocolCheck("channel_noise_psd", psd_ok, lam_min), *checks),
     )
 
 
-def _cluster_report(
-    name: str,
-    parameters: dict,
-    steps: Sequence[StepPlan],
-    r: float,
-    input_state: GaussianState,
-    seed: int,
-    target_S: np.ndarray,
-    extra_checks: Callable[[GaussianChannel], list[ProtocolCheck]],
-    fidelity_reference_S: np.ndarray | None = None,
-) -> ProtocolReport:
-    channel, leak = chain_channel(steps, r)
-    _, records, _ = run_protocol(input_state, steps, r, seed)
-    return _report(
-        name,
-        parameters,
-        channel,
-        ProtocolCheck("outcome_independent", leak <= INDEPENDENCE_TOL, leak),
-        extra_checks,
-        target_S,
-        input_state,
-        records,
-        fidelity_reference_S,
-    )
+def _outcome_independent(leak: float) -> ProtocolCheck:
+    return ProtocolCheck("outcome_independent", leak <= INDEPENDENCE_TOL, leak)
 
 
 def identity_chain(
@@ -218,22 +194,19 @@ def identity_chain(
     if n < 2:
         raise ValueError("n must be >= 2")
     steps = [StepPlan(0.0)] * (n - 1)
-    target = np.linalg.matrix_power(fourier().S, n - 1)
+    channel, leak = chain_channel(steps, r)
+    records, _ = _chain_records(input_state, steps, r, seed)
     expected_trace = (n - 1) * math.exp(-2 * r) * VACUUM_VARIANCE
-
-    def extra(channel: GaussianChannel) -> list[ProtocolCheck]:
-        err = abs(float(np.trace(channel.N)) - expected_trace)
-        return [ProtocolCheck("noise_trace_matches_step_budget", err <= 1e-9, err)]
-
-    return _cluster_report(
+    err = abs(float(np.trace(channel.N)) - expected_trace)
+    return _report(
         "identity_chain",
         {"n_nodes": n, "squeezing_r": r, "seed": seed},
-        steps,
-        r,
+        channel,
+        _outcome_independent(leak),
+        [ProtocolCheck("noise_trace_matches_step_budget", err <= 1e-9, err)],
+        np.linalg.matrix_power(fourier().S, n - 1),
         input_state,
-        seed,
-        target,
-        extra,
+        records,
     )
 
 
@@ -247,34 +220,33 @@ def squeezer_four_step(
     compared against the exact four-step product matrix.
     """
     steps = [StepPlan(kappa), StepPlan(kappa), StepPlan(-kappa), StepPlan(-kappa)]
+    channel, leak = chain_channel(steps, r)
+    records, _ = _chain_records(input_state, steps, r, seed)
     target = np.diag([1.0 - kappa**2, 1.0 + kappa**2])
     exact = algebra.squeezer_protocol_matrix(kappa)
-
-    def extra(channel: GaussianChannel) -> list[ProtocolCheck]:
-        exact_dev = float(np.linalg.norm(channel.S - exact, ord="fro"))
-        target_dev = float(np.linalg.norm(channel.S - target, ord="fro"))
-        exact_ok = exact_dev <= _bound(1e-6, _max_abs(exact) ** 2)
-        out = channel.apply(input_state)
-        return [
-            ProtocolCheck("matches_exact_four_step_matrix", exact_ok, exact_dev),
-            ProtocolCheck(
-                "within_cubic_error_of_target",
-                target_dev <= 2.0 * abs(kappa) ** 3 + 1e-12,
-                target_dev,
-            ),
-            ProtocolCheck("output_var_x", True, float(out.cov[0, 0])),
-            ProtocolCheck("output_var_p", True, float(out.cov[1, 1])),
-        ]
-
-    return _cluster_report(
+    exact_dev = float(np.linalg.norm(channel.S - exact, ord="fro"))
+    exact_ok = exact_dev <= _bound(1e-6, len(steps) * _max_abs(exact))
+    target_dev = float(np.linalg.norm(channel.S - target, ord="fro"))
+    out = channel.apply(input_state)
+    checks = [
+        ProtocolCheck("matches_exact_four_step_matrix", exact_ok, exact_dev),
+        ProtocolCheck(
+            "within_cubic_error_of_target",
+            target_dev <= 2.0 * abs(kappa) ** 3 + 1e-12,
+            target_dev,
+        ),
+        ProtocolCheck("output_var_x", True, float(out.cov[0, 0])),
+        ProtocolCheck("output_var_p", True, float(out.cov[1, 1])),
+    ]
+    return _report(
         "squeezer_four_step",
         {"kappa": kappa, "squeezing_r": r, "seed": seed},
-        steps,
-        r,
-        input_state,
-        seed,
+        channel,
+        _outcome_independent(leak),
+        checks,
         target,
-        extra,
+        input_state,
+        records,
         fidelity_reference_S=exact,
     )
 
@@ -287,22 +259,20 @@ def repeated_squeezer(
         raise ValueError("segments must be >= 1")
     pattern = [StepPlan(kappa), StepPlan(kappa), StepPlan(-kappa), StepPlan(-kappa)]
     steps = pattern * segments
+    channel, leak = chain_channel(steps, r)
+    records, _ = _chain_records(input_state, steps, r, seed)
     target = np.linalg.matrix_power(algebra.squeezer_protocol_matrix(kappa), segments)
-
-    def extra(channel: GaussianChannel) -> list[ProtocolCheck]:
-        dev = float(np.linalg.norm(channel.S - target, ord="fro"))
-        ok = dev <= _bound(1e-6, _max_abs(target) ** 2)
-        return [ProtocolCheck("matches_exact_segment_power", ok, dev)]
-
-    return _cluster_report(
+    dev = float(np.linalg.norm(channel.S - target, ord="fro"))
+    ok = dev <= _bound(1e-6, len(steps) * _max_abs(target))
+    return _report(
         "repeated_squeezer",
         {"segments": segments, "kappa": kappa, "squeezing_r": r, "seed": seed},
-        steps,
-        r,
-        input_state,
-        seed,
+        channel,
+        _outcome_independent(leak),
+        [ProtocolCheck("matches_exact_segment_power", ok, dev)],
         target,
-        extra,
+        input_state,
+        records,
     )
 
 
@@ -313,72 +283,38 @@ def repeated_squeezer(
 # then the off-line gate on its second half); teleportation combines the
 # input with resource mode 1 at a second beamsplitter, reads u = x_in - x_1
 # and v = p_in + p_1 off the two output ports (each reading carries a
-# sqrt(2) beamsplitter factor), and corrects mode 2. As in the engine, the
-# corrected output is evaluated at the Weyl-Heisenberg level from the
-# factored initial moments.
+# sqrt(2) beamsplitter factor), and corrects mode 2 by gain (u, v). The
+# engine evaluates the corrected output, as for chains, at the
+# Weyl-Heisenberg level from the factored initial moments.
 
 
-def _offline_assembly(input_state: GaussianState, r_resource: float, gate_S: np.ndarray):
-    n = 3
-    mu0 = np.concatenate([input_state.mean, np.zeros(4)])
-    cov0 = np.zeros((6, 6))
-    cov0[:2, :2] = input_state.cov
-    var_big = math.exp(2 * r_resource) * VACUUM_VARIANCE
-    var_small = math.exp(-2 * r_resource) * VACUUM_VARIANCE
-    cov0[2, 2] = var_big  # p-squeezed half
-    cov0[3, 3] = var_small
-    cov0[4, 4] = var_small  # x-squeezed half
-    cov0[5, 5] = var_big
-
-    bs = beamsplitter_5050().S
-    S_big = (
-        embed_symplectic(bs, [0, 1], n)
-        @ embed_symplectic(gate_S, [2], n)
-        @ embed_symplectic(bs, [1, 2], n)
-    )
-    uv_rows = math.sqrt(2.0) * np.vstack([S_big[2], S_big[1]])  # u = sqrt2 x_1', v = sqrt2 p_0'
-    out_rows = S_big[4:6]
-    return mu0, cov0, uv_rows, out_rows
-
-
-def _offline_report(
-    name: str,
-    parameters: dict,
+def _offline_run(
     input_state: GaussianState,
     r_resource: float,
-    gate: SymplecticGate | None,
+    gate_S: np.ndarray,
+    gain: np.ndarray,
     seed: int,
-    rescale_correction: bool,
-    extra_checks: Callable[[GaussianChannel], list[ProtocolCheck]],
-) -> ProtocolReport:
-    gate_S = np.eye(2) if gate is None else gate.S
-    mu0, cov0, uv_rows, out_rows = _offline_assembly(input_state, r_resource, gate_S)
-    # byproduct of the modified resource: the gate maps X(-u)Z(-v) to the
-    # displacement with coefficients gate_S (u, v); the unscaled control
-    # applies the plain teleportation gain instead, and its channel is then
-    # the outcome-averaged one. Of the resource columns (x_1, p_1, x_2, p_2),
-    # x_1 and p_2 are anti-squeezed.
-    applied = out_rows + (gate_S if rescale_correction else np.eye(2)) @ uv_rows
-    channel, leak = affine_channel(
-        applied[:, :2], applied[:, [2, 5]], applied[:, [3, 4]], r_resource
+) -> tuple[GaussianChannel, float, tuple[MeasurementRecord, ...]]:
+    """Channel, leak and records of teleportation through the resource
+    modified by ``gate_S``, corrected by ``gain`` times (u, v)."""
+    bs = beamsplitter_5050().S
+    S_big = (
+        embed_symplectic(bs, [0, 1], 3)
+        @ embed_symplectic(gate_S, [2], 3)
+        @ embed_symplectic(bs, [1, 2], 3)
     )
-    if rescale_correction:
-        independence = ProtocolCheck("outcome_independent", leak <= INDEPENDENCE_TOL, leak)
-    else:
-        independence = ProtocolCheck("outcome_dependence_detected", leak > DEPENDENCE_MIN, leak)
-
-    # records for the seeded run: u from the x port, v from the p port
-    rng = np.random.Generator(np.random.PCG64(seed))
-    uv_cov = uv_rows @ cov0 @ uv_rows.T
-    uv = uv_rows @ mu0 + np.linalg.cholesky(uv_cov) @ rng.standard_normal(2)
+    uv_rows = math.sqrt(2.0) * np.vstack([S_big[2], S_big[1]])  # u = sqrt2 x_1', v = sqrt2 p_0'
+    # of the resource columns (x_1, p_1, x_2, p_2), x_1 and p_2 are anti-squeezed
+    channel, leak, uv = _teleportation(
+        input_state, r_resource, S_big[4:6], uv_rows, gain, [2, 5], [3, 4], seed
+    )
+    # u from the x port, v from the p port
     half = 1.0 / math.sqrt(2.0)
     records = (
         MeasurementRecord(0, 1, 0.0, -math.pi / 2, float(uv[0]) * half, float(uv[0])),
         MeasurementRecord(1, 0, 0.0, 0.0, float(uv[1]) * half, float(uv[1])),
     )
-    return _report(
-        name, parameters, channel, independence, extra_checks, gate_S, input_state, records
-    )
+    return channel, leak, records
 
 
 def offline_teleport(
@@ -389,33 +325,31 @@ def offline_teleport(
     The corrected output reproduces the input with e^{-2r}/2 of added noise
     per quadrature; the vacuum-input fidelity is 1/(1 + e^{-2r}).
     """
+    identity = np.eye(2)
+    channel, leak, records = _offline_run(input_state, r, identity, identity, seed)
     eps = math.exp(-2 * r)
+    noise_err = _max_abs(channel.N - 0.5 * eps * np.eye(2))
+    noise_ok = noise_err <= _bound(1e-9, _max_abs(channel.N))
+    checks = [ProtocolCheck("noise_is_isotropic_teleportation_noise", noise_ok, noise_err)]
     is_vacuum = (
         np.allclose(input_state.mean, 0.0)
         and np.allclose(input_state.cov, VACUUM_VARIANCE * np.eye(2))
     )
-
-    def extra(channel: GaussianChannel) -> list[ProtocolCheck]:
-        noise_err = _max_abs(channel.N - 0.5 * eps * np.eye(2))
-        noise_ok = noise_err <= _bound(1e-9, _max_abs(channel.N))
-        checks = [ProtocolCheck("noise_is_isotropic_teleportation_noise", noise_ok, noise_err)]
-        if is_vacuum:
-            fid = overlap_fidelity(input_state, channel.apply(input_state))
-            fid_err = abs(fid - 1.0 / (1.0 + eps))
-            checks.append(
-                ProtocolCheck("vacuum_fidelity_matches_closed_form", fid_err <= 1e-6, fid_err)
-            )
-        return checks
-
-    return _offline_report(
+    if is_vacuum:
+        fid = overlap_fidelity(input_state, channel.apply(input_state))
+        fid_err = abs(fid - 1.0 / (1.0 + eps))
+        checks.append(
+            ProtocolCheck("vacuum_fidelity_matches_closed_form", fid_err <= 1e-6, fid_err)
+        )
+    return _report(
         "offline_teleport",
         {"squeezing_r": r, "seed": seed},
+        channel,
+        _outcome_independent(leak),
+        checks,
+        identity,
         input_state,
-        r,
-        None,
-        seed,
-        True,
-        extra,
+        records,
     )
 
 
@@ -433,23 +367,31 @@ def offline_squeezer(
     With ``rescale_correction=False`` the plain teleportation displacements
     are applied instead; the run is then outcome dependent, which the
     report's checks flag as the expected behavior of this negative control.
+    Its channel is then the outcome-averaged one.
     """
-    gate = squeezer(r_gate)
-    eps = math.exp(-2 * r_resource)
-    target = np.diag([math.exp(-r_gate), math.exp(r_gate)])
-
-    def extra(channel: GaussianChannel) -> list[ProtocolCheck]:
-        target_dev = float(np.linalg.norm(channel.S - target, ord="fro"))
-        target_ok = target_dev <= _bound(1e-6, _max_abs(target) ** 2)
-        noise_oracle = 0.5 * eps * np.diag([math.exp(-2 * r_gate), math.exp(2 * r_gate)])
-        noise_err = _max_abs(channel.N - noise_oracle)
-        noise_ok = noise_err <= _bound(1e-9, _max_abs(channel.N))
-        return [
-            ProtocolCheck("channel_matches_target_squeezer", target_ok, target_dev),
-            ProtocolCheck("noise_is_squeezed_teleportation_noise", noise_ok, noise_err),
-        ]
-
-    return _offline_report(
+    # the gate maps the byproduct X(-u)Z(-v) to the displacement with
+    # coefficients gate (u, v): the gate is also the gain and the target
+    gate = squeezer(r_gate).S
+    gain = gate if rescale_correction else np.eye(2)
+    channel, leak, records = _offline_run(input_state, r_resource, gate, gain, seed)
+    if rescale_correction:
+        independence = _outcome_independent(leak)
+    else:
+        independence = ProtocolCheck("outcome_dependence_detected", leak > DEPENDENCE_MIN, leak)
+    target_dev = float(np.linalg.norm(channel.S - gate, ord="fro"))
+    target_ok = target_dev <= _bound(1e-6, _max_abs(gate))
+    noise_oracle = (
+        0.5
+        * math.exp(-2 * r_resource)
+        * np.diag([math.exp(-2 * r_gate), math.exp(2 * r_gate)])
+    )
+    noise_err = _max_abs(channel.N - noise_oracle)
+    noise_ok = noise_err <= _bound(1e-9, _max_abs(channel.N))
+    checks = [
+        ProtocolCheck("channel_matches_target_squeezer", target_ok, target_dev),
+        ProtocolCheck("noise_is_squeezed_teleportation_noise", noise_ok, noise_err),
+    ]
+    return _report(
         "offline_squeezer",
         {
             "r_resource": r_resource,
@@ -457,12 +399,12 @@ def offline_squeezer(
             "seed": seed,
             "rescale_correction": rescale_correction,
         },
-        input_state,
-        r_resource,
+        channel,
+        independence,
+        checks,
         gate,
-        seed,
-        rescale_correction,
-        extra,
+        input_state,
+        records,
     )
 
 

@@ -370,3 +370,13 @@ class TestDualStep:
         assert record.raw_outcome == pytest.approx(t)
         # uncorrected output carries Z(-t) on top of the Fourier action
         np.testing.assert_allclose(out.mean, [0.3, 0.4 - t], atol=1e-12)
+
+    def test_sampled_outcome_follows_its_law(self):
+        # t reads x - p_a of the product state: N(<x_in>, Var x_in + e^{2r}/4)
+        r = 0.5
+        state = random_gaussian_state(5, 1)
+        draws = np.array([cv.dual_step(state, r, seed)[1].raw_outcome for seed in range(2000)])
+        white = (draws - state.mean[0]) / math.sqrt(state.cov[0, 0] + math.exp(2 * r) / 4)
+        # 2000 draws: standard errors about 0.022 (mean) and 0.032 (variance)
+        assert abs(white.mean()) < 0.1
+        assert abs(white.var() - 1.0) < 0.1

@@ -286,6 +286,71 @@ class TestProtocolStatesPhysical:
             assert cv.uncertainty_defect(mixed) <= 1e-12
 
 
+class TestOneEvaluationPerReport:
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: cv.identity_chain(5, TEN_DB_R, VAC),
+            lambda: cv.squeezer_four_step(0.2, TEN_DB_R, VAC),
+            lambda: cv.repeated_squeezer(3, 0.2, TEN_DB_R, VAC),
+        ],
+        ids=["identity_chain", "squeezer_four_step", "repeated_squeezer"],
+    )
+    def test_chain_weights_built_once(self, monkeypatch, run):
+        calls = []
+        corrected_weights = engine._corrected_weights
+
+        def spy(kappas):
+            calls.append(kappas.size)
+            return corrected_weights(kappas)
+
+        monkeypatch.setattr(engine, "_corrected_weights", spy)
+        run()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("protocol", ["offline_teleport", "offline_squeezer"])
+    def test_offline_records_follow_explicit_state(self, protocol):
+        # (u, v) = sqrt2 (x_1', p_0') of the input and the modified resource
+        # after the teleportation beamsplitter
+        r, r_gate = 0.5, 0.3
+        state = cv.coherent_state(0.6, -0.9)
+        if protocol == "offline_teleport":
+            gate, run = cv.squeezer(0.0), lambda seed: cv.offline_teleport(state, r, seed)
+        else:
+            gate, run = cv.squeezer(r_gate), lambda seed: cv.offline_squeezer(state, r, r_gate, seed)
+        mixed = cv.apply_gate(
+            cv.tensor(state, cv.modified_resource(r, gate)), cv.beamsplitter_5050(), [0, 1]
+        )
+        measured = [2, 1]
+        mean = math.sqrt(2.0) * mixed.mean[measured]
+        L = np.linalg.cholesky(2.0 * mixed.cov[np.ix_(measured, measured)])
+        draws = np.array(
+            [[rec.rescaled_outcome for rec in run(seed).records] for seed in range(2000)]
+        )
+        white = np.linalg.solve(L, (draws - mean).T)
+        # 2000 draws: standard errors about 0.022 (mean) and 0.032 (variances)
+        assert np.max(np.abs(white.mean(axis=1))) < 0.1
+        assert np.max(np.abs(np.cov(white) - np.eye(2))) < 0.1
+
+
+class TestMatrixCheckBounds:
+    def test_segment_power_check_fails_for_relative_error_at_large_S(self, monkeypatch):
+        # kappa = 1 and 50 segments give |S| = 5.7e20: the check is held to
+        # the rounding of a 200-step chain, far below a relative 1e-6 of S
+        chain_channel = protocols.chain_channel
+        assert cv.repeated_squeezer(50, 1.0, TEN_DB_R, VAC).check(
+            "matches_exact_segment_power"
+        ).passed
+
+        def skewed(steps, r):
+            channel, leak = chain_channel(steps, r)
+            return cv.GaussianChannel(channel.S * (1.0 + 1e-6), channel.N, channel.d), leak
+
+        monkeypatch.setattr(protocols, "chain_channel", skewed)
+        report = cv.repeated_squeezer(50, 1.0, TEN_DB_R, VAC)
+        assert not report.check("matches_exact_segment_power").passed
+
+
 def _flipped_frame_sign(frame, s, kappa):
     return cv.ByproductFrame(s - kappa * frame.u + frame.v, frame.u)
 
@@ -363,9 +428,19 @@ def _cluster_runner(steps, r):
 
 def _offline_moments(state, r, gate_S, gain_applied):
     """Corrected output rows M, the applied-minus-true gain D, and the
-    assembled initial moments, as the off-line teleporter builds them."""
-    mu0, cov0, uv_rows, out_rows = protocols._offline_assembly(state, r, gate_S)
-    return mu0, cov0, uv_rows, out_rows + gate_S @ uv_rows, gain_applied - gate_S
+    initial moments of the off-line teleporter: the input beside a
+    p-squeezed and an x-squeezed vacuum, then beamsplitter, gate on mode 2,
+    beamsplitter, with (u, v) = sqrt2 (x_1', p_0')."""
+    product = cv.tensor(state, cv.tensor(cv.squeezed_vacuum(r, "p"), cv.squeezed_vacuum(r, "x")))
+    bs = cv.beamsplitter_5050().S
+    S_big = (
+        cv.embed_symplectic(bs, [0, 1], 3)
+        @ cv.embed_symplectic(gate_S, [2], 3)
+        @ cv.embed_symplectic(bs, [1, 2], 3)
+    )
+    uv_rows = math.sqrt(2.0) * np.vstack([S_big[2], S_big[1]])
+    M = S_big[4:6] + gate_S @ uv_rows
+    return product.mean, product.cov, uv_rows, M, gain_applied - gate_S
 
 
 def _offline_runner(r, gate_S):
