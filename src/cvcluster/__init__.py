@@ -33,7 +33,6 @@ from .cluster import ClusterSpec, attach_input, epr_resource, linear_cluster, mo
 from .algebra import (
     ExponentPolynomial,
     bch_squeezer_residual,
-    clifford_commute,
     fourier_shear_step,
     squeezer_protocol_matrix,
     verify_cubic_feedforward,
@@ -42,15 +41,12 @@ from .engine import (
     ByproductFrame,
     GaussianChannel,
     MeasurementRecord,
-    NonDeterministicChannelError,
     StepPlan,
     affine_channel,
     apply_correction,
     chain_channel,
-    channel_tomography,
     dual_step,
     measurement_basis,
-    outcome_independence_check,
     run_protocol,
     update_frame,
 )

@@ -1,7 +1,8 @@
 """Operator identities underlying feedforward correction.
 
-Clifford relations are verified as exact statements about 2x2 symplectic
-matrices. The cubic feedforward identity is verified on exponent
+Gaussian relations (one corrected step, the four-step squeezer, the
+shear-pair splitting) are statements about 2x2 symplectic matrices. The
+cubic feedforward identity is verified on exponent
 polynomials: every factor involved is diagonal in x, so operator products
 reduce to adding exponents after the shift x -> x + s1, which makes the
 check exact (rational arithmetic) rather than numerical.
@@ -16,7 +17,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .phase_space import SymplecticGate, p_shear, rotation, shear, squeezer
+from .phase_space import p_shear, rotation, shear, squeezer
 
 
 def _exactable(*values) -> bool:
@@ -72,20 +73,6 @@ class ExponentPolynomial:
 
     def is_constant(self) -> bool:
         return self.degree == 0
-
-
-def clifford_commute(gate: SymplecticGate, u: float, v: float) -> tuple[float, float]:
-    """Push a displacement X(u)Z(v) through a Clifford gate.
-
-    Returns (u', v') = S (u, v): the displacement that, applied after the
-    gate, equals applying (u, v) before it. This is the Gaussian-level
-    content of "the gate is unchanged, only the Weyl-Heisenberg byproduct
-    is modified".
-    """
-    if gate.n_modes != 1:
-        raise ValueError("clifford_commute expects a single-mode gate")
-    up, vp = gate.S @ np.array([u, v])
-    return float(up), float(vp)
 
 
 def verify_cubic_feedforward(kappa, s1) -> ExponentPolynomial:

@@ -61,13 +61,20 @@ _KNOWN_FIELDS = {
 
 
 def _checked_scalar(name: str, raw, label: str | None = None):
-    """Cast a raw config value for field ``name`` and check its condition."""
+    """Cast a raw config value for field ``name`` and check its condition.
+
+    Booleans are refused rather than read as 0 or 1, and an integer field
+    refuses a float with a fractional part rather than truncating it."""
     caster, cond, what = _SCALAR_FIELDS[name]
     label = label or name
+    if isinstance(raw, bool):
+        raise ConfigError(f"field {label!r}: expected {caster.__name__}, got a boolean")
     try:
         value = caster(raw)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"field {label!r}: expected {caster.__name__}")
+    if caster is int and isinstance(raw, float) and value != raw:
+        raise ConfigError(f"field {label!r}: expected an integer, got {raw!r}")
     if not cond(value):
         raise ConfigError(f"field {label!r}: {what}")
     return value
@@ -97,10 +104,10 @@ class ExperimentConfig:
         if "protocol" not in raw:
             raise ConfigError("missing required field 'protocol'")
         cfg = cls(protocol=str(raw["protocol"]))
-        if cfg.protocol not in protocols.PROTOCOL_IDS:
+        if cfg.protocol not in protocols.PROTOCOLS:
             raise ConfigError(
                 f"field 'protocol': unknown protocol {cfg.protocol!r}; "
-                f"known: {', '.join(protocols.PROTOCOL_IDS)}"
+                f"known: {', '.join(protocols.PROTOCOLS)}"
             )
         for name in _SCALAR_FIELDS:
             if name in raw:
@@ -173,49 +180,23 @@ def _protocol_params(cfg: ExperimentConfig) -> dict:
 
 
 def run_document(cfg: ExperimentConfig) -> dict:
-    """Execute cfg.trials seeded runs and assemble one result document.
-
-    The channel is read once off the protocol's map, so every trial has the
-    same one; the trials differ only in their records."""
-    params = _protocol_params(cfg)
-    reports = [
-        protocols.run_named_protocol(cfg.protocol, params, seed=cfg.seed + t)
-        for t in range(cfg.trials)
-    ]
-    doc = reports[0].to_dict()
-    doc["records"] = [
-        {"trial": t, **rec}
-        for t, report in enumerate(reports)
-        for rec in report.to_dict()["records"]
-    ]
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "config": cfg.to_dict(),
-        **doc,
-    }
+    """One result document: the report of cfg.trials seeded trials, whose
+    channel and checks are built once, with the config echoed."""
+    report = protocols.run_named_protocol(
+        cfg.protocol, _protocol_params(cfg), seed=cfg.seed, trials=cfg.trials
+    )
+    return {"schema_version": SCHEMA_VERSION, "config": cfg.to_dict(), **report.to_dict()}
 
 
 def sweep_table(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
+    """The sweep's CSV header and cells, in the order of its rows' keys."""
     if cfg.sweep is None:
         raise ConfigError("field 'sweep': required for the sweep command")
     params = _protocol_params(cfg)
     rows = protocols.sweep(
         cfg.protocol, params, cfg.sweep["param"], cfg.sweep["values"], seed=cfg.seed
     )
-    header = ["index", "param", "value", "deviation", "noise_trace", "fidelity", "checks_passed"]
-    table = [
-        [
-            row["index"],
-            row["param"],
-            row["value"],
-            row["deviation"],
-            row["noise_trace"],
-            row["fidelity"],
-            row["checks_passed"],
-        ]
-        for row in rows
-    ]
-    return header, table
+    return list(rows[0]), [list(row.values()) for row in rows]
 
 
 def emit_json(doc: dict) -> str:

@@ -46,21 +46,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .phase_space import (
-    VACUUM_VARIANCE,
-    GaussianState,
-    coherent_state,
-    controlled_z_pp,
-    vacuum_state,
-)
-
-
-class NonDeterministicChannelError(RuntimeError):
-    """The corrected protocol output varied with the seed; no channel exists."""
+from .phase_space import VACUUM_VARIANCE, GaussianState, controlled_z_pp
 
 
 @dataclass(frozen=True)
@@ -119,14 +109,14 @@ class GaussianChannel:
         return GaussianState(self.S @ state.mean + self.d, 0.5 * (cov + cov.T))
 
 
-def measurement_basis(kappa: float) -> tuple[float, float]:
-    """Local-oscillator angle and rescale factor measuring p + kappa x.
+def measurement_basis(kappa):
+    """Local-oscillator angle and rescale factor measuring p + kappa x, for a
+    kappa or elementwise for an array of them.
 
     theta = atan(-kappa), rescale = 1/cos(theta) = sqrt(1 + kappa^2);
     (p cos(theta) - x sin(theta)) * rescale = p + kappa x.
     """
-    theta = math.atan(-kappa)
-    return theta, math.sqrt(1.0 + kappa * kappa)
+    return np.arctan(-kappa), np.sqrt(1.0 + kappa * kappa)
 
 
 def update_frame(frame: ByproductFrame, s: float, kappa: float) -> ByproductFrame:
@@ -314,8 +304,7 @@ def _chain_records(
     if input_state.n_modes != 1:
         raise ValueError("input must be a single-mode state")
     kappas = _kappas(steps)
-    thetas = np.arctan(-kappas)
-    rescales = np.sqrt(1.0 + kappas**2)
+    thetas, rescales = measurement_basis(kappas)
     rng = _generator(outcome_source)
     if rng is not None:
         var_x, var_p = _resource_variances(cluster_r)
@@ -372,16 +361,17 @@ def _teleportation(
     gain: np.ndarray,
     anti: Sequence[int],
     squeezed: Sequence[int],
-    outcome_source,
-) -> tuple[GaussianChannel, float, np.ndarray]:
-    """Channel, leak and outcomes of a teleportation-style protocol, from one
-    evaluation of its affine map.
+    outcome_sources: Sequence,
+) -> tuple[GaussianChannel, float, list[np.ndarray]]:
+    """Channel, leak and one outcome vector per outcome source of a
+    teleportation-style protocol, from one evaluation of its affine map.
 
     The rows are over the product state's quadratures: the input's (x, p),
     then resource columns, of which ``anti`` have variance e^{2r}/4 and
     ``squeezed`` e^{-2r}/4. The correction adds ``gain`` times the measured
-    values to the output, so the corrected rows are out + gain measured. The
-    measured values are forced, or drawn jointly from their Gaussian law.
+    values to the output, so the corrected rows are out + gain measured. Each
+    source forces the measured values, or draws them jointly from their
+    Gaussian law.
     """
     if input_state.n_modes != 1:
         raise ValueError("input must be a single-mode state")
@@ -394,12 +384,11 @@ def _teleportation(
     cov0[squeezed, squeezed] = var_squeezed
     applied = out_rows + gain @ measured_rows
     channel, leak = affine_channel(applied[:, :2], applied[:, anti], applied[:, squeezed], r)
-    outcomes = _sample_or_force(
-        measured_rows @ mu0,
-        measured_rows @ cov0 @ measured_rows.T,
-        outcome_source,
-        len(measured_rows),
-    )
+    mean = measured_rows @ mu0
+    cov = measured_rows @ cov0 @ measured_rows.T
+    outcomes = [
+        _sample_or_force(mean, cov, source, len(measured_rows)) for source in outcome_sources
+    ]
     return channel, leak, outcomes
 
 
@@ -424,10 +413,10 @@ def dual_step(
     # mode 0, and the p row absorbs +1 times it (undoes Z(-t)); p_a is the
     # anti-squeezed quadrature
     channel, _, outcomes = _teleportation(
-        input_state, r, S[2:4], S[:1], np.array([[0.0], [1.0]]), [3], [2], outcome_source
+        input_state, r, S[2:4], S[:1], np.array([[0.0], [1.0]]), [3], [2], [outcome_source]
     )
     corrected = channel.apply(input_state)
-    t = float(outcomes[0])
+    t = float(outcomes[0][0])
     output = GaussianState(corrected.mean + np.array([0.0, -t]), corrected.cov)
     record = MeasurementRecord(
         step_index=0,
@@ -439,57 +428,3 @@ def dual_step(
     )
     return output, record
 
-
-# ---------------------------------------------------------------------------
-# channel extraction
-
-ProtocolRunner = Callable[[GaussianState, int], GaussianState]
-
-_PROBE_SEEDS = (20_24, 97)
-_DETERMINISM_TOL = 1e-6
-
-
-def _state_distance(a: GaussianState, b: GaussianState) -> float:
-    return max(
-        float(np.max(np.abs(a.mean - b.mean))),
-        float(np.max(np.abs(a.cov - b.cov))),
-    )
-
-
-def channel_tomography(protocol: ProtocolRunner) -> GaussianChannel:
-    """Reconstruct (S, N, d) of a corrected single-mode protocol from its
-    outputs alone.
-
-    A black-box tool for protocols given only as runners; the protocol
-    reports no longer use it and read their channel off the affine map
-    instead (``chain_channel`` for cluster chains). Three mean probes
-    (vacuum, coherent(1,0), coherent(0,1)) determine the affine mean map;
-    the vacuum output covariance then gives
-    N = cov_out - S (I/4) S^T. Refuses with NonDeterministicChannelError if
-    two differently seeded runs disagree, since the channel is only defined
-    for outcome-independent (corrected Clifford) protocols.
-    """
-    out_a = protocol(vacuum_state(1), _PROBE_SEEDS[0])
-    out_b = protocol(vacuum_state(1), _PROBE_SEEDS[1])
-    dev = _state_distance(out_a, out_b)
-    if dev > _DETERMINISM_TOL:
-        raise NonDeterministicChannelError(
-            f"corrected outputs differ by {dev:.3e} across seeds"
-        )
-    d = out_a.mean
-    out_x = protocol(coherent_state(1.0, 0.0), _PROBE_SEEDS[0])
-    out_p = protocol(coherent_state(0.0, 1.0), _PROBE_SEEDS[0])
-    S = np.column_stack([out_x.mean - d, out_p.mean - d])
-    N = out_a.cov - VACUUM_VARIANCE * S @ S.T
-    return GaussianChannel(S=S, N=0.5 * (N + N.T), d=d)
-
-
-def outcome_independence_check(
-    run: Callable[[int], GaussianState], seeds: Iterable[int]
-) -> float:
-    """Max distance between corrected outputs across seeds (means and covs)."""
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("at least one seed is required")
-    reference = run(seeds[0])
-    return max(_state_distance(run(s), reference) for s in seeds[1:]) if len(seeds) > 1 else 0.0

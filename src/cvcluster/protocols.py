@@ -87,7 +87,7 @@ class ProtocolReport:
     deviation: float
     noise_trace: float
     fidelity: float | None
-    records: tuple[MeasurementRecord, ...]
+    records: tuple[tuple[MeasurementRecord, ...], ...]  # one tuple per trial
     checks: tuple[ProtocolCheck, ...]
 
     def check(self, name: str) -> ProtocolCheck:
@@ -118,6 +118,7 @@ class ProtocolReport:
             "fidelity": None if self.fidelity is None else float(self.fidelity),
             "records": [
                 {
+                    "trial": t,
                     "step_index": r.step_index,
                     "mode": r.mode,
                     "kappa": r.kappa,
@@ -125,7 +126,8 @@ class ProtocolReport:
                     "raw_outcome": r.raw_outcome,
                     "rescaled_outcome": r.rescaled_outcome,
                 }
-                for r in self.records
+                for t, trial in enumerate(self.records)
+                for r in trial
             ],
             "checks": [
                 {
@@ -158,7 +160,7 @@ def _report(
     checks: Sequence[ProtocolCheck],
     target_S: np.ndarray,
     input_state: GaussianState,
-    records: Sequence[MeasurementRecord],
+    records: Sequence[Sequence[MeasurementRecord]],
     fidelity_reference_S: np.ndarray | None = None,
 ) -> ProtocolReport:
     # fidelity needs a pure reference, so it is taken against a symplectic
@@ -174,7 +176,7 @@ def _report(
         deviation=float(np.linalg.norm(channel.S - target_S, ord="fro")),
         noise_trace=float(np.trace(channel.N)),
         fidelity=_fidelity_to_ideal(reference, input_state, channel),
-        records=tuple(records),
+        records=tuple(tuple(trial) for trial in records),
         checks=(independence, ProtocolCheck("channel_noise_psd", psd_ok, lam_min), *checks),
     )
 
@@ -183,35 +185,50 @@ def _outcome_independent(leak: float) -> ProtocolCheck:
     return ProtocolCheck("outcome_independent", leak <= INDEPENDENCE_TOL, leak)
 
 
+def _trial_seeds(seed: int, trials: int) -> range:
+    """The outcome seeds of a report's trials: trial t draws with seed + t."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    return range(seed, seed + trials)
+
+
+def _chain_run(
+    steps: Sequence[StepPlan], r: float, input_state: GaussianState, seed: int, trials: int
+) -> tuple[GaussianChannel, float, list[list[MeasurementRecord]]]:
+    """Channel, leak and per-trial records of a cluster chain."""
+    channel, leak = chain_channel(steps, r)
+    records = [_chain_records(input_state, steps, r, s)[0] for s in _trial_seeds(seed, trials)]
+    return channel, leak, records
+
+
 def identity_chain(
-    n: int, r: float, input_state: GaussianState, seed: int = 0
+    n_nodes: int, r: float, input_state: GaussianState, seed: int = 0, trials: int = 1
 ) -> ProtocolReport:
     """Propagate the input through an n-mode chain with plain p detections.
 
-    ``n`` counts the input mode plus the cluster nodes, so the run makes
-    n - 1 steps and the target is the (n-1)-fold Fourier.
+    ``n_nodes`` counts the input mode plus the cluster nodes, so the run
+    makes n_nodes - 1 steps and the target is the (n_nodes - 1)-fold Fourier.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    steps = [StepPlan(0.0)] * (n - 1)
-    channel, leak = chain_channel(steps, r)
-    records, _ = _chain_records(input_state, steps, r, seed)
-    expected_trace = (n - 1) * math.exp(-2 * r) * VACUUM_VARIANCE
+    if n_nodes < 2:
+        raise ValueError("n_nodes must be >= 2")
+    steps = [StepPlan(0.0)] * (n_nodes - 1)
+    channel, leak, records = _chain_run(steps, r, input_state, seed, trials)
+    expected_trace = (n_nodes - 1) * math.exp(-2 * r) * VACUUM_VARIANCE
     err = abs(float(np.trace(channel.N)) - expected_trace)
     return _report(
         "identity_chain",
-        {"n_nodes": n, "squeezing_r": r, "seed": seed},
+        {"n_nodes": n_nodes, "squeezing_r": r, "seed": seed},
         channel,
         _outcome_independent(leak),
         [ProtocolCheck("noise_trace_matches_step_budget", err <= 1e-9, err)],
-        np.linalg.matrix_power(fourier().S, n - 1),
+        np.linalg.matrix_power(fourier().S, n_nodes - 1),
         input_state,
         records,
     )
 
 
 def squeezer_four_step(
-    kappa: float, r: float, input_state: GaussianState, seed: int = 0
+    kappa: float, r: float, input_state: GaussianState, seed: int = 0, trials: int = 1
 ) -> ProtocolReport:
     """Measurement-implemented squeezer on a five-mode chain.
 
@@ -220,8 +237,7 @@ def squeezer_four_step(
     compared against the exact four-step product matrix.
     """
     steps = [StepPlan(kappa), StepPlan(kappa), StepPlan(-kappa), StepPlan(-kappa)]
-    channel, leak = chain_channel(steps, r)
-    records, _ = _chain_records(input_state, steps, r, seed)
+    channel, leak, records = _chain_run(steps, r, input_state, seed, trials)
     target = np.diag([1.0 - kappa**2, 1.0 + kappa**2])
     exact = algebra.squeezer_protocol_matrix(kappa)
     exact_dev = float(np.linalg.norm(channel.S - exact, ord="fro"))
@@ -252,15 +268,19 @@ def squeezer_four_step(
 
 
 def repeated_squeezer(
-    segments: int, kappa: float, r: float, input_state: GaussianState, seed: int = 0
+    segments: int,
+    kappa: float,
+    r: float,
+    input_state: GaussianState,
+    seed: int = 0,
+    trials: int = 1,
 ) -> ProtocolReport:
     """Repeat the four-step squeezer pattern to accumulate squeezing."""
     if segments < 1:
         raise ValueError("segments must be >= 1")
     pattern = [StepPlan(kappa), StepPlan(kappa), StepPlan(-kappa), StepPlan(-kappa)]
     steps = pattern * segments
-    channel, leak = chain_channel(steps, r)
-    records, _ = _chain_records(input_state, steps, r, seed)
+    channel, leak, records = _chain_run(steps, r, input_state, seed, trials)
     target = np.linalg.matrix_power(algebra.squeezer_protocol_matrix(kappa), segments)
     dev = float(np.linalg.norm(channel.S - target, ord="fro"))
     ok = dev <= _bound(1e-6, len(steps) * _max_abs(target))
@@ -290,13 +310,14 @@ def repeated_squeezer(
 
 def _offline_run(
     input_state: GaussianState,
-    r_resource: float,
+    r: float,
     gate_S: np.ndarray,
     gain: np.ndarray,
     seed: int,
-) -> tuple[GaussianChannel, float, tuple[MeasurementRecord, ...]]:
-    """Channel, leak and records of teleportation through the resource
-    modified by ``gate_S``, corrected by ``gain`` times (u, v)."""
+    trials: int,
+) -> tuple[GaussianChannel, float, list[tuple[MeasurementRecord, ...]]]:
+    """Channel, leak and per-trial records of teleportation through the
+    resource modified by ``gate_S``, corrected by ``gain`` times (u, v)."""
     bs = beamsplitter_5050().S
     S_big = (
         embed_symplectic(bs, [0, 1], 3)
@@ -305,20 +326,23 @@ def _offline_run(
     )
     uv_rows = math.sqrt(2.0) * np.vstack([S_big[2], S_big[1]])  # u = sqrt2 x_1', v = sqrt2 p_0'
     # of the resource columns (x_1, p_1, x_2, p_2), x_1 and p_2 are anti-squeezed
-    channel, leak, uv = _teleportation(
-        input_state, r_resource, S_big[4:6], uv_rows, gain, [2, 5], [3, 4], seed
+    channel, leak, draws = _teleportation(
+        input_state, r, S_big[4:6], uv_rows, gain, [2, 5], [3, 4], _trial_seeds(seed, trials)
     )
     # u from the x port, v from the p port
     half = 1.0 / math.sqrt(2.0)
-    records = (
-        MeasurementRecord(0, 1, 0.0, -math.pi / 2, float(uv[0]) * half, float(uv[0])),
-        MeasurementRecord(1, 0, 0.0, 0.0, float(uv[1]) * half, float(uv[1])),
-    )
+    records = [
+        (
+            MeasurementRecord(0, 1, 0.0, -math.pi / 2, float(uv[0]) * half, float(uv[0])),
+            MeasurementRecord(1, 0, 0.0, 0.0, float(uv[1]) * half, float(uv[1])),
+        )
+        for uv in draws
+    ]
     return channel, leak, records
 
 
 def offline_teleport(
-    input_state: GaussianState, r: float, seed: int = 0
+    input_state: GaussianState, r: float, seed: int = 0, trials: int = 1
 ) -> ProtocolReport:
     """Unity-gain teleportation through the two-mode squeezed resource.
 
@@ -326,7 +350,7 @@ def offline_teleport(
     per quadrature; the vacuum-input fidelity is 1/(1 + e^{-2r}).
     """
     identity = np.eye(2)
-    channel, leak, records = _offline_run(input_state, r, identity, identity, seed)
+    channel, leak, records = _offline_run(input_state, r, identity, identity, seed, trials)
     eps = math.exp(-2 * r)
     noise_err = _max_abs(channel.N - 0.5 * eps * np.eye(2))
     noise_ok = noise_err <= _bound(1e-9, _max_abs(channel.N))
@@ -355,10 +379,11 @@ def offline_teleport(
 
 def offline_squeezer(
     input_state: GaussianState,
-    r_resource: float,
+    r: float,
     r_gate: float,
     seed: int = 0,
     rescale_correction: bool = True,
+    trials: int = 1,
 ) -> ProtocolReport:
     """Teleportation-based squeezer: the gate is applied to the resource
     off-line, and the feedforward displacements are rescaled by
@@ -373,7 +398,7 @@ def offline_squeezer(
     # coefficients gate (u, v): the gate is also the gain and the target
     gate = squeezer(r_gate).S
     gain = gate if rescale_correction else np.eye(2)
-    channel, leak, records = _offline_run(input_state, r_resource, gate, gain, seed)
+    channel, leak, records = _offline_run(input_state, r, gate, gain, seed, trials)
     if rescale_correction:
         independence = _outcome_independent(leak)
     else:
@@ -382,7 +407,7 @@ def offline_squeezer(
     target_ok = target_dev <= _bound(1e-6, _max_abs(gate))
     noise_oracle = (
         0.5
-        * math.exp(-2 * r_resource)
+        * math.exp(-2 * r)
         * np.diag([math.exp(-2 * r_gate), math.exp(2 * r_gate)])
     )
     noise_err = _max_abs(channel.N - noise_oracle)
@@ -394,7 +419,7 @@ def offline_squeezer(
     return _report(
         "offline_squeezer",
         {
-            "r_resource": r_resource,
+            "r_resource": r,
             "r_gate": r_gate,
             "seed": seed,
             "rescale_correction": rescale_correction,
@@ -409,43 +434,40 @@ def offline_squeezer(
 
 
 # ---------------------------------------------------------------------------
-# dispatch and sweeps
+# protocol table and sweeps
 
-PROTOCOL_IDS = (
-    "identity_chain",
-    "squeezer_four_step",
-    "repeated_squeezer",
-    "offline_teleport",
-    "offline_squeezer",
-)
+# protocol id -> (builder, the PARAMETER_DEFAULTS names it reads besides the
+# squeezing, which every protocol reads)
+PROTOCOLS = {
+    "identity_chain": (identity_chain, ("n_nodes",)),
+    "squeezer_four_step": (squeezer_four_step, ("kappa",)),
+    "repeated_squeezer": (repeated_squeezer, ("segments", "kappa")),
+    "offline_teleport": (offline_teleport, ()),
+    "offline_squeezer": (offline_squeezer, ("r_gate",)),
+}
 
 
-def run_named_protocol(protocol_id: str, params: dict, seed: int = 0) -> ProtocolReport:
+def run_named_protocol(
+    protocol_id: str, params: dict, seed: int = 0, trials: int = 1
+) -> ProtocolReport:
     """Run a protocol by name with config-style parameters.
 
     ``params`` may give the resource squeezing as ``squeezing_db`` (converted
     here, once) or directly as ``squeezing_r``; missing parameters take their
     ``PARAMETER_DEFAULTS`` value, and ``input_state`` defaults to the vacuum.
+    Trial t draws its records with ``seed + t``.
     """
-    if protocol_id not in PROTOCOL_IDS:
-        raise ValueError(f"unknown protocol {protocol_id!r}; known: {PROTOCOL_IDS}")
+    if protocol_id not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol_id!r}; known: {', '.join(PROTOCOLS)}")
+    builder, names = PROTOCOLS[protocol_id]
     params = {**PARAMETER_DEFAULTS, **params}
     if "squeezing_r" in params:
         r = float(params["squeezing_r"])
     else:
         r = db_to_squeezing_r(float(params["squeezing_db"]))
     input_state = params.get("input_state") or vacuum_state(1)
-    if protocol_id == "identity_chain":
-        return identity_chain(int(params["n_nodes"]), r, input_state, seed)
-    if protocol_id == "squeezer_four_step":
-        return squeezer_four_step(float(params["kappa"]), r, input_state, seed)
-    if protocol_id == "repeated_squeezer":
-        return repeated_squeezer(
-            int(params["segments"]), float(params["kappa"]), r, input_state, seed
-        )
-    if protocol_id == "offline_teleport":
-        return offline_teleport(input_state, r, seed)
-    return offline_squeezer(input_state, r, float(params["r_gate"]), seed)
+    args = {name: type(PARAMETER_DEFAULTS[name])(params[name]) for name in names}
+    return builder(r=r, input_state=input_state, seed=seed, trials=trials, **args)
 
 
 def sweep(

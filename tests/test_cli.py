@@ -85,6 +85,9 @@ class TestConfigParsing:
             ("squeezing_db", ["inf"], 0),
             ("kappa", [0.1, "x"], 1),
             ("r_gate", [float("nan")], 0),
+            ("n_nodes", [3.9, 4], 0),
+            ("segments", [1, True], 1),
+            ("kappa", [True], 0),
         ],
     )
     def test_sweep_values_go_through_field_validators(self, param, values, bad_index):
@@ -92,6 +95,28 @@ class TestConfigParsing:
             cli.ExperimentConfig.from_dict(
                 {"protocol": "identity_chain", "sweep": {"param": param, "values": values}}
             )
+
+    @pytest.mark.parametrize("field", sorted(cli._SCALAR_FIELDS))
+    @pytest.mark.parametrize("value", [True, False])
+    def test_booleans_rejected_in_every_scalar_field(self, field, value):
+        # a boolean is not a number here, although Python casts it to 0 or 1
+        with pytest.raises(cli.ConfigError, match=rf"{field}.*boolean"):
+            cli.ExperimentConfig.from_dict({"protocol": "repeated_squeezer", field: value})
+
+    @pytest.mark.parametrize(
+        "field, value", [("n_nodes", 5.7), ("segments", 1.5), ("seed", 2.5), ("trials", 2.9)]
+    )
+    def test_non_integral_float_rejected_in_integer_fields(self, field, value):
+        with pytest.raises(cli.ConfigError, match=rf"{field}.*integer"):
+            cli.ExperimentConfig.from_dict({"protocol": "identity_chain", field: value})
+
+    def test_integral_float_accepted_in_integer_fields(self):
+        cfg = cli.ExperimentConfig.from_dict(
+            {"protocol": "identity_chain", "n_nodes": 4.0, "segments": 2.0, "seed": 3.0, "trials": 2.0}
+        )
+        values = (cfg.n_nodes, cfg.segments, cfg.seed, cfg.trials)
+        assert values == (4, 2, 3, 2)
+        assert all(type(v) is int for v in values)
 
     def test_nonfinite_input_rejected(self):
         with pytest.raises(cli.ConfigError, match="input"):
@@ -171,6 +196,13 @@ class TestRunCommand:
         assert "squeezing_db" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_integral_trials_exits_2_without_output(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "trials.json", {**BASE_RUN, "trials": 2.9})
+        out = tmp_path / "result.json"
+        assert cli.main(["run", cfg, "--output", str(out), "--quiet"]) == 2
+        assert "trials" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -230,7 +262,14 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize(
         "param, values",
-        [("n_nodes", [1]), ("squeezing_db", [10, -1]), ("squeezing_db", ["inf"]), ("kappa", ["x"])],
+        [
+            ("n_nodes", [1]),
+            ("squeezing_db", [10, -1]),
+            ("squeezing_db", ["inf"]),
+            ("kappa", ["x"]),
+            ("n_nodes", [3.9, 4]),
+            ("kappa", [True]),
+        ],
     )
     def test_invalid_sweep_value_exits_2_without_output(self, tmp_path, capsys, param, values):
         cfg = write_config(

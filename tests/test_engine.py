@@ -7,6 +7,11 @@ from hypothesis import given, settings, strategies as st
 import cvcluster as cv
 from cvcluster import engine
 from conftest import random_gaussian_state, step_noise_oracle
+from tomography import (
+    NonDeterministicChannelError,
+    channel_tomography,
+    outcome_independence_check,
+)
 
 IDEAL = cv.IDEAL_SQUEEZING_R
 TEN_DB_R = math.log(10.0) / 2.0
@@ -32,6 +37,22 @@ class TestMeasurementBasis:
         # (p cos(theta) - x sin(theta)) * rescale == p + kappa x
         assert math.cos(theta) * rescale == pytest.approx(1.0, rel=1e-12)
         assert -math.sin(theta) * rescale == pytest.approx(kappa, rel=1e-12, abs=1e-12)
+
+    def test_array_of_kappas_is_elementwise(self):
+        kappas = np.array([-1.5, -0.2, 0.0, 0.3, 2.0])
+        thetas, rescales = cv.measurement_basis(kappas)
+        for kappa, theta, rescale in zip(kappas, thetas, rescales):
+            assert (theta, rescale) == pytest.approx(cv.measurement_basis(float(kappa)), rel=1e-15)
+
+    def test_chain_records_carry_the_basis(self):
+        kappas = [0.3, -0.7, 1.1]
+        _, records, _ = cv.run_protocol(
+            cv.vacuum_state(1), [cv.StepPlan(k) for k in kappas], 1.0, 5
+        )
+        thetas, rescales = cv.measurement_basis(np.array(kappas))
+        assert [rec.theta for rec in records] == list(thetas)
+        for rec, rescale in zip(records, rescales):
+            assert rec.rescaled_outcome == pytest.approx(rec.raw_outcome * rescale, rel=1e-15)
 
 
 class TestUpdateFrame:
@@ -255,7 +276,7 @@ class TestRunProtocol:
             out, _, frame = cv.run_protocol(cv.vacuum_state(1), steps, r, seed)
             return cv.apply_correction(out, frame)
 
-        assert cv.outcome_independence_check(run, range(20)) <= 1e-9
+        assert outcome_independence_check(run, range(20)) <= 1e-9
 
     def test_single_forced_outcome_repeated_gives_zero_deviation(self):
         def run(_seed):
@@ -264,7 +285,7 @@ class TestRunProtocol:
             )
             return cv.apply_correction(out, frame)
 
-        assert cv.outcome_independence_check(run, range(5)) == 0.0
+        assert outcome_independence_check(run, range(5)) == 0.0
 
 
 class TestMutationGuard:
@@ -283,7 +304,7 @@ class TestMutationGuard:
 
 class TestChannelTomography:
     def test_pass_through(self):
-        channel = cv.channel_tomography(lambda state, seed: state)
+        channel = channel_tomography(lambda state, seed: state)
         np.testing.assert_allclose(channel.S, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(channel.N, np.zeros((2, 2)), atol=1e-12)
         np.testing.assert_allclose(channel.d, np.zeros(2), atol=1e-12)
@@ -299,22 +320,22 @@ class TestChannelTomography:
 
     def test_single_step_ideal(self):
         kappa = 0.8
-        channel = cv.channel_tomography(self._runner([kappa], IDEAL))
+        channel = channel_tomography(self._runner([kappa], IDEAL))
         np.testing.assert_allclose(channel.S, cv.fourier_shear_step(kappa), atol=1e-9)
         np.testing.assert_allclose(channel.N, np.zeros((2, 2)), atol=1e-9)
 
     def test_single_step_finite_noise(self):
-        channel = cv.channel_tomography(self._runner([0.0], TEN_DB_R))
+        channel = channel_tomography(self._runner([0.0], TEN_DB_R))
         np.testing.assert_allclose(channel.N, np.diag([0.0, 0.025]), atol=1e-12)
 
     def test_two_step_channel_composes(self):
-        single = cv.channel_tomography(self._runner([0.4], IDEAL))
-        double = cv.channel_tomography(self._runner([0.4, 0.4], IDEAL))
+        single = channel_tomography(self._runner([0.4], IDEAL))
+        double = channel_tomography(self._runner([0.4, 0.4], IDEAL))
         np.testing.assert_allclose(double.S, single.S @ single.S, atol=1e-8)
 
     def test_channel_apply_reproduces_protocol_action(self):
         runner = self._runner([0.3, -0.5], 1.0)
-        channel = cv.channel_tomography(runner)
+        channel = channel_tomography(runner)
         for seed in range(10):
             state = random_gaussian_state(seed, 1)
             direct = runner(state, 0)
@@ -324,15 +345,15 @@ class TestChannelTomography:
 
     def test_noise_psd(self):
         for kappas, r in (([0.6], IDEAL), ([0.2, -0.9, 0.4], TEN_DB_R)):
-            channel = cv.channel_tomography(self._runner(kappas, r))
+            channel = channel_tomography(self._runner(kappas, r))
             assert np.linalg.eigvalsh(channel.N)[0] >= -1e-10
 
     def test_refuses_seed_dependent_protocol(self):
         def bad(state, seed):
             return cv.displace(state, 0, 1e-3 * seed, 0.0)
 
-        with pytest.raises(cv.NonDeterministicChannelError):
-            cv.channel_tomography(bad)
+        with pytest.raises(NonDeterministicChannelError):
+            channel_tomography(bad)
 
 
 class TestDualStep:
@@ -351,8 +372,8 @@ class TestDualStep:
             out, _, frame = cv.run_protocol(state, [cv.StepPlan(0.0)], IDEAL, seed)
             return cv.apply_correction(out, frame)
 
-        dual = cv.channel_tomography(dual_runner)
-        primal = cv.channel_tomography(primal_runner)
+        dual = channel_tomography(dual_runner)
+        primal = channel_tomography(primal_runner)
         F = cv.fourier().S
         np.testing.assert_allclose(dual.S, F @ primal.S @ np.linalg.inv(F), atol=1e-9)
         np.testing.assert_allclose(dual.N, F @ primal.N @ F.T, atol=1e-9)

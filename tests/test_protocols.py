@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import cvcluster as cv
 from cvcluster import checks, cli, engine, protocols
 from conftest import step_noise_oracle
+from tomography import channel_tomography
 
 IDEAL = cv.IDEAL_SQUEEZING_R
 TEN_DB_R = math.log(10.0) / 2.0
@@ -325,12 +326,79 @@ class TestOneEvaluationPerReport:
         mean = math.sqrt(2.0) * mixed.mean[measured]
         L = np.linalg.cholesky(2.0 * mixed.cov[np.ix_(measured, measured)])
         draws = np.array(
-            [[rec.rescaled_outcome for rec in run(seed).records] for seed in range(2000)]
+            [[rec.rescaled_outcome for rec in run(seed).records[0]] for seed in range(2000)]
         )
         white = np.linalg.solve(L, (draws - mean).T)
         # 2000 draws: standard errors about 0.022 (mean) and 0.032 (variances)
         assert np.max(np.abs(white.mean(axis=1))) < 0.1
         assert np.max(np.abs(np.cov(white) - np.eye(2))) < 0.1
+
+
+CHAIN_PROTOCOLS = ("identity_chain", "squeezer_four_step", "repeated_squeezer")
+
+
+class TestOneReportPerDocument:
+    @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
+    def test_trials_evaluate_the_map_once(self, monkeypatch, protocol):
+        # the chains read their channel through chain_channel, the off-line
+        # protocols through _teleportation; three trials draw three sets of
+        # records from one evaluation
+        spied = "chain_channel" if protocol in CHAIN_PROTOCOLS else "_teleportation"
+        original = getattr(protocols, spied)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(spied)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(protocols, spied, spy)
+        base = {
+            "protocol": protocol,
+            "squeezing_db": 10.0,
+            "input": {"kind": "coherent", "re": 0.3, "im": -0.8},
+            "seed": 40,
+        }
+        doc = cli.run_document(cli.ExperimentConfig.from_dict({**base, "trials": 3}))
+        assert len(calls) == 1
+        assert sorted({rec["trial"] for rec in doc["records"]}) == [0, 1, 2]
+        for t in range(3):
+            single = cli.run_document(cli.ExperimentConfig.from_dict({**base, "seed": 40 + t}))
+            expected = [{**rec, "trial": t} for rec in single["records"]]
+            assert [rec for rec in doc["records"] if rec["trial"] == t] == expected
+            for key in ("channel", "checks", "fidelity", "deviation", "noise_trace"):
+                assert doc[key] == single[key], key
+
+    @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
+    def test_report_holds_one_record_tuple_per_trial(self, protocol):
+        report = cv.run_named_protocol(protocol, {"squeezing_db": 10.0}, seed=3, trials=2)
+        assert len(report.records) == 2
+        for t, trial in enumerate(report.records):
+            alone = cv.run_named_protocol(protocol, {"squeezing_db": 10.0}, seed=3 + t)
+            assert trial == alone.records[0]
+
+    @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
+    def test_rejects_zero_trials(self, protocol):
+        with pytest.raises(ValueError, match="trials"):
+            cv.run_named_protocol(protocol, {}, trials=0)
+
+
+class TestProtocolTable:
+    @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
+    def test_table_parameters_reach_the_builder(self, protocol):
+        # each listed parameter, set away from its default, shows up in the
+        # report's parameters (off-line squeezer: r_gate) or its channel
+        builder, names = protocols.PROTOCOLS[protocol]
+        changed = {"n_nodes": 3, "segments": 2, "kappa": 0.35, "r_gate": 0.3}
+        default = cv.run_named_protocol(protocol, {"squeezing_db": 10.0})
+        for name in names:
+            report = cv.run_named_protocol(protocol, {"squeezing_db": 10.0, name: changed[name]})
+            assert not np.array_equal(report.channel.S, default.channel.S), name
+        direct = builder(
+            r=TEN_DB_R,
+            input_state=VAC,
+            **{name: protocols.PARAMETER_DEFAULTS[name] for name in names},
+        )
+        np.testing.assert_array_equal(direct.channel.S, default.channel.S)
 
 
 class TestMatrixCheckBounds:
@@ -511,19 +579,19 @@ class TestChannelAgreesWithTomography:
         repeated_steps = [cv.StepPlan(k) for k in (0.1, 0.1, -0.1, -0.1)] * 2
         if name == "identity_chain":
             report = cv.identity_chain(5, r, VAC)
-            expected = cv.channel_tomography(_cluster_runner([cv.StepPlan(0.0)] * 4, r))
+            expected = channel_tomography(_cluster_runner([cv.StepPlan(0.0)] * 4, r))
         elif name == "squeezer_four_step":
             report = cv.squeezer_four_step(0.2, r, VAC)
-            expected = cv.channel_tomography(_cluster_runner(squeezer_steps, r))
+            expected = channel_tomography(_cluster_runner(squeezer_steps, r))
         elif name == "repeated_squeezer":
             report = cv.repeated_squeezer(2, 0.1, r, VAC)
-            expected = cv.channel_tomography(_cluster_runner(repeated_steps, r))
+            expected = channel_tomography(_cluster_runner(repeated_steps, r))
         elif name == "offline_teleport":
             report = cv.offline_teleport(VAC, r)
-            expected = cv.channel_tomography(_offline_runner(r, np.eye(2)))
+            expected = channel_tomography(_offline_runner(r, np.eye(2)))
         elif name == "offline_squeezer":
             report = cv.offline_squeezer(VAC, r, r_gate)
-            expected = cv.channel_tomography(_offline_runner(r, cv.squeezer(r_gate).S))
+            expected = channel_tomography(_offline_runner(r, cv.squeezer(r_gate).S))
         else:
             report = cv.offline_squeezer(VAC, r, r_gate, rescale_correction=False)
             expected, _ = _conditioned_state_channel(r, r_gate, rescale_correction=False)

@@ -2,9 +2,12 @@
 end to end against the package."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+from cvcluster import protocols
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,6 +35,21 @@ def test_readme_library_sketch_runs():
     sketch = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     assert sketch.startswith("import cvcluster")
     assert run_python(["-c", sketch])
+
+
+def test_readme_used_by_column_matches_protocol_table():
+    # a config-table row reads | `field` | meaning | used by |
+    rows = re.findall(r"^\| `(\w+)` \| .* \| ([^|]*) \|$", (ROOT / "README.md").read_text(), re.M)
+    used_by = dict(rows)
+    every = set(protocols.PROTOCOLS)
+    for name in protocols.PARAMETER_DEFAULTS:
+        cell = used_by[name].strip()
+        listed = every if cell == "all" else {p.strip().strip("`") for p in cell.split(",")}
+        if name == "squeezing_db":  # every protocol reads the resource squeezing
+            expected = every
+        else:
+            expected = {pid for pid, (_, names) in protocols.PROTOCOLS.items() if name in names}
+        assert listed == expected, name
 
 
 def test_squeezer_scaling_shows_cubic_error():
