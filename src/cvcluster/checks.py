@@ -1,6 +1,6 @@
 """Self-contained invariant and identity checks backing the `verify` command.
 
-Each check returns a CheckResult with the measured value, so the table the
+Each check returns a ProtocolCheck with the measured value, so the table the
 CLI prints doubles as a numerical record (in particular the cubic-scaling
 ratios). Gate constructors are injectable so a deliberately corrupted gate
 can be shown to fail.
@@ -9,12 +9,12 @@ can be shown to fail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import algebra, protocols
+from .protocols import ProtocolCheck
 from .phase_space import (
     GaussianState,
     Quadrature,
@@ -38,13 +38,6 @@ from .cluster import ClusterSpec, attach_input, linear_cluster
 from .engine import StepPlan, apply_correction, chain_channel, run_protocol
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    value: float
-
-
 def default_gates() -> dict[str, SymplecticGate]:
     return {
         "controlled_z": controlled_z(),
@@ -58,37 +51,39 @@ def default_gates() -> dict[str, SymplecticGate]:
     }
 
 
-def symplectic_condition_checks(gates: dict[str, SymplecticGate] | None = None) -> list[CheckResult]:
+def symplectic_condition_checks(
+    gates: dict[str, SymplecticGate] | None = None,
+) -> list[ProtocolCheck]:
     gates = default_gates() if gates is None else gates
     worst = max(symplectic_defect(g.S) for g in gates.values())
-    return [CheckResult("symplectic_condition_all_gates", worst <= 1e-12, worst)]
+    return [ProtocolCheck("symplectic_condition_all_gates", worst <= 1e-12, worst)]
 
 
-def gate_identity_checks(fourier_gate: SymplecticGate | None = None) -> list[CheckResult]:
+def gate_identity_checks(fourier_gate: SymplecticGate | None = None) -> list[ProtocolCheck]:
     F = (fourier_gate or fourier()).S
     results = []
     dev = float(np.max(np.abs(rotation(math.pi / 2).S - F)))
-    results.append(CheckResult("rotation_half_pi_equals_fourier", dev <= 1e-12, dev))
+    results.append(ProtocolCheck("rotation_half_pi_equals_fourier", dev <= 1e-12, dev))
     dev = float(np.max(np.abs(F @ shear(0.4).S @ np.linalg.inv(F) - p_shear(0.4).S)))
-    results.append(CheckResult("fourier_conjugates_shear_to_p_shear", dev <= 1e-12, dev))
+    results.append(ProtocolCheck("fourier_conjugates_shear_to_p_shear", dev <= 1e-12, dev))
     FF = np.zeros((4, 4))
     FF[:2, :2] = F
     FF[2:, 2:] = F
     conj = FF @ controlled_z().S @ np.linalg.inv(FF)
     dev = float(np.max(np.abs(conj - controlled_z_pp().S)))
-    results.append(CheckResult("fourier_pair_conjugates_cz_to_cz_pp", dev <= 1e-12, dev))
+    results.append(ProtocolCheck("fourier_pair_conjugates_cz_to_cz_pp", dev <= 1e-12, dev))
     cz = controlled_z().S
     for mode in (0, 1):
         emb = np.eye(4)
         emb[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = shear(0.7).S
         dev = float(np.max(np.abs(cz @ emb - emb @ cz)))
         results.append(
-            CheckResult(f"cz_commutes_with_shear_on_mode_{mode}", dev == 0.0, dev)
+            ProtocolCheck(f"cz_commutes_with_shear_on_mode_{mode}", dev == 0.0, dev)
         )
     return results
 
 
-def cubic_identity_checks() -> list[CheckResult]:
+def cubic_identity_checks() -> list[ProtocolCheck]:
     worst = Fraction(0)
     low_degree = Fraction(0)
     grid = [Fraction(v, 2) for v in (-2, -1, 0, 1, 2)]
@@ -99,14 +94,16 @@ def cubic_identity_checks() -> list[CheckResult]:
             for deg in (1, 2, 3):
                 low_degree = max(low_degree, abs(residual.coefficient(deg)))
     return [
-        CheckResult("cubic_feedforward_constant_is_phase", worst == 0, float(worst)),
-        CheckResult("cubic_feedforward_degrees_1_to_3_vanish", low_degree == 0, float(low_degree)),
+        ProtocolCheck("cubic_feedforward_constant_is_phase", worst == 0, float(worst)),
+        ProtocolCheck(
+            "cubic_feedforward_degrees_1_to_3_vanish", low_degree == 0, float(low_degree)
+        ),
     ]
 
 
-def bch_checks() -> list[CheckResult]:
+def bch_checks() -> list[ProtocolCheck]:
     results = [
-        CheckResult(
+        ProtocolCheck(
             "bch_residual_small_at_0.1",
             algebra.bch_squeezer_residual(0.1) <= 1e-2,
             algebra.bch_squeezer_residual(0.1),
@@ -115,15 +112,15 @@ def bch_checks() -> list[CheckResult]:
     for kappa in (0.025, 0.05, 0.1):
         ratio = algebra.bch_squeezer_residual(2 * kappa) / algebra.bch_squeezer_residual(kappa)
         results.append(
-            CheckResult(f"bch_cubic_scaling_ratio_at_{kappa:g}", 7.0 <= ratio <= 9.0, ratio)
+            ProtocolCheck(f"bch_cubic_scaling_ratio_at_{kappa:g}", 7.0 <= ratio <= 9.0, ratio)
         )
     return results
 
 
-def squeezer_matrix_checks() -> list[CheckResult]:
+def squeezer_matrix_checks() -> list[ProtocolCheck]:
     results = []
     det_err = abs(float(np.linalg.det(algebra.squeezer_protocol_matrix(0.2))) - 1.0)
-    results.append(CheckResult("four_step_matrix_det_one", det_err <= 1e-12, det_err))
+    results.append(ProtocolCheck("four_step_matrix_det_one", det_err <= 1e-12, det_err))
     for kappa in (0.025, 0.05, 0.1):
         dev = lambda k: float(
             np.linalg.norm(
@@ -132,7 +129,7 @@ def squeezer_matrix_checks() -> list[CheckResult]:
         )
         ratio = dev(2 * kappa) / dev(kappa)
         results.append(
-            CheckResult(
+            ProtocolCheck(
                 f"four_step_deviation_ratio_at_{kappa:g}", 7.0 <= ratio <= 9.0, ratio
             )
         )
@@ -190,7 +187,7 @@ def _oracle_condition(
     return mu_full, back @ cov_cond @ back.T
 
 
-def homodyne_oracle_checks(n_states: int = 100, seed: int = 12345) -> list[CheckResult]:
+def homodyne_oracle_checks(n_states: int = 100, seed: int = 12345) -> list[ProtocolCheck]:
     rng = np.random.Generator(np.random.PCG64(seed))
     worst = 0.0
     for _ in range(n_states):
@@ -210,10 +207,10 @@ def homodyne_oracle_checks(n_states: int = 100, seed: int = 12345) -> list[Check
             float(np.max(np.abs(conditioned.mean - mu_full[keep]))),
             float(np.max(np.abs(conditioned.cov - cov_full[np.ix_(keep, keep)]))),
         )
-    return [CheckResult("homodyne_matches_conditioning_oracle", worst <= 1e-10, worst)]
+    return [ProtocolCheck("homodyne_matches_conditioning_oracle", worst <= 1e-10, worst)]
 
 
-def outcome_independence_checks() -> list[CheckResult]:
+def outcome_independence_checks() -> list[ProtocolCheck]:
     ten_db = protocols.db_to_squeezing_r(10.0)
     squeezer_steps = [StepPlan(0.2), StepPlan(0.2), StepPlan(-0.2), StepPlan(-0.2)]
     results = []
@@ -224,7 +221,7 @@ def outcome_independence_checks() -> list[CheckResult]:
         ("squeezer_10db", squeezer_steps, ten_db),
     ):
         _, leak = chain_channel(steps, r)
-        results.append(CheckResult(f"outcome_independent_{name}", leak <= 1e-9, leak))
+        results.append(ProtocolCheck(f"outcome_independent_{name}", leak <= 1e-9, leak))
     vac = vacuum_state(1)
     for name, rescale, limit in (
         ("offline_squeezer_corrected", True, None),
@@ -235,14 +232,14 @@ def outcome_independence_checks() -> list[CheckResult]:
         )
         if rescale:
             dev = report.check("outcome_independent").value
-            results.append(CheckResult(f"outcome_independent_{name}", dev <= 1e-9, dev))
+            results.append(ProtocolCheck(f"outcome_independent_{name}", dev <= 1e-9, dev))
         else:
             dev = report.check("outcome_dependence_detected").value
-            results.append(CheckResult(f"{name}_detects_dependence", dev > limit, dev))
+            results.append(ProtocolCheck(f"{name}_detects_dependence", dev > limit, dev))
     return results
 
 
-def uncertainty_checks() -> list[CheckResult]:
+def uncertainty_checks() -> list[ProtocolCheck]:
     worst = 0.0
     for n, r in ((1, 0.0), (3, 1.0), (5, protocols.db_to_squeezing_r(10.0)), (4, IDEAL_SQUEEZING_R)):
         cluster = linear_cluster(ClusterSpec(n, r))
@@ -252,20 +249,20 @@ def uncertainty_checks() -> list[CheckResult]:
         out, _, frame = run_protocol(vacuum_state(1), steps, protocols.db_to_squeezing_r(10.0), 3)
         worst = max(worst, uncertainty_defect(out))
         worst = max(worst, uncertainty_defect(apply_correction(out, frame)))
-    return [CheckResult("uncertainty_relation_protocol_states", worst <= 1e-12, worst)]
+    return [ProtocolCheck("uncertainty_relation_protocol_states", worst <= 1e-12, worst)]
 
 
-def teleport_fidelity_checks() -> list[CheckResult]:
+def teleport_fidelity_checks() -> list[ProtocolCheck]:
     worst = 0.0
     for eps in (1.0, 0.5, 0.1):
         r = -0.5 * math.log(eps)
         report = protocols.offline_teleport(vacuum_state(1), r)
         expected = 1.0 / (1.0 + eps)
         worst = max(worst, abs(report.fidelity - expected))
-    return [CheckResult("teleport_fidelity_closed_form", worst <= 1e-6, worst)]
+    return [ProtocolCheck("teleport_fidelity_closed_form", worst <= 1e-6, worst)]
 
 
-def run_all_checks() -> list[CheckResult]:
+def run_all_checks() -> list[ProtocolCheck]:
     results = []
     results += symplectic_condition_checks()
     results += gate_identity_checks()

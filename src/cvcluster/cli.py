@@ -241,7 +241,7 @@ def _load_config(path: str, seed_override: int | None) -> ExperimentConfig:
     # a seed override changes the experiment and is echoed in the document;
     # --output only redirects the write and must not perturb the bytes
     if seed_override is not None:
-        cfg.seed = seed_override
+        cfg.seed = _checked_scalar("seed", seed_override, "--seed")
     return cfg
 
 
@@ -299,7 +299,7 @@ def cmd_verify(quiet: bool) -> int:
     return 0 if failures == 0 else 1
 
 
-def main(argv: list[str] | None = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvcluster",
         description="Gaussian cluster-computation protocol runner",
@@ -316,8 +316,14 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--quiet", action="store_true")
     verify_p = sub.add_parser("verify", help="run the invariant and identity suite")
     verify_p.add_argument("--quiet", action="store_true")
+    return parser
 
-    args = parser.parse_args(argv)
+
+_PARSER = _build_parser()  # built once per process: parse_args keeps no state
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _PARSER.parse_args(argv)
     if args.command == "run":
         return cmd_run(args.config, args.seed, args.output, args.quiet)
     if args.command == "sweep":

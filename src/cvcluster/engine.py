@@ -16,8 +16,9 @@ neighbours, so the measured functional of step j is the banded row
 m_j = p_j + kappa_j x_j + x_{j-1} + x_{j+1}, and the whole evaluation is
 O(k) in the number of steps:
 
-* one backward pass over the steps folds the linear action of
-  ``update_frame`` into the frame weights T[:, j] = d(frame)/d(s_j);
+* one array call of ``update_frame`` on probe frames gives every step's
+  linear action, and one backward pass folds those into the frame weights
+  T[:, j] = d(frame)/d(s_j);
 * the corrected output ``out - T m`` is read off as coefficient vectors
   over the initial quadratures, a few shifted slices of T. That affine map
   is the protocol's channel (``chain_channel``, through the readout
@@ -25,7 +26,8 @@ O(k) in the number of steps:
   and the product-state variances of its resource columns give N;
 * outcome records are drawn exactly by sampling the product state (a 2x2
   Cholesky factor for the input, independent normals for the resource) and
-  applying the banded functionals, then folded through ``update_frame``.
+  applying the banded functionals; only ``run_protocol`` folds them through
+  ``update_frame`` into a byproduct frame.
 
 Teleportation-style protocols (``dual_step`` and the off-line reports) share
 one path, ``_teleportation``: given their output and measured rows over the
@@ -120,7 +122,8 @@ def measurement_basis(kappa):
 
 
 def update_frame(frame: ByproductFrame, s: float, kappa: float) -> ByproductFrame:
-    """Push the frame through one step and absorb the new outcome.
+    """Push the frame through one step and absorb the new outcome
+    (elementwise, for arrays of frames, outcomes and kappas).
 
     One step applies X(s) F D(kappa); commuting the existing X(u)Z(v)
     through gives X(s) F D X(u)Z(v) = X(s - kappa u - v) Z(u) F D.
@@ -145,36 +148,32 @@ def apply_correction(state: GaussianState, frame: ByproductFrame) -> GaussianSta
 # multiplies them. Forming the entangled covariance first would lose that
 # cancellation to rounding at high squeezing.
 
-_ZERO_FRAME = ByproductFrame()
-_UNIT_U = ByproductFrame(1.0, 0.0)
-_UNIT_V = ByproductFrame(0.0, 1.0)
-
-
-def _frame_weights(kappas: Sequence[float]) -> np.ndarray:
+def _frame_weights(kappas: np.ndarray) -> np.ndarray:
     """T[:, j] = d(frame)/d(s_j), by one backward pass over the steps.
 
-    update_frame is linear in (frame, s): on the zero frame with s = 1 it
-    gives the injection b_j of step j's outcome, on the unit frames with
-    s = 0 the columns of its propagation matrix A_j. The final frame is
-    then sum_j A_{k-1} ... A_{j+1} b_j s_j.
+    update_frame is linear in (frame, s) and elementwise, so one call on
+    three probe frames over every step's kappa gives each step's injection
+    b_j (the zero frame with s = 1) and the columns of its propagation
+    matrix A_j (the unit u and unit v frames with s = 0). The final frame
+    is then sum_j A_{k-1} ... A_{j+1} b_j s_j.
     """
-    k = len(kappas)
-    T = np.empty((2, k))
+    k = kappas.size
+    # probe 0 is (s, u, v) = (1, 0, 0), probe 1 is (0, 1, 0), probe 2 is (0, 0, 1)
+    s, u, v = np.repeat(np.eye(3)[:, :, None], k, axis=2)
+    step = update_frame(ByproductFrame(u, v), s, kappas)
+    (bu, a0u, a1u), (bv, a0v, a1v) = step.u.tolist(), step.v.tolist()
+    T0, T1 = [0.0] * k, [0.0] * k
     g00, g01, g10, g11 = 1.0, 0.0, 0.0, 1.0  # A_{k-1} ... A_{j+1}
     for j in range(k - 1, -1, -1):
-        kappa = float(kappas[j])
-        b = update_frame(_ZERO_FRAME, 1.0, kappa)
-        a0 = update_frame(_UNIT_U, 0.0, kappa)
-        a1 = update_frame(_UNIT_V, 0.0, kappa)
-        T[0, j] = g00 * b.u + g01 * b.v
-        T[1, j] = g10 * b.u + g11 * b.v
+        T0[j] = g00 * bu[j] + g01 * bv[j]
+        T1[j] = g10 * bu[j] + g11 * bv[j]
         g00, g01, g10, g11 = (
-            g00 * a0.u + g01 * a0.v,
-            g00 * a1.u + g01 * a1.v,
-            g10 * a0.u + g11 * a0.v,
-            g10 * a1.u + g11 * a1.v,
+            g00 * a0u[j] + g01 * a0v[j],
+            g00 * a1u[j] + g01 * a1v[j],
+            g10 * a0u[j] + g11 * a0v[j],
+            g10 * a1u[j] + g11 * a1v[j],
         )
-    return T
+    return np.array([T0, T1])
 
 
 def _corrected_weights(kappas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,7 +204,7 @@ def _corrected_weights(kappas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _kappas(steps: Sequence[StepPlan]) -> np.ndarray:
     if len(steps) < 1:
         raise ValueError("at least one step is required")
-    return np.array([s.kappa for s in steps])
+    return np.array([s.kappa for s in steps], dtype=float)
 
 
 def _resource_variances(r: float) -> tuple[float, float]:
@@ -298,9 +297,8 @@ def _chain_records(
     steps: Sequence[StepPlan],
     cluster_r: float,
     outcome_source,
-) -> tuple[list[MeasurementRecord], ByproductFrame]:
-    """Draw (or force) a chain's outcomes and fold them through
-    ``update_frame``: the measurement records and the final byproduct frame."""
+) -> list[MeasurementRecord]:
+    """Draw (or force) a chain's outcomes: its measurement records."""
     if input_state.n_modes != 1:
         raise ValueError("input must be a single-mode state")
     kappas = _kappas(steps)
@@ -313,22 +311,18 @@ def _chain_records(
     else:
         raws = _forced_outcomes(outcome_source, kappas.size)
         rescaled = raws * rescales
-
-    frame = ByproductFrame()
-    records = []
-    for j in range(kappas.size):
-        frame = update_frame(frame, float(rescaled[j]), float(kappas[j]))
-        records.append(
-            MeasurementRecord(
-                step_index=j,
-                mode=j,
-                kappa=float(kappas[j]),
-                theta=float(thetas[j]),
-                raw_outcome=float(raws[j]),
-                rescaled_outcome=float(rescaled[j]),
-            )
+    columns = zip(kappas.tolist(), thetas.tolist(), raws.tolist(), rescaled.tolist())
+    return [
+        MeasurementRecord(
+            step_index=j,
+            mode=j,
+            kappa=kappa,
+            theta=theta,
+            raw_outcome=raw,
+            rescaled_outcome=value,
         )
-    return records, frame
+        for j, (kappa, theta, raw, value) in enumerate(columns)
+    ]
 
 
 def run_protocol(
@@ -347,7 +341,10 @@ def run_protocol(
     Returns the uncorrected output state (byproduct displacement still in its
     mean), the measurement records, and the accumulated byproduct frame.
     """
-    records, frame = _chain_records(input_state, steps, cluster_r, outcome_source)
+    records = _chain_records(input_state, steps, cluster_r, outcome_source)
+    frame = ByproductFrame()
+    for record in records:
+        frame = update_frame(frame, record.rescaled_outcome, record.kappa)
     corrected = chain_channel(steps, cluster_r)[0].apply(input_state)
     uncorrected = GaussianState(corrected.mean + np.array([frame.u, frame.v]), corrected.cov)
     return uncorrected, records, frame

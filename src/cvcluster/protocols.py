@@ -197,7 +197,7 @@ def _chain_run(
 ) -> tuple[GaussianChannel, float, list[list[MeasurementRecord]]]:
     """Channel, leak and per-trial records of a cluster chain."""
     channel, leak = chain_channel(steps, r)
-    records = [_chain_records(input_state, steps, r, s)[0] for s in _trial_seeds(seed, trials)]
+    records = [_chain_records(input_state, steps, r, s) for s in _trial_seeds(seed, trials)]
     return channel, leak, records
 
 

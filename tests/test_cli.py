@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -203,6 +204,16 @@ class TestRunCommand:
         assert "trials" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("seed", ["-1", "-123456"])
+    def test_negative_seed_override_exits_2_naming_the_flag(self, tmp_path, capsys, command, seed):
+        payload = {**BASE_RUN, "sweep": {"param": "kappa", "values": [0.1]}}
+        cfg = write_config(tmp_path, "run.json", payload)
+        out = tmp_path / "result"
+        assert cli.main([command, cfg, "--output", str(out), "--seed", seed, "--quiet"]) == 2
+        assert "'--seed'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -301,6 +312,24 @@ class TestSweepCommand:
         cfg = write_config(tmp_path, "nosweep.json", {"protocol": "offline_teleport"})
         assert cli.main(["sweep", cfg, "--quiet"]) == 2
         assert "sweep" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_main_builds_no_parser_after_import(self, tmp_path, monkeypatch):
+        created = []
+        original = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            created.append(kwargs.get("prog"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        payload = {**BASE_RUN, "sweep": {"param": "kappa", "values": [0.1, 0.2]}}
+        cfg = write_config(tmp_path, "run.json", payload)
+        for command in ("run", "sweep", "run"):
+            out = tmp_path / f"{command}.out"
+            assert cli.main([command, cfg, "--output", str(out), "--quiet"]) == 0
+        assert created == []
 
 
 class TestVerifySuite:

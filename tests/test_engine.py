@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cvcluster as cv
 from cvcluster import engine
@@ -75,6 +75,46 @@ class TestUpdateFrame:
     def test_rejects_nothing_finite(self):
         with pytest.raises(ValueError):
             cv.StepPlan(math.inf)
+
+
+def _frame_weights_reference(kappas):
+    """T[:, j] = d(frame)/d(s_j) by the per-step backward pass: three scalar
+    update_frame calls per step probe b_j and the columns of A_j."""
+    k = len(kappas)
+    T = np.empty((2, k))
+    g00, g01, g10, g11 = 1.0, 0.0, 0.0, 1.0  # A_{k-1} ... A_{j+1}
+    for j in range(k - 1, -1, -1):
+        kappa = float(kappas[j])
+        b = cv.update_frame(cv.ByproductFrame(), 1.0, kappa)
+        a0 = cv.update_frame(cv.ByproductFrame(1.0, 0.0), 0.0, kappa)
+        a1 = cv.update_frame(cv.ByproductFrame(0.0, 1.0), 0.0, kappa)
+        T[0, j] = g00 * b.u + g01 * b.v
+        T[1, j] = g10 * b.u + g11 * b.v
+        g00, g01, g10, g11 = (
+            g00 * a0.u + g01 * a0.v,
+            g00 * a1.u + g01 * a1.v,
+            g10 * a0.u + g11 * a0.v,
+            g10 * a1.u + g11 * a1.v,
+        )
+    return T
+
+
+class TestFrameWeights:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, 1.0, -1.0])),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    @example([0.0])
+    @example([1.0, -1.0, 0.0, 1.0])
+    @example([-1.0] * 300)
+    def test_one_array_call_matches_per_step_reference_bit_for_bit(self, kappas):
+        new = engine._frame_weights(np.array(kappas))
+        assert new.shape == (2, len(kappas))
+        assert new.tobytes() == _frame_weights_reference(kappas).tobytes()
 
 
 class TestRunProtocol:

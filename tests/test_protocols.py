@@ -382,6 +382,36 @@ class TestOneReportPerDocument:
             cv.run_named_protocol(protocol, {}, trials=0)
 
 
+class TestFrameRuleOncePerReport:
+    @pytest.mark.parametrize(
+        "protocol, params, k",
+        [
+            ("identity_chain", {"n_nodes": 5}, 4),
+            ("squeezer_four_step", {}, 4),
+            ("repeated_squeezer", {"segments": 1}, 4),
+            ("identity_chain", {"n_nodes": 129}, 128),
+            ("repeated_squeezer", {"segments": 32}, 128),
+        ],
+    )
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_one_update_frame_call_per_chain_report(self, monkeypatch, protocol, params, k, trials):
+        # the channel evaluates the frame rule once over all steps, and the
+        # records are drawn without folding a frame that the report discards
+        calls = []
+        original = engine.update_frame
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(engine, "update_frame", spy)
+        report = cv.run_named_protocol(
+            protocol, {"squeezing_db": 10.0, **params}, seed=5, trials=trials
+        )
+        assert len(calls) == 1
+        assert [len(trial) for trial in report.records] == [k] * trials
+
+
 class TestProtocolTable:
     @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
     def test_table_parameters_reach_the_builder(self, protocol):
