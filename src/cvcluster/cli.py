@@ -234,7 +234,9 @@ def _load_config(path: str, seed_override: int | None) -> ExperimentConfig:
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(p.read_text())
+        raw = json.loads(p.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as bad:
+        raise ConfigError(f"config is not valid UTF-8: {bad}")
     except json.JSONDecodeError as bad:
         raise ConfigError(f"config is not valid JSON: {bad}")
     cfg = ExperimentConfig.from_dict(raw)
@@ -243,6 +245,16 @@ def _load_config(path: str, seed_override: int | None) -> ExperimentConfig:
     if seed_override is not None:
         cfg.seed = _checked_scalar("seed", seed_override, "--seed")
     return cfg
+
+
+def _write_output(path: str, text: str) -> bool:
+    """Write a finished document; on failure print one error line instead."""
+    try:
+        Path(path).write_text(text)
+    except OSError as err:
+        print(f"error: cannot write {path}: {err.strerror or err}", file=sys.stderr)
+        return False
+    return True
 
 
 def cmd_run(path: str, seed: int | None, output: str | None, quiet: bool) -> int:
@@ -257,7 +269,8 @@ def cmd_run(path: str, seed: int | None, output: str | None, quiet: bool) -> int
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
     out_path = output or cfg.output_path or "result.json"
-    Path(out_path).write_text(text)
+    if not _write_output(out_path, text):
+        return 1
     if not quiet:
         print(f"{cfg.protocol}: deviation={_sig12(doc['deviation'])} "
               f"noise_trace={_sig12(doc['noise_trace'])} fidelity={_sig12(doc['fidelity'])}")
@@ -277,7 +290,8 @@ def cmd_sweep(path: str, seed: int | None, output: str | None, quiet: bool) -> i
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
     out_path = output or cfg.output_path or "sweep.csv"
-    Path(out_path).write_text(text)
+    if not _write_output(out_path, text):
+        return 1
     if not quiet:
         for row in rows:
             print(f"{row[1]}={row[2]}: deviation={_sig12(row[3])} "

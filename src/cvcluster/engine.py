@@ -27,14 +27,17 @@ O(k) in the number of steps:
 * outcome records are drawn exactly by sampling the product state (a 2x2
   Cholesky factor for the input, independent normals for the resource) and
   applying the banded functionals; only ``run_protocol`` folds them through
-  ``update_frame`` into a byproduct frame.
+  ``update_frame`` into a byproduct frame. The channel never reads them, so
+  a protocol report draws its records the first time they are read, and a
+  report read only for its channel draws none.
 
 Teleportation-style protocols (``dual_step`` and the off-line reports) share
 one path, ``_teleportation``: given their output and measured rows over the
 product state, the correction gain and which resource columns are
 anti-squeezed or squeezed, it reads the channel and leak through
-``affine_channel`` and draws the measured values jointly from their Gaussian
-law. The protocols' resource variances and outcome draws all live here.
+``affine_channel`` and gives the measured values' joint Gaussian law, from
+which ``_sample_or_force`` draws them. The protocols' resource variances and
+outcome draws all live here.
 
 This makes the corrected output exactly outcome- and seed-independent, with
 finite squeezing entering only as additive noise.
@@ -358,17 +361,16 @@ def _teleportation(
     gain: np.ndarray,
     anti: Sequence[int],
     squeezed: Sequence[int],
-    outcome_sources: Sequence,
-) -> tuple[GaussianChannel, float, list[np.ndarray]]:
-    """Channel, leak and one outcome vector per outcome source of a
+) -> tuple[GaussianChannel, float, np.ndarray, np.ndarray]:
+    """Channel, leak and the measured values' mean and covariance of a
     teleportation-style protocol, from one evaluation of its affine map.
 
     The rows are over the product state's quadratures: the input's (x, p),
     then resource columns, of which ``anti`` have variance e^{2r}/4 and
     ``squeezed`` e^{-2r}/4. The correction adds ``gain`` times the measured
-    values to the output, so the corrected rows are out + gain measured. Each
-    source forces the measured values, or draws them jointly from their
-    Gaussian law.
+    values to the output, so the corrected rows are out + gain measured. The
+    measured values are jointly Gaussian with the returned mean and
+    covariance; ``_sample_or_force`` draws (or forces) them.
     """
     if input_state.n_modes != 1:
         raise ValueError("input must be a single-mode state")
@@ -381,12 +383,7 @@ def _teleportation(
     cov0[squeezed, squeezed] = var_squeezed
     applied = out_rows + gain @ measured_rows
     channel, leak = affine_channel(applied[:, :2], applied[:, anti], applied[:, squeezed], r)
-    mean = measured_rows @ mu0
-    cov = measured_rows @ cov0 @ measured_rows.T
-    outcomes = [
-        _sample_or_force(mean, cov, source, len(measured_rows)) for source in outcome_sources
-    ]
-    return channel, leak, outcomes
+    return channel, leak, measured_rows @ mu0, measured_rows @ cov0 @ measured_rows.T
 
 
 def dual_step(
@@ -409,11 +406,11 @@ def dual_step(
     # over (x, p, x_a, p_a): the output is mode 1, the measured row is x of
     # mode 0, and the p row absorbs +1 times it (undoes Z(-t)); p_a is the
     # anti-squeezed quadrature
-    channel, _, outcomes = _teleportation(
-        input_state, r, S[2:4], S[:1], np.array([[0.0], [1.0]]), [3], [2], [outcome_source]
+    channel, _, mean, cov = _teleportation(
+        input_state, r, S[2:4], S[:1], np.array([[0.0], [1.0]]), [3], [2]
     )
     corrected = channel.apply(input_state)
-    t = float(outcomes[0][0])
+    t = float(_sample_or_force(mean, cov, outcome_source, 1)[0])
     output = GaussianState(corrected.mean + np.array([0.0, -t]), corrected.cov)
     record = MeasurementRecord(
         step_index=0,

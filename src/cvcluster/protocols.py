@@ -5,14 +5,18 @@ protocols teleport through a (possibly gate-modified) two-mode squeezed
 resource. Every corrected protocol is an affine map of its initial product
 state; each report reads its channel off that map, and carries the
 deviation from the protocol's target matrix, the accumulated noise, and
-named pass/fail checks.
+named pass/fail checks. The channel does not depend on the homodyne
+outcomes, so a report draws its outcome records the first time its
+``records`` are read: a report read only for its channel, such as a sweep
+point's, draws none.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,6 +37,7 @@ from .engine import (
     MeasurementRecord,
     StepPlan,
     _chain_records,
+    _sample_or_force,
     _teleportation,
     chain_channel,
 )
@@ -78,6 +83,9 @@ class ProtocolCheck:
     value: float | None = None
 
 
+Records = tuple[tuple[MeasurementRecord, ...], ...]  # one tuple per trial
+
+
 @dataclass(frozen=True)
 class ProtocolReport:
     name: str
@@ -87,8 +95,14 @@ class ProtocolReport:
     deviation: float
     noise_trace: float
     fidelity: float | None
-    records: tuple[tuple[MeasurementRecord, ...], ...]  # one tuple per trial
     checks: tuple[ProtocolCheck, ...]
+    # a picklable zero-argument draw of the records, called at most once
+    draw_records: Callable[[], Records] = field(compare=False, repr=False)
+
+    @cached_property
+    def records(self) -> Records:
+        """One tuple of measurement records per trial, drawn when first read."""
+        return self.draw_records()
 
     def check(self, name: str) -> ProtocolCheck:
         for c in self.checks:
@@ -160,7 +174,7 @@ def _report(
     checks: Sequence[ProtocolCheck],
     target_S: np.ndarray,
     input_state: GaussianState,
-    records: Sequence[Sequence[MeasurementRecord]],
+    draw_records: Callable[[], Records],
     fidelity_reference_S: np.ndarray | None = None,
 ) -> ProtocolReport:
     # fidelity needs a pure reference, so it is taken against a symplectic
@@ -176,8 +190,8 @@ def _report(
         deviation=float(np.linalg.norm(channel.S - target_S, ord="fro")),
         noise_trace=float(np.trace(channel.N)),
         fidelity=_fidelity_to_ideal(reference, input_state, channel),
-        records=tuple(tuple(trial) for trial in records),
         checks=(independence, ProtocolCheck("channel_noise_psd", psd_ok, lam_min), *checks),
+        draw_records=draw_records,
     )
 
 
@@ -192,13 +206,21 @@ def _trial_seeds(seed: int, trials: int) -> range:
     return range(seed, seed + trials)
 
 
+def _chain_trials(
+    input_state: GaussianState, steps: Sequence[StepPlan], r: float, seeds: range
+) -> Records:
+    """Each trial's chain records; the trial with seed s draws with s."""
+    return tuple(tuple(_chain_records(input_state, steps, r, s)) for s in seeds)
+
+
 def _chain_run(
     steps: Sequence[StepPlan], r: float, input_state: GaussianState, seed: int, trials: int
-) -> tuple[GaussianChannel, float, list[list[MeasurementRecord]]]:
-    """Channel, leak and per-trial records of a cluster chain."""
+) -> tuple[GaussianChannel, float, Callable[[], Records]]:
+    """Channel, leak and the per-trial record draw of a cluster chain."""
+    if input_state.n_modes != 1:
+        raise ValueError("input must be a single-mode state")
     channel, leak = chain_channel(steps, r)
-    records = [_chain_records(input_state, steps, r, s) for s in _trial_seeds(seed, trials)]
-    return channel, leak, records
+    return channel, leak, partial(_chain_trials, input_state, steps, r, _trial_seeds(seed, trials))
 
 
 def identity_chain(
@@ -212,7 +234,7 @@ def identity_chain(
     if n_nodes < 2:
         raise ValueError("n_nodes must be >= 2")
     steps = [StepPlan(0.0)] * (n_nodes - 1)
-    channel, leak, records = _chain_run(steps, r, input_state, seed, trials)
+    channel, leak, draw_records = _chain_run(steps, r, input_state, seed, trials)
     expected_trace = (n_nodes - 1) * math.exp(-2 * r) * VACUUM_VARIANCE
     err = abs(float(np.trace(channel.N)) - expected_trace)
     return _report(
@@ -223,7 +245,7 @@ def identity_chain(
         [ProtocolCheck("noise_trace_matches_step_budget", err <= 1e-9, err)],
         np.linalg.matrix_power(fourier().S, n_nodes - 1),
         input_state,
-        records,
+        draw_records,
     )
 
 
@@ -237,7 +259,7 @@ def squeezer_four_step(
     compared against the exact four-step product matrix.
     """
     steps = [StepPlan(kappa), StepPlan(kappa), StepPlan(-kappa), StepPlan(-kappa)]
-    channel, leak, records = _chain_run(steps, r, input_state, seed, trials)
+    channel, leak, draw_records = _chain_run(steps, r, input_state, seed, trials)
     target = np.diag([1.0 - kappa**2, 1.0 + kappa**2])
     exact = algebra.squeezer_protocol_matrix(kappa)
     exact_dev = float(np.linalg.norm(channel.S - exact, ord="fro"))
@@ -262,7 +284,7 @@ def squeezer_four_step(
         checks,
         target,
         input_state,
-        records,
+        draw_records,
         fidelity_reference_S=exact,
     )
 
@@ -280,7 +302,7 @@ def repeated_squeezer(
         raise ValueError("segments must be >= 1")
     pattern = [StepPlan(kappa), StepPlan(kappa), StepPlan(-kappa), StepPlan(-kappa)]
     steps = pattern * segments
-    channel, leak, records = _chain_run(steps, r, input_state, seed, trials)
+    channel, leak, draw_records = _chain_run(steps, r, input_state, seed, trials)
     target = np.linalg.matrix_power(algebra.squeezer_protocol_matrix(kappa), segments)
     dev = float(np.linalg.norm(channel.S - target, ord="fro"))
     ok = dev <= _bound(1e-6, len(steps) * _max_abs(target))
@@ -292,7 +314,7 @@ def repeated_squeezer(
         [ProtocolCheck("matches_exact_segment_power", ok, dev)],
         target,
         input_state,
-        records,
+        draw_records,
     )
 
 
@@ -308,6 +330,20 @@ def repeated_squeezer(
 # Weyl-Heisenberg level from the factored initial moments.
 
 
+def _offline_trials(mean: np.ndarray, cov: np.ndarray, seeds: range) -> Records:
+    """Each trial's records, u from the x port and v from the p port, drawn
+    from the measured values' law; the trial with seed s draws with s."""
+    half = 1.0 / math.sqrt(2.0)
+    draws = (_sample_or_force(mean, cov, s, 2).tolist() for s in seeds)
+    return tuple(
+        (
+            MeasurementRecord(0, 1, 0.0, -math.pi / 2, u * half, u),
+            MeasurementRecord(1, 0, 0.0, 0.0, v * half, v),
+        )
+        for u, v in draws
+    )
+
+
 def _offline_run(
     input_state: GaussianState,
     r: float,
@@ -315,9 +351,10 @@ def _offline_run(
     gain: np.ndarray,
     seed: int,
     trials: int,
-) -> tuple[GaussianChannel, float, list[tuple[MeasurementRecord, ...]]]:
-    """Channel, leak and per-trial records of teleportation through the
-    resource modified by ``gate_S``, corrected by ``gain`` times (u, v)."""
+) -> tuple[GaussianChannel, float, Callable[[], Records]]:
+    """Channel, leak and the per-trial record draw of teleportation through
+    the resource modified by ``gate_S``, corrected by ``gain`` times (u, v)."""
+    seeds = _trial_seeds(seed, trials)
     bs = beamsplitter_5050().S
     S_big = (
         embed_symplectic(bs, [0, 1], 3)
@@ -326,19 +363,10 @@ def _offline_run(
     )
     uv_rows = math.sqrt(2.0) * np.vstack([S_big[2], S_big[1]])  # u = sqrt2 x_1', v = sqrt2 p_0'
     # of the resource columns (x_1, p_1, x_2, p_2), x_1 and p_2 are anti-squeezed
-    channel, leak, draws = _teleportation(
-        input_state, r, S_big[4:6], uv_rows, gain, [2, 5], [3, 4], _trial_seeds(seed, trials)
+    channel, leak, mean, cov = _teleportation(
+        input_state, r, S_big[4:6], uv_rows, gain, [2, 5], [3, 4]
     )
-    # u from the x port, v from the p port
-    half = 1.0 / math.sqrt(2.0)
-    records = [
-        (
-            MeasurementRecord(0, 1, 0.0, -math.pi / 2, float(uv[0]) * half, float(uv[0])),
-            MeasurementRecord(1, 0, 0.0, 0.0, float(uv[1]) * half, float(uv[1])),
-        )
-        for uv in draws
-    ]
-    return channel, leak, records
+    return channel, leak, partial(_offline_trials, mean, cov, seeds)
 
 
 def offline_teleport(
@@ -350,7 +378,7 @@ def offline_teleport(
     per quadrature; the vacuum-input fidelity is 1/(1 + e^{-2r}).
     """
     identity = np.eye(2)
-    channel, leak, records = _offline_run(input_state, r, identity, identity, seed, trials)
+    channel, leak, draw_records = _offline_run(input_state, r, identity, identity, seed, trials)
     eps = math.exp(-2 * r)
     noise_err = _max_abs(channel.N - 0.5 * eps * np.eye(2))
     noise_ok = noise_err <= _bound(1e-9, _max_abs(channel.N))
@@ -373,7 +401,7 @@ def offline_teleport(
         checks,
         identity,
         input_state,
-        records,
+        draw_records,
     )
 
 
@@ -398,7 +426,7 @@ def offline_squeezer(
     # coefficients gate (u, v): the gate is also the gain and the target
     gate = squeezer(r_gate).S
     gain = gate if rescale_correction else np.eye(2)
-    channel, leak, records = _offline_run(input_state, r, gate, gain, seed, trials)
+    channel, leak, draw_records = _offline_run(input_state, r, gate, gain, seed, trials)
     if rescale_correction:
         independence = _outcome_independent(leak)
     else:
@@ -429,7 +457,7 @@ def offline_squeezer(
         checks,
         gate,
         input_state,
-        records,
+        draw_records,
     )
 
 
@@ -455,7 +483,8 @@ def run_named_protocol(
     ``params`` may give the resource squeezing as ``squeezing_db`` (converted
     here, once) or directly as ``squeezing_r``; missing parameters take their
     ``PARAMETER_DEFAULTS`` value, and ``input_state`` defaults to the vacuum.
-    Trial t draws its records with ``seed + t``.
+    Trial t's records are drawn with ``seed + t`` when the report's
+    ``records`` are first read.
     """
     if protocol_id not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol_id!r}; known: {', '.join(PROTOCOLS)}")
@@ -479,8 +508,9 @@ def sweep(
 ) -> list[dict]:
     """Run a protocol over a one-parameter grid; one summary row per point.
 
-    Grid point i runs with seed ``seed + i``, so a sweep is reproducible
-    point by point.
+    A row holds only quantities of its point's channel, which does not
+    depend on the outcomes, so no point draws records and the rows do not
+    depend on ``seed``; point i's report is labelled ``seed + i``.
     """
     if len(values) == 0:
         raise ValueError("sweep values must be nonempty")

@@ -221,6 +221,36 @@ class TestRunCommand:
         assert "JSON" in capsys.readouterr().err
 
 
+class TestCommandErrors:
+    PAYLOAD = {**BASE_RUN, "sweep": {"param": "kappa", "values": [0.1, 0.2]}}
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(self.PAYLOAD).encode("utf-16-le"))
+        out = tmp_path / "out"
+        assert cli.main([command, str(path), "--output", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("error: config is not valid UTF-8: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("via", ["--output", "output_path"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_unwritable_output_exits_1_with_one_error_line(self, tmp_path, capsys, command, via):
+        target = tmp_path / "missing" / "dir" / "x.out"
+        payload = dict(self.PAYLOAD)
+        argv = [command, "--quiet"]
+        if via == "--output":
+            argv += ["--output", str(target)]
+        else:
+            payload["output_path"] = str(target)
+        argv.insert(1, write_config(tmp_path, "cfg.json", payload))
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {target}: No such file or directory\n"
+        assert not (tmp_path / "missing").exists()
+
+
 class TestSweepCommand:
     def test_fidelity_sweep_rows(self, tmp_path):
         cfg = write_config(
@@ -270,6 +300,22 @@ class TestSweepCommand:
         cli.main(["sweep", cfg, "--output", str(out1), "--quiet"])
         cli.main(["sweep", cfg, "--output", str(out2), "--quiet"])
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_sweep_rows_do_not_depend_on_the_seed(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "sweep.json",
+            {
+                "protocol": "repeated_squeezer",
+                "squeezing_db": 10.0,
+                "input": {"kind": "coherent", "re": 0.7, "im": -0.3},
+                "sweep": {"param": "segments", "values": [1, 4]},
+            },
+        )
+        out1, out999 = tmp_path / "1.csv", tmp_path / "999.csv"
+        assert cli.main(["sweep", cfg, "--seed", "1", "--output", str(out1), "--quiet"]) == 0
+        assert cli.main(["sweep", cfg, "--seed", "999", "--output", str(out999), "--quiet"]) == 0
+        assert out1.read_bytes() == out999.read_bytes()
 
     @pytest.mark.parametrize(
         "param, values",

@@ -2,9 +2,12 @@
 
 ``tests/data/golden`` holds, beside the config that produced each, one
 ``run`` document per protocol (three trials, a coherent input, 10 dB) and
-one ``sweep`` CSV. They were written before each document's report was built
-once for all its trials, and before the protocol table replaced the
-per-protocol dispatch, so they pin both to the bytes.
+two ``sweep`` CSVs: ``squeezer_four_step`` (4 steps per point) and
+``repeated_squeezer`` at 50 dB (64 and 128 steps per point). The run
+documents and the first CSV were written before each document's report was
+built once for all its trials, and before the protocol table replaced the
+per-protocol dispatch; the second CSV before reports drew their records
+only when read. They pin those changes to the bytes.
 """
 
 from pathlib import Path

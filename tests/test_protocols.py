@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -380,6 +381,72 @@ class TestOneReportPerDocument:
     def test_rejects_zero_trials(self, protocol):
         with pytest.raises(ValueError, match="trials"):
             cv.run_named_protocol(protocol, {}, trials=0)
+
+
+class TestRecordsDrawnWhenRead:
+    # the records of a chain are drawn by _chain_records, those of an
+    # off-line protocol by _sample_or_force: one call per trial
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        calls = []
+        for name in ("_chain_records", "_sample_or_force"):
+            original = getattr(protocols, name)
+
+            def spy(*args, name=name, original=original):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(protocols, name, spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "protocol, param, values",
+        [
+            ("identity_chain", "n_nodes", [65, 129]),
+            ("repeated_squeezer", "segments", [16, 32]),
+            ("offline_squeezer", "r_gate", [0.04, 0.3]),
+        ],
+    )
+    def test_sweep_draws_no_records(self, draws, protocol, param, values):
+        cfg = cli.ExperimentConfig.from_dict(
+            {"protocol": protocol, "squeezing_db": 10.0, "sweep": {"param": param, "values": values}}
+        )
+        _, rows = cli.sweep_table(cfg)
+        assert len(rows) == len(values)
+        assert draws == []
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
+    def test_run_draws_once_per_trial(self, draws, protocol, trials):
+        cfg = cli.ExperimentConfig.from_dict(
+            {"protocol": protocol, "squeezing_db": 10.0, "trials": trials}
+        )
+        doc = cli.run_document(cfg)
+        name = "_chain_records" if protocol in CHAIN_PROTOCOLS else "_sample_or_force"
+        assert draws == [name] * trials
+        assert {rec["trial"] for rec in doc["records"]} == set(range(trials))
+
+    def test_records_are_drawn_once_however_often_read(self, draws):
+        report = cv.run_named_protocol("identity_chain", {"squeezing_db": 10.0}, trials=3)
+        assert draws == []
+        first = report.records
+        assert report.records is first
+        assert draws == ["_chain_records"] * 3
+
+    @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
+    def test_two_mode_input_is_refused_when_built(self, draws, protocol):
+        with pytest.raises(ValueError, match="single-mode"):
+            cv.run_named_protocol(protocol, {"input_state": cv.vacuum_state(2)})
+
+    @pytest.mark.parametrize("read_before_pickling", [False, True])
+    @pytest.mark.parametrize("protocol", ["repeated_squeezer", "offline_squeezer"])
+    def test_pickled_report_gives_the_same_records(self, protocol, read_before_pickling):
+        report = cv.run_named_protocol(protocol, {"squeezing_db": 10.0}, seed=11, trials=2)
+        if read_before_pickling:
+            report.records
+        copy = pickle.loads(pickle.dumps(report))
+        assert copy.records == report.records
+        assert copy.to_dict() == report.to_dict()
 
 
 class TestFrameRuleOncePerReport:
