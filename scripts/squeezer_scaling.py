@@ -21,15 +21,14 @@ def main() -> None:
         "--kappas", type=float, nargs="+", default=[0.025, 0.05, 0.1, 0.2]
     )
     parser.add_argument("--squeezing-db", type=float, default=100.0)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
     r = cv.db_to_squeezing_r(args.squeezing_db)
     vac = cv.vacuum_state(1)
     print(f"{'kappa':>8} {'deviation':>12} {'dev/k^3':>10} {'offline gap':>12} {'var(x_out)':>11}")
     for kappa in args.kappas:
-        cluster = cv.squeezer_four_step(kappa, r, vac, seed=args.seed)
-        offline = cv.offline_squeezer(vac, r, kappa**2, seed=args.seed)
+        cluster = cv.squeezer_four_step(kappa, r, vac)
+        offline = cv.offline_squeezer(vac, r, kappa**2)
         gap = np.linalg.norm(cluster.channel.S - offline.channel.S, ord="fro")
         var_x = cluster.check("output_var_x").value
         print(

@@ -48,12 +48,6 @@ class ExponentPolynomial:
         zero = Fraction(0) if _exactable(*self.coefficients) else 0.0
         return zero
 
-    def __add__(self, other: "ExponentPolynomial") -> "ExponentPolynomial":
-        n = max(len(self.coefficients), len(other.coefficients))
-        return ExponentPolynomial(
-            tuple(self.coefficient(k) + other.coefficient(k) for k in range(n))
-        )
-
     def __sub__(self, other: "ExponentPolynomial") -> "ExponentPolynomial":
         n = max(len(self.coefficients), len(other.coefficients))
         return ExponentPolynomial(

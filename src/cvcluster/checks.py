@@ -37,6 +37,8 @@ from .phase_space import (
 from .cluster import ClusterSpec, attach_input, linear_cluster
 from .engine import StepPlan, apply_correction, chain_channel, run_protocol
 
+ORACLE_STATES, ORACLE_SEED = 100, 12345  # the random states the homodyne oracle check conditions
+
 
 def default_gates() -> dict[str, SymplecticGate]:
     return {
@@ -187,10 +189,10 @@ def _oracle_condition(
     return mu_full, back @ cov_cond @ back.T
 
 
-def homodyne_oracle_checks(n_states: int = 100, seed: int = 12345) -> list[ProtocolCheck]:
-    rng = np.random.Generator(np.random.PCG64(seed))
+def homodyne_oracle_checks() -> list[ProtocolCheck]:
+    rng = np.random.Generator(np.random.PCG64(ORACLE_SEED))
     worst = 0.0
-    for _ in range(n_states):
+    for _ in range(ORACLE_STATES):
         n_modes = int(rng.integers(2, 5))
         state = _random_state(rng, n_modes)
         mode = int(rng.integers(n_modes))

@@ -26,6 +26,10 @@ from . import checks, protocols
 from .phase_space import GaussianState, coherent_state, squeezed_vacuum, vacuum_state
 
 SCHEMA_VERSION = 1
+# the longest chain a config may ask for, and the most records a run
+# document may hold; either bound keeps a document within a few hundred MB
+MAX_CHAIN_STEPS = 10**5
+MAX_RECORDS = 10**5
 
 
 class ConfigError(ValueError):
@@ -54,6 +58,8 @@ _SCALAR_FIELDS = {
     "seed": (int, lambda v: v >= 0, "must be a non-negative integer"),
     "trials": (int, lambda v: v >= 1, "must be >= 1"),
 }
+# field -> its largest value: a chain of MAX_CHAIN_STEPS steps
+_MAX_VALUES = {"n_nodes": MAX_CHAIN_STEPS + 1, "segments": MAX_CHAIN_STEPS // 4}
 _DEFAULTS = protocols.PARAMETER_DEFAULTS
 _KNOWN_FIELDS = {
     "schema_version", "protocol", *_DEFAULTS, "input", "seed", "trials", "sweep", "output_path",
@@ -77,6 +83,9 @@ def _checked_scalar(name: str, raw, label: str | None = None):
         raise ConfigError(f"field {label!r}: expected an integer, got {raw!r}")
     if not cond(value):
         raise ConfigError(f"field {label!r}: {what}")
+    if value > _MAX_VALUES.get(name, value):
+        bound = f"must be <= {_MAX_VALUES[name]}, a chain of at most {MAX_CHAIN_STEPS} steps"
+        raise ConfigError(f"field {label!r}: {bound}")
     return value
 
 
@@ -103,6 +112,9 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown config field {key!r}")
         if "protocol" not in raw:
             raise ConfigError("missing required field 'protocol'")
+        version = raw.get("schema_version", SCHEMA_VERSION)
+        if isinstance(version, bool) or version != SCHEMA_VERSION:
+            raise ConfigError(f"field 'schema_version': must be {SCHEMA_VERSION}, got {version!r}")
         cfg = cls(protocol=str(raw["protocol"]))
         if cfg.protocol not in protocols.PROTOCOLS:
             raise ConfigError(
@@ -179,9 +191,22 @@ def _protocol_params(cfg: ExperimentConfig) -> dict:
     return params
 
 
+def _records_per_trial(cfg: ExperimentConfig) -> int:
+    """One record per chain step; the off-line protocols read two ports."""
+    chains = {"identity_chain": cfg.n_nodes - 1, "squeezer_four_step": 4,
+              "repeated_squeezer": 4 * cfg.segments}
+    return chains.get(cfg.protocol, 2)
+
+
 def run_document(cfg: ExperimentConfig) -> dict:
     """One result document: the report of cfg.trials seeded trials, whose
     channel and checks are built once, with the config echoed."""
+    records = cfg.trials * _records_per_trial(cfg)
+    if records > MAX_RECORDS:
+        raise ConfigError(
+            f"field 'trials': {cfg.trials} trials write {records} records, "
+            f"more than the {MAX_RECORDS} a run document may hold"
+        )
     report = protocols.run_named_protocol(
         cfg.protocol, _protocol_params(cfg), seed=cfg.seed, trials=cfg.trials
     )
@@ -193,9 +218,7 @@ def sweep_table(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     if cfg.sweep is None:
         raise ConfigError("field 'sweep': required for the sweep command")
     params = _protocol_params(cfg)
-    rows = protocols.sweep(
-        cfg.protocol, params, cfg.sweep["param"], cfg.sweep["values"], seed=cfg.seed
-    )
+    rows = protocols.sweep(cfg.protocol, params, cfg.sweep["param"], cfg.sweep["values"])
     return list(rows[0]), [list(row.values()) for row in rows]
 
 
@@ -247,56 +270,47 @@ def _load_config(path: str, seed_override: int | None) -> ExperimentConfig:
     return cfg
 
 
-def _write_output(path: str, text: str) -> bool:
-    """Write a finished document; on failure print one error line instead."""
-    try:
-        Path(path).write_text(text)
-    except OSError as err:
-        print(f"error: cannot write {path}: {err.strerror or err}", file=sys.stderr)
-        return False
-    return True
+def _summary(label: str, values: dict) -> str:
+    quoted = (f"{key}={_sig12(values[key])}" for key in ("deviation", "noise_trace", "fidelity"))
+    return f"{label}: {' '.join(quoted)}"
 
 
-def cmd_run(path: str, seed: int | None, output: str | None, quiet: bool) -> int:
+def _run_output(cfg: ExperimentConfig) -> tuple[str, list[str]]:
+    """The run document's text and its summary line."""
+    doc = run_document(cfg)
+    return emit_json(doc), [_summary(cfg.protocol, doc)]
+
+
+def _sweep_output(cfg: ExperimentConfig) -> tuple[str, list[str]]:
+    """The sweep CSV's text and one summary line per row."""
+    header, rows = sweep_table(cfg)
+    return emit_csv(header, rows), [_summary(f"{r[1]}={r[2]}", dict(zip(header, r))) for r in rows]
+
+
+def cmd_write(path: str, seed: int | None, output: str | None, quiet: bool, build,
+              default_output: str) -> int:
+    """Load a config, build its output text and summary lines with ``build``,
+    write the text and print the summary."""
     try:
         cfg = _load_config(path, seed)
-        doc = run_document(cfg)
-        text = emit_json(doc)
+        try:
+            text, summary = build(cfg)
+        except OverflowError as err:  # the report refuses a channel beyond double precision
+            raise ConfigError(f"field 'kappa': {err}") from err
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # runtime failure, e.g. a degenerate measurement
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
-    out_path = output or cfg.output_path or "result.json"
-    if not _write_output(out_path, text):
-        return 1
-    if not quiet:
-        print(f"{cfg.protocol}: deviation={_sig12(doc['deviation'])} "
-              f"noise_trace={_sig12(doc['noise_trace'])} fidelity={_sig12(doc['fidelity'])}")
-        print(f"wrote {out_path}")
-    return 0
-
-
-def cmd_sweep(path: str, seed: int | None, output: str | None, quiet: bool) -> int:
+    out_path = output or cfg.output_path or default_output
     try:
-        cfg = _load_config(path, seed)
-        header, rows = sweep_table(cfg)
-        text = emit_csv(header, rows)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except Exception as err:
-        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
-        return 1
-    out_path = output or cfg.output_path or "sweep.csv"
-    if not _write_output(out_path, text):
+        Path(out_path).write_text(text)
+    except OSError as err:  # the text is finished: print one error line instead
+        print(f"error: cannot write {out_path}: {err.strerror or err}", file=sys.stderr)
         return 1
     if not quiet:
-        for row in rows:
-            print(f"{row[1]}={row[2]}: deviation={_sig12(row[3])} "
-                  f"noise_trace={_sig12(row[4])} fidelity={_sig12(row[5])}")
-        print(f"wrote {out_path}")
+        print("\n".join([*summary, f"wrote {out_path}"]))
     return 0
 
 
@@ -333,16 +347,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# command -> (builder of its output text and summary lines, default output file)
+_OUTPUTS = {"run": (_run_output, "result.json"), "sweep": (_sweep_output, "sweep.csv")}
 _PARSER = _build_parser()  # built once per process: parse_args keeps no state
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.config, args.seed, args.output, args.quiet)
-    if args.command == "sweep":
-        return cmd_sweep(args.config, args.seed, args.output, args.quiet)
-    return cmd_verify(args.quiet)
+    if args.command == "verify":
+        return cmd_verify(args.quiet)
+    build, default_output = _OUTPUTS[args.command]
+    return cmd_write(args.config, args.seed, args.output, args.quiet, build, default_output)
 
 
 if __name__ == "__main__":

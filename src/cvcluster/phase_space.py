@@ -5,9 +5,10 @@ Conventions used throughout the package:
 * annihilation operator ``a = x + i p``, hence ``[x, p] = i/2`` and the
   vacuum has variance 1/4 in each quadrature;
 * quadratures are interleaved per mode, ``(x1, p1, x2, p2, ...)``;
-* a gate acts forward on moments, ``mu -> S mu + d`` and
-  ``cov -> S cov S^T``; the rows of ``S`` coincide with the Heisenberg
-  transforms of the quadratures written in the old operators.
+* a gate acts forward on moments, ``mu -> S mu`` and ``cov -> S cov S^T``;
+  the rows of ``S`` coincide with the Heisenberg transforms of the
+  quadratures written in the old operators. Displacements are separate
+  (``displace``), and a protocol's channel keeps its own ``d``.
 """
 
 from __future__ import annotations
@@ -76,21 +77,16 @@ class GaussianState:
 
 @dataclass(frozen=True)
 class SymplecticGate:
-    """A Gaussian unitary as a linear phase-space map ``q -> S q + d``."""
+    """A Gaussian unitary as a linear phase-space map ``q -> S q``."""
 
     S: np.ndarray
-    d: np.ndarray = None  # type: ignore[assignment]
     label: str = ""
 
     def __post_init__(self):
         S = _readonly(self.S)
         if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] % 2 != 0:
             raise ValueError(f"S must be square of even size, got {S.shape}")
-        d = np.zeros(S.shape[0]) if self.d is None else np.atleast_1d(self.d)
-        if d.shape != (S.shape[0],):
-            raise ValueError(f"d shape {d.shape} inconsistent with S {S.shape}")
         object.__setattr__(self, "S", S)
-        object.__setattr__(self, "d", _readonly(d))
 
     @property
     def n_modes(self) -> int:
@@ -284,13 +280,10 @@ def embed_symplectic(S: np.ndarray, modes: Sequence[int], n_modes: int) -> np.nd
 
 
 def apply_gate(state: GaussianState, gate: SymplecticGate, modes: Sequence[int]) -> GaussianState:
-    """mu -> S mu + d and cov -> S cov S^T with the gate embedded on ``modes``."""
+    """mu -> S mu and cov -> S cov S^T with the gate embedded on ``modes``."""
     S = embed_symplectic(gate.S, modes, state.n_modes)
-    d = np.zeros(2 * state.n_modes)
-    for local, m in enumerate(modes):
-        d[2 * m : 2 * m + 2] = gate.d[2 * local : 2 * local + 2]
     cov = S @ state.cov @ S.T
-    return GaussianState(S @ state.mean + d, 0.5 * (cov + cov.T))
+    return GaussianState(S @ state.mean, 0.5 * (cov + cov.T))
 
 
 def displace(state: GaussianState, mode: int, u: float, v: float) -> GaussianState:

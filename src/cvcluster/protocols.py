@@ -5,10 +5,11 @@ protocols teleport through a (possibly gate-modified) two-mode squeezed
 resource. Every corrected protocol is an affine map of its initial product
 state; each report reads its channel off that map, and carries the
 deviation from the protocol's target matrix, the accumulated noise, and
-named pass/fail checks. The channel does not depend on the homodyne
-outcomes, so a report draws its outcome records the first time its
-``records`` are read: a report read only for its channel, such as a sweep
-point's, draws none.
+named pass/fail checks; a channel whose S, N or deviation is not finite,
+which a long or strongly sheared chain can reach, is refused with
+``OverflowError``. The channel does not depend on the homodyne outcomes, so
+a report draws its outcome records the first time its ``records`` are read:
+a report read only for its channel, such as a sweep point's, draws none.
 """
 
 from __future__ import annotations
@@ -177,6 +178,9 @@ def _report(
     draw_records: Callable[[], Records],
     fidelity_reference_S: np.ndarray | None = None,
 ) -> ProtocolReport:
+    deviation = float(np.linalg.norm(channel.S - target_S, ord="fro"))
+    if not (np.isfinite([*channel.S.ravel(), *channel.N.ravel(), deviation]).all()):
+        raise OverflowError("the channel overflows double precision: S, N or deviation not finite")
     # fidelity needs a pure reference, so it is taken against a symplectic
     # matrix even when the protocol's comparison target is an approximation
     reference = target_S if fidelity_reference_S is None else fidelity_reference_S
@@ -187,7 +191,7 @@ def _report(
         parameters=parameters,
         channel=channel,
         target_S=np.array(target_S, dtype=float),
-        deviation=float(np.linalg.norm(channel.S - target_S, ord="fro")),
+        deviation=deviation,
         noise_trace=float(np.trace(channel.N)),
         fidelity=_fidelity_to_ideal(reference, input_state, channel),
         checks=(independence, ProtocolCheck("channel_noise_psd", psd_ok, lam_min), *checks),
@@ -480,37 +484,27 @@ def run_named_protocol(
 ) -> ProtocolReport:
     """Run a protocol by name with config-style parameters.
 
-    ``params`` may give the resource squeezing as ``squeezing_db`` (converted
-    here, once) or directly as ``squeezing_r``; missing parameters take their
-    ``PARAMETER_DEFAULTS`` value, and ``input_state`` defaults to the vacuum.
-    Trial t's records are drawn with ``seed + t`` when the report's
-    ``records`` are first read.
+    ``params`` gives the resource squeezing as ``squeezing_db`` (converted
+    here, once); missing parameters take their ``PARAMETER_DEFAULTS`` value,
+    and ``input_state`` defaults to the vacuum. Trial t's records are drawn
+    with ``seed + t`` when the report's ``records`` are first read.
     """
     if protocol_id not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol_id!r}; known: {', '.join(PROTOCOLS)}")
     builder, names = PROTOCOLS[protocol_id]
     params = {**PARAMETER_DEFAULTS, **params}
-    if "squeezing_r" in params:
-        r = float(params["squeezing_r"])
-    else:
-        r = db_to_squeezing_r(float(params["squeezing_db"]))
+    r = db_to_squeezing_r(float(params["squeezing_db"]))
     input_state = params.get("input_state") or vacuum_state(1)
     args = {name: type(PARAMETER_DEFAULTS[name])(params[name]) for name in names}
     return builder(r=r, input_state=input_state, seed=seed, trials=trials, **args)
 
 
-def sweep(
-    protocol_id: str,
-    base_params: dict,
-    param: str,
-    values: Sequence,
-    seed: int = 0,
-) -> list[dict]:
+def sweep(protocol_id: str, base_params: dict, param: str, values: Sequence) -> list[dict]:
     """Run a protocol over a one-parameter grid; one summary row per point.
 
     A row holds only quantities of its point's channel, which does not
-    depend on the outcomes, so no point draws records and the rows do not
-    depend on ``seed``; point i's report is labelled ``seed + i``.
+    depend on the outcomes, so no point draws records and a sweep takes no
+    seed.
     """
     if len(values) == 0:
         raise ValueError("sweep values must be nonempty")
@@ -518,7 +512,7 @@ def sweep(
     for i, value in enumerate(values):
         params = dict(base_params)
         params[param] = value
-        report = run_named_protocol(protocol_id, params, seed=seed + i)
+        report = run_named_protocol(protocol_id, params)
         rows.append(
             {
                 "index": i,

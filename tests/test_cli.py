@@ -403,3 +403,135 @@ class TestVerifySuite:
         out = capsys.readouterr().out
         assert "bch_cubic_scaling_ratio_at_0.1" in out
         assert "four_step_deviation_ratio_at_0.1" in out
+
+
+class TestSchemaVersion:
+    @pytest.mark.parametrize("version", [2, 0, "banana", "1", None, True, False])
+    def test_other_versions_exit_2_naming_the_field(self, tmp_path, capsys, version):
+        cfg = write_config(
+            tmp_path, "v.json", {"schema_version": version, "protocol": "offline_teleport"}
+        )
+        out = tmp_path / "result.json"
+        assert cli.main(["run", cfg, "--output", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("error: field 'schema_version': ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("payload", [{}, {"schema_version": 1}])
+    def test_version_1_or_none_given_is_accepted(self, payload):
+        cfg = cli.ExperimentConfig.from_dict({**payload, "protocol": "offline_teleport"})
+        assert cfg.to_dict()["schema_version"] == cli.SCHEMA_VERSION == 1
+
+
+def main_on(tmp_path, command, payload, *flags):
+    """Run ``command`` on a config; return its exit code and its output path."""
+    out = tmp_path / "out"
+    argv = [command, write_config(tmp_path, "c.json", payload), "--output", str(out), *flags]
+    return cli.main(argv), out
+
+
+OVERFLOWING = {
+    "kappa_1e200": {"protocol": "repeated_squeezer", "kappa": 1e200},
+    "kappa_1_1000_segments": {"protocol": "repeated_squeezer", "kappa": 1.0, "segments": 1000},
+    "kappa_1_400_segments": {"protocol": "repeated_squeezer", "kappa": 1.0, "segments": 400},
+    "four_step_kappa_1e100": {"protocol": "squeezer_four_step", "kappa": 1e100},
+    # S and N are finite here, but the deviation from the target is not
+    "four_step_kappa_1e39_0db": {"protocol": "squeezer_four_step", "kappa": 1e39, "squeezing_db": 0.0},
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestChannelOverflow:
+    """A chain whose S or N leaves double precision is a config error."""
+
+    @pytest.mark.parametrize("name", OVERFLOWING)
+    def test_run_exits_2_naming_kappa_without_output(self, tmp_path, capsys, name):
+        code, out = main_on(tmp_path, "run", {"squeezing_db": 10.0, **OVERFLOWING[name]})
+        captured = capsys.readouterr()
+        assert (code, captured.out, out.exists()) == (2, "", False)
+        assert captured.err.splitlines()[-1].startswith("error: field 'kappa': ")
+
+    def test_sweep_exits_2_naming_kappa_without_output(self, tmp_path, capsys):
+        payload = {
+            "protocol": "repeated_squeezer",
+            "squeezing_db": 10.0,
+            "kappa": 1.0,
+            "sweep": {"param": "segments", "values": [10, 1000]},
+        }
+        code, out = main_on(tmp_path, "sweep", payload)
+        captured = capsys.readouterr()
+        assert (code, captured.out, out.exists()) == (2, "", False)
+        assert captured.err.splitlines()[-1].startswith("error: field 'kappa': ")
+
+    def test_large_but_finite_channel_gives_a_document(self, tmp_path):
+        payload = {**OVERFLOWING["kappa_1_400_segments"], "squeezing_db": 10.0, "segments": 300}
+        code, out = main_on(tmp_path, "run", payload, "--quiet")
+        assert code == 0
+        S = np.array(json.loads(out.read_text())["channel"]["S"])
+        assert np.isfinite(S).all() and np.max(np.abs(S)) > 1e125
+
+
+class TestSizeBounds:
+    """Chain length and run-document size are bounded before anything is built."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a refused config reached the protocols")
+
+        monkeypatch.setattr(cli.protocols, "run_named_protocol", refuse)
+        monkeypatch.setattr(cli.protocols, "sweep", refuse)
+
+    @pytest.mark.parametrize(
+        "command, payload, field",
+        [
+            ("run", {"protocol": "identity_chain", "n_nodes": 10**11}, "n_nodes"),
+            ("run", {"protocol": "repeated_squeezer", "segments": 10**6}, "segments"),
+            ("run", {"protocol": "offline_teleport", "trials": 10**9}, "trials"),
+            ("run", {"protocol": "identity_chain", "n_nodes": 11, "trials": 10**4 + 1}, "trials"),
+            (
+                "sweep",
+                {"protocol": "identity_chain", "sweep": {"param": "n_nodes", "values": [3, 10**11]}},
+                "sweep.values[1]",
+            ),
+            (
+                "sweep",
+                {"protocol": "repeated_squeezer", "sweep": {"param": "segments", "values": [10**6]}},
+                "sweep.values[0]",
+            ),
+        ],
+    )
+    def test_oversized_config_exits_2_naming_the_field(
+        self, tmp_path, capsys, command, payload, field
+    ):
+        code, out = main_on(tmp_path, command, payload)
+        assert (code, out.exists()) == (2, False)
+        assert capsys.readouterr().err.startswith(f"error: field {field!r}: ")
+
+    @pytest.mark.parametrize(
+        "field, largest",
+        [("n_nodes", cli.MAX_CHAIN_STEPS + 1), ("segments", cli.MAX_CHAIN_STEPS // 4)],
+    )
+    def test_chain_bound_is_max_chain_steps(self, field, largest):
+        cfg = cli.ExperimentConfig.from_dict({"protocol": "identity_chain", field: largest})
+        assert getattr(cfg, field) == largest
+        with pytest.raises(cli.ConfigError, match=field):
+            cli.ExperimentConfig.from_dict({"protocol": "identity_chain", field: largest + 1})
+
+    def test_record_bound_is_max_records(self):
+        # 10 steps a trial: 10^4 trials fill the document exactly
+        cfg = cli.ExperimentConfig.from_dict(
+            {"protocol": "identity_chain", "n_nodes": 11, "trials": cli.MAX_RECORDS // 10}
+        )
+        with pytest.raises(AssertionError, match="reached the protocols"):
+            cli.run_document(cfg)
+        cfg.trials += 1
+        with pytest.raises(cli.ConfigError, match="trials"):
+            cli.run_document(cfg)
+
+
+@pytest.mark.parametrize("protocol", sorted(cv.protocols.PROTOCOLS))
+def test_records_per_trial_counts_the_document_records(protocol):
+    cfg = cli.ExperimentConfig.from_dict(
+        {"protocol": protocol, "n_nodes": 4, "segments": 2, "trials": 3}
+    )
+    assert len(cli.run_document(cfg)["records"]) == 3 * cli._records_per_trial(cfg)

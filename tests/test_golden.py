@@ -7,7 +7,10 @@ two ``sweep`` CSVs: ``squeezer_four_step`` (4 steps per point) and
 documents and the first CSV were written before each document's report was
 built once for all its trials, and before the protocol table replaced the
 per-protocol dispatch; the second CSV before reports drew their records
-only when read. They pin those changes to the bytes.
+only when read. They pin those changes to the bytes. Beside each config,
+``.stdout`` holds the summary the command printed (without ``--quiet``,
+writing to its default file) before ``run`` and ``sweep`` shared one command
+path.
 """
 
 from pathlib import Path
@@ -37,3 +40,10 @@ def test_cli_reproduces_golden_output(tmp_path, config):
     out = tmp_path / expected.name
     assert cli.main([command, str(config), "--output", str(out), "--quiet"]) == 0
     assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=_name)
+def test_cli_prints_golden_summary(tmp_path, monkeypatch, capsys, config):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([_name(config).split("_", 1)[0], str(config)]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / (_name(config) + ".stdout")).read_bytes()

@@ -227,7 +227,6 @@ class TestReportsAndSweep:
             {"squeezing_db": 10.0, "input_state": VAC},
             "n_nodes",
             [2, 3, 4, 5, 6],
-            seed=1,
         )
         for row, n in zip(rows, [2, 3, 4, 5, 6]):
             assert row["noise_trace"] == pytest.approx((n - 1) * 0.025, abs=1e-9)
@@ -238,7 +237,6 @@ class TestReportsAndSweep:
             {"squeezing_db": 100.0, "input_state": VAC},
             "kappa",
             [0.05, 0.1, 0.2],
-            seed=0,
         )
         deviations = [row["deviation"] for row in rows]
         assert 7.0 <= deviations[1] / deviations[0] <= 9.0
@@ -246,19 +244,33 @@ class TestReportsAndSweep:
 
     def test_sweep_teleport_fidelity_column(self):
         rows = cv.sweep(
-            "offline_teleport", {"input_state": VAC}, "squeezing_db", [0, 3, 10], seed=9
+            "offline_teleport", {"input_state": VAC}, "squeezing_db", [0, 3, 10]
         )
         expected = [1.0 / (1.0 + 10 ** (-db / 10)) for db in (0, 3, 10)]
         for row, value in zip(rows, expected):
             assert row["fidelity"] == pytest.approx(value, abs=1e-6)
 
     def test_sweep_is_deterministic_given_seed(self):
-        args = ("offline_teleport", {"input_state": VAC}, "squeezing_db", [0, 10], 4)
+        args = ("offline_teleport", {"input_state": VAC}, "squeezing_db", [0, 10])
         assert cv.sweep(*args) == cv.sweep(*args)
 
     def test_sweep_rejects_empty_grid(self):
         with pytest.raises(ValueError):
-            cv.sweep("offline_teleport", {}, "squeezing_db", [], seed=0)
+            cv.sweep("offline_teleport", {}, "squeezing_db", [])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("segments, kappa", [(400, 1.0), (1, 1e200)])
+    def test_report_refuses_a_non_finite_channel(self, segments, kappa):
+        with pytest.raises(OverflowError, match="overflows"):
+            cv.repeated_squeezer(segments, kappa, TEN_DB_R, VAC)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_report_refuses_a_finite_channel_with_infinite_deviation(self):
+        kappa = 1e39  # S is about kappa^4 = 1e156, so |S - target|^2 overflows
+        channel, _ = cv.chain_channel([cv.StepPlan(k) for k in (kappa, kappa, -kappa, -kappa)], 0.0)
+        assert np.isfinite(channel.S).all() and np.isfinite(channel.N).all()
+        with pytest.raises(OverflowError, match="overflows"):
+            cv.squeezer_four_step(kappa, 0.0, VAC)
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError, match="unknown protocol"):
