@@ -51,6 +51,7 @@ from .engine import (
     update_frame,
 )
 from .protocols import (
+    InputOverflowError,
     ProtocolCheck,
     ProtocolReport,
     db_to_squeezing_r,

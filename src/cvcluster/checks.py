@@ -19,10 +19,11 @@ from .phase_space import (
     GaussianState,
     Quadrature,
     SymplecticGate,
-    apply_gate,
+    VACUUM_VARIANCE,
     beamsplitter_5050,
     controlled_z,
     controlled_z_pp,
+    embed_symplectic,
     fourier,
     homodyne,
     uncertainty_defect,
@@ -31,6 +32,7 @@ from .phase_space import (
     shear,
     squeezer,
     symplectic_defect,
+    transform_moments,
     vacuum_state,
     IDEAL_SQUEEZING_R,
 )
@@ -139,22 +141,30 @@ def squeezer_matrix_checks() -> list[ProtocolCheck]:
 
 
 def _random_state(rng: np.random.Generator, n_modes: int) -> GaussianState:
-    state = vacuum_state(n_modes)
+    """A random displaced Gaussian state: 3 n_modes random gates on the vacuum.
+
+    The moments stay arrays through the gates (``embed_symplectic`` then
+    ``transform_moments``, as ``apply_gate`` does), and one ``GaussianState``
+    is made at the end; the floats are those of the ``apply_gate`` route.
+    """
+    mean, cov = np.zeros(2 * n_modes), VACUUM_VARIANCE * np.eye(2 * n_modes)
     for _ in range(3 * n_modes):
         mode = int(rng.integers(n_modes))
         kind = int(rng.integers(4))
         if kind == 0:
-            state = apply_gate(state, rotation(rng.uniform(-math.pi, math.pi)), [mode])
+            gate, modes = rotation(rng.uniform(-math.pi, math.pi)), [mode]
         elif kind == 1:
-            state = apply_gate(state, squeezer(rng.uniform(-1.0, 1.0)), [mode])
+            gate, modes = squeezer(rng.uniform(-1.0, 1.0)), [mode]
         elif kind == 2:
-            state = apply_gate(state, shear(rng.uniform(-1.5, 1.5)), [mode])
+            gate, modes = shear(rng.uniform(-1.5, 1.5)), [mode]
         elif n_modes > 1:
             other = int(rng.integers(n_modes - 1))
             other = other if other < mode else other + 1
-            state = apply_gate(state, controlled_z(), [mode, other])
-    mean = state.mean + rng.normal(0.0, 1.0, size=2 * n_modes)
-    return GaussianState(mean, state.cov)
+            gate, modes = controlled_z(), [mode, other]
+        else:
+            continue
+        mean, cov = transform_moments(mean, cov, embed_symplectic(gate.S, modes, n_modes))
+    return GaussianState(mean + rng.normal(0.0, 1.0, size=2 * n_modes), cov)
 
 
 def _oracle_condition(

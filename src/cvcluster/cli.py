@@ -22,6 +22,8 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import checks, protocols
 from .phase_space import GaussianState, coherent_state, squeezed_vacuum, vacuum_state
 
@@ -293,8 +295,12 @@ def cmd_write(path: str, seed: int | None, output: str | None, quiet: bool, buil
     write the text and print the summary."""
     try:
         cfg = _load_config(path, seed)
+        # the finite checks refuse an overflow, so numpy's warnings of it add nothing
         try:
-            text, summary = build(cfg)
+            with np.errstate(all="ignore"):
+                text, summary = build(cfg)
+        except protocols.InputOverflowError as err:
+            raise ConfigError(f"field 'input': {err}") from err
         except OverflowError as err:  # the report refuses a channel beyond double precision
             raise ConfigError(f"field 'kappa': {err}") from err
     except ConfigError as err:

@@ -60,7 +60,7 @@ class GaussianState:
             raise ValueError(
                 f"cov shape {cov.shape} inconsistent with mean length {mean.size}"
             )
-        if cov.size and np.max(np.abs(cov - cov.T)) > _SYMMETRY_TOL:
+        if cov.size and abs(cov - cov.T).max() > _SYMMETRY_TOL:
             raise ValueError("covariance matrix is not symmetric")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
@@ -264,8 +264,15 @@ def beamsplitter_5050() -> SymplecticGate:
 
 
 def embed_symplectic(S: np.ndarray, modes: Sequence[int], n_modes: int) -> np.ndarray:
-    """Embed a 2k x 2k symplectic into the 2N x 2N space on the given modes."""
+    """Embed a 2k x 2k symplectic into the 2N x 2N space on the given modes.
+
+    ``S`` must have shape (2k, 2k) for the k = ``len(modes)`` distinct modes,
+    each in range; block (a, b) of ``S`` goes to the 2x2 block of modes
+    (modes[a], modes[b]), and the rest of the result is the identity.
+    """
     k = S.shape[0] // 2
+    if S.shape != (2 * k, 2 * k):
+        raise ValueError(f"S must have shape (2k, 2k), got {S.shape}")
     if len(modes) != k:
         raise ValueError(f"gate acts on {k} modes but {len(modes)} given")
     if len(set(modes)) != len(modes):
@@ -273,17 +280,32 @@ def embed_symplectic(S: np.ndarray, modes: Sequence[int], n_modes: int) -> np.nd
     for m in modes:
         if not 0 <= m < n_modes:
             raise ValueError(f"mode {m} out of range for {n_modes} modes")
-    idx = np.array([[2 * m, 2 * m + 1] for m in modes]).ravel()
     full = np.eye(2 * n_modes)
-    full[np.ix_(idx, idx)] = S
+    for a, row in enumerate(modes):
+        for b, col in enumerate(modes):
+            full[2 * row : 2 * row + 2, 2 * col : 2 * col + 2] = (
+                S[2 * a : 2 * a + 2, 2 * b : 2 * b + 2]
+            )
     return full
 
 
+def transform_moments(
+    mean: np.ndarray, cov: np.ndarray, S: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(S mean, S cov S^T), the covariance symmetrized; S is the full 2N x 2N map."""
+    cov = S @ cov @ S.T
+    return S @ mean, 0.5 * (cov + cov.T)
+
+
 def apply_gate(state: GaussianState, gate: SymplecticGate, modes: Sequence[int]) -> GaussianState:
-    """mu -> S mu and cov -> S cov S^T with the gate embedded on ``modes``."""
+    """mu -> S mu and cov -> S cov S^T with the gate embedded on ``modes``.
+
+    A validated-state wrapper around ``embed_symplectic`` and
+    ``transform_moments``; code that applies many gates in a row can keep
+    the moments as arrays and call those two directly.
+    """
     S = embed_symplectic(gate.S, modes, state.n_modes)
-    cov = S @ state.cov @ S.T
-    return GaussianState(S @ state.mean, 0.5 * (cov + cov.T))
+    return GaussianState(*transform_moments(state.mean, state.cov, S))
 
 
 def displace(state: GaussianState, mode: int, u: float, v: float) -> GaussianState:
@@ -358,7 +380,7 @@ def homodyne(
         cov = state.cov - np.outer(gain, c @ state.cov)
 
     keep = [k for k in range(2 * state.n_modes) if k not in (i, j)]
-    cov_rem = cov[np.ix_(keep, keep)]
+    cov_rem = cov[keep][:, keep]
     return outcome, GaussianState(mean[keep], 0.5 * (cov_rem + cov_rem.T))
 
 

@@ -7,9 +7,12 @@ state; each report reads its channel off that map, and carries the
 deviation from the protocol's target matrix, the accumulated noise, and
 named pass/fail checks; a channel whose S, N or deviation is not finite,
 which a long or strongly sheared chain can reach, is refused with
-``OverflowError``. The channel does not depend on the homodyne outcomes, so
-a report draws its outcome records the first time its ``records`` are read:
-a report read only for its channel, such as a sweep point's, draws none.
+``OverflowError``, and a finite channel that carries the input state to a
+non-finite fidelity, outcome record or reported output variance with its
+subclass ``InputOverflowError``. The channel does not depend on the homodyne
+outcomes, so a report draws its outcome records the first time its
+``records`` are read: a report read only for its channel, such as a sweep
+point's, draws none.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -70,6 +73,19 @@ def _max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
 
 
+class InputOverflowError(OverflowError):
+    """The channel is finite, but the input state's image under it overflows
+    double precision."""
+
+
+def _require_finite(values: Iterable[float], what: str) -> None:
+    """Refuse input-dependent report values that overflowed."""
+    if not all(map(math.isfinite, values)):
+        raise InputOverflowError(
+            f"the input state overflows double precision through the channel: {what} is not finite"
+        )
+
+
 def db_to_squeezing_r(db: float) -> float:
     """s dB of squeezing corresponds to e^{-2r} = 10^{-s/10}."""
     if db < 0:
@@ -103,7 +119,12 @@ class ProtocolReport:
     @cached_property
     def records(self) -> Records:
         """One tuple of measurement records per trial, drawn when first read."""
-        return self.draw_records()
+        records = self.draw_records()
+        outcomes = (
+            v for trial in records for r in trial for v in (r.raw_outcome, r.rescaled_outcome)
+        )
+        _require_finite(outcomes, "an outcome record")
+        return records
 
     def check(self, name: str) -> ProtocolCheck:
         for c in self.checks:
@@ -186,6 +207,9 @@ def _report(
     reference = target_S if fidelity_reference_S is None else fidelity_reference_S
     lam_min = float(np.linalg.eigvalsh(channel.N)[0])
     psd_ok = lam_min >= -_bound(NOISE_PSD_TOL, _max_abs(channel.N))
+    fidelity = _fidelity_to_ideal(reference, input_state, channel)
+    if fidelity is not None:
+        _require_finite([fidelity], "the fidelity")
     return ProtocolReport(
         name=name,
         parameters=parameters,
@@ -193,7 +217,7 @@ def _report(
         target_S=np.array(target_S, dtype=float),
         deviation=deviation,
         noise_trace=float(np.trace(channel.N)),
-        fidelity=_fidelity_to_ideal(reference, input_state, channel),
+        fidelity=fidelity,
         checks=(independence, ProtocolCheck("channel_noise_psd", psd_ok, lam_min), *checks),
         draw_records=draw_records,
     )
@@ -280,7 +304,7 @@ def squeezer_four_step(
         ProtocolCheck("output_var_x", True, float(out.cov[0, 0])),
         ProtocolCheck("output_var_p", True, float(out.cov[1, 1])),
     ]
-    return _report(
+    report = _report(
         "squeezer_four_step",
         {"kappa": kappa, "squeezing_r": r, "seed": seed},
         channel,
@@ -291,6 +315,9 @@ def squeezer_four_step(
         draw_records,
         fidelity_reference_S=exact,
     )
+    # after _report, which refuses an overflowing channel first
+    _require_finite(out.cov.diagonal().tolist(), "the output variance")
+    return report
 
 
 def repeated_squeezer(

@@ -1,12 +1,18 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cvcluster as cv
 from cvcluster import checks, cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_config(tmp_path, name, payload):
@@ -378,7 +384,39 @@ class TestParser:
         assert created == []
 
 
+def _random_state_by_apply_gate(rng, n_modes):
+    """The oracle states as they were built with one validated ``apply_gate``
+    state per gate, kept as the reference for ``checks._random_state``."""
+    state = cv.vacuum_state(n_modes)
+    for _ in range(3 * n_modes):
+        mode = int(rng.integers(n_modes))
+        kind = int(rng.integers(4))
+        if kind == 0:
+            state = cv.apply_gate(state, cv.rotation(rng.uniform(-math.pi, math.pi)), [mode])
+        elif kind == 1:
+            state = cv.apply_gate(state, cv.squeezer(rng.uniform(-1.0, 1.0)), [mode])
+        elif kind == 2:
+            state = cv.apply_gate(state, cv.shear(rng.uniform(-1.5, 1.5)), [mode])
+        elif n_modes > 1:
+            other = int(rng.integers(n_modes - 1))
+            other = other if other < mode else other + 1
+            state = cv.apply_gate(state, cv.controlled_z(), [mode, other])
+    mean = state.mean + rng.normal(0.0, 1.0, size=2 * n_modes)
+    return cv.GaussianState(mean, state.cov)
+
+
 class TestVerifySuite:
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
+    def test_oracle_states_equal_the_apply_gate_route(self, n_modes):
+        for seed in range(25):
+            rngs = [np.random.Generator(np.random.PCG64(seed)) for _ in range(2)]
+            state = checks._random_state(rngs[0], n_modes)
+            reference = _random_state_by_apply_gate(rngs[1], n_modes)
+            assert np.array_equal(state.mean, reference.mean)
+            assert np.array_equal(state.cov, reference.cov)
+            # the same draws, so the oracle's later draws are unchanged too
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
     def test_all_checks_pass_on_fresh_build(self):
         results = checks.run_all_checks()
         failed = [r.name for r in results if not r.passed]
@@ -468,6 +506,101 @@ class TestChannelOverflow:
         assert code == 0
         S = np.array(json.loads(out.read_text())["channel"]["S"])
         assert np.isfinite(S).all() and np.max(np.abs(S)) > 1e125
+
+
+# configs whose channel is finite, but whose input state it carries beyond
+# double precision
+INPUT_OVERFLOWING = {
+    "four_step_coherent_1e308": {
+        "protocol": "squeezer_four_step", "squeezing_db": 0.0, "kappa": 1.0,
+        "input": {"kind": "coherent", "re": 1e308, "im": 1e308},
+    },
+    "offline_squeezer_coherent_1e300": {
+        "protocol": "offline_squeezer", "r_gate": 354.0,
+        "input": {"kind": "coherent", "re": 1e300, "im": 1e300},
+    },
+    # the fidelity is finite here, but the first outcome, p + kappa x of the
+    # input plus resource noise, is not
+    "four_step_first_record": {
+        "protocol": "squeezer_four_step", "squeezing_db": 10.0, "kappa": 0.2,
+        "input": {"kind": "coherent", "re": 1.7e308, "im": 1.6e308},
+    },
+    # the reported output variances are not finite
+    "four_step_squeezed_output_variance": {
+        "protocol": "squeezer_four_step", "squeezing_db": 0.0, "kappa": 10.0,
+        "input": {"kind": "squeezed", "r": 350.0, "axis": "x"},
+    },
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestInputOverflow:
+    """An input state that a finite channel carries beyond double precision
+    is a config error naming the input, not the channel's kappa."""
+
+    @pytest.mark.parametrize("name", INPUT_OVERFLOWING)
+    def test_run_exits_2_naming_input_without_output(self, tmp_path, capsys, name):
+        code, out = main_on(tmp_path, "run", INPUT_OVERFLOWING[name])
+        captured = capsys.readouterr()
+        assert (code, captured.out, out.exists()) == (2, "", False)
+        assert captured.err.startswith("error: field 'input': ")
+        assert "kappa" not in captured.err
+
+    def test_sweep_exits_2_naming_input_without_output(self, tmp_path, capsys):
+        payload = {
+            **INPUT_OVERFLOWING["four_step_coherent_1e308"],
+            "sweep": {"param": "kappa", "values": [0.5, 1]},
+        }
+        code, out = main_on(tmp_path, "sweep", payload)
+        captured = capsys.readouterr()
+        assert (code, captured.out, out.exists()) == (2, "", False)
+        assert captured.err.startswith("error: field 'input': ")
+        assert "kappa" not in captured.err
+
+    def test_library_refuses_when_the_records_are_read(self):
+        payload = INPUT_OVERFLOWING["four_step_first_record"]
+        cfg = cli.ExperimentConfig.from_dict(payload)
+        report = cv.run_named_protocol(cfg.protocol, cli._protocol_params(cfg))
+        assert math.isfinite(report.fidelity)
+        with pytest.raises(cv.InputOverflowError, match="an outcome record is not finite"):
+            report.records
+
+    def test_large_but_finite_input_gives_a_document(self, tmp_path):
+        payload = {**INPUT_OVERFLOWING["four_step_coherent_1e308"], "kappa": 0.2}
+        code, out = main_on(tmp_path, "run", payload, "--quiet")
+        assert code == 0
+        assert math.isfinite(json.loads(out.read_text())["fidelity"])
+
+
+@pytest.mark.parametrize(
+    "payload, error",
+    [
+        (
+            OVERFLOWING["kappa_1e200"],
+            "error: field 'kappa': the channel overflows double precision: "
+            "S, N or deviation not finite\n",
+        ),
+        (
+            INPUT_OVERFLOWING["four_step_coherent_1e308"],
+            "error: field 'input': the input state overflows double precision "
+            "through the channel: the fidelity is not finite\n",
+        ),
+    ],
+    ids=["kappa", "input"],
+)
+def test_overflow_refusal_prints_one_line(tmp_path, payload, error):
+    """The whole stderr of the console command: numpy's overflow warnings
+    would print before the error line."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    argv = ["run", write_config(tmp_path, "c.json", payload), "--output", str(out)]
+    result = subprocess.run(
+        [sys.executable, "-m", "cvcluster", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", error)
+    assert not out.exists()
 
 
 class TestSizeBounds:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -82,6 +83,16 @@ class TestStateConstructors:
         cov = np.array([[0.25, 0.1], [0.0, 0.25]])
         with pytest.raises(ValueError):
             cv.GaussianState(np.zeros(2), cov)
+
+    @pytest.mark.parametrize("asymmetry, refused", [(1e-11, True), (1e-13, False)])
+    def test_state_symmetry_tolerance(self, asymmetry, refused):
+        cov = 0.25 * np.eye(4)
+        cov[1, 2] += asymmetry
+        if refused:
+            with pytest.raises(ValueError, match="not symmetric"):
+                cv.GaussianState(np.zeros(4), cov)
+        else:
+            assert np.array_equal(cv.GaussianState(np.zeros(4), cov).cov, cov)
 
     def test_state_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -217,6 +228,39 @@ class TestGateConstructors:
         c = np.array([1.0, 0.0, -1.0, 0.0])
         var = c @ state.cov @ c
         assert var == pytest.approx(math.exp(-2 * r) / 2, rel=1e-12)
+
+
+def _embed_by_index_grid(S, modes, n_modes):
+    """The index-array and ``np.ix_`` embedding, kept as the reference for
+    ``embed_symplectic``'s block slices."""
+    idx = np.array([[2 * m, 2 * m + 1] for m in modes]).ravel()
+    full = np.eye(2 * n_modes)
+    full[np.ix_(idx, idx)] = S
+    return full
+
+
+class TestEmbedSymplectic:
+    @pytest.mark.parametrize("k, n_modes", [(k, n) for k in (1, 2) for n in range(k, 6)])
+    def test_equals_index_grid_in_every_mode_order(self, k, n_modes):
+        S = np.random.Generator(np.random.PCG64(10 * n_modes + k)).normal(size=(2 * k, 2 * k))
+        for modes in itertools.permutations(range(n_modes), k):
+            expected = _embed_by_index_grid(S, modes, n_modes)
+            assert np.array_equal(cv.embed_symplectic(S, list(modes), n_modes), expected)
+
+    @pytest.mark.parametrize(
+        "S, modes, message",
+        [
+            (np.eye(3), [0], r"shape \(2k, 2k\)"),
+            (np.ones((2, 4)), [0], r"shape \(2k, 2k\)"),
+            (np.eye(4), [0], "acts on 2 modes but 1 given"),
+            (np.eye(4), [1, 1], "repeated mode"),
+            (np.eye(2), [2], "out of range"),
+            (np.eye(2), [-1], "out of range"),
+        ],
+    )
+    def test_refusals(self, S, modes, message):
+        with pytest.raises(ValueError, match=message):
+            cv.embed_symplectic(S, modes, 2)
 
 
 class TestApplyAndDisplace:
