@@ -12,7 +12,6 @@ from .phase_space import (
     coherent_state,
     controlled_z,
     controlled_z_pp,
-    displace,
     embed_symplectic,
     fourier,
     homodyne,
@@ -29,7 +28,7 @@ from .phase_space import (
     uncertainty_defect,
     vacuum_state,
 )
-from .cluster import ClusterSpec, attach_input, epr_resource, linear_cluster, modified_resource
+from .cluster import ClusterSpec, attach_input, linear_cluster
 from .algebra import (
     ExponentPolynomial,
     bch_squeezer_residual,

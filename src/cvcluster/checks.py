@@ -23,7 +23,6 @@ from .phase_space import (
     beamsplitter_5050,
     controlled_z,
     controlled_z_pp,
-    embed_symplectic,
     fourier,
     homodyne,
     uncertainty_defect,
@@ -32,12 +31,11 @@ from .phase_space import (
     shear,
     squeezer,
     symplectic_defect,
-    transform_moments,
     vacuum_state,
     IDEAL_SQUEEZING_R,
 )
 from .cluster import ClusterSpec, attach_input, linear_cluster
-from .engine import StepPlan, apply_correction, chain_channel, run_protocol
+from .engine import StepPlan, chain_channel
 
 ORACLE_STATES, ORACLE_SEED = 100, 12345  # the random states the homodyne oracle check conditions
 
@@ -140,14 +138,13 @@ def squeezer_matrix_checks() -> list[ProtocolCheck]:
     return results
 
 
-def _random_state(rng: np.random.Generator, n_modes: int) -> GaussianState:
-    """A random displaced Gaussian state: 3 n_modes random gates on the vacuum.
-
-    The moments stay arrays through the gates (``embed_symplectic`` then
-    ``transform_moments``, as ``apply_gate`` does), and one ``GaussianState``
-    is made at the end; the floats are those of the ``apply_gate`` route.
+def _draw_state(rng: np.random.Generator, n_modes: int) -> tuple[list, np.ndarray]:
+    """The random draws of one state, in a fixed order: per gate slot the
+    gate's matrix (from the ``phase_space`` constructors) and the phase-space
+    indices it acts on, or None for a CZ drawn on a 1-mode state (an
+    identity slot); then the displacement.
     """
-    mean, cov = np.zeros(2 * n_modes), VACUUM_VARIANCE * np.eye(2 * n_modes)
+    slots = []
     for _ in range(3 * n_modes):
         mode = int(rng.integers(n_modes))
         kind = int(rng.integers(4))
@@ -162,9 +159,63 @@ def _random_state(rng: np.random.Generator, n_modes: int) -> GaussianState:
             other = other if other < mode else other + 1
             gate, modes = controlled_z(), [mode, other]
         else:
+            slots.append(None)
             continue
-        mean, cov = transform_moments(mean, cov, embed_symplectic(gate.S, modes, n_modes))
-    return GaussianState(mean + rng.normal(0.0, 1.0, size=2 * n_modes), cov)
+        slots.append((gate.S, np.array([i for m in modes for i in (2 * m, 2 * m + 1)])))
+    return slots, rng.normal(0.0, 1.0, size=2 * n_modes)
+
+
+def _build_states(n_modes: int, draws: list[tuple[list, np.ndarray]]) -> list[GaussianState]:
+    """The states of ``_draw_state`` draws that share a mode count, in one stack.
+
+    Gate slot t of every state is one stacked ``S cov S^T`` with the
+    symmetrization of ``transform_moments``, so each state gets the floats of
+    its own ``apply_gate`` route; an identity slot is an exact no-op. The
+    gates leave the mean exactly zero, so it is the displacement.
+    """
+    dim = 2 * n_modes
+    cov = np.tile(VACUUM_VARIANCE * np.eye(dim), (len(draws), 1, 1))
+    for t in range(3 * n_modes):
+        S = np.tile(np.eye(dim), (len(draws), 1, 1))
+        for full, (slots, _) in zip(S, draws):
+            if slots[t] is not None:
+                gate, idx = slots[t]
+                full[idx[:, None], idx] = gate
+        cov = S @ cov @ S.transpose(0, 2, 1)
+        cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+    return [GaussianState(shift, c) for (_, shift), c in zip(draws, cov)]
+
+
+def _random_state(rng: np.random.Generator, n_modes: int) -> GaussianState:
+    """A random displaced Gaussian state: 3 n_modes random gates on the vacuum.
+
+    The batch of one of ``_build_states``; ``homodyne_oracle_checks`` builds
+    its states in stacks by mode count, from the same draws to the same floats.
+    """
+    return _build_states(n_modes, [_draw_state(rng, n_modes)])[0]
+
+
+def _oracle_basis(c: np.ndarray) -> np.ndarray:
+    """Rows: c normalized, then Gram-Schmidt over the unit vectors e_k.
+
+    Only an e_k with c_k != 0 needs arithmetic. Any other e_k has exact zero
+    dot products with every row so far (each of those is c, another such
+    e_j, or lies in the support of c), so it passes through unchanged and
+    the rows are those of the Gram-Schmidt loop over every e_k. For a
+    homodyne functional that support is the measured mode's (x, p).
+    """
+    spanned = [c / np.linalg.norm(c)]
+    basis = list(spanned)
+    for k, e in enumerate(np.eye(c.size)):
+        if c[k] == 0.0:
+            basis.append(e)
+            continue
+        w = e - sum(np.dot(e, b) * b for b in spanned)
+        norm = np.linalg.norm(w)
+        if norm > 1e-9:
+            spanned.append(w / norm)
+            basis.append(spanned[-1])
+    return np.array(basis)
 
 
 def _oracle_condition(
@@ -172,17 +223,12 @@ def _oracle_condition(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Brute-force joint-Gaussian conditioning through the precision matrix.
 
-    Completes c to a basis, inverts the full transformed covariance, and
-    reads the conditional moments of the complementary coordinates from the
-    precision blocks; an independent route from the Schur-complement update.
+    Completes c to a basis (``_oracle_basis``, exact outside the support of
+    c), inverts the full transformed covariance, and reads the conditional
+    moments of the complementary coordinates from the precision blocks; an
+    independent route from the Schur-complement update.
     """
-    n = c.size
-    basis = [c / np.linalg.norm(c)]
-    for e in np.eye(n):
-        w = e - sum(np.dot(e, b) * b for b in basis)
-        if np.linalg.norm(w) > 1e-9:
-            basis.append(w / np.linalg.norm(w))
-    L = np.vstack(basis)  # row 0 is the measured direction
+    L = _oracle_basis(c)  # row 0 is the measured direction
     mu_t = L @ state.mean
     cov_t = L @ state.cov @ L.T
     lam = np.linalg.inv(cov_t)
@@ -200,25 +246,35 @@ def _oracle_condition(
 
 
 def homodyne_oracle_checks() -> list[ProtocolCheck]:
+    """``homodyne`` on ORACLE_STATES random states against ``_oracle_condition``.
+
+    Every draw is made first, in the order of one state at a time; the
+    states are then built in stacks by mode count (``_build_states``).
+    """
     rng = np.random.Generator(np.random.PCG64(ORACLE_SEED))
-    worst = 0.0
+    draws = []
     for _ in range(ORACLE_STATES):
         n_modes = int(rng.integers(2, 5))
-        state = _random_state(rng, n_modes)
+        state_draw = _draw_state(rng, n_modes)
         mode = int(rng.integers(n_modes))
         angle = rng.uniform(0.0, 2 * math.pi)
         quad = Quadrature(mode, math.cos(angle), math.sin(angle))
-        outcome = float(rng.normal(0.0, 1.0))
-        _, conditioned = homodyne(state, quad, forced=outcome)
-        c = np.zeros(2 * n_modes)
-        c[2 * mode], c[2 * mode + 1] = quad.c_x, quad.c_p
-        mu_full, cov_full = _oracle_condition(state, c, outcome)
-        keep = [k for k in range(2 * n_modes) if k not in (2 * mode, 2 * mode + 1)]
-        worst = max(
-            worst,
-            float(np.max(np.abs(conditioned.mean - mu_full[keep]))),
-            float(np.max(np.abs(conditioned.cov - cov_full[np.ix_(keep, keep)]))),
-        )
+        draws.append((n_modes, state_draw, quad, float(rng.normal(0.0, 1.0))))
+    worst = 0.0
+    for n_modes in sorted({n for n, *_ in draws}):
+        group = [draw for draw in draws if draw[0] == n_modes]
+        states = _build_states(n_modes, [state_draw for _, state_draw, _, _ in group])
+        for (_, _, quad, outcome), state in zip(group, states):
+            _, conditioned = homodyne(state, quad, forced=outcome)
+            c = np.zeros(2 * n_modes)
+            c[2 * quad.mode], c[2 * quad.mode + 1] = quad.c_x, quad.c_p
+            mu_full, cov_full = _oracle_condition(state, c, outcome)
+            keep = [k for k in range(2 * n_modes) if k not in (2 * quad.mode, 2 * quad.mode + 1)]
+            worst = max(
+                worst,
+                float(np.max(np.abs(conditioned.mean - mu_full[keep]))),
+                float(np.max(np.abs(conditioned.cov - cov_full[keep][:, keep]))),
+            )
     return [ProtocolCheck("homodyne_matches_conditioning_oracle", worst <= 1e-10, worst)]
 
 
@@ -258,9 +314,8 @@ def uncertainty_checks() -> list[ProtocolCheck]:
         worst = max(worst, uncertainty_defect(cluster))
         worst = max(worst, uncertainty_defect(attach_input(vacuum_state(1), cluster)))
     for steps in ([StepPlan(0.0)] * 4, [StepPlan(0.2), StepPlan(0.2), StepPlan(-0.2), StepPlan(-0.2)]):
-        out, _, frame = run_protocol(vacuum_state(1), steps, protocols.db_to_squeezing_r(10.0), 3)
+        out = chain_channel(steps, protocols.db_to_squeezing_r(10.0))[0].apply(vacuum_state(1))
         worst = max(worst, uncertainty_defect(out))
-        worst = max(worst, uncertainty_defect(apply_correction(out, frame)))
     return [ProtocolCheck("uncertainty_relation_protocol_states", worst <= 1e-12, worst)]
 
 

@@ -1,9 +1,8 @@
-"""Resource-state factory: linear cluster states and two-mode resources.
+"""Resource-state factory: linear cluster states.
 
 A linear cluster is a chain of momentum-squeezed modes coupled by
-controlled-Z gates; the off-line teleportation schemes instead consume a
-two-mode squeezed (EPR) state, optionally modified by a gate on its second
-half.
+controlled-Z gates. The off-line teleportation schemes read their
+two-mode squeezed (EPR) resource off their affine maps (``protocols``).
 """
 
 from __future__ import annotations
@@ -12,9 +11,7 @@ from dataclasses import dataclass
 
 from .phase_space import (
     GaussianState,
-    SymplecticGate,
     apply_gate,
-    beamsplitter_5050,
     controlled_z,
     squeezed_vacuum,
     tensor,
@@ -62,17 +59,3 @@ def attach_input(input_state: GaussianState, cluster: GaussianState) -> Gaussian
         raise ValueError("cluster must be nonempty")
     return apply_gate(tensor(input_state, cluster), controlled_z(), [0, 1])
 
-
-def epr_resource(r: float) -> GaussianState:
-    """Two-mode squeezed state: a 50:50 beamsplitter on p-squeezed (x)
-    x-squeezed inputs. Satisfies Var(x1 - x2) = Var(p1 + p2) = e^{-2r}/2."""
-    pair = tensor(squeezed_vacuum(r, axis="p"), squeezed_vacuum(r, axis="x"))
-    return apply_gate(pair, beamsplitter_5050(), [0, 1])
-
-
-def modified_resource(r: float, u_gate: SymplecticGate) -> GaussianState:
-    """EPR resource with a single-mode gate applied to its second half,
-    so that teleporting through it applies the gate to the input."""
-    if u_gate.n_modes != 1:
-        raise ValueError("u_gate must be a single-mode gate")
-    return apply_gate(epr_resource(r), u_gate, [1])

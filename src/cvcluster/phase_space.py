@@ -7,8 +7,8 @@ Conventions used throughout the package:
 * quadratures are interleaved per mode, ``(x1, p1, x2, p2, ...)``;
 * a gate acts forward on moments, ``mu -> S mu`` and ``cov -> S cov S^T``;
   the rows of ``S`` coincide with the Heisenberg transforms of the
-  quadratures written in the old operators. Displacements are separate
-  (``displace``), and a protocol's channel keeps its own ``d``.
+  quadratures written in the old operators. Gates carry no displacement;
+  a protocol's channel keeps its own ``d``.
 """
 
 from __future__ import annotations
@@ -306,15 +306,6 @@ def apply_gate(state: GaussianState, gate: SymplecticGate, modes: Sequence[int])
     """
     S = embed_symplectic(gate.S, modes, state.n_modes)
     return GaussianState(*transform_moments(state.mean, state.cov, S))
-
-
-def displace(state: GaussianState, mode: int, u: float, v: float) -> GaussianState:
-    """Weyl-Heisenberg displacement X(u)Z(v): shift one mode's mean by (u, v)."""
-    i, j = state.mode_indices(mode)
-    mean = state.mean.copy()
-    mean[i] += u
-    mean[j] += v
-    return GaussianState(mean, state.cov)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 import cvcluster as cv
 from cvcluster import checks, cli
 from conftest import condition_on_functional_oracle, random_gaussian_state
+from explicit_states import modified_resource
 
 IDEAL = cv.IDEAL_SQUEEZING_R
 TEN_DB_R = math.log(10.0) / 2.0
@@ -194,7 +195,7 @@ def test_10_symplectic_and_uncertainty_suite():
         attached = cv.attach_input(VAC, cluster)
         steps = [cv.StepPlan(0.2), cv.StepPlan(0.2), cv.StepPlan(-0.2), cv.StepPlan(-0.2)]
         out, _, frame = cv.run_protocol(VAC, steps, r, 5)
-        resource = cv.modified_resource(r, cv.squeezer(0.04))
+        resource = modified_resource(r, cv.squeezer(0.04))
         teleport_pre = cv.apply_gate(
             cv.tensor(VAC, resource), cv.beamsplitter_5050(), [0, 1]
         )

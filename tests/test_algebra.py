@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import cvcluster as cv
 from conftest import random_gaussian_state
+from explicit_states import displace
 
 
 class TestCliffordCommute:
@@ -23,8 +24,8 @@ class TestCliffordCommute:
         state = random_gaussian_state(seed, 1)
         for gate in (cv.rotation(param * math.pi), cv.squeezer(param), cv.shear(param)):
             up, vp = gate.S @ np.array([u, v])
-            after = cv.displace(cv.apply_gate(state, gate, [0]), 0, up, vp)
-            before = cv.apply_gate(cv.displace(state, 0, u, v), gate, [0])
+            after = displace(cv.apply_gate(state, gate, [0]), 0, up, vp)
+            before = cv.apply_gate(displace(state, 0, u, v), gate, [0])
             np.testing.assert_allclose(after.mean, before.mean, atol=1e-12)
             np.testing.assert_allclose(after.cov, before.cov, atol=1e-12)
 

@@ -405,6 +405,43 @@ def _random_state_by_apply_gate(rng, n_modes):
     return cv.GaussianState(mean, state.cov)
 
 
+def _full_oracle_basis(c):
+    """Gram-Schmidt over every unit vector e_k, kept as the reference for
+    ``checks._oracle_basis``."""
+    basis = [c / np.linalg.norm(c)]
+    for e in np.eye(c.size):
+        w = e - sum(np.dot(e, b) * b for b in basis)
+        if np.linalg.norm(w) > 1e-9:
+            basis.append(w / np.linalg.norm(w))
+    return np.vstack(basis)
+
+
+def _homodyne_oracle_value_one_state_at_a_time():
+    """The homodyne oracle check's value with each state drawn and built in
+    turn by the ``apply_gate`` route; run with ``_full_oracle_basis`` in
+    place of ``checks._oracle_basis``."""
+    rng = np.random.Generator(np.random.PCG64(checks.ORACLE_SEED))
+    worst = 0.0
+    for _ in range(checks.ORACLE_STATES):
+        n_modes = int(rng.integers(2, 5))
+        state = _random_state_by_apply_gate(rng, n_modes)
+        mode = int(rng.integers(n_modes))
+        angle = rng.uniform(0.0, 2 * math.pi)
+        quad = cv.Quadrature(mode, math.cos(angle), math.sin(angle))
+        outcome = float(rng.normal(0.0, 1.0))
+        _, conditioned = cv.homodyne(state, quad, forced=outcome)
+        c = np.zeros(2 * n_modes)
+        c[2 * mode], c[2 * mode + 1] = quad.c_x, quad.c_p
+        mu_full, cov_full = checks._oracle_condition(state, c, outcome)
+        keep = [k for k in range(2 * n_modes) if k not in (2 * mode, 2 * mode + 1)]
+        worst = max(
+            worst,
+            float(np.max(np.abs(conditioned.mean - mu_full[keep]))),
+            float(np.max(np.abs(conditioned.cov - cov_full[np.ix_(keep, keep)]))),
+        )
+    return worst
+
+
 class TestVerifySuite:
     @pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
     def test_oracle_states_equal_the_apply_gate_route(self, n_modes):
@@ -416,6 +453,43 @@ class TestVerifySuite:
             assert np.array_equal(state.cov, reference.cov)
             # the same draws, so the oracle's later draws are unchanged too
             assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
+    def test_stacked_states_equal_the_apply_gate_route(self, n_modes):
+        rngs = [np.random.Generator(np.random.PCG64(n_modes)) for _ in range(2)]
+        draws = [checks._draw_state(rngs[0], n_modes) for _ in range(30)]
+        for state in checks._build_states(n_modes, draws):
+            reference = _random_state_by_apply_gate(rngs[1], n_modes)
+            assert np.array_equal(state.mean, reference.mean)
+            assert np.array_equal(state.cov, reference.cov)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    def test_oracle_value_equals_the_one_state_at_a_time_loop(self, monkeypatch):
+        value = checks.homodyne_oracle_checks()[0].value
+        monkeypatch.setattr(checks, "_oracle_basis", _full_oracle_basis)
+        assert value == _homodyne_oracle_value_one_state_at_a_time()
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
+    def test_oracle_basis_equals_the_full_gram_schmidt(self, n_modes):
+        rng = np.random.Generator(np.random.PCG64(7 + n_modes))
+        axes = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
+        for mode in range(n_modes):
+            for angle in [*rng.uniform(0.0, 2 * math.pi, size=25), *axes]:
+                c = np.zeros(2 * n_modes)
+                c[2 * mode], c[2 * mode + 1] = math.cos(angle), math.sin(angle)
+                assert np.array_equal(checks._oracle_basis(c), _full_oracle_basis(c))
+
+    @pytest.mark.parametrize("c_x, c_p", [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
+    def test_oracle_basis_on_a_quadrature_axis(self, c_x, c_p):
+        # one of c_x, c_p is an exact zero: that unit vector passes through
+        # and the other one is dropped as parallel to c
+        for n_modes in (1, 2, 3):
+            for mode in range(n_modes):
+                c = np.zeros(2 * n_modes)
+                c[2 * mode], c[2 * mode + 1] = c_x, c_p
+                basis = checks._oracle_basis(c)
+                assert basis.shape == (2 * n_modes, 2 * n_modes)
+                assert np.array_equal(basis, _full_oracle_basis(c))
 
     def test_all_checks_pass_on_fresh_build(self):
         results = checks.run_all_checks()

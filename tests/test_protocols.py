@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import cvcluster as cv
 from cvcluster import checks, cli, engine, protocols
 from conftest import step_noise_oracle
+from explicit_states import modified_resource
 from tomography import channel_tomography
 
 IDEAL = cv.IDEAL_SQUEEZING_R
@@ -294,7 +295,7 @@ class TestProtocolStatesPhysical:
             out, _, frame = cv.run_protocol(VAC, steps, r, 11)
             assert cv.uncertainty_defect(out) <= 1e-12
             assert cv.uncertainty_defect(cv.apply_correction(out, frame)) <= 1e-12
-            resource = cv.modified_resource(r, cv.squeezer(0.04))
+            resource = modified_resource(r, cv.squeezer(0.04))
             assert cv.uncertainty_defect(resource) <= 1e-12
             mixed = cv.apply_gate(cv.tensor(VAC, resource), cv.beamsplitter_5050(), [0, 1])
             assert cv.uncertainty_defect(mixed) <= 1e-12
@@ -333,7 +334,7 @@ class TestOneEvaluationPerReport:
         else:
             gate, run = cv.squeezer(r_gate), lambda seed: cv.offline_squeezer(state, r, r_gate, seed)
         mixed = cv.apply_gate(
-            cv.tensor(state, cv.modified_resource(r, gate)), cv.beamsplitter_5050(), [0, 1]
+            cv.tensor(state, modified_resource(r, gate)), cv.beamsplitter_5050(), [0, 1]
         )
         measured = [2, 1]
         mean = math.sqrt(2.0) * mixed.mean[measured]
@@ -637,7 +638,7 @@ def _offline_runner(r, gate_S):
 def _conditioned_state_channel(r, r_gate, rescale_correction):
     """Channel of the off-line squeezer read off the explicit three-mode state.
 
-    The input joins ``cluster.modified_resource`` at the beamsplitter; the
+    The input joins ``explicit_states.modified_resource`` at the beamsplitter; the
     output mode is conditioned on the measured (x_1', p_0') by the Gaussian
     rule, and the correction (mode 2 displaced by gain (u, v), with
     (u, v) = sqrt2 (x_1', p_0')) is averaged over the outcomes by the law of
@@ -651,7 +652,7 @@ def _conditioned_state_channel(r, r_gate, rescale_correction):
 
     def moments(state):
         mixed = cv.apply_gate(
-            cv.tensor(state, cv.modified_resource(r, gate)), cv.beamsplitter_5050(), [0, 1]
+            cv.tensor(state, modified_resource(r, gate)), cv.beamsplitter_5050(), [0, 1]
         )
         mu, cov = mixed.mean, mixed.cov
         cov_mm = cov[np.ix_(measured, measured)]
@@ -736,3 +737,49 @@ class TestOfflineChannelAgreesWithExplicitState:
         report = cv.offline_teleport(VAC, r)
         assert _max_abs(report.channel.N - expected) <= 1e-9 * _max_abs(expected)
         assert report.all_passed()
+
+
+def _patch_squeezed_variance(monkeypatch, scale):
+    """Scale the squeezed resource variance e^{-2r}/4 that every channel's
+    noise is read with."""
+    resource_variances = engine._resource_variances
+
+    def scaled(r):
+        var_anti, var_squeezed = resource_variances(r)
+        return var_anti, scale * var_squeezed
+
+    monkeypatch.setattr(engine, "_resource_variances", scaled)
+
+
+class TestNamedChecksFailUnderMutation:
+    def test_homodyne_mean_off_by_1e_8_fails_the_oracle_check(self, monkeypatch):
+        homodyne = checks.homodyne
+
+        def shifted(state, quad, **kwargs):
+            outcome, rest = homodyne(state, quad, **kwargs)
+            return outcome, cv.GaussianState(rest.mean + 1e-8, rest.cov)
+
+        monkeypatch.setattr(checks, "homodyne", shifted)
+        failed = [row for row in checks.run_all_checks() if not row.passed]
+        assert [row.name for row in failed] == ["homodyne_matches_conditioning_oracle"]
+        assert failed[0].value == pytest.approx(1e-8, rel=1e-3)
+
+    @pytest.mark.parametrize("protocol", sorted(protocols.PROTOCOLS))
+    def test_negative_squeezed_variance_fails_noise_psd(self, monkeypatch, protocol):
+        assert cv.run_named_protocol(protocol, {"squeezing_db": 10.0}).check(
+            "channel_noise_psd"
+        ).passed
+        _patch_squeezed_variance(monkeypatch, -1.0)
+        check = cv.run_named_protocol(protocol, {"squeezing_db": 10.0}).check("channel_noise_psd")
+        assert not check.passed
+        assert check.value < 0.0
+
+    def test_squeezed_variance_scaled_by_1_01_fails_isotropic_noise(self, monkeypatch):
+        assert cv.offline_teleport(VAC, TEN_DB_R).check(
+            "noise_is_isotropic_teleportation_noise"
+        ).passed
+        _patch_squeezed_variance(monkeypatch, 1.01)
+        check = cv.offline_teleport(VAC, TEN_DB_R).check("noise_is_isotropic_teleportation_noise")
+        assert not check.passed
+        # N = 1.01 e^{-2r}/2 I, so the error is 0.01 e^{-2r}/2
+        assert check.value == pytest.approx(0.01 * 0.1 / 2, rel=1e-9)
