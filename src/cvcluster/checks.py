@@ -9,6 +9,7 @@ can be shown to fail.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 
 import numpy as np
@@ -138,50 +139,55 @@ def squeezer_matrix_checks() -> list[ProtocolCheck]:
     return results
 
 
-def _draw_state(rng: np.random.Generator, n_modes: int) -> tuple[list, np.ndarray]:
-    """The random draws of one state, in a fixed order: per gate slot the
-    gate's matrix (from the ``phase_space`` constructors) and the phase-space
-    indices it acts on, or None for a CZ drawn on a 1-mode state (an
-    identity slot); then the displacement.
+def _draw_state(
+    rng: np.random.Generator, n_modes: int
+) -> tuple[list[tuple[int, int, int, float]], np.ndarray]:
+    """The random draws of one state, in a fixed order: per gate slot t the
+    gate's non-identity matrix entries as ``(t, row, col, value)`` in the
+    2N x 2N phase space, computed with the ``phase_space`` constructors' own
+    formulas (a CZ drawn on a 1-mode state is an identity slot with no
+    entries); then the displacement.
     """
-    slots = []
-    for _ in range(3 * n_modes):
+    entries = []
+    for t in range(3 * n_modes):
         mode = int(rng.integers(n_modes))
+        x, p = 2 * mode, 2 * mode + 1
         kind = int(rng.integers(4))
-        if kind == 0:
-            gate, modes = rotation(rng.uniform(-math.pi, math.pi)), [mode]
-        elif kind == 1:
-            gate, modes = squeezer(rng.uniform(-1.0, 1.0)), [mode]
-        elif kind == 2:
-            gate, modes = shear(rng.uniform(-1.5, 1.5)), [mode]
-        elif n_modes > 1:
+        if kind == 0:  # rotation
+            theta = rng.uniform(-math.pi, math.pi)
+            cos, sin = math.cos(theta), math.sin(theta)
+            entries += [(t, x, x, cos), (t, x, p, -sin), (t, p, x, sin), (t, p, p, cos)]
+        elif kind == 1:  # squeezer
+            r = rng.uniform(-1.0, 1.0)
+            entries += [(t, x, x, math.exp(-r)), (t, p, p, math.exp(r))]
+        elif kind == 2:  # shear
+            entries.append((t, p, x, rng.uniform(-1.5, 1.5)))
+        elif n_modes > 1:  # controlled_z on (mode, other)
             other = int(rng.integers(n_modes - 1))
             other = other if other < mode else other + 1
-            gate, modes = controlled_z(), [mode, other]
-        else:
-            slots.append(None)
-            continue
-        slots.append((gate.S, np.array([i for m in modes for i in (2 * m, 2 * m + 1)])))
-    return slots, rng.normal(0.0, 1.0, size=2 * n_modes)
+            entries += [(t, p, 2 * other, 1.0), (t, 2 * other + 1, x, 1.0)]
+    return entries, rng.normal(0.0, 1.0, size=2 * n_modes)
 
 
 def _build_states(n_modes: int, draws: list[tuple[list, np.ndarray]]) -> list[GaussianState]:
     """The states of ``_draw_state`` draws that share a mode count, in one stack.
 
-    Gate slot t of every state is one stacked ``S cov S^T`` with the
-    symmetrization of ``transform_moments``, so each state gets the floats of
-    its own ``apply_gate`` route; an identity slot is an exact no-op. The
-    gates leave the mean exactly zero, so it is the displacement.
+    Every gate entry of the stack goes into one (B, 3N, 2N, 2N) stack of
+    identities in a single assignment. Gate slot t of every state is then
+    one stacked ``S cov S^T`` with the symmetrization of
+    ``transform_moments``, so each state gets the floats of its own
+    ``apply_gate`` route; an identity slot is an exact no-op. The gates
+    leave the mean exactly zero, so it is the displacement.
     """
-    dim = 2 * n_modes
+    dim, slots = 2 * n_modes, 3 * n_modes
+    S = np.tile(np.eye(dim), (len(draws), slots, 1, 1))
+    index = [(b, *entry) for b, (entries, _) in enumerate(draws) for entry in entries]
+    if index:  # a stack of 1-mode states can hold identity slots only
+        b, t, row, col, value = zip(*index)
+        S[b, t, row, col] = value
     cov = np.tile(VACUUM_VARIANCE * np.eye(dim), (len(draws), 1, 1))
-    for t in range(3 * n_modes):
-        S = np.tile(np.eye(dim), (len(draws), 1, 1))
-        for full, (slots, _) in zip(S, draws):
-            if slots[t] is not None:
-                gate, idx = slots[t]
-                full[idx[:, None], idx] = gate
-        cov = S @ cov @ S.transpose(0, 2, 1)
+    for t in range(slots):
+        cov = S[:, t] @ cov @ S[:, t].transpose(0, 2, 1)
         cov = 0.5 * (cov + cov.transpose(0, 2, 1))
     return [GaussianState(shift, c) for (_, shift), c in zip(draws, cov)]
 
@@ -218,6 +224,33 @@ def _oracle_basis(c: np.ndarray) -> np.ndarray:
     return np.array(basis)
 
 
+def _stacked_oracle_condition(
+    states: list[GaussianState], c: np.ndarray, outcomes: list[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_oracle_condition`` for B states of one mode count, as stacks.
+
+    ``c`` is (B, 2N); the results are (B, 2N) and (B, 2N, 2N). Every step is
+    the stacked form of the per-state matrix call (``inv``, matmul, mat-vec;
+    |c| as a vector-vector matmul, which is the dot product of
+    ``np.linalg.norm``), so each state gets the floats of a batch of one.
+    """
+    L = np.array([_oracle_basis(row) for row in c])  # row 0 is the measured direction
+    mu_t = (L @ np.array([state.mean for state in states])[:, :, None])[:, :, 0]
+    cov_t = L @ np.array([state.cov for state in states]) @ L.transpose(0, 2, 1)
+    lam = np.linalg.inv(cov_t)
+    scaled_outcome = np.array(outcomes) / np.sqrt((c[:, None, :] @ c[:, :, None])[:, 0, 0])
+    cov_cond = np.linalg.inv(lam[:, 1:, 1:])
+    pull = (cov_cond @ lam[:, 1:, :1])[:, :, 0] * (scaled_outcome - mu_t[:, 0])[:, None]
+    mu_cond = mu_t[:, 1:] - pull
+    # back to the original coordinates; the measured direction is pinned at
+    # the outcome and contributes nothing to the conditional covariance
+    inv_L = np.linalg.inv(L)
+    pinned = np.concatenate([scaled_outcome[:, None], mu_cond], axis=1)
+    mu_full = (inv_L @ pinned[:, :, None])[:, :, 0]
+    back = inv_L[:, :, 1:]
+    return mu_full, back @ cov_cond @ back.transpose(0, 2, 1)
+
+
 def _oracle_condition(
     state: GaussianState, c: np.ndarray, outcome: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -226,30 +259,21 @@ def _oracle_condition(
     Completes c to a basis (``_oracle_basis``, exact outside the support of
     c), inverts the full transformed covariance, and reads the conditional
     moments of the complementary coordinates from the precision blocks; an
-    independent route from the Schur-complement update.
+    independent route from the Schur-complement update. The batch of one of
+    ``_stacked_oracle_condition``, which ``homodyne_oracle_checks`` runs per
+    mode-count stack to the same floats.
     """
-    L = _oracle_basis(c)  # row 0 is the measured direction
-    mu_t = L @ state.mean
-    cov_t = L @ state.cov @ L.T
-    lam = np.linalg.inv(cov_t)
-    lam_rr = lam[1:, 1:]
-    lam_r0 = lam[1:, 0]
-    scaled_outcome = outcome / np.linalg.norm(c)
-    cov_cond = np.linalg.inv(lam_rr)
-    mu_cond = mu_t[1:] - cov_cond @ lam_r0 * (scaled_outcome - mu_t[0])
-    # back to the original coordinates; the measured direction is pinned at
-    # the outcome and contributes nothing to the conditional covariance
-    inv_L = np.linalg.inv(L)
-    mu_full = inv_L @ np.concatenate([[scaled_outcome], mu_cond])
-    back = inv_L[:, 1:]
-    return mu_full, back @ cov_cond @ back.T
+    mu_full, cov_full = _stacked_oracle_condition([state], c[None], [outcome])
+    return mu_full[0], cov_full[0]
 
 
-def homodyne_oracle_checks() -> list[ProtocolCheck]:
-    """``homodyne`` on ORACLE_STATES random states against ``_oracle_condition``.
+def _oracle_stacks() -> Iterator[tuple[list[GaussianState], list[Quadrature], list[float]]]:
+    """The homodyne oracle check's states, quadratures and forced outcomes,
+    one stack per mode count in ascending order.
 
-    Every draw is made first, in the order of one state at a time; the
-    states are then built in stacks by mode count (``_build_states``).
+    Every draw is made first, in the order of one state at a time, with the
+    gates drawn as matrix entries; the states are then built per mode-count
+    stack (``_build_states``).
     """
     rng = np.random.Generator(np.random.PCG64(ORACLE_SEED))
     draws = []
@@ -260,21 +284,47 @@ def homodyne_oracle_checks() -> list[ProtocolCheck]:
         angle = rng.uniform(0.0, 2 * math.pi)
         quad = Quadrature(mode, math.cos(angle), math.sin(angle))
         draws.append((n_modes, state_draw, quad, float(rng.normal(0.0, 1.0))))
-    worst = 0.0
     for n_modes in sorted({n for n, *_ in draws}):
         group = [draw for draw in draws if draw[0] == n_modes]
         states = _build_states(n_modes, [state_draw for _, state_draw, _, _ in group])
-        for (_, _, quad, outcome), state in zip(group, states):
-            _, conditioned = homodyne(state, quad, forced=outcome)
-            c = np.zeros(2 * n_modes)
-            c[2 * quad.mode], c[2 * quad.mode + 1] = quad.c_x, quad.c_p
-            mu_full, cov_full = _oracle_condition(state, c, outcome)
-            keep = [k for k in range(2 * n_modes) if k not in (2 * quad.mode, 2 * quad.mode + 1)]
-            worst = max(
-                worst,
-                float(np.max(np.abs(conditioned.mean - mu_full[keep]))),
-                float(np.max(np.abs(conditioned.cov - cov_full[keep][:, keep]))),
-            )
+        yield states, [quad for *_, quad, _ in group], [outcome for *_, outcome in group]
+
+
+def _functionals(quads: list[Quadrature], n_modes: int) -> np.ndarray:
+    """One row c per quadrature, with c . q = c_x x + c_p p of its mode."""
+    c = np.zeros((len(quads), 2 * n_modes))
+    for row, quad in zip(c, quads):
+        row[2 * quad.mode], row[2 * quad.mode + 1] = quad.c_x, quad.c_p
+    return c
+
+
+def homodyne_oracle_checks() -> list[ProtocolCheck]:
+    """``homodyne`` on ORACLE_STATES random states against ``_oracle_condition``.
+
+    The states (``_oracle_stacks``) and the oracle
+    (``_stacked_oracle_condition``) are evaluated per mode-count stack, to
+    the floats of one state at a time; ``homodyne``, the function under
+    test, runs once per state.
+    """
+    worst = 0.0
+    for states, quads, outcomes in _oracle_stacks():
+        n_modes = states[0].n_modes
+        mu_full, cov_full = _stacked_oracle_condition(
+            states, _functionals(quads, n_modes), outcomes
+        )
+        conditioned = [
+            homodyne(state, quad, forced=outcome)[1]
+            for state, quad, outcome in zip(states, quads, outcomes)
+        ]
+        # row b keeps every coordinate but its measured mode's (x, p)
+        kept = np.arange(2 * n_modes - 2)
+        keep = kept + 2 * (kept >= 2 * np.array([[quad.mode] for quad in quads]))
+        b = np.arange(len(states))[:, None]
+        mean_dev = np.array([rest.mean for rest in conditioned]) - mu_full[b, keep]
+        cov_dev = np.array([rest.cov for rest in conditioned]) - cov_full[
+            b[:, :, None], keep[:, :, None], keep[:, None, :]
+        ]
+        worst = max(worst, float(np.max(np.abs(mean_dev))), float(np.max(np.abs(cov_dev))))
     return [ProtocolCheck("homodyne_matches_conditioning_oracle", worst <= 1e-10, worst)]
 
 

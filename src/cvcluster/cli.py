@@ -63,6 +63,8 @@ _SCALAR_FIELDS = {
 # field -> its largest value: a chain of MAX_CHAIN_STEPS steps
 _MAX_VALUES = {"n_nodes": MAX_CHAIN_STEPS + 1, "segments": MAX_CHAIN_STEPS // 4}
 _DEFAULTS = protocols.PARAMETER_DEFAULTS
+# input kind -> the keys besides "kind" that it reads
+_INPUT_KEYS = {"vacuum": (), "coherent": ("re", "im"), "squeezed": ("r", "axis")}
 _KNOWN_FIELDS = {
     "schema_version", "protocol", *_DEFAULTS, "input", "seed", "trials", "sweep", "output_path",
 }
@@ -162,6 +164,13 @@ def build_input_state(spec: dict) -> GaussianState:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("field 'input': expected an object with a 'kind'")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _INPUT_KEYS:
+        raise ConfigError(f"field 'input.kind': unknown kind {kind!r}")
+    for key, value in spec.items():
+        if key != "kind" and key not in _INPUT_KEYS[kind]:
+            raise ConfigError(f"field 'input.{key}': a {kind} input does not read it")
+        if isinstance(value, bool) and key in ("re", "im", "r"):
+            raise ConfigError(f"field 'input.{key}': expected a number, got a boolean")
     if kind == "vacuum":
         return vacuum_state(1)
     if kind == "coherent":
@@ -174,17 +183,15 @@ def build_input_state(spec: dict) -> GaussianState:
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ConfigError("field 'input': coherent re and im must be finite")
         return coherent_state(re, im)
-    if kind == "squeezed":
-        try:
-            r = float(spec["r"])
-            if not _finite_squeezing(r):
-                raise ValueError("squeezed r must be finite, with e^{2|r|} finite")
-            return squeezed_vacuum(r, str(spec["axis"]))
-        except KeyError as missing:
-            raise ConfigError(f"field 'input': squeezed input needs {missing}")
-        except (TypeError, ValueError) as bad:
-            raise ConfigError(f"field 'input': {bad}")
-    raise ConfigError(f"field 'input.kind': unknown kind {kind!r}")
+    try:  # squeezed
+        r = float(spec["r"])
+        if not _finite_squeezing(r):
+            raise ValueError("squeezed r must be finite, with e^{2|r|} finite")
+        return squeezed_vacuum(r, str(spec["axis"]))
+    except KeyError as missing:
+        raise ConfigError(f"field 'input': squeezed input needs {missing}")
+    except (TypeError, ValueError) as bad:
+        raise ConfigError(f"field 'input': {bad}")
 
 
 def _protocol_params(cfg: ExperimentConfig) -> dict:

@@ -256,6 +256,27 @@ class TestCommandErrors:
         assert captured.err == f"error: cannot write {target}: No such file or directory\n"
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ({"kind": "coherent", "re": 0.5, "im": True}, "im"),
+            ({"kind": "coherent", "re": False, "im": 0.0}, "re"),
+            ({"kind": "squeezed", "r": True, "axis": "x"}, "r"),
+            ({"kind": "squeezed", "r": 0.5, "axis": "p", "angle": 0.3}, "angle"),
+            ({"kind": "coherent", "re": 0.5, "im": 0.0, "r": 0.2}, "r"),
+            ({"kind": "vacuum", "re": 1.0}, "re"),
+        ],
+    )
+    def test_input_boolean_or_unread_key_exits_2(self, tmp_path, capsys, spec, key):
+        payload = {"protocol": "identity_chain", "input": spec}
+        out = tmp_path / "result.json"
+        argv = ["run", write_config(tmp_path, "cfg.json", payload), "--output", str(out)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: field 'input.{key}': ")
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_fidelity_sweep_rows(self, tmp_path):
@@ -442,6 +463,44 @@ def _homodyne_oracle_value_one_state_at_a_time():
     return worst
 
 
+def _oracle_condition_one_state(state, c, outcome):
+    """The precision-matrix route of the homodyne oracle for one state, with
+    per-matrix calls, kept as the reference for
+    ``checks._stacked_oracle_condition``."""
+    L = checks._oracle_basis(c)
+    mu_t = L @ state.mean
+    lam = np.linalg.inv(L @ state.cov @ L.T)
+    scaled_outcome = outcome / np.linalg.norm(c)
+    cov_cond = np.linalg.inv(lam[1:, 1:])
+    mu_cond = mu_t[1:] - cov_cond @ lam[1:, 0] * (scaled_outcome - mu_t[0])
+    inv_L = np.linalg.inv(L)
+    mu_full = inv_L @ np.concatenate([[scaled_outcome], mu_cond])
+    back = inv_L[:, 1:]
+    return mu_full, back @ cov_cond @ back.T
+
+
+def _assert_stacked_oracle_equals_one_state_route(states, quads, outcomes):
+    c = checks._functionals(quads, states[0].n_modes)
+    mu_full, cov_full = checks._stacked_oracle_condition(states, c, outcomes)
+    for state, row, outcome, mu, cov in zip(states, c, outcomes, mu_full, cov_full):
+        mu_ref, cov_ref = _oracle_condition_one_state(state, row, outcome)
+        assert np.array_equal(mu, mu_ref)
+        assert np.array_equal(cov, cov_ref)
+        single = checks._oracle_condition(state, row, outcome)
+        assert np.array_equal(single[0], mu_ref) and np.array_equal(single[1], cov_ref)
+
+
+def _identity_draw_seeds(count):
+    """Seeds whose 1-mode ``_draw_state`` draws a CZ, an identity slot, in
+    every one of its three gate slots."""
+    seeds = []
+    for seed in range(10**4):
+        if not checks._draw_state(np.random.Generator(np.random.PCG64(seed)), 1)[0]:
+            seeds.append(seed)
+        if len(seeds) == count:
+            return seeds
+
+
 class TestVerifySuite:
     @pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
     def test_oracle_states_equal_the_apply_gate_route(self, n_modes):
@@ -463,6 +522,41 @@ class TestVerifySuite:
             assert np.array_equal(state.mean, reference.mean)
             assert np.array_equal(state.cov, reference.cov)
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    def test_stacked_oracle_equals_the_one_state_route_on_every_verify_state(self):
+        stacks = list(checks._oracle_stacks())
+        assert [states[0].n_modes for states, _, _ in stacks] == [2, 3, 4]
+        assert sum(len(states) for states, _, _ in stacks) == checks.ORACLE_STATES
+        for states, quads, outcomes in stacks:
+            _assert_stacked_oracle_equals_one_state_route(states, quads, outcomes)
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
+    def test_stacked_oracle_equals_the_one_state_route_on_random_stacks(self, n_modes):
+        rng = np.random.Generator(np.random.PCG64(40 + n_modes))
+        states = checks._build_states(
+            n_modes, [checks._draw_state(rng, n_modes) for _ in range(24)]
+        )
+        # exact axes make c_x or c_p an exact zero
+        axes = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+        angles = rng.uniform(0.0, 2 * math.pi, size=len(states) - len(axes))
+        coefficients = axes + [(math.cos(a), math.sin(a)) for a in angles]
+        quads = [
+            cv.Quadrature(int(rng.integers(n_modes)), c_x, c_p) for c_x, c_p in coefficients
+        ]
+        outcomes = [float(x) for x in rng.normal(0.0, 1.0, size=len(states))]
+        _assert_stacked_oracle_equals_one_state_route(states, quads, outcomes)
+
+    def test_one_mode_stack_of_identity_slots_only(self):
+        seeds = _identity_draw_seeds(3)
+        draws = [checks._draw_state(np.random.Generator(np.random.PCG64(s)), 1) for s in seeds]
+        assert all(entries == [] for entries, _ in draws)
+        states = checks._build_states(1, draws)
+        for seed, state in zip(seeds, states):
+            reference = _random_state_by_apply_gate(np.random.Generator(np.random.PCG64(seed)), 1)
+            assert np.array_equal(state.mean, reference.mean)
+            assert np.array_equal(state.cov, reference.cov)
+        quads = [cv.Quadrature(0, c_x, c_p) for c_x, c_p in ((1.0, 0.0), (0.0, -1.0), (0.6, 0.8))]
+        _assert_stacked_oracle_equals_one_state_route(states, quads, [0.3, -1.2, 2.0])
 
     def test_oracle_value_equals_the_one_state_at_a_time_loop(self, monkeypatch):
         value = checks.homodyne_oracle_checks()[0].value

@@ -751,16 +751,27 @@ def _patch_squeezed_variance(monkeypatch, scale):
     monkeypatch.setattr(engine, "_resource_variances", scaled)
 
 
+def _failed_rows_with_homodyne_moved(monkeypatch, mean_shift, cov_shift):
+    """The failing ``run_all_checks`` rows once every conditioned state that
+    ``verify``'s ``homodyne`` returns has its mean and covariance moved."""
+    homodyne = checks.homodyne
+
+    def moved(state, quad, **kwargs):
+        outcome, rest = homodyne(state, quad, **kwargs)
+        return outcome, cv.GaussianState(rest.mean + mean_shift, rest.cov + cov_shift)
+
+    monkeypatch.setattr(checks, "homodyne", moved)
+    return [row for row in checks.run_all_checks() if not row.passed]
+
+
 class TestNamedChecksFailUnderMutation:
     def test_homodyne_mean_off_by_1e_8_fails_the_oracle_check(self, monkeypatch):
-        homodyne = checks.homodyne
+        failed = _failed_rows_with_homodyne_moved(monkeypatch, mean_shift=1e-8, cov_shift=0.0)
+        assert [row.name for row in failed] == ["homodyne_matches_conditioning_oracle"]
+        assert failed[0].value == pytest.approx(1e-8, rel=1e-3)
 
-        def shifted(state, quad, **kwargs):
-            outcome, rest = homodyne(state, quad, **kwargs)
-            return outcome, cv.GaussianState(rest.mean + 1e-8, rest.cov)
-
-        monkeypatch.setattr(checks, "homodyne", shifted)
-        failed = [row for row in checks.run_all_checks() if not row.passed]
+    def test_homodyne_cov_off_by_1e_8_fails_the_oracle_check(self, monkeypatch):
+        failed = _failed_rows_with_homodyne_moved(monkeypatch, mean_shift=0.0, cov_shift=1e-8)
         assert [row.name for row in failed] == ["homodyne_matches_conditioning_oracle"]
         assert failed[0].value == pytest.approx(1e-8, rel=1e-3)
 
