@@ -3,7 +3,9 @@
 Each check returns a ProtocolCheck with the measured value, so the table the
 CLI prints doubles as a numerical record (in particular the cubic-scaling
 ratios). Gate constructors are injectable so a deliberately corrupted gate
-can be shown to fail.
+can be shown to fail. The homodyne check conditions random states with
+``homodyne`` and with an independent precision-matrix oracle that works in
+the measured mode's own frame.
 """
 
 from __future__ import annotations
@@ -192,79 +194,38 @@ def _build_states(n_modes: int, draws: list[tuple[list, np.ndarray]]) -> list[Ga
     return [GaussianState(shift, c) for (_, shift), c in zip(draws, cov)]
 
 
-def _random_state(rng: np.random.Generator, n_modes: int) -> GaussianState:
-    """A random displaced Gaussian state: 3 n_modes random gates on the vacuum.
-
-    The batch of one of ``_build_states``; ``homodyne_oracle_checks`` builds
-    its states in stacks by mode count, from the same draws to the same floats.
-    """
-    return _build_states(n_modes, [_draw_state(rng, n_modes)])[0]
-
-
-def _oracle_basis(c: np.ndarray) -> np.ndarray:
-    """Rows: c normalized, then Gram-Schmidt over the unit vectors e_k.
-
-    Only an e_k with c_k != 0 needs arithmetic. Any other e_k has exact zero
-    dot products with every row so far (each of those is c, another such
-    e_j, or lies in the support of c), so it passes through unchanged and
-    the rows are those of the Gram-Schmidt loop over every e_k. For a
-    homodyne functional that support is the measured mode's (x, p).
-    """
-    spanned = [c / np.linalg.norm(c)]
-    basis = list(spanned)
-    for k, e in enumerate(np.eye(c.size)):
-        if c[k] == 0.0:
-            basis.append(e)
-            continue
-        w = e - sum(np.dot(e, b) * b for b in spanned)
-        norm = np.linalg.norm(w)
-        if norm > 1e-9:
-            spanned.append(w / norm)
-            basis.append(spanned[-1])
-    return np.array(basis)
-
-
-def _stacked_oracle_condition(
-    states: list[GaussianState], c: np.ndarray, outcomes: list[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_oracle_condition`` for B states of one mode count, as stacks.
-
-    ``c`` is (B, 2N); the results are (B, 2N) and (B, 2N, 2N). Every step is
-    the stacked form of the per-state matrix call (``inv``, matmul, mat-vec;
-    |c| as a vector-vector matmul, which is the dot product of
-    ``np.linalg.norm``), so each state gets the floats of a batch of one.
-    """
-    L = np.array([_oracle_basis(row) for row in c])  # row 0 is the measured direction
-    mu_t = (L @ np.array([state.mean for state in states])[:, :, None])[:, :, 0]
-    cov_t = L @ np.array([state.cov for state in states]) @ L.transpose(0, 2, 1)
-    lam = np.linalg.inv(cov_t)
-    scaled_outcome = np.array(outcomes) / np.sqrt((c[:, None, :] @ c[:, :, None])[:, 0, 0])
-    cov_cond = np.linalg.inv(lam[:, 1:, 1:])
-    pull = (cov_cond @ lam[:, 1:, :1])[:, :, 0] * (scaled_outcome - mu_t[:, 0])[:, None]
-    mu_cond = mu_t[:, 1:] - pull
-    # back to the original coordinates; the measured direction is pinned at
-    # the outcome and contributes nothing to the conditional covariance
-    inv_L = np.linalg.inv(L)
-    pinned = np.concatenate([scaled_outcome[:, None], mu_cond], axis=1)
-    mu_full = (inv_L @ pinned[:, :, None])[:, :, 0]
-    back = inv_L[:, :, 1:]
-    return mu_full, back @ cov_cond @ back.transpose(0, 2, 1)
-
-
 def _oracle_condition(
-    state: GaussianState, c: np.ndarray, outcome: float
+    states: list[GaussianState], quads: list[Quadrature], outcomes: list[float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Brute-force joint-Gaussian conditioning through the precision matrix.
+    """Brute-force joint-Gaussian conditioning through the precision matrix,
+    for B states of one mode count: an independent route from ``homodyne``'s
+    Schur-complement update.
 
-    Completes c to a basis (``_oracle_basis``, exact outside the support of
-    c), inverts the full transformed covariance, and reads the conditional
-    moments of the complementary coordinates from the precision blocks; an
-    independent route from the Schur-complement update. The batch of one of
-    ``_stacked_oracle_condition``, which ``homodyne_oracle_checks`` runs per
-    mode-count stack to the same floats.
+    Each state goes into the measured mode's own frame, orthonormal to
+    rounding: row 0 of the map is c / |c| on the measured mode, row 1 its
+    complement (-c_p, c_x) / |c|, and the other rows are every other
+    quadrature, unchanged and in order. The transformed covariance is
+    inverted, the conditional moments of rows 1.. are read from the
+    precision blocks with row 0 pinned at outcome / |c|, and the complement
+    row is dropped. Returns the other modes' means (B, 2N-2) and covariances
+    (B, 2N-2, 2N-2), in ``homodyne``'s order.
     """
-    mu_full, cov_full = _stacked_oracle_condition([state], c[None], [outcome])
-    return mu_full[0], cov_full[0]
+    dim = 2 * states[0].n_modes
+    b = np.arange(len(states))
+    x = 2 * np.array([quad.mode for quad in quads])
+    norm = np.array([math.hypot(quad.c_x, quad.c_p) for quad in quads])
+    u_x = np.array([quad.c_x for quad in quads]) / norm
+    u_p = np.array([quad.c_p for quad in quads]) / norm
+    L = np.zeros((len(states), dim, dim))
+    L[b, 0, x], L[b, 0, x + 1], L[b, 1, x], L[b, 1, x + 1] = u_x, u_p, -u_p, u_x
+    others = np.arange(dim - 2) + 2 * (np.arange(dim - 2) >= x[:, None])
+    L[b[:, None], np.arange(2, dim), others] = 1.0
+    mu_t = (L @ np.array([state.mean for state in states])[:, :, None])[:, :, 0]
+    lam = np.linalg.inv(L @ np.array([state.cov for state in states]) @ L.transpose(0, 2, 1))
+    cov_cond = np.linalg.inv(lam[:, 1:, 1:])
+    residual = np.array(outcomes) / norm - mu_t[:, 0]
+    pull = (cov_cond @ lam[:, 1:, :1])[:, :, 0] * residual[:, None]
+    return (mu_t[:, 1:] - pull)[:, 1:], cov_cond[:, 1:, 1:]
 
 
 def _oracle_stacks() -> Iterator[tuple[list[GaussianState], list[Quadrature], list[float]]]:
@@ -290,40 +251,22 @@ def _oracle_stacks() -> Iterator[tuple[list[GaussianState], list[Quadrature], li
         yield states, [quad for *_, quad, _ in group], [outcome for *_, outcome in group]
 
 
-def _functionals(quads: list[Quadrature], n_modes: int) -> np.ndarray:
-    """One row c per quadrature, with c . q = c_x x + c_p p of its mode."""
-    c = np.zeros((len(quads), 2 * n_modes))
-    for row, quad in zip(c, quads):
-        row[2 * quad.mode], row[2 * quad.mode + 1] = quad.c_x, quad.c_p
-    return c
-
-
 def homodyne_oracle_checks() -> list[ProtocolCheck]:
     """``homodyne`` on ORACLE_STATES random states against ``_oracle_condition``.
 
-    The states (``_oracle_stacks``) and the oracle
-    (``_stacked_oracle_condition``) are evaluated per mode-count stack, to
-    the floats of one state at a time; ``homodyne``, the function under
-    test, runs once per state.
+    The states (``_oracle_stacks``) and the oracle are evaluated per
+    mode-count stack; ``homodyne``, the function under test, runs once per
+    state.
     """
     worst = 0.0
     for states, quads, outcomes in _oracle_stacks():
-        n_modes = states[0].n_modes
-        mu_full, cov_full = _stacked_oracle_condition(
-            states, _functionals(quads, n_modes), outcomes
-        )
+        mean, cov = _oracle_condition(states, quads, outcomes)
         conditioned = [
             homodyne(state, quad, forced=outcome)[1]
             for state, quad, outcome in zip(states, quads, outcomes)
         ]
-        # row b keeps every coordinate but its measured mode's (x, p)
-        kept = np.arange(2 * n_modes - 2)
-        keep = kept + 2 * (kept >= 2 * np.array([[quad.mode] for quad in quads]))
-        b = np.arange(len(states))[:, None]
-        mean_dev = np.array([rest.mean for rest in conditioned]) - mu_full[b, keep]
-        cov_dev = np.array([rest.cov for rest in conditioned]) - cov_full[
-            b[:, :, None], keep[:, :, None], keep[:, None, :]
-        ]
+        mean_dev = np.array([rest.mean for rest in conditioned]) - mean
+        cov_dev = np.array([rest.cov for rest in conditioned]) - cov
         worst = max(worst, float(np.max(np.abs(mean_dev))), float(np.max(np.abs(cov_dev))))
     return [ProtocolCheck("homodyne_matches_conditioning_oracle", worst <= 1e-10, worst)]
 

@@ -102,6 +102,9 @@ class Quadrature:
     c_p: float
 
     def __post_init__(self):
+        for name, value in (("c_x", self.c_x), ("c_p", self.c_p)):
+            if not math.isfinite(value):
+                raise ValueError(f"quadrature coefficient {name} must be finite, got {value}")
         if self.c_x == 0.0 and self.c_p == 0.0:
             raise ValueError("quadrature coefficients (c_x, c_p) must not both be zero")
 
@@ -329,7 +332,7 @@ def homodyne(
 
     The outcome is the value of the linear functional ``c_x x + c_p p`` of the
     measured mode: sampled from its normal distribution when ``rng`` is given,
-    or set to ``forced``. The remaining modes are updated by exact Gaussian
+    or set to ``forced``, which must be finite. The remaining modes are updated by exact Gaussian
     conditioning on that functional (Schur complement), after which the
     measured mode is dropped entirely.
 
@@ -342,6 +345,8 @@ def homodyne(
     """
     if state.n_modes < 1:
         raise ValueError("state must have at least one mode")
+    if forced is not None and not math.isfinite(forced):
+        raise ValueError(f"forced outcome must be finite, got {forced}")
     i, j = state.mode_indices(quad.mode)
     c = np.zeros(2 * state.n_modes)
     c[i], c[j] = quad.c_x, quad.c_p

@@ -2,8 +2,9 @@
 
 The oracles deliberately take different computational routes from the code
 they check: gate matrices come from exponentiating the commutator generator,
-Gaussian conditioning goes through the full precision matrix (shared with
-``verify``), and the chain channel comes from a plain 2x2 recursion.
+Gaussian conditioning goes through the full precision matrix in the
+measured mode's own frame (shared with ``verify``), and the chain channel
+comes from a plain 2x2 recursion.
 """
 
 from __future__ import annotations
@@ -34,17 +35,22 @@ def heisenberg_oracle(G: np.ndarray) -> np.ndarray:
 
 
 def condition_on_functional_oracle(
-    mean: np.ndarray, cov: np.ndarray, c: np.ndarray, outcome: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Condition a joint Gaussian on c . q = outcome via the precision matrix
-    (``checks._oracle_condition``, which ``verify`` runs too)."""
-    return checks._oracle_condition(cv.GaussianState(mean, cov), c, outcome)
+    state: cv.GaussianState, quad: cv.Quadrature, outcome: float
+) -> tuple[float, cv.GaussianState]:
+    """What ``homodyne(state, quad, forced=outcome)`` returns, by conditioning
+    through the precision matrix in the measured mode's own frame
+    (``checks._oracle_condition``, which ``verify`` runs too). The two
+    inverses leave the covariance symmetric only to rounding, so it is
+    symmetrized for ``GaussianState``, as ``homodyne`` does."""
+    mean, cov = checks._oracle_condition([state], [quad], [outcome])
+    return outcome, cv.GaussianState(mean[0], 0.5 * (cov[0] + cov[0].T))
 
 
 def random_gaussian_state(seed: int, n_modes: int, displaced: bool = True) -> cv.GaussianState:
     """A well-conditioned random pure state built from bounded basic gates
-    (``checks._random_state``), seeded per call."""
-    state = checks._random_state(np.random.Generator(np.random.PCG64(seed)), n_modes)
+    (``checks._draw_state`` and ``checks._build_states``), seeded per call."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    state = checks._build_states(n_modes, [checks._draw_state(rng, n_modes)])[0]
     # the gates leave the mean at zero; the displacement is the last draw
     return state if displaced else cv.GaussianState(np.zeros(2 * n_modes), state.cov)
 

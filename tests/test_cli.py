@@ -407,7 +407,8 @@ class TestParser:
 
 def _random_state_by_apply_gate(rng, n_modes):
     """The oracle states as they were built with one validated ``apply_gate``
-    state per gate, kept as the reference for ``checks._random_state``."""
+    state per gate, kept as the reference for ``checks._draw_state`` and
+    ``checks._build_states``."""
     state = cv.vacuum_state(n_modes)
     for _ in range(3 * n_modes):
         mode = int(rng.integers(n_modes))
@@ -426,21 +427,10 @@ def _random_state_by_apply_gate(rng, n_modes):
     return cv.GaussianState(mean, state.cov)
 
 
-def _full_oracle_basis(c):
-    """Gram-Schmidt over every unit vector e_k, kept as the reference for
-    ``checks._oracle_basis``."""
-    basis = [c / np.linalg.norm(c)]
-    for e in np.eye(c.size):
-        w = e - sum(np.dot(e, b) * b for b in basis)
-        if np.linalg.norm(w) > 1e-9:
-            basis.append(w / np.linalg.norm(w))
-    return np.vstack(basis)
-
-
 def _homodyne_oracle_value_one_state_at_a_time():
     """The homodyne oracle check's value with each state drawn and built in
-    turn by the ``apply_gate`` route; run with ``_full_oracle_basis`` in
-    place of ``checks._oracle_basis``."""
+    turn by the ``apply_gate`` route and conditioned by
+    ``_oracle_condition_one_state``."""
     rng = np.random.Generator(np.random.PCG64(checks.ORACLE_SEED))
     worst = 0.0
     for _ in range(checks.ORACLE_STATES):
@@ -451,43 +441,41 @@ def _homodyne_oracle_value_one_state_at_a_time():
         quad = cv.Quadrature(mode, math.cos(angle), math.sin(angle))
         outcome = float(rng.normal(0.0, 1.0))
         _, conditioned = cv.homodyne(state, quad, forced=outcome)
-        c = np.zeros(2 * n_modes)
-        c[2 * mode], c[2 * mode + 1] = quad.c_x, quad.c_p
-        mu_full, cov_full = checks._oracle_condition(state, c, outcome)
-        keep = [k for k in range(2 * n_modes) if k not in (2 * mode, 2 * mode + 1)]
+        mean, cov = _oracle_condition_one_state(state, quad, outcome)
         worst = max(
             worst,
-            float(np.max(np.abs(conditioned.mean - mu_full[keep]))),
-            float(np.max(np.abs(conditioned.cov - cov_full[np.ix_(keep, keep)]))),
+            float(np.max(np.abs(conditioned.mean - mean))),
+            float(np.max(np.abs(conditioned.cov - cov))),
         )
     return worst
 
 
-def _oracle_condition_one_state(state, c, outcome):
-    """The precision-matrix route of the homodyne oracle for one state, with
-    per-matrix calls, kept as the reference for
-    ``checks._stacked_oracle_condition``."""
-    L = checks._oracle_basis(c)
+def _oracle_condition_one_state(state, quad, outcome):
+    """The precision-matrix route of the homodyne oracle for one state, in
+    the measured mode's own frame, with per-matrix calls; kept as the
+    reference for the stacked ``checks._oracle_condition``."""
+    dim, x = 2 * state.n_modes, 2 * quad.mode
+    norm = math.hypot(quad.c_x, quad.c_p)
+    u_x, u_p = quad.c_x / norm, quad.c_p / norm
+    L = np.zeros((dim, dim))
+    L[0, x], L[0, x + 1], L[1, x], L[1, x + 1] = u_x, u_p, -u_p, u_x
+    for row, k in enumerate([k for k in range(dim) if k not in (x, x + 1)], start=2):
+        L[row, k] = 1.0
     mu_t = L @ state.mean
     lam = np.linalg.inv(L @ state.cov @ L.T)
-    scaled_outcome = outcome / np.linalg.norm(c)
     cov_cond = np.linalg.inv(lam[1:, 1:])
-    mu_cond = mu_t[1:] - cov_cond @ lam[1:, 0] * (scaled_outcome - mu_t[0])
-    inv_L = np.linalg.inv(L)
-    mu_full = inv_L @ np.concatenate([[scaled_outcome], mu_cond])
-    back = inv_L[:, 1:]
-    return mu_full, back @ cov_cond @ back.T
+    mu_cond = mu_t[1:] - cov_cond @ lam[1:, 0] * (outcome / norm - mu_t[0])
+    return mu_cond[1:], cov_cond[1:, 1:]
 
 
 def _assert_stacked_oracle_equals_one_state_route(states, quads, outcomes):
-    c = checks._functionals(quads, states[0].n_modes)
-    mu_full, cov_full = checks._stacked_oracle_condition(states, c, outcomes)
-    for state, row, outcome, mu, cov in zip(states, c, outcomes, mu_full, cov_full):
-        mu_ref, cov_ref = _oracle_condition_one_state(state, row, outcome)
+    mean, cov = checks._oracle_condition(states, quads, outcomes)
+    for state, quad, outcome, mu, sigma in zip(states, quads, outcomes, mean, cov):
+        mu_ref, cov_ref = _oracle_condition_one_state(state, quad, outcome)
         assert np.array_equal(mu, mu_ref)
-        assert np.array_equal(cov, cov_ref)
-        single = checks._oracle_condition(state, row, outcome)
-        assert np.array_equal(single[0], mu_ref) and np.array_equal(single[1], cov_ref)
+        assert np.array_equal(sigma, cov_ref)
+        single = checks._oracle_condition([state], [quad], [outcome])
+        assert np.array_equal(single[0][0], mu_ref) and np.array_equal(single[1][0], cov_ref)
 
 
 def _identity_draw_seeds(count):
@@ -506,7 +494,7 @@ class TestVerifySuite:
     def test_oracle_states_equal_the_apply_gate_route(self, n_modes):
         for seed in range(25):
             rngs = [np.random.Generator(np.random.PCG64(seed)) for _ in range(2)]
-            state = checks._random_state(rngs[0], n_modes)
+            state = checks._build_states(n_modes, [checks._draw_state(rngs[0], n_modes)])[0]
             reference = _random_state_by_apply_gate(rngs[1], n_modes)
             assert np.array_equal(state.mean, reference.mean)
             assert np.array_equal(state.cov, reference.cov)
@@ -558,32 +546,9 @@ class TestVerifySuite:
         quads = [cv.Quadrature(0, c_x, c_p) for c_x, c_p in ((1.0, 0.0), (0.0, -1.0), (0.6, 0.8))]
         _assert_stacked_oracle_equals_one_state_route(states, quads, [0.3, -1.2, 2.0])
 
-    def test_oracle_value_equals_the_one_state_at_a_time_loop(self, monkeypatch):
+    def test_oracle_value_equals_the_one_state_at_a_time_loop(self):
         value = checks.homodyne_oracle_checks()[0].value
-        monkeypatch.setattr(checks, "_oracle_basis", _full_oracle_basis)
         assert value == _homodyne_oracle_value_one_state_at_a_time()
-
-    @pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
-    def test_oracle_basis_equals_the_full_gram_schmidt(self, n_modes):
-        rng = np.random.Generator(np.random.PCG64(7 + n_modes))
-        axes = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
-        for mode in range(n_modes):
-            for angle in [*rng.uniform(0.0, 2 * math.pi, size=25), *axes]:
-                c = np.zeros(2 * n_modes)
-                c[2 * mode], c[2 * mode + 1] = math.cos(angle), math.sin(angle)
-                assert np.array_equal(checks._oracle_basis(c), _full_oracle_basis(c))
-
-    @pytest.mark.parametrize("c_x, c_p", [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
-    def test_oracle_basis_on_a_quadrature_axis(self, c_x, c_p):
-        # one of c_x, c_p is an exact zero: that unit vector passes through
-        # and the other one is dropped as parallel to c
-        for n_modes in (1, 2, 3):
-            for mode in range(n_modes):
-                c = np.zeros(2 * n_modes)
-                c[2 * mode], c[2 * mode + 1] = c_x, c_p
-                basis = checks._oracle_basis(c)
-                assert basis.shape == (2 * n_modes, 2 * n_modes)
-                assert np.array_equal(basis, _full_oracle_basis(c))
 
     def test_all_checks_pass_on_fresh_build(self):
         results = checks.run_all_checks()

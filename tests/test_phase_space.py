@@ -351,12 +351,26 @@ class TestHomodyne:
         quad = cv.Quadrature(mode, math.cos(angle), math.sin(angle))
         outcome = float(rng.normal())
         _, rest = cv.homodyne(state, quad, forced=outcome)
-        c = np.zeros(2 * n_modes)
-        c[2 * mode], c[2 * mode + 1] = quad.c_x, quad.c_p
-        mu_full, cov_full = condition_on_functional_oracle(state.mean, state.cov, c, outcome)
-        keep = [k for k in range(2 * n_modes) if k not in (2 * mode, 2 * mode + 1)]
-        np.testing.assert_allclose(rest.mean, mu_full[keep], atol=1e-10)
-        np.testing.assert_allclose(rest.cov, cov_full[np.ix_(keep, keep)], atol=1e-10)
+        _, expected = condition_on_functional_oracle(state, quad, outcome)
+        np.testing.assert_allclose(rest.mean, expected.mean, atol=1e-10)
+        np.testing.assert_allclose(rest.cov, expected.cov, atol=1e-10)
+
+    @pytest.mark.parametrize("scale", [-3.0, 1e-3, 1e3])
+    def test_conditioning_oracle_is_invariant_under_scaling_the_functional(self, scale):
+        # c -> scale c with outcome -> scale outcome is the same measurement;
+        # the oracle's 1/|c| must take the scale out
+        rng = np.random.Generator(np.random.PCG64(17))
+        for n_modes in (2, 3, 4):
+            state = random_gaussian_state(int(rng.integers(2**31)), n_modes)
+            mode = int(rng.integers(n_modes))
+            angle = float(rng.uniform(0, 2 * math.pi))
+            c_x, c_p, outcome = math.cos(angle), math.sin(angle), float(rng.normal())
+            _, unit = condition_on_functional_oracle(state, cv.Quadrature(mode, c_x, c_p), outcome)
+            _, scaled = condition_on_functional_oracle(
+                state, cv.Quadrature(mode, scale * c_x, scale * c_p), scale * outcome
+            )
+            np.testing.assert_allclose(scaled.mean, unit.mean, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(scaled.cov, unit.cov, rtol=0, atol=1e-10)
 
     def test_sampled_outcome_distribution(self):
         state = cv.squeezed_vacuum(0.5, "p")
@@ -392,6 +406,25 @@ class TestHomodyne:
     def test_quadrature_rejects_zero_coefficients(self):
         with pytest.raises(ValueError):
             cv.Quadrature(0, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "c_x, c_p, name",
+        [
+            (math.nan, 1.0, "c_x"),
+            (1.0, math.nan, "c_p"),
+            (math.inf, 0.0, "c_x"),
+            (0.0, -math.inf, "c_p"),
+        ],
+    )
+    def test_quadrature_rejects_non_finite_coefficients(self, c_x, c_p, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            cv.Quadrature(0, c_x, c_p)
+
+    @pytest.mark.parametrize("forced", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_forced_outcome(self, forced):
+        state = random_gaussian_state(3, 2)
+        with pytest.raises(ValueError, match="forced outcome must be finite"):
+            cv.homodyne(state, cv.Quadrature(0, 1.0, 0.0), forced=forced)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
