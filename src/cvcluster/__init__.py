@@ -40,6 +40,7 @@ from .engine import (
     ByproductFrame,
     GaussianChannel,
     MeasurementRecord,
+    RecordColumns,
     StepPlan,
     affine_channel,
     apply_correction,

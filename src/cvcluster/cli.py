@@ -9,8 +9,12 @@ Configs and result documents are JSON with a ``schema_version`` field.
 Floats are serialized with Python's shortest round-trip repr, so identical
 config + seed produce byte-identical documents and parsing a document and
 re-emitting it is the identity; printed summaries quote values to 12
-significant digits. Randomness comes from numpy's PCG64 generator seeded
-from the config (CLI --seed overrides), which is stable across platforms.
+significant digits. One writer, ``emit_json``, writes every document: its
+text is byte for byte that of ``json.dumps(doc, sort_keys=True, indent=2,
+allow_nan=False)``, but each container is joined from its items' texts
+rather than run through json's pure-Python indented encoder. Randomness
+comes from numpy's PCG64 generator seeded from the config (CLI --seed
+overrides), which is stable across platforms.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -130,7 +135,7 @@ class ExperimentConfig:
                 setattr(cfg, name, _checked_scalar(name, raw[name]))
         if "input" in raw:
             cfg.input = raw["input"]
-            build_input_state(cfg.input)  # validate eagerly
+            cfg.input_state  # validate eagerly
         if "output_path" in raw and raw["output_path"] is not None:
             cfg.output_path = str(raw["output_path"])
         if "sweep" in raw and raw["sweep"] is not None:
@@ -146,6 +151,12 @@ class ExperimentConfig:
                 _checked_scalar(sweep["param"], value, f"sweep.values[{i}]")
             cfg.sweep = {"param": str(sweep["param"]), "values": list(sweep["values"])}
         return cfg
+
+    @cached_property
+    def input_state(self) -> GaussianState:
+        """The state ``input`` describes, built (and validated) at the first
+        read and kept: ``from_dict`` sets ``input`` before reading it."""
+        return build_input_state(self.input)
 
     def to_dict(self) -> dict:
         return {
@@ -196,7 +207,7 @@ def build_input_state(spec: dict) -> GaussianState:
 
 def _protocol_params(cfg: ExperimentConfig) -> dict:
     params = {name: getattr(cfg, name) for name in _DEFAULTS}
-    params["input_state"] = build_input_state(cfg.input)
+    params["input_state"] = cfg.input_state
     return params
 
 
@@ -231,9 +242,60 @@ def sweep_table(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     return list(rows[0]), [list(row.values()) for row in rows]
 
 
+def _float_text(value: float) -> str:
+    if not math.isfinite(value):  # NaN and infinity are not JSON
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+_json_string = json.encoder.encode_basestring_ascii
+# exact builtin leaf type -> its text as json.dumps writes it
+_LEAF_TEXT = {
+    float: _float_text,
+    int: int.__repr__,
+    str: _json_string,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2,
+    allow_nan=False)`` writes it, nested at ``indent``; dict keys must be
+    strings. The containers' loops write their leaves themselves, which
+    saves a call per leaf."""
+    leaf = _LEAF_TEXT.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        texts = []
+        for key in sorted(value):
+            item = value[key]
+            leaf = _LEAF_TEXT.get(type(item))
+            text = leaf(item) if leaf is not None else _json_text(item, inner)
+            texts.append(_json_string(key) + ": " + text)
+        return "{\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        texts = []
+        for item in value:
+            leaf = _LEAF_TEXT.get(type(item))
+            texts.append(leaf(item) if leaf is not None else _json_text(item, inner))
+        return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]"
+    # a leaf of another type, e.g. a numpy float, as json writes it alone
+    return json.dumps(value, allow_nan=False)
+
+
 def emit_json(doc: dict) -> str:
-    # NaN and infinity are not JSON; refuse them rather than write them
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """The document's text: exactly ``json.dumps(doc, sort_keys=True,
+    indent=2, allow_nan=False) + "\\n"`` for a document with string keys,
+    written without json's pure-Python indented encoder. A NaN or an
+    infinity anywhere raises ``ValueError``."""
+    return _json_text(doc, "") + "\n"
 
 
 def parse_result(text: str) -> dict:

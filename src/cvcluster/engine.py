@@ -29,7 +29,10 @@ O(k) in the number of steps:
   applying the banded functionals; only ``run_protocol`` folds them through
   ``update_frame`` into a byproduct frame. The channel never reads them, so
   a protocol report draws its records the first time they are read, and a
-  report read only for its channel draws none.
+  report read only for its channel draws none. A trial's records are drawn
+  as ``RecordColumns`` (kappa, theta, raw and rescaled outcome), and what
+  does not depend on the trial's seed (the basis, the resource deviations,
+  the input's factor) is computed once per report in ``_ChainDraw``.
 
 Teleportation-style protocols (``dual_step`` and the off-line reports) share
 one path, ``_teleportation``: given their output and measured rows over the
@@ -51,7 +54,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,6 +98,23 @@ class MeasurementRecord:
     theta: float
     raw_outcome: float
     rescaled_outcome: float
+
+
+class RecordColumns(NamedTuple):
+    """One trial's measurement records as columns of Python numbers, in
+    ``MeasurementRecord``'s field order; entry j of every column is record j.
+    Columns that do not depend on the outcomes are shared by every trial of
+    a report."""
+
+    step_index: Sequence[int]
+    mode: Sequence[int]
+    kappa: Sequence[float]
+    theta: Sequence[float]
+    raw_outcome: Sequence[float]
+    rescaled_outcome: Sequence[float]
+
+    def rows(self) -> tuple[MeasurementRecord, ...]:
+        return tuple(map(MeasurementRecord, *self))
 
 
 @dataclass(frozen=True)
@@ -261,71 +282,79 @@ def _forced_outcomes(outcome_source, k: int) -> np.ndarray:
 
 def _sample_or_force(
     mean: np.ndarray,
-    cov: np.ndarray,
+    factor: np.ndarray,
     outcome_source,
     k: int,
 ) -> np.ndarray:
-    """Joint outcome vector: forced raw values, or one draw from N(mean, cov)."""
+    """Joint outcome vector: forced raw values, or one draw from
+    N(mean, factor factor^T), ``factor`` the covariance's Cholesky factor."""
     rng = _generator(outcome_source)
     if rng is None:
         return _forced_outcomes(outcome_source, k)
-    chol = np.linalg.cholesky(cov)
-    return mean + chol @ rng.standard_normal(k)
+    return mean + factor @ rng.standard_normal(k)
 
 
-def _sample_functionals(
-    rng: np.random.Generator,
-    input_state: GaussianState,
-    kappas: np.ndarray,
-    var_x: float,
-    var_p: float,
-) -> np.ndarray:
+@dataclass(frozen=True)
+class _ChainDraw:
+    """What every trial's outcome draw of one chain reads: the measurement
+    basis, the resource deviations and the input's moments. Built once per
+    report; the input's Cholesky factor is taken at the first sampled draw,
+    so forced outcomes need none."""
+
+    input_state: GaussianState
+    kappas: np.ndarray
+    cluster_r: float
+
+    def __post_init__(self):
+        if self.input_state.n_modes != 1:
+            raise ValueError("input must be a single-mode state")
+
+    @cached_property
+    def columns(self) -> tuple[range, list[float], list[float], np.ndarray]:
+        """The outcome-free columns (step and mode index, kappa, theta) and
+        the rescale factors 1/cos(theta)."""
+        thetas, rescales = measurement_basis(self.kappas)
+        return range(self.kappas.size), self.kappas.tolist(), thetas.tolist(), rescales
+
+    @cached_property
+    def resource_deviations(self) -> tuple[float, float]:
+        var_x, var_p = _resource_variances(self.cluster_r)
+        return math.sqrt(var_x), math.sqrt(var_p)
+
+    @cached_property
+    def input_factor(self) -> np.ndarray:
+        return np.linalg.cholesky(self.input_state.cov)
+
+
+def _sample_functionals(rng: np.random.Generator, draw: _ChainDraw) -> np.ndarray:
     """One exact draw of (m_0..m_{k-1}): sample the product state, then apply
     the banded functionals."""
+    kappas = draw.kappas
     k = kappas.size
+    sd_x, sd_p = draw.resource_deviations
     z = rng.standard_normal(2 * (k + 1))
-    q_in = input_state.mean + np.linalg.cholesky(input_state.cov) @ z[:2]
+    q_in = draw.input_state.mean + draw.input_factor @ z[:2]
     x = np.empty(k + 2)  # x[j + 1] = x_j, with x_{-1} = 0
     x[0] = 0.0
     x[1] = q_in[0]
-    x[2:] = math.sqrt(var_x) * z[2::2]
+    x[2:] = sd_x * z[2::2]
     p = np.empty(k)
     p[0] = q_in[1]
-    p[1:] = math.sqrt(var_p) * z[3:-2:2]
+    p[1:] = sd_p * z[3:-2:2]
     return p + kappas * x[1 : k + 1] + x[:k] + x[2:]
 
 
-def _chain_records(
-    input_state: GaussianState,
-    steps: Sequence[StepPlan],
-    cluster_r: float,
-    outcome_source,
-) -> list[MeasurementRecord]:
-    """Draw (or force) a chain's outcomes: its measurement records."""
-    if input_state.n_modes != 1:
-        raise ValueError("input must be a single-mode state")
-    kappas = _kappas(steps)
-    thetas, rescales = measurement_basis(kappas)
+def _chain_records(draw: _ChainDraw, outcome_source) -> RecordColumns:
+    """Draw (or force) one trial of a chain's outcomes: its record columns."""
+    indices, kappas, thetas, rescales = draw.columns
     rng = _generator(outcome_source)
     if rng is not None:
-        var_x, var_p = _resource_variances(cluster_r)
-        rescaled = _sample_functionals(rng, input_state, kappas, var_x, var_p)
+        rescaled = _sample_functionals(rng, draw)
         raws = rescaled / rescales
     else:
-        raws = _forced_outcomes(outcome_source, kappas.size)
+        raws = _forced_outcomes(outcome_source, len(kappas))
         rescaled = raws * rescales
-    columns = zip(kappas.tolist(), thetas.tolist(), raws.tolist(), rescaled.tolist())
-    return [
-        MeasurementRecord(
-            step_index=j,
-            mode=j,
-            kappa=kappa,
-            theta=theta,
-            raw_outcome=raw,
-            rescaled_outcome=value,
-        )
-        for j, (kappa, theta, raw, value) in enumerate(columns)
-    ]
+    return RecordColumns(indices, indices, kappas, thetas, raws.tolist(), rescaled.tolist())
 
 
 def run_protocol(
@@ -344,10 +373,11 @@ def run_protocol(
     Returns the uncorrected output state (byproduct displacement still in its
     mean), the measurement records, and the accumulated byproduct frame.
     """
-    records = _chain_records(input_state, steps, cluster_r, outcome_source)
+    columns = _chain_records(_ChainDraw(input_state, _kappas(steps), cluster_r), outcome_source)
     frame = ByproductFrame()
-    for record in records:
-        frame = update_frame(frame, record.rescaled_outcome, record.kappa)
+    for value, kappa in zip(columns.rescaled_outcome, columns.kappa):
+        frame = update_frame(frame, value, kappa)
+    records = list(columns.rows())
     corrected = chain_channel(steps, cluster_r)[0].apply(input_state)
     uncorrected = GaussianState(corrected.mean + np.array([frame.u, frame.v]), corrected.cov)
     return uncorrected, records, frame
@@ -410,7 +440,7 @@ def dual_step(
         input_state, r, S[2:4], S[:1], np.array([[0.0], [1.0]]), [3], [2]
     )
     corrected = channel.apply(input_state)
-    t = float(_sample_or_force(mean, cov, outcome_source, 1)[0])
+    t = float(_sample_or_force(mean, np.linalg.cholesky(cov), outcome_source, 1)[0])
     output = GaussianState(corrected.mean + np.array([0.0, -t]), corrected.cov)
     record = MeasurementRecord(
         step_index=0,

@@ -105,8 +105,14 @@ class Quadrature:
         for name, value in (("c_x", self.c_x), ("c_p", self.c_p)):
             if not math.isfinite(value):
                 raise ValueError(f"quadrature coefficient {name} must be finite, got {value}")
-        if self.c_x == 0.0 and self.c_p == 0.0:
-            raise ValueError("quadrature coefficients (c_x, c_p) must not both be zero")
+        # homodyne divides by the squared norm, so it must neither be zero
+        # nor overflow (both zero, or finite but beyond about 1e154 or below 1e-162)
+        norm2 = self.c_x * self.c_x + self.c_p * self.c_p
+        if not 0.0 < norm2 < math.inf:
+            raise ValueError(
+                f"quadrature coefficients (c_x, c_p) = ({self.c_x!r}, {self.c_p!r}) must have "
+                f"a positive finite squared norm c_x^2 + c_p^2, got {norm2!r}"
+            )
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:

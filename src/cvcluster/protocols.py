@@ -10,9 +10,11 @@ which a long or strongly sheared chain can reach, is refused with
 ``OverflowError``, and a finite channel that carries the input state to a
 non-finite fidelity, outcome record or reported output variance with its
 subclass ``InputOverflowError``. The channel does not depend on the homodyne
-outcomes, so a report draws its outcome records the first time its
-``records`` are read: a report read only for its channel, such as a sweep
-point's, draws none.
+outcomes, so a report draws its outcome records the first time they are
+read: a report read only for its channel, such as a sweep point's, draws
+none. The records are drawn as columns, one ``RecordColumns`` per trial
+(``record_columns``), which the document is written from; ``records`` is
+their row view of ``MeasurementRecord``s, built when first read.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -32,15 +35,17 @@ from .phase_space import (
     embed_symplectic,
     fourier,
     overlap_fidelity,
-    purity,
     squeezer,
     vacuum_state,
 )
 from .engine import (
     GaussianChannel,
     MeasurementRecord,
+    RecordColumns,
     StepPlan,
+    _ChainDraw,
     _chain_records,
+    _kappas,
     _sample_or_force,
     _teleportation,
     chain_channel,
@@ -101,6 +106,7 @@ class ProtocolCheck:
 
 
 Records = tuple[tuple[MeasurementRecord, ...], ...]  # one tuple per trial
+RecordTable = tuple[RecordColumns, ...]  # one set of columns per trial
 
 
 @dataclass(frozen=True)
@@ -113,18 +119,24 @@ class ProtocolReport:
     noise_trace: float
     fidelity: float | None
     checks: tuple[ProtocolCheck, ...]
-    # a picklable zero-argument draw of the records, called at most once
-    draw_records: Callable[[], Records] = field(compare=False, repr=False)
+    # a picklable zero-argument draw of the record columns, called at most once
+    draw_records: Callable[[], RecordTable] = field(compare=False, repr=False)
+
+    @cached_property
+    def record_columns(self) -> RecordTable:
+        """One set of record columns per trial, drawn when first read."""
+        table = self.draw_records()
+        outcomes = chain.from_iterable(
+            column for trial in table for column in (trial.raw_outcome, trial.rescaled_outcome)
+        )
+        _require_finite(outcomes, "an outcome record")
+        return table
 
     @cached_property
     def records(self) -> Records:
-        """One tuple of measurement records per trial, drawn when first read."""
-        records = self.draw_records()
-        outcomes = (
-            v for trial in records for r in trial for v in (r.raw_outcome, r.rescaled_outcome)
-        )
-        _require_finite(outcomes, "an outcome record")
-        return records
+        """One tuple of measurement records per trial: the rows of
+        ``record_columns``, built when first read."""
+        return tuple(trial.rows() for trial in self.record_columns)
 
     def check(self, name: str) -> ProtocolCheck:
         for c in self.checks:
@@ -155,15 +167,15 @@ class ProtocolReport:
             "records": [
                 {
                     "trial": t,
-                    "step_index": r.step_index,
-                    "mode": r.mode,
-                    "kappa": r.kappa,
-                    "theta": r.theta,
-                    "raw_outcome": r.raw_outcome,
-                    "rescaled_outcome": r.rescaled_outcome,
+                    "step_index": step_index,
+                    "mode": mode,
+                    "kappa": kappa,
+                    "theta": theta,
+                    "raw_outcome": raw,
+                    "rescaled_outcome": rescaled,
                 }
-                for t, trial in enumerate(self.records)
-                for r in trial
+                for t, trial in enumerate(self.record_columns)
+                for step_index, mode, kappa, theta, raw, rescaled in zip(*trial)
             ],
             "checks": [
                 {
@@ -182,8 +194,10 @@ def _fidelity_to_ideal(
     ideal_cov = target_S @ input_state.cov @ target_S.T
     ideal = GaussianState(target_S @ input_state.mean, 0.5 * (ideal_cov + ideal_cov.T))
     # a target too ill-conditioned for double precision leaves the ideal
-    # covariance numerically singular, and its purity unresolved
-    if not np.linalg.det(ideal.cov) > 0 or abs(purity(ideal) - 1.0) > 1e-9:
+    # covariance numerically singular, and its purity (phase_space.purity of
+    # a single mode, from the same determinant) unresolved
+    det = np.linalg.det(ideal.cov)
+    if not det > 0 or abs(VACUUM_VARIANCE / math.sqrt(det) - 1.0) > 1e-9:
         return None
     return overlap_fidelity(ideal, channel.apply(input_state))
 
@@ -196,7 +210,7 @@ def _report(
     checks: Sequence[ProtocolCheck],
     target_S: np.ndarray,
     input_state: GaussianState,
-    draw_records: Callable[[], Records],
+    draw_records: Callable[[], RecordTable],
     fidelity_reference_S: np.ndarray | None = None,
 ) -> ProtocolReport:
     deviation = float(np.linalg.norm(channel.S - target_S, ord="fro"))
@@ -236,14 +250,15 @@ def _trial_seeds(seed: int, trials: int) -> range:
 
 def _chain_trials(
     input_state: GaussianState, steps: Sequence[StepPlan], r: float, seeds: range
-) -> Records:
-    """Each trial's chain records; the trial with seed s draws with s."""
-    return tuple(tuple(_chain_records(input_state, steps, r, s)) for s in seeds)
+) -> RecordTable:
+    """Each trial's chain record columns; the trial with seed s draws with s."""
+    draw = _ChainDraw(input_state, _kappas(steps), r)
+    return tuple(_chain_records(draw, s) for s in seeds)
 
 
 def _chain_run(
     steps: Sequence[StepPlan], r: float, input_state: GaussianState, seed: int, trials: int
-) -> tuple[GaussianChannel, float, Callable[[], Records]]:
+) -> tuple[GaussianChannel, float, Callable[[], RecordTable]]:
     """Channel, leak and the per-trial record draw of a cluster chain."""
     if input_state.n_modes != 1:
         raise ValueError("input must be a single-mode state")
@@ -361,17 +376,19 @@ def repeated_squeezer(
 # Weyl-Heisenberg level from the factored initial moments.
 
 
-def _offline_trials(mean: np.ndarray, cov: np.ndarray, seeds: range) -> Records:
-    """Each trial's records, u from the x port and v from the p port, drawn
-    from the measured values' law; the trial with seed s draws with s."""
+# the outcome-free record columns of an off-line trial: step index, mode,
+# kappa and theta of the x-port reading u, then of the p-port reading v
+_OFFLINE_COLUMNS = ((0, 1), (1, 0), (0.0, 0.0), (-math.pi / 2, 0.0))
+
+
+def _offline_trials(mean: np.ndarray, cov: np.ndarray, seeds: range) -> RecordTable:
+    """Each trial's record columns, u from the x port and v from the p port,
+    drawn from the measured values' law; the trial with seed s draws with s."""
     half = 1.0 / math.sqrt(2.0)
-    draws = (_sample_or_force(mean, cov, s, 2).tolist() for s in seeds)
+    factor = np.linalg.cholesky(cov)
+    draws = (_sample_or_force(mean, factor, s, 2).tolist() for s in seeds)
     return tuple(
-        (
-            MeasurementRecord(0, 1, 0.0, -math.pi / 2, u * half, u),
-            MeasurementRecord(1, 0, 0.0, 0.0, v * half, v),
-        )
-        for u, v in draws
+        RecordColumns(*_OFFLINE_COLUMNS, (u * half, v * half), (u, v)) for u, v in draws
     )
 
 
@@ -382,7 +399,7 @@ def _offline_run(
     gain: np.ndarray,
     seed: int,
     trials: int,
-) -> tuple[GaussianChannel, float, Callable[[], Records]]:
+) -> tuple[GaussianChannel, float, Callable[[], RecordTable]]:
     """Channel, leak and the per-trial record draw of teleportation through
     the resource modified by ``gate_S``, corrected by ``gain`` times (u, v)."""
     seeds = _trial_seeds(seed, trials)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cvcluster as cv
 from cvcluster import checks, cli
@@ -125,6 +127,24 @@ class TestConfigParsing:
         assert values == (4, 2, 3, 2)
         assert all(type(v) is int for v in values)
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_input_state_is_built_once_per_config(self, monkeypatch, command):
+        calls = []
+        original = cli.build_input_state
+
+        def spy(spec):
+            calls.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(cli, "build_input_state", spy)
+        spec = {"kind": "coherent", "re": 0.5, "im": -1.0}
+        payload = {**BASE_RUN, "input": spec, "sweep": {"param": "kappa", "values": [0.1, 0.3]}}
+        cfg = cli.ExperimentConfig.from_dict(payload)
+        assert calls == [spec]  # validated eagerly
+        cli.run_document(cfg) if command == "run" else cli.sweep_table(cfg)
+        assert calls == [spec]
+        assert set(cfg.to_dict()) == set(cli._KNOWN_FIELDS)
+
     def test_nonfinite_input_rejected(self):
         with pytest.raises(cli.ConfigError, match="input"):
             cli.build_input_state({"kind": "coherent", "re": "nan", "im": 0.0})
@@ -225,6 +245,71 @@ class TestRunCommand:
         path.write_text("{not json")
         assert cli.main(["run", str(path), "--quiet"]) == 2
         assert "JSON" in capsys.readouterr().err
+
+
+def _reference_json(doc) -> str:
+    """The document text as json's own indented encoder writes it."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+# keys with non-ASCII characters, escapes and a lone surrogate
+_KEYS = st.text(max_size=10) | st.sampled_from(
+    ['"', "\\", "\n\t\x00", "é", "\u2028", "\ud800", "𝜅", ""]
+)
+_LEAVES = (
+    st.integers(-(2**200), 2**200)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
+    | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+    | st.booleans()
+    | st.none()
+    | _KEYS
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_KEYS, children, max_size=4),
+    max_leaves=25,
+)
+_NON_FINITE = st.sampled_from(
+    [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("inf"), np.float64("-inf")]
+)
+
+
+def _holding(children):
+    """Containers that hold one of ``children`` among finite items."""
+    in_list = st.tuples(st.lists(_TREES, max_size=2), children, st.lists(_TREES, max_size=2))
+    in_dict = st.tuples(st.dictionaries(_KEYS, _TREES, max_size=2), _KEYS, children)
+    return in_list.map(lambda t: [*t[0], t[1], *t[2]]) | in_dict.map(lambda t: {**t[0], t[1]: t[2]})
+
+
+class TestJsonWriter:
+    @given(st.dictionaries(_KEYS, _TREES, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_writes_what_json_dumps_writes(self, doc):
+        assert cli.emit_json(doc) == _reference_json(doc)
+
+    @given(st.recursive(_NON_FINITE, _holding, max_leaves=6))
+    @settings(max_examples=60, deadline=None)
+    def test_non_finite_float_at_any_depth_raises(self, value):
+        doc = {"document": value}
+        with pytest.raises(ValueError):
+            _reference_json(doc)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli.emit_json(doc)
+
+    def test_long_run_document_is_pinned(self):
+        # 250 segments, 2 trials: 2000 records; the length and hash are those
+        # of the text that json.dumps writes for this document
+        cfg = cli.ExperimentConfig.from_dict(
+            {"protocol": "repeated_squeezer", "segments": 250, "trials": 2, "seed": 7}
+        )
+        text = cli.emit_json(cli.run_document(cfg))
+        assert len(text) == 436142
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "7cd950f1399133a1e4aa4a00ad96168ca4d6e51a6415c6db862d24af0051c5b6"
+        )
 
 
 class TestCommandErrors:

@@ -420,6 +420,18 @@ class TestHomodyne:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             cv.Quadrature(0, c_x, c_p)
 
+    @pytest.mark.parametrize(
+        "c_x, forced", [(1e200, 3e199), (1e155, 3e154), (1e-200, 3e-201), (-1e-163, 0.0)]
+    )
+    def test_rejects_coefficients_whose_squared_norm_is_not_a_positive_float(self, c_x, forced):
+        # finite coefficients whose square overflows or underflows to zero
+        with pytest.raises(ValueError, match=r"\(c_x, c_p\) = \(.*positive finite squared norm"):
+            cv.homodyne(cv.vacuum_state(2), cv.Quadrature(0, c_x, 0.0), forced=forced)
+
+    def test_quadrature_accepts_the_smallest_coefficients_with_a_positive_squared_norm(self):
+        _, rest = cv.homodyne(cv.vacuum_state(2), cv.Quadrature(0, 1e-160, 0.0), forced=0.0)
+        np.testing.assert_array_equal(rest.cov, 0.25 * np.eye(2))
+
     @pytest.mark.parametrize("forced", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_forced_outcome(self, forced):
         state = random_gaussian_state(3, 2)

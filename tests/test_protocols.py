@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pickle
@@ -209,6 +210,24 @@ class TestReportsAndSweep:
         assert doc["target_S"] == [float(v) for v in report.target_S.ravel()]
         assert len(doc["records"]) == 4
         assert {c["name"] for c in doc["checks"]} == {c.name for c in report.checks}
+
+    @pytest.mark.parametrize("segments", [1, 5, 20, 50])
+    @pytest.mark.parametrize("kappa", [0.2, 0.5, 1.0])
+    def test_fidelity_equals_the_route_through_purity(self, kappa, segments):
+        # the reference takes the ideal output's determinant a second time,
+        # inside purity(); the report's one determinant gives the same floats
+        def through_purity(target_S, input_state, channel):
+            ideal_cov = target_S @ input_state.cov @ target_S.T
+            ideal = cv.GaussianState(target_S @ input_state.mean, 0.5 * (ideal_cov + ideal_cov.T))
+            if not np.linalg.det(ideal.cov) > 0 or abs(cv.purity(ideal) - 1.0) > 1e-9:
+                return None
+            return cv.overlap_fidelity(ideal, channel.apply(input_state))
+
+        for db in (0.0, 10.0, 100.0):
+            for state in (VAC, cv.coherent_state(0.4, -1.2), cv.squeezed_vacuum(0.7, "x")):
+                report = cv.repeated_squeezer(segments, kappa, cv.db_to_squeezing_r(db), state)
+                expected = through_purity(report.target_S, state, report.channel)
+                assert report.fidelity == expected
 
     def test_every_protocol_outcome_independent_at_ten_db(self):
         reports = [
@@ -444,7 +463,39 @@ class TestRecordsDrawnWhenRead:
         assert draws == []
         first = report.records
         assert report.records is first
+        report.to_dict()
         assert draws == ["_chain_records"] * 3
+
+    @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
+    def test_document_records_are_the_record_rows(self, protocol):
+        # the document is written from the columns, the rows are built from
+        # them: both must hold the same records
+        report = cv.run_named_protocol(protocol, {"squeezing_db": 10.0}, seed=8, trials=3)
+        rows = [
+            {"trial": t, **dataclasses.asdict(record)}
+            for t, trial in enumerate(report.records)
+            for record in trial
+            if type(record) is cv.MeasurementRecord
+        ]
+        assert json.dumps(report.to_dict()["records"]) == json.dumps(rows)
+
+    @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
+    def test_seed_free_draw_work_is_done_once_per_report(self, monkeypatch, protocol):
+        # the measurement basis and the Cholesky factors (the chain's input,
+        # the off-line readings' law) are the same for every trial
+        calls = []
+        for module, name in ((engine, "measurement_basis"), (np.linalg, "cholesky")):
+            original = getattr(module, name)
+
+            def spy(*args, name=name, original=original):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(module, name, spy)
+        report = cv.run_named_protocol(protocol, {"squeezing_db": 10.0}, trials=3)
+        report.to_dict()
+        chain = protocol in CHAIN_PROTOCOLS
+        assert sorted(calls) == (["cholesky", "measurement_basis"] if chain else ["cholesky"])
 
     @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
     def test_two_mode_input_is_refused_when_built(self, draws, protocol):
