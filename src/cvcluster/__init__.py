@@ -39,12 +39,12 @@ from .algebra import (
 from .engine import (
     ByproductFrame,
     GaussianChannel,
-    MeasurementRecord,
     RecordColumns,
     StepPlan,
     affine_channel,
     apply_correction,
     chain_channel,
+    chain_records,
     dual_step,
     measurement_basis,
     run_protocol,

@@ -65,9 +65,6 @@ class ExponentPolynomial:
                 out[m] += c * math.comb(k, m) * s ** (k - m)
         return ExponentPolynomial(tuple(out))
 
-    def is_constant(self) -> bool:
-        return self.degree == 0
-
 
 def verify_cubic_feedforward(kappa, s1) -> ExponentPolynomial:
     """Residual exponent of X(s1)^dag D2'(kappa, s1) X(s1) minus kappa x^3.

@@ -149,7 +149,12 @@ class ExperimentConfig:
             # the raw values are kept: they are echoed verbatim in the CSV
             for i, value in enumerate(sweep["values"]):
                 _checked_scalar(sweep["param"], value, f"sweep.values[{i}]")
-            cfg.sweep = {"param": str(sweep["param"]), "values": list(sweep["values"])}
+            param = sweep["param"]
+            if param not in ("squeezing_db", *protocols.PROTOCOLS[cfg.protocol][1]):
+                raise ConfigError(
+                    f"field 'sweep.param': protocol {cfg.protocol!r} does not read {param!r}"
+                )
+            cfg.sweep = {"param": str(param), "values": list(sweep["values"])}
         return cfg
 
     @cached_property
@@ -296,10 +301,6 @@ def emit_json(doc: dict) -> str:
     written without json's pure-Python indented encoder. A NaN or an
     infinity anywhere raises ``ValueError``."""
     return _json_text(doc, "") + "\n"
-
-
-def parse_result(text: str) -> dict:
-    return json.loads(text)
 
 
 def emit_csv(header: list[str], rows: list[list]) -> str:

@@ -29,10 +29,10 @@ O(k) in the number of steps:
   applying the banded functionals; only ``run_protocol`` folds them through
   ``update_frame`` into a byproduct frame. The channel never reads them, so
   a protocol report draws its records the first time they are read, and a
-  report read only for its channel draws none. A trial's records are drawn
-  as ``RecordColumns`` (kappa, theta, raw and rescaled outcome), and what
-  does not depend on the trial's seed (the basis, the resource deviations,
-  the input's factor) is computed once per report in ``_ChainDraw``.
+  report read only for its channel draws none. ``chain_records`` draws one
+  trial's ``RecordColumns`` (kappa, theta, raw and rescaled outcome) per
+  outcome source, and computes what does not depend on the trial's seed
+  (the basis, the resource deviations, the input's factor) once per call.
 
 Teleportation-style protocols (``dual_step`` and the off-line reports) share
 one path, ``_teleportation``: given their output and measured rows over the
@@ -54,8 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -82,9 +81,10 @@ class ByproductFrame:
     v: float = 0.0
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One homodyne event.
+class RecordColumns(NamedTuple):
+    """Homodyne events as columns of Python numbers: entry j of every column
+    is event j. A chain trial has one event per step; columns that do not
+    depend on the outcomes are shared by every trial of a report.
 
     ``theta`` is the local-oscillator angle; for cluster steps the raw
     reading of (p cos(theta) - x sin(theta)) is rescaled by 1/cos(theta) to
@@ -92,29 +92,12 @@ class MeasurementRecord:
     own protocol-defined rescaling (the sqrt(2) beamsplitter factor).
     """
 
-    step_index: int
-    mode: int
-    kappa: float
-    theta: float
-    raw_outcome: float
-    rescaled_outcome: float
-
-
-class RecordColumns(NamedTuple):
-    """One trial's measurement records as columns of Python numbers, in
-    ``MeasurementRecord``'s field order; entry j of every column is record j.
-    Columns that do not depend on the outcomes are shared by every trial of
-    a report."""
-
     step_index: Sequence[int]
     mode: Sequence[int]
     kappa: Sequence[float]
     theta: Sequence[float]
     raw_outcome: Sequence[float]
     rescaled_outcome: Sequence[float]
-
-    def rows(self) -> tuple[MeasurementRecord, ...]:
-        return tuple(map(MeasurementRecord, *self))
 
 
 @dataclass(frozen=True)
@@ -294,67 +277,54 @@ def _sample_or_force(
     return mean + factor @ rng.standard_normal(k)
 
 
-@dataclass(frozen=True)
-class _ChainDraw:
-    """What every trial's outcome draw of one chain reads: the measurement
-    basis, the resource deviations and the input's moments. Built once per
-    report; the input's Cholesky factor is taken at the first sampled draw,
-    so forced outcomes need none."""
+def chain_records(
+    input_state: GaussianState,
+    steps: Sequence[StepPlan],
+    cluster_r: float,
+    outcome_sources: Iterable,
+) -> tuple[RecordColumns, ...]:
+    """The record columns of one chain trial per outcome source (a seed, a
+    numpy Generator, or a sequence of forced raw outcomes), in order.
 
-    input_state: GaussianState
-    kappas: np.ndarray
-    cluster_r: float
-
-    def __post_init__(self):
-        if self.input_state.n_modes != 1:
-            raise ValueError("input must be a single-mode state")
-
-    @cached_property
-    def columns(self) -> tuple[range, list[float], list[float], np.ndarray]:
-        """The outcome-free columns (step and mode index, kappa, theta) and
-        the rescale factors 1/cos(theta)."""
-        thetas, rescales = measurement_basis(self.kappas)
-        return range(self.kappas.size), self.kappas.tolist(), thetas.tolist(), rescales
-
-    @cached_property
-    def resource_deviations(self) -> tuple[float, float]:
-        var_x, var_p = _resource_variances(self.cluster_r)
-        return math.sqrt(var_x), math.sqrt(var_p)
-
-    @cached_property
-    def input_factor(self) -> np.ndarray:
-        return np.linalg.cholesky(self.input_state.cov)
-
-
-def _sample_functionals(rng: np.random.Generator, draw: _ChainDraw) -> np.ndarray:
-    """One exact draw of (m_0..m_{k-1}): sample the product state, then apply
-    the banded functionals."""
-    kappas = draw.kappas
+    A sampled trial is one exact draw of (m_0..m_{k-1}): sample the product
+    state, then apply the banded functionals. The basis and the resource
+    deviations are computed once per call, and the input's Cholesky factor
+    at the first sampled trial, so forced outcomes need none.
+    """
+    if input_state.n_modes != 1:
+        raise ValueError("input must be a single-mode state")
+    kappas = _kappas(steps)
     k = kappas.size
-    sd_x, sd_p = draw.resource_deviations
-    z = rng.standard_normal(2 * (k + 1))
-    q_in = draw.input_state.mean + draw.input_factor @ z[:2]
-    x = np.empty(k + 2)  # x[j + 1] = x_j, with x_{-1} = 0
-    x[0] = 0.0
-    x[1] = q_in[0]
-    x[2:] = sd_x * z[2::2]
-    p = np.empty(k)
-    p[0] = q_in[1]
-    p[1:] = sd_p * z[3:-2:2]
-    return p + kappas * x[1 : k + 1] + x[:k] + x[2:]
-
-
-def _chain_records(draw: _ChainDraw, outcome_source) -> RecordColumns:
-    """Draw (or force) one trial of a chain's outcomes: its record columns."""
-    indices, kappas, thetas, rescales = draw.columns
-    rng = _generator(outcome_source)
-    if rng is not None:
-        rescaled = _sample_functionals(rng, draw)
-        raws = rescaled / rescales
-    else:
-        raws = _forced_outcomes(outcome_source, len(kappas))
-        rescaled = raws * rescales
-    return RecordColumns(indices, indices, kappas, thetas, raws.tolist(), rescaled.tolist())
+    thetas, rescales = measurement_basis(kappas)
+    indices, kappa_column, theta_column = range(k), kappas.tolist(), thetas.tolist()
+    sd_x, sd_p = map(math.sqrt, _resource_variances(cluster_r))
+    factor = None
+    trials = []
+    for source in outcome_sources:
+        rng = _generator(source)
+        if rng is None:
+            raws = _forced_outcomes(source, k)
+            rescaled = raws * rescales
+        else:
+            if factor is None:
+                factor = np.linalg.cholesky(input_state.cov)
+            z = rng.standard_normal(2 * (k + 1))
+            q_in = input_state.mean + factor @ z[:2]
+            x = np.empty(k + 2)  # x[j + 1] = x_j, with x_{-1} = 0
+            x[0] = 0.0
+            x[1] = q_in[0]
+            x[2:] = sd_x * z[2::2]
+            p = np.empty(k)
+            p[0] = q_in[1]
+            p[1:] = sd_p * z[3:-2:2]
+            rescaled = p + kappas * x[1 : k + 1] + x[:k] + x[2:]
+            raws = rescaled / rescales
+        trials.append(
+            RecordColumns(
+                indices, indices, kappa_column, theta_column, raws.tolist(), rescaled.tolist()
+            )
+        )
+    return tuple(trials)
 
 
 def run_protocol(
@@ -362,7 +332,7 @@ def run_protocol(
     steps: Sequence[StepPlan],
     cluster_r: float,
     outcome_source,
-) -> tuple[GaussianState, list[MeasurementRecord], ByproductFrame]:
+) -> tuple[GaussianState, RecordColumns, ByproductFrame]:
     """Teleport an input through a linear cluster, one measured node per step.
 
     The input is attached as mode 0 to a len(steps)-node cluster at squeezing
@@ -371,16 +341,15 @@ def run_protocol(
     numpy Generator, or a sequence of forced raw outcomes.
 
     Returns the uncorrected output state (byproduct displacement still in its
-    mean), the measurement records, and the accumulated byproduct frame.
+    mean), the trial's record columns, and the accumulated byproduct frame.
     """
-    columns = _chain_records(_ChainDraw(input_state, _kappas(steps), cluster_r), outcome_source)
+    (columns,) = chain_records(input_state, steps, cluster_r, [outcome_source])
     frame = ByproductFrame()
     for value, kappa in zip(columns.rescaled_outcome, columns.kappa):
         frame = update_frame(frame, value, kappa)
-    records = list(columns.rows())
     corrected = chain_channel(steps, cluster_r)[0].apply(input_state)
     uncorrected = GaussianState(corrected.mean + np.array([frame.u, frame.v]), corrected.cov)
-    return uncorrected, records, frame
+    return uncorrected, columns, frame
 
 
 def _teleportation(
@@ -418,7 +387,7 @@ def _teleportation(
 
 def dual_step(
     input_state: GaussianState, r: float, outcome_source
-) -> tuple[GaussianState, MeasurementRecord]:
+) -> tuple[GaussianState, RecordColumns]:
     """The dual elementary circuit: x-squeezed ancilla, e^{2i p(x)p} coupling,
     x detection on the input mode.
 
@@ -442,13 +411,5 @@ def dual_step(
     corrected = channel.apply(input_state)
     t = float(_sample_or_force(mean, np.linalg.cholesky(cov), outcome_source, 1)[0])
     output = GaussianState(corrected.mean + np.array([0.0, -t]), corrected.cov)
-    record = MeasurementRecord(
-        step_index=0,
-        mode=0,
-        kappa=0.0,
-        theta=-math.pi / 2,
-        raw_outcome=t,
-        rescaled_outcome=t,
-    )
-    return output, record
+    return output, RecordColumns((0,), (0,), (0.0,), (-math.pi / 2,), (t,), (t,))
 

@@ -13,8 +13,7 @@ subclass ``InputOverflowError``. The channel does not depend on the homodyne
 outcomes, so a report draws its outcome records the first time they are
 read: a report read only for its channel, such as a sweep point's, draws
 none. The records are drawn as columns, one ``RecordColumns`` per trial
-(``record_columns``), which the document is written from; ``records`` is
-their row view of ``MeasurementRecord``s, built when first read.
+(``record_columns``), which the document is written from.
 """
 
 from __future__ import annotations
@@ -40,15 +39,12 @@ from .phase_space import (
 )
 from .engine import (
     GaussianChannel,
-    MeasurementRecord,
     RecordColumns,
     StepPlan,
-    _ChainDraw,
-    _chain_records,
-    _kappas,
     _sample_or_force,
     _teleportation,
     chain_channel,
+    chain_records,
 )
 
 INDEPENDENCE_TOL = 1e-9
@@ -105,7 +101,6 @@ class ProtocolCheck:
     value: float | None = None
 
 
-Records = tuple[tuple[MeasurementRecord, ...], ...]  # one tuple per trial
 RecordTable = tuple[RecordColumns, ...]  # one set of columns per trial
 
 
@@ -131,12 +126,6 @@ class ProtocolReport:
         )
         _require_finite(outcomes, "an outcome record")
         return table
-
-    @cached_property
-    def records(self) -> Records:
-        """One tuple of measurement records per trial: the rows of
-        ``record_columns``, built when first read."""
-        return tuple(trial.rows() for trial in self.record_columns)
 
     def check(self, name: str) -> ProtocolCheck:
         for c in self.checks:
@@ -248,14 +237,6 @@ def _trial_seeds(seed: int, trials: int) -> range:
     return range(seed, seed + trials)
 
 
-def _chain_trials(
-    input_state: GaussianState, steps: Sequence[StepPlan], r: float, seeds: range
-) -> RecordTable:
-    """Each trial's chain record columns; the trial with seed s draws with s."""
-    draw = _ChainDraw(input_state, _kappas(steps), r)
-    return tuple(_chain_records(draw, s) for s in seeds)
-
-
 def _chain_run(
     steps: Sequence[StepPlan], r: float, input_state: GaussianState, seed: int, trials: int
 ) -> tuple[GaussianChannel, float, Callable[[], RecordTable]]:
@@ -263,7 +244,7 @@ def _chain_run(
     if input_state.n_modes != 1:
         raise ValueError("input must be a single-mode state")
     channel, leak = chain_channel(steps, r)
-    return channel, leak, partial(_chain_trials, input_state, steps, r, _trial_seeds(seed, trials))
+    return channel, leak, partial(chain_records, input_state, steps, r, _trial_seeds(seed, trials))
 
 
 def identity_chain(
@@ -531,7 +512,7 @@ def run_named_protocol(
     ``params`` gives the resource squeezing as ``squeezing_db`` (converted
     here, once); missing parameters take their ``PARAMETER_DEFAULTS`` value,
     and ``input_state`` defaults to the vacuum. Trial t's records are drawn
-    with ``seed + t`` when the report's ``records`` are first read.
+    with ``seed + t`` when the report's ``record_columns`` are first read.
     """
     if protocol_id not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol_id!r}; known: {', '.join(PROTOCOLS)}")

@@ -33,17 +33,17 @@ class TestCliffordCommute:
 class TestCubicFeedforward:
     def test_unit_parameters_leave_unit_phase(self):
         residual = cv.verify_cubic_feedforward(1, 1)
-        assert residual.is_constant()
+        assert residual.degree == 0
         assert residual.coefficient(0) == 1
 
     def test_zero_shift_vanishes(self):
         residual = cv.verify_cubic_feedforward(Fraction(3, 2), 0)
-        assert residual.is_constant()
+        assert residual.degree == 0
         assert residual.coefficient(0) == 0
 
     def test_zero_kappa_vanishes(self):
         residual = cv.verify_cubic_feedforward(0, Fraction(5, 3))
-        assert residual.is_constant()
+        assert residual.degree == 0
         assert residual.coefficient(0) == 0
 
     def test_exact_rational_grid(self):

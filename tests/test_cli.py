@@ -202,7 +202,7 @@ class TestRunCommand:
         out = tmp_path / "result.json"
         cli.main(["run", cfg, "--output", str(out), "--quiet"])
         text = out.read_text()
-        assert cli.emit_json(cli.parse_result(text)) == text
+        assert cli.emit_json(json.loads(text)) == text
 
     def test_missing_config_file(self, capsys):
         assert cli.main(["run", "/nonexistent/cfg.json", "--quiet"]) == 2
@@ -450,6 +450,25 @@ class TestSweepCommand:
         assert cli.main(["sweep", cfg, "--output", str(out), "--quiet"]) == 2
         assert "sweep.values" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "protocol, param, values",
+        [
+            ("identity_chain", "kappa", [0.1, 0.5]),
+            ("offline_teleport", "r_gate", [0.04, 0.3]),
+            ("offline_squeezer", "segments", [1, 2]),
+            ("squeezer_four_step", "n_nodes", [3, 4]),
+        ],
+    )
+    def test_sweep_over_a_parameter_the_protocol_does_not_read_exits_2(
+        self, tmp_path, capsys, protocol, param, values
+    ):
+        # every row would be the same point: refused rather than written
+        payload = {"protocol": protocol, "sweep": {"param": param, "values": values}}
+        code, out = main_on(tmp_path, "sweep", payload)
+        err = capsys.readouterr().err
+        assert (code, out.exists()) == (2, False)
+        assert err == f"error: field 'sweep.param': protocol {protocol!r} does not read {param!r}\n"
 
     def test_sweep_value_cells_echo_the_config(self, tmp_path):
         cfg = write_config(
@@ -781,7 +800,7 @@ class TestInputOverflow:
         report = cv.run_named_protocol(cfg.protocol, cli._protocol_params(cfg))
         assert math.isfinite(report.fidelity)
         with pytest.raises(cv.InputOverflowError, match="an outcome record is not finite"):
-            report.records
+            report.record_columns
 
     def test_large_but_finite_input_gives_a_document(self, tmp_path):
         payload = {**INPUT_OVERFLOWING["four_step_coherent_1e308"], "kappa": 0.2}

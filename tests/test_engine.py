@@ -51,9 +51,9 @@ class TestMeasurementBasis:
             cv.vacuum_state(1), [cv.StepPlan(k) for k in kappas], 1.0, 5
         )
         thetas, rescales = cv.measurement_basis(np.array(kappas))
-        assert [rec.theta for rec in records] == list(thetas)
-        for rec, rescale in zip(records, rescales):
-            assert rec.rescaled_outcome == pytest.approx(rec.raw_outcome * rescale, rel=1e-15)
+        assert list(records.theta) == list(thetas)
+        for raw, rescaled, rescale in zip(records.raw_outcome, records.rescaled_outcome, rescales):
+            assert rescaled == pytest.approx(raw * rescale, rel=1e-15)
 
 
 class TestUpdateFrame:
@@ -126,7 +126,7 @@ class TestRunProtocol:
         assert (frame.u, frame.v) == (0.0, 0.0)
         np.testing.assert_allclose(out.mean, [0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(out.cov, 0.25 * np.eye(2), atol=1e-9)
-        assert len(records) == 1 and records[0].mode == 0
+        assert records.raw_outcome == [0.0] and records.mode == range(1)
 
     def test_single_shear_step_mean_map(self):
         kappa = 0.7
@@ -225,7 +225,7 @@ class TestRunProtocol:
         )
         corrected = cv.apply_correction(out, frame)
         S, N = step_noise_oracle(kappas, r)
-        assert len(records) == 5000
+        assert len(records.raw_outcome) == 5000
         np.testing.assert_allclose(corrected.cov, S @ state.cov @ S.T + N, rtol=1e-9)
         np.testing.assert_allclose(corrected.mean, S @ state.mean, rtol=1e-9, atol=1e-9)
 
@@ -245,7 +245,7 @@ class TestRunProtocol:
         rng = np.random.Generator(np.random.PCG64(2024))
         draws = np.array(
             [
-                [rec.rescaled_outcome for rec in cv.run_protocol(state, steps, r, rng)[1]]
+                cv.run_protocol(state, steps, r, rng)[1].rescaled_outcome
                 for _ in range(4000)
             ]
         )
@@ -258,9 +258,8 @@ class TestRunProtocol:
         out, records, _ = cv.run_protocol(
             cv.vacuum_state(1), [cv.StepPlan(1.0), cv.StepPlan(0.0)], 1.0, [0.5, -0.25]
         )
-        assert records[0].raw_outcome == pytest.approx(0.5)
-        assert records[0].rescaled_outcome == pytest.approx(0.5 * math.sqrt(2.0))
-        assert records[1].raw_outcome == pytest.approx(-0.25)
+        assert records.raw_outcome == pytest.approx([0.5, -0.25])
+        assert records.rescaled_outcome[0] == pytest.approx(0.5 * math.sqrt(2.0))
 
     def test_uncorrected_minus_corrected_is_frame(self):
         out, _, frame = cv.run_protocol(
@@ -277,8 +276,8 @@ class TestRunProtocol:
             cv.vacuum_state(1), [cv.StepPlan(0.5)] * 3, 1.0, 99
         )
         refolded = cv.ByproductFrame()
-        for record in records:
-            refolded = cv.update_frame(refolded, record.rescaled_outcome, record.kappa)
+        for value, kappa in zip(records.rescaled_outcome, records.kappa):
+            refolded = cv.update_frame(refolded, value, kappa)
         assert (frame.u, frame.v) == pytest.approx((refolded.u, refolded.v))
 
     def test_sampled_outcome_variance(self):
@@ -286,7 +285,7 @@ class TestRunProtocol:
         # neighbor: Var = Var(p_in) + e^{2r}/4
         r = 0.8
         draws = [
-            cv.run_protocol(cv.vacuum_state(1), [cv.StepPlan(0.0)], r, seed)[1][0].raw_outcome
+            cv.run_protocol(cv.vacuum_state(1), [cv.StepPlan(0.0)], r, seed)[1].raw_outcome[0]
             for seed in range(1500)
         ]
         expected = 0.25 + math.exp(2 * r) / 4
@@ -296,10 +295,9 @@ class TestRunProtocol:
         _, records, _ = cv.run_protocol(
             cv.vacuum_state(1), [cv.StepPlan(k) for k in (-1.5, 0.0, 2.0)], 1.0, 3
         )
-        for record in records:
-            assert record.rescaled_outcome * math.cos(record.theta) == pytest.approx(
-                record.raw_outcome, abs=1e-12
-            )
+        events = zip(records.theta, records.raw_outcome, records.rescaled_outcome)
+        for theta, raw, rescaled in events:
+            assert rescaled * math.cos(theta) == pytest.approx(raw, abs=1e-12)
 
     def test_rejects_empty_steps(self):
         with pytest.raises(ValueError):
@@ -327,6 +325,20 @@ class TestRunProtocol:
             return cv.apply_correction(out, frame)
 
         assert outcome_independence_check(run, range(5)) == 0.0
+
+
+class TestChainRecords:
+    def test_mixed_sources_equal_one_call_per_source(self):
+        state = random_gaussian_state(4, 1)
+        steps = [cv.StepPlan(k) for k in (0.3, -0.7, 1.1)]
+
+        def sources():
+            return [5, np.random.Generator(np.random.PCG64(9)), [0.5, -0.25, 1.0], 0.75, 6]
+
+        together = cv.chain_records(state, steps, TEN_DB_R, sources())
+        alone = tuple(cv.chain_records(state, steps, TEN_DB_R, [s])[0] for s in sources())
+        assert len(together) == 5
+        assert together == alone
 
 
 class TestMutationGuard:
@@ -400,14 +412,14 @@ class TestChannelTomography:
 class TestDualStep:
     def test_ideal_vacuum_passthrough(self):
         out, record = cv.dual_step(cv.vacuum_state(1), IDEAL, [0.0])
-        assert record.raw_outcome == 0.0
+        assert record == ((0,), (0,), (0.0,), (-math.pi / 2,), (0.0,), (0.0,))
         np.testing.assert_allclose(out.mean, [0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(out.cov, 0.25 * np.eye(2), atol=1e-9)
 
     def test_corrected_channel_is_fourier_conjugated_primal(self):
         def dual_runner(state, seed):
             out, record = cv.dual_step(state, IDEAL, seed)
-            return displace(out, 0, 0.0, record.raw_outcome)
+            return displace(out, 0, 0.0, record.raw_outcome[0])
 
         def primal_runner(state, seed):
             out, _, frame = cv.run_protocol(state, [cv.StepPlan(0.0)], IDEAL, seed)
@@ -422,14 +434,14 @@ class TestDualStep:
     def test_finite_r_noise_in_single_quadrature(self):
         r = 1.3
         out, record = cv.dual_step(cv.vacuum_state(1), r, [0.0])
-        corrected = displace(out, 0, 0.0, record.raw_outcome)
+        corrected = displace(out, 0, 0.0, record.raw_outcome[0])
         expected = 0.25 * np.eye(2) + np.diag([math.exp(-2 * r) / 4, 0.0])
         np.testing.assert_allclose(corrected.cov, expected, atol=1e-14)
 
     def test_byproduct_is_momentum_displacement(self):
         t = 0.8
         out, record = cv.dual_step(cv.coherent_state(0.4, -0.3), IDEAL, [t])
-        assert record.raw_outcome == pytest.approx(t)
+        assert record.raw_outcome == pytest.approx((t,))
         # uncorrected output carries Z(-t) on top of the Fourier action
         np.testing.assert_allclose(out.mean, [0.3, 0.4 - t], atol=1e-12)
 
@@ -437,7 +449,7 @@ class TestDualStep:
         # t reads x - p_a of the product state: N(<x_in>, Var x_in + e^{2r}/4)
         r = 0.5
         state = random_gaussian_state(5, 1)
-        draws = np.array([cv.dual_step(state, r, seed)[1].raw_outcome for seed in range(2000)])
+        draws = np.array([cv.dual_step(state, r, seed)[1].raw_outcome[0] for seed in range(2000)])
         white = (draws - state.mean[0]) / math.sqrt(state.cov[0, 0] + math.exp(2 * r) / 4)
         # 2000 draws: standard errors about 0.022 (mean) and 0.032 (variance)
         assert abs(white.mean()) < 0.1

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import pickle
@@ -359,7 +358,7 @@ class TestOneEvaluationPerReport:
         mean = math.sqrt(2.0) * mixed.mean[measured]
         L = np.linalg.cholesky(2.0 * mixed.cov[np.ix_(measured, measured)])
         draws = np.array(
-            [[rec.rescaled_outcome for rec in run(seed).records[0]] for seed in range(2000)]
+            [run(seed).record_columns[0].rescaled_outcome for seed in range(2000)]
         )
         white = np.linalg.solve(L, (draws - mean).T)
         # 2000 draws: standard errors about 0.022 (mean) and 0.032 (variances)
@@ -404,10 +403,27 @@ class TestOneReportPerDocument:
     @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
     def test_report_holds_one_record_tuple_per_trial(self, protocol):
         report = cv.run_named_protocol(protocol, {"squeezing_db": 10.0}, seed=3, trials=2)
-        assert len(report.records) == 2
-        for t, trial in enumerate(report.records):
+        assert len(report.record_columns) == 2
+        for t, trial in enumerate(report.record_columns):
             alone = cv.run_named_protocol(protocol, {"squeezing_db": 10.0}, seed=3 + t)
-            assert trial == alone.records[0]
+            assert trial == alone.record_columns[0]
+
+    @pytest.mark.parametrize(
+        "build, steps",
+        [
+            (lambda state, seed: cv.identity_chain(4, TEN_DB_R, state, seed), [0.0] * 3),
+            (
+                lambda state, seed: cv.repeated_squeezer(2, 0.3, TEN_DB_R, state, seed),
+                [0.3, 0.3, -0.3, -0.3] * 2,
+            ),
+        ],
+        ids=["identity_chain", "repeated_squeezer"],
+    )
+    def test_run_protocol_draws_the_reports_records(self, build, steps):
+        state = cv.coherent_state(0.7, -0.2)
+        report = build(state, 12)
+        _, columns, _ = cv.run_protocol(state, [cv.StepPlan(k) for k in steps], TEN_DB_R, 12)
+        assert columns == report.record_columns[0]
 
     @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
     def test_rejects_zero_trials(self, protocol):
@@ -416,19 +432,18 @@ class TestOneReportPerDocument:
 
 
 class TestRecordsDrawnWhenRead:
-    # the records of a chain are drawn by _chain_records, those of an
-    # off-line protocol by _sample_or_force: one call per trial
+    # a sampled trial of a chain or an off-line protocol draws from the
+    # generator engine._generator makes of its seed: one call per trial
     @pytest.fixture
     def draws(self, monkeypatch):
         calls = []
-        for name in ("_chain_records", "_sample_or_force"):
-            original = getattr(protocols, name)
+        original = engine._generator
 
-            def spy(*args, name=name, original=original):
-                calls.append(name)
-                return original(*args)
+        def spy(outcome_source):
+            calls.append(outcome_source)
+            return original(outcome_source)
 
-            monkeypatch.setattr(protocols, name, spy)
+        monkeypatch.setattr(engine, "_generator", spy)
         return calls
 
     @pytest.mark.parametrize(
@@ -454,30 +469,18 @@ class TestRecordsDrawnWhenRead:
             {"protocol": protocol, "squeezing_db": 10.0, "trials": trials}
         )
         doc = cli.run_document(cfg)
-        name = "_chain_records" if protocol in CHAIN_PROTOCOLS else "_sample_or_force"
-        assert draws == [name] * trials
+        assert draws == list(range(trials))
         assert {rec["trial"] for rec in doc["records"]} == set(range(trials))
 
     def test_records_are_drawn_once_however_often_read(self, draws):
         report = cv.run_named_protocol("identity_chain", {"squeezing_db": 10.0}, trials=3)
+        with pytest.raises(AttributeError):
+            report.records  # the columns are the one record property
         assert draws == []
-        first = report.records
-        assert report.records is first
+        first = report.record_columns
+        assert report.record_columns is first
         report.to_dict()
-        assert draws == ["_chain_records"] * 3
-
-    @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
-    def test_document_records_are_the_record_rows(self, protocol):
-        # the document is written from the columns, the rows are built from
-        # them: both must hold the same records
-        report = cv.run_named_protocol(protocol, {"squeezing_db": 10.0}, seed=8, trials=3)
-        rows = [
-            {"trial": t, **dataclasses.asdict(record)}
-            for t, trial in enumerate(report.records)
-            for record in trial
-            if type(record) is cv.MeasurementRecord
-        ]
-        assert json.dumps(report.to_dict()["records"]) == json.dumps(rows)
+        assert draws == [0, 1, 2]
 
     @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
     def test_seed_free_draw_work_is_done_once_per_report(self, monkeypatch, protocol):
@@ -507,9 +510,9 @@ class TestRecordsDrawnWhenRead:
     def test_pickled_report_gives_the_same_records(self, protocol, read_before_pickling):
         report = cv.run_named_protocol(protocol, {"squeezing_db": 10.0}, seed=11, trials=2)
         if read_before_pickling:
-            report.records
+            report.record_columns
         copy = pickle.loads(pickle.dumps(report))
-        assert copy.records == report.records
+        assert copy.record_columns == report.record_columns
         assert copy.to_dict() == report.to_dict()
 
 
@@ -540,7 +543,7 @@ class TestFrameRuleOncePerReport:
             protocol, {"squeezing_db": 10.0, **params}, seed=5, trials=trials
         )
         assert len(calls) == 1
-        assert [len(trial) for trial in report.records] == [k] * trials
+        assert [len(trial.raw_outcome) for trial in report.record_columns] == [k] * trials
 
 
 class TestProtocolTable:
