@@ -58,6 +58,7 @@ from .protocols import (
     identity_chain,
     offline_squeezer,
     offline_teleport,
+    protocol_parameters,
     repeated_squeezer,
     run_named_protocol,
     squeezer_four_step,

@@ -137,24 +137,29 @@ class ExperimentConfig:
             cfg.input = raw["input"]
             cfg.input_state  # validate eagerly
         if "output_path" in raw and raw["output_path"] is not None:
-            cfg.output_path = str(raw["output_path"])
+            if not isinstance(raw["output_path"], str):
+                raise ConfigError("field 'output_path': expected a string")
+            cfg.output_path = raw["output_path"]
         if "sweep" in raw and raw["sweep"] is not None:
             sweep = raw["sweep"]
             if not isinstance(sweep, dict) or "param" not in sweep or "values" not in sweep:
                 raise ConfigError("field 'sweep': expected {param, values}")
+            for key in sweep:
+                if key not in ("param", "values"):
+                    raise ConfigError(f"field 'sweep.{key}': a sweep does not read it")
             if not isinstance(sweep["values"], list) or len(sweep["values"]) == 0:
                 raise ConfigError("field 'sweep.values': must be a nonempty list")
-            if sweep["param"] not in _DEFAULTS:
-                raise ConfigError(f"field 'sweep.param': cannot sweep {sweep['param']!r}")
+            param = sweep["param"]
+            if not isinstance(param, str) or param not in _DEFAULTS:
+                raise ConfigError(f"field 'sweep.param': cannot sweep {param!r}")
             # the raw values are kept: they are echoed verbatim in the CSV
             for i, value in enumerate(sweep["values"]):
-                _checked_scalar(sweep["param"], value, f"sweep.values[{i}]")
-            param = sweep["param"]
-            if param not in ("squeezing_db", *protocols.PROTOCOLS[cfg.protocol][1]):
+                _checked_scalar(param, value, f"sweep.values[{i}]")
+            if param not in protocols.protocol_parameters(cfg.protocol):
                 raise ConfigError(
                     f"field 'sweep.param': protocol {cfg.protocol!r} does not read {param!r}"
                 )
-            cfg.sweep = {"param": str(param), "values": list(sweep["values"])}
+            cfg.sweep = {"param": param, "values": list(sweep["values"])}
         return cfg
 
     @cached_property

@@ -3,17 +3,20 @@
 Cluster protocols run the measurement engine on a linear chain; the off-line
 protocols teleport through a (possibly gate-modified) two-mode squeezed
 resource. Every corrected protocol is an affine map of its initial product
-state; each report reads its channel off that map, and carries the
-deviation from the protocol's target matrix, the accumulated noise, and
-named pass/fail checks; a channel whose S, N or deviation is not finite,
-which a long or strongly sheared chain can reach, is refused with
-``OverflowError``, and a finite channel that carries the input state to a
-non-finite fidelity, outcome record or reported output variance with its
-subclass ``InputOverflowError``. The channel does not depend on the homodyne
-outcomes, so a report draws its outcome records the first time they are
-read: a report read only for its channel, such as a sweep point's, draws
-none. The records are drawn as columns, one ``RecordColumns`` per trial
-(``record_columns``), which the document is written from.
+state; each report reads its channel off that map, and one helper,
+``_channel_facts``, reads the report's numbers off the channel once: the
+deviation from the protocol's target matrix, the accumulated noise, the
+input's image and its fidelity to the ideal output. The named pass/fail
+checks read those numbers rather than recompute them. A channel whose S, N
+or deviation is not finite, which a long or strongly sheared chain can
+reach, is refused with ``OverflowError``, and a finite channel that carries
+the input state to a non-finite fidelity, outcome record or reported output
+variance with its subclass ``InputOverflowError``. The channel does not
+depend on the homodyne outcomes, so a report draws its outcome records the
+first time they are read: a report read only for its channel, such as a
+sweep point's, draws none. The records are drawn as columns, one
+``RecordColumns`` per trial (``record_columns``), which the document is
+written from.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -177,50 +180,60 @@ class ProtocolReport:
         }
 
 
-def _fidelity_to_ideal(
-    target_S: np.ndarray, input_state: GaussianState, channel: GaussianChannel
-) -> float | None:
-    ideal_cov = target_S @ input_state.cov @ target_S.T
-    ideal = GaussianState(target_S @ input_state.mean, 0.5 * (ideal_cov + ideal_cov.T))
-    # a target too ill-conditioned for double precision leaves the ideal
+class _ChannelFacts(NamedTuple):
+    channel: GaussianChannel
+    target_S: np.ndarray
+    deviation: float
+    noise_trace: float
+    output: GaussianState
+    fidelity: float | None
+
+
+def _channel_facts(
+    channel: GaussianChannel, target_S: np.ndarray, input_state: GaussianState, reference_S=None
+) -> _ChannelFacts:
+    """A report's channel and target with the numbers read off them once: the
+    deviation |S - target|_F, tr N, the input's image and its ideal-output fidelity."""
+    deviation = float(np.linalg.norm(channel.S - target_S, ord="fro"))
+    if not (np.isfinite([*channel.S.ravel(), *channel.N.ravel(), deviation]).all()):
+        raise OverflowError("the channel overflows double precision: S, N or deviation not finite")
+    output = channel.apply(input_state)
+    # fidelity needs a pure reference, so it is taken against a symplectic
+    # matrix even when the protocol's comparison target is an approximation
+    reference = target_S if reference_S is None else reference_S
+    ideal_cov = reference @ input_state.cov @ reference.T
+    ideal = GaussianState(reference @ input_state.mean, 0.5 * (ideal_cov + ideal_cov.T))
+    # a reference too ill-conditioned for double precision leaves the ideal
     # covariance numerically singular, and its purity (phase_space.purity of
-    # a single mode, from the same determinant) unresolved
+    # a single mode, from the same determinant) unresolved: no fidelity then
     det = np.linalg.det(ideal.cov)
-    if not det > 0 or abs(VACUUM_VARIANCE / math.sqrt(det) - 1.0) > 1e-9:
-        return None
-    return overlap_fidelity(ideal, channel.apply(input_state))
+    fidelity = None
+    if det > 0 and abs(VACUUM_VARIANCE / math.sqrt(det) - 1.0) <= 1e-9:
+        fidelity = overlap_fidelity(ideal, output)
+        _require_finite([fidelity], "the fidelity")
+    return _ChannelFacts(
+        channel, target_S, deviation, float(np.trace(channel.N)), output, fidelity
+    )
 
 
 def _report(
     name: str,
     parameters: dict,
-    channel: GaussianChannel,
+    facts: _ChannelFacts,
     independence: ProtocolCheck,
     checks: Sequence[ProtocolCheck],
-    target_S: np.ndarray,
-    input_state: GaussianState,
     draw_records: Callable[[], RecordTable],
-    fidelity_reference_S: np.ndarray | None = None,
 ) -> ProtocolReport:
-    deviation = float(np.linalg.norm(channel.S - target_S, ord="fro"))
-    if not (np.isfinite([*channel.S.ravel(), *channel.N.ravel(), deviation]).all()):
-        raise OverflowError("the channel overflows double precision: S, N or deviation not finite")
-    # fidelity needs a pure reference, so it is taken against a symplectic
-    # matrix even when the protocol's comparison target is an approximation
-    reference = target_S if fidelity_reference_S is None else fidelity_reference_S
-    lam_min = float(np.linalg.eigvalsh(channel.N)[0])
-    psd_ok = lam_min >= -_bound(NOISE_PSD_TOL, _max_abs(channel.N))
-    fidelity = _fidelity_to_ideal(reference, input_state, channel)
-    if fidelity is not None:
-        _require_finite([fidelity], "the fidelity")
+    lam_min = float(np.linalg.eigvalsh(facts.channel.N)[0])
+    psd_ok = lam_min >= -_bound(NOISE_PSD_TOL, _max_abs(facts.channel.N))
     return ProtocolReport(
         name=name,
         parameters=parameters,
-        channel=channel,
-        target_S=np.array(target_S, dtype=float),
-        deviation=deviation,
-        noise_trace=float(np.trace(channel.N)),
-        fidelity=fidelity,
+        channel=facts.channel,
+        target_S=np.array(facts.target_S, dtype=float),
+        deviation=facts.deviation,
+        noise_trace=facts.noise_trace,
+        fidelity=facts.fidelity,
         checks=(independence, ProtocolCheck("channel_noise_psd", psd_ok, lam_min), *checks),
         draw_records=draw_records,
     )
@@ -259,16 +272,16 @@ def identity_chain(
         raise ValueError("n_nodes must be >= 2")
     steps = [StepPlan(0.0)] * (n_nodes - 1)
     channel, leak, draw_records = _chain_run(steps, r, input_state, seed, trials)
+    target = np.linalg.matrix_power(fourier().S, n_nodes - 1)
+    facts = _channel_facts(channel, target, input_state)
     expected_trace = (n_nodes - 1) * math.exp(-2 * r) * VACUUM_VARIANCE
-    err = abs(float(np.trace(channel.N)) - expected_trace)
+    err = abs(facts.noise_trace - expected_trace)
     return _report(
         "identity_chain",
         {"n_nodes": n_nodes, "squeezing_r": r, "seed": seed},
-        channel,
+        facts,
         _outcome_independent(leak),
         [ProtocolCheck("noise_trace_matches_step_budget", err <= 1e-9, err)],
-        np.linalg.matrix_power(fourier().S, n_nodes - 1),
-        input_state,
         draw_records,
     )
 
@@ -286,34 +299,29 @@ def squeezer_four_step(
     channel, leak, draw_records = _chain_run(steps, r, input_state, seed, trials)
     target = np.diag([1.0 - kappa**2, 1.0 + kappa**2])
     exact = algebra.squeezer_protocol_matrix(kappa)
+    facts = _channel_facts(channel, target, input_state, reference_S=exact)
+    var_x, var_p = facts.output.cov.diagonal().tolist()
+    _require_finite([var_x, var_p], "the output variance")
     exact_dev = float(np.linalg.norm(channel.S - exact, ord="fro"))
     exact_ok = exact_dev <= _bound(1e-6, len(steps) * _max_abs(exact))
-    target_dev = float(np.linalg.norm(channel.S - target, ord="fro"))
-    out = channel.apply(input_state)
     checks = [
         ProtocolCheck("matches_exact_four_step_matrix", exact_ok, exact_dev),
         ProtocolCheck(
             "within_cubic_error_of_target",
-            target_dev <= 2.0 * abs(kappa) ** 3 + 1e-12,
-            target_dev,
+            facts.deviation <= 2.0 * abs(kappa) ** 3 + 1e-12,
+            facts.deviation,
         ),
-        ProtocolCheck("output_var_x", True, float(out.cov[0, 0])),
-        ProtocolCheck("output_var_p", True, float(out.cov[1, 1])),
+        ProtocolCheck("output_var_x", True, var_x),
+        ProtocolCheck("output_var_p", True, var_p),
     ]
-    report = _report(
+    return _report(
         "squeezer_four_step",
         {"kappa": kappa, "squeezing_r": r, "seed": seed},
-        channel,
+        facts,
         _outcome_independent(leak),
         checks,
-        target,
-        input_state,
         draw_records,
-        fidelity_reference_S=exact,
     )
-    # after _report, which refuses an overflowing channel first
-    _require_finite(out.cov.diagonal().tolist(), "the output variance")
-    return report
 
 
 def repeated_squeezer(
@@ -331,16 +339,14 @@ def repeated_squeezer(
     steps = pattern * segments
     channel, leak, draw_records = _chain_run(steps, r, input_state, seed, trials)
     target = np.linalg.matrix_power(algebra.squeezer_protocol_matrix(kappa), segments)
-    dev = float(np.linalg.norm(channel.S - target, ord="fro"))
-    ok = dev <= _bound(1e-6, len(steps) * _max_abs(target))
+    facts = _channel_facts(channel, target, input_state)
+    ok = facts.deviation <= _bound(1e-6, len(steps) * _max_abs(target))
     return _report(
         "repeated_squeezer",
         {"segments": segments, "kappa": kappa, "squeezing_r": r, "seed": seed},
-        channel,
+        facts,
         _outcome_independent(leak),
-        [ProtocolCheck("matches_exact_segment_power", ok, dev)],
-        target,
-        input_state,
+        [ProtocolCheck("matches_exact_segment_power", ok, facts.deviation)],
         draw_records,
     )
 
@@ -404,32 +410,31 @@ def offline_teleport(
     """Unity-gain teleportation through the two-mode squeezed resource.
 
     The corrected output reproduces the input with e^{-2r}/2 of added noise
-    per quadrature; the vacuum-input fidelity is 1/(1 + e^{-2r}).
+    per quadrature; a pure vacuum input's fidelity is 1/(1 + e^{-2r}).
     """
     identity = np.eye(2)
     channel, leak, draw_records = _offline_run(input_state, r, identity, identity, seed, trials)
+    facts = _channel_facts(channel, identity, input_state)
     eps = math.exp(-2 * r)
     noise_err = _max_abs(channel.N - 0.5 * eps * np.eye(2))
     noise_ok = noise_err <= _bound(1e-9, _max_abs(channel.N))
     checks = [ProtocolCheck("noise_is_isotropic_teleportation_noise", noise_ok, noise_err)]
     is_vacuum = (
-        np.allclose(input_state.mean, 0.0)
+        facts.fidelity is not None
+        and np.allclose(input_state.mean, 0.0)
         and np.allclose(input_state.cov, VACUUM_VARIANCE * np.eye(2))
     )
     if is_vacuum:
-        fid = overlap_fidelity(input_state, channel.apply(input_state))
-        fid_err = abs(fid - 1.0 / (1.0 + eps))
+        fid_err = abs(facts.fidelity - 1.0 / (1.0 + eps))
         checks.append(
             ProtocolCheck("vacuum_fidelity_matches_closed_form", fid_err <= 1e-6, fid_err)
         )
     return _report(
         "offline_teleport",
         {"squeezing_r": r, "seed": seed},
-        channel,
+        facts,
         _outcome_independent(leak),
         checks,
-        identity,
-        input_state,
         draw_records,
     )
 
@@ -460,8 +465,8 @@ def offline_squeezer(
         independence = _outcome_independent(leak)
     else:
         independence = ProtocolCheck("outcome_dependence_detected", leak > DEPENDENCE_MIN, leak)
-    target_dev = float(np.linalg.norm(channel.S - gate, ord="fro"))
-    target_ok = target_dev <= _bound(1e-6, _max_abs(gate))
+    facts = _channel_facts(channel, gate, input_state)
+    target_ok = facts.deviation <= _bound(1e-6, _max_abs(gate))
     noise_oracle = (
         0.5
         * math.exp(-2 * r)
@@ -470,7 +475,7 @@ def offline_squeezer(
     noise_err = _max_abs(channel.N - noise_oracle)
     noise_ok = noise_err <= _bound(1e-9, _max_abs(channel.N))
     checks = [
-        ProtocolCheck("channel_matches_target_squeezer", target_ok, target_dev),
+        ProtocolCheck("channel_matches_target_squeezer", target_ok, facts.deviation),
         ProtocolCheck("noise_is_squeezed_teleportation_noise", noise_ok, noise_err),
     ]
     return _report(
@@ -481,11 +486,9 @@ def offline_squeezer(
             "seed": seed,
             "rescale_correction": rescale_correction,
         },
-        channel,
+        facts,
         independence,
         checks,
-        gate,
-        input_state,
         draw_records,
     )
 
@@ -504,6 +507,14 @@ PROTOCOLS = {
 }
 
 
+def protocol_parameters(protocol_id: str) -> tuple[str, ...]:
+    """The ``PARAMETER_DEFAULTS`` names a protocol reads: ``squeezing_db``,
+    which every protocol reads, then its ``PROTOCOLS`` names."""
+    if protocol_id not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol_id!r}; known: {', '.join(PROTOCOLS)}")
+    return ("squeezing_db", *PROTOCOLS[protocol_id][1])
+
+
 def run_named_protocol(
     protocol_id: str, params: dict, seed: int = 0, trials: int = 1
 ) -> ProtocolReport:
@@ -511,16 +522,19 @@ def run_named_protocol(
 
     ``params`` gives the resource squeezing as ``squeezing_db`` (converted
     here, once); missing parameters take their ``PARAMETER_DEFAULTS`` value,
-    and ``input_state`` defaults to the vacuum. Trial t's records are drawn
-    with ``seed + t`` when the report's ``record_columns`` are first read.
+    and ``input_state`` defaults to the vacuum. A key that is neither is
+    refused. Trial t's records are drawn with ``seed + t`` when the report's
+    ``record_columns`` are first read.
     """
-    if protocol_id not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol_id!r}; known: {', '.join(PROTOCOLS)}")
-    builder, names = PROTOCOLS[protocol_id]
+    _, *names = protocol_parameters(protocol_id)
+    unknown = [key for key in params if key not in PARAMETER_DEFAULTS and key != "input_state"]
+    if unknown:
+        raise ValueError(f"unknown parameters {', '.join(map(repr, unknown))}")
     params = {**PARAMETER_DEFAULTS, **params}
     r = db_to_squeezing_r(float(params["squeezing_db"]))
     input_state = params.get("input_state") or vacuum_state(1)
     args = {name: type(PARAMETER_DEFAULTS[name])(params[name]) for name in names}
+    builder = PROTOCOLS[protocol_id][0]
     return builder(r=r, input_state=input_state, seed=seed, trials=trials, **args)
 
 
@@ -529,10 +543,13 @@ def sweep(protocol_id: str, base_params: dict, param: str, values: Sequence) -> 
 
     A row holds only quantities of its point's channel, which does not
     depend on the outcomes, so no point draws records and a sweep takes no
-    seed.
+    seed. ``param`` must be one of ``protocol_parameters(protocol_id)``:
+    any other would give the same row at every point.
     """
     if len(values) == 0:
         raise ValueError("sweep values must be nonempty")
+    if param not in protocol_parameters(protocol_id):
+        raise ValueError(f"protocol {protocol_id!r} does not read {param!r}")
     rows = []
     for i, value in enumerate(values):
         params = dict(base_params)

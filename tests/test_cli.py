@@ -341,6 +341,32 @@ class TestCommandErrors:
         assert captured.err == f"error: cannot write {target}: No such file or directory\n"
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize("param", [["kappa"], {"kappa": 0.1}])
+    def test_sweep_param_not_a_string_exits_2(self, tmp_path, capsys, param):
+        payload = {**BASE_RUN, "sweep": {"param": param, "values": [0.1, 0.2]}}
+        code, out = main_on(tmp_path, "sweep", payload)
+        captured = capsys.readouterr()
+        assert (code, captured.out, out.exists()) == (2, "", False)
+        assert captured.err.startswith("error: field 'sweep.param': ")
+
+    def test_unread_sweep_key_exits_2(self, tmp_path, capsys):
+        payload = {**BASE_RUN, "sweep": {"param": "kappa", "values": [0.1], "step": 0.1}}
+        code, out = main_on(tmp_path, "sweep", payload)
+        captured = capsys.readouterr()
+        assert (code, captured.out, out.exists()) == (2, "", False)
+        assert captured.err == "error: field 'sweep.step': a sweep does not read it\n"
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("path", [["a"], 3, {"a": "b"}])
+    def test_non_string_output_path_exits_2(self, tmp_path, monkeypatch, capsys, command, path):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, "cfg.json", {**self.PAYLOAD, "output_path": path})
+        assert cli.main([command, cfg, "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: field 'output_path': expected a string\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     @pytest.mark.parametrize(
         "spec, key",
         [

@@ -82,6 +82,15 @@ class TestSqueezerFourStep:
         assert report.check("matches_exact_four_step_matrix").passed
         assert report.noise_trace > 0.09  # four steps of 0.025 conjugated
 
+    @pytest.mark.parametrize(
+        "state", [VAC, cv.coherent_state(0.4, -1.2), cv.squeezed_vacuum(0.7, "p")]
+    )
+    def test_output_variances_are_the_channels_image_of_the_input(self, state):
+        report = cv.squeezer_four_step(0.3, TEN_DB_R, state)
+        out = report.channel.apply(state)
+        assert report.check("output_var_x").value == out.cov[0, 0]
+        assert report.check("output_var_p").value == out.cov[1, 1]
+
 
 class TestRepeatedSqueezer:
     def test_single_segment_matches_four_step(self):
@@ -119,6 +128,20 @@ class TestOfflineTeleport:
         report = cv.offline_teleport(VAC, r)
         assert report.fidelity == pytest.approx(expected, abs=1e-6)
         assert report.check("vacuum_fidelity_matches_closed_form").passed
+
+    @pytest.mark.parametrize("r", [0.0, 0.3, TEN_DB_R, 3.0, IDEAL])
+    def test_vacuum_check_reads_the_reports_fidelity(self, r):
+        report = cv.offline_teleport(VAC, r)
+        expected = abs(report.fidelity - 1.0 / (1.0 + math.exp(-2 * r)))
+        assert report.check("vacuum_fidelity_matches_closed_form").value == expected
+
+    def test_mixed_input_near_vacuum_has_no_fidelity_and_no_vacuum_check(self):
+        # within np.allclose of the vacuum, but not pure to the 1e-9 the
+        # fidelity needs of its ideal output, which is the input itself
+        mixed = cv.GaussianState(np.zeros(2), 0.25 * (1 + 1e-6) * np.eye(2))
+        report = cv.offline_teleport(mixed, TEN_DB_R)
+        assert report.fidelity is None
+        assert "vacuum_fidelity_matches_closed_form" not in {c.name for c in report.checks}
 
     def test_ideal_limit_is_replica(self):
         input_state = cv.coherent_state(0.7, -1.2)
@@ -294,6 +317,30 @@ class TestReportsAndSweep:
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError, match="unknown protocol"):
             cv.run_named_protocol("bogus", {})
+        with pytest.raises(ValueError, match="unknown protocol"):
+            cv.sweep("bogus", {}, "squeezing_db", [10.0])
+
+    def test_run_named_protocol_refuses_an_unknown_parameter(self):
+        with pytest.raises(ValueError, match="unknown parameters 'kapa'"):
+            cv.run_named_protocol("squeezer_four_step", {"kapa": 0.5})
+
+    @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
+    @pytest.mark.parametrize("param", [*protocols.PARAMETER_DEFAULTS, "input_state", "seed"])
+    def test_sweep_refuses_what_the_cli_refuses(self, protocol, param):
+        # one rule, protocols.protocol_parameters, for the library and the CLI
+        value = protocols.PARAMETER_DEFAULTS.get(param, 1)
+        payload = {"protocol": protocol, "sweep": {"param": param, "values": [value]}}
+        try:
+            cli.ExperimentConfig.from_dict(payload)
+            cli_accepts = True
+        except cli.ConfigError:
+            cli_accepts = False
+        assert cli_accepts == (param in protocols.protocol_parameters(protocol))
+        if cli_accepts:
+            assert len(cv.sweep(protocol, {}, param, [value])) == 1
+        else:
+            with pytest.raises(ValueError, match=f"{protocol!r} does not read {param!r}"):
+                cv.sweep(protocol, {}, param, [value])
 
     def test_run_named_protocol_accepts_db(self):
         report = cv.run_named_protocol(
@@ -340,6 +387,29 @@ class TestOneEvaluationPerReport:
         monkeypatch.setattr(engine, "_corrected_weights", spy)
         run()
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
+    def test_channel_applied_once_and_fidelity_taken_once(self, monkeypatch, protocol):
+        # the default input is the vacuum, so offline_teleport also makes
+        # its vacuum check, which reads the report's fidelity
+        calls = []
+        apply, overlap = engine.GaussianChannel.apply, protocols.overlap_fidelity
+
+        def apply_spy(channel, state):
+            calls.append("apply")
+            return apply(channel, state)
+
+        def overlap_spy(pure, rho):
+            calls.append("overlap_fidelity")
+            return overlap(pure, rho)
+
+        monkeypatch.setattr(engine.GaussianChannel, "apply", apply_spy)
+        monkeypatch.setattr(protocols, "overlap_fidelity", overlap_spy)
+        report = cv.run_named_protocol(protocol, {"squeezing_db": 10.0})
+        assert calls.count("apply") == 1
+        assert calls.count("overlap_fidelity") <= 1
+        if protocol == "offline_teleport":
+            assert report.check("vacuum_fidelity_matches_closed_form").passed
 
     @pytest.mark.parametrize("protocol", ["offline_teleport", "offline_squeezer"])
     def test_offline_records_follow_explicit_state(self, protocol):
