@@ -6,6 +6,8 @@ table, ``verify`` runs the invariant and identity suite and prints a
 pass/fail table.
 
 Configs and result documents are JSON with a ``schema_version`` field.
+Numeric fields are checked through ``protocols.checked_parameter``, the
+library's own rule, and a refusal is a ``ConfigError`` naming the field.
 Floats are serialized with Python's shortest round-trip repr, so identical
 config + seed produce byte-identical documents and parsing a document and
 re-emitting it is the identity; printed summaries quote values to 12
@@ -33,9 +35,7 @@ from . import checks, protocols
 from .phase_space import GaussianState, coherent_state, squeezed_vacuum, vacuum_state
 
 SCHEMA_VERSION = 1
-# the longest chain a config may ask for, and the most records a run
-# document may hold; either bound keeps a document within a few hundred MB
-MAX_CHAIN_STEPS = 10**5
+# the most records a run document may hold: it keeps a document within a few hundred MB
 MAX_RECORDS = 10**5
 
 
@@ -43,72 +43,28 @@ class ConfigError(ValueError):
     """A config file failed schema validation; the message names the field."""
 
 
-def _finite_squeezing(r: float) -> bool:
-    """True if e^{2r} and e^{-2r} are both finite floats."""
-    try:
-        return math.isfinite(math.exp(2 * abs(r)))
-    except OverflowError:
-        return False
-
-
-# field -> (caster, condition on the cast value, message if it fails)
-_SCALAR_FIELDS = {
-    "squeezing_db": (
-        float,
-        lambda v: v >= 0 and _finite_squeezing(protocols.db_to_squeezing_r(v)),
-        "must be finite and >= 0, with e^{2r} finite",
-    ),
-    "kappa": (float, math.isfinite, "must be finite"),
-    "n_nodes": (int, lambda v: v >= 2, "must be >= 2"),
-    "segments": (int, lambda v: v >= 1, "must be >= 1"),
-    "r_gate": (float, _finite_squeezing, "must be finite, with e^{2|r_gate|} finite"),
-    "seed": (int, lambda v: v >= 0, "must be a non-negative integer"),
-    "trials": (int, lambda v: v >= 1, "must be >= 1"),
-}
-# field -> its largest value: a chain of MAX_CHAIN_STEPS steps
-_MAX_VALUES = {"n_nodes": MAX_CHAIN_STEPS + 1, "segments": MAX_CHAIN_STEPS // 4}
-_DEFAULTS = protocols.PARAMETER_DEFAULTS
 # input kind -> the keys besides "kind" that it reads
 _INPUT_KEYS = {"vacuum": (), "coherent": ("re", "im"), "squeezed": ("r", "axis")}
 _KNOWN_FIELDS = {
-    "schema_version", "protocol", *_DEFAULTS, "input", "seed", "trials", "sweep", "output_path",
+    "schema_version", "protocol", *protocols.PARAMETERS, "input", "sweep", "output_path",
 }
 
 
 def _checked_scalar(name: str, raw, label: str | None = None):
-    """Cast a raw config value for field ``name`` and check its condition.
-
-    Booleans are refused rather than read as 0 or 1, and an integer field
-    refuses a float with a fractional part rather than truncating it."""
-    caster, cond, what = _SCALAR_FIELDS[name]
-    label = label or name
-    if isinstance(raw, bool):
-        raise ConfigError(f"field {label!r}: expected {caster.__name__}, got a boolean")
+    """``protocols.checked_parameter``, refusing with ``ConfigError``."""
     try:
-        value = caster(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"field {label!r}: expected {caster.__name__}")
-    if caster is int and isinstance(raw, float) and value != raw:
-        raise ConfigError(f"field {label!r}: expected an integer, got {raw!r}")
-    if not cond(value):
-        raise ConfigError(f"field {label!r}: {what}")
-    if value > _MAX_VALUES.get(name, value):
-        bound = f"must be <= {_MAX_VALUES[name]}, a chain of at most {MAX_CHAIN_STEPS} steps"
-        raise ConfigError(f"field {label!r}: {bound}")
-    return value
+        return protocols.checked_parameter(name, raw, label)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 @dataclass
 class ExperimentConfig:
     protocol: str
-    squeezing_db: float = _DEFAULTS["squeezing_db"]
-    kappa: float = _DEFAULTS["kappa"]
-    n_nodes: int = _DEFAULTS["n_nodes"]
-    segments: int = _DEFAULTS["segments"]
-    r_gate: float = _DEFAULTS["r_gate"]
+    params: dict = field(default_factory=lambda: dict(protocols.PARAMETER_DEFAULTS))
     input: dict = field(default_factory=lambda: {"kind": "vacuum"})
-    seed: int = 0
-    trials: int = 1
+    seed: int = protocols.PARAMETERS["seed"].default
+    trials: int = protocols.PARAMETERS["trials"].default
     sweep: dict | None = None
     output_path: str | None = None
 
@@ -130,9 +86,10 @@ class ExperimentConfig:
                 f"field 'protocol': unknown protocol {cfg.protocol!r}; "
                 f"known: {', '.join(protocols.PROTOCOLS)}"
             )
-        for name in _SCALAR_FIELDS:
-            if name in raw:
-                setattr(cfg, name, _checked_scalar(name, raw[name]))
+        checked = {name: _checked_scalar(name, raw[name])
+                   for name in protocols.PARAMETERS if name in raw}
+        cfg.seed, cfg.trials = checked.pop("seed", cfg.seed), checked.pop("trials", cfg.trials)
+        cfg.params.update(checked)
         if "input" in raw:
             cfg.input = raw["input"]
             cfg.input_state  # validate eagerly
@@ -150,7 +107,7 @@ class ExperimentConfig:
             if not isinstance(sweep["values"], list) or len(sweep["values"]) == 0:
                 raise ConfigError("field 'sweep.values': must be a nonempty list")
             param = sweep["param"]
-            if not isinstance(param, str) or param not in _DEFAULTS:
+            if not isinstance(param, str) or param not in protocols.PARAMETER_DEFAULTS:
                 raise ConfigError(f"field 'sweep.param': cannot sweep {param!r}")
             # the raw values are kept: they are echoed verbatim in the CSV
             for i, value in enumerate(sweep["values"]):
@@ -172,7 +129,7 @@ class ExperimentConfig:
         return {
             "schema_version": SCHEMA_VERSION,
             "protocol": self.protocol,
-            **{name: type(default)(getattr(self, name)) for name, default in _DEFAULTS.items()},
+            **self.params,
             "input": self.input,
             "seed": int(self.seed),
             "trials": int(self.trials),
@@ -206,7 +163,7 @@ def build_input_state(spec: dict) -> GaussianState:
         return coherent_state(re, im)
     try:  # squeezed
         r = float(spec["r"])
-        if not _finite_squeezing(r):
+        if not protocols._finite_squeezing(r):
             raise ValueError("squeezed r must be finite, with e^{2|r|} finite")
         return squeezed_vacuum(r, str(spec["axis"]))
     except KeyError as missing:
@@ -216,15 +173,13 @@ def build_input_state(spec: dict) -> GaussianState:
 
 
 def _protocol_params(cfg: ExperimentConfig) -> dict:
-    params = {name: getattr(cfg, name) for name in _DEFAULTS}
-    params["input_state"] = cfg.input_state
-    return params
+    return {**cfg.params, "input_state": cfg.input_state}
 
 
 def _records_per_trial(cfg: ExperimentConfig) -> int:
     """One record per chain step; the off-line protocols read two ports."""
-    chains = {"identity_chain": cfg.n_nodes - 1, "squeezer_four_step": 4,
-              "repeated_squeezer": 4 * cfg.segments}
+    chains = {"identity_chain": cfg.params["n_nodes"] - 1, "squeezer_four_step": 4,
+              "repeated_squeezer": 4 * cfg.params["segments"]}
     return chains.get(cfg.protocol, 2)
 
 

@@ -16,12 +16,15 @@ depend on the homodyne outcomes, so a report draws its outcome records the
 first time they are read: a report read only for its channel, such as a
 sweep point's, draws none. The records are drawn as columns, one
 ``RecordColumns`` per trial (``record_columns``), which the document is
-written from.
+written from. One table, ``PARAMETERS``, states each config-style
+parameter's default, cast, rule and largest value once; ``checked_parameter``
+checks a value against it for the CLI and for ``run_named_protocol`` alike.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain
@@ -54,15 +57,8 @@ INDEPENDENCE_TOL = 1e-9
 DEPENDENCE_MIN = 1e-3
 NOISE_PSD_TOL = 1e-10
 ROUNDING_TOL = 64 * np.finfo(float).eps
-
-# config-style protocol parameters and their defaults (the CLI's too)
-PARAMETER_DEFAULTS = {
-    "squeezing_db": 100.0,
-    "kappa": 0.2,
-    "n_nodes": 5,
-    "segments": 1,
-    "r_gate": 0.04,
-}
+# the longest chain a parameter may ask for: it keeps a document within a few hundred MB
+MAX_CHAIN_STEPS = 10**5
 
 
 def _bound(absolute: float, scale: float) -> float:
@@ -92,9 +88,60 @@ def _require_finite(values: Iterable[float], what: str) -> None:
 
 def db_to_squeezing_r(db: float) -> float:
     """s dB of squeezing corresponds to e^{-2r} = 10^{-s/10}."""
-    if db < 0:
-        raise ValueError("squeezing_db must be >= 0")
+    if not 0 <= db < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"squeezing_db must be finite and >= 0, got {db!r}")
     return db * math.log(10.0) / 20.0
+
+
+def _finite_squeezing(r: float) -> bool:
+    """True if e^{2r} and e^{-2r} are both finite floats."""
+    try:
+        return math.isfinite(math.exp(2 * abs(r)))
+    except OverflowError:
+        return False
+
+
+# config-style name -> its default, cast, condition on the cast value, the message if
+# that fails, and its largest value or None; the CLI and the library check through it
+Parameter = namedtuple("Parameter", "default cast condition rule largest", defaults=[None])
+PARAMETERS = {
+    "squeezing_db": Parameter(
+        100.0,
+        float,
+        lambda v: 0 <= v < math.inf and _finite_squeezing(db_to_squeezing_r(v)),
+        "must be finite and >= 0, with e^{2r} finite",
+    ),
+    "kappa": Parameter(0.2, float, math.isfinite, "must be finite"),
+    "n_nodes": Parameter(5, int, lambda v: v >= 2, "must be >= 2", MAX_CHAIN_STEPS + 1),
+    "segments": Parameter(1, int, lambda v: v >= 1, "must be >= 1", MAX_CHAIN_STEPS // 4),
+    "r_gate": Parameter(0.04, float, _finite_squeezing, "must be finite, with e^{2|r_gate|} finite"),
+    "seed": Parameter(0, int, lambda v: v >= 0, "must be a non-negative integer"),
+    "trials": Parameter(1, int, lambda v: v >= 1, "must be >= 1"),
+}
+# the protocol parameters: all but the run's seed and trials
+PARAMETER_DEFAULTS = {n: p.default for n, p in PARAMETERS.items() if n not in ("seed", "trials")}
+
+
+def checked_parameter(name: str, raw, label: str | None = None):
+    """``raw`` cast by ``PARAMETERS[name]``, its condition and bound checked; a
+    refusal is a ``ValueError`` naming ``label`` (default ``name``). Booleans are
+    refused, and an integer parameter refuses a float with a fractional part."""
+    _, cast, condition, rule, largest = PARAMETERS[name]
+    label = label or name
+    if isinstance(raw, bool):
+        raise ValueError(f"field {label!r}: expected {cast.__name__}, got a boolean")
+    try:
+        value = cast(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"field {label!r}: expected {cast.__name__}")
+    if cast is int and isinstance(raw, float) and value != raw:
+        raise ValueError(f"field {label!r}: expected an integer, got {raw!r}")
+    if not condition(value):
+        raise ValueError(f"field {label!r}: {rule}")
+    if largest is not None and value > largest:
+        bound = f"must be <= {largest}, a chain of at most {MAX_CHAIN_STEPS} steps"
+        raise ValueError(f"field {label!r}: {bound}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -496,7 +543,7 @@ def offline_squeezer(
 # ---------------------------------------------------------------------------
 # protocol table and sweeps
 
-# protocol id -> (builder, the PARAMETER_DEFAULTS names it reads besides the
+# protocol id -> (builder, the PARAMETERS names it reads besides the
 # squeezing, which every protocol reads)
 PROTOCOLS = {
     "identity_chain": (identity_chain, ("n_nodes",)),
@@ -523,17 +570,19 @@ def run_named_protocol(
     ``params`` gives the resource squeezing as ``squeezing_db`` (converted
     here, once); missing parameters take their ``PARAMETER_DEFAULTS`` value,
     and ``input_state`` defaults to the vacuum. A key that is neither is
-    refused. Trial t's records are drawn with ``seed + t`` when the report's
-    ``record_columns`` are first read.
+    refused; the others, ``seed`` and ``trials`` go through ``checked_parameter``.
+    Trial t's records are drawn with ``seed + t`` when ``record_columns`` is first read.
     """
     _, *names = protocol_parameters(protocol_id)
-    unknown = [key for key in params if key not in PARAMETER_DEFAULTS and key != "input_state"]
+    params = dict(params)
+    input_state = params.pop("input_state", None) or vacuum_state(1)
+    unknown = [key for key in params if key not in PARAMETER_DEFAULTS]
     if unknown:
         raise ValueError(f"unknown parameters {', '.join(map(repr, unknown))}")
-    params = {**PARAMETER_DEFAULTS, **params}
-    r = db_to_squeezing_r(float(params["squeezing_db"]))
-    input_state = params.get("input_state") or vacuum_state(1)
-    args = {name: type(PARAMETER_DEFAULTS[name])(params[name]) for name in names}
+    values = {**PARAMETER_DEFAULTS, **{k: checked_parameter(k, v) for k, v in params.items()}}
+    seed, trials = checked_parameter("seed", seed), checked_parameter("trials", trials)
+    r = db_to_squeezing_r(values["squeezing_db"])
+    args = {name: values[name] for name in names}
     builder = PROTOCOLS[protocol_id][0]
     return builder(r=r, input_state=input_state, seed=seed, trials=trials, **args)
 

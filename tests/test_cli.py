@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cvcluster as cv
-from cvcluster import checks, cli
+from cvcluster import checks, cli, protocols
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -84,7 +84,7 @@ class TestConfigParsing:
         cfg = cli.ExperimentConfig.from_dict(
             {"protocol": "identity_chain", "squeezing_db": 3000.0, "r_gate": -300.0}
         )
-        assert (cfg.squeezing_db, cfg.r_gate) == (3000.0, -300.0)
+        assert (cfg.params["squeezing_db"], cfg.params["r_gate"]) == (3000.0, -300.0)
 
     @pytest.mark.parametrize(
         "param, values, bad_index",
@@ -105,7 +105,7 @@ class TestConfigParsing:
                 {"protocol": "identity_chain", "sweep": {"param": param, "values": values}}
             )
 
-    @pytest.mark.parametrize("field", sorted(cli._SCALAR_FIELDS))
+    @pytest.mark.parametrize("field", sorted(protocols.PARAMETERS))
     @pytest.mark.parametrize("value", [True, False])
     def test_booleans_rejected_in_every_scalar_field(self, field, value):
         # a boolean is not a number here, although Python casts it to 0 or 1
@@ -123,7 +123,7 @@ class TestConfigParsing:
         cfg = cli.ExperimentConfig.from_dict(
             {"protocol": "identity_chain", "n_nodes": 4.0, "segments": 2.0, "seed": 3.0, "trials": 2.0}
         )
-        values = (cfg.n_nodes, cfg.segments, cfg.seed, cfg.trials)
+        values = (cfg.params["n_nodes"], cfg.params["segments"], cfg.seed, cfg.trials)
         assert values == (4, 2, 3, 2)
         assert all(type(v) is int for v in values)
 
@@ -905,11 +905,11 @@ class TestSizeBounds:
 
     @pytest.mark.parametrize(
         "field, largest",
-        [("n_nodes", cli.MAX_CHAIN_STEPS + 1), ("segments", cli.MAX_CHAIN_STEPS // 4)],
+        [("n_nodes", protocols.MAX_CHAIN_STEPS + 1), ("segments", protocols.MAX_CHAIN_STEPS // 4)],
     )
     def test_chain_bound_is_max_chain_steps(self, field, largest):
         cfg = cli.ExperimentConfig.from_dict({"protocol": "identity_chain", field: largest})
-        assert getattr(cfg, field) == largest
+        assert cfg.params[field] == largest
         with pytest.raises(cli.ConfigError, match=field):
             cli.ExperimentConfig.from_dict({"protocol": "identity_chain", field: largest + 1})
 

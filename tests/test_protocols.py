@@ -635,6 +635,40 @@ class TestProtocolTable:
         np.testing.assert_array_equal(direct.channel.S, default.channel.S)
 
 
+def _named_run(name: str, raw):
+    """run_named_protocol with ``raw`` as the parameter, seed or trials ``name``."""
+    if name in ("seed", "trials"):
+        return cv.run_named_protocol("identity_chain", {}, **{name: raw})
+    return cv.run_named_protocol("identity_chain", {name: raw})
+
+
+class TestOneParameterTable:
+    @pytest.mark.parametrize("name", list(protocols.PARAMETERS))
+    @pytest.mark.parametrize(
+        "raw", [True, 2.5, "x", float("nan"), "inf", -1, 0, 10**6, [1], 1e9, 3, 4.0], ids=repr
+    )
+    def test_library_refuses_what_the_cli_refuses(self, monkeypatch, name, raw):
+        # one rule, protocols.checked_parameter, with the same text in both;
+        # seed and trials are refused at the call, not when records are read
+        try:
+            cli.ExperimentConfig.from_dict({"protocol": "identity_chain", name: raw})
+        except cli.ConfigError as err:
+            def refuse(**kwargs):
+                raise AssertionError(f"a refused {name} reached the builder")
+
+            monkeypatch.setitem(protocols.PROTOCOLS, "identity_chain", (refuse, ("n_nodes",)))
+            with pytest.raises(ValueError) as refused:
+                _named_run(name, raw)
+            assert str(refused.value) == str(err)
+        else:
+            assert _named_run(name, raw).name == "identity_chain"
+
+    @pytest.mark.parametrize("db", [float("nan"), float("inf"), -1.0])
+    def test_db_to_squeezing_r_refuses_a_non_finite_or_negative_db(self, db):
+        with pytest.raises(ValueError, match="squeezing_db must be finite and >= 0"):
+            cv.db_to_squeezing_r(db)
+
+
 class TestMatrixCheckBounds:
     def test_segment_power_check_fails_for_relative_error_at_large_S(self, monkeypatch):
         # kappa = 1 and 50 segments give |S| = 5.7e20: the check is held to
