@@ -6,8 +6,8 @@ table, ``verify`` runs the invariant and identity suite and prints a
 pass/fail table.
 
 Configs and result documents are JSON with a ``schema_version`` field.
-Numeric fields are checked through ``protocols.checked_parameter``, the
-library's own rule, and a refusal is a ``ConfigError`` naming the field.
+Numeric fields and a run's record count are checked by the library's own
+rules in ``protocols``, and a refusal is a ``ConfigError`` naming the field.
 Floats are serialized with Python's shortest round-trip repr, so identical
 config + seed produce byte-identical documents and parsing a document and
 re-emitting it is the identity; printed summaries quote values to 12
@@ -35,8 +35,6 @@ from . import checks, protocols
 from .phase_space import GaussianState, coherent_state, squeezed_vacuum, vacuum_state
 
 SCHEMA_VERSION = 1
-# the most records a run document may hold: it keeps a document within a few hundred MB
-MAX_RECORDS = 10**5
 
 
 class ConfigError(ValueError):
@@ -50,10 +48,10 @@ _KNOWN_FIELDS = {
 }
 
 
-def _checked_scalar(name: str, raw, label: str | None = None):
-    """``protocols.checked_parameter``, refusing with ``ConfigError``."""
+def _config_checked(check, *args):
+    """``check(*args)``, a rule of ``protocols``, refusing with ``ConfigError``."""
     try:
-        return protocols.checked_parameter(name, raw, label)
+        return check(*args)
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
@@ -86,7 +84,7 @@ class ExperimentConfig:
                 f"field 'protocol': unknown protocol {cfg.protocol!r}; "
                 f"known: {', '.join(protocols.PROTOCOLS)}"
             )
-        checked = {name: _checked_scalar(name, raw[name])
+        checked = {name: _config_checked(protocols.checked_parameter, name, raw[name])
                    for name in protocols.PARAMETERS if name in raw}
         cfg.seed, cfg.trials = checked.pop("seed", cfg.seed), checked.pop("trials", cfg.trials)
         cfg.params.update(checked)
@@ -111,7 +109,7 @@ class ExperimentConfig:
                 raise ConfigError(f"field 'sweep.param': cannot sweep {param!r}")
             # the raw values are kept: they are echoed verbatim in the CSV
             for i, value in enumerate(sweep["values"]):
-                _checked_scalar(param, value, f"sweep.values[{i}]")
+                _config_checked(protocols.checked_parameter, param, value, f"sweep.values[{i}]")
             if param not in protocols.protocol_parameters(cfg.protocol):
                 raise ConfigError(
                     f"field 'sweep.param': protocol {cfg.protocol!r} does not read {param!r}"
@@ -147,8 +145,9 @@ def build_input_state(spec: dict) -> GaussianState:
     for key, value in spec.items():
         if key != "kind" and key not in _INPUT_KEYS[kind]:
             raise ConfigError(f"field 'input.{key}': a {kind} input does not read it")
-        if isinstance(value, bool) and key in ("re", "im", "r"):
-            raise ConfigError(f"field 'input.{key}': expected a number, got a boolean")
+        if isinstance(value, (bool, str)) and key in ("re", "im", "r"):
+            got = "a boolean" if isinstance(value, bool) else "a string"
+            raise ConfigError(f"field 'input.{key}': expected a number, got {got}")
     if kind == "vacuum":
         return vacuum_state(1)
     if kind == "coherent":
@@ -176,22 +175,11 @@ def _protocol_params(cfg: ExperimentConfig) -> dict:
     return {**cfg.params, "input_state": cfg.input_state}
 
 
-def _records_per_trial(cfg: ExperimentConfig) -> int:
-    """One record per chain step; the off-line protocols read two ports."""
-    chains = {"identity_chain": cfg.params["n_nodes"] - 1, "squeezer_four_step": 4,
-              "repeated_squeezer": 4 * cfg.params["segments"]}
-    return chains.get(cfg.protocol, 2)
-
-
 def run_document(cfg: ExperimentConfig) -> dict:
     """One result document: the report of cfg.trials seeded trials, whose
-    channel and checks are built once, with the config echoed."""
-    records = cfg.trials * _records_per_trial(cfg)
-    if records > MAX_RECORDS:
-        raise ConfigError(
-            f"field 'trials': {cfg.trials} trials write {records} records, "
-            f"more than the {MAX_RECORDS} a run document may hold"
-        )
+    channel and checks are built once, with the config echoed; trials that
+    would overfill it are refused before anything is built."""
+    _config_checked(protocols.document_records, cfg.protocol, cfg.params, cfg.trials)
     report = protocols.run_named_protocol(
         cfg.protocol, _protocol_params(cfg), seed=cfg.seed, trials=cfg.trials
     )
@@ -298,7 +286,7 @@ def _load_config(path: str, seed_override: int | None) -> ExperimentConfig:
     # a seed override changes the experiment and is echoed in the document;
     # --output only redirects the write and must not perturb the bytes
     if seed_override is not None:
-        cfg.seed = _checked_scalar("seed", seed_override, "--seed")
+        cfg.seed = _config_checked(protocols.checked_parameter, "seed", seed_override, "--seed")
     return cfg
 
 

@@ -31,16 +31,17 @@ O(k) in the number of steps:
   a protocol report draws its records the first time they are read, and a
   report read only for its channel draws none. ``chain_records`` draws one
   trial's ``RecordColumns`` (kappa, theta, raw and rescaled outcome) per
-  outcome source, and computes what does not depend on the trial's seed
-  (the basis, the resource deviations, the input's factor) once per call.
+  seed, and computes what does not depend on the trial's seed (the basis,
+  the resource deviations, the input's factor) once per call.
 
 Teleportation-style protocols (``dual_step`` and the off-line reports) share
 one path, ``_teleportation``: given their output and measured rows over the
 product state, the correction gain and which resource columns are
 anti-squeezed or squeezed, it reads the channel and leak through
 ``affine_channel`` and gives the measured values' joint Gaussian law, from
-which ``_sample_or_force`` draws them. The protocols' resource variances and
-outcome draws all live here.
+which ``_gaussian_draws`` draws them. The protocols' resource variances and
+outcome draws all live here. Every draw takes an integer seed, which
+``_generator`` alone turns into a PCG64 generator.
 
 This makes the corrected output exactly outcome- and seed-independent, with
 finite squeezing entering only as additive noise.
@@ -244,52 +245,32 @@ def chain_channel(steps: Sequence[StepPlan], cluster_r: float) -> tuple[Gaussian
     return affine_channel(np.column_stack([Wx[:, 0], Wp[:, 0]]), Wx[:, 1:], Wp[:, 1:], cluster_r)
 
 
-def _generator(outcome_source) -> np.random.Generator | None:
-    """The generator a seed or Generator outcome source draws from; None for
-    forced outcomes."""
-    if isinstance(outcome_source, np.random.Generator):
-        return outcome_source
-    if isinstance(outcome_source, (int, np.integer)):
-        return np.random.Generator(np.random.PCG64(outcome_source))
-    return None
+def _generator(seed) -> np.random.Generator:
+    """The PCG64 generator an integer outcome seed draws from; any other
+    source, a bool, a float, a sequence or a Generator, is refused."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"an outcome seed must be an integer, got {type(seed).__name__}")
+    return np.random.Generator(np.random.PCG64(seed))
 
 
-def _forced_outcomes(outcome_source, k: int) -> np.ndarray:
-    forced = np.atleast_1d(np.asarray(outcome_source, dtype=float))
-    if forced.size == 1:
-        forced = np.full(k, forced[0])
-    if forced.shape != (k,):
-        raise ValueError(f"expected {k} forced outcomes, got shape {forced.shape}")
-    return forced
-
-
-def _sample_or_force(
-    mean: np.ndarray,
-    factor: np.ndarray,
-    outcome_source,
-    k: int,
-) -> np.ndarray:
-    """Joint outcome vector: forced raw values, or one draw from
-    N(mean, factor factor^T), ``factor`` the covariance's Cholesky factor."""
-    rng = _generator(outcome_source)
-    if rng is None:
-        return _forced_outcomes(outcome_source, k)
-    return mean + factor @ rng.standard_normal(k)
+def _gaussian_draws(mean: np.ndarray, cov: np.ndarray, seeds: Iterable) -> list[list[float]]:
+    """One draw from N(mean, cov) per seed, in order: one Cholesky factor per
+    call, and one generator per seed."""
+    factor = np.linalg.cholesky(cov)
+    return [(mean + factor @ _generator(s).standard_normal(mean.size)).tolist() for s in seeds]
 
 
 def chain_records(
     input_state: GaussianState,
     steps: Sequence[StepPlan],
     cluster_r: float,
-    outcome_sources: Iterable,
+    seeds: Iterable,
 ) -> tuple[RecordColumns, ...]:
-    """The record columns of one chain trial per outcome source (a seed, a
-    numpy Generator, or a sequence of forced raw outcomes), in order.
+    """The record columns of one chain trial per integer seed, in order.
 
-    A sampled trial is one exact draw of (m_0..m_{k-1}): sample the product
-    state, then apply the banded functionals. The basis and the resource
-    deviations are computed once per call, and the input's Cholesky factor
-    at the first sampled trial, so forced outcomes need none.
+    A trial is one exact draw of (m_0..m_{k-1}): sample the product state,
+    then apply the banded functionals. The basis, the resource deviations
+    and the input's Cholesky factor are computed once per call.
     """
     if input_state.n_modes != 1:
         raise ValueError("input must be a single-mode state")
@@ -298,27 +279,20 @@ def chain_records(
     thetas, rescales = measurement_basis(kappas)
     indices, kappa_column, theta_column = range(k), kappas.tolist(), thetas.tolist()
     sd_x, sd_p = map(math.sqrt, _resource_variances(cluster_r))
-    factor = None
+    factor = np.linalg.cholesky(input_state.cov)
     trials = []
-    for source in outcome_sources:
-        rng = _generator(source)
-        if rng is None:
-            raws = _forced_outcomes(source, k)
-            rescaled = raws * rescales
-        else:
-            if factor is None:
-                factor = np.linalg.cholesky(input_state.cov)
-            z = rng.standard_normal(2 * (k + 1))
-            q_in = input_state.mean + factor @ z[:2]
-            x = np.empty(k + 2)  # x[j + 1] = x_j, with x_{-1} = 0
-            x[0] = 0.0
-            x[1] = q_in[0]
-            x[2:] = sd_x * z[2::2]
-            p = np.empty(k)
-            p[0] = q_in[1]
-            p[1:] = sd_p * z[3:-2:2]
-            rescaled = p + kappas * x[1 : k + 1] + x[:k] + x[2:]
-            raws = rescaled / rescales
+    for seed in seeds:
+        z = _generator(seed).standard_normal(2 * (k + 1))
+        q_in = input_state.mean + factor @ z[:2]
+        x = np.empty(k + 2)  # x[j + 1] = x_j, with x_{-1} = 0
+        x[0] = 0.0
+        x[1] = q_in[0]
+        x[2:] = sd_x * z[2::2]
+        p = np.empty(k)
+        p[0] = q_in[1]
+        p[1:] = sd_p * z[3:-2:2]
+        rescaled = p + kappas * x[1 : k + 1] + x[:k] + x[2:]
+        raws = rescaled / rescales
         trials.append(
             RecordColumns(
                 indices, indices, kappa_column, theta_column, raws.tolist(), rescaled.tolist()
@@ -331,19 +305,19 @@ def run_protocol(
     input_state: GaussianState,
     steps: Sequence[StepPlan],
     cluster_r: float,
-    outcome_source,
+    seed: int,
 ) -> tuple[GaussianState, RecordColumns, ByproductFrame]:
     """Teleport an input through a linear cluster, one measured node per step.
 
     The input is attached as mode 0 to a len(steps)-node cluster at squeezing
     ``cluster_r``; step j measures p + kappa_j x of mode j and the unmeasured
-    final mode carries the output. ``outcome_source`` is a seed (int), a
-    numpy Generator, or a sequence of forced raw outcomes.
+    final mode carries the output; the outcomes are drawn with the integer
+    ``seed``.
 
     Returns the uncorrected output state (byproduct displacement still in its
     mean), the trial's record columns, and the accumulated byproduct frame.
     """
-    (columns,) = chain_records(input_state, steps, cluster_r, [outcome_source])
+    (columns,) = chain_records(input_state, steps, cluster_r, [seed])
     frame = ByproductFrame()
     for value, kappa in zip(columns.rescaled_outcome, columns.kappa):
         frame = update_frame(frame, value, kappa)
@@ -369,7 +343,7 @@ def _teleportation(
     ``squeezed`` e^{-2r}/4. The correction adds ``gain`` times the measured
     values to the output, so the corrected rows are out + gain measured. The
     measured values are jointly Gaussian with the returned mean and
-    covariance; ``_sample_or_force`` draws (or forces) them.
+    covariance; ``_gaussian_draws`` draws them.
     """
     if input_state.n_modes != 1:
         raise ValueError("input must be a single-mode state")
@@ -386,7 +360,7 @@ def _teleportation(
 
 
 def dual_step(
-    input_state: GaussianState, r: float, outcome_source
+    input_state: GaussianState, r: float, seed: int
 ) -> tuple[GaussianState, RecordColumns]:
     """The dual elementary circuit: x-squeezed ancilla, e^{2i p(x)p} coupling,
     x detection on the input mode.
@@ -409,7 +383,7 @@ def dual_step(
         input_state, r, S[2:4], S[:1], np.array([[0.0], [1.0]]), [3], [2]
     )
     corrected = channel.apply(input_state)
-    t = float(_sample_or_force(mean, np.linalg.cholesky(cov), outcome_source, 1)[0])
+    ((t,),) = _gaussian_draws(mean, cov, [seed])
     output = GaussianState(corrected.mean + np.array([0.0, -t]), corrected.cov)
     return output, RecordColumns((0,), (0,), (0.0,), (-math.pi / 2,), (t,), (t,))
 

@@ -15,10 +15,11 @@ variance with its subclass ``InputOverflowError``. The channel does not
 depend on the homodyne outcomes, so a report draws its outcome records the
 first time they are read: a report read only for its channel, such as a
 sweep point's, draws none. The records are drawn as columns, one
-``RecordColumns`` per trial (``record_columns``), which the document is
-written from. One table, ``PARAMETERS``, states each config-style
-parameter's default, cast, rule and largest value once; ``checked_parameter``
-checks a value against it for the CLI and for ``run_named_protocol`` alike.
+``RecordColumns`` per trial from its integer seed (``record_columns``), which
+the document is written from. One table, ``PARAMETERS``, states each
+config-style parameter's default, cast, rule and largest value once;
+``checked_parameter`` checks a value against it, and ``document_records`` a
+run's records against ``MAX_RECORDS``, for the CLI and ``run_named_protocol`` alike.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .engine import (
     GaussianChannel,
     RecordColumns,
     StepPlan,
-    _sample_or_force,
+    _gaussian_draws,
     _teleportation,
     chain_channel,
     chain_records,
@@ -57,8 +58,10 @@ INDEPENDENCE_TOL = 1e-9
 DEPENDENCE_MIN = 1e-3
 NOISE_PSD_TOL = 1e-10
 ROUNDING_TOL = 64 * np.finfo(float).eps
-# the longest chain a parameter may ask for: it keeps a document within a few hundred MB
+# the longest chain a parameter may ask for, and the most records a run document may
+# hold: each keeps a document within a few hundred MB
 MAX_CHAIN_STEPS = 10**5
+MAX_RECORDS = 10**5
 
 
 def _bound(absolute: float, scale: float) -> float:
@@ -124,12 +127,13 @@ PARAMETER_DEFAULTS = {n: p.default for n, p in PARAMETERS.items() if n not in ("
 
 def checked_parameter(name: str, raw, label: str | None = None):
     """``raw`` cast by ``PARAMETERS[name]``, its condition and bound checked; a
-    refusal is a ``ValueError`` naming ``label`` (default ``name``). Booleans are
-    refused, and an integer parameter refuses a float with a fractional part."""
+    refusal is a ``ValueError`` naming ``label`` (default ``name``). Booleans and
+    strings are refused, and an integer parameter refuses a float with a fractional part."""
     _, cast, condition, rule, largest = PARAMETERS[name]
     label = label or name
-    if isinstance(raw, bool):
-        raise ValueError(f"field {label!r}: expected {cast.__name__}, got a boolean")
+    if isinstance(raw, (bool, str)):
+        got = "a boolean" if isinstance(raw, bool) else "a string"
+        raise ValueError(f"field {label!r}: expected {cast.__name__}, got {got}")
     try:
         value = cast(raw)
     except (TypeError, ValueError, OverflowError):
@@ -419,10 +423,9 @@ def _offline_trials(mean: np.ndarray, cov: np.ndarray, seeds: range) -> RecordTa
     """Each trial's record columns, u from the x port and v from the p port,
     drawn from the measured values' law; the trial with seed s draws with s."""
     half = 1.0 / math.sqrt(2.0)
-    factor = np.linalg.cholesky(cov)
-    draws = (_sample_or_force(mean, factor, s, 2).tolist() for s in seeds)
     return tuple(
-        RecordColumns(*_OFFLINE_COLUMNS, (u * half, v * half), (u, v)) for u, v in draws
+        RecordColumns(*_OFFLINE_COLUMNS, (u * half, v * half), (u, v))
+        for u, v in _gaussian_draws(mean, cov, seeds)
     )
 
 
@@ -562,6 +565,20 @@ def protocol_parameters(protocol_id: str) -> tuple[str, ...]:
     return ("squeezing_db", *PROTOCOLS[protocol_id][1])
 
 
+def document_records(protocol_id: str, values: dict, trials: int) -> int:
+    """The records a run document of ``trials`` trials holds, one per chain step
+    and two per off-line trial; more than ``MAX_RECORDS`` is a ``ValueError``."""
+    chains = {"identity_chain": values["n_nodes"] - 1, "squeezer_four_step": 4,
+              "repeated_squeezer": 4 * values["segments"]}
+    records = trials * chains.get(protocol_id, 2)
+    if records > MAX_RECORDS:
+        raise ValueError(
+            f"field 'trials': {trials} trials write {records} records, "
+            f"more than the {MAX_RECORDS} a run document may hold"
+        )
+    return records
+
+
 def run_named_protocol(
     protocol_id: str, params: dict, seed: int = 0, trials: int = 1
 ) -> ProtocolReport:
@@ -570,8 +587,9 @@ def run_named_protocol(
     ``params`` gives the resource squeezing as ``squeezing_db`` (converted
     here, once); missing parameters take their ``PARAMETER_DEFAULTS`` value,
     and ``input_state`` defaults to the vacuum. A key that is neither is
-    refused; the others, ``seed`` and ``trials`` go through ``checked_parameter``.
-    Trial t's records are drawn with ``seed + t`` when ``record_columns`` is first read.
+    refused; the others, ``seed`` and ``trials`` go through ``checked_parameter``,
+    and the trials' records through ``document_records``. Trial t's records are
+    drawn with ``seed + t`` when ``record_columns`` is first read.
     """
     _, *names = protocol_parameters(protocol_id)
     params = dict(params)
@@ -581,6 +599,7 @@ def run_named_protocol(
         raise ValueError(f"unknown parameters {', '.join(map(repr, unknown))}")
     values = {**PARAMETER_DEFAULTS, **{k: checked_parameter(k, v) for k, v in params.items()}}
     seed, trials = checked_parameter("seed", seed), checked_parameter("trials", trials)
+    document_records(protocol_id, values, trials)
     r = db_to_squeezing_r(values["squeezing_db"])
     args = {name: values[name] for name in names}
     builder = PROTOCOLS[protocol_id][0]

@@ -112,6 +112,16 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError, match=rf"{field}.*boolean"):
             cli.ExperimentConfig.from_dict({"protocol": "repeated_squeezer", field: value})
 
+    @pytest.mark.parametrize("field", sorted(protocols.PARAMETERS))
+    @pytest.mark.parametrize("value", [" 3 ", "1_0", "inf"])
+    def test_strings_rejected_in_every_scalar_field(self, field, value):
+        # int() and float() would parse these, "1_0" as 10
+        cast = protocols.PARAMETERS[field].cast.__name__
+        message = f"field '{field}': expected {cast}, got a string"
+        with pytest.raises(cli.ConfigError) as refused:
+            cli.ExperimentConfig.from_dict({"protocol": "repeated_squeezer", field: value})
+        assert str(refused.value) == message
+
     @pytest.mark.parametrize(
         "field, value", [("n_nodes", 5.7), ("segments", 1.5), ("seed", 2.5), ("trials", 2.9)]
     )
@@ -388,6 +398,21 @@ class TestCommandErrors:
         assert captured.err.startswith(f"error: field 'input.{key}': ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ({"kind": "coherent", "re": "1_0", "im": 0.0}, "re"),
+            ({"kind": "coherent", "re": 0.5, "im": " 2 "}, "im"),
+            ({"kind": "squeezed", "r": "0.5", "axis": "x"}, "r"),
+        ],
+    )
+    def test_input_number_given_as_a_string_exits_2(self, tmp_path, capsys, spec, key):
+        # float() would parse these, "1_0" as a coherent amplitude of 10
+        code, out = main_on(tmp_path, "run", {"protocol": "identity_chain", "input": spec})
+        assert (code, out.exists()) == (2, False)
+        error = f"error: field 'input.{key}': expected a number, got a string\n"
+        assert capsys.readouterr() == ("", error)
+
 
 class TestSweepCommand:
     def test_fidelity_sweep_rows(self, tmp_path):
@@ -503,13 +528,21 @@ class TestSweepCommand:
             {
                 "protocol": "identity_chain",
                 "squeezing_db": 10.0,
-                "sweep": {"param": "n_nodes", "values": [2, "3", 4.0]},
+                "sweep": {"param": "n_nodes", "values": [2, 4.0]},
             },
         )
         out = tmp_path / "table.csv"
         assert cli.main(["sweep", cfg, "--output", str(out), "--quiet"]) == 0
         cells = [line.split(",")[2] for line in out.read_text().strip().splitlines()[1:]]
-        assert cells == ["2", "3", "4.0"]
+        assert cells == ["2", "4.0"]
+
+    def test_sweep_value_that_is_a_string_is_refused(self, tmp_path, capsys):
+        sweep = {"param": "n_nodes", "values": [2, "3", 4.0]}
+        code, out = main_on(tmp_path, "sweep", {"protocol": "identity_chain", "sweep": sweep})
+        assert (code, out.exists()) == (2, False)
+        assert capsys.readouterr().err == (
+            "error: field 'sweep.values[1]': expected int, got a string\n"
+        )
 
     def test_sweep_requires_sweep_block(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "nosweep.json", {"protocol": "offline_teleport"})
@@ -916,7 +949,7 @@ class TestSizeBounds:
     def test_record_bound_is_max_records(self):
         # 10 steps a trial: 10^4 trials fill the document exactly
         cfg = cli.ExperimentConfig.from_dict(
-            {"protocol": "identity_chain", "n_nodes": 11, "trials": cli.MAX_RECORDS // 10}
+            {"protocol": "identity_chain", "n_nodes": 11, "trials": protocols.MAX_RECORDS // 10}
         )
         with pytest.raises(AssertionError, match="reached the protocols"):
             cli.run_document(cfg)
@@ -930,4 +963,5 @@ def test_records_per_trial_counts_the_document_records(protocol):
     cfg = cli.ExperimentConfig.from_dict(
         {"protocol": protocol, "n_nodes": 4, "segments": 2, "trials": 3}
     )
-    assert len(cli.run_document(cfg)["records"]) == 3 * cli._records_per_trial(cfg)
+    records = protocols.document_records(cfg.protocol, cfg.params, cfg.trials)
+    assert len(cli.run_document(cfg)["records"]) == records

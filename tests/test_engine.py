@@ -120,26 +120,23 @@ class TestFrameWeights:
 
 class TestRunProtocol:
     def test_single_fourier_step_ideal(self):
-        out, records, frame = cv.run_protocol(
-            cv.vacuum_state(1), [cv.StepPlan(0.0)], IDEAL, [0.0]
-        )
-        assert (frame.u, frame.v) == (0.0, 0.0)
-        np.testing.assert_allclose(out.mean, [0.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(out.cov, 0.25 * np.eye(2), atol=1e-9)
-        assert records.raw_outcome == [0.0] and records.mode == range(1)
+        out, records, frame = cv.run_protocol(cv.vacuum_state(1), [cv.StepPlan(0.0)], IDEAL, 3)
+        assert (frame.u, frame.v) == (records.rescaled_outcome[0], 0.0)
+        corrected = cv.apply_correction(out, frame)
+        np.testing.assert_allclose(corrected.mean, [0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(corrected.cov, 0.25 * np.eye(2), atol=1e-9)
+        assert records.mode == range(1)
 
     def test_single_shear_step_mean_map(self):
         kappa = 0.7
-        out, _, frame = cv.run_protocol(
-            cv.coherent_state(1.0, 0.0), [cv.StepPlan(kappa)], IDEAL, [0.0]
-        )
-        assert (frame.u, frame.v) == (0.0, 0.0)
-        np.testing.assert_allclose(out.mean, [-kappa, 1.0], atol=1e-12)
+        out, _, frame = cv.run_protocol(cv.coherent_state(1.0, 0.0), [cv.StepPlan(kappa)], IDEAL, 4)
+        corrected = cv.apply_correction(out, frame)
+        np.testing.assert_allclose(corrected.mean, [-kappa, 1.0], atol=1e-12)
 
     def test_single_step_finite_r_channel(self):
         kappa, r = 0.5, 0.9
         state = random_gaussian_state(21, 1)
-        out, _, frame = cv.run_protocol(state, [cv.StepPlan(kappa)], r, [0.0])
+        out, _, frame = cv.run_protocol(state, [cv.StepPlan(kappa)], r, 21)
         corrected = cv.apply_correction(out, frame)
         S = cv.fourier_shear_step(kappa)
         expected_cov = S @ state.cov @ S.T + np.diag([0.0, math.exp(-2 * r) / 4])
@@ -164,7 +161,7 @@ class TestRunProtocol:
         k, r = len(kappas), 1.1
         state = random_gaussian_state(8, 1)
         steps = [cv.StepPlan(kappa) for kappa in kappas]
-        out, _, frame = cv.run_protocol(state, steps, r, [0.0] * k)
+        out, _, frame = cv.run_protocol(state, steps, r, 8)
         corrected = cv.apply_correction(out, frame)
 
         big = cv.attach_input(state, cv.linear_cluster(cv.ClusterSpec(k, r)))
@@ -210,10 +207,8 @@ class TestRunProtocol:
         expected_cov = S @ state.cov @ S.T + N
         assert scale(corrected.cov - expected_cov) <= 1e-9 * scale(expected_cov)
 
-        # N alone, from an input without covariance, at its own scale
-        point = cv.GaussianState(np.zeros(2), np.zeros((2, 2)))
-        out, _, _ = cv.run_protocol(point, steps, r, [0.0] * len(kappas))
-        assert scale(out.cov - N) <= 1e-9 * scale(N)
+        # N alone, as an input without covariance would carry it, at its own scale
+        assert scale(cv.chain_channel(steps, r)[0].N - N) <= 1e-9 * scale(N)
 
     def test_five_thousand_step_chain_matches_oracle(self):
         # far beyond what a dense 2n x 2n chain assembly could finish
@@ -242,24 +237,13 @@ class TestRunProtocol:
         L = np.linalg.cholesky(C @ big.cov @ C.T)
 
         steps = [cv.StepPlan(kappa) for kappa in kappas]
-        rng = np.random.Generator(np.random.PCG64(2024))
         draws = np.array(
-            [
-                cv.run_protocol(state, steps, r, rng)[1].rescaled_outcome
-                for _ in range(4000)
-            ]
+            [cv.run_protocol(state, steps, r, seed)[1].rescaled_outcome for seed in range(4000)]
         )
         white = np.linalg.solve(L, (draws - C @ big.mean).T)
         # 4000 draws: standard errors about 0.016 (mean) and 0.022 (variances)
         assert np.max(np.abs(white.mean(axis=1))) < 0.1
         assert np.max(np.abs(np.cov(white) - np.eye(3))) < 0.1
-
-    def test_forced_outcomes_are_echoed_raw(self):
-        out, records, _ = cv.run_protocol(
-            cv.vacuum_state(1), [cv.StepPlan(1.0), cv.StepPlan(0.0)], 1.0, [0.5, -0.25]
-        )
-        assert records.raw_outcome == pytest.approx([0.5, -0.25])
-        assert records.rescaled_outcome[0] == pytest.approx(0.5 * math.sqrt(2.0))
 
     def test_uncorrected_minus_corrected_is_frame(self):
         out, _, frame = cv.run_protocol(
@@ -317,28 +301,31 @@ class TestRunProtocol:
 
         assert outcome_independence_check(run, range(20)) <= 1e-9
 
-    def test_single_forced_outcome_repeated_gives_zero_deviation(self):
-        def run(_seed):
-            out, _, frame = cv.run_protocol(
-                cv.vacuum_state(1), [cv.StepPlan(0.1)], TEN_DB_R, [0.42]
-            )
-            return cv.apply_correction(out, frame)
 
-        assert outcome_independence_check(run, range(5)) == 0.0
+# outcome sources other than an integer seed, which every record draw refuses
+NOT_SEEDS = [[1, 2, 3], True, 0.5, np.random.Generator(np.random.PCG64(9))]
 
 
 class TestChainRecords:
-    def test_mixed_sources_equal_one_call_per_source(self):
+    def test_seeds_in_one_call_equal_one_call_per_seed(self):
         state = random_gaussian_state(4, 1)
         steps = [cv.StepPlan(k) for k in (0.3, -0.7, 1.1)]
-
-        def sources():
-            return [5, np.random.Generator(np.random.PCG64(9)), [0.5, -0.25, 1.0], 0.75, 6]
-
-        together = cv.chain_records(state, steps, TEN_DB_R, sources())
-        alone = tuple(cv.chain_records(state, steps, TEN_DB_R, [s])[0] for s in sources())
-        assert len(together) == 5
+        together = cv.chain_records(state, steps, TEN_DB_R, [5, 9, 6])
+        alone = tuple(cv.chain_records(state, steps, TEN_DB_R, [s])[0] for s in (5, 9, 6))
+        assert len(together) == 3
         assert together == alone
+        assert cv.chain_records(state, steps, TEN_DB_R, [np.int64(9)]) == alone[1:2]
+
+    @pytest.mark.parametrize("source", NOT_SEEDS, ids=["list", "bool", "float", "Generator"])
+    def test_every_draw_refuses_a_source_that_is_not_an_integer_seed(self, source):
+        state, steps = cv.vacuum_state(1), [cv.StepPlan(0.3), cv.StepPlan(-0.2)]
+        refused = pytest.raises(TypeError, match="an outcome seed must be an integer")
+        with refused:
+            cv.chain_records(state, steps, TEN_DB_R, [source])
+        with refused:
+            cv.run_protocol(state, steps, TEN_DB_R, source)
+        with refused:
+            cv.dual_step(state, TEN_DB_R, source)
 
 
 class TestMutationGuard:
@@ -411,10 +398,12 @@ class TestChannelTomography:
 
 class TestDualStep:
     def test_ideal_vacuum_passthrough(self):
-        out, record = cv.dual_step(cv.vacuum_state(1), IDEAL, [0.0])
-        assert record == ((0,), (0,), (0.0,), (-math.pi / 2,), (0.0,), (0.0,))
-        np.testing.assert_allclose(out.mean, [0.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(out.cov, 0.25 * np.eye(2), atol=1e-9)
+        out, record = cv.dual_step(cv.vacuum_state(1), IDEAL, 3)
+        t = record.raw_outcome[0]
+        assert record == ((0,), (0,), (0.0,), (-math.pi / 2,), (t,), (t,))
+        corrected = displace(out, 0, 0.0, t)
+        np.testing.assert_allclose(corrected.mean, [0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(corrected.cov, 0.25 * np.eye(2), atol=1e-9)
 
     def test_corrected_channel_is_fourier_conjugated_primal(self):
         def dual_runner(state, seed):
@@ -433,17 +422,17 @@ class TestDualStep:
 
     def test_finite_r_noise_in_single_quadrature(self):
         r = 1.3
-        out, record = cv.dual_step(cv.vacuum_state(1), r, [0.0])
+        out, record = cv.dual_step(cv.vacuum_state(1), r, 4)
         corrected = displace(out, 0, 0.0, record.raw_outcome[0])
         expected = 0.25 * np.eye(2) + np.diag([math.exp(-2 * r) / 4, 0.0])
         np.testing.assert_allclose(corrected.cov, expected, atol=1e-14)
 
     def test_byproduct_is_momentum_displacement(self):
-        t = 0.8
-        out, record = cv.dual_step(cv.coherent_state(0.4, -0.3), IDEAL, [t])
-        assert record.raw_outcome == pytest.approx((t,))
+        out, record = cv.dual_step(cv.coherent_state(0.4, -0.3), IDEAL, 8)
+        (t,) = record.raw_outcome
         # uncorrected output carries Z(-t) on top of the Fourier action
         np.testing.assert_allclose(out.mean, [0.3, 0.4 - t], atol=1e-12)
+        np.testing.assert_allclose(displace(out, 0, 0.0, t).mean, [0.3, 0.4], atol=1e-12)
 
     def test_sampled_outcome_follows_its_law(self):
         # t reads x - p_a of the product state: N(<x_in>, Var x_in + e^{2r}/4)

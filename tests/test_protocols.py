@@ -645,13 +645,17 @@ def _named_run(name: str, raw):
 class TestOneParameterTable:
     @pytest.mark.parametrize("name", list(protocols.PARAMETERS))
     @pytest.mark.parametrize(
-        "raw", [True, 2.5, "x", float("nan"), "inf", -1, 0, 10**6, [1], 1e9, 3, 4.0], ids=repr
+        "raw",
+        [True, 2.5, "x", float("nan"), "inf", " 3 ", "1_0", -1, 0, 10**6, [1], 1e9, 3, 4.0],
+        ids=repr,
     )
     def test_library_refuses_what_the_cli_refuses(self, monkeypatch, name, raw):
         # one rule, protocols.checked_parameter, with the same text in both;
-        # seed and trials are refused at the call, not when records are read
+        # seed and trials are refused at the call, not when records are read,
+        # and so are trials that would overfill a run document
         try:
-            cli.ExperimentConfig.from_dict({"protocol": "identity_chain", name: raw})
+            cfg = cli.ExperimentConfig.from_dict({"protocol": "identity_chain", name: raw})
+            cli.run_document(cfg)
         except cli.ConfigError as err:
             def refuse(**kwargs):
                 raise AssertionError(f"a refused {name} reached the builder")
@@ -662,6 +666,33 @@ class TestOneParameterTable:
             assert str(refused.value) == str(err)
         else:
             assert _named_run(name, raw).name == "identity_chain"
+
+    @pytest.mark.parametrize("name", list(protocols.PARAMETERS))
+    @pytest.mark.parametrize("raw", [" 3 ", "1_0"])
+    def test_a_number_given_as_a_string_is_refused(self, name, raw):
+        # int() and float() parse both; "1_0" would run at 10 dB or 10 nodes
+        cast = protocols.PARAMETERS[name].cast.__name__
+        with pytest.raises(ValueError) as refused:
+            _named_run(name, raw)
+        assert str(refused.value) == f"field {name!r}: expected {cast}, got a string"
+
+    def test_library_refuses_trials_that_overfill_a_run_document(self, monkeypatch, capsys, tmp_path):
+        # the CLI's record bound and text, checked before any builder runs;
+        # two records a trial: 5 * 10^4 trials fill the document exactly
+        assert cv.run_named_protocol("identity_chain", {"n_nodes": 3}, trials=5 * 10**4).checks
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"protocol": "identity_chain", "n_nodes": 3, "trials": 10**6}))
+        assert cli.main(["run", str(config), "--output", str(tmp_path / "out"), "--quiet"]) == 2
+        error = capsys.readouterr().err
+
+        def refuse(**kwargs):
+            raise AssertionError("an oversized run reached the builder")
+
+        monkeypatch.setitem(protocols.PROTOCOLS, "identity_chain", (refuse, ("n_nodes",)))
+        with pytest.raises(ValueError) as refused:
+            cv.run_named_protocol("identity_chain", {"n_nodes": 3}, trials=10**6)
+        assert error == f"error: {refused.value}\n"
+        assert str(refused.value).startswith("field 'trials': 1000000 trials write 2000000 records")
 
     @pytest.mark.parametrize("db", [float("nan"), float("inf"), -1.0])
     def test_db_to_squeezing_r_refuses_a_non_finite_or_negative_db(self, db):
