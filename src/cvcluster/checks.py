@@ -23,6 +23,7 @@ from .phase_space import (
     Quadrature,
     SymplecticGate,
     VACUUM_VARIANCE,
+    _generator,
     beamsplitter_5050,
     controlled_z,
     controlled_z_pp,
@@ -236,7 +237,7 @@ def _oracle_stacks() -> Iterator[tuple[list[GaussianState], list[Quadrature], li
     gates drawn as matrix entries; the states are then built per mode-count
     stack (``_build_states``).
     """
-    rng = np.random.Generator(np.random.PCG64(ORACLE_SEED))
+    rng = _generator(ORACLE_SEED)
     draws = []
     for _ in range(ORACLE_STATES):
         n_modes = int(rng.integers(2, 5))
@@ -273,7 +274,7 @@ def homodyne_oracle_checks() -> list[ProtocolCheck]:
 
 def outcome_independence_checks() -> list[ProtocolCheck]:
     ten_db = protocols.db_to_squeezing_r(10.0)
-    squeezer_steps = [StepPlan(0.2), StepPlan(0.2), StepPlan(-0.2), StepPlan(-0.2)]
+    squeezer_steps = protocols.squeezer_steps(0.2)
     results = []
     for name, steps, r in (
         ("identity_chain_ideal", [StepPlan(0.0)] * 4, IDEAL_SQUEEZING_R),
@@ -306,7 +307,7 @@ def uncertainty_checks() -> list[ProtocolCheck]:
         cluster = linear_cluster(ClusterSpec(n, r))
         worst = max(worst, uncertainty_defect(cluster))
         worst = max(worst, uncertainty_defect(attach_input(vacuum_state(1), cluster)))
-    for steps in ([StepPlan(0.0)] * 4, [StepPlan(0.2), StepPlan(0.2), StepPlan(-0.2), StepPlan(-0.2)]):
+    for steps in ([StepPlan(0.0)] * 4, protocols.squeezer_steps(0.2)):
         out = chain_channel(steps, protocols.db_to_squeezing_r(10.0))[0].apply(vacuum_state(1))
         worst = max(worst, uncertainty_defect(out))
     return [ProtocolCheck("uncertainty_relation_protocol_states", worst <= 1e-12, worst)]

@@ -41,7 +41,7 @@ anti-squeezed or squeezed, it reads the channel and leak through
 ``affine_channel`` and gives the measured values' joint Gaussian law, from
 which ``_gaussian_draws`` draws them. The protocols' resource variances and
 outcome draws all live here. Every draw takes an integer seed, which
-``_generator`` alone turns into a PCG64 generator.
+``phase_space._generator`` alone turns into a PCG64 generator.
 
 This makes the corrected output exactly outcome- and seed-independent, with
 finite squeezing entering only as additive noise.
@@ -59,7 +59,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .phase_space import VACUUM_VARIANCE, GaussianState, controlled_z_pp
+from .phase_space import VACUUM_VARIANCE, GaussianState, _generator, controlled_z_pp
 
 
 @dataclass(frozen=True)
@@ -243,14 +243,6 @@ def chain_channel(steps: Sequence[StepPlan], cluster_r: float) -> tuple[Gaussian
     of its resource quadratures, x_1..x_k are anti-squeezed."""
     Wx, Wp = _corrected_weights(_kappas(steps))
     return affine_channel(np.column_stack([Wx[:, 0], Wp[:, 0]]), Wx[:, 1:], Wp[:, 1:], cluster_r)
-
-
-def _generator(seed) -> np.random.Generator:
-    """The PCG64 generator an integer outcome seed draws from; any other
-    source, a bool, a float, a sequence or a Generator, is refused."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"an outcome seed must be an integer, got {type(seed).__name__}")
-    return np.random.Generator(np.random.PCG64(seed))
 
 
 def _gaussian_draws(mean: np.ndarray, cov: np.ndarray, seeds: Iterable) -> list[list[float]]:

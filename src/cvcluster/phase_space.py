@@ -321,10 +321,16 @@ def apply_gate(state: GaussianState, gate: SymplecticGate, modes: Sequence[int])
 # measurement and overlap
 
 
+def _generator(seed) -> np.random.Generator:
+    """The PCG64 generator an integer outcome seed draws from; any other
+    source, a bool, a float, a sequence or a Generator, is refused."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"an outcome seed must be an integer, got {type(seed).__name__}")
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.Generator(np.random.PCG64(rng))
+    return rng if isinstance(rng, np.random.Generator) else _generator(rng)
 
 
 def homodyne(
@@ -337,7 +343,7 @@ def homodyne(
     """Measure one quadrature and condition the remaining modes on the result.
 
     The outcome is the value of the linear functional ``c_x x + c_p p`` of the
-    measured mode: sampled from its normal distribution when ``rng`` is given,
+    measured mode: sampled when ``rng`` (a Generator or an integer seed) is given,
     or set to ``forced``, which must be finite. The remaining modes are updated by exact Gaussian
     conditioning on that functional (Schur complement), after which the
     measured mode is dropped entirely.

@@ -3,23 +3,24 @@
 Cluster protocols run the measurement engine on a linear chain; the off-line
 protocols teleport through a (possibly gate-modified) two-mode squeezed
 resource. Every corrected protocol is an affine map of its initial product
-state; each report reads its channel off that map, and one helper,
-``_channel_facts``, reads the report's numbers off the channel once: the
-deviation from the protocol's target matrix, the accumulated noise, the
-input's image and its fidelity to the ideal output. The named pass/fail
-checks read those numbers rather than recompute them. A channel whose S, N
-or deviation is not finite, which a long or strongly sheared chain can
-reach, is refused with ``OverflowError``, and a finite channel that carries
-the input state to a non-finite fidelity, outcome record or reported output
-variance with its subclass ``InputOverflowError``. The channel does not
-depend on the homodyne outcomes, so a report draws its outcome records the
-first time they are read: a report read only for its channel, such as a
-sweep point's, draws none. The records are drawn as columns, one
-``RecordColumns`` per trial from its integer seed (``record_columns``), which
-the document is written from. One table, ``PARAMETERS``, states each
-config-style parameter's default, cast, rule and largest value once;
-``checked_parameter`` checks a value against it, and ``document_records`` a
-run's records against ``MAX_RECORDS``, for the CLI and ``run_named_protocol`` alike.
+state, and every report takes one path. A builder states only its steps
+(``squeezer_steps`` is the four-step pattern) or off-line gate, its target,
+fidelity reference and own checks. Its family's helper, ``_chain_facts`` or
+``_offline_facts``, refuses an input that is not one physical mode, runs the
+engine once for the channel and leak, and reads the report's numbers off the
+channel once: the deviation from the target, the noise, the input's image
+and its ideal-output fidelity. ``_report`` adds ``outcome_independent`` (or
+the negative control's ``outcome_dependence_detected``) and the noise's
+positivity. A channel whose S, N or deviation is not finite is refused with
+``OverflowError``, and a finite one that carries the input to a non-finite
+fidelity, outcome record or output variance with ``InputOverflowError``.
+The channel does not depend on the outcomes, so a report draws its records,
+one ``RecordColumns`` per trial from its integer seed, when they are first
+read (``record_columns``): a sweep point's report draws none. One table,
+``PARAMETERS``, states each config-style parameter's default, cast, rule and
+largest value once; ``checked_parameter`` checks a value against it, and
+``document_records`` a run's records against ``MAX_RECORDS``, for the CLI
+and ``run_named_protocol`` alike.
 """
 
 from __future__ import annotations
@@ -231,9 +232,11 @@ class ProtocolReport:
         }
 
 
-class _ChannelFacts(NamedTuple):
+class _ReportFacts(NamedTuple):
     channel: GaussianChannel
     target_S: np.ndarray
+    leak: float
+    draw_records: Callable[[], RecordTable]
     deviation: float
     noise_trace: float
     output: GaussianState
@@ -241,10 +244,16 @@ class _ChannelFacts(NamedTuple):
 
 
 def _channel_facts(
-    channel: GaussianChannel, target_S: np.ndarray, input_state: GaussianState, reference_S=None
-) -> _ChannelFacts:
-    """A report's channel and target with the numbers read off them once: the
-    deviation |S - target|_F, tr N, the input's image and its ideal-output fidelity."""
+    channel: GaussianChannel,
+    leak: float,
+    draw: Callable[[], RecordTable],
+    target_S: np.ndarray,
+    input_state: GaussianState,
+    reference_S=None,
+) -> _ReportFacts:
+    """A report's channel, leak, record draw and target with the numbers read
+    off them once: the deviation |S - target|_F, tr N, the input's image and
+    its ideal-output fidelity."""
     deviation = float(np.linalg.norm(channel.S - target_S, ord="fro"))
     if not (np.isfinite([*channel.S.ravel(), *channel.N.ravel(), deviation]).all()):
         raise OverflowError("the channel overflows double precision: S, N or deviation not finite")
@@ -262,19 +271,21 @@ def _channel_facts(
     if det > 0 and abs(VACUUM_VARIANCE / math.sqrt(det) - 1.0) <= 1e-9:
         fidelity = overlap_fidelity(ideal, output)
         _require_finite([fidelity], "the fidelity")
-    return _ChannelFacts(
-        channel, target_S, deviation, float(np.trace(channel.N)), output, fidelity
-    )
+    noise_trace = float(np.trace(channel.N))
+    return _ReportFacts(channel, target_S, leak, draw, deviation, noise_trace, output, fidelity)
 
 
 def _report(
     name: str,
     parameters: dict,
-    facts: _ChannelFacts,
-    independence: ProtocolCheck,
+    facts: _ReportFacts,
     checks: Sequence[ProtocolCheck],
-    draw_records: Callable[[], RecordTable],
+    independence: ProtocolCheck | None = None,
 ) -> ProtocolReport:
+    """The report of ``facts``; its independence check is ``outcome_independent`` by default."""
+    if independence is None:
+        leak = facts.leak
+        independence = ProtocolCheck("outcome_independent", leak <= INDEPENDENCE_TOL, leak)
     lam_min = float(np.linalg.eigvalsh(facts.channel.N)[0])
     psd_ok = lam_min >= -_bound(NOISE_PSD_TOL, _max_abs(facts.channel.N))
     return ProtocolReport(
@@ -286,29 +297,45 @@ def _report(
         noise_trace=facts.noise_trace,
         fidelity=facts.fidelity,
         checks=(independence, ProtocolCheck("channel_noise_psd", psd_ok, lam_min), *checks),
-        draw_records=draw_records,
+        draw_records=facts.draw_records,
     )
 
 
-def _outcome_independent(leak: float) -> ProtocolCheck:
-    return ProtocolCheck("outcome_independent", leak <= INDEPENDENCE_TOL, leak)
-
-
-def _trial_seeds(seed: int, trials: int) -> range:
-    """The outcome seeds of a report's trials: trial t draws with seed + t."""
+def _trial_seeds(input_state: GaussianState, seed: int, trials: int) -> range:
+    """The outcome seeds of a report's trials, trial t drawing with seed + t.
+    An input that is not one mode obeying cov + (i/4)J >= 0 is refused, before any channel."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if input_state.n_modes == 1:
+        # cov + (i/4)J has eigenvalues mid -+ half; as in phase_space.uncertainty_defect,
+        # the smaller may round below 0 by at most 1e-12 of the larger (NaN fails)
+        (a, b), (_, c) = input_state.cov.tolist()
+        mid, half = (a + c) / 2, math.hypot((a - c) / 2, b, 0.25)
+    if input_state.n_modes != 1 or not mid - half >= -1e-12 * max(1.0, mid + half):
+        raise ValueError("input must be a single-mode state that obeys the uncertainty relation")
     return range(seed, seed + trials)
 
 
-def _chain_run(
-    steps: Sequence[StepPlan], r: float, input_state: GaussianState, seed: int, trials: int
-) -> tuple[GaussianChannel, float, Callable[[], RecordTable]]:
-    """Channel, leak and the per-trial record draw of a cluster chain."""
-    if input_state.n_modes != 1:
-        raise ValueError("input must be a single-mode state")
+def squeezer_steps(kappa: float) -> list[StepPlan]:
+    """The four-step squeezer pattern: shears (kappa, kappa, -kappa, -kappa)."""
+    return [StepPlan(kappa), StepPlan(kappa), StepPlan(-kappa), StepPlan(-kappa)]
+
+
+def _chain_facts(
+    steps: Sequence[StepPlan],
+    r: float,
+    input_state: GaussianState,
+    seed: int,
+    trials: int,
+    target_S: np.ndarray,
+    reference_S=None,
+) -> _ReportFacts:
+    """The report facts of a cluster chain: its channel and leak, the
+    per-trial record draw and the numbers read off the channel."""
+    seeds = _trial_seeds(input_state, seed, trials)
     channel, leak = chain_channel(steps, r)
-    return channel, leak, partial(chain_records, input_state, steps, r, _trial_seeds(seed, trials))
+    draw = partial(chain_records, input_state, steps, r, seeds)
+    return _channel_facts(channel, leak, draw, target_S, input_state, reference_S)
 
 
 def identity_chain(
@@ -321,19 +348,15 @@ def identity_chain(
     """
     if n_nodes < 2:
         raise ValueError("n_nodes must be >= 2")
-    steps = [StepPlan(0.0)] * (n_nodes - 1)
-    channel, leak, draw_records = _chain_run(steps, r, input_state, seed, trials)
     target = np.linalg.matrix_power(fourier().S, n_nodes - 1)
-    facts = _channel_facts(channel, target, input_state)
+    facts = _chain_facts([StepPlan(0.0)] * (n_nodes - 1), r, input_state, seed, trials, target)
     expected_trace = (n_nodes - 1) * math.exp(-2 * r) * VACUUM_VARIANCE
     err = abs(facts.noise_trace - expected_trace)
     return _report(
         "identity_chain",
         {"n_nodes": n_nodes, "squeezing_r": r, "seed": seed},
         facts,
-        _outcome_independent(leak),
         [ProtocolCheck("noise_trace_matches_step_budget", err <= 1e-9, err)],
-        draw_records,
     )
 
 
@@ -346,14 +369,13 @@ def squeezer_four_step(
     diag(1 - kappa^2, 1 + kappa^2) up to O(kappa^3); the channel is also
     compared against the exact four-step product matrix.
     """
-    steps = [StepPlan(kappa), StepPlan(kappa), StepPlan(-kappa), StepPlan(-kappa)]
-    channel, leak, draw_records = _chain_run(steps, r, input_state, seed, trials)
+    steps = squeezer_steps(kappa)
     target = np.diag([1.0 - kappa**2, 1.0 + kappa**2])
     exact = algebra.squeezer_protocol_matrix(kappa)
-    facts = _channel_facts(channel, target, input_state, reference_S=exact)
+    facts = _chain_facts(steps, r, input_state, seed, trials, target, reference_S=exact)
     var_x, var_p = facts.output.cov.diagonal().tolist()
     _require_finite([var_x, var_p], "the output variance")
-    exact_dev = float(np.linalg.norm(channel.S - exact, ord="fro"))
+    exact_dev = float(np.linalg.norm(facts.channel.S - exact, ord="fro"))
     exact_ok = exact_dev <= _bound(1e-6, len(steps) * _max_abs(exact))
     checks = [
         ProtocolCheck("matches_exact_four_step_matrix", exact_ok, exact_dev),
@@ -365,14 +387,8 @@ def squeezer_four_step(
         ProtocolCheck("output_var_x", True, var_x),
         ProtocolCheck("output_var_p", True, var_p),
     ]
-    return _report(
-        "squeezer_four_step",
-        {"kappa": kappa, "squeezing_r": r, "seed": seed},
-        facts,
-        _outcome_independent(leak),
-        checks,
-        draw_records,
-    )
+    parameters = {"kappa": kappa, "squeezing_r": r, "seed": seed}
+    return _report("squeezer_four_step", parameters, facts, checks)
 
 
 def repeated_squeezer(
@@ -386,19 +402,15 @@ def repeated_squeezer(
     """Repeat the four-step squeezer pattern to accumulate squeezing."""
     if segments < 1:
         raise ValueError("segments must be >= 1")
-    pattern = [StepPlan(kappa), StepPlan(kappa), StepPlan(-kappa), StepPlan(-kappa)]
-    steps = pattern * segments
-    channel, leak, draw_records = _chain_run(steps, r, input_state, seed, trials)
+    steps = squeezer_steps(kappa) * segments
     target = np.linalg.matrix_power(algebra.squeezer_protocol_matrix(kappa), segments)
-    facts = _channel_facts(channel, target, input_state)
+    facts = _chain_facts(steps, r, input_state, seed, trials, target)
     ok = facts.deviation <= _bound(1e-6, len(steps) * _max_abs(target))
     return _report(
         "repeated_squeezer",
         {"segments": segments, "kappa": kappa, "squeezing_r": r, "seed": seed},
         facts,
-        _outcome_independent(leak),
         [ProtocolCheck("matches_exact_segment_power", ok, facts.deviation)],
-        draw_records,
     )
 
 
@@ -429,17 +441,17 @@ def _offline_trials(mean: np.ndarray, cov: np.ndarray, seeds: range) -> RecordTa
     )
 
 
-def _offline_run(
+def _offline_facts(
     input_state: GaussianState,
     r: float,
     gate_S: np.ndarray,
     gain: np.ndarray,
     seed: int,
     trials: int,
-) -> tuple[GaussianChannel, float, Callable[[], RecordTable]]:
-    """Channel, leak and the per-trial record draw of teleportation through
-    the resource modified by ``gate_S``, corrected by ``gain`` times (u, v)."""
-    seeds = _trial_seeds(seed, trials)
+) -> _ReportFacts:
+    """The report facts of teleportation through the resource modified by
+    ``gate_S``, corrected by ``gain`` times (u, v); the gate is the target."""
+    seeds = _trial_seeds(input_state, seed, trials)
     bs = beamsplitter_5050().S
     S_big = (
         embed_symplectic(bs, [0, 1], 3)
@@ -451,7 +463,8 @@ def _offline_run(
     channel, leak, mean, cov = _teleportation(
         input_state, r, S_big[4:6], uv_rows, gain, [2, 5], [3, 4]
     )
-    return channel, leak, partial(_offline_trials, mean, cov, seeds)
+    draw = partial(_offline_trials, mean, cov, seeds)
+    return _channel_facts(channel, leak, draw, gate_S, input_state)
 
 
 def offline_teleport(
@@ -463,11 +476,10 @@ def offline_teleport(
     per quadrature; a pure vacuum input's fidelity is 1/(1 + e^{-2r}).
     """
     identity = np.eye(2)
-    channel, leak, draw_records = _offline_run(input_state, r, identity, identity, seed, trials)
-    facts = _channel_facts(channel, identity, input_state)
+    facts = _offline_facts(input_state, r, identity, identity, seed, trials)
     eps = math.exp(-2 * r)
-    noise_err = _max_abs(channel.N - 0.5 * eps * np.eye(2))
-    noise_ok = noise_err <= _bound(1e-9, _max_abs(channel.N))
+    noise_err = _max_abs(facts.channel.N - 0.5 * eps * np.eye(2))
+    noise_ok = noise_err <= _bound(1e-9, _max_abs(facts.channel.N))
     checks = [ProtocolCheck("noise_is_isotropic_teleportation_noise", noise_ok, noise_err)]
     is_vacuum = (
         facts.fidelity is not None
@@ -479,14 +491,7 @@ def offline_teleport(
         checks.append(
             ProtocolCheck("vacuum_fidelity_matches_closed_form", fid_err <= 1e-6, fid_err)
         )
-    return _report(
-        "offline_teleport",
-        {"squeezing_r": r, "seed": seed},
-        facts,
-        _outcome_independent(leak),
-        checks,
-        draw_records,
-    )
+    return _report("offline_teleport", {"squeezing_r": r, "seed": seed}, facts, checks)
 
 
 def offline_squeezer(
@@ -510,24 +515,20 @@ def offline_squeezer(
     # coefficients gate (u, v): the gate is also the gain and the target
     gate = squeezer(r_gate).S
     gain = gate if rescale_correction else np.eye(2)
-    channel, leak, draw_records = _offline_run(input_state, r, gate, gain, seed, trials)
-    if rescale_correction:
-        independence = _outcome_independent(leak)
-    else:
-        independence = ProtocolCheck("outcome_dependence_detected", leak > DEPENDENCE_MIN, leak)
-    facts = _channel_facts(channel, gate, input_state)
+    facts = _offline_facts(input_state, r, gate, gain, seed, trials)
     target_ok = facts.deviation <= _bound(1e-6, _max_abs(gate))
     noise_oracle = (
         0.5
         * math.exp(-2 * r)
         * np.diag([math.exp(-2 * r_gate), math.exp(2 * r_gate)])
     )
-    noise_err = _max_abs(channel.N - noise_oracle)
-    noise_ok = noise_err <= _bound(1e-9, _max_abs(channel.N))
+    noise_err = _max_abs(facts.channel.N - noise_oracle)
+    noise_ok = noise_err <= _bound(1e-9, _max_abs(facts.channel.N))
     checks = [
         ProtocolCheck("channel_matches_target_squeezer", target_ok, facts.deviation),
         ProtocolCheck("noise_is_squeezed_teleportation_noise", noise_ok, noise_err),
     ]
+    control = ProtocolCheck("outcome_dependence_detected", facts.leak > DEPENDENCE_MIN, facts.leak)
     return _report(
         "offline_squeezer",
         {
@@ -537,9 +538,8 @@ def offline_squeezer(
             "rescale_correction": rescale_correction,
         },
         facts,
-        independence,
         checks,
-        draw_records,
+        None if rescale_correction else control,
     )
 
 

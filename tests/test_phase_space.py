@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cvcluster as cv
+from cvcluster import engine, phase_space
 from conftest import (
     blockwise_J,
     condition_on_functional_oracle,
@@ -383,6 +384,22 @@ class TestHomodyne:
     def test_requires_outcome_source(self):
         with pytest.raises(ValueError, match="outcome source"):
             cv.homodyne(cv.vacuum_state(1), cv.Quadrature(0, 1.0, 0.0))
+
+    @pytest.mark.parametrize("rng", [True, [1, 2], 0.5], ids=["bool", "list", "float"])
+    def test_sampling_refuses_a_seed_that_is_not_an_integer(self, rng):
+        # the engine's one seed rule: PCG64 would seed itself from any of these
+        with pytest.raises(TypeError, match="an outcome seed must be an integer"):
+            cv.homodyne(cv.vacuum_state(1), cv.Quadrature(0, 1.0, 0.0), rng=rng)
+
+    @pytest.mark.parametrize("seed", [7, np.int64(7)])
+    def test_integer_seed_draws_as_its_generator(self, seed):
+        quad = cv.Quadrature(0, 1.0, 0.0)
+        generator = np.random.Generator(np.random.PCG64(7))
+        drawn = cv.homodyne(cv.vacuum_state(1), quad, rng=seed)[0]
+        assert drawn == cv.homodyne(cv.vacuum_state(1), quad, rng=generator)[0]
+
+    def test_engine_draws_through_the_same_seed_rule(self):
+        assert engine._generator is phase_space._generator
 
     def test_measuring_last_mode_gives_empty_state(self):
         outcome, rest = cv.homodyne(cv.vacuum_state(1), cv.Quadrature(0, 0.0, 1.0), forced=0.1)

@@ -983,3 +983,159 @@ class TestNamedChecksFailUnderMutation:
         assert not check.passed
         # N = 1.01 e^{-2r}/2 I, so the error is 0.01 e^{-2r}/2
         assert check.value == pytest.approx(0.01 * 0.1 / 2, rel=1e-9)
+
+
+def _wrapped(monkeypatch, module, name, change):
+    """Replace ``module.name`` by a call of it whose result goes through ``change``."""
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: change(*original(*args)))
+
+
+def _shifted(channel, delta):
+    return cv.GaussianChannel(channel.S + delta * np.eye(2), channel.N, channel.d)
+
+
+def _chain_S_shifted(delta):
+    return lambda mp: _wrapped(
+        mp, protocols, "chain_channel", lambda channel, leak: (_shifted(channel, delta), leak)
+    )
+
+
+def _report_at_ten_db(protocol, **params):
+    return lambda: cv.run_named_protocol(protocol, {"squeezing_db": 10.0, **params})
+
+
+def _unscaled_control():
+    r_gate = protocols.PARAMETER_DEFAULTS["r_gate"]
+    return cv.offline_squeezer(VAC, TEN_DB_R, r_gate, rescale_correction=False)
+
+
+# document check name -> (a report at 10 dB with the other parameters at their
+# defaults and a vacuum input, a mutation that turns the check red); None for
+# the reported values that are built passed and cannot fail (ROADMAP item 7
+# moves them out of the checks)
+DOCUMENT_CHECK_MUTATIONS = {
+    "outcome_independent": (
+        _report_at_ten_db("identity_chain"),
+        lambda mp: mp.setattr(engine, "update_frame", _flipped_frame_sign),
+    ),
+    "channel_noise_psd": (
+        _report_at_ten_db("identity_chain"),
+        lambda mp: _patch_squeezed_variance(mp, -1.0),
+    ),
+    "noise_trace_matches_step_budget": (
+        _report_at_ten_db("identity_chain"),
+        lambda mp: _patch_squeezed_variance(mp, 1.01),
+    ),
+    "matches_exact_four_step_matrix": (_report_at_ten_db("squeezer_four_step"), _chain_S_shifted(1e-3)),
+    "within_cubic_error_of_target": (_report_at_ten_db("squeezer_four_step"), _chain_S_shifted(0.1)),
+    "output_var_x": None,
+    "output_var_p": None,
+    "matches_exact_segment_power": (_report_at_ten_db("repeated_squeezer"), _chain_S_shifted(1e-3)),
+    "noise_is_isotropic_teleportation_noise": (
+        _report_at_ten_db("offline_teleport"),
+        lambda mp: _patch_squeezed_variance(mp, 1.01),
+    ),
+    "vacuum_fidelity_matches_closed_form": (
+        _report_at_ten_db("offline_teleport"),
+        lambda mp: _patch_squeezed_variance(mp, 1.01),
+    ),
+    "channel_matches_target_squeezer": (
+        _report_at_ten_db("offline_squeezer"),
+        lambda mp: _wrapped(
+            mp, protocols, "_teleportation", lambda ch, *rest: (_shifted(ch, 1e-3), *rest)
+        ),
+    ),
+    "noise_is_squeezed_teleportation_noise": (
+        _report_at_ten_db("offline_squeezer"),
+        lambda mp: _patch_squeezed_variance(mp, 1.01),
+    ),
+    # a leak readout that reads zero hides the control's outcome dependence
+    "outcome_dependence_detected": (
+        _unscaled_control,
+        lambda mp: _wrapped(
+            mp, protocols, "_teleportation", lambda ch, leak, mean, cov: (ch, 0.0, mean, cov)
+        ),
+    ),
+}
+
+
+class TestEveryDocumentCheckCanFail:
+    @pytest.mark.parametrize(
+        "name", [name for name, row in DOCUMENT_CHECK_MUTATIONS.items() if row is not None]
+    )
+    def test_each_document_check_fails_under_its_mutation(self, monkeypatch, name):
+        build, mutate = DOCUMENT_CHECK_MUTATIONS[name]
+        assert build().check(name).passed
+        mutate(monkeypatch)
+        assert not build().check(name).passed
+
+    def test_every_document_check_has_a_mutation_row(self):
+        # the checks the five reports emit at the defaults with a vacuum
+        # input, and the negative control's
+        reports = [cv.run_named_protocol(protocol, {}) for protocol in protocols.PROTOCOLS]
+        r, r_gate = cv.db_to_squeezing_r(100.0), protocols.PARAMETER_DEFAULTS["r_gate"]
+        reports.append(cv.offline_squeezer(VAC, r, r_gate, rescale_correction=False))
+        names = {check.name for report in reports for check in report.checks}
+        assert len(names) == 13
+        assert names == set(DOCUMENT_CHECK_MUTATIONS)
+
+
+# single-mode states that violate cov + (i/4)J >= 0, which no config builds
+UNPHYSICAL_INPUTS = {
+    "zero_covariance": cv.GaussianState(np.zeros(2), np.zeros((2, 2))),
+    "sub_vacuum": cv.GaussianState(np.zeros(2), np.diag([0.01, 0.01])),
+    "below_the_uncertainty_bound": cv.GaussianState(np.ones(2), np.diag([0.1, 0.5])),
+    "nan_variance": cv.GaussianState(np.zeros(2), np.diag([math.nan, 0.25])),
+}
+LARGEST_CLI_R = math.log(np.finfo(float).max) / 2  # the largest squeezed r a config takes
+CLI_EXTREME_INPUTS = {
+    "squeezed_largest_r_x": {"kind": "squeezed", "r": LARGEST_CLI_R, "axis": "x"},
+    "squeezed_largest_r_p": {"kind": "squeezed", "r": LARGEST_CLI_R, "axis": "p"},
+    "coherent_1e300": {"kind": "coherent", "re": 1e300, "im": -1e300},
+    "coherent_largest_float": {"kind": "coherent", "re": np.finfo(float).max, "im": 0.0},
+}
+
+
+class TestUnphysicalInputRefused:
+    @pytest.mark.parametrize("state", UNPHYSICAL_INPUTS.values(), ids=list(UNPHYSICAL_INPUTS))
+    @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
+    def test_refused_before_any_channel_is_built(self, monkeypatch, protocol, state):
+        built = []
+        for name in ("chain_channel", "_teleportation"):
+            monkeypatch.setattr(protocols, name, lambda *args, name=name: built.append(name))
+        with pytest.raises(ValueError, match="uncertainty relation"):
+            cv.run_named_protocol(protocol, {"input_state": state})
+        assert built == []
+
+    def test_negative_control_refuses_it_too(self):
+        with pytest.raises(ValueError, match="uncertainty relation"):
+            cv.offline_squeezer(UNPHYSICAL_INPUTS["sub_vacuum"], 1.0, 0.1, rescale_correction=False)
+
+    @pytest.mark.parametrize("r", [0.0, 1.0, 10.0, LARGEST_CLI_R])
+    @pytest.mark.parametrize("theta", [0.0, 0.4, math.pi / 2])
+    @pytest.mark.parametrize("scale", [1.0, 1.5, 1.0 - 1e-3, 0.5])
+    def test_refuses_what_uncertainty_defect_refuses(self, r, theta, scale):
+        # the report path's closed form for one mode against phase_space's eigensolver
+        R = cv.rotation(theta).S
+        cov = R @ (scale * np.diag([math.exp(2 * r) / 4, math.exp(-2 * r) / 4])) @ R.T
+        state = cv.GaussianState(np.zeros(2), 0.5 * (cov + cov.T))
+        if cv.uncertainty_defect(state) > 1e-12:
+            with pytest.raises(ValueError, match="uncertainty relation"):
+                protocols._trial_seeds(state, 0, 1)
+        else:
+            assert protocols._trial_seeds(state, 0, 1) == range(1)
+
+    def test_largest_squeezed_r_is_the_clis(self):
+        assert protocols._finite_squeezing(LARGEST_CLI_R)
+        assert not protocols._finite_squeezing(np.nextafter(LARGEST_CLI_R, math.inf))
+
+    @pytest.mark.parametrize("spec", CLI_EXTREME_INPUTS.values(), ids=list(CLI_EXTREME_INPUTS))
+    @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
+    def test_every_input_a_config_builds_is_accepted(self, protocol, spec):
+        state = cli.build_input_state(spec)
+        assert cv.uncertainty_defect(state) <= 1e-12
+        # as in the CLI: the fidelity's purity test overflows numpy's det at the largest r
+        with np.errstate(all="ignore"):
+            report = cv.run_named_protocol(protocol, {"squeezing_db": 10.0, "input_state": state})
+        assert report.all_passed()
