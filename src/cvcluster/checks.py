@@ -177,10 +177,10 @@ def _build_states(n_modes: int, draws: list[tuple[list, np.ndarray]]) -> list[Ga
 
     Every gate entry of the stack goes into one (B, 3N, 2N, 2N) stack of
     identities in a single assignment. Gate slot t of every state is then
-    one stacked ``S cov S^T`` with the symmetrization of
-    ``transform_moments``, so each state gets the floats of its own
-    ``apply_gate`` route; an identity slot is an exact no-op. The gates
-    leave the mean exactly zero, so it is the displacement.
+    one stacked ``S cov S^T`` with the symmetrization of ``apply_gate``, so
+    each state gets the floats of its own ``apply_gate`` route; an identity
+    slot is an exact no-op. The gates leave the mean exactly zero, so it is
+    the displacement.
     """
     dim, slots = 2 * n_modes, 3 * n_modes
     S = np.tile(np.eye(dim), (len(draws), slots, 1, 1))

@@ -6,8 +6,10 @@ table, ``verify`` runs the invariant and identity suite and prints a
 pass/fail table.
 
 Configs and result documents are JSON with a ``schema_version`` field.
-Numeric fields and a run's record count are checked by the library's own
-rules in ``protocols``, and a refusal is a ``ConfigError`` naming the field.
+The protocol name, numeric fields, the swept parameter and a run's record
+count are checked by the library's own rules in ``protocols``, which refuse
+with ``ConfigError`` naming the field; this module checks only the config's
+shape and its input, and keeps no copy of those rules.
 Floats are serialized with Python's shortest round-trip repr, so identical
 config + seed produce byte-identical documents and parsing a document and
 re-emitting it is the identity; printed summaries quote values to 12
@@ -33,12 +35,9 @@ import numpy as np
 
 from . import checks, protocols
 from .phase_space import GaussianState, coherent_state, squeezed_vacuum, vacuum_state
+from .protocols import ConfigError
 
 SCHEMA_VERSION = 1
-
-
-class ConfigError(ValueError):
-    """A config file failed schema validation; the message names the field."""
 
 
 # input kind -> the keys besides "kind" that it reads
@@ -46,14 +45,6 @@ _INPUT_KEYS = {"vacuum": (), "coherent": ("re", "im"), "squeezed": ("r", "axis")
 _KNOWN_FIELDS = {
     "schema_version", "protocol", *protocols.PARAMETERS, "input", "sweep", "output_path",
 }
-
-
-def _config_checked(check, *args):
-    """``check(*args)``, a rule of ``protocols``, refusing with ``ConfigError``."""
-    try:
-        return check(*args)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
 
 
 @dataclass
@@ -79,12 +70,8 @@ class ExperimentConfig:
         if isinstance(version, bool) or version != SCHEMA_VERSION:
             raise ConfigError(f"field 'schema_version': must be {SCHEMA_VERSION}, got {version!r}")
         cfg = cls(protocol=str(raw["protocol"]))
-        if cfg.protocol not in protocols.PROTOCOLS:
-            raise ConfigError(
-                f"field 'protocol': unknown protocol {cfg.protocol!r}; "
-                f"known: {', '.join(protocols.PROTOCOLS)}"
-            )
-        checked = {name: _config_checked(protocols.checked_parameter, name, raw[name])
+        protocols.protocol_parameters(cfg.protocol)  # refuses an unknown protocol
+        checked = {name: protocols.checked_parameter(name, raw[name])
                    for name in protocols.PARAMETERS if name in raw}
         cfg.seed, cfg.trials = checked.pop("seed", cfg.seed), checked.pop("trials", cfg.trials)
         cfg.params.update(checked)
@@ -109,11 +96,8 @@ class ExperimentConfig:
                 raise ConfigError(f"field 'sweep.param': cannot sweep {param!r}")
             # the raw values are kept: they are echoed verbatim in the CSV
             for i, value in enumerate(sweep["values"]):
-                _config_checked(protocols.checked_parameter, param, value, f"sweep.values[{i}]")
-            if param not in protocols.protocol_parameters(cfg.protocol):
-                raise ConfigError(
-                    f"field 'sweep.param': protocol {cfg.protocol!r} does not read {param!r}"
-                )
+                protocols.checked_parameter(param, value, f"sweep.values[{i}]")
+            protocols.checked_sweep_param(cfg.protocol, param)
             cfg.sweep = {"param": param, "values": list(sweep["values"])}
         return cfg
 
@@ -178,8 +162,7 @@ def _protocol_params(cfg: ExperimentConfig) -> dict:
 def run_document(cfg: ExperimentConfig) -> dict:
     """One result document: the report of cfg.trials seeded trials, whose
     channel and checks are built once, with the config echoed; trials that
-    would overfill it are refused before anything is built."""
-    _config_checked(protocols.document_records, cfg.protocol, cfg.params, cfg.trials)
+    would overfill it are refused by ``run_named_protocol`` before anything is built."""
     report = protocols.run_named_protocol(
         cfg.protocol, _protocol_params(cfg), seed=cfg.seed, trials=cfg.trials
     )
@@ -286,7 +269,7 @@ def _load_config(path: str, seed_override: int | None) -> ExperimentConfig:
     # a seed override changes the experiment and is echoed in the document;
     # --output only redirects the write and must not perturb the bytes
     if seed_override is not None:
-        cfg.seed = _config_checked(protocols.checked_parameter, "seed", seed_override, "--seed")
+        cfg.seed = protocols.checked_parameter("seed", seed_override, "--seed")
     return cfg
 
 
@@ -324,7 +307,7 @@ def cmd_write(path: str, seed: int | None, output: str | None, quiet: bool, buil
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except Exception as err:  # runtime failure, e.g. a degenerate measurement
+    except Exception as err:  # a failure that no rule refused
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
     out_path = output or cfg.output_path or default_output

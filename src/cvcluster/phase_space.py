@@ -298,23 +298,12 @@ def embed_symplectic(S: np.ndarray, modes: Sequence[int], n_modes: int) -> np.nd
     return full
 
 
-def transform_moments(
-    mean: np.ndarray, cov: np.ndarray, S: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(S mean, S cov S^T), the covariance symmetrized; S is the full 2N x 2N map."""
-    cov = S @ cov @ S.T
-    return S @ mean, 0.5 * (cov + cov.T)
-
-
 def apply_gate(state: GaussianState, gate: SymplecticGate, modes: Sequence[int]) -> GaussianState:
-    """mu -> S mu and cov -> S cov S^T with the gate embedded on ``modes``.
-
-    A validated-state wrapper around ``embed_symplectic`` and
-    ``transform_moments``; code that applies many gates in a row can keep
-    the moments as arrays and call those two directly.
-    """
+    """mu -> S mu and cov -> S cov S^T, the covariance symmetrized, with the
+    gate embedded on ``modes`` by ``embed_symplectic``."""
     S = embed_symplectic(gate.S, modes, state.n_modes)
-    return GaussianState(*transform_moments(state.mean, state.cov, S))
+    cov = S @ state.cov @ S.T
+    return GaussianState(S @ state.mean, 0.5 * (cov + cov.T))
 
 
 # ---------------------------------------------------------------------------

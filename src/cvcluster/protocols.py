@@ -19,8 +19,9 @@ one ``RecordColumns`` per trial from its integer seed, when they are first
 read (``record_columns``): a sweep point's report draws none. One table,
 ``PARAMETERS``, states each config-style parameter's default, cast, rule and
 largest value once; ``checked_parameter`` checks a value against it, and
-``document_records`` a run's records against ``MAX_RECORDS``, for the CLI
-and ``run_named_protocol`` alike.
+``document_records`` a run's records against ``MAX_RECORDS``. Every rule that
+a config can trip is written here once and refuses with ``ConfigError``,
+whose text the CLI prints; a builder's preconditions stay ``ValueError``.
 """
 
 from __future__ import annotations
@@ -77,6 +78,10 @@ def _max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
 
 
+class ConfigError(ValueError):
+    """A config-style name or value that a rule of this module refuses."""
+
+
 class InputOverflowError(OverflowError):
     """The channel is finite, but the input state's image under it overflows
     double precision."""
@@ -128,24 +133,24 @@ PARAMETER_DEFAULTS = {n: p.default for n, p in PARAMETERS.items() if n not in ("
 
 def checked_parameter(name: str, raw, label: str | None = None):
     """``raw`` cast by ``PARAMETERS[name]``, its condition and bound checked; a
-    refusal is a ``ValueError`` naming ``label`` (default ``name``). Booleans and
+    refusal is a ``ConfigError`` naming ``label`` (default ``name``). Booleans and
     strings are refused, and an integer parameter refuses a float with a fractional part."""
     _, cast, condition, rule, largest = PARAMETERS[name]
     label = label or name
     if isinstance(raw, (bool, str)):
         got = "a boolean" if isinstance(raw, bool) else "a string"
-        raise ValueError(f"field {label!r}: expected {cast.__name__}, got {got}")
+        raise ConfigError(f"field {label!r}: expected {cast.__name__}, got {got}")
     try:
         value = cast(raw)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"field {label!r}: expected {cast.__name__}")
+        raise ConfigError(f"field {label!r}: expected {cast.__name__}")
     if cast is int and isinstance(raw, float) and value != raw:
-        raise ValueError(f"field {label!r}: expected an integer, got {raw!r}")
+        raise ConfigError(f"field {label!r}: expected an integer, got {raw!r}")
     if not condition(value):
-        raise ValueError(f"field {label!r}: {rule}")
+        raise ConfigError(f"field {label!r}: {rule}")
     if largest is not None and value > largest:
         bound = f"must be <= {largest}, a chain of at most {MAX_CHAIN_STEPS} steps"
-        raise ValueError(f"field {label!r}: {bound}")
+        raise ConfigError(f"field {label!r}: {bound}")
     return value
 
 
@@ -266,7 +271,9 @@ def _channel_facts(
     # a reference too ill-conditioned for double precision leaves the ideal
     # covariance numerically singular, and its purity (phase_space.purity of
     # a single mode, from the same determinant) unresolved: no fidelity then
-    det = np.linalg.det(ideal.cov)
+    # (a det that overflows to inf or NaN fails, so its warning adds nothing)
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.linalg.det(ideal.cov)
     fidelity = None
     if det > 0 and abs(VACUUM_VARIANCE / math.sqrt(det) - 1.0) <= 1e-9:
         fidelity = overlap_fidelity(ideal, output)
@@ -561,18 +568,26 @@ def protocol_parameters(protocol_id: str) -> tuple[str, ...]:
     """The ``PARAMETER_DEFAULTS`` names a protocol reads: ``squeezing_db``,
     which every protocol reads, then its ``PROTOCOLS`` names."""
     if protocol_id not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol_id!r}; known: {', '.join(PROTOCOLS)}")
+        known = ", ".join(PROTOCOLS)
+        raise ConfigError(f"field 'protocol': unknown protocol {protocol_id!r}; known: {known}")
     return ("squeezing_db", *PROTOCOLS[protocol_id][1])
+
+
+def checked_sweep_param(protocol_id: str, param: str) -> None:
+    """Refuse a swept ``param`` that the protocol does not read: every row of
+    its sweep would be the same point."""
+    if param not in protocol_parameters(protocol_id):
+        raise ConfigError(f"field 'sweep.param': protocol {protocol_id!r} does not read {param!r}")
 
 
 def document_records(protocol_id: str, values: dict, trials: int) -> int:
     """The records a run document of ``trials`` trials holds, one per chain step
-    and two per off-line trial; more than ``MAX_RECORDS`` is a ``ValueError``."""
+    and two per off-line trial; more than ``MAX_RECORDS`` is a ``ConfigError``."""
     chains = {"identity_chain": values["n_nodes"] - 1, "squeezer_four_step": 4,
               "repeated_squeezer": 4 * values["segments"]}
     records = trials * chains.get(protocol_id, 2)
     if records > MAX_RECORDS:
-        raise ValueError(
+        raise ConfigError(
             f"field 'trials': {trials} trials write {records} records, "
             f"more than the {MAX_RECORDS} a run document may hold"
         )
@@ -596,7 +611,7 @@ def run_named_protocol(
     input_state = params.pop("input_state", None) or vacuum_state(1)
     unknown = [key for key in params if key not in PARAMETER_DEFAULTS]
     if unknown:
-        raise ValueError(f"unknown parameters {', '.join(map(repr, unknown))}")
+        raise ConfigError(f"unknown parameters {', '.join(map(repr, unknown))}")
     values = {**PARAMETER_DEFAULTS, **{k: checked_parameter(k, v) for k, v in params.items()}}
     seed, trials = checked_parameter("seed", seed), checked_parameter("trials", trials)
     document_records(protocol_id, values, trials)
@@ -611,13 +626,11 @@ def sweep(protocol_id: str, base_params: dict, param: str, values: Sequence) -> 
 
     A row holds only quantities of its point's channel, which does not
     depend on the outcomes, so no point draws records and a sweep takes no
-    seed. ``param`` must be one of ``protocol_parameters(protocol_id)``:
-    any other would give the same row at every point.
+    seed. ``param`` must pass ``checked_sweep_param``.
     """
     if len(values) == 0:
-        raise ValueError("sweep values must be nonempty")
-    if param not in protocol_parameters(protocol_id):
-        raise ValueError(f"protocol {protocol_id!r} does not read {param!r}")
+        raise ConfigError("sweep values must be nonempty")
+    checked_sweep_param(protocol_id, param)
     rows = []
     for i, value in enumerate(values):
         params = dict(base_params)

@@ -907,8 +907,8 @@ class TestSizeBounds:
         def refuse(*args, **kwargs):
             raise AssertionError("a refused config reached the protocols")
 
-        monkeypatch.setattr(cli.protocols, "run_named_protocol", refuse)
-        monkeypatch.setattr(cli.protocols, "sweep", refuse)
+        for name, (_, reads) in list(protocols.PROTOCOLS.items()):
+            monkeypatch.setitem(protocols.PROTOCOLS, name, (refuse, reads))
 
     @pytest.mark.parametrize(
         "command, payload, field",

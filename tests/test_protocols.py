@@ -342,6 +342,38 @@ class TestReportsAndSweep:
             with pytest.raises(ValueError, match=f"{protocol!r} does not read {param!r}"):
                 cv.sweep(protocol, {}, param, [value])
 
+    @pytest.mark.parametrize(
+        "payload, library_calls",
+        [
+            (
+                {"protocol": "nope", "sweep": {"param": "squeezing_db", "values": [10.0]}},
+                [
+                    lambda: cv.run_named_protocol("nope", {}),
+                    lambda: cv.protocol_parameters("nope"),
+                    lambda: cv.sweep("nope", {}, "squeezing_db", [10.0]),
+                ],
+            ),
+            (
+                {"protocol": "identity_chain", "sweep": {"param": "kappa", "values": [0.1]}},
+                [lambda: cv.sweep("identity_chain", {}, "kappa", [0.1])],
+            ),
+        ],
+        ids=["unknown_protocol", "unread_sweep_param"],
+    )
+    def test_library_refuses_with_the_clis_line(self, tmp_path, capsys, payload, library_calls):
+        # one statement of each rule: the library's text is the CLI's line without "error: "
+        assert cli.ConfigError is protocols.ConfigError
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        for command in ("run", "sweep"):
+            assert cli.main([command, str(config), "--output", str(tmp_path / "out")]) == 2
+            line = capsys.readouterr().err
+            for call in library_calls:
+                with pytest.raises(cli.ConfigError) as refused:
+                    call()
+                assert f"error: {refused.value}\n" == line
+        assert not (tmp_path / "out").exists()
+
     def test_run_named_protocol_accepts_db(self):
         report = cv.run_named_protocol(
             "identity_chain", {"n_nodes": 3, "squeezing_db": 10.0}, seed=2
@@ -1130,12 +1162,16 @@ class TestUnphysicalInputRefused:
         assert protocols._finite_squeezing(LARGEST_CLI_R)
         assert not protocols._finite_squeezing(np.nextafter(LARGEST_CLI_R, math.inf))
 
+    # no np.errstate, unlike the CLI: an accepted report warns of nothing
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("spec", CLI_EXTREME_INPUTS.values(), ids=list(CLI_EXTREME_INPUTS))
     @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
     def test_every_input_a_config_builds_is_accepted(self, protocol, spec):
         state = cli.build_input_state(spec)
         assert cv.uncertainty_defect(state) <= 1e-12
-        # as in the CLI: the fidelity's purity test overflows numpy's det at the largest r
-        with np.errstate(all="ignore"):
-            report = cv.run_named_protocol(protocol, {"squeezing_db": 10.0, "input_state": state})
+        report = cv.run_named_protocol(
+            protocol, {"squeezing_db": 10.0, "input_state": state}, trials=2
+        )
         assert report.all_passed()
+        assert len(report.record_columns) == 2
+        report.to_dict()
