@@ -6,10 +6,10 @@ table, ``verify`` runs the invariant and identity suite and prints a
 pass/fail table.
 
 Configs and result documents are JSON with a ``schema_version`` field.
-The protocol name, numeric fields, the swept parameter and a run's record
-count are checked by the library's own rules in ``protocols``, which refuse
-with ``ConfigError`` naming the field; this module checks only the config's
-shape and its input, and keeps no copy of those rules.
+The protocol name, numeric fields, the sweep grid, a run's record count and
+an overflowing channel or input are refused by the library's own rules in
+``protocols`` with ``ConfigError`` naming the field; this module checks only
+the config's shape and its input, and keeps no copy of those rules.
 Floats are serialized with Python's shortest round-trip repr, so identical
 config + seed produce byte-identical documents and parsing a document and
 re-emitting it is the identity; printed summaries quote values to 12
@@ -89,16 +89,9 @@ class ExperimentConfig:
             for key in sweep:
                 if key not in ("param", "values"):
                     raise ConfigError(f"field 'sweep.{key}': a sweep does not read it")
-            if not isinstance(sweep["values"], list) or len(sweep["values"]) == 0:
-                raise ConfigError("field 'sweep.values': must be a nonempty list")
-            param = sweep["param"]
-            if not isinstance(param, str) or param not in protocols.PARAMETER_DEFAULTS:
-                raise ConfigError(f"field 'sweep.param': cannot sweep {param!r}")
+            protocols.checked_sweep(cfg.protocol, sweep["param"], sweep["values"])
             # the raw values are kept: they are echoed verbatim in the CSV
-            for i, value in enumerate(sweep["values"]):
-                protocols.checked_parameter(param, value, f"sweep.values[{i}]")
-            protocols.checked_sweep_param(cfg.protocol, param)
-            cfg.sweep = {"param": param, "values": list(sweep["values"])}
+            cfg.sweep = {"param": sweep["param"], "values": list(sweep["values"])}
         return cfg
 
     @cached_property
@@ -296,14 +289,9 @@ def cmd_write(path: str, seed: int | None, output: str | None, quiet: bool, buil
     write the text and print the summary."""
     try:
         cfg = _load_config(path, seed)
-        # the finite checks refuse an overflow, so numpy's warnings of it add nothing
-        try:
-            with np.errstate(all="ignore"):
-                text, summary = build(cfg)
-        except protocols.InputOverflowError as err:
-            raise ConfigError(f"field 'input': {err}") from err
-        except OverflowError as err:  # the report refuses a channel beyond double precision
-            raise ConfigError(f"field 'kappa': {err}") from err
+        # protocols refuse an overflow naming its field, so numpy's warnings add nothing
+        with np.errstate(all="ignore"):
+            text, summary = build(cfg)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

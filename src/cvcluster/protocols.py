@@ -12,16 +12,16 @@ channel once: the deviation from the target, the noise, the input's image
 and its ideal-output fidelity. ``_report`` adds ``outcome_independent`` (or
 the negative control's ``outcome_dependence_detected``) and the noise's
 positivity. A channel whose S, N or deviation is not finite is refused with
-``OverflowError``, and a finite one that carries the input to a non-finite
-fidelity, outcome record or output variance with ``InputOverflowError``.
+``ChannelOverflowError`` (naming ``kappa``, or ``r_gate`` off-line), and one
+that carries the input past double precision with ``InputOverflowError``.
 The channel does not depend on the outcomes, so a report draws its records,
 one ``RecordColumns`` per trial from its integer seed, when they are first
 read (``record_columns``): a sweep point's report draws none. One table,
 ``PARAMETERS``, states each config-style parameter's default, cast, rule and
-largest value once; ``checked_parameter`` checks a value against it, and
-``document_records`` a run's records against ``MAX_RECORDS``. Every rule that
-a config can trip is written here once and refuses with ``ConfigError``,
-whose text the CLI prints; a builder's preconditions stay ``ValueError``.
+largest value once; ``checked_parameter``, ``checked_sweep`` and
+``document_records`` check a value, a sweep grid and a run's records. Every
+config rule, overflows included, is written here once and refuses with a
+``ConfigError`` whose text the CLI prints; builder preconditions stay ``ValueError``.
 """
 
 from __future__ import annotations
@@ -82,16 +82,21 @@ class ConfigError(ValueError):
     """A config-style name or value that a rule of this module refuses."""
 
 
-class InputOverflowError(OverflowError):
+class ChannelOverflowError(ConfigError, OverflowError):
+    """A channel beyond double precision, refused naming ``kappa`` or, off-line, ``r_gate``."""
+
+
+class InputOverflowError(ConfigError, OverflowError):
     """The channel is finite, but the input state's image under it overflows
-    double precision."""
+    double precision; the refusal names ``input``."""
 
 
 def _require_finite(values: Iterable[float], what: str) -> None:
     """Refuse input-dependent report values that overflowed."""
     if not all(map(math.isfinite, values)):
         raise InputOverflowError(
-            f"the input state overflows double precision through the channel: {what} is not finite"
+            "field 'input': the input state overflows double precision through the channel: "
+            f"{what} is not finite"
         )
 
 
@@ -254,6 +259,7 @@ def _channel_facts(
     draw: Callable[[], RecordTable],
     target_S: np.ndarray,
     input_state: GaussianState,
+    overflow_field: str,
     reference_S=None,
 ) -> _ReportFacts:
     """A report's channel, leak, record draw and target with the numbers read
@@ -261,7 +267,10 @@ def _channel_facts(
     its ideal-output fidelity."""
     deviation = float(np.linalg.norm(channel.S - target_S, ord="fro"))
     if not (np.isfinite([*channel.S.ravel(), *channel.N.ravel(), deviation]).all()):
-        raise OverflowError("the channel overflows double precision: S, N or deviation not finite")
+        raise ChannelOverflowError(
+            f"field {overflow_field!r}: the channel overflows double precision: "
+            "S, N or deviation not finite"
+        )
     output = channel.apply(input_state)
     # fidelity needs a pure reference, so it is taken against a symplectic
     # matrix even when the protocol's comparison target is an approximation
@@ -342,7 +351,7 @@ def _chain_facts(
     seeds = _trial_seeds(input_state, seed, trials)
     channel, leak = chain_channel(steps, r)
     draw = partial(chain_records, input_state, steps, r, seeds)
-    return _channel_facts(channel, leak, draw, target_S, input_state, reference_S)
+    return _channel_facts(channel, leak, draw, target_S, input_state, "kappa", reference_S)
 
 
 def identity_chain(
@@ -377,7 +386,8 @@ def squeezer_four_step(
     compared against the exact four-step product matrix.
     """
     steps = squeezer_steps(kappa)
-    target = np.diag([1.0 - kappa**2, 1.0 + kappa**2])
+    kappa2 = np.float64(kappa) ** 2  # the pow of kappa**2, but inf, not OverflowError
+    target = np.diag([1.0 - kappa2, 1.0 + kappa2])
     exact = algebra.squeezer_protocol_matrix(kappa)
     facts = _chain_facts(steps, r, input_state, seed, trials, target, reference_S=exact)
     var_x, var_p = facts.output.cov.diagonal().tolist()
@@ -471,7 +481,7 @@ def _offline_facts(
         input_state, r, S_big[4:6], uv_rows, gain, [2, 5], [3, 4]
     )
     draw = partial(_offline_trials, mean, cov, seeds)
-    return _channel_facts(channel, leak, draw, gate_S, input_state)
+    return _channel_facts(channel, leak, draw, gate_S, input_state, "r_gate")
 
 
 def offline_teleport(
@@ -573,10 +583,18 @@ def protocol_parameters(protocol_id: str) -> tuple[str, ...]:
     return ("squeezing_db", *PROTOCOLS[protocol_id][1])
 
 
-def checked_sweep_param(protocol_id: str, param: str) -> None:
-    """Refuse a swept ``param`` that the protocol does not read: every row of
-    its sweep would be the same point."""
-    if param not in protocol_parameters(protocol_id):
+def checked_sweep(protocol_id: str, param, values) -> None:
+    """Refuse a sweep grid unless ``values`` is a nonempty list, each value passes
+    ``checked_parameter`` as ``sweep.values[i]`` and the protocol reads ``param``,
+    a ``PARAMETER_DEFAULTS`` name; otherwise every row would be the same point."""
+    reads = protocol_parameters(protocol_id)
+    if not isinstance(values, list) or len(values) == 0:
+        raise ConfigError("field 'sweep.values': must be a nonempty list")
+    if not isinstance(param, str) or param not in PARAMETER_DEFAULTS:
+        raise ConfigError(f"field 'sweep.param': cannot sweep {param!r}")
+    for i, value in enumerate(values):
+        checked_parameter(param, value, f"sweep.values[{i}]")
+    if param not in reads:
         raise ConfigError(f"field 'sweep.param': protocol {protocol_id!r} does not read {param!r}")
 
 
@@ -609,9 +627,9 @@ def run_named_protocol(
     _, *names = protocol_parameters(protocol_id)
     params = dict(params)
     input_state = params.pop("input_state", None) or vacuum_state(1)
-    unknown = [key for key in params if key not in PARAMETER_DEFAULTS]
-    if unknown:
-        raise ConfigError(f"unknown parameters {', '.join(map(repr, unknown))}")
+    for key in params:
+        if key not in PARAMETER_DEFAULTS:
+            raise ConfigError(f"unknown config field {key!r}")
     values = {**PARAMETER_DEFAULTS, **{k: checked_parameter(k, v) for k, v in params.items()}}
     seed, trials = checked_parameter("seed", seed), checked_parameter("trials", trials)
     document_records(protocol_id, values, trials)
@@ -621,21 +639,17 @@ def run_named_protocol(
     return builder(r=r, input_state=input_state, seed=seed, trials=trials, **args)
 
 
-def sweep(protocol_id: str, base_params: dict, param: str, values: Sequence) -> list[dict]:
+def sweep(protocol_id: str, base_params: dict, param: str, values: list) -> list[dict]:
     """Run a protocol over a one-parameter grid; one summary row per point.
 
     A row holds only quantities of its point's channel, which does not
     depend on the outcomes, so no point draws records and a sweep takes no
-    seed. ``param`` must pass ``checked_sweep_param``.
+    seed. ``checked_sweep`` refuses a bad grid before any point runs.
     """
-    if len(values) == 0:
-        raise ConfigError("sweep values must be nonempty")
-    checked_sweep_param(protocol_id, param)
+    checked_sweep(protocol_id, param, values)
     rows = []
     for i, value in enumerate(values):
-        params = dict(base_params)
-        params[param] = value
-        report = run_named_protocol(protocol_id, params)
+        report = run_named_protocol(protocol_id, {**base_params, param: value})
         rows.append(
             {
                 "index": i,

@@ -768,6 +768,8 @@ OVERFLOWING = {
     "kappa_1_1000_segments": {"protocol": "repeated_squeezer", "kappa": 1.0, "segments": 1000},
     "kappa_1_400_segments": {"protocol": "repeated_squeezer", "kappa": 1.0, "segments": 400},
     "four_step_kappa_1e100": {"protocol": "squeezer_four_step", "kappa": 1e100},
+    # kappa**2 in Python floats would raise OverflowError before the channel's check
+    "four_step_kappa_1e200": {"protocol": "squeezer_four_step", "kappa": 1e200},
     # S and N are finite here, but the deviation from the target is not
     "four_step_kappa_1e39_0db": {"protocol": "squeezer_four_step", "kappa": 1e39, "squeezing_db": 0.0},
 }
@@ -775,7 +777,8 @@ OVERFLOWING = {
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestChannelOverflow:
-    """A chain whose S or N leaves double precision is a config error."""
+    """A channel whose S or N leaves double precision is a config error naming
+    ``kappa`` for a chain and ``r_gate`` for the off-line squeezer."""
 
     @pytest.mark.parametrize("name", OVERFLOWING)
     def test_run_exits_2_naming_kappa_without_output(self, tmp_path, capsys, name):
@@ -795,6 +798,15 @@ class TestChannelOverflow:
         captured = capsys.readouterr()
         assert (code, captured.out, out.exists()) == (2, "", False)
         assert captured.err.splitlines()[-1].startswith("error: field 'kappa': ")
+
+    def test_overflow_that_no_rule_refused_exits_1(self, tmp_path, capsys, monkeypatch):
+        def overflowing(**_):
+            raise OverflowError("math range error")
+
+        monkeypatch.setitem(protocols.PROTOCOLS, "offline_teleport", (overflowing, ()))
+        code, out = main_on(tmp_path, "run", {"protocol": "offline_teleport"})
+        assert (code, capsys.readouterr().err) == (1, "error: OverflowError: math range error\n")
+        assert not out.exists()
 
     def test_large_but_finite_channel_gives_a_document(self, tmp_path):
         payload = {**OVERFLOWING["kappa_1_400_segments"], "squeezing_db": 10.0, "segments": 300}
@@ -877,12 +889,17 @@ class TestInputOverflow:
             "S, N or deviation not finite\n",
         ),
         (
+            {"protocol": "offline_squeezer", "r_gate": 354.8},
+            "error: field 'r_gate': the channel overflows double precision: "
+            "S, N or deviation not finite\n",
+        ),
+        (
             INPUT_OVERFLOWING["four_step_coherent_1e308"],
             "error: field 'input': the input state overflows double precision "
             "through the channel: the fidelity is not finite\n",
         ),
     ],
-    ids=["kappa", "input"],
+    ids=["kappa", "r_gate", "input"],
 )
 def test_overflow_refusal_prints_one_line(tmp_path, payload, error):
     """The whole stderr of the console command: numpy's overflow warnings

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cvcluster as cv
-from cvcluster import checks, cli, engine, protocols
+from cvcluster import algebra, checks, cli, cluster, engine, protocols
 from conftest import step_noise_oracle
 from explicit_states import modified_resource
 from tomography import channel_tomography
@@ -300,6 +300,19 @@ class TestReportsAndSweep:
         with pytest.raises(ValueError):
             cv.sweep("offline_teleport", {}, "squeezing_db", [])
 
+    def test_sweep_refuses_a_bad_grid_before_any_point_runs(self, monkeypatch):
+        def refuse(**_):
+            raise AssertionError("a point of a refused grid ran")
+
+        monkeypatch.setitem(protocols.PROTOCOLS, "identity_chain", (refuse, ("n_nodes",)))
+        with pytest.raises(cli.ConfigError) as refused:
+            cv.sweep("identity_chain", {}, "n_nodes", [100001, "x"])
+        assert str(refused.value) == "field 'sweep.values[1]': expected int, got a string"
+
+    def test_overflow_refusals_are_config_and_overflow_errors(self):
+        for error in (protocols.ChannelOverflowError, cv.InputOverflowError):
+            assert issubclass(error, cli.ConfigError) and issubclass(error, OverflowError)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("segments, kappa", [(400, 1.0), (1, 1e200)])
     def test_report_refuses_a_non_finite_channel(self, segments, kappa):
@@ -321,26 +334,30 @@ class TestReportsAndSweep:
             cv.sweep("bogus", {}, "squeezing_db", [10.0])
 
     def test_run_named_protocol_refuses_an_unknown_parameter(self):
-        with pytest.raises(ValueError, match="unknown parameters 'kapa'"):
+        with pytest.raises(cli.ConfigError, match="^unknown config field 'kapa'$"):
             cv.run_named_protocol("squeezer_four_step", {"kapa": 0.5})
 
     @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
     @pytest.mark.parametrize("param", [*protocols.PARAMETER_DEFAULTS, "input_state", "seed"])
     def test_sweep_refuses_what_the_cli_refuses(self, protocol, param):
-        # one rule, protocols.protocol_parameters, for the library and the CLI
+        # one rule, protocols.checked_sweep, for the library and the CLI
         value = protocols.PARAMETER_DEFAULTS.get(param, 1)
         payload = {"protocol": protocol, "sweep": {"param": param, "values": [value]}}
-        try:
+        if param in protocols.protocol_parameters(protocol):
             cli.ExperimentConfig.from_dict(payload)
-            cli_accepts = True
-        except cli.ConfigError:
-            cli_accepts = False
-        assert cli_accepts == (param in protocols.protocol_parameters(protocol))
-        if cli_accepts:
             assert len(cv.sweep(protocol, {}, param, [value])) == 1
+            return
+        if param in protocols.PARAMETER_DEFAULTS:
+            expected = f"field 'sweep.param': protocol {protocol!r} does not read {param!r}"
         else:
-            with pytest.raises(ValueError, match=f"{protocol!r} does not read {param!r}"):
-                cv.sweep(protocol, {}, param, [value])
+            expected = f"field 'sweep.param': cannot sweep {param!r}"
+        for call in (
+            lambda: cli.ExperimentConfig.from_dict(payload),
+            lambda: cv.sweep(protocol, {}, param, [value]),
+        ):
+            with pytest.raises(cli.ConfigError) as refused:
+                call()
+            assert str(refused.value) == expected
 
     @pytest.mark.parametrize(
         "payload, library_calls",
@@ -357,8 +374,40 @@ class TestReportsAndSweep:
                 {"protocol": "identity_chain", "sweep": {"param": "kappa", "values": [0.1]}},
                 [lambda: cv.sweep("identity_chain", {}, "kappa", [0.1])],
             ),
+            (
+                {"protocol": "identity_chain", "sweep": {"param": "n_nodes", "values": []}},
+                [lambda: cv.sweep("identity_chain", {}, "n_nodes", [])],
+            ),
+            (
+                {"protocol": "identity_chain", "sweep": {"param": "seed", "values": [1]}},
+                [lambda: cv.sweep("identity_chain", {}, "seed", [1])],
+            ),
+            (
+                {"protocol": "identity_chain", "sweep": {"param": "n_nodes", "values": [3, "x"]}},
+                [lambda: cv.sweep("identity_chain", {}, "n_nodes", [3, "x"])],
+            ),
+            (
+                {"protocol": "squeezer_four_step", "kapa": 0.5},
+                [
+                    lambda: cv.run_named_protocol("squeezer_four_step", {"kapa": 0.5}),
+                    lambda: cv.sweep("squeezer_four_step", {"kapa": 0.5}, "kappa", [0.1]),
+                ],
+            ),
+            (
+                {
+                    "protocol": "offline_squeezer", "r_gate": 354.8,
+                    "sweep": {"param": "r_gate", "values": [0.1, 354.8]},
+                },
+                [
+                    lambda: cv.run_named_protocol("offline_squeezer", {"r_gate": 354.8}),
+                    lambda: cv.sweep("offline_squeezer", {}, "r_gate", [0.1, 354.8]),
+                ],
+            ),
         ],
-        ids=["unknown_protocol", "unread_sweep_param"],
+        ids=[
+            "unknown_protocol", "unread_sweep_param", "empty_sweep_values", "unsweepable_param",
+            "bad_sweep_value", "unknown_key", "r_gate_overflow",
+        ],
     )
     def test_library_refuses_with_the_clis_line(self, tmp_path, capsys, payload, library_calls):
         # one statement of each rule: the library's text is the CLI's line without "error: "
@@ -369,7 +418,8 @@ class TestReportsAndSweep:
             assert cli.main([command, str(config), "--output", str(tmp_path / "out")]) == 2
             line = capsys.readouterr().err
             for call in library_calls:
-                with pytest.raises(cli.ConfigError) as refused:
+                # numpy warns of an overflow before the refusal; the CLI silences it too
+                with np.errstate(all="ignore"), pytest.raises(cli.ConfigError) as refused:
                     call()
                 assert f"error: {refused.value}\n" == line
         assert not (tmp_path / "out").exists()
@@ -1111,6 +1161,138 @@ class TestEveryDocumentCheckCanFail:
         names = {check.name for report in reports for check in report.checks}
         assert len(names) == 13
         assert names == set(DOCUMENT_CHECK_MUTATIONS)
+
+
+def _gate_changed(name, change):
+    """Build ``checks.<name>``'s gates with ``change`` applied to their matrices."""
+    original = getattr(checks, name)
+    return lambda mp: mp.setattr(
+        checks, name, lambda *args: cv.SymplecticGate(change(original(*args).S))
+    )
+
+
+def _unit(row, col, size=4):
+    unit = np.zeros((size, size))
+    unit[row, col] = 1.0
+    return unit
+
+
+def _argument_changed(module, name, change):
+    """Call ``module.<name>`` with its first argument passed through ``change``."""
+    original = getattr(module, name)
+    return lambda mp: mp.setattr(
+        module, name, lambda first, *rest: original(change(first), *rest)
+    )
+
+
+def _result_changed(module, name, change):
+    """Pass what ``module.<name>`` returns through ``change``."""
+    original = getattr(module, name)
+    return lambda mp: mp.setattr(module, name, lambda *args: change(original(*args)))
+
+
+def _shift_sign_flipped(mp):
+    # conjugation by X(-s1) instead of X(s1)
+    shifted = algebra.ExponentPolynomial.shifted
+    mp.setattr(algebra.ExponentPolynomial, "shifted", lambda self, s: shifted(self, -s))
+
+
+def _ungained_offline_squeezer(mp):
+    # the feedforward applied without the gate's rescaling
+    offline_facts = protocols._offline_facts
+    mp.setattr(
+        protocols, "_offline_facts",
+        lambda state, r, gate, gain, *rest: offline_facts(state, r, gate, np.eye(2), *rest),
+    )
+
+
+def _sub_vacuum_cluster_nodes(mp):
+    # each node's anti-squeezed variance given the squeezed value e^{-2r}/4
+    mp.setattr(
+        cluster, "squeezed_vacuum",
+        lambda r, axis: cv.GaussianState(np.zeros(2), math.exp(-2 * r) / 4 * np.eye(2)),
+    )
+
+
+def _homodyne_mean_moved(mp):
+    homodyne = checks.homodyne
+
+    def moved(state, quad, **kwargs):
+        outcome, rest = homodyne(state, quad, **kwargs)
+        return outcome, cv.GaussianState(rest.mean + 1e-8, rest.cov)
+
+    mp.setattr(checks, "homodyne", moved)
+
+
+_frame_sign_flipped = lambda mp: mp.setattr(engine, "update_frame", _flipped_frame_sign)
+# steps (kappa, kappa, kappa, kappa): a deviation of O(kappa), ratio 2
+_one_sided_steps = _argument_changed(algebra, "fourier_shear_step", abs)
+# S(kappa^2) for S(kappa^2 / 2) in the BCH split: a residual of O(kappa^2), ratio 4
+_doubled_bch_squeezing = _argument_changed(algebra, "squeezer", lambda r: 2 * r)
+# verify check name -> a mutation that turns it red in checks.run_all_checks()
+VERIFY_CHECK_MUTATIONS = {
+    # one column's sign flipped: not symplectic
+    "symplectic_condition_all_gates": _gate_changed("beamsplitter_5050", lambda S: S * [1, 1, 1, -1]),
+    # R(-theta) for R(theta)
+    "rotation_half_pi_equals_fourier": _gate_changed("rotation", lambda S: S.T),
+    # p -> p - kappa x for x -> x - kappa p
+    "fourier_conjugates_shear_to_p_shear": _gate_changed("p_shear", lambda S: S.T),
+    # the coupling's sign flipped (I + A becomes I - A)
+    "fourier_pair_conjugates_cz_to_cz_pp": _gate_changed(
+        "controlled_z_pp", lambda S: 2 * np.eye(4) - S
+    ),
+    # a stray x += 1e-3 p on one mode
+    "cz_commutes_with_shear_on_mode_0": _gate_changed(
+        "controlled_z", lambda S: S + 1e-3 * _unit(0, 1)
+    ),
+    "cz_commutes_with_shear_on_mode_1": _gate_changed(
+        "controlled_z", lambda S: S + 1e-3 * _unit(2, 3)
+    ),
+    # the global phase kappa s1^3 dropped from the residual
+    "cubic_feedforward_constant_is_phase": _result_changed(
+        algebra, "verify_cubic_feedforward",
+        lambda residual: algebra.ExponentPolynomial((0, *residual.coefficients[1:])),
+    ),
+    "cubic_feedforward_degrees_1_to_3_vanish": _shift_sign_flipped,
+    # R(-kappa) in the BCH split: a residual of O(kappa)
+    "bch_residual_small_at_0.1": _argument_changed(algebra, "rotation", lambda theta: -theta),
+    "bch_cubic_scaling_ratio_at_0.025": _doubled_bch_squeezing,
+    "bch_cubic_scaling_ratio_at_0.05": _doubled_bch_squeezing,
+    "bch_cubic_scaling_ratio_at_0.1": _doubled_bch_squeezing,
+    # a stray 0.01 in each step's p-p entry
+    "four_step_matrix_det_one": _result_changed(
+        algebra, "fourier_shear_step", lambda step: step + 0.01 * _unit(1, 1, size=2)
+    ),
+    "four_step_deviation_ratio_at_0.025": _one_sided_steps,
+    "four_step_deviation_ratio_at_0.05": _one_sided_steps,
+    "four_step_deviation_ratio_at_0.1": _one_sided_steps,
+    "homodyne_matches_conditioning_oracle": _homodyne_mean_moved,  # by 1e-8
+    "outcome_independent_identity_chain_ideal": _frame_sign_flipped,
+    "outcome_independent_identity_chain_10db": _frame_sign_flipped,
+    "outcome_independent_squeezer_ideal": _frame_sign_flipped,
+    "outcome_independent_squeezer_10db": _frame_sign_flipped,
+    "outcome_independent_offline_squeezer_corrected": _ungained_offline_squeezer,
+    # a leak readout that reads zero
+    "offline_squeezer_unscaled_control_detects_dependence": lambda mp: _wrapped(
+        mp, protocols, "_teleportation", lambda ch, leak, mean, cov: (ch, 0.0, mean, cov)
+    ),
+    "uncertainty_relation_protocol_states": _sub_vacuum_cluster_nodes,
+    # the squeezed resource variance 1 % high
+    "teleport_fidelity_closed_form": lambda mp: _patch_squeezed_variance(mp, 1.01),
+}
+
+
+class TestEveryVerifyCheckCanFail:
+    @pytest.mark.parametrize("name", list(VERIFY_CHECK_MUTATIONS))
+    def test_each_verify_check_fails_under_its_mutation(self, monkeypatch, name):
+        assert {row.name: row for row in checks.run_all_checks()}[name].passed
+        VERIFY_CHECK_MUTATIONS[name](monkeypatch)
+        assert not {row.name: row for row in checks.run_all_checks()}[name].passed
+
+    def test_every_verify_check_has_a_mutation_row(self):
+        names = [row.name for row in checks.run_all_checks()]
+        assert len(names) == len(set(names)) == 25
+        assert set(names) == set(VERIFY_CHECK_MUTATIONS)
 
 
 # single-mode states that violate cov + (i/4)J >= 0, which no config builds
