@@ -10,7 +10,6 @@ check exact (rational arithmetic) rather than numerical.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -56,13 +55,13 @@ class ExponentPolynomial:
 
     def shifted(self, s) -> "ExponentPolynomial":
         """The polynomial f(x + s), i.e. the exponent after conjugation by
-        the position displacement X(s)."""
-        n = len(self.coefficients)
-        out = [self.coefficient(0) * 0] * n
-        for k, c in enumerate(self.coefficients):
-            # binomial expansion of c (x + s)^k
-            for m in range(k + 1):
-                out[m] += c * math.comb(k, m) * s ** (k - m)
+        the position displacement X(s), by Horner's Taylor shift: n(n - 1)/2
+        multiply-adds, exact (the binomial expansion's rationals) for
+        Fraction coefficients and shift."""
+        out = list(self.coefficients)
+        for low in range(len(out) - 1):
+            for k in range(len(out) - 2, low - 1, -1):
+                out[k] += s * out[k + 1]
         return ExponentPolynomial(tuple(out))
 
 

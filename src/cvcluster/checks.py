@@ -5,12 +5,14 @@ CLI prints doubles as a numerical record (in particular the cubic-scaling
 ratios). Gate constructors are injectable so a deliberately corrupted gate
 can be shown to fail. The homodyne check conditions random states with
 ``homodyne`` and with an independent precision-matrix oracle that works in
-the measured mode's own frame.
+the measured mode's own frame; its states are drawn in whole-array calls
+(``_draw_states``) and built per mode-count stack (``_build_states``).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 
@@ -142,57 +144,75 @@ def squeezer_matrix_checks() -> list[ProtocolCheck]:
     return results
 
 
-def _draw_state(
-    rng: np.random.Generator, n_modes: int
-) -> tuple[list[tuple[int, int, int, float]], np.ndarray]:
-    """The random draws of one state, in a fixed order: per gate slot t the
-    gate's non-identity matrix entries as ``(t, row, col, value)`` in the
-    2N x 2N phase space, computed with the ``phase_space`` constructors' own
-    formulas (a CZ drawn on a 1-mode state is an identity slot with no
-    entries); then the displacement.
+StateDraws = namedtuple(
+    "StateDraws", "n_modes mode kind theta r shear partner displacement measured angle outcome"
+)
+
+
+def _draw_states(rng: np.random.Generator, n_modes: np.ndarray) -> StateDraws:
+    """B random states, state b of N = ``n_modes[b]`` modes, each with one
+    homodyne measurement, drawn in whole-array calls in this order: for each
+    of the 3 max N gate slots of every state, its mode (uniform over the N),
+    its kind (0 rotation, 1 squeezer, 2 shear, 3 controlled_z), a rotation
+    theta ~ U(-pi, pi), a squeezer r ~ U(-1, 1), a shear ~ U(-1.5, 1.5) and
+    a CZ partner (uniform over the other N - 1 modes), one (B, 3 max N) call
+    each; then the displacement ~ N(0, 1), (B, 2 max N); then per state the
+    measured mode, the quadrature angle ~ U(0, 2 pi) and the outcome ~ N(0, 1).
+
+    A state applies its first 3N slots in order, each the gate of its kind;
+    a controlled_z on a 1-mode state is an identity slot. A state uses the
+    first 2N entries of its displacement.
     """
-    entries = []
-    for t in range(3 * n_modes):
-        mode = int(rng.integers(n_modes))
-        x, p = 2 * mode, 2 * mode + 1
-        kind = int(rng.integers(4))
-        if kind == 0:  # rotation
-            theta = rng.uniform(-math.pi, math.pi)
-            cos, sin = math.cos(theta), math.sin(theta)
-            entries += [(t, x, x, cos), (t, x, p, -sin), (t, p, x, sin), (t, p, p, cos)]
-        elif kind == 1:  # squeezer
-            r = rng.uniform(-1.0, 1.0)
-            entries += [(t, x, x, math.exp(-r)), (t, p, p, math.exp(r))]
-        elif kind == 2:  # shear
-            entries.append((t, p, x, rng.uniform(-1.5, 1.5)))
-        elif n_modes > 1:  # controlled_z on (mode, other)
-            other = int(rng.integers(n_modes - 1))
-            other = other if other < mode else other + 1
-            entries += [(t, p, 2 * other, 1.0), (t, 2 * other + 1, x, 1.0)]
-    return entries, rng.normal(0.0, 1.0, size=2 * n_modes)
+    n = np.asarray(n_modes)
+    shape = (n.size, 3 * int(n.max()))
+    mode = rng.integers(0, n[:, None], size=shape)
+    kind = rng.integers(4, size=shape)
+    theta, r, shear = (rng.uniform(-high, high, size=shape) for high in (math.pi, 1.0, 1.5))
+    other = rng.integers(0, np.maximum(n - 1, 1)[:, None], size=shape)
+    partner = other + (other >= mode)
+    displacement = rng.normal(0.0, 1.0, size=(n.size, 2 * int(n.max())))
+    measured = rng.integers(0, n)
+    angle = rng.uniform(0.0, 2 * math.pi, size=n.size)
+    outcome = rng.normal(0.0, 1.0, size=n.size)
+    return StateDraws(
+        n, mode, kind, theta, r, shear, partner, displacement, measured, angle, outcome
+    )
 
 
-def _build_states(n_modes: int, draws: list[tuple[list, np.ndarray]]) -> list[GaussianState]:
-    """The states of ``_draw_state`` draws that share a mode count, in one stack.
+def _build_states(draws: StateDraws, index: np.ndarray) -> list[GaussianState]:
+    """The states ``index`` of ``draws``, which share a mode count N, in one stack.
 
-    Every gate entry of the stack goes into one (B, 3N, 2N, 2N) stack of
-    identities in a single assignment. Gate slot t of every state is then
+    Each kind's gate entries, computed with the ``phase_space`` constructors'
+    own formulas, go into a (B, 3N, 2N, 2N) stack of identities through that
+    kind's mask of the first 3N slots. Gate slot t of every state is then
     one stacked ``S cov S^T`` with the symmetrization of ``apply_gate``, so
     each state gets the floats of its own ``apply_gate`` route; an identity
     slot is an exact no-op. The gates leave the mean exactly zero, so it is
     the displacement.
     """
+    n_modes = int(draws.n_modes[index[0]])
     dim, slots = 2 * n_modes, 3 * n_modes
-    S = np.tile(np.eye(dim), (len(draws), slots, 1, 1))
-    index = [(b, *entry) for b, (entries, _) in enumerate(draws) for entry in entries]
-    if index:  # a stack of 1-mode states can hold identity slots only
-        b, t, row, col, value = zip(*index)
-        S[b, t, row, col] = value
-    cov = np.tile(VACUUM_VARIANCE * np.eye(dim), (len(draws), 1, 1))
+    kind, x = draws.kind[index, :slots], 2 * draws.mode[index, :slots]
+    S = np.tile(np.eye(dim), (len(index), slots, 1, 1))
+    b, t = np.nonzero(kind == 0)  # rotation
+    theta, xr = draws.theta[index[b], t].tolist(), x[b, t]
+    cos, sin = [math.cos(v) for v in theta], [math.sin(v) for v in theta]
+    S[b, t, xr, xr] = S[b, t, xr + 1, xr + 1] = cos
+    S[b, t, xr, xr + 1], S[b, t, xr + 1, xr] = np.negative(sin), sin
+    b, t = np.nonzero(kind == 1)  # squeezer
+    r, xs = draws.r[index[b], t].tolist(), x[b, t]
+    S[b, t, xs, xs] = [math.exp(-v) for v in r]
+    S[b, t, xs + 1, xs + 1] = [math.exp(v) for v in r]
+    b, t = np.nonzero(kind == 2)  # shear
+    S[b, t, x[b, t] + 1, x[b, t]] = draws.shear[index[b], t]
+    b, t = np.nonzero((kind == 3) & (n_modes > 1))  # controlled_z on (mode, partner)
+    y = 2 * draws.partner[index[b], t]
+    S[b, t, x[b, t] + 1, y] = S[b, t, y + 1, x[b, t]] = 1.0
+    cov = np.tile(VACUUM_VARIANCE * np.eye(dim), (len(index), 1, 1))
     for t in range(slots):
         cov = S[:, t] @ cov @ S[:, t].transpose(0, 2, 1)
         cov = 0.5 * (cov + cov.transpose(0, 2, 1))
-    return [GaussianState(shift, c) for (_, shift), c in zip(draws, cov)]
+    return [GaussianState(shift, c) for shift, c in zip(draws.displacement[index, :dim], cov)]
 
 
 def _oracle_condition(
@@ -233,23 +253,17 @@ def _oracle_stacks() -> Iterator[tuple[list[GaussianState], list[Quadrature], li
     """The homodyne oracle check's states, quadratures and forced outcomes,
     one stack per mode count in ascending order.
 
-    Every draw is made first, in the order of one state at a time, with the
-    gates drawn as matrix entries; the states are then built per mode-count
-    stack (``_build_states``).
+    The mode counts, N in {2, 3, 4}, are drawn first, in one call, and then
+    the rest of every state (``_draw_states``); the states are built per
+    mode-count stack (``_build_states``).
     """
     rng = _generator(ORACLE_SEED)
-    draws = []
-    for _ in range(ORACLE_STATES):
-        n_modes = int(rng.integers(2, 5))
-        state_draw = _draw_state(rng, n_modes)
-        mode = int(rng.integers(n_modes))
-        angle = rng.uniform(0.0, 2 * math.pi)
-        quad = Quadrature(mode, math.cos(angle), math.sin(angle))
-        draws.append((n_modes, state_draw, quad, float(rng.normal(0.0, 1.0))))
-    for n_modes in sorted({n for n, *_ in draws}):
-        group = [draw for draw in draws if draw[0] == n_modes]
-        states = _build_states(n_modes, [state_draw for _, state_draw, _, _ in group])
-        yield states, [quad for *_, quad, _ in group], [outcome for *_, outcome in group]
+    draws = _draw_states(rng, rng.integers(2, 5, size=ORACLE_STATES))
+    for n_modes in sorted(set(draws.n_modes.tolist())):
+        index = np.flatnonzero(draws.n_modes == n_modes)
+        measured, angle = draws.measured[index].tolist(), draws.angle[index].tolist()
+        quads = [Quadrature(m, math.cos(a), math.sin(a)) for m, a in zip(measured, angle)]
+        yield _build_states(draws, index), quads, draws.outcome[index].tolist()
 
 
 def homodyne_oracle_checks() -> list[ProtocolCheck]:

@@ -31,8 +31,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-import numpy as np
-
 from . import checks, protocols
 from .phase_space import GaussianState, coherent_state, squeezed_vacuum, vacuum_state
 from .protocols import ConfigError
@@ -289,9 +287,7 @@ def cmd_write(path: str, seed: int | None, output: str | None, quiet: bool, buil
     write the text and print the summary."""
     try:
         cfg = _load_config(path, seed)
-        # protocols refuse an overflow naming its field, so numpy's warnings add nothing
-        with np.errstate(all="ignore"):
-            text, summary = build(cfg)
+        text, summary = build(cfg)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

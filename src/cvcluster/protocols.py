@@ -13,7 +13,8 @@ and its ideal-output fidelity. ``_report`` adds ``outcome_independent`` (or
 the negative control's ``outcome_dependence_detected``) and the noise's
 positivity. A channel whose S, N or deviation is not finite is refused with
 ``ChannelOverflowError`` (naming ``kappa``, or ``r_gate`` off-line), and one
-that carries the input past double precision with ``InputOverflowError``.
+that carries the input past double precision with ``InputOverflowError``,
+raised with numpy's overflow warnings off in builders and record draws.
 The channel does not depend on the outcomes, so a report draws its records,
 one ``RecordColumns`` per trial from its integer seed, when they are first
 read (``record_columns``): a sweep point's report draws none. One table,
@@ -183,6 +184,7 @@ class ProtocolReport:
     draw_records: Callable[[], RecordTable] = field(compare=False, repr=False)
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
     def record_columns(self) -> RecordTable:
         """One set of record columns per trial, drawn when first read."""
         table = self.draw_records()
@@ -280,9 +282,8 @@ def _channel_facts(
     # a reference too ill-conditioned for double precision leaves the ideal
     # covariance numerically singular, and its purity (phase_space.purity of
     # a single mode, from the same determinant) unresolved: no fidelity then
-    # (a det that overflows to inf or NaN fails, so its warning adds nothing)
-    with np.errstate(over="ignore", invalid="ignore"):
-        det = np.linalg.det(ideal.cov)
+    # (a det that overflows to inf or NaN fails, and the builder silences its warning)
+    det = np.linalg.det(ideal.cov)
     fidelity = None
     if det > 0 and abs(VACUUM_VARIANCE / math.sqrt(det) - 1.0) <= 1e-9:
         fidelity = overlap_fidelity(ideal, output)
@@ -354,6 +355,7 @@ def _chain_facts(
     return _channel_facts(channel, leak, draw, target_S, input_state, "kappa", reference_S)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def identity_chain(
     n_nodes: int, r: float, input_state: GaussianState, seed: int = 0, trials: int = 1
 ) -> ProtocolReport:
@@ -376,6 +378,7 @@ def identity_chain(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def squeezer_four_step(
     kappa: float, r: float, input_state: GaussianState, seed: int = 0, trials: int = 1
 ) -> ProtocolReport:
@@ -408,6 +411,7 @@ def squeezer_four_step(
     return _report("squeezer_four_step", parameters, facts, checks)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def repeated_squeezer(
     segments: int,
     kappa: float,
@@ -484,6 +488,7 @@ def _offline_facts(
     return _channel_facts(channel, leak, draw, gate_S, input_state, "r_gate")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def offline_teleport(
     input_state: GaussianState, r: float, seed: int = 0, trials: int = 1
 ) -> ProtocolReport:
@@ -511,6 +516,7 @@ def offline_teleport(
     return _report("offline_teleport", {"squeezing_r": r, "seed": seed}, facts, checks)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def offline_squeezer(
     input_state: GaussianState,
     r: float,

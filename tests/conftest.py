@@ -48,9 +48,9 @@ def condition_on_functional_oracle(
 
 def random_gaussian_state(seed: int, n_modes: int, displaced: bool = True) -> cv.GaussianState:
     """A well-conditioned random pure state built from bounded basic gates
-    (``checks._draw_state`` and ``checks._build_states``), seeded per call."""
+    (``checks._draw_states`` and ``checks._build_states``), seeded per call."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    state = checks._build_states(n_modes, [checks._draw_state(rng, n_modes)])[0]
+    state = checks._build_states(checks._draw_states(rng, np.array([n_modes])), np.arange(1))[0]
     # the gates leave the mean at zero; the displacement is the last draw
     return state if displaced else cv.GaussianState(np.zeros(2 * n_modes), state.cov)
 

@@ -4,11 +4,12 @@ Configs are drawn from the schema's own rules, ``protocols.PARAMETERS`` (each
 value passes its rule and largest value) and ``cli._INPUT_KEYS``, weighted
 toward the edges where a channel or an input leaves double precision: dB up
 to 3082, |kappa| up to 1e200, ``r_gate`` within 0.5 of its limit +-354.89,
-coherent amplitudes up to 1e300 and squeezed inputs up to the same limit.
-Each goes through ``cli.main`` as ``run`` or ``sweep``. It must exit 0 and
-write a document, or exit 2, write nothing and print one error line that
-names a field of the config, ``input`` or ``sweep.*``; never exit 1. A
-channel-overflow line must name a parameter the protocol reads.
+coherent amplitudes up to 1.7e308 and squeezed inputs up to the same limit.
+Each goes through ``cli.main`` as ``run`` or ``sweep``, with every warning
+an error. It must exit 0 and write a document, or exit 2, write nothing and
+print one error line that names a field of the config, ``input`` or
+``sweep.*``; never exit 1. A channel-overflow line must name a parameter the
+protocol reads.
 
 By default chains have at most ``DEFAULT_MAX_STEPS`` steps and a run at most
 3 trials, which keeps the test to a few seconds. ``CVCLUSTER_FUZZ=full``
@@ -24,6 +25,7 @@ import os
 import re
 import tempfile
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cvcluster import cli, protocols
@@ -66,8 +68,8 @@ _VALUES = {
 }
 VALUES = {name: values.filter(_accepted(name)) for name, values in _VALUES.items()}
 _INPUT_VALUES = {
-    "re": st.floats(-3.0, 3.0) | _log_uniform(-3.0, 300.0),
-    "im": st.floats(-3.0, 3.0) | _log_uniform(-3.0, 300.0),
+    "re": st.floats(-3.0, 3.0) | _log_uniform(-3.0, 308.25),
+    "im": st.floats(-3.0, 3.0) | _log_uniform(-3.0, 308.25),
     "r": (st.floats(-3.0, 3.0) | _near_r_limit).filter(lambda r: abs(r) <= R_LIMIT),
     "axis": st.sampled_from(["x", "p"]),
 }
@@ -115,6 +117,7 @@ def test_every_parameter_is_drawn():
     assert set(VALUES) == set(protocols.PARAMETERS)
 
 
+@pytest.mark.filterwarnings("error")
 @given(configs())
 @settings(max_examples=2000 if FULL else 120, deadline=None)
 def test_accepted_config_gives_a_document_or_a_clean_refusal(drawn):

@@ -63,7 +63,38 @@ class TestCubicFeedforward:
             assert abs(residual.coefficient(degree)) <= 1e-12 * (1 + abs(kappa) * (1 + abs(s1)) ** 3)
 
 
+def _binomial_shift(coefficients, s):
+    """f(x + s) by expanding each c_k (x + s)^k with binomial coefficients."""
+    out = [Fraction(0)] * len(coefficients)
+    for k, c in enumerate(coefficients):
+        for m in range(k + 1):
+            out[m] += c * math.comb(k, m) * s ** (k - m)
+    return tuple(out)
+
+
+VERIFY_GRID = [Fraction(v, 2) for v in (-2, -1, 0, 1, 2)]
+THIRDS_GRID = [Fraction(v, 3) for v in (-7, -4, -2, -1, 0, 1, 5)]
+
+
 class TestExponentPolynomial:
+    def test_shift_equals_binomial_expansion_on_the_verify_grid(self):
+        # the exponents of D2'(kappa, s1) that verify shifts by s1, at every grid point
+        for kappa in VERIFY_GRID:
+            for s1 in VERIFY_GRID:
+                coefficients = (Fraction(0), 3 * kappa * s1**2, -3 * kappa * s1, kappa)
+                shifted = cv.ExponentPolynomial(coefficients).shifted(s1)
+                assert shifted == cv.ExponentPolynomial(_binomial_shift(coefficients, s1))
+                assert all(isinstance(c, Fraction) for c in shifted.coefficients)
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 6])
+    def test_shift_equals_binomial_expansion_on_thirds(self, length):
+        rng = np.random.Generator(np.random.PCG64(length))
+        for s in THIRDS_GRID:
+            for _ in range(5):
+                coefficients = tuple(THIRDS_GRID[i] for i in rng.integers(7, size=length))
+                shifted = cv.ExponentPolynomial(coefficients).shifted(s)
+                assert shifted == cv.ExponentPolynomial(_binomial_shift(coefficients, s))
+
     def test_shift_matches_direct_evaluation(self):
         poly = cv.ExponentPolynomial((1.0, -2.0, 0.5, 3.0))
         shifted = poly.shifted(0.7)

@@ -568,41 +568,58 @@ class TestParser:
         assert created == []
 
 
-def _random_state_by_apply_gate(rng, n_modes):
-    """The oracle states as they were built with one validated ``apply_gate``
-    state per gate, kept as the reference for ``checks._draw_state`` and
-    ``checks._build_states``."""
+def _random_state_by_apply_gate(draws, b):
+    """State ``b`` of ``checks._draw_states`` draws, read one slot at a time
+    and built with one validated ``apply_gate`` state per gate; kept as the
+    reference for ``checks._build_states``."""
+    n_modes = int(draws.n_modes[b])
     state = cv.vacuum_state(n_modes)
-    for _ in range(3 * n_modes):
-        mode = int(rng.integers(n_modes))
-        kind = int(rng.integers(4))
+    for t in range(3 * n_modes):
+        mode, kind = int(draws.mode[b, t]), int(draws.kind[b, t])
         if kind == 0:
-            state = cv.apply_gate(state, cv.rotation(rng.uniform(-math.pi, math.pi)), [mode])
+            state = cv.apply_gate(state, cv.rotation(float(draws.theta[b, t])), [mode])
         elif kind == 1:
-            state = cv.apply_gate(state, cv.squeezer(rng.uniform(-1.0, 1.0)), [mode])
+            state = cv.apply_gate(state, cv.squeezer(float(draws.r[b, t])), [mode])
         elif kind == 2:
-            state = cv.apply_gate(state, cv.shear(rng.uniform(-1.5, 1.5)), [mode])
+            state = cv.apply_gate(state, cv.shear(float(draws.shear[b, t])), [mode])
         elif n_modes > 1:
-            other = int(rng.integers(n_modes - 1))
-            other = other if other < mode else other + 1
-            state = cv.apply_gate(state, cv.controlled_z(), [mode, other])
-    mean = state.mean + rng.normal(0.0, 1.0, size=2 * n_modes)
+            state = cv.apply_gate(state, cv.controlled_z(), [mode, int(draws.partner[b, t])])
+    mean = state.mean + draws.displacement[b, : 2 * n_modes]
     return cv.GaussianState(mean, state.cov)
 
 
-def _homodyne_oracle_value_one_state_at_a_time():
-    """The homodyne oracle check's value with each state drawn and built in
-    turn by the ``apply_gate`` route and conditioned by
-    ``_oracle_condition_one_state``."""
+def _draw_twice(seed, n_modes):
+    """``checks._draw_states`` on two equally seeded generators, after the
+    caller's draw of ``n_modes`` from each; asserts the documented shapes and
+    that both draws, and the generators they leave, are equal."""
+    rngs = [np.random.Generator(np.random.PCG64(seed)) for _ in range(2)]
+    draws, again = (checks._draw_states(rng, n_modes(rng)) for rng in rngs)
+    B, slots = draws.n_modes.size, 3 * int(draws.n_modes.max())
+    assert [field.shape for field in draws] == (
+        [(B,)] + [(B, slots)] * 6 + [(B, 2 * slots // 3)] + [(B,)] * 3
+    )
+    for field, expected in zip(draws, again, strict=True):
+        assert np.array_equal(field, expected)
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    return draws
+
+
+def _verify_draws():
+    """The homodyne oracle check's draws: its mode counts, then ``_draw_states``."""
     rng = np.random.Generator(np.random.PCG64(checks.ORACLE_SEED))
+    return checks._draw_states(rng, rng.integers(2, 5, size=checks.ORACLE_STATES))
+
+
+def _homodyne_oracle_value_one_state_at_a_time():
+    """The homodyne oracle check's value with each state built in turn by the
+    ``apply_gate`` route and conditioned by ``_oracle_condition_one_state``."""
+    draws = _verify_draws()
     worst = 0.0
-    for _ in range(checks.ORACLE_STATES):
-        n_modes = int(rng.integers(2, 5))
-        state = _random_state_by_apply_gate(rng, n_modes)
-        mode = int(rng.integers(n_modes))
-        angle = rng.uniform(0.0, 2 * math.pi)
-        quad = cv.Quadrature(mode, math.cos(angle), math.sin(angle))
-        outcome = float(rng.normal(0.0, 1.0))
+    for b in range(checks.ORACLE_STATES):
+        state = _random_state_by_apply_gate(draws, b)
+        angle = float(draws.angle[b])
+        quad = cv.Quadrature(int(draws.measured[b]), math.cos(angle), math.sin(angle))
+        outcome = float(draws.outcome[b])
         _, conditioned = cv.homodyne(state, quad, forced=outcome)
         mean, cov = _oracle_condition_one_state(state, quad, outcome)
         worst = max(
@@ -641,38 +658,33 @@ def _assert_stacked_oracle_equals_one_state_route(states, quads, outcomes):
         assert np.array_equal(single[0][0], mu_ref) and np.array_equal(single[1][0], cov_ref)
 
 
-def _identity_draw_seeds(count):
-    """Seeds whose 1-mode ``_draw_state`` draws a CZ, an identity slot, in
-    every one of its three gate slots."""
-    seeds = []
-    for seed in range(10**4):
-        if not checks._draw_state(np.random.Generator(np.random.PCG64(seed)), 1)[0]:
-            seeds.append(seed)
-        if len(seeds) == count:
-            return seeds
+def _identity_draw_index(draws, count):
+    """The first ``count`` 1-mode states of ``draws`` that draw a CZ, an
+    identity slot, in every one of their three gate slots."""
+    index = np.flatnonzero((draws.n_modes == 1) & (draws.kind[:, :3] == 3).all(axis=1))
+    assert len(index) >= count
+    return index[:count]
+
+
+def _assert_states_equal_the_apply_gate_route(draws, index):
+    for b, state in zip(index, checks._build_states(draws, index)):
+        reference = _random_state_by_apply_gate(draws, b)
+        assert np.array_equal(state.mean, reference.mean)
+        assert np.array_equal(state.cov, reference.cov)
 
 
 class TestVerifySuite:
     @pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
     def test_oracle_states_equal_the_apply_gate_route(self, n_modes):
         for seed in range(25):
-            rngs = [np.random.Generator(np.random.PCG64(seed)) for _ in range(2)]
-            state = checks._build_states(n_modes, [checks._draw_state(rngs[0], n_modes)])[0]
-            reference = _random_state_by_apply_gate(rngs[1], n_modes)
-            assert np.array_equal(state.mean, reference.mean)
-            assert np.array_equal(state.cov, reference.cov)
-            # the same draws, so the oracle's later draws are unchanged too
-            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+            draws = _draw_twice(seed, lambda rng: np.array([n_modes]))
+            _assert_states_equal_the_apply_gate_route(draws, np.arange(1))
 
     @pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
     def test_stacked_states_equal_the_apply_gate_route(self, n_modes):
-        rngs = [np.random.Generator(np.random.PCG64(n_modes)) for _ in range(2)]
-        draws = [checks._draw_state(rngs[0], n_modes) for _ in range(30)]
-        for state in checks._build_states(n_modes, draws):
-            reference = _random_state_by_apply_gate(rngs[1], n_modes)
-            assert np.array_equal(state.mean, reference.mean)
-            assert np.array_equal(state.cov, reference.cov)
-        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        # among mixed mode counts, so a stack's states leave the slots beyond 3N unread
+        draws = _draw_twice(n_modes, lambda rng: rng.integers(1, 5, size=120))
+        _assert_states_equal_the_apply_gate_route(draws, np.flatnonzero(draws.n_modes == n_modes))
 
     def test_stacked_oracle_equals_the_one_state_route_on_every_verify_state(self):
         stacks = list(checks._oracle_stacks())
@@ -685,7 +697,7 @@ class TestVerifySuite:
     def test_stacked_oracle_equals_the_one_state_route_on_random_stacks(self, n_modes):
         rng = np.random.Generator(np.random.PCG64(40 + n_modes))
         states = checks._build_states(
-            n_modes, [checks._draw_state(rng, n_modes) for _ in range(24)]
+            checks._draw_states(rng, np.full(24, n_modes)), np.arange(24)
         )
         # exact axes make c_x or c_p an exact zero
         axes = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
@@ -698,16 +710,47 @@ class TestVerifySuite:
         _assert_stacked_oracle_equals_one_state_route(states, quads, outcomes)
 
     def test_one_mode_stack_of_identity_slots_only(self):
-        seeds = _identity_draw_seeds(3)
-        draws = [checks._draw_state(np.random.Generator(np.random.PCG64(s)), 1) for s in seeds]
-        assert all(entries == [] for entries, _ in draws)
-        states = checks._build_states(1, draws)
-        for seed, state in zip(seeds, states):
-            reference = _random_state_by_apply_gate(np.random.Generator(np.random.PCG64(seed)), 1)
-            assert np.array_equal(state.mean, reference.mean)
-            assert np.array_equal(state.cov, reference.cov)
+        draws = checks._draw_states(np.random.Generator(np.random.PCG64(3)), np.ones(400, int))
+        index = _identity_draw_index(draws, 3)
+        _assert_states_equal_the_apply_gate_route(draws, index)
+        states = checks._build_states(draws, index)
+        assert all(np.array_equal(s.cov, cv.vacuum_state(1).cov) for s in states)
         quads = [cv.Quadrature(0, c_x, c_p) for c_x, c_p in ((1.0, 0.0), (0.0, -1.0), (0.6, 0.8))]
         _assert_stacked_oracle_equals_one_state_route(states, quads, [0.3, -1.2, 2.0])
+
+    def test_verify_fixture_covers_every_gate_and_mode_count(self):
+        draws = _verify_draws()
+        n = draws.n_modes[:, None]
+        assert len(n) == checks.ORACLE_STATES and set(n.ravel()) == {2, 3, 4}
+        assert draws.kind.shape == (checks.ORACLE_STATES, 12)
+        used = np.arange(12) < 3 * n
+        for count in (2, 3, 4):
+            kinds = draws.kind[used & (n == count)]
+            assert set(kinds.tolist()) == {0, 1, 2, 3}
+        assert (draws.partner != draws.mode).all()
+        assert ((0 <= draws.mode) & (draws.mode < n)).all()
+        assert ((0 <= draws.partner) & (draws.partner < n)).all()
+        assert ((0 <= draws.kind) & (draws.kind < 4)).all()
+        for values, high in ((draws.theta, math.pi), (draws.r, 1.0), (draws.shear, 1.5)):
+            assert ((-high <= values) & (values < high)).all()
+        assert ((0 <= draws.measured) & (draws.measured < n[:, 0])).all()
+        assert ((0 <= draws.angle) & (draws.angle < 2 * math.pi)).all()
+        assert np.isfinite(draws.displacement).all() and np.isfinite(draws.outcome).all()
+        # another state's slots and displacement beyond 3N and 2N change nothing
+        assert not used.all()
+        kept = dict.fromkeys(("mode", "kind", "theta", "r", "shear", "partner"), used)
+        kept["displacement"] = np.arange(8) < 2 * n
+        swapped = draws._replace(**{
+            field: np.where(mask, getattr(draws, field), np.roll(getattr(draws, field), 1, axis=0))
+            for field, mask in kept.items()
+        })
+        for count in (2, 3, 4):
+            index = np.flatnonzero(draws.n_modes == count)
+            for state, other in zip(
+                checks._build_states(draws, index), checks._build_states(swapped, index)
+            ):
+                assert np.array_equal(state.mean, other.mean)
+                assert np.array_equal(state.cov, other.cov)
 
     def test_oracle_value_equals_the_one_state_at_a_time_loop(self):
         value = checks.homodyne_oracle_checks()[0].value
@@ -775,7 +818,8 @@ OVERFLOWING = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# warnings are errors: no numpy warning may come before a refusal
+@pytest.mark.filterwarnings("error")
 class TestChannelOverflow:
     """A channel whose S or N leaves double precision is a config error naming
     ``kappa`` for a chain and ``r_gate`` for the off-line squeezer."""
@@ -841,10 +885,12 @@ INPUT_OVERFLOWING = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# warnings are errors: no numpy warning may come before a refusal
+@pytest.mark.filterwarnings("error")
 class TestInputOverflow:
     """An input state that a finite channel carries beyond double precision
-    is a config error naming the input, not the channel's kappa."""
+    is a config error naming the input, not the channel's kappa, and no
+    numpy warning comes before it."""
 
     @pytest.mark.parametrize("name", INPUT_OVERFLOWING)
     def test_run_exits_2_naming_input_without_output(self, tmp_path, capsys, name):
@@ -870,8 +916,12 @@ class TestInputOverflow:
         cfg = cli.ExperimentConfig.from_dict(payload)
         report = cv.run_named_protocol(cfg.protocol, cli._protocol_params(cfg))
         assert math.isfinite(report.fidelity)
-        with pytest.raises(cv.InputOverflowError, match="an outcome record is not finite"):
+        with pytest.raises(cv.InputOverflowError) as refused:
             report.record_columns
+        assert str(refused.value) == (
+            "field 'input': the input state overflows double precision "
+            "through the channel: an outcome record is not finite"
+        )
 
     def test_large_but_finite_input_gives_a_document(self, tmp_path):
         payload = {**INPUT_OVERFLOWING["four_step_coherent_1e308"], "kappa": 0.2}
@@ -898,8 +948,14 @@ class TestInputOverflow:
             "error: field 'input': the input state overflows double precision "
             "through the channel: the fidelity is not finite\n",
         ),
+        (
+            # refused when the records are drawn, after the builder has returned
+            INPUT_OVERFLOWING["four_step_first_record"],
+            "error: field 'input': the input state overflows double precision "
+            "through the channel: an outcome record is not finite\n",
+        ),
     ],
-    ids=["kappa", "r_gate", "input"],
+    ids=["kappa", "r_gate", "input", "input_record"],
 )
 def test_overflow_refusal_prints_one_line(tmp_path, payload, error):
     """The whole stderr of the console command: numpy's overflow warnings

@@ -313,13 +313,13 @@ class TestReportsAndSweep:
         for error in (protocols.ChannelOverflowError, cv.InputOverflowError):
             assert issubclass(error, cli.ConfigError) and issubclass(error, OverflowError)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("segments, kappa", [(400, 1.0), (1, 1e200)])
     def test_report_refuses_a_non_finite_channel(self, segments, kappa):
         with pytest.raises(OverflowError, match="overflows"):
             cv.repeated_squeezer(segments, kappa, TEN_DB_R, VAC)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_report_refuses_a_finite_channel_with_infinite_deviation(self):
         kappa = 1e39  # S is about kappa^4 = 1e156, so |S - target|^2 overflows
         channel, _ = cv.chain_channel([cv.StepPlan(k) for k in (kappa, kappa, -kappa, -kappa)], 0.0)
@@ -403,12 +403,35 @@ class TestReportsAndSweep:
                     lambda: cv.sweep("offline_squeezer", {}, "r_gate", [0.1, 354.8]),
                 ],
             ),
+            (
+                {
+                    "protocol": "repeated_squeezer", "kappa": 1e200,
+                    "sweep": {"param": "kappa", "values": [0.1, 1e200]},
+                },
+                [
+                    lambda: cv.run_named_protocol("repeated_squeezer", {"kappa": 1e200}),
+                    lambda: cv.sweep("repeated_squeezer", {}, "kappa", [0.1, 1e200]),
+                ],
+            ),
+            (
+                {
+                    "protocol": "squeezer_four_step", "kappa": 1e200,
+                    "sweep": {"param": "kappa", "values": [0.1, 1e200]},
+                },
+                [
+                    lambda: cv.run_named_protocol("squeezer_four_step", {"kappa": 1e200}),
+                    lambda: cv.sweep("squeezer_four_step", {}, "kappa", [0.1, 1e200]),
+                ],
+            ),
         ],
         ids=[
             "unknown_protocol", "unread_sweep_param", "empty_sweep_values", "unsweepable_param",
-            "bad_sweep_value", "unknown_key", "r_gate_overflow",
+            "bad_sweep_value", "unknown_key", "r_gate_overflow", "repeated_kappa_overflow",
+            "four_step_kappa_overflow",
         ],
     )
+    # numpy's overflow warnings are errors: the library refuses before any warning escapes
+    @pytest.mark.filterwarnings("error")
     def test_library_refuses_with_the_clis_line(self, tmp_path, capsys, payload, library_calls):
         # one statement of each rule: the library's text is the CLI's line without "error: "
         assert cli.ConfigError is protocols.ConfigError
@@ -418,8 +441,7 @@ class TestReportsAndSweep:
             assert cli.main([command, str(config), "--output", str(tmp_path / "out")]) == 2
             line = capsys.readouterr().err
             for call in library_calls:
-                # numpy warns of an overflow before the refusal; the CLI silences it too
-                with np.errstate(all="ignore"), pytest.raises(cli.ConfigError) as refused:
+                with pytest.raises(cli.ConfigError) as refused:
                     call()
                 assert f"error: {refused.value}\n" == line
         assert not (tmp_path / "out").exists()
