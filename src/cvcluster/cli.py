@@ -269,25 +269,26 @@ def _summary(label: str, values: dict) -> str:
     return f"{label}: {' '.join(quoted)}"
 
 
-def _run_output(cfg: ExperimentConfig) -> tuple[str, list[str]]:
-    """The run document's text and its summary line."""
+def _run_output(cfg: ExperimentConfig, quiet: bool) -> tuple[str, list[str]]:
+    """The run document's text and, unless ``quiet``, its summary line."""
     doc = run_document(cfg)
-    return emit_json(doc), [_summary(cfg.protocol, doc)]
+    return emit_json(doc), [] if quiet else [_summary(cfg.protocol, doc)]
 
 
-def _sweep_output(cfg: ExperimentConfig) -> tuple[str, list[str]]:
-    """The sweep CSV's text and one summary line per row."""
+def _sweep_output(cfg: ExperimentConfig, quiet: bool) -> tuple[str, list[str]]:
+    """The sweep CSV's text and, unless ``quiet``, one summary line per row."""
     header, rows = sweep_table(cfg)
-    return emit_csv(header, rows), [_summary(f"{r[1]}={r[2]}", dict(zip(header, r))) for r in rows]
+    summary = [] if quiet else [_summary(f"{r[1]}={r[2]}", dict(zip(header, r))) for r in rows]
+    return emit_csv(header, rows), summary
 
 
 def cmd_write(path: str, seed: int | None, output: str | None, quiet: bool, build,
               default_output: str) -> int:
-    """Load a config, build its output text and summary lines with ``build``,
-    write the text and print the summary."""
+    """Load a config, build its output text and, unless ``quiet``, its summary
+    lines with ``build``, write the text and print the summary."""
     try:
         cfg = _load_config(path, seed)
-        text, summary = build(cfg)
+        text, summary = build(cfg, quiet)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

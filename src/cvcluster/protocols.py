@@ -8,21 +8,24 @@ state, and every report takes one path. A builder states only its steps
 fidelity reference and own checks. Its family's helper, ``_chain_facts`` or
 ``_offline_facts``, refuses an input that is not one physical mode, runs the
 engine once for the channel and leak, and reads the report's numbers off the
-channel once: the deviation from the target, the noise, the input's image
-and its ideal-output fidelity. ``_report`` adds ``outcome_independent`` (or
-the negative control's ``outcome_dependence_detected``) and the noise's
-positivity. A channel whose S, N or deviation is not finite is refused with
-``ChannelOverflowError`` (naming ``kappa``, or ``r_gate`` off-line), and one
-that carries the input past double precision with ``InputOverflowError``,
-raised with numpy's overflow warnings off in builders and record draws.
-The channel does not depend on the outcomes, so a report draws its records,
-one ``RecordColumns`` per trial from its integer seed, when they are first
-read (``record_columns``): a sweep point's report draws none. One table,
-``PARAMETERS``, states each config-style parameter's default, cast, rule and
-largest value once; ``checked_parameter``, ``checked_sweep`` and
-``document_records`` check a value, a sweep grid and a run's records. Every
-config rule, overflows included, is written here once and refuses with a
-``ConfigError`` whose text the CLI prints; builder preconditions stay ``ValueError``.
+channel once, in closed-form 2x2 arithmetic on Python floats (no linear
+algebra call and no ``GaussianState``): the deviation from the target, the
+noise, the input's image and its ideal-output fidelity. ``_report`` adds
+``outcome_independent`` (or the negative control's
+``outcome_dependence_detected``) and the noise's positivity, its smaller
+eigenvalue in LAPACK's closed form. A channel whose S, N or deviation is not
+finite is refused with ``ChannelOverflowError`` (naming ``kappa``, or
+``r_gate`` off-line), and one that carries the input past double precision
+with ``InputOverflowError``, raised with numpy's overflow warnings off in
+builders and record draws. The channel does not depend on the outcomes, so a
+report draws its records, one ``RecordColumns`` per trial from its integer
+seed, when they are first read (``record_columns``): a sweep point's report
+draws none. One table, ``PARAMETERS``, states each config-style parameter's
+default, cast, rule and largest value once; ``checked_parameter``,
+``checked_sweep`` and ``document_records`` check a value, a sweep grid and a
+run's records. Every config rule, overflows included, is written here once
+and refuses with a ``ConfigError`` whose text the CLI prints; builder
+preconditions stay ``ValueError``.
 """
 
 from __future__ import annotations
@@ -42,8 +45,6 @@ from .phase_space import (
     GaussianState,
     beamsplitter_5050,
     embed_symplectic,
-    fourier,
-    overlap_fidelity,
     squeezer,
     vacuum_state,
 )
@@ -76,7 +77,7 @@ def _bound(absolute: float, scale: float) -> float:
 
 
 def _max_abs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a)))
+    return max(abs(v) for row in a.tolist() for v in row)
 
 
 class ConfigError(ValueError):
@@ -244,6 +245,9 @@ class ProtocolReport:
         }
 
 
+_Moments = namedtuple("_Moments", "x p var_x cov_xp var_p")  # one mode's, as floats
+
+
 class _ReportFacts(NamedTuple):
     channel: GaussianChannel
     target_S: np.ndarray
@@ -251,44 +255,79 @@ class _ReportFacts(NamedTuple):
     draw_records: Callable[[], RecordTable]
     deviation: float
     noise_trace: float
-    output: GaussianState
+    output: _Moments
     fidelity: float | None
 
 
-def _channel_facts(
-    channel: GaussianChannel,
-    leak: float,
-    draw: Callable[[], RecordTable],
-    target_S: np.ndarray,
-    input_state: GaussianState,
-    overflow_field: str,
-    reference_S=None,
-) -> _ReportFacts:
+def _image(M: list, mean: list, cov: list, N=((0.0, 0.0), (0.0, 0.0)), d=(0.0, 0.0)) -> _Moments:
+    """M mean + d and M cov M^T + N for symmetric cov and N, as numpy orders them; a
+    variance is 0.5 (c + c), as ``GaussianChannel.apply`` symmetrizes, so that one
+    past half the largest float overflows here too."""
+    (m00, m01), (m10, m11) = M
+    (v00, v01), (v10, v11) = cov
+    t00, t01 = m00 * v00 + m01 * v10, m00 * v01 + m01 * v11
+    t10, t11 = m10 * v00 + m11 * v10, m10 * v01 + m11 * v11
+    c00, c11 = t00 * m00 + t01 * m01 + N[0][0], t10 * m10 + t11 * m11 + N[1][1]
+    x, p = mean
+    return _Moments(m00 * x + m01 * p + d[0], m10 * x + m11 * p + d[1], 0.5 * (c00 + c00),
+                    t00 * m10 + t01 * m11 + N[0][1], 0.5 * (c11 + c11))
+
+
+def _frobenius(A: list, B: list) -> float:
+    """|A - B|_F of 2x2 nested lists from the plain sum of squares, which
+    overflows to inf as numpy's norm does once the squares do."""
+    d = [x - y for row_a, row_b in zip(A, B) for x, y in zip(row_a, row_b)]
+    return math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + d[3] * d[3])
+
+
+def _smallest_eigenvalue(a: float, b: float, c: float) -> float:
+    """The smaller eigenvalue of [[a, b], [b, c]] as LAPACK's dlae2 takes it for
+    numpy's eigvalsh: the one of larger magnitude, rt1, first and the other as
+    det / rt1, so that neither cancels when the matrix is nearly singular."""
+    small, big = sorted((abs(a - c), abs(b + b)))
+    rt, sm = (big * math.sqrt(1.0 + (small / big) * (small / big)) if big else 0.0), a + c
+    if sm == 0.0:  # otherwise |sm| + rt >= 2 max(|a|, |c|) > 0, and rt1 is not zero
+        return -0.5 * rt
+    acmx, acmn = (a, c) if abs(a) > abs(c) else (c, a)
+    rt1 = 0.5 * (sm - rt if sm < 0.0 else sm + rt)
+    return min(rt1, (acmx / rt1) * acmn - (b / rt1) * b)
+
+
+def _channel_facts(channel: GaussianChannel, leak: float, draw: Callable[[], RecordTable],
+                   target_S: np.ndarray, input_state: GaussianState, overflow_field: str,
+                   reference_S=None) -> _ReportFacts:
     """A report's channel, leak, record draw and target with the numbers read
-    off them once: the deviation |S - target|_F, tr N, the input's image and
-    its ideal-output fidelity."""
-    deviation = float(np.linalg.norm(channel.S - target_S, ord="fro"))
-    if not (np.isfinite([*channel.S.ravel(), *channel.N.ravel(), deviation]).all()):
+    off them once, in closed-form 2x2 arithmetic on floats: the deviation
+    |S - target|_F, tr N, the input's image and its ideal-output fidelity."""
+    S, N = channel.S.tolist(), channel.N.tolist()
+    deviation = _frobenius(S, target_S.tolist())
+    if not all(map(math.isfinite, [*S[0], *S[1], *N[0], *N[1], deviation])):
         raise ChannelOverflowError(
             f"field {overflow_field!r}: the channel overflows double precision: "
             "S, N or deviation not finite"
         )
-    output = channel.apply(input_state)
+    mean, cov = input_state.mean.tolist(), input_state.cov.tolist()
+    output = _image(S, mean, cov, N, channel.d.tolist())
     # fidelity needs a pure reference, so it is taken against a symplectic
     # matrix even when the protocol's comparison target is an approximation
     reference = target_S if reference_S is None else reference_S
-    ideal_cov = reference @ input_state.cov @ reference.T
-    ideal = GaussianState(reference @ input_state.mean, 0.5 * (ideal_cov + ideal_cov.T))
+    ideal = _image(reference.tolist(), mean, cov)
     # a reference too ill-conditioned for double precision leaves the ideal
-    # covariance numerically singular, and its purity (phase_space.purity of
-    # a single mode, from the same determinant) unresolved: no fidelity then
-    # (a det that overflows to inf or NaN fails, and the builder silences its warning)
-    det = np.linalg.det(ideal.cov)
+    # covariance numerically singular, and its purity 1 / (4 sqrt(det))
+    # unresolved: no fidelity then (a det that overflows to inf or NaN fails)
+    det = ideal.var_x * ideal.var_p - ideal.cov_xp * ideal.cov_xp
     fidelity = None
     if det > 0 and abs(VACUUM_VARIANCE / math.sqrt(det) - 1.0) <= 1e-9:
-        fidelity = overlap_fidelity(ideal, output)
+        # Tr[|ideal><ideal| output] = exp(-q/2) / (2 sqrt(det T)) for the sum T of the
+        # covariances and q = delta^T T^-1 delta >= 0, T^-1 from its adjugate; q is
+        # clamped at 0 against rounding, so that exp cannot raise OverflowError
+        a, b, c = ideal.var_x + output.var_x, ideal.cov_xp + output.cov_xp, ideal.var_p + output.var_p
+        dx, dp = ideal.x - output.x, ideal.p - output.p
+        det_total = a * c - b * b
+        q = (c * dx * dx - 2.0 * b * dx * dp + a * dp * dp) / det_total
+        fidelity = 0.5 * math.exp(-0.5 * max(q, 0.0)) / math.sqrt(det_total)
         _require_finite([fidelity], "the fidelity")
-    noise_trace = float(np.trace(channel.N))
+    noise_trace = N[0][0] + N[1][1]
     return _ReportFacts(channel, target_S, leak, draw, deviation, noise_trace, output, fidelity)
 
 
@@ -303,8 +342,9 @@ def _report(
     if independence is None:
         leak = facts.leak
         independence = ProtocolCheck("outcome_independent", leak <= INDEPENDENCE_TOL, leak)
-    lam_min = float(np.linalg.eigvalsh(facts.channel.N)[0])
-    psd_ok = lam_min >= -_bound(NOISE_PSD_TOL, _max_abs(facts.channel.N))
+    (a, b), (_, c) = facts.channel.N.tolist()
+    lam_min = _smallest_eigenvalue(a, b, c)
+    psd_ok = lam_min >= -_bound(NOISE_PSD_TOL, max(abs(a), abs(b), abs(c)))
     return ProtocolReport(
         name=name,
         parameters=parameters,
@@ -355,6 +395,11 @@ def _chain_facts(
     return _channel_facts(channel, leak, draw, target_S, input_state, "kappa", reference_S)
 
 
+# F^n for n mod 4, the bytes np.linalg.matrix_power(fourier().S, n) gives
+_FOURIER_POWERS = [np.array(m) for m in ([[1.0, 0.0], [0.0, 1.0]], [[0.0, -1.0], [1.0, 0.0]],
+                                         [[-1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [-1.0, 0.0]])]
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def identity_chain(
     n_nodes: int, r: float, input_state: GaussianState, seed: int = 0, trials: int = 1
@@ -366,7 +411,7 @@ def identity_chain(
     """
     if n_nodes < 2:
         raise ValueError("n_nodes must be >= 2")
-    target = np.linalg.matrix_power(fourier().S, n_nodes - 1)
+    target = _FOURIER_POWERS[(n_nodes - 1) % 4]
     facts = _chain_facts([StepPlan(0.0)] * (n_nodes - 1), r, input_state, seed, trials, target)
     expected_trace = (n_nodes - 1) * math.exp(-2 * r) * VACUUM_VARIANCE
     err = abs(facts.noise_trace - expected_trace)
@@ -393,9 +438,9 @@ def squeezer_four_step(
     target = np.diag([1.0 - kappa2, 1.0 + kappa2])
     exact = algebra.squeezer_protocol_matrix(kappa)
     facts = _chain_facts(steps, r, input_state, seed, trials, target, reference_S=exact)
-    var_x, var_p = facts.output.cov.diagonal().tolist()
+    var_x, var_p = facts.output.var_x, facts.output.var_p
     _require_finite([var_x, var_p], "the output variance")
-    exact_dev = float(np.linalg.norm(facts.channel.S - exact, ord="fro"))
+    exact_dev = _frobenius(facts.channel.S.tolist(), exact.tolist())
     exact_ok = exact_dev <= _bound(1e-6, len(steps) * _max_abs(exact))
     checks = [
         ProtocolCheck("matches_exact_four_step_matrix", exact_ok, exact_dev),
@@ -503,10 +548,11 @@ def offline_teleport(
     noise_err = _max_abs(facts.channel.N - 0.5 * eps * np.eye(2))
     noise_ok = noise_err <= _bound(1e-9, _max_abs(facts.channel.N))
     checks = [ProtocolCheck("noise_is_isotropic_teleportation_noise", noise_ok, noise_err)]
-    is_vacuum = (
-        facts.fidelity is not None
-        and np.allclose(input_state.mean, 0.0)
-        and np.allclose(input_state.cov, VACUUM_VARIANCE * np.eye(2))
+    # np.allclose's test of the vacuum's moments, |a - b| <= 1e-8 + 1e-5 |b|, on floats
+    (x, p), ((a, b), (b_, c)) = input_state.mean.tolist(), input_state.cov.tolist()
+    vacuum = zip((x, p, a, b, b_, c), (0.0, 0.0, VACUUM_VARIANCE, 0.0, 0.0, VACUUM_VARIANCE))
+    is_vacuum = facts.fidelity is not None and all(
+        abs(got - want) <= 1e-8 + 1e-5 * abs(want) for got, want in vacuum
     )
     if is_vacuum:
         fid_err = abs(facts.fidelity - 1.0 / (1.0 + eps))
