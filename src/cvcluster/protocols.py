@@ -8,8 +8,8 @@ state, and every report takes one path. A builder states only its steps
 fidelity reference and own checks. Its family's helper, ``_chain_facts`` or
 ``_offline_facts``, refuses an input that is not one physical mode, runs the
 engine once for the channel and leak, and reads the report's numbers off the
-channel once, in closed-form 2x2 arithmetic on Python floats (no linear
-algebra call and no ``GaussianState``): the deviation from the target, the
+channel once, in closed-form 2x2 arithmetic on Python floats (no ``np.linalg``
+call and no ``GaussianState``): the deviation from the target, the
 noise, the input's image and its ideal-output fidelity. ``_report`` adds
 ``outcome_independent`` (or the negative control's
 ``outcome_dependence_detected``) and the noise's positivity, its smaller
