@@ -13,12 +13,14 @@ the config's shape and its input, and keeps no copy of those rules.
 Floats are serialized with Python's shortest round-trip repr, so identical
 config + seed produce byte-identical documents and parsing a document and
 re-emitting it is the identity; printed summaries quote values to 12
-significant digits. One writer, ``emit_json``, writes every document: its
-text is byte for byte that of ``json.dumps(doc, sort_keys=True, indent=2,
-allow_nan=False)``, but each container is joined from its items' texts
-rather than run through json's pure-Python indented encoder. Randomness
-comes from numpy's PCG64 generator seeded from the config (CLI --seed
-overrides), which is stable across platforms.
+significant digits. A run document's text is byte for byte that of
+``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)``, and each
+byte has one writer: ``emit_json`` (that call) writes the envelope, every
+fact but the records, with ``"records": null``, and ``_records_text``
+writes the records, one template per record straight from the report's
+columns, into that place. Randomness comes from numpy's PCG64 generator
+seeded from the config (CLI --seed overrides), which is stable across
+platforms.
 """
 
 from __future__ import annotations
@@ -150,14 +152,9 @@ def _protocol_params(cfg: ExperimentConfig) -> dict:
     return {**cfg.params, "input_state": cfg.input_state}
 
 
-def run_document(cfg: ExperimentConfig) -> dict:
-    """One result document: the report of cfg.trials seeded trials, whose
-    channel and checks are built once, with the config echoed; trials that
-    would overfill it are refused by ``run_named_protocol`` before anything is built."""
-    report = protocols.run_named_protocol(
-        cfg.protocol, _protocol_params(cfg), seed=cfg.seed, trials=cfg.trials
-    )
-    return {"schema_version": SCHEMA_VERSION, "config": cfg.to_dict(), **report.to_dict()}
+def run_document(cfg: ExperimentConfig) -> str:
+    """The text of one result document."""
+    return _run_output(cfg, quiet=True)[0]
 
 
 def sweep_table(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
@@ -169,60 +166,37 @@ def sweep_table(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     return list(rows[0]), [list(row.values()) for row in rows]
 
 
-def _float_text(value: float) -> str:
-    if not math.isfinite(value):  # NaN and infinity are not JSON
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    return float.__repr__(value)
-
-
-_json_string = json.encoder.encode_basestring_ascii
-# exact builtin leaf type -> its text as json.dumps writes it
-_LEAF_TEXT = {
-    float: _float_text,
-    int: int.__repr__,
-    str: _json_string,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
-}
-
-
-def _json_text(value, indent: str) -> str:
-    """``value`` as ``json.dumps(value, sort_keys=True, indent=2,
-    allow_nan=False)`` writes it, nested at ``indent``; dict keys must be
-    strings. The containers' loops write their leaves themselves, which
-    saves a call per leaf."""
-    leaf = _LEAF_TEXT.get(type(value))
-    if leaf is not None:
-        return leaf(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        texts = []
-        for key in sorted(value):
-            item = value[key]
-            leaf = _LEAF_TEXT.get(type(item))
-            text = leaf(item) if leaf is not None else _json_text(item, inner)
-            texts.append(_json_string(key) + ": " + text)
-        return "{\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        texts = []
-        for item in value:
-            leaf = _LEAF_TEXT.get(type(item))
-            texts.append(leaf(item) if leaf is not None else _json_text(item, inner))
-        return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]"
-    # a leaf of another type, e.g. a numpy float, as json writes it alone
-    return json.dumps(value, allow_nan=False)
-
-
 def emit_json(doc: dict) -> str:
-    """The document's text: exactly ``json.dumps(doc, sort_keys=True,
-    indent=2, allow_nan=False) + "\\n"`` for a document with string keys,
-    written without json's pure-Python indented encoder. A NaN or an
-    infinity anywhere raises ``ValueError``."""
-    return _json_text(doc, "") + "\n"
+    """The document's text; a NaN or an infinity anywhere raises ``ValueError``."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+# one record as json.dumps writes it in a run document, its keys sorted
+_RECORD = (
+    "    {\n"
+    '      "kappa": %r,\n'
+    '      "mode": %r,\n'
+    '      "raw_outcome": %r,\n'
+    '      "rescaled_outcome": %r,\n'
+    '      "step_index": %r,\n'
+    '      "theta": %r,\n'
+    '      "trial": %r\n'
+    "    }"
+)
+# the envelope's placeholder for the records: every '"' inside a JSON string is
+# escaped, so this text occurs once, as the top-level key
+_RECORDS_SLOT = '"records": null'
+
+
+def _records_text(table: protocols.RecordTable) -> str:
+    """The document's ``records`` list, written from the report's columns of
+    Python ints and floats; every run holds at least one record."""
+    records = [
+        _RECORD % (kappa, mode, raw, rescaled, step_index, theta, t)
+        for t, trial in enumerate(table)
+        for step_index, mode, kappa, theta, raw, rescaled in zip(*trial)
+    ]
+    return "[\n" + ",\n".join(records) + "\n  ]"
 
 
 def emit_csv(header: list[str], rows: list[list]) -> str:
@@ -270,9 +244,19 @@ def _summary(label: str, values: dict) -> str:
 
 
 def _run_output(cfg: ExperimentConfig, quiet: bool) -> tuple[str, list[str]]:
-    """The run document's text and, unless ``quiet``, its summary line."""
-    doc = run_document(cfg)
-    return emit_json(doc), [] if quiet else [_summary(cfg.protocol, doc)]
+    """The run document's text and, unless ``quiet``, its summary line: the
+    report of cfg.trials seeded trials, whose channel and checks are built
+    once, with the config echoed. Trials that would overfill it are refused by
+    ``run_named_protocol`` before anything is built, and a non-finite outcome
+    when the records are read, before any text is written."""
+    report = protocols.run_named_protocol(
+        cfg.protocol, _protocol_params(cfg), seed=cfg.seed, trials=cfg.trials
+    )
+    records = _records_text(report.record_columns)
+    envelope = {"schema_version": SCHEMA_VERSION, "config": cfg.to_dict(), **report.to_dict(),
+                "records": None}
+    text = emit_json(envelope).replace(_RECORDS_SLOT, '"records": ' + records, 1)
+    return text, [] if quiet else [_summary(cfg.protocol, envelope)]
 
 
 def _sweep_output(cfg: ExperimentConfig, quiet: bool) -> tuple[str, list[str]]:

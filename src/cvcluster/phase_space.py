@@ -130,10 +130,19 @@ def symplectic_defect(S: np.ndarray) -> float:
     return float(np.max(np.abs(S @ J @ S.T - J)))
 
 
+def _det(cov: np.ndarray) -> float:
+    """det cov, as a*c - b*b for one mode: numpy's det is exp(log |det|), which
+    adds about u |ln det| of relative error."""
+    if cov.shape == (2, 2):
+        (a, b), (_, c) = cov.tolist()
+        return a * c - b * b
+    return float(np.linalg.det(cov))
+
+
 def purity(state: GaussianState) -> float:
     """Tr rho^2 = (1/4)^N / sqrt(det cov)."""
     n = state.n_modes
-    return float(VACUUM_VARIANCE**n / math.sqrt(np.linalg.det(state.cov)))
+    return float(VACUUM_VARIANCE**n / math.sqrt(_det(state.cov)))
 
 
 def uncertainty_defect(state: GaussianState) -> float:
@@ -394,4 +403,4 @@ def overlap_fidelity(pure: GaussianState, rho: GaussianState) -> float:
     total = pure.cov + rho.cov
     delta = pure.mean - rho.mean
     quad = float(delta @ np.linalg.solve(total, delta))
-    return float(0.5 * math.exp(-0.5 * quad) / math.sqrt(np.linalg.det(total)))
+    return float(0.5 * math.exp(-0.5 * quad) / math.sqrt(_det(total)))

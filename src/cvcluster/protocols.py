@@ -205,6 +205,8 @@ class ProtocolReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
+        """The report's facts as a run document holds them, all but the
+        records, which ``record_columns`` gives."""
         return {
             "name": self.name,
             "parameters": dict(self.parameters),
@@ -221,19 +223,6 @@ class ProtocolReport:
             "deviation": float(self.deviation),
             "noise_trace": float(self.noise_trace),
             "fidelity": None if self.fidelity is None else float(self.fidelity),
-            "records": [
-                {
-                    "trial": t,
-                    "step_index": step_index,
-                    "mode": mode,
-                    "kappa": kappa,
-                    "theta": theta,
-                    "raw_outcome": raw,
-                    "rescaled_outcome": rescaled,
-                }
-                for t, trial in enumerate(self.record_columns)
-                for step_index, mode, kappa, theta, raw, rescaled in zip(*trial)
-            ],
             "checks": [
                 {
                     "name": c.name,

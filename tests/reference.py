@@ -47,6 +47,10 @@ as large as its value.
   q's absolute error, half of D's relative error, and gamma(4) for the
   exponential (within 2 u), the root and the division. Where D is not
   positive at 60 digits (|T|^2 / D beyond 10^60) there is no fidelity fact.
+
+The re-pinning rule: a change may alter the bytes of a golden file under
+``tests/data/golden`` only if every float it changes is no farther from
+this reference than the float it replaces.
 """
 
 from __future__ import annotations

@@ -315,7 +315,7 @@ class TestJsonWriter:
         cfg = cli.ExperimentConfig.from_dict(
             {"protocol": "repeated_squeezer", "segments": 250, "trials": 2, "seed": 7}
         )
-        text = cli.emit_json(cli.run_document(cfg))
+        text = cli.run_document(cfg)
         assert len(text) == 436142
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "7cd950f1399133a1e4aa4a00ad96168ca4d6e51a6415c6db862d24af0051c5b6"
@@ -1033,8 +1033,21 @@ class TestSizeBounds:
 
 @pytest.mark.parametrize("protocol", sorted(cv.protocols.PROTOCOLS))
 def test_records_per_trial_counts_the_document_records(protocol):
-    cfg = cli.ExperimentConfig.from_dict(
-        {"protocol": protocol, "n_nodes": 4, "segments": 2, "trials": 3}
-    )
-    records = protocols.document_records(cfg.protocol, cfg.params, cfg.trials)
-    assert len(cli.run_document(cfg)["records"]) == records
+    # at 1-3 trials, the records block is json.dumps's text of one dict per
+    # record, built from the report's columns: a numpy float in a column would show
+    for trials in (1, 2, 3):
+        cfg = cli.ExperimentConfig.from_dict(
+            {"protocol": protocol, "n_nodes": 4, "segments": 2, "trials": trials}
+        )
+        text = cli.run_document(cfg)
+        report = cv.run_named_protocol(
+            cfg.protocol, cli._protocol_params(cfg), seed=cfg.seed, trials=cfg.trials
+        )
+        records = [
+            {"trial": t, "step_index": step_index, "mode": mode, "kappa": kappa, "theta": theta,
+             "raw_outcome": raw, "rescaled_outcome": rescaled}
+            for t, trial in enumerate(report.record_columns)
+            for step_index, mode, kappa, theta, raw, rescaled in zip(*trial)
+        ]
+        assert len(records) == protocols.document_records(cfg.protocol, cfg.params, cfg.trials)
+        assert text == _reference_json({**json.loads(text), "records": records})

@@ -237,7 +237,8 @@ class TestReportsAndSweep:
         doc = report.to_dict()
         assert doc["channel"]["S"] == [float(v) for v in report.channel.S.ravel()]
         assert doc["target_S"] == [float(v) for v in report.target_S.ravel()]
-        assert len(doc["records"]) == 4
+        assert "records" not in doc  # the document's records come from the columns
+        assert [len(trial.step_index) for trial in report.record_columns] == [4]
         assert {c["name"] for c in doc["checks"]} == {c.name for c in report.checks}
 
     def test_every_protocol_outcome_independent_at_ten_db(self):
@@ -548,11 +549,13 @@ class TestOneReportPerDocument:
             "input": {"kind": "coherent", "re": 0.3, "im": -0.8},
             "seed": 40,
         }
-        doc = cli.run_document(cli.ExperimentConfig.from_dict({**base, "trials": 3}))
+        doc = json.loads(cli.run_document(cli.ExperimentConfig.from_dict({**base, "trials": 3})))
         assert len(calls) == 1
         assert sorted({rec["trial"] for rec in doc["records"]}) == [0, 1, 2]
         for t in range(3):
-            single = cli.run_document(cli.ExperimentConfig.from_dict({**base, "seed": 40 + t}))
+            single = json.loads(
+                cli.run_document(cli.ExperimentConfig.from_dict({**base, "seed": 40 + t}))
+            )
             expected = [{**rec, "trial": t} for rec in single["records"]]
             assert [rec for rec in doc["records"] if rec["trial"] == t] == expected
             for key in ("channel", "checks", "fidelity", "deviation", "noise_trace"):
@@ -626,7 +629,7 @@ class TestRecordsDrawnWhenRead:
         cfg = cli.ExperimentConfig.from_dict(
             {"protocol": protocol, "squeezing_db": 10.0, "trials": trials}
         )
-        doc = cli.run_document(cfg)
+        doc = json.loads(cli.run_document(cfg))
         assert draws == list(range(trials))
         assert {rec["trial"] for rec in doc["records"]} == set(range(trials))
 
@@ -654,7 +657,7 @@ class TestRecordsDrawnWhenRead:
 
             monkeypatch.setattr(module, name, spy)
         report = cv.run_named_protocol(protocol, {"squeezing_db": 10.0}, trials=3)
-        report.to_dict()
+        report.record_columns
         chain = protocol in CHAIN_PROTOCOLS
         assert sorted(calls) == (["cholesky", "measurement_basis"] if chain else ["cholesky"])
 

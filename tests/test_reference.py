@@ -54,9 +54,9 @@ def _route_fidelity(report, state):
     return cv.overlap_fidelity(ideal, report.channel.apply(state))
 
 
-def assert_facts_meet_reference(report, state, route: bool = True) -> None:
-    """Each fact of ``report`` within its reference bound; with ``route``, also the
-    fidelity through ``_route_fidelity`` where that resolves it."""
+def assert_facts_meet_reference(report, state) -> None:
+    """Each fact of ``report`` within its reference bound, and the fidelity
+    through ``_route_fidelity`` where that resolves it."""
     S, N, d = (a.tolist() for a in (report.channel.S, report.channel.N, report.channel.d))
     mean, cov = state.mean.tolist(), state.cov.tolist()
     facts = report_facts(S, N, d, report.target_S.tolist(), _fidelity_reference(report).tolist(),
@@ -74,7 +74,7 @@ def assert_facts_meet_reference(report, state, route: bool = True) -> None:
         got["fidelity"] = report.fidelity
     for name, value in got.items():
         assert facts[name].holds(value), (report.name, name, value, facts[name])
-    route = _route_fidelity(report, state) if route else None
+    route = _route_fidelity(report, state)
     if route is not None:
         assert facts["fidelity"].holds(route), (report.name, "route fidelity", route)
     assert report.noise_trace == N[0][0] + N[1][1]
@@ -106,9 +106,7 @@ def test_deck_reports_meet_the_reference(workload, seed):
 @pytest.mark.parametrize("r_gate", [0.04, 0.5, 2.0])
 def test_negative_control_reports_meet_the_reference(r_gate):
     # the unscaled correction leaves S away from the gate, so the two means differ
-    # and the fidelity's exponent q is not zero. The route is not held to the bound:
-    # numpy's det is exp(log |det|), which adds about u |ln D| to its fidelity, and
-    # at 100 dB the leaked resource noise makes D about 4e12
+    # and the fidelity's exponent q is not zero
     # a rotated squeezed input gives the covariances an off-diagonal entry
     rotated = cv.apply_gate(cv.squeezed_vacuum(0.5, "x"), cv.rotation(0.3), [0]).cov
     inputs = [(re, im, cov) for re, im in [(0.0, 0.0), (0.7, -1.2), (-3.0, 2.5)]
@@ -117,7 +115,7 @@ def test_negative_control_reports_meet_the_reference(r_gate):
         state = cv.GaussianState(np.array([re, im]), cov)
         report = cv.offline_squeezer(state, cv.db_to_squeezing_r(db), r_gate, rescale_correction=False)
         assert report.fidelity is not None
-        assert_facts_meet_reference(report, state, route=False)
+        assert_facts_meet_reference(report, state)
 
 
 GRID_INPUTS = {
