@@ -42,10 +42,8 @@ from .engine import (
     RecordColumns,
     StepPlan,
     affine_channel,
-    apply_correction,
     chain_channel,
     chain_records,
-    dual_step,
     measurement_basis,
     run_protocol,
     update_frame,

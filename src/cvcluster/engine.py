@@ -26,25 +26,22 @@ O(k) in the number of steps:
   and the product-state variances of its resource columns give N;
 * outcome records are drawn exactly by sampling the product state (a 2x2
   Cholesky factor for the input, independent normals for the resource) and
-  applying the banded functionals; only ``run_protocol`` folds them through
-  ``update_frame`` into a byproduct frame. The channel never reads them, so
-  a protocol report draws its records the first time they are read, and a
+  applying the banded functionals. The channel never reads them, so a
+  protocol report draws its records the first time they are read, and a
   report read only for its channel draws none. ``chain_records`` draws one
   trial's ``RecordColumns`` (kappa, theta, raw and rescaled outcome) per
   seed, and computes what does not depend on the trial's seed (the basis,
   the resource deviations, the input's factor) once per call.
 
-Teleportation-style protocols (``dual_step`` and the off-line reports) share
-one path, ``_teleportation``: given their output and measured rows over the
-product state, the correction gain and which resource columns are
-anti-squeezed or squeezed, it reads the channel and leak through
-``affine_channel`` and gives the measured values' joint Gaussian law, from
-which ``_gaussian_draws`` draws them. The protocols' resource variances and
-outcome draws all live here. Every draw takes an integer seed, which
-``phase_space._generator`` alone turns into a PCG64 generator.
-
 This makes the corrected output exactly outcome- and seed-independent, with
-finite squeezing entering only as additive noise.
+finite squeezing entering only as additive noise. ``run_protocol`` alone
+folds one trial's outcomes through ``update_frame`` into a byproduct frame.
+
+This module holds the cluster chain's map. The off-line protocols' map is
+stated in ``protocols`` and read through the same ``affine_channel``;
+``resource_variances`` gives both families the resource variances. Every
+draw takes an integer seed, which ``phase_space._generator`` alone turns
+into a PCG64 generator.
 
 The single-shot Bayesian posterior (where the conditional mean is pulled
 toward the finite-squeezing envelope) is a different object; it is available
@@ -59,7 +56,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .phase_space import VACUUM_VARIANCE, GaussianState, _generator, controlled_z_pp
+from .phase_space import VACUUM_VARIANCE, GaussianState, _generator
 
 
 @dataclass(frozen=True)
@@ -89,8 +86,8 @@ class RecordColumns(NamedTuple):
 
     ``theta`` is the local-oscillator angle; for cluster steps the raw
     reading of (p cos(theta) - x sin(theta)) is rescaled by 1/cos(theta) to
-    give the value of p + kappa x. Teleportation-style protocols store their
-    own protocol-defined rescaling (the sqrt(2) beamsplitter factor).
+    give the value of p + kappa x. The off-line protocols store their own
+    rescaling (the sqrt(2) beamsplitter factor).
     """
 
     step_index: Sequence[int]
@@ -137,13 +134,6 @@ def update_frame(frame: ByproductFrame, s: float, kappa: float) -> ByproductFram
     through gives X(s) F D X(u)Z(v) = X(s - kappa u - v) Z(u) F D.
     """
     return ByproductFrame(s - kappa * frame.u - frame.v, frame.u)
-
-
-def apply_correction(state: GaussianState, frame: ByproductFrame) -> GaussianState:
-    """Undo the pending byproduct: displace the (single-mode) state by (-u, -v)."""
-    if state.n_modes != 1:
-        raise ValueError("apply_correction expects a single-mode state")
-    return GaussianState(state.mean - np.array([frame.u, frame.v]), state.cov)
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +205,18 @@ def _kappas(steps: Sequence[StepPlan]) -> np.ndarray:
     return np.array([s.kappa for s in steps], dtype=float)
 
 
-def _resource_variances(r: float) -> tuple[float, float]:
+def resource_variances(r: float) -> tuple[float, float]:
     """Variances of an anti-squeezed and a squeezed resource quadrature."""
     return math.exp(2 * r) * VACUUM_VARIANCE, math.exp(-2 * r) * VACUUM_VARIANCE
+
+
+def _scaled_noise(var: float, W: np.ndarray) -> np.ndarray:
+    """var W W^T, formed from W's rows and var scaled by exact powers of two
+    and unscaled at the end, so that it overflows only where its value does."""
+    _, rows = np.frexp(np.max(np.abs(W), axis=1, initial=0.0))  # each row's exponent
+    scaled = np.ldexp(W, -rows[:, None])
+    mantissa, exponent = math.frexp(var)
+    return np.ldexp(mantissa * (scaled @ scaled.T), rows[:, None] + rows + exponent)
 
 
 def affine_channel(
@@ -232,8 +231,12 @@ def affine_channel(
     Also returns the leak, the largest anti-squeezed weight: a correction
     that matches the byproduct cancels those weights exactly.
     """
-    var_anti, var_squeezed = _resource_variances(r)
+    var_anti, var_squeezed = resource_variances(r)
     N = var_anti * (anti @ anti.T) + var_squeezed * (squeezed @ squeezed.T)
+    if not all(map(math.isfinite, N.ravel().tolist())):
+        # W W^T can pass the largest float while var W W^T does not, as for
+        # the off-line squeezer's weights e^{r_gate} near its limit
+        N = _scaled_noise(var_anti, anti) + _scaled_noise(var_squeezed, squeezed)
     leak = float(np.max(np.abs(anti)))
     return GaussianChannel(S=S, N=0.5 * (N + N.T), d=np.zeros(2)), leak
 
@@ -243,13 +246,6 @@ def chain_channel(steps: Sequence[StepPlan], cluster_r: float) -> tuple[Gaussian
     of its resource quadratures, x_1..x_k are anti-squeezed."""
     Wx, Wp = _corrected_weights(_kappas(steps))
     return affine_channel(np.column_stack([Wx[:, 0], Wp[:, 0]]), Wx[:, 1:], Wp[:, 1:], cluster_r)
-
-
-def _gaussian_draws(mean: np.ndarray, cov: np.ndarray, seeds: Iterable) -> list[list[float]]:
-    """One draw from N(mean, cov) per seed, in order: one Cholesky factor per
-    call, and one generator per seed."""
-    factor = np.linalg.cholesky(cov)
-    return [(mean + factor @ _generator(s).standard_normal(mean.size)).tolist() for s in seeds]
 
 
 def chain_records(
@@ -270,7 +266,7 @@ def chain_records(
     k = kappas.size
     thetas, rescales = measurement_basis(kappas)
     indices, kappa_column, theta_column = range(k), kappas.tolist(), thetas.tolist()
-    sd_x, sd_p = map(math.sqrt, _resource_variances(cluster_r))
+    sd_x, sd_p = map(math.sqrt, resource_variances(cluster_r))
     factor = np.linalg.cholesky(input_state.cov)
     trials = []
     for seed in seeds:
@@ -309,6 +305,8 @@ def run_protocol(
     Returns the uncorrected output state (byproduct displacement still in its
     mean), the trial's record columns, and the accumulated byproduct frame.
     """
+    # no report calls this; it stays while the benchmark's k_exponent probe
+    # (perfbench/workload.py) and CI's traced benchmark run call it
     (columns,) = chain_records(input_state, steps, cluster_r, [seed])
     frame = ByproductFrame()
     for value, kappa in zip(columns.rescaled_outcome, columns.kappa):
@@ -316,66 +314,3 @@ def run_protocol(
     corrected = chain_channel(steps, cluster_r)[0].apply(input_state)
     uncorrected = GaussianState(corrected.mean + np.array([frame.u, frame.v]), corrected.cov)
     return uncorrected, columns, frame
-
-
-def _teleportation(
-    input_state: GaussianState,
-    r: float,
-    out_rows: np.ndarray,
-    measured_rows: np.ndarray,
-    gain: np.ndarray,
-    anti: Sequence[int],
-    squeezed: Sequence[int],
-) -> tuple[GaussianChannel, float, np.ndarray, np.ndarray]:
-    """Channel, leak and the measured values' mean and covariance of a
-    teleportation-style protocol, from one evaluation of its affine map.
-
-    The rows are over the product state's quadratures: the input's (x, p),
-    then resource columns, of which ``anti`` have variance e^{2r}/4 and
-    ``squeezed`` e^{-2r}/4. The correction adds ``gain`` times the measured
-    values to the output, so the corrected rows are out + gain measured. The
-    measured values are jointly Gaussian with the returned mean and
-    covariance; ``_gaussian_draws`` draws them.
-    """
-    if input_state.n_modes != 1:
-        raise ValueError("input must be a single-mode state")
-    n = out_rows.shape[1]
-    mu0 = np.concatenate([input_state.mean, np.zeros(n - 2)])
-    cov0 = np.zeros((n, n))
-    cov0[:2, :2] = input_state.cov
-    var_anti, var_squeezed = _resource_variances(r)
-    cov0[anti, anti] = var_anti
-    cov0[squeezed, squeezed] = var_squeezed
-    applied = out_rows + gain @ measured_rows
-    channel, leak = affine_channel(applied[:, :2], applied[:, anti], applied[:, squeezed], r)
-    return channel, leak, measured_rows @ mu0, measured_rows @ cov0 @ measured_rows.T
-
-
-def dual_step(
-    input_state: GaussianState, r: float, seed: int
-) -> tuple[GaussianState, RecordColumns]:
-    """The dual elementary circuit: x-squeezed ancilla, e^{2i p(x)p} coupling,
-    x detection on the input mode.
-
-    Exact map: with ancilla quadratures (x_a, p_a) and measured value t of
-    the post-gate input position x - p_a, the output mode carries
-
-        x_out = x_a - p,   p_out = x - t,
-
-    i.e. the Fourier action with byproduct Z(-t) and the e^{-2r}/4 ancilla
-    noise landing in the x quadrature. This equals the primal kappa = 0 step
-    conjugated by Fourier gates on both modes (the coupling gates satisfy
-    that conjugation identity exactly at the symplectic level).
-    """
-    S = controlled_z_pp().S
-    # over (x, p, x_a, p_a): the output is mode 1, the measured row is x of
-    # mode 0, and the p row absorbs +1 times it (undoes Z(-t)); p_a is the
-    # anti-squeezed quadrature
-    channel, _, mean, cov = _teleportation(
-        input_state, r, S[2:4], S[:1], np.array([[0.0], [1.0]]), [3], [2]
-    )
-    corrected = channel.apply(input_state)
-    ((t,),) = _gaussian_draws(mean, cov, [seed])
-    output = GaussianState(corrected.mean + np.array([0.0, -t]), corrected.cov)
-    return output, RecordColumns((0,), (0,), (0.0,), (-math.pi / 2,), (t,), (t,))
-

@@ -6,8 +6,10 @@ resource. Every corrected protocol is an affine map of its initial product
 state, and every report takes one path. A builder states only its steps
 (``squeezer_steps`` is the four-step pattern) or off-line gate, its target,
 fidelity reference and own checks. Its family's helper, ``_chain_facts`` or
-``_offline_facts``, refuses an input that is not one physical mode, runs the
-engine once for the channel and leak, and reads the report's numbers off the
+``_offline_facts``, refuses an input that is not one physical mode, reads the
+channel and leak once (a chain's from ``engine.chain_channel``; the off-line
+map is stated in ``_offline_facts`` alone and read through
+``engine.affine_channel``), and reads the report's numbers off the
 channel once, in closed-form 2x2 arithmetic on Python floats (no ``np.linalg``
 call and no ``GaussianState``): the deviation from the target, the
 noise, the input's image and its ideal-output fidelity. ``_report`` adds
@@ -43,6 +45,7 @@ from . import algebra
 from .phase_space import (
     VACUUM_VARIANCE,
     GaussianState,
+    _generator,
     beamsplitter_5050,
     embed_symplectic,
     squeezer,
@@ -52,10 +55,10 @@ from .engine import (
     GaussianChannel,
     RecordColumns,
     StepPlan,
-    _gaussian_draws,
-    _teleportation,
+    affine_channel,
     chain_channel,
     chain_records,
+    resource_variances,
 )
 
 INDEPENDENCE_TOL = 1e-9
@@ -477,8 +480,8 @@ def repeated_squeezer(
 # input with resource mode 1 at a second beamsplitter, reads u = x_in - x_1
 # and v = p_in + p_1 off the two output ports (each reading carries a
 # sqrt(2) beamsplitter factor), and corrects mode 2 by gain (u, v). The
-# engine evaluates the corrected output, as for chains, at the
-# Weyl-Heisenberg level from the factored initial moments.
+# corrected output, as for chains, is an affine map of the factored initial
+# moments, stated here once and read through ``affine_channel``.
 
 
 # the outcome-free record columns of an off-line trial: step index, mode,
@@ -488,12 +491,11 @@ _OFFLINE_COLUMNS = ((0, 1), (1, 0), (0.0, 0.0), (-math.pi / 2, 0.0))
 
 def _offline_trials(mean: np.ndarray, cov: np.ndarray, seeds: range) -> RecordTable:
     """Each trial's record columns, u from the x port and v from the p port,
-    drawn from the measured values' law; the trial with seed s draws with s."""
-    half = 1.0 / math.sqrt(2.0)
-    return tuple(
-        RecordColumns(*_OFFLINE_COLUMNS, (u * half, v * half), (u, v))
-        for u, v in _gaussian_draws(mean, cov, seeds)
-    )
+    drawn from the readings' law N(mean, cov): one Cholesky factor per call,
+    and the trial with seed s draws with one generator of s."""
+    half, factor = 1.0 / math.sqrt(2.0), np.linalg.cholesky(cov)
+    draws = ((mean + factor @ _generator(s).standard_normal(2)).tolist() for s in seeds)
+    return tuple(RecordColumns(*_OFFLINE_COLUMNS, (u * half, v * half), (u, v)) for u, v in draws)
 
 
 def _offline_facts(
@@ -505,7 +507,13 @@ def _offline_facts(
     trials: int,
 ) -> _ReportFacts:
     """The report facts of teleportation through the resource modified by
-    ``gate_S``, corrected by ``gain`` times (u, v); the gate is the target."""
+    ``gate_S``, corrected by ``gain`` times (u, v); the gate is the target.
+
+    The rows are over the product state's quadratures (x, p) of the input,
+    then x_1, p_1, x_2, p_2 of the resource, of which x_1 and p_2 are
+    anti-squeezed. The corrected output rows are out + gain (u, v), and
+    (u, v) is Gaussian with its rows' image of the product state's moments.
+    """
     seeds = _trial_seeds(input_state, seed, trials)
     bs = beamsplitter_5050().S
     S_big = (
@@ -514,11 +522,13 @@ def _offline_facts(
         @ embed_symplectic(bs, [1, 2], 3)
     )
     uv_rows = math.sqrt(2.0) * np.vstack([S_big[2], S_big[1]])  # u = sqrt2 x_1', v = sqrt2 p_0'
-    # of the resource columns (x_1, p_1, x_2, p_2), x_1 and p_2 are anti-squeezed
-    channel, leak, mean, cov = _teleportation(
-        input_state, r, S_big[4:6], uv_rows, gain, [2, 5], [3, 4]
-    )
-    draw = partial(_offline_trials, mean, cov, seeds)
+    applied = S_big[4:6] + gain @ uv_rows
+    channel, leak = affine_channel(applied[:, :2], applied[:, [2, 5]], applied[:, [3, 4]], r)
+    var_anti, var_squeezed = resource_variances(r)
+    cov0 = np.diag([0.0, 0.0, var_anti, var_squeezed, var_squeezed, var_anti])
+    cov0[:2, :2] = input_state.cov
+    mean = uv_rows @ np.concatenate([input_state.mean, np.zeros(4)])
+    draw = partial(_offline_trials, mean, uv_rows @ cov0 @ uv_rows.T, seeds)
     return _channel_facts(channel, leak, draw, gate_S, input_state, "r_gate")
 
 

@@ -15,6 +15,7 @@ import cvcluster as cv
 from cvcluster import checks, cli
 from conftest import condition_on_functional_oracle, random_gaussian_state
 from explicit_states import modified_resource
+from measurement_picture import apply_correction
 
 IDEAL = cv.IDEAL_SQUEEZING_R
 TEN_DB_R = math.log(10.0) / 2.0
@@ -200,7 +201,7 @@ def test_10_symplectic_and_uncertainty_suite():
             cluster,
             attached,
             out,
-            cv.apply_correction(out, frame),
+            apply_correction(out, frame),
             resource,
             teleport_pre,
         ):

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -262,52 +263,85 @@ def _reference_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-# keys with non-ASCII characters, escapes and a lone surrogate
-_KEYS = st.text(max_size=10) | st.sampled_from(
-    ['"', "\\", "\n\t\x00", "é", "\u2028", "\ud800", "𝜅", ""]
+# strings with non-ASCII characters, escapes, a lone surrogate and the text of
+# the envelope's records slot, which the config echoes before that slot
+_STRINGS = st.text(max_size=10) | st.sampled_from(
+    ['"', "\\", "\n\t\x00", "é", "\u2028", "\ud800", "𝜅", "", cli._RECORDS_SLOT]
 )
-_LEAVES = (
-    st.integers(-(2**200), 2**200)
-    | st.floats(allow_nan=False, allow_infinity=False)
-    | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
-    | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
-    | st.booleans()
-    | st.none()
-    | _KEYS
+_AMPLITUDES = st.floats(-3.0, 3.0) | st.floats(-1e100, 1e100)
+_INPUTS = st.one_of(
+    st.just({"kind": "vacuum"}),
+    st.fixed_dictionaries({"kind": st.just("coherent"), "re": _AMPLITUDES, "im": _AMPLITUDES}),
+    st.fixed_dictionaries(
+        {"kind": st.just("squeezed"), "r": st.floats(0.0, 2.0), "axis": st.sampled_from(["x", "p"])}
+    ),
 )
-_TREES = st.recursive(
-    _LEAVES,
-    lambda children: st.lists(children, max_size=4)
-    | st.lists(children, max_size=4).map(tuple)
-    | st.dictionaries(_KEYS, children, max_size=4),
-    max_leaves=25,
+# run configs over every protocol and input kind, echoing any output_path string
+_RUN_CONFIGS = st.fixed_dictionaries(
+    {
+        "protocol": st.sampled_from(sorted(protocols.PROTOCOLS)),
+        "seed": st.integers(0, 2**64),
+        "trials": st.integers(1, 3),
+        "input": _INPUTS,
+    },
+    optional={
+        "squeezing_db": st.floats(0.0, 120.0),
+        "kappa": st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0, 5e-324]),
+        "n_nodes": st.integers(2, 9),
+        "segments": st.integers(1, 3),
+        "r_gate": st.floats(-3.0, 3.0),
+        "output_path": _STRINGS,
+    },
 )
-_NON_FINITE = st.sampled_from(
-    [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("inf"), np.float64("-inf")]
-)
-
-
-def _holding(children):
-    """Containers that hold one of ``children`` among finite items."""
-    in_list = st.tuples(st.lists(_TREES, max_size=2), children, st.lists(_TREES, max_size=2))
-    in_dict = st.tuples(st.dictionaries(_KEYS, _TREES, max_size=2), _KEYS, children)
-    return in_list.map(lambda t: [*t[0], t[1], *t[2]]) | in_dict.map(lambda t: {**t[0], t[1]: t[2]})
 
 
 class TestJsonWriter:
-    @given(st.dictionaries(_KEYS, _TREES, max_size=6))
-    @settings(max_examples=100, deadline=None)
-    def test_writes_what_json_dumps_writes(self, doc):
-        assert cli.emit_json(doc) == _reference_json(doc)
+    """A run document is json.dumps's text, though ``cli`` writes the records
+    itself and splices them into the envelope's slot."""
 
-    @given(st.recursive(_NON_FINITE, _holding, max_leaves=6))
+    @given(_RUN_CONFIGS)
     @settings(max_examples=60, deadline=None)
-    def test_non_finite_float_at_any_depth_raises(self, value):
-        doc = {"document": value}
-        with pytest.raises(ValueError):
-            _reference_json(doc)
-        with pytest.raises(ValueError, match="not JSON compliant"):
-            cli.emit_json(doc)
+    def test_run_document_is_what_json_dumps_writes(self, payload):
+        cfg = cli.ExperimentConfig.from_dict(payload)
+        text = cli.run_document(cfg)
+        doc = json.loads(text)
+        assert text == _reference_json(doc)
+        assert doc["config"]["output_path"] == payload.get("output_path")
+        # the spliced records hold the report's values, not a rounding of them
+        params = cli._protocol_params(cfg)
+        report = cv.run_named_protocol(cfg.protocol, params, cfg.seed, cfg.trials)
+        keys = ("trial", "step_index", "mode", "kappa", "theta", "raw_outcome", "rescaled_outcome")
+        assert [tuple(record[key] for key in keys) for record in doc["records"]] == [
+            (t, *event) for t, trial in enumerate(report.record_columns) for event in zip(*trial)
+        ]
+
+    @given(
+        _RUN_CONFIGS,
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.sampled_from(["raw_outcome", "rescaled_outcome"]),
+        st.integers(0, 2),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_non_finite_record_anywhere_is_refused_before_any_text(
+        self, payload, value, column, trial, index
+    ):
+        cfg = cli.ExperimentConfig.from_dict(payload)
+        params = cli._protocol_params(cfg)
+        report = cv.run_named_protocol(cfg.protocol, params, cfg.seed, cfg.trials)
+        table = list(report.record_columns)
+        trial %= len(table)
+        events = list(getattr(table[trial], column))
+        events[index % len(events)] = value
+        table[trial] = table[trial]._replace(**{column: tuple(events)})
+        broken = dataclasses.replace(report, draw_records=lambda: tuple(table))
+        emitted = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocols, "run_named_protocol", lambda *args, **kwargs: broken)
+            mp.setattr(cli, "emit_json", lambda doc: emitted.append(doc))
+            with pytest.raises(cv.InputOverflowError, match="an outcome record is not finite"):
+                cli.run_document(cfg)
+        assert emitted == []
 
     def test_long_run_document_is_pinned(self):
         # 250 segments, 2 trials: 2000 records; the length and hash are those
@@ -939,11 +973,6 @@ class TestInputOverflow:
             "S, N or deviation not finite\n",
         ),
         (
-            {"protocol": "offline_squeezer", "r_gate": 354.8},
-            "error: field 'r_gate': the channel overflows double precision: "
-            "S, N or deviation not finite\n",
-        ),
-        (
             INPUT_OVERFLOWING["four_step_coherent_1e308"],
             "error: field 'input': the input state overflows double precision "
             "through the channel: the fidelity is not finite\n",
@@ -955,11 +984,19 @@ class TestInputOverflow:
             "through the channel: an outcome record is not finite\n",
         ),
     ],
-    ids=["kappa", "r_gate", "input", "input_record"],
+    ids=["kappa", "input", "input_record"],
 )
 def test_overflow_refusal_prints_one_line(tmp_path, payload, error):
     """The whole stderr of the console command: numpy's overflow warnings
     would print before the error line."""
+    result, out = _console_run(tmp_path, payload)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", error)
+    assert not out.exists()
+
+
+def _console_run(tmp_path, payload):
+    """``cvcluster run`` on a config in a fresh interpreter, warnings at their
+    defaults; the finished process and the output path."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = tmp_path / "out"
@@ -968,8 +1005,43 @@ def test_overflow_refusal_prints_one_line(tmp_path, payload, error):
         [sys.executable, "-m", "cvcluster", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert (result.returncode, result.stdout, result.stderr) == (2, "", error)
-    assert not out.exists()
+    return result, out
+
+
+# |r_gate| from about 354.55 up to the rule's limit: the off-line squeezer's
+# weights W carry e^{|r_gate|}, so W W^T passes the largest float while its
+# noise (e^{-2r}/2) e^{2|r_gate|} does not
+R_GATE_BAND = [354.55, 354.8, 354.89, -354.8]
+BAND_INPUTS = {
+    "vacuum": {"kind": "vacuum"},
+    "coherent": {"kind": "coherent", "re": 0.3, "im": -0.8},
+    "squeezed": {"kind": "squeezed", "r": 0.5, "axis": "p"},
+}
+
+
+@pytest.mark.filterwarnings("error")
+class TestOfflineSqueezerNearTheRGateLimit:
+    @pytest.mark.parametrize("kind", BAND_INPUTS)
+    @pytest.mark.parametrize("r_gate", R_GATE_BAND)
+    def test_run_writes_a_correct_document(self, tmp_path, capsys, r_gate, kind):
+        payload = {
+            "protocol": "offline_squeezer", "r_gate": r_gate, "input": BAND_INPUTS[kind], "trials": 2,
+        }
+        code, out = main_on(tmp_path, "run", payload, "--quiet")
+        assert (code, capsys.readouterr().err) == (0, "")
+        doc = json.loads(out.read_text())
+        assert [c["name"] for c in doc["checks"] if not c["passed"]] == []
+        assert len(doc["records"]) == 4
+        # the large noise entry, N_pp for a positive r_gate and N_xx for a negative one
+        r = cv.db_to_squeezing_r(protocols.PARAMETER_DEFAULTS["squeezing_db"])
+        expected = 0.5 * math.exp(-2 * r) * math.exp(2 * abs(r_gate))
+        large = doc["channel"]["N"][2 if r_gate > 0 else 0]
+        assert abs(large - expected) <= 4 * np.finfo(float).eps * expected
+
+    def test_console_run_at_the_limit_prints_no_error(self, tmp_path):
+        result, out = _console_run(tmp_path, {"protocol": "offline_squeezer", "r_gate": 354.89})
+        assert (result.returncode, result.stderr) == (0, "")
+        assert all(check["passed"] for check in json.loads(out.read_text())["checks"])
 
 
 class TestSizeBounds:

@@ -8,6 +8,7 @@ import cvcluster as cv
 from cvcluster import engine
 from conftest import random_gaussian_state, step_noise_oracle
 from explicit_states import displace
+from measurement_picture import apply_correction, dual_step
 from tomography import (
     NonDeterministicChannelError,
     channel_tomography,
@@ -122,7 +123,7 @@ class TestRunProtocol:
     def test_single_fourier_step_ideal(self):
         out, records, frame = cv.run_protocol(cv.vacuum_state(1), [cv.StepPlan(0.0)], IDEAL, 3)
         assert (frame.u, frame.v) == (records.rescaled_outcome[0], 0.0)
-        corrected = cv.apply_correction(out, frame)
+        corrected = apply_correction(out, frame)
         np.testing.assert_allclose(corrected.mean, [0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(corrected.cov, 0.25 * np.eye(2), atol=1e-9)
         assert records.mode == range(1)
@@ -130,14 +131,14 @@ class TestRunProtocol:
     def test_single_shear_step_mean_map(self):
         kappa = 0.7
         out, _, frame = cv.run_protocol(cv.coherent_state(1.0, 0.0), [cv.StepPlan(kappa)], IDEAL, 4)
-        corrected = cv.apply_correction(out, frame)
+        corrected = apply_correction(out, frame)
         np.testing.assert_allclose(corrected.mean, [-kappa, 1.0], atol=1e-12)
 
     def test_single_step_finite_r_channel(self):
         kappa, r = 0.5, 0.9
         state = random_gaussian_state(21, 1)
         out, _, frame = cv.run_protocol(state, [cv.StepPlan(kappa)], r, 21)
-        corrected = cv.apply_correction(out, frame)
+        corrected = apply_correction(out, frame)
         S = cv.fourier_shear_step(kappa)
         expected_cov = S @ state.cov @ S.T + np.diag([0.0, math.exp(-2 * r) / 4])
         np.testing.assert_allclose(corrected.cov, expected_cov, atol=1e-12)
@@ -149,7 +150,7 @@ class TestRunProtocol:
         steps = [cv.StepPlan(k) for k in kappas]
         state = random_gaussian_state(5, 1)
         out, _, frame = cv.run_protocol(state, steps, r, 17)
-        corrected = cv.apply_correction(out, frame)
+        corrected = apply_correction(out, frame)
         S, N = step_noise_oracle(kappas, r)
         np.testing.assert_allclose(corrected.cov, S @ state.cov @ S.T + N, atol=1e-11)
         np.testing.assert_allclose(corrected.mean, S @ state.mean, atol=1e-11)
@@ -162,7 +163,7 @@ class TestRunProtocol:
         state = random_gaussian_state(8, 1)
         steps = [cv.StepPlan(kappa) for kappa in kappas]
         out, _, frame = cv.run_protocol(state, steps, r, 8)
-        corrected = cv.apply_correction(out, frame)
+        corrected = apply_correction(out, frame)
 
         big = cv.attach_input(state, cv.linear_cluster(cv.ClusterSpec(k, r)))
         n = big.n_modes
@@ -195,7 +196,7 @@ class TestRunProtocol:
         S, N = step_noise_oracle(kappas, r)
         state = random_gaussian_state(seed, 1)
         out, _, frame = cv.run_protocol(state, steps, r, seed)
-        corrected = cv.apply_correction(out, frame)
+        corrected = apply_correction(out, frame)
 
         def scale(a):
             return float(np.max(np.abs(a)))
@@ -218,7 +219,7 @@ class TestRunProtocol:
         out, records, frame = cv.run_protocol(
             state, [cv.StepPlan(kappa) for kappa in kappas], r, 5
         )
-        corrected = cv.apply_correction(out, frame)
+        corrected = apply_correction(out, frame)
         S, N = step_noise_oracle(kappas, r)
         assert len(records.raw_outcome) == 5000
         np.testing.assert_allclose(corrected.cov, S @ state.cov @ S.T + N, rtol=1e-9)
@@ -249,7 +250,7 @@ class TestRunProtocol:
         out, _, frame = cv.run_protocol(
             cv.vacuum_state(1), [cv.StepPlan(0.3), cv.StepPlan(-0.2)], 1.0, 7
         )
-        corrected = cv.apply_correction(out, frame)
+        corrected = apply_correction(out, frame)
         np.testing.assert_allclose(
             out.mean - corrected.mean, [frame.u, frame.v], atol=1e-12
         )
@@ -297,7 +298,7 @@ class TestRunProtocol:
 
         def run(seed):
             out, _, frame = cv.run_protocol(cv.vacuum_state(1), steps, r, seed)
-            return cv.apply_correction(out, frame)
+            return apply_correction(out, frame)
 
         assert outcome_independence_check(run, range(20)) <= 1e-9
 
@@ -325,7 +326,7 @@ class TestChainRecords:
         with refused:
             cv.run_protocol(state, steps, TEN_DB_R, source)
         with refused:
-            cv.dual_step(state, TEN_DB_R, source)
+            dual_step(state, TEN_DB_R, source)
 
 
 class TestMutationGuard:
@@ -354,7 +355,7 @@ class TestChannelTomography:
 
         def run(state, seed):
             out, _, frame = cv.run_protocol(state, steps, r, seed)
-            return cv.apply_correction(out, frame)
+            return apply_correction(out, frame)
 
         return run
 
@@ -398,7 +399,7 @@ class TestChannelTomography:
 
 class TestDualStep:
     def test_ideal_vacuum_passthrough(self):
-        out, record = cv.dual_step(cv.vacuum_state(1), IDEAL, 3)
+        out, record = dual_step(cv.vacuum_state(1), IDEAL, 3)
         t = record.raw_outcome[0]
         assert record == ((0,), (0,), (0.0,), (-math.pi / 2,), (t,), (t,))
         corrected = displace(out, 0, 0.0, t)
@@ -407,12 +408,12 @@ class TestDualStep:
 
     def test_corrected_channel_is_fourier_conjugated_primal(self):
         def dual_runner(state, seed):
-            out, record = cv.dual_step(state, IDEAL, seed)
+            out, record = dual_step(state, IDEAL, seed)
             return displace(out, 0, 0.0, record.raw_outcome[0])
 
         def primal_runner(state, seed):
             out, _, frame = cv.run_protocol(state, [cv.StepPlan(0.0)], IDEAL, seed)
-            return cv.apply_correction(out, frame)
+            return apply_correction(out, frame)
 
         dual = channel_tomography(dual_runner)
         primal = channel_tomography(primal_runner)
@@ -422,13 +423,13 @@ class TestDualStep:
 
     def test_finite_r_noise_in_single_quadrature(self):
         r = 1.3
-        out, record = cv.dual_step(cv.vacuum_state(1), r, 4)
+        out, record = dual_step(cv.vacuum_state(1), r, 4)
         corrected = displace(out, 0, 0.0, record.raw_outcome[0])
         expected = 0.25 * np.eye(2) + np.diag([math.exp(-2 * r) / 4, 0.0])
         np.testing.assert_allclose(corrected.cov, expected, atol=1e-14)
 
     def test_byproduct_is_momentum_displacement(self):
-        out, record = cv.dual_step(cv.coherent_state(0.4, -0.3), IDEAL, 8)
+        out, record = dual_step(cv.coherent_state(0.4, -0.3), IDEAL, 8)
         (t,) = record.raw_outcome
         # uncorrected output carries Z(-t) on top of the Fourier action
         np.testing.assert_allclose(out.mean, [0.3, 0.4 - t], atol=1e-12)
@@ -438,7 +439,7 @@ class TestDualStep:
         # t reads x - p_a of the product state: N(<x_in>, Var x_in + e^{2r}/4)
         r = 0.5
         state = random_gaussian_state(5, 1)
-        draws = np.array([cv.dual_step(state, r, seed)[1].raw_outcome[0] for seed in range(2000)])
+        draws = np.array([dual_step(state, r, seed)[1].raw_outcome[0] for seed in range(2000)])
         white = (draws - state.mean[0]) / math.sqrt(state.cov[0, 0] + math.exp(2 * r) / 4)
         # 2000 draws: standard errors about 0.022 (mean) and 0.032 (variance)
         assert abs(white.mean()) < 0.1

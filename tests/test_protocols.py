@@ -10,6 +10,7 @@ import cvcluster as cv
 from cvcluster import algebra, checks, cli, cluster, engine, protocols
 from conftest import step_noise_oracle
 from explicit_states import modified_resource
+from measurement_picture import apply_correction
 from reference import report_facts
 from tomography import channel_tomography
 
@@ -231,6 +232,46 @@ class TestOfflineSqueezer:
         assert report.check("outcome_independent").value <= 1e-9
 
 
+def _below_the_resource_floor(N, r):
+    """The smaller eigenvalue of N / v - I, v = e^{-2r}/4 the noise of one
+    squeezed resource quadrature, and the channel_noise_psd check's bound at
+    the scale of N / v."""
+    scaled = N / (math.exp(-2 * r) * cv.VACUUM_VARIANCE)
+    lam = float(np.linalg.eigvalsh(scaled - np.eye(2))[0])
+    return lam, protocols._bound(protocols.NOISE_PSD_TOL, _max_abs(scaled))
+
+
+class TestNoChainSqueezesMoreThanItsResource:
+    """A(kappa) e_p = -e_x for a step's map A, so the last two steps'
+    injections alone give N >= (e^{-2r}/4) I for every chain of k >= 2 steps.
+    The off-line squeezer's noise (e^{-2r}/2) G G^T is squeezed by its gate G
+    and goes below that floor once |r_gate| > ln(2)/2: the paper's contrast
+    between cluster and off-line gates."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kappas=st.lists(
+            st.floats(-1.5, 1.5) | st.sampled_from([0.0, 1.0, -1.0, 1.5, -1.5]),
+            min_size=2,
+            max_size=40,
+        ),
+        db=st.floats(0.0, 300.0),
+    )
+    def test_chain_noise_is_at_least_the_resources(self, kappas, db):
+        r = cv.db_to_squeezing_r(db)
+        channel, _ = cv.chain_channel([cv.StepPlan(kappa) for kappa in kappas], r)
+        lam, bound = _below_the_resource_floor(channel.N, r)
+        assert lam >= -bound
+
+    @pytest.mark.parametrize("r_gate", [0.0, 0.2, 0.34, 0.35, 0.6, 2.0, -0.35, -2.0])
+    def test_offline_squeezer_goes_below_the_floor_past_half_ln_2(self, r_gate):
+        report = cv.offline_squeezer(VAC, TEN_DB_R, r_gate)
+        lam, bound = _below_the_resource_floor(report.channel.N, TEN_DB_R)
+        # N / v - I = diag(2 e^{-2 r_gate} - 1, 2 e^{2 r_gate} - 1)
+        assert lam == pytest.approx(2 * math.exp(-2 * abs(r_gate)) - 1, abs=1e-12)
+        assert (lam < -bound) == (abs(r_gate) > math.log(2) / 2)
+
+
 class TestReportsAndSweep:
     def test_report_serialization_round_trip(self):
         report = cv.squeezer_four_step(0.1, TEN_DB_R, VAC, seed=5)
@@ -385,16 +426,6 @@ class TestReportsAndSweep:
             ),
             (
                 {
-                    "protocol": "offline_squeezer", "r_gate": 354.8,
-                    "sweep": {"param": "r_gate", "values": [0.1, 354.8]},
-                },
-                [
-                    lambda: cv.run_named_protocol("offline_squeezer", {"r_gate": 354.8}),
-                    lambda: cv.sweep("offline_squeezer", {}, "r_gate", [0.1, 354.8]),
-                ],
-            ),
-            (
-                {
                     "protocol": "repeated_squeezer", "kappa": 1e200,
                     "sweep": {"param": "kappa", "values": [0.1, 1e200]},
                 },
@@ -416,7 +447,7 @@ class TestReportsAndSweep:
         ],
         ids=[
             "unknown_protocol", "unread_sweep_param", "empty_sweep_values", "unsweepable_param",
-            "bad_sweep_value", "unknown_key", "r_gate_overflow", "repeated_kappa_overflow",
+            "bad_sweep_value", "unknown_key", "repeated_kappa_overflow",
             "four_step_kappa_overflow",
         ],
     )
@@ -436,6 +467,26 @@ class TestReportsAndSweep:
                 assert f"error: {refused.value}\n" == line
         assert not (tmp_path / "out").exists()
 
+    # at r_gate 354.8 the off-line weights' W W^T overflows, but N does not
+    @pytest.mark.filterwarnings("error")
+    def test_library_gives_the_clis_document_near_the_r_gate_limit(self, tmp_path, capsys):
+        payload = {
+            "protocol": "offline_squeezer", "r_gate": 354.8,
+            "sweep": {"param": "r_gate", "values": [0.1, 354.8]},
+        }
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        for command in ("run", "sweep"):
+            assert cli.main([command, str(config), "--output", str(tmp_path / command)]) == 0
+            assert capsys.readouterr().err == ""
+        cfg = cli.ExperimentConfig.from_dict(payload)
+        assert (tmp_path / "run").read_text() == cli.run_document(cfg)
+        report = cv.run_named_protocol("offline_squeezer", {"r_gate": 354.8})
+        assert report.all_passed()
+        rows = cv.sweep("offline_squeezer", {}, "r_gate", [0.1, 354.8])
+        assert [row["checks_passed"] for row in rows] == [True, True]
+        assert rows[1]["noise_trace"] == report.noise_trace
+
     def test_run_named_protocol_accepts_db(self):
         report = cv.run_named_protocol(
             "identity_chain", {"n_nodes": 3, "squeezing_db": 10.0}, seed=2
@@ -453,7 +504,7 @@ class TestProtocolStatesPhysical:
             steps = [cv.StepPlan(0.2), cv.StepPlan(0.2), cv.StepPlan(-0.2), cv.StepPlan(-0.2)]
             out, _, frame = cv.run_protocol(VAC, steps, r, 11)
             assert cv.uncertainty_defect(out) <= 1e-12
-            assert cv.uncertainty_defect(cv.apply_correction(out, frame)) <= 1e-12
+            assert cv.uncertainty_defect(apply_correction(out, frame)) <= 1e-12
             resource = modified_resource(r, cv.squeezer(0.04))
             assert cv.uncertainty_defect(resource) <= 1e-12
             mixed = cv.apply_gate(cv.tensor(VAC, resource), cv.beamsplitter_5050(), [0, 1])
@@ -532,9 +583,9 @@ class TestOneReportPerDocument:
     @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
     def test_trials_evaluate_the_map_once(self, monkeypatch, protocol):
         # the chains read their channel through chain_channel, the off-line
-        # protocols through _teleportation; three trials draw three sets of
+        # protocols through affine_channel; three trials draw three sets of
         # records from one evaluation
-        spied = "chain_channel" if protocol in CHAIN_PROTOCOLS else "_teleportation"
+        spied = "chain_channel" if protocol in CHAIN_PROTOCOLS else "affine_channel"
         original = getattr(protocols, spied)
         calls = []
 
@@ -593,8 +644,9 @@ class TestOneReportPerDocument:
 
 
 class TestRecordsDrawnWhenRead:
-    # a sampled trial of a chain or an off-line protocol draws from the
-    # generator engine._generator makes of its seed: one call per trial
+    # a sampled trial draws from the generator that phase_space._generator
+    # makes of its seed, a chain's in engine and an off-line protocol's in
+    # protocols: one call per trial
     @pytest.fixture
     def draws(self, monkeypatch):
         calls = []
@@ -604,7 +656,8 @@ class TestRecordsDrawnWhenRead:
             calls.append(outcome_source)
             return original(outcome_source)
 
-        monkeypatch.setattr(engine, "_generator", spy)
+        for module in (engine, protocols):
+            monkeypatch.setattr(module, "_generator", spy)
         return calls
 
     @pytest.mark.parametrize(
@@ -879,7 +932,7 @@ class TestChannelFromAffineMap:
 def _cluster_runner(steps, r):
     def run(state, seed):
         out, _, frame = cv.run_protocol(state, steps, r, seed)
-        return cv.apply_correction(out, frame)
+        return apply_correction(out, frame)
 
     return run
 
@@ -1021,14 +1074,15 @@ class TestOfflineChannelAgreesWithExplicitState:
 
 def _patch_squeezed_variance(monkeypatch, scale):
     """Scale the squeezed resource variance e^{-2r}/4 that every channel's
-    noise is read with."""
-    resource_variances = engine._resource_variances
+    noise and the off-line readings' law are read with."""
+    resource_variances = engine.resource_variances
 
     def scaled(r):
         var_anti, var_squeezed = resource_variances(r)
         return var_anti, scale * var_squeezed
 
-    monkeypatch.setattr(engine, "_resource_variances", scaled)
+    for module in (engine, protocols):
+        monkeypatch.setattr(module, "resource_variances", scaled)
 
 
 def _failed_rows_with_homodyne_moved(monkeypatch, mean_shift, cov_shift):
@@ -1134,7 +1188,7 @@ DOCUMENT_CHECK_MUTATIONS = {
     "channel_matches_target_squeezer": (
         _report_at_ten_db("offline_squeezer"),
         lambda mp: _wrapped(
-            mp, protocols, "_teleportation", lambda ch, *rest: (_shifted(ch, 1e-3), *rest)
+            mp, protocols, "affine_channel", lambda ch, leak: (_shifted(ch, 1e-3), leak)
         ),
     ),
     "noise_is_squeezed_teleportation_noise": (
@@ -1144,9 +1198,7 @@ DOCUMENT_CHECK_MUTATIONS = {
     # a leak readout that reads zero hides the control's outcome dependence
     "outcome_dependence_detected": (
         _unscaled_control,
-        lambda mp: _wrapped(
-            mp, protocols, "_teleportation", lambda ch, leak, mean, cov: (ch, 0.0, mean, cov)
-        ),
+        lambda mp: _wrapped(mp, protocols, "affine_channel", lambda ch, leak: (ch, 0.0)),
     ),
 }
 
@@ -1283,7 +1335,7 @@ VERIFY_CHECK_MUTATIONS = {
     "outcome_independent_offline_squeezer_corrected": _ungained_offline_squeezer,
     # a leak readout that reads zero
     "offline_squeezer_unscaled_control_detects_dependence": lambda mp: _wrapped(
-        mp, protocols, "_teleportation", lambda ch, leak, mean, cov: (ch, 0.0, mean, cov)
+        mp, protocols, "affine_channel", lambda ch, leak: (ch, 0.0)
     ),
     "uncertainty_relation_protocol_states": _sub_vacuum_cluster_nodes,
     # the squeezed resource variance 1 % high
@@ -1325,7 +1377,7 @@ class TestUnphysicalInputRefused:
     @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
     def test_refused_before_any_channel_is_built(self, monkeypatch, protocol, state):
         built = []
-        for name in ("chain_channel", "_teleportation"):
+        for name in ("chain_channel", "affine_channel"):
             monkeypatch.setattr(protocols, name, lambda *args, name=name: built.append(name))
         with pytest.raises(ValueError, match="uncertainty relation"):
             cv.run_named_protocol(protocol, {"input_state": state})
