@@ -16,9 +16,11 @@ re-emitting it is the identity; printed summaries quote values to 12
 significant digits. A run document's text is byte for byte that of
 ``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)``, and each
 byte has one writer: ``emit_json`` (that call) writes the envelope, every
-fact but the records, with ``"records": null``, and ``_records_text``
-writes the records, one template per record straight from the report's
-columns, into that place. Randomness comes from numpy's PCG64 generator
+fact but the records, taken here from the report's own fields, with
+``"records": null``, and ``_records_text`` writes the records, one template
+per record straight from the report's columns, into that place. A sweep's
+CSV is the rows of ``protocols.sweep`` as they are, the header from their
+keys. Randomness comes from numpy's PCG64 generator
 seeded from the config (CLI --seed overrides), which is stable across
 platforms.
 """
@@ -157,15 +159,6 @@ def run_document(cfg: ExperimentConfig) -> str:
     return _run_output(cfg, quiet=True)[0]
 
 
-def sweep_table(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
-    """The sweep's CSV header and cells, in the order of its rows' keys."""
-    if cfg.sweep is None:
-        raise ConfigError("field 'sweep': required for the sweep command")
-    params = _protocol_params(cfg)
-    rows = protocols.sweep(cfg.protocol, params, cfg.sweep["param"], cfg.sweep["values"])
-    return list(rows[0]), [list(row.values()) for row in rows]
-
-
 def emit_json(doc: dict) -> str:
     """The document's text; a NaN or an infinity anywhere raises ``ValueError``."""
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
@@ -199,7 +192,7 @@ def _records_text(table: protocols.RecordTable) -> str:
     return "[\n" + ",\n".join(records) + "\n  ]"
 
 
-def emit_csv(header: list[str], rows: list[list]) -> str:
+def emit_csv(rows: list[dict]) -> str:
     def cell(v) -> str:
         if v is None:
             return ""
@@ -211,8 +204,8 @@ def emit_csv(header: list[str], rows: list[list]) -> str:
             return repr(v)
         return str(v)
 
-    lines = [",".join(header)]
-    lines += [",".join(cell(v) for v in row) for row in rows]
+    lines = [",".join(rows[0])]
+    lines += [",".join(cell(v) for v in row.values()) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -253,17 +246,29 @@ def _run_output(cfg: ExperimentConfig, quiet: bool) -> tuple[str, list[str]]:
         cfg.protocol, _protocol_params(cfg), seed=cfg.seed, trials=cfg.trials
     )
     records = _records_text(report.record_columns)
-    envelope = {"schema_version": SCHEMA_VERSION, "config": cfg.to_dict(), **report.to_dict(),
-                "records": None}
+    (n_xx, n_xp), (_, n_pp) = report.channel.N.tolist()
+    envelope = {
+        "schema_version": SCHEMA_VERSION, "config": cfg.to_dict(),
+        "name": report.name, "parameters": report.parameters,
+        "channel": {"S": report.channel.S.ravel().tolist(), "N": [n_xx, n_xp, n_pp],
+                    "d": report.channel.d.tolist()},
+        "target_S": report.target_S.ravel().tolist(), "fidelity": report.fidelity,
+        "deviation": report.deviation, "noise_trace": report.noise_trace,
+        "checks": [{"name": c.name, "passed": c.passed, "value": c.value} for c in report.checks],
+        "records": None,
+    }
     text = emit_json(envelope).replace(_RECORDS_SLOT, '"records": ' + records, 1)
     return text, [] if quiet else [_summary(cfg.protocol, envelope)]
 
 
 def _sweep_output(cfg: ExperimentConfig, quiet: bool) -> tuple[str, list[str]]:
     """The sweep CSV's text and, unless ``quiet``, one summary line per row."""
-    header, rows = sweep_table(cfg)
-    summary = [] if quiet else [_summary(f"{r[1]}={r[2]}", dict(zip(header, r))) for r in rows]
-    return emit_csv(header, rows), summary
+    if cfg.sweep is None:
+        raise ConfigError("field 'sweep': required for the sweep command")
+    param, values = cfg.sweep["param"], cfg.sweep["values"]
+    rows = protocols.sweep(cfg.protocol, _protocol_params(cfg), param, values)
+    summary = [] if quiet else [_summary(f"{row['param']}={row['value']}", row) for row in rows]
+    return emit_csv(rows), summary
 
 
 def cmd_write(path: str, seed: int | None, output: str | None, quiet: bool, build,

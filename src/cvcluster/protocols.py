@@ -12,10 +12,13 @@ map is stated in ``_offline_facts`` alone and read through
 ``engine.affine_channel``), and reads the report's numbers off the
 channel once, in closed-form 2x2 arithmetic on Python floats (no ``np.linalg``
 call and no ``GaussianState``): the deviation from the target, the
-noise, the input's image and its ideal-output fidelity. ``_report`` adds
-``outcome_independent`` (or the negative control's
-``outcome_dependence_detected``) and the noise's positivity, its smaller
-eigenvalue in LAPACK's closed form. A channel whose S, N or deviation is not
+noise, the input's image and its ideal-output fidelity (formed again from
+images scaled by exact powers of two where its plain form overflows and the
+means do not). ``_report`` adds ``outcome_independent`` (or the negative
+control's ``outcome_dependence_detected``) and the noise's positivity, its
+smaller eigenvalue in LAPACK's closed form; every check holds a Python bool
+and a Python float or None, which ``cli`` writes into a run document as
+they are. A channel whose S, N or deviation is not
 finite is refused with ``ChannelOverflowError`` (naming ``kappa``, or
 ``r_gate`` off-line), and one that carries the input past double precision
 with ``InputOverflowError``, raised with numpy's overflow warnings off in
@@ -64,7 +67,7 @@ from .engine import (
 INDEPENDENCE_TOL = 1e-9
 DEPENDENCE_MIN = 1e-3
 NOISE_PSD_TOL = 1e-10
-ROUNDING_TOL = 64 * np.finfo(float).eps
+ROUNDING_TOL = 64 * float(np.finfo(float).eps)
 # the longest chain a parameter may ask for, and the most records a run document may
 # hold: each keeps a document within a few hundred MB
 MAX_CHAIN_STEPS = 10**5
@@ -207,35 +210,6 @@ class ProtocolReport:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_dict(self) -> dict:
-        """The report's facts as a run document holds them, all but the
-        records, which ``record_columns`` gives."""
-        return {
-            "name": self.name,
-            "parameters": dict(self.parameters),
-            "channel": {
-                "S": [float(v) for v in self.channel.S.ravel()],
-                "N": [
-                    float(self.channel.N[0, 0]),
-                    float(self.channel.N[0, 1]),
-                    float(self.channel.N[1, 1]),
-                ],
-                "d": [float(v) for v in self.channel.d],
-            },
-            "target_S": [float(v) for v in np.asarray(self.target_S).ravel()],
-            "deviation": float(self.deviation),
-            "noise_trace": float(self.noise_trace),
-            "fidelity": None if self.fidelity is None else float(self.fidelity),
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": bool(c.passed),
-                    "value": None if c.value is None else float(c.value),
-                }
-                for c in self.checks
-            ],
-        }
-
 
 _Moments = namedtuple("_Moments", "x p var_x cov_xp var_p")  # one mode's, as floats
 
@@ -285,6 +259,22 @@ def _smallest_eigenvalue(a: float, b: float, c: float) -> float:
     return min(rt1, (acmx / rt1) * acmn - (b / rt1) * b)
 
 
+def _scaled(M: list, rows: list, cols=(0, 0)) -> list:
+    """The 2-column nested list M with entry (i, j) scaled by 2^-(rows[i] + cols[j])."""
+    return [[math.ldexp(v, -e - f) for v, f in zip(row, cols)] for row, e in zip(M, rows)]
+
+
+def _overlap(ideal: _Moments, output: _Moments) -> float:
+    """Tr[|ideal><ideal| output] = exp(-q/2) / (2 sqrt(det T)) for the sum T of the
+    covariances and q = delta^T T^-1 delta >= 0, T^-1 from its adjugate; q is
+    clamped at 0 against rounding, so that exp cannot raise OverflowError."""
+    a, b, c = ideal.var_x + output.var_x, ideal.cov_xp + output.cov_xp, ideal.var_p + output.var_p
+    dx, dp = ideal.x - output.x, ideal.p - output.p
+    det_total = a * c - b * b
+    q = (c * dx * dx - 2.0 * b * dx * dp + a * dp * dp) / det_total
+    return 0.5 * math.exp(-0.5 * max(q, 0.0)) / math.sqrt(det_total)
+
+
 def _channel_facts(channel: GaussianChannel, leak: float, draw: Callable[[], RecordTable],
                    target_S: np.ndarray, input_state: GaussianState, overflow_field: str,
                    reference_S=None) -> _ReportFacts:
@@ -298,26 +288,31 @@ def _channel_facts(channel: GaussianChannel, leak: float, draw: Callable[[], Rec
             f"field {overflow_field!r}: the channel overflows double precision: "
             "S, N or deviation not finite"
         )
-    mean, cov = input_state.mean.tolist(), input_state.cov.tolist()
-    output = _image(S, mean, cov, N, channel.d.tolist())
+    mean, cov, d = input_state.mean.tolist(), input_state.cov.tolist(), channel.d.tolist()
+    output = _image(S, mean, cov, N, d)
     # fidelity needs a pure reference, so it is taken against a symplectic
     # matrix even when the protocol's comparison target is an approximation
-    reference = target_S if reference_S is None else reference_S
-    ideal = _image(reference.tolist(), mean, cov)
+    R = (target_S if reference_S is None else reference_S).tolist()
+    ideal = _image(R, mean, cov)
     # a reference too ill-conditioned for double precision leaves the ideal
     # covariance numerically singular, and its purity 1 / (4 sqrt(det))
     # unresolved: no fidelity then (a det that overflows to inf or NaN fails)
     det = ideal.var_x * ideal.var_p - ideal.cov_xp * ideal.cov_xp
     fidelity = None
     if det > 0 and abs(VACUUM_VARIANCE / math.sqrt(det) - 1.0) <= 1e-9:
-        # Tr[|ideal><ideal| output] = exp(-q/2) / (2 sqrt(det T)) for the sum T of the
-        # covariances and q = delta^T T^-1 delta >= 0, T^-1 from its adjugate; q is
-        # clamped at 0 against rounding, so that exp cannot raise OverflowError
-        a, b, c = ideal.var_x + output.var_x, ideal.cov_xp + output.cov_xp, ideal.var_p + output.var_p
-        dx, dp = ideal.x - output.x, ideal.p - output.p
-        det_total = a * c - b * b
-        q = (c * dx * dx - 2.0 * b * dx * dp + a * dp * dp) / det_total
-        fidelity = 0.5 * math.exp(-0.5 * max(q, 0.0)) / math.sqrt(det_total)
+        fidelity = _overlap(ideal, output)
+        if not math.isfinite(fidelity) and all(map(math.isfinite, [*ideal[:2], *output[:2]])):
+            # a variance of the output or of T can pass the largest float while the fidelity
+            # does not, as for the off-line squeezer near its r_gate limit: both images again,
+            # x scaled by 2^-e[0] and p by 2^-e[1] to bring each quadrature's ideal and noise
+            # variance near 1, and the fidelity, so scaled by 2^(e[0] + e[1]), unscaled
+            e = [math.frexp(max(v, abs(n)))[1] // 2
+                 for v, n in ((ideal.var_x, N[0][0]), (ideal.var_p, N[1][1]))]
+            try:
+                scaled = _image(_scaled(S, e), mean, cov, _scaled(N, e, e), _scaled([d], [0], e)[0])
+                fidelity = math.ldexp(_overlap(_image(_scaled(R, e), mean, cov), scaled), -sum(e))
+            except OverflowError:  # a scaled entry past the largest float: refused below
+                pass
         _require_finite([fidelity], "the fidelity")
     noise_trace = N[0][0] + N[1][1]
     return _ReportFacts(channel, target_S, leak, draw, deviation, noise_trace, output, fidelity)
@@ -691,7 +686,8 @@ def run_named_protocol(
 
 
 def sweep(protocol_id: str, base_params: dict, param: str, values: list) -> list[dict]:
-    """Run a protocol over a one-parameter grid; one summary row per point.
+    """Run a protocol over a one-parameter grid: one summary row per point,
+    whose keys are the sweep CSV's columns in order.
 
     A row holds only quantities of its point's channel, which does not
     depend on the outcomes, so no point draws records and a sweep takes no
@@ -701,15 +697,7 @@ def sweep(protocol_id: str, base_params: dict, param: str, values: list) -> list
     rows = []
     for i, value in enumerate(values):
         report = run_named_protocol(protocol_id, {**base_params, param: value})
-        rows.append(
-            {
-                "index": i,
-                "param": param,
-                "value": value,
-                "deviation": report.deviation,
-                "noise_trace": report.noise_trace,
-                "fidelity": report.fidelity,
-                "checks_passed": report.all_passed(),
-            }
-        )
+        rows.append({"index": i, "param": param, "value": value, "deviation": report.deviation,
+                     "noise_trace": report.noise_trace, "fidelity": report.fidelity,
+                     "checks_passed": report.all_passed()})
     return rows

@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import cvcluster as cv
 from cvcluster import checks, cli, protocols
+from conftest import step_noise_oracle
+from reference import report_facts
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -152,7 +154,7 @@ class TestConfigParsing:
         payload = {**BASE_RUN, "input": spec, "sweep": {"param": "kappa", "values": [0.1, 0.3]}}
         cfg = cli.ExperimentConfig.from_dict(payload)
         assert calls == [spec]  # validated eagerly
-        cli.run_document(cfg) if command == "run" else cli.sweep_table(cfg)
+        cli.run_document(cfg) if command == "run" else cli._sweep_output(cfg, quiet=True)
         assert calls == [spec]
         assert set(cfg.to_dict()) == set(cli._KNOWN_FIELDS)
 
@@ -166,7 +168,7 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             cli.emit_json({"value": float("nan")})
         with pytest.raises(ValueError):
-            cli.emit_csv(["value"], [[float("inf")]])
+            cli.emit_csv([{"value": float("inf")}])
 
     def test_input_kinds(self):
         state = cli.build_input_state({"kind": "coherent", "re": 0.5, "im": -1.0})
@@ -1042,6 +1044,110 @@ class TestOfflineSqueezerNearTheRGateLimit:
         result, out = _console_run(tmp_path, {"protocol": "offline_squeezer", "r_gate": 354.89})
         assert (result.returncode, result.stderr) == (0, "")
         assert all(check["passed"] for check in json.loads(out.read_text())["checks"])
+
+
+# the fidelity's band: at low squeezing, the output's p variance (x for a negative
+# r_gate), and so that entry of the covariance sum T, passes the largest float
+# while the fidelity does not
+FIDELITY_BAND = [(0.0, 354.7), (0.0, 354.89), (0.0, -354.89), (0.5, 354.75), (1.0, 354.8)]
+
+
+def _sweep_rows(text: str) -> list[dict]:
+    header, *rows = (line.split(",") for line in text.splitlines())
+    return [dict(zip(header, row)) for row in rows]
+
+
+@pytest.mark.filterwarnings("error")
+class TestOfflineFidelityNearTheRGateLimit:
+    @pytest.mark.parametrize("kind", ["vacuum", "coherent"])
+    @pytest.mark.parametrize("db, r_gate", FIDELITY_BAND)
+    def test_run_writes_the_fidelity(self, tmp_path, capsys, db, r_gate, kind):
+        payload = {
+            "protocol": "offline_squeezer", "squeezing_db": db, "r_gate": r_gate,
+            "input": BAND_INPUTS[kind],
+        }
+        code, out = main_on(tmp_path, "run", payload, "--quiet")
+        assert (code, capsys.readouterr().err) == (0, "")
+        doc = json.loads(out.read_text())
+        assert [c["name"] for c in doc["checks"] if not c["passed"]] == []
+        state = cli.build_input_state(BAND_INPUTS[kind])
+        (a, b, c), S, target = doc["channel"]["N"], doc["channel"]["S"], doc["target_S"]
+        target = [target[:2], target[2:]]  # the gate, also the fidelity's reference
+        facts = report_facts([S[:2], S[2:]], [[a, b], [b, c]], doc["channel"]["d"], target, target,
+                             state.mean.tolist(), state.cov.tolist())
+        assert facts["fidelity"].holds(doc["fidelity"])
+        # a coherent output is the ideal one plus noise (e^{-2r}/2) diag(e^{-2 r_gate},
+        # e^{2 r_gate}): its fidelity is 1 / (1 + e^{-2r}) for any gate, 0.5 at 0 dB
+        closed_form = 1.0 / (1.0 + math.exp(-2.0 * cv.db_to_squeezing_r(db)))
+        assert abs(doc["fidelity"] - closed_form) <= 4 * np.finfo(float).eps
+
+    def test_sweep_writes_the_fidelity(self, tmp_path, capsys):
+        values = [r_gate for db, r_gate in FIDELITY_BAND if db == 0.0]
+        payload = {
+            "protocol": "offline_squeezer", "squeezing_db": 0.0,
+            "sweep": {"param": "r_gate", "values": values},
+        }
+        code, out = main_on(tmp_path, "sweep", payload, "--quiet")
+        assert (code, capsys.readouterr().err) == (0, "")
+        rows = _sweep_rows(out.read_text())
+        assert [row["checks_passed"] for row in rows] == ["true"] * len(values)
+        assert all(abs(float(row["fidelity"]) - 0.5) <= 4 * np.finfo(float).eps for row in rows)
+
+    def test_console_run_at_the_limit_prints_no_error(self, tmp_path):
+        payload = {"protocol": "offline_squeezer", "squeezing_db": 0, "r_gate": 354.89}
+        result, out = _console_run(tmp_path, payload)
+        assert (result.returncode, result.stderr) == (0, "")
+        doc = json.loads(out.read_text())
+        assert all(check["passed"] for check in doc["checks"])
+        assert abs(doc["fidelity"] - 0.5) <= 1e-12
+
+
+# repeated_squeezer chains whose plain W W^T overflows while N does not: their
+# noise is read through engine._scaled_noise, up to N of about 1e33 and 5e306
+SCALED_NOISE_CHAINS = [(400, 3000.0), (380, 100.0)]
+
+
+@pytest.mark.filterwarnings("error")
+class TestChainNoiseBeyondThePlainProduct:
+    @pytest.mark.parametrize("segments, db", SCALED_NOISE_CHAINS)
+    def test_run_writes_the_oracles_noise(self, tmp_path, capsys, segments, db):
+        payload = {"protocol": "repeated_squeezer", "kappa": 1.0, "segments": segments,
+                   "squeezing_db": db}
+        code, out = main_on(tmp_path, "run", payload, "--quiet")
+        assert (code, capsys.readouterr().err) == (0, "")
+        doc = json.loads(out.read_text())
+        assert [c["name"] for c in doc["checks"] if not c["passed"]] == []
+        _, N = step_noise_oracle([1.0, 1.0, -1.0, -1.0] * segments, cv.db_to_squeezing_r(db))
+        scale = np.max(np.abs(N))
+        assert scale > 1e30
+        got = np.array(doc["channel"]["N"])
+        assert np.max(np.abs(got - [N[0, 0], N[0, 1], N[1, 1]])) <= 1e-12 * scale
+
+    def test_sweep_writes_the_oracles_noise_trace(self, tmp_path, capsys):
+        for segments, db in SCALED_NOISE_CHAINS:
+            payload = {"protocol": "repeated_squeezer", "kappa": 1.0, "squeezing_db": db,
+                       "sweep": {"param": "segments", "values": [segments]}}
+            code, out = main_on(tmp_path, "sweep", payload, "--quiet")
+            assert (code, capsys.readouterr().err) == (0, "")
+            (row,) = _sweep_rows(out.read_text())
+            _, N = step_noise_oracle([1.0, 1.0, -1.0, -1.0] * segments, cv.db_to_squeezing_r(db))
+            assert row["checks_passed"] == "true"
+            assert abs(float(row["noise_trace"]) - np.trace(N)) <= 1e-12 * abs(np.trace(N))
+
+
+def test_importing_the_cli_loads_every_layer():
+    # the benchmark's tracer wraps each layer's module right after this import
+    layers = ["cli", "protocols", "engine", "checks", "phase_space", "cluster", "algebra"]
+    code = (
+        "import sys; import cvcluster.cli; "
+        f"print([m for m in {layers!r} if 'cvcluster.' + m not in sys.modules])"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
 
 class TestSizeBounds:

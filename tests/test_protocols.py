@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pickle
@@ -274,13 +275,35 @@ class TestNoChainSqueezesMoreThanItsResource:
 
 class TestReportsAndSweep:
     def test_report_serialization_round_trip(self):
+        cfg = cli.ExperimentConfig.from_dict(
+            {"protocol": "squeezer_four_step", "kappa": 0.1, "squeezing_db": 10.0, "seed": 5}
+        )
         report = cv.squeezer_four_step(0.1, TEN_DB_R, VAC, seed=5)
-        doc = report.to_dict()
-        assert doc["channel"]["S"] == [float(v) for v in report.channel.S.ravel()]
-        assert doc["target_S"] == [float(v) for v in report.target_S.ravel()]
-        assert "records" not in doc  # the document's records come from the columns
+        doc = json.loads(cli.run_document(cfg))
+        assert doc["channel"]["S"] == report.channel.S.ravel().tolist()
+        (n_xx, n_xp), (_, n_pp) = report.channel.N.tolist()
+        assert doc["channel"]["N"] == [n_xx, n_xp, n_pp]
+        assert doc["target_S"] == report.target_S.ravel().tolist()
         assert [len(trial.step_index) for trial in report.record_columns] == [4]
-        assert {c["name"] for c in doc["checks"]} == {c.name for c in report.checks}
+        assert len(doc["records"]) == 4
+        assert doc["checks"] == [dataclasses.asdict(c) for c in report.checks]
+
+    @pytest.mark.parametrize(
+        "protocol, params",
+        [
+            ("repeated_squeezer", {"kappa": 1.0, "segments": 50}),
+            ("squeezer_four_step", {"kappa": 30.0, "squeezing_db": 0.0}),
+            ("offline_squeezer", {"r_gate": 354.0}),
+        ],
+    )
+    def test_checks_hold_python_bools_and_floats(self, protocol, params):
+        # each has a check whose bound is its rounding term: the run document
+        # writes the checks as they are held, and json refuses a numpy bool
+        report = cv.run_named_protocol(protocol, params)
+        assert all(type(c.passed) is bool and type(c.value) is float for c in report.checks)
+        cfg = cli.ExperimentConfig.from_dict({"protocol": protocol, **params})
+        doc = json.loads(cli.run_document(cfg))
+        assert doc["checks"] == [dataclasses.asdict(c) for c in report.checks]
 
     def test_every_protocol_outcome_independent_at_ten_db(self):
         reports = [
@@ -672,8 +695,8 @@ class TestRecordsDrawnWhenRead:
         cfg = cli.ExperimentConfig.from_dict(
             {"protocol": protocol, "squeezing_db": 10.0, "sweep": {"param": param, "values": values}}
         )
-        _, rows = cli.sweep_table(cfg)
-        assert len(rows) == len(values)
+        text, _ = cli._sweep_output(cfg, quiet=True)
+        assert len(text.splitlines()) == 1 + len(values)
         assert draws == []
 
     @pytest.mark.parametrize("trials", [1, 3])
@@ -693,7 +716,6 @@ class TestRecordsDrawnWhenRead:
         assert draws == []
         first = report.record_columns
         assert report.record_columns is first
-        report.to_dict()
         assert draws == [0, 1, 2]
 
     @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
@@ -727,7 +749,13 @@ class TestRecordsDrawnWhenRead:
             report.record_columns
         copy = pickle.loads(pickle.dumps(report))
         assert copy.record_columns == report.record_columns
-        assert copy.to_dict() == report.to_dict()
+        assert copy.checks == report.checks
+        assert (copy.deviation, copy.noise_trace, copy.fidelity) == (
+            report.deviation, report.noise_trace, report.fidelity
+        )
+        for got, want in ((copy.channel.S, report.channel.S), (copy.channel.N, report.channel.N),
+                          (copy.channel.d, report.channel.d), (copy.target_S, report.target_S)):
+            assert np.array_equal(got, want)
 
 
 class TestFrameRuleOncePerReport:
@@ -1417,4 +1445,5 @@ class TestUnphysicalInputRefused:
         )
         assert report.all_passed()
         assert len(report.record_columns) == 2
-        report.to_dict()
+        # the run document writes each check as it is held
+        assert all(type(c.passed) is bool and type(c.value) is float for c in report.checks)

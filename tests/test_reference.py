@@ -8,7 +8,8 @@ reference's a-priori bound, over the golden configs, the benchmark decks of
 negative control (whose S is not its fidelity reference, so that the two
 means differ) and the null-fidelity grid of ``repeated_squeezer``; where the independent route through
 ``GaussianState`` and ``phase_space.overlap_fidelity`` resolves a fidelity,
-its value must lie within the same bound.
+its value must lie within the same bound. Each check must hold a Python bool
+and a Python float or None: the run document writes them as they are held.
 """
 
 from __future__ import annotations
@@ -78,6 +79,9 @@ def assert_facts_meet_reference(report, state) -> None:
     if route is not None:
         assert facts["fidelity"].holds(route), (report.name, "route fidelity", route)
     assert report.noise_trace == N[0][0] + N[1][1]
+    # the run document writes each check as it is held: a numpy bool is not JSON
+    for check in report.checks:
+        assert type(check.passed) is bool and type(check.value) in (float, type(None)), check
 
 
 def _config_reports(raw: dict):
