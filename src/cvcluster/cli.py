@@ -265,8 +265,7 @@ def _sweep_output(cfg: ExperimentConfig, quiet: bool) -> tuple[str, list[str]]:
     """The sweep CSV's text and, unless ``quiet``, one summary line per row."""
     if cfg.sweep is None:
         raise ConfigError("field 'sweep': required for the sweep command")
-    param, values = cfg.sweep["param"], cfg.sweep["values"]
-    rows = protocols.sweep(cfg.protocol, _protocol_params(cfg), param, values)
+    rows = protocols.sweep(cfg.protocol, _protocol_params(cfg), **cfg.sweep)
     summary = [] if quiet else [_summary(f"{row['param']}={row['value']}", row) for row in rows]
     return emit_csv(rows), summary
 
@@ -298,10 +297,9 @@ def cmd_write(path: str, seed: int | None, output: str | None, quiet: bool, buil
 def cmd_verify(quiet: bool) -> int:
     results = checks.run_all_checks()
     width = max(len(r.name) for r in results)
-    failures = 0
+    failures = sum(not r.passed for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        failures += 0 if r.passed else 1
         if not quiet or not r.passed:
             print(f"{r.name:<{width}}  {status}  {_sig12(r.value)}")
     print(f"{len(results) - failures}/{len(results)} checks passed")

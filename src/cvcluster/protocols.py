@@ -202,10 +202,7 @@ class ProtocolReport:
         return table
 
     def check(self, name: str) -> ProtocolCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
+        return {c.name: c for c in self.checks}[name]  # names are unique in a report
 
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
@@ -697,7 +694,15 @@ def sweep(protocol_id: str, base_params: dict, param: str, values: list) -> list
     rows = []
     for i, value in enumerate(values):
         report = run_named_protocol(protocol_id, {**base_params, param: value})
-        rows.append({"index": i, "param": param, "value": value, "deviation": report.deviation,
-                     "noise_trace": report.noise_trace, "fidelity": report.fidelity,
-                     "checks_passed": report.all_passed()})
+        rows.append(
+            {
+                "index": i,
+                "param": param,
+                "value": value,
+                "deviation": report.deviation,
+                "noise_trace": report.noise_trace,
+                "fidelity": report.fidelity,
+                "checks_passed": report.all_passed(),
+            }
+        )
     return rows

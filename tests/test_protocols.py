@@ -274,35 +274,27 @@ class TestNoChainSqueezesMoreThanItsResource:
 
 
 class TestReportsAndSweep:
-    def test_report_serialization_round_trip(self):
-        cfg = cli.ExperimentConfig.from_dict(
-            {"protocol": "squeezer_four_step", "kappa": 0.1, "squeezing_db": 10.0, "seed": 5}
-        )
-        report = cv.squeezer_four_step(0.1, TEN_DB_R, VAC, seed=5)
+    @pytest.mark.parametrize(
+        "protocol, params, records",
+        [
+            ("squeezer_four_step", {"kappa": 0.1, "squeezing_db": 10.0}, 4),
+            # each of these has a check whose bound is its rounding term: the run
+            # document writes the checks as they are held, and json refuses a numpy bool
+            ("repeated_squeezer", {"kappa": 1.0, "segments": 50}, 200),
+            ("squeezer_four_step", {"kappa": 30.0, "squeezing_db": 0.0}, 4),
+            ("offline_squeezer", {"r_gate": 354.0}, 2),
+        ],
+    )
+    def test_report_serialization_round_trip(self, protocol, params, records):
+        cfg = cli.ExperimentConfig.from_dict({"protocol": protocol, **params, "seed": 5})
+        report = cv.run_named_protocol(protocol, params, seed=5)
         doc = json.loads(cli.run_document(cfg))
         assert doc["channel"]["S"] == report.channel.S.ravel().tolist()
         (n_xx, n_xp), (_, n_pp) = report.channel.N.tolist()
         assert doc["channel"]["N"] == [n_xx, n_xp, n_pp]
         assert doc["target_S"] == report.target_S.ravel().tolist()
-        assert [len(trial.step_index) for trial in report.record_columns] == [4]
-        assert len(doc["records"]) == 4
-        assert doc["checks"] == [dataclasses.asdict(c) for c in report.checks]
-
-    @pytest.mark.parametrize(
-        "protocol, params",
-        [
-            ("repeated_squeezer", {"kappa": 1.0, "segments": 50}),
-            ("squeezer_four_step", {"kappa": 30.0, "squeezing_db": 0.0}),
-            ("offline_squeezer", {"r_gate": 354.0}),
-        ],
-    )
-    def test_checks_hold_python_bools_and_floats(self, protocol, params):
-        # each has a check whose bound is its rounding term: the run document
-        # writes the checks as they are held, and json refuses a numpy bool
-        report = cv.run_named_protocol(protocol, params)
-        assert all(type(c.passed) is bool and type(c.value) is float for c in report.checks)
-        cfg = cli.ExperimentConfig.from_dict({"protocol": protocol, **params})
-        doc = json.loads(cli.run_document(cfg))
+        assert [len(trial.step_index) for trial in report.record_columns] == [records]
+        assert len(doc["records"]) == records
         assert doc["checks"] == [dataclasses.asdict(c) for c in report.checks]
 
     def test_every_protocol_outcome_independent_at_ten_db(self):
@@ -749,9 +741,9 @@ class TestRecordsDrawnWhenRead:
             report.record_columns
         copy = pickle.loads(pickle.dumps(report))
         assert copy.record_columns == report.record_columns
-        assert copy.checks == report.checks
-        assert (copy.deviation, copy.noise_trace, copy.fidelity) == (
-            report.deviation, report.noise_trace, report.fidelity
+        # every field, the arrays elementwise
+        assert dataclasses.replace(copy, channel=None, target_S=None) == dataclasses.replace(
+            report, channel=None, target_S=None
         )
         for got, want in ((copy.channel.S, report.channel.S), (copy.channel.N, report.channel.N),
                           (copy.channel.d, report.channel.d), (copy.target_S, report.target_S)):
