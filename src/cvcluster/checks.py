@@ -6,7 +6,9 @@ ratios). Gate constructors are injectable so a deliberately corrupted gate
 can be shown to fail. The homodyne check conditions random states with
 ``homodyne`` and with an independent precision-matrix oracle that works in
 the measured mode's own frame; its states are drawn in whole-array calls
-(``_draw_states``) and built per mode-count stack (``_build_states``).
+(``_draw_states``) and built per mode-count stack (``_build_states``). The
+protocol rows copy the verdict and value of a vacuum-input report's own
+named check, so their thresholds and closed forms live in ``protocols``.
 """
 
 from __future__ import annotations
@@ -287,32 +289,22 @@ def homodyne_oracle_checks() -> list[ProtocolCheck]:
 
 
 def outcome_independence_checks() -> list[ProtocolCheck]:
-    ten_db = protocols.db_to_squeezing_r(10.0)
-    squeezer_steps = protocols.squeezer_steps(0.2)
-    results = []
-    for name, steps, r in (
-        ("identity_chain_ideal", [StepPlan(0.0)] * 4, IDEAL_SQUEEZING_R),
-        ("identity_chain_10db", [StepPlan(0.0)] * 4, ten_db),
-        ("squeezer_ideal", squeezer_steps, IDEAL_SQUEEZING_R),
-        ("squeezer_10db", squeezer_steps, ten_db),
+    """Each row the named check of a vacuum-input report, as the report holds it."""
+    vac, ideal, rows = vacuum_state(1), IDEAL_SQUEEZING_R, []
+    for name, build in (
+        ("outcome_independent_identity_chain", lambda r: protocols.identity_chain(5, r, vac)),
+        ("outcome_independent_squeezer", lambda r: protocols.squeezer_four_step(0.2, r, vac)),
     ):
-        _, leak = chain_channel(steps, r)
-        results.append(ProtocolCheck(f"outcome_independent_{name}", leak <= 1e-9, leak))
-    vac = vacuum_state(1)
-    for name, rescale, limit in (
-        ("offline_squeezer_corrected", True, None),
-        ("offline_squeezer_unscaled_control", False, 1e-3),
+        for limit, r in (("ideal", ideal), ("10db", protocols.db_to_squeezing_r(10.0))):
+            rows.append((f"{name}_{limit}", build(r).check("outcome_independent")))
+    for name, rescale in (
+        ("outcome_independent_offline_squeezer_corrected", True),
+        ("offline_squeezer_unscaled_control_detects_dependence", False),
     ):
-        report = protocols.offline_squeezer(
-            vac, IDEAL_SQUEEZING_R, 0.04, rescale_correction=rescale
-        )
-        if rescale:
-            dev = report.check("outcome_independent").value
-            results.append(ProtocolCheck(f"outcome_independent_{name}", dev <= 1e-9, dev))
-        else:
-            dev = report.check("outcome_dependence_detected").value
-            results.append(ProtocolCheck(f"{name}_detects_dependence", dev > limit, dev))
-    return results
+        report = protocols.offline_squeezer(vac, ideal, 0.04, rescale_correction=rescale)
+        own = "outcome_independent" if rescale else "outcome_dependence_detected"
+        rows.append((name, report.check(own)))
+    return [ProtocolCheck(name, check.passed, check.value) for name, check in rows]
 
 
 def uncertainty_checks() -> list[ProtocolCheck]:
@@ -328,13 +320,16 @@ def uncertainty_checks() -> list[ProtocolCheck]:
 
 
 def teleport_fidelity_checks() -> list[ProtocolCheck]:
-    worst = 0.0
-    for eps in (1.0, 0.5, 0.1):
-        r = -0.5 * math.log(eps)
-        report = protocols.offline_teleport(vacuum_state(1), r)
-        expected = 1.0 / (1.0 + eps)
-        worst = max(worst, abs(report.fidelity - expected))
-    return [ProtocolCheck("teleport_fidelity_closed_form", worst <= 1e-6, worst)]
+    """The vacuum-input reports' closed-form fidelity checks at e^{-2r} = 1,
+    0.5 and 0.1: the largest value, passing only if all three pass."""
+    own = [
+        protocols.offline_teleport(vacuum_state(1), -0.5 * math.log(eps)).check(
+            "vacuum_fidelity_matches_closed_form"
+        )
+        for eps in (1.0, 0.5, 0.1)
+    ]
+    passed, worst = all(c.passed for c in own), max(c.value for c in own)
+    return [ProtocolCheck("teleport_fidelity_closed_form", passed, worst)]
 
 
 def run_all_checks() -> list[ProtocolCheck]:

@@ -18,7 +18,7 @@ O(k) in the number of steps:
 
 * one array call of ``update_frame`` on probe frames gives every step's
   linear action, and one backward pass folds those into the frame weights
-  T[:, j] = d(frame)/d(s_j);
+  T_j = d(frame)/d(s_j), written straight into the padded rows it reads;
 * the corrected output ``out - T m`` is read off as coefficient vectors
   over the initial quadratures, a few shifted slices of T. That affine map
   is the protocol's channel (``chain_channel``, through the readout
@@ -146,46 +146,37 @@ def update_frame(frame: ByproductFrame, s: float, kappa: float) -> ByproductFram
 # multiplies them. Forming the entangled covariance first would lose that
 # cancellation to rounding at high squeezing.
 
-def _frame_weights(kappas: np.ndarray) -> np.ndarray:
-    """T[:, j] = d(frame)/d(s_j), by one backward pass over the steps.
+def _corrected_weights(kappas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients (Wx, Wp) of the corrected output rows over x_0..x_k and
+    p_0..p_k of the product state (mode 0 the input, modes 1..k resource).
 
     update_frame is linear in (frame, s) and elementwise, so one call on
     three probe frames over every step's kappa gives each step's injection
     b_j (the zero frame with s = 1) and the columns of its propagation
-    matrix A_j (the unit u and unit v frames with s = 0). The final frame
-    is then sum_j A_{k-1} ... A_{j+1} b_j s_j.
+    matrix A_j (the unit u and unit v frames with s = 0). One backward pass
+    then folds them into the frame weights T_j = d(frame)/d(s_j) =
+    A_{k-1} ... A_{j+1} b_j. After the CZ chain the measured functional of
+    step j is m_j = p_j + kappa_j x_j + x_{j-1} + x_{j+1}, and the output
+    mode k carries x_out = x_k, p_out = p_k + x_{k-1}; the corrected rows
+    are out - T m.
     """
     k = kappas.size
     # probe 0 is (s, u, v) = (1, 0, 0), probe 1 is (0, 1, 0), probe 2 is (0, 0, 1)
     s, u, v = np.repeat(np.eye(3)[:, :, None], k, axis=2)
     step = update_frame(ByproductFrame(u, v), s, kappas)
     (bu, a0u, a1u), (bv, a0v, a1v) = step.u.tolist(), step.v.tolist()
-    T0, T1 = [0.0] * k, [0.0] * k
+    T0, T1 = [0.0] * (k + 3), [0.0] * (k + 3)  # entry j + 1 holds T_j; T_{-1} = T_k = T_{k+1} = 0
     g00, g01, g10, g11 = 1.0, 0.0, 0.0, 1.0  # A_{k-1} ... A_{j+1}
     for j in range(k - 1, -1, -1):
-        T0[j] = g00 * bu[j] + g01 * bv[j]
-        T1[j] = g10 * bu[j] + g11 * bv[j]
+        T0[j + 1] = g00 * bu[j] + g01 * bv[j]
+        T1[j + 1] = g10 * bu[j] + g11 * bv[j]
         g00, g01, g10, g11 = (
             g00 * a0u[j] + g01 * a0v[j],
             g00 * a1u[j] + g01 * a1v[j],
             g10 * a0u[j] + g11 * a0v[j],
             g10 * a1u[j] + g11 * a1v[j],
         )
-    return np.array([T0, T1])
-
-
-def _corrected_weights(kappas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients (Wx, Wp) of the corrected output rows over x_0..x_k and
-    p_0..p_k of the product state (mode 0 the input, modes 1..k resource).
-
-    After the CZ chain the measured functional of step j is
-    m_j = p_j + kappa_j x_j + x_{j-1} + x_{j+1}, and the output mode k
-    carries x_out = x_k, p_out = p_k + x_{k-1}; the corrected rows are
-    out - T m.
-    """
-    k = kappas.size
-    padded = np.zeros((2, k + 3))  # column j + 1 holds T_j; T_{-1} = T_k = T_{k+1} = 0
-    padded[:, 1 : k + 1] = _frame_weights(kappas)
+    padded = np.array([T0, T1])
     kappa_x = np.append(kappas, 0.0)
     # kappa_j T_j + T_{j+1} is summed in the order the backward pass folds
     # it into T_{j-1}, so a correct frame rule cancels the weights on the

@@ -5,7 +5,8 @@ protocols teleport through a (possibly gate-modified) two-mode squeezed
 resource. Every corrected protocol is an affine map of its initial product
 state, and every report takes one path. A builder states only its steps
 (``squeezer_steps`` is the four-step pattern) or off-line gate, its target,
-fidelity reference and own checks. Its family's helper, ``_chain_facts`` or
+fidelity reference and own checks (the off-line noise check through
+``_noise_check``). Its family's helper, ``_chain_facts`` or
 ``_offline_facts``, refuses an input that is not one physical mode, reads the
 channel and leak once (a chain's from ``engine.chain_channel``; the off-line
 map is stated in ``_offline_facts`` alone and read through
@@ -490,6 +491,13 @@ def _offline_trials(mean: np.ndarray, cov: np.ndarray, seeds: range) -> RecordTa
     return tuple(RecordColumns(*_OFFLINE_COLUMNS, (u * half, v * half), (u, v)) for u, v in draws)
 
 
+def _noise_check(name: str, N: np.ndarray, r: float, r_gate: float = 0.0) -> ProtocolCheck:
+    """``name``: N against the off-line noise (e^{-2r}/2) diag(e^{-2 r_gate}, e^{2 r_gate})."""
+    oracle = 0.5 * math.exp(-2 * r) * np.diag([math.exp(-2 * r_gate), math.exp(2 * r_gate)])
+    err = _max_abs(N - oracle)
+    return ProtocolCheck(name, err <= _bound(1e-9, _max_abs(N)), err)
+
+
 def _offline_facts(
     input_state: GaussianState,
     r: float,
@@ -535,10 +543,7 @@ def offline_teleport(
     """
     identity = np.eye(2)
     facts = _offline_facts(input_state, r, identity, identity, seed, trials)
-    eps = math.exp(-2 * r)
-    noise_err = _max_abs(facts.channel.N - 0.5 * eps * np.eye(2))
-    noise_ok = noise_err <= _bound(1e-9, _max_abs(facts.channel.N))
-    checks = [ProtocolCheck("noise_is_isotropic_teleportation_noise", noise_ok, noise_err)]
+    checks = [_noise_check("noise_is_isotropic_teleportation_noise", facts.channel.N, r)]
     # np.allclose's test of the vacuum's moments, |a - b| <= 1e-8 + 1e-5 |b|, on floats
     (x, p), ((a, b), (b_, c)) = input_state.mean.tolist(), input_state.cov.tolist()
     vacuum = zip((x, p, a, b, b_, c), (0.0, 0.0, VACUUM_VARIANCE, 0.0, 0.0, VACUUM_VARIANCE))
@@ -546,7 +551,7 @@ def offline_teleport(
         abs(got - want) <= 1e-8 + 1e-5 * abs(want) for got, want in vacuum
     )
     if is_vacuum:
-        fid_err = abs(facts.fidelity - 1.0 / (1.0 + eps))
+        fid_err = abs(facts.fidelity - 1.0 / (1.0 + math.exp(-2 * r)))
         checks.append(
             ProtocolCheck("vacuum_fidelity_matches_closed_form", fid_err <= 1e-6, fid_err)
         )
@@ -577,16 +582,9 @@ def offline_squeezer(
     gain = gate if rescale_correction else np.eye(2)
     facts = _offline_facts(input_state, r, gate, gain, seed, trials)
     target_ok = facts.deviation <= _bound(1e-6, _max_abs(gate))
-    noise_oracle = (
-        0.5
-        * math.exp(-2 * r)
-        * np.diag([math.exp(-2 * r_gate), math.exp(2 * r_gate)])
-    )
-    noise_err = _max_abs(facts.channel.N - noise_oracle)
-    noise_ok = noise_err <= _bound(1e-9, _max_abs(facts.channel.N))
     checks = [
         ProtocolCheck("channel_matches_target_squeezer", target_ok, facts.deviation),
-        ProtocolCheck("noise_is_squeezed_teleportation_noise", noise_ok, noise_err),
+        _noise_check("noise_is_squeezed_teleportation_noise", facts.channel.N, r, r_gate),
     ]
     control = ProtocolCheck("outcome_dependence_detected", facts.leak > DEPENDENCE_MIN, facts.leak)
     return _report(

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import expm
 
 import cvcluster as cv
-from cvcluster import checks
+from cvcluster import checks, engine, protocols
 
 
 def blockwise_J(n_modes: int) -> np.ndarray:
@@ -71,3 +71,16 @@ def step_noise_oracle(kappas, r):
         N = step @ N @ step.T
         N[1, 1] += a
     return S_total, N
+
+
+def patch_squeezed_variance(monkeypatch, scale):
+    """Scale the squeezed resource variance e^{-2r}/4 that every channel's
+    noise and the off-line readings' law are read with."""
+    resource_variances = engine.resource_variances
+
+    def scaled(r):
+        var_anti, var_squeezed = resource_variances(r)
+        return var_anti, scale * var_squeezed
+
+    for module in (engine, protocols):
+        monkeypatch.setattr(module, "resource_variances", scaled)

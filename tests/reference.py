@@ -1,4 +1,4 @@
-"""A 60-digit reference for a protocol report's facts, each with an a-priori bound.
+"""A 60-digit reference for a report's facts and a chain's S and N, each with an a-priori bound.
 
 ``report_facts(S, N, d, target, R, mean, cov)`` evaluates, with the standard
 library's ``decimal`` at 60 significant digits, what a report reads off its
@@ -47,6 +47,39 @@ as large as its value.
   q's absolute error, half of D's relative error, and gamma(4) for the
   exponential (within 2 u), the root and the division. Where D is not
   positive at 60 digits (|T|^2 / D beyond 10^60) there is no fidelity fact.
+
+``chain_channel_reference(kappas, var)`` gives a cluster chain's S and N,
+as ``engine.chain_channel`` reads them, by folding the per-step channels
+forward: start from S = I and N = 0, and for each step, first to last, set
+S <- A(kappa) S and N <- A N A^T + var e_p e_p^T, with A(kappa) = [[-kappa,
+-1], [1, 0]]. It takes the code's own floats, the kappas and the squeezed
+variance var (``engine.resource_variances(r)[1]``), as exact, and never reads
+the frame rule, which the engine's route rests on. The same fold on |A(kappa)|
+gives |S|_fold = |A_{k-1}| ... |A_0| and N_fold = sum_j (P_j e_p)(P_j e_p)^T
+var, with P_j = |A_{k-1}| ... |A_{j+1}|. The bounds on the engine's floats
+follow its operations:
+
+* The probe call of ``update_frame`` gives b_j = e_x and A_j exactly (each
+  entry is 1, -1, 0 or -kappa, formed without rounding). The backward pass
+  forms the product G_j = A_{k-1} ... A_{j+1} one factor at a time: the
+  first column of G A_j is -kappa g_0 + g_1, one product and one sum (2
+  roundings), the second is -g_0, exact. So, as for any product formed one
+  factor at a time (Higham, section 3.5), |G_j - exact| <= gamma(2 (k-1-j))
+  P_j, and the frame weights T_j = G_j e_x carry gamma(2k) P_j e_x.
+* S = G_0 A_0 (its x column is -(kappa_0 T_0 + T_1), one more such step,
+  its p column -T_0): |S - exact| <= gamma(2k) |S|_fold.
+* N = var W W^T, symmetrized, where W holds the squeezed weights -T_j for
+  j = 1..k-1 and e_p, and |T_j| <= P_j e_x = P_{j-1} e_p, so var |W||W|^T
+  <= N_fold. The k-term inner products of W W^T, in any order, carry
+  gamma(k) var |W||W|^T; the weights' errors carry 2 gamma(2k) of it; the
+  product with var and the symmetrization's sum one rounding each. In all,
+  |N - exact| <= gamma(5k + 2) N_fold.
+
+P_j grows like the Fibonacci numbers where |kappa| is near 1, faster than
+the product itself, so these bounds are loosest on long chains of large
+|kappa|. As Higham's model, they ignore underflow: a product that falls
+below the normal range errs by up to 2^-1075 absolutely, which a bound
+relative to the folds does not cover (a subnormal kappa does that).
 
 The re-pinning rule: a change may alter the bytes of a golden file under
 ``tests/data/golden`` only if every float it changes is no farther from
@@ -173,3 +206,27 @@ def report_facts(S, N, d, target, R, mean, cov) -> dict[str, Fact]:
         relative = q_error / 2 + gamma(16) * k_D / 2 + gamma(4)
         facts["fidelity"] = Fact(fidelity, relative * fidelity)
         return facts
+
+
+def chain_channel_reference(kappas, var) -> tuple[list[list[Fact]], list[list[Fact]]]:
+    """S and N of the chain of steps ``kappas`` with squeezed resource variance
+    ``var``, by the forward fold of the per-step channels, each entry a Fact
+    with its bound on ``engine.chain_channel``'s float."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        var = Decimal(float(var))
+        one, zero = Decimal(1), Decimal(0)
+        S = S_fold = [[one, zero], [zero, one]]
+        N = N_fold = [[zero, zero], [zero, zero]]
+        for kappa in kappas:
+            A = [[-Decimal(float(kappa)), -one], [one, zero]]
+            S, S_fold = _matmul(A, S), _matmul(_abs(A), S_fold)
+            N = _matmul(_matmul(A, N), _transpose(A))
+            N_fold = _matmul(_matmul(_abs(A), N_fold), _transpose(_abs(A)))
+            N[1][1] += var
+            N_fold[1][1] += var
+        k = len(kappas)
+        return (
+            [[Fact(S[i][j], gamma(2 * k) * S_fold[i][j]) for j in range(2)] for i in range(2)],
+            [[Fact(N[i][j], gamma(5 * k + 2) * N_fold[i][j]) for j in range(2)] for i in range(2)],
+        )

@@ -101,6 +101,21 @@ def _frame_weights_reference(kappas):
     return T
 
 
+def _corrected_weights_reference(kappas):
+    """(Wx, Wp) by the corrected-row formula, out - T m, over the zero-padded
+    T of ``_frame_weights_reference``."""
+    k = len(kappas)
+    padded = np.zeros((2, k + 3))  # column j + 1 holds T_j; T_{-1} = T_k = T_{k+1} = 0
+    padded[:, 1 : k + 1] = _frame_weights_reference(kappas)
+    kappa_x = np.append(kappas, 0.0)
+    Wx = -(padded[:, : k + 1] + (kappa_x * padded[:, 1 : k + 2] + padded[:, 2:]))
+    Wp = -padded[:, 1 : k + 2]
+    Wx[0, k] += 1.0
+    Wx[1, k - 1] += 1.0
+    Wp[1, k] += 1.0
+    return Wx, Wp
+
+
 class TestFrameWeights:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -114,9 +129,11 @@ class TestFrameWeights:
     @example([1.0, -1.0, 0.0, 1.0])
     @example([-1.0] * 300)
     def test_one_array_call_matches_per_step_reference_bit_for_bit(self, kappas):
-        new = engine._frame_weights(np.array(kappas))
-        assert new.shape == (2, len(kappas))
-        assert new.tobytes() == _frame_weights_reference(kappas).tobytes()
+        Wx, Wp = engine._corrected_weights(np.array(kappas))
+        want_x, want_p = _corrected_weights_reference(kappas)
+        assert Wx.shape == Wp.shape == (2, len(kappas) + 1)
+        assert Wx.tobytes() == want_x.tobytes()
+        assert Wp.tobytes() == want_p.tobytes()
 
 
 class TestRunProtocol:

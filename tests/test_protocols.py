@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import cvcluster as cv
 from cvcluster import algebra, checks, cli, cluster, engine, protocols
-from conftest import step_noise_oracle
+from conftest import patch_squeezed_variance, step_noise_oracle
 from explicit_states import modified_resource
 from measurement_picture import apply_correction
 from reference import report_facts
@@ -1092,19 +1092,6 @@ class TestOfflineChannelAgreesWithExplicitState:
         assert report.all_passed()
 
 
-def _patch_squeezed_variance(monkeypatch, scale):
-    """Scale the squeezed resource variance e^{-2r}/4 that every channel's
-    noise and the off-line readings' law are read with."""
-    resource_variances = engine.resource_variances
-
-    def scaled(r):
-        var_anti, var_squeezed = resource_variances(r)
-        return var_anti, scale * var_squeezed
-
-    for module in (engine, protocols):
-        monkeypatch.setattr(module, "resource_variances", scaled)
-
-
 def _failed_rows_with_homodyne_moved(monkeypatch, mean_shift, cov_shift):
     """The failing ``run_all_checks`` rows once every conditioned state that
     ``verify``'s ``homodyne`` returns has its mean and covariance moved."""
@@ -1134,7 +1121,7 @@ class TestNamedChecksFailUnderMutation:
         assert cv.run_named_protocol(protocol, {"squeezing_db": 10.0}).check(
             "channel_noise_psd"
         ).passed
-        _patch_squeezed_variance(monkeypatch, -1.0)
+        patch_squeezed_variance(monkeypatch, -1.0)
         check = cv.run_named_protocol(protocol, {"squeezing_db": 10.0}).check("channel_noise_psd")
         assert not check.passed
         assert check.value < 0.0
@@ -1143,7 +1130,7 @@ class TestNamedChecksFailUnderMutation:
         assert cv.offline_teleport(VAC, TEN_DB_R).check(
             "noise_is_isotropic_teleportation_noise"
         ).passed
-        _patch_squeezed_variance(monkeypatch, 1.01)
+        patch_squeezed_variance(monkeypatch, 1.01)
         check = cv.offline_teleport(VAC, TEN_DB_R).check("noise_is_isotropic_teleportation_noise")
         assert not check.passed
         # N = 1.01 e^{-2r}/2 I, so the error is 0.01 e^{-2r}/2
@@ -1186,11 +1173,11 @@ DOCUMENT_CHECK_MUTATIONS = {
     ),
     "channel_noise_psd": (
         _report_at_ten_db("identity_chain"),
-        lambda mp: _patch_squeezed_variance(mp, -1.0),
+        lambda mp: patch_squeezed_variance(mp, -1.0),
     ),
     "noise_trace_matches_step_budget": (
         _report_at_ten_db("identity_chain"),
-        lambda mp: _patch_squeezed_variance(mp, 1.01),
+        lambda mp: patch_squeezed_variance(mp, 1.01),
     ),
     "matches_exact_four_step_matrix": (_report_at_ten_db("squeezer_four_step"), _chain_S_shifted(1e-3)),
     "within_cubic_error_of_target": (_report_at_ten_db("squeezer_four_step"), _chain_S_shifted(0.1)),
@@ -1199,11 +1186,11 @@ DOCUMENT_CHECK_MUTATIONS = {
     "matches_exact_segment_power": (_report_at_ten_db("repeated_squeezer"), _chain_S_shifted(1e-3)),
     "noise_is_isotropic_teleportation_noise": (
         _report_at_ten_db("offline_teleport"),
-        lambda mp: _patch_squeezed_variance(mp, 1.01),
+        lambda mp: patch_squeezed_variance(mp, 1.01),
     ),
     "vacuum_fidelity_matches_closed_form": (
         _report_at_ten_db("offline_teleport"),
-        lambda mp: _patch_squeezed_variance(mp, 1.01),
+        lambda mp: patch_squeezed_variance(mp, 1.01),
     ),
     "channel_matches_target_squeezer": (
         _report_at_ten_db("offline_squeezer"),
@@ -1213,7 +1200,7 @@ DOCUMENT_CHECK_MUTATIONS = {
     ),
     "noise_is_squeezed_teleportation_noise": (
         _report_at_ten_db("offline_squeezer"),
-        lambda mp: _patch_squeezed_variance(mp, 1.01),
+        lambda mp: patch_squeezed_variance(mp, 1.01),
     ),
     # a leak readout that reads zero hides the control's outcome dependence
     "outcome_dependence_detected": (
@@ -1359,7 +1346,7 @@ VERIFY_CHECK_MUTATIONS = {
     ),
     "uncertainty_relation_protocol_states": _sub_vacuum_cluster_nodes,
     # the squeezed resource variance 1 % high
-    "teleport_fidelity_closed_form": lambda mp: _patch_squeezed_variance(mp, 1.01),
+    "teleport_fidelity_closed_form": lambda mp: patch_squeezed_variance(mp, 1.01),
 }
 
 
@@ -1374,6 +1361,51 @@ class TestEveryVerifyCheckCanFail:
         names = [row.name for row in checks.run_all_checks()]
         assert len(names) == len(set(names)) == 25
         assert set(names) == set(VERIFY_CHECK_MUTATIONS)
+
+
+CHAIN_ROWS = [
+    f"outcome_independent_{name}"
+    for name in ("identity_chain_ideal", "identity_chain_10db", "squeezer_ideal", "squeezer_10db")
+]
+
+
+class TestVerifyRowsHaveOneOwner:
+    # verify's protocol rows copy their reports' own checks: the reports'
+    # thresholds and closed forms decide them, with no second copy in checks
+    def test_chain_rows_take_the_reports_independence_tolerance(self, monkeypatch):
+        monkeypatch.setattr(protocols, "INDEPENDENCE_TOL", -1.0)
+        rows = {row.name: row for row in checks.outcome_independence_checks()}
+        assert [name for name in CHAIN_ROWS if rows[name].passed] == []
+
+    def test_control_row_takes_the_reports_dependence_minimum(self, monkeypatch):
+        control = cv.offline_squeezer(VAC, cv.IDEAL_SQUEEZING_R, 0.04, rescale_correction=False)
+        leak = control.check("outcome_dependence_detected").value
+        monkeypatch.setattr(protocols, "DEPENDENCE_MIN", 2.0 * leak)
+        rows = {row.name: row for row in checks.outcome_independence_checks()}
+        assert not rows["offline_squeezer_unscaled_control_detects_dependence"].passed
+
+    def test_fidelity_row_takes_the_reports_closed_form_check(self, monkeypatch):
+        # the second of the three reports fails its check; the row must fail with it
+        offline_teleport, reports = protocols.offline_teleport, []
+
+        def second_fails(*args, **kwargs):
+            report = offline_teleport(*args, **kwargs)
+            reports.append(report)
+            if len(reports) != 2:
+                return report
+            failed = tuple(
+                dataclasses.replace(c, passed=False)
+                if c.name == "vacuum_fidelity_matches_closed_form" else c
+                for c in report.checks
+            )
+            return dataclasses.replace(report, checks=failed)
+
+        monkeypatch.setattr(protocols, "offline_teleport", second_fails)
+        (row,) = checks.teleport_fidelity_checks()
+        assert len(reports) == 3
+        assert row.name == "teleport_fidelity_closed_form" and not row.passed
+        own = [report.check("vacuum_fidelity_matches_closed_form").value for report in reports]
+        assert row.value == max(own)
 
 
 # single-mode states that violate cov + (i/4)J >= 0, which no config builds

@@ -10,6 +10,10 @@ means differ) and the null-fidelity grid of ``repeated_squeezer``; where the ind
 ``GaussianState`` and ``phase_space.overlap_fidelity`` resolves a fidelity,
 its value must lie within the same bound. Each check must hold a Python bool
 and a Python float or None: the run document writes them as they are held.
+
+The S and N of every chain those configs read, and of random chains, must
+lie within the bound of ``reference.chain_channel_reference``, a 60-digit
+forward fold of the per-step channels.
 """
 
 from __future__ import annotations
@@ -21,10 +25,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import cvcluster as cv
-from cvcluster import algebra, cli, protocols
-from reference import report_facts
+from cvcluster import algebra, cli, engine, protocols
+from cvcluster.engine import resource_variances  # unpatched: the reference's own variance
+from conftest import patch_squeezed_variance
+from reference import chain_channel_reference, report_facts
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_CONFIGS = sorted((ROOT / "tests" / "data" / "golden").glob("*.config.json"))
@@ -151,3 +158,76 @@ def test_null_fidelity_grid(kappa, segments):
             report = cv.repeated_squeezer(segments, kappa, cv.db_to_squeezing_r(db), state)
             assert (report.fidelity is None) == ((kappa, segments, kind) in NULL_FIDELITY)
             assert_facts_meet_reference(report, state)
+
+
+CHAIN_PROTOCOLS = ("identity_chain", "squeezer_four_step", "repeated_squeezer")
+GOLDEN_CHAIN_CONFIGS = [c for c in GOLDEN_CONFIGS
+                        if json.loads(c.read_text())["protocol"] in CHAIN_PROTOCOLS]
+
+
+def _config_chains(monkeypatch, raw: dict) -> list:
+    """(kappas, r, channel) of each chain that the reports of a config read."""
+    chains, chain_channel = [], protocols.chain_channel
+
+    def spy(steps, r):
+        channel, leak = chain_channel(steps, r)
+        chains.append(([step.kappa for step in steps], r, channel))
+        return channel, leak
+
+    with monkeypatch.context() as patched:
+        patched.setattr(protocols, "chain_channel", spy)
+        _config_reports(raw)
+    return chains
+
+
+def _chain_misses(kappas, r, channel) -> list:
+    """The entries of the channel's S and N outside the chain reference's bound."""
+    S, N = chain_channel_reference(kappas, resource_variances(r)[1])
+    return [(name, i, j, float(got[i, j]))
+            for name, got, facts in (("S", channel.S, S), ("N", channel.N, N))
+            for i in range(2) for j in range(2) if not facts[i][j].holds(float(got[i, j]))]
+
+
+@pytest.mark.parametrize("config", GOLDEN_CHAIN_CONFIGS,
+                         ids=lambda c: c.name.removesuffix(".config.json"))
+def test_golden_chains_meet_the_chain_reference(monkeypatch, config):
+    chains = _config_chains(monkeypatch, json.loads(config.read_text()))
+    assert chains
+    for kappas, r, channel in chains:
+        assert _chain_misses(kappas, r, channel) == [], (len(kappas), r)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("workload", ["protocol_mix", "long_chain"])
+def test_deck_chains_meet_the_chain_reference(monkeypatch, workload, seed):
+    decks = _decks()
+    for entry in decks.make_deck(workload, seed) + decks.known_misses(workload, seed):
+        for kappas, r, channel in _config_chains(monkeypatch, entry["config"]):
+            assert _chain_misses(kappas, r, channel) == [], (entry, len(kappas))
+
+
+# the bound assumes no product underflows, so |kappa| is 0 or at least 1e-100
+NORMAL_KAPPA = st.floats(-1.0, 1.0).filter(lambda kappa: kappa == 0 or abs(kappa) >= 1e-100)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kappas=st.integers(1, 300).flatmap(lambda k: st.lists(
+        st.one_of(NORMAL_KAPPA, st.sampled_from([0.0, -0.0, 1.0, -1.0])), min_size=k, max_size=k
+    )),
+    db=st.floats(0.0, 300.0),
+)
+@example(kappas=[0.0], db=0.0)
+@example(kappas=[1.0, -1.0] * 150, db=300.0)
+def test_chain_channel_meets_the_chain_reference(kappas, db):
+    r = cv.db_to_squeezing_r(db)
+    channel, _ = engine.chain_channel([cv.StepPlan(kappa) for kappa in kappas], r)
+    assert _chain_misses(kappas, r, channel) == []
+
+
+def test_doubled_squeezed_variance_misses_the_chain_reference(monkeypatch):
+    # the reference reads the unpatched variance, so every golden chain's N moves off it
+    patch_squeezed_variance(monkeypatch, 2.0)
+    for config in GOLDEN_CHAIN_CONFIGS:
+        for kappas, r, channel in _config_chains(monkeypatch, json.loads(config.read_text())):
+            assert ("N", 1, 1) in [miss[:3] for miss in _chain_misses(kappas, r, channel)]
