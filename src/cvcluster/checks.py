@@ -3,19 +3,18 @@
 Each check returns a ProtocolCheck with the measured value, so the table the
 CLI prints doubles as a numerical record (in particular the cubic-scaling
 ratios). Gate constructors are injectable so a deliberately corrupted gate
-can be shown to fail. The homodyne check conditions random states with
-``homodyne`` and with an independent precision-matrix oracle that works in
-the measured mode's own frame; its states are drawn in whole-array calls
-(``_draw_states``) and built per mode-count stack (``_build_states``). The
-protocol rows copy the verdict and value of a vacuum-input report's own
-named check, so their thresholds and closed forms live in ``protocols``.
+can be shown to fail. The measurement-picture row holds ``chain_channel`` to
+the paper's one-way computation: a cluster state assembled with
+``phase_space`` gates, measured node by node with ``homodyne`` and corrected
+with ``update_frame``, which is bound here at import so that a change to
+``engine`` alone shows as a disagreement. The protocol rows copy the verdict
+and value of a vacuum-input report's own named check, so their thresholds
+and closed forms live in ``protocols``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
-from collections.abc import Iterator
 from fractions import Fraction
 
 import numpy as np
@@ -26,8 +25,6 @@ from .phase_space import (
     GaussianState,
     Quadrature,
     SymplecticGate,
-    VACUUM_VARIANCE,
-    _generator,
     beamsplitter_5050,
     controlled_z,
     controlled_z_pp,
@@ -43,9 +40,7 @@ from .phase_space import (
     IDEAL_SQUEEZING_R,
 )
 from .cluster import ClusterSpec, attach_input, linear_cluster
-from .engine import StepPlan, chain_channel
-
-ORACLE_STATES, ORACLE_SEED = 100, 12345  # the random states the homodyne oracle check conditions
+from .engine import ByproductFrame, StepPlan, chain_channel, update_frame
 
 
 def default_gates() -> dict[str, SymplecticGate]:
@@ -146,146 +141,56 @@ def squeezer_matrix_checks() -> list[ProtocolCheck]:
     return results
 
 
-StateDraws = namedtuple(
-    "StateDraws", "n_modes mode kind theta r shear partner displacement measured angle outcome"
-)
+def measurement_picture_deviation(
+    steps: list[StepPlan], r: float, state_in: GaussianState
+) -> float:
+    """How far ``chain_channel(steps, r)`` sends ``state_in`` from the paper's
+    measurement picture of the same chain.
 
-
-def _draw_states(rng: np.random.Generator, n_modes: np.ndarray) -> StateDraws:
-    """B random states, state b of N = ``n_modes[b]`` modes, each with one
-    homodyne measurement, drawn in whole-array calls in this order: for each
-    of the 3 max N gate slots of every state, its mode (uniform over the N),
-    its kind (0 rotation, 1 squeezer, 2 shear, 3 controlled_z), a rotation
-    theta ~ U(-pi, pi), a squeezer r ~ U(-1, 1), a shear ~ U(-1.5, 1.5) and
-    a CZ partner (uniform over the other N - 1 modes), one (B, 3 max N) call
-    each; then the displacement ~ N(0, 1), (B, 2 max N); then per state the
-    measured mode, the quadrature angle ~ U(0, 2 pi) and the outcome ~ N(0, 1).
-
-    A state applies its first 3N slots in order, each the gate of its kind;
-    a controlled_z on a 1-mode state is an identity slot. A state uses the
-    first 2N entries of its displacement.
+    The input is attached to a linear cluster, and each probe measures
+    p + kappa_j x_j of the head mode with ``homodyne`` at forced outcomes
+    s_j and folds them into the frame with ``update_frame``. The corrected
+    conditional mean is affine in s, a + G s, so the zero probe and the
+    k unit probes give a and G; the conditional covariance Sigma_c is the
+    same for every outcome. The outcomes C q, C the rows p_j + kappa_j x_j
+    of the assembled state (mean mu, covariance V), then give the output
+    by the law of total covariance: mean a + G C mu and covariance
+    Sigma_c + G C V C^T G^T. The value is the worst of the mean's absolute
+    deviation and the covariance's deviation relative to its largest entry;
+    a NaN anywhere makes it NaN.
     """
-    n = np.asarray(n_modes)
-    shape = (n.size, 3 * int(n.max()))
-    mode = rng.integers(0, n[:, None], size=shape)
-    kind = rng.integers(4, size=shape)
-    theta, r, shear = (rng.uniform(-high, high, size=shape) for high in (math.pi, 1.0, 1.5))
-    other = rng.integers(0, np.maximum(n - 1, 1)[:, None], size=shape)
-    partner = other + (other >= mode)
-    displacement = rng.normal(0.0, 1.0, size=(n.size, 2 * int(n.max())))
-    measured = rng.integers(0, n)
-    angle = rng.uniform(0.0, 2 * math.pi, size=n.size)
-    outcome = rng.normal(0.0, 1.0, size=n.size)
-    return StateDraws(
-        n, mode, kind, theta, r, shear, partner, displacement, measured, angle, outcome
-    )
+    kappas = [step.kappa for step in steps]
+    k = len(kappas)
+    assembled = attach_input(state_in, linear_cluster(ClusterSpec(k, r)))
+    means = []
+    for outcomes in np.vstack([np.zeros(k), np.eye(k)]).tolist():
+        state, frame = assembled, ByproductFrame()
+        for s, kappa in zip(outcomes, kappas):
+            state = homodyne(state, Quadrature(0, kappa, 1.0), forced=s)[1]
+            frame = update_frame(frame, s, kappa)
+        means.append(state.mean - np.array([frame.u, frame.v]))
+    a, G = means[0], np.column_stack(means[1:]) - means[0][:, None]
+    C = np.zeros((k, 2 * k + 2))
+    for j, kappa in enumerate(kappas):
+        C[j, 2 * j : 2 * j + 2] = kappa, 1.0
+    mean = a + G @ (C @ assembled.mean)
+    # the last probe's covariance is Sigma_c: it does not depend on the outcomes
+    cov = state.cov + G @ (C @ assembled.cov @ C.T) @ G.T
+    expected = chain_channel(steps, r)[0].apply(state_in)
+    scale = float(np.max(np.abs(expected.cov)))
+    deviations = [np.max(np.abs(mean - expected.mean)), np.max(np.abs(cov - expected.cov)) / scale]
+    return float(np.max(deviations))
 
 
-def _build_states(draws: StateDraws, index: np.ndarray) -> list[GaussianState]:
-    """The states ``index`` of ``draws``, which share a mode count N, in one stack.
-
-    Each kind's gate entries, computed with the ``phase_space`` constructors'
-    own formulas, go into a (B, 3N, 2N, 2N) stack of identities through that
-    kind's mask of the first 3N slots. Gate slot t of every state is then
-    one stacked ``S cov S^T`` with the symmetrization of ``apply_gate``, so
-    each state gets the floats of its own ``apply_gate`` route; an identity
-    slot is an exact no-op. The gates leave the mean exactly zero, so it is
-    the displacement.
-    """
-    n_modes = int(draws.n_modes[index[0]])
-    dim, slots = 2 * n_modes, 3 * n_modes
-    kind, x = draws.kind[index, :slots], 2 * draws.mode[index, :slots]
-    S = np.tile(np.eye(dim), (len(index), slots, 1, 1))
-    b, t = np.nonzero(kind == 0)  # rotation
-    theta, xr = draws.theta[index[b], t].tolist(), x[b, t]
-    cos, sin = [math.cos(v) for v in theta], [math.sin(v) for v in theta]
-    S[b, t, xr, xr] = S[b, t, xr + 1, xr + 1] = cos
-    S[b, t, xr, xr + 1], S[b, t, xr + 1, xr] = np.negative(sin), sin
-    b, t = np.nonzero(kind == 1)  # squeezer
-    r, xs = draws.r[index[b], t].tolist(), x[b, t]
-    S[b, t, xs, xs] = [math.exp(-v) for v in r]
-    S[b, t, xs + 1, xs + 1] = [math.exp(v) for v in r]
-    b, t = np.nonzero(kind == 2)  # shear
-    S[b, t, x[b, t] + 1, x[b, t]] = draws.shear[index[b], t]
-    b, t = np.nonzero((kind == 3) & (n_modes > 1))  # controlled_z on (mode, partner)
-    y = 2 * draws.partner[index[b], t]
-    S[b, t, x[b, t] + 1, y] = S[b, t, y + 1, x[b, t]] = 1.0
-    cov = np.tile(VACUUM_VARIANCE * np.eye(dim), (len(index), 1, 1))
-    for t in range(slots):
-        cov = S[:, t] @ cov @ S[:, t].transpose(0, 2, 1)
-        cov = 0.5 * (cov + cov.transpose(0, 2, 1))
-    return [GaussianState(shift, c) for shift, c in zip(draws.displacement[index, :dim], cov)]
-
-
-def _oracle_condition(
-    states: list[GaussianState], quads: list[Quadrature], outcomes: list[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Brute-force joint-Gaussian conditioning through the precision matrix,
-    for B states of one mode count: an independent route from ``homodyne``'s
-    Schur-complement update.
-
-    Each state goes into the measured mode's own frame, orthonormal to
-    rounding: row 0 of the map is c / |c| on the measured mode, row 1 its
-    complement (-c_p, c_x) / |c|, and the other rows are every other
-    quadrature, unchanged and in order. The transformed covariance is
-    inverted, the conditional moments of rows 1.. are read from the
-    precision blocks with row 0 pinned at outcome / |c|, and the complement
-    row is dropped. Returns the other modes' means (B, 2N-2) and covariances
-    (B, 2N-2, 2N-2), in ``homodyne``'s order.
-    """
-    dim = 2 * states[0].n_modes
-    b = np.arange(len(states))
-    x = 2 * np.array([quad.mode for quad in quads])
-    norm = np.array([math.hypot(quad.c_x, quad.c_p) for quad in quads])
-    u_x = np.array([quad.c_x for quad in quads]) / norm
-    u_p = np.array([quad.c_p for quad in quads]) / norm
-    L = np.zeros((len(states), dim, dim))
-    L[b, 0, x], L[b, 0, x + 1], L[b, 1, x], L[b, 1, x + 1] = u_x, u_p, -u_p, u_x
-    others = np.arange(dim - 2) + 2 * (np.arange(dim - 2) >= x[:, None])
-    L[b[:, None], np.arange(2, dim), others] = 1.0
-    mu_t = (L @ np.array([state.mean for state in states])[:, :, None])[:, :, 0]
-    lam = np.linalg.inv(L @ np.array([state.cov for state in states]) @ L.transpose(0, 2, 1))
-    cov_cond = np.linalg.inv(lam[:, 1:, 1:])
-    residual = np.array(outcomes) / norm - mu_t[:, 0]
-    pull = (cov_cond @ lam[:, 1:, :1])[:, :, 0] * residual[:, None]
-    return (mu_t[:, 1:] - pull)[:, 1:], cov_cond[:, 1:, 1:]
-
-
-def _oracle_stacks() -> Iterator[tuple[list[GaussianState], list[Quadrature], list[float]]]:
-    """The homodyne oracle check's states, quadratures and forced outcomes,
-    one stack per mode count in ascending order.
-
-    The mode counts, N in {2, 3, 4}, are drawn first, in one call, and then
-    the rest of every state (``_draw_states``); the states are built per
-    mode-count stack (``_build_states``).
-    """
-    rng = _generator(ORACLE_SEED)
-    draws = _draw_states(rng, rng.integers(2, 5, size=ORACLE_STATES))
-    for n_modes in sorted(set(draws.n_modes.tolist())):
-        index = np.flatnonzero(draws.n_modes == n_modes)
-        measured, angle = draws.measured[index].tolist(), draws.angle[index].tolist()
-        quads = [Quadrature(m, math.cos(a), math.sin(a)) for m, a in zip(measured, angle)]
-        yield _build_states(draws, index), quads, draws.outcome[index].tolist()
-
-
-def homodyne_oracle_checks() -> list[ProtocolCheck]:
-    """``homodyne`` on ORACLE_STATES random states against ``_oracle_condition``.
-
-    The states (``_oracle_stacks``) and the oracle are evaluated per
-    mode-count stack; ``homodyne``, the function under test, runs once per
-    state.
-    """
-    worst = 0.0
-    for states, quads, outcomes in _oracle_stacks():
-        mean, cov = _oracle_condition(states, quads, outcomes)
-        conditioned = [
-            homodyne(state, quad, forced=outcome)[1]
-            for state, quad, outcome in zip(states, quads, outcomes)
-        ]
-        mean_dev = np.array([rest.mean for rest in conditioned]) - mean
-        cov_dev = np.array([rest.cov for rest in conditioned]) - cov
-        worst = max(worst, float(np.max(np.abs(mean_dev))), float(np.max(np.abs(cov_dev))))
-    return [ProtocolCheck("homodyne_matches_conditioning_oracle", worst <= 1e-10, worst)]
+def measurement_picture_checks() -> list[ProtocolCheck]:
+    """``measurement_picture_deviation`` on the four-step squeezer at kappa
+    0.2 and a four-step chain of mixed kappas at 10 dB, for one fixed
+    non-vacuum input; a NaN fails the row."""
+    r = protocols.db_to_squeezing_r(10.0)
+    state_in = GaussianState(np.array([0.3, -0.2]), np.array([[0.4, 0.1], [0.1, 0.3]]))
+    chains = (protocols.squeezer_steps(0.2), [StepPlan(v) for v in (0.4, 0.0, -0.7, 1.1)])
+    worst = float(np.max([measurement_picture_deviation(steps, r, state_in) for steps in chains]))
+    return [ProtocolCheck("chain_matches_measurement_picture", worst <= 1e-10, worst)]
 
 
 def outcome_independence_checks() -> list[ProtocolCheck]:
@@ -339,7 +244,7 @@ def run_all_checks() -> list[ProtocolCheck]:
     results += cubic_identity_checks()
     results += bch_checks()
     results += squeezer_matrix_checks()
-    results += homodyne_oracle_checks()
+    results += measurement_picture_checks()
     results += outcome_independence_checks()
     results += uncertainty_checks()
     results += teleport_fidelity_checks()

@@ -140,9 +140,12 @@ def _det(cov: np.ndarray) -> float:
 
 
 def purity(state: GaussianState) -> float:
-    """Tr rho^2 = (1/4)^N / sqrt(det cov)."""
-    n = state.n_modes
-    return float(VACUUM_VARIANCE**n / math.sqrt(_det(state.cov)))
+    """Tr rho^2 = (1/4)^N / sqrt(det cov); a determinant that is not positive,
+    as rounding leaves for a (nearly) singular covariance, is refused."""
+    det = _det(state.cov)
+    if not det > 0.0:
+        raise ValueError(f"purity needs a positive covariance determinant, got {det!r}")
+    return float(VACUUM_VARIANCE**state.n_modes / math.sqrt(det))
 
 
 def uncertainty_defect(state: GaussianState) -> float:
@@ -351,7 +354,8 @@ def homodyne(
     Note: this is the exact single-shot posterior. The conditional mean of
     downstream modes is pulled toward the finite-squeezing envelope, so it is
     not the Weyl-Heisenberg bookkeeping the measurement-based protocols use
-    for their corrected outputs; see ``engine.run_protocol`` for that.
+    for their corrected outputs; see ``engine.chain_channel`` for that, and
+    ``checks.measurement_picture_checks``, which holds the two to each other.
     """
     if state.n_modes < 1:
         raise ValueError("state must have at least one mode")

@@ -3,8 +3,8 @@
 The oracles deliberately take different computational routes from the code
 they check: gate matrices come from exponentiating the commutator generator,
 Gaussian conditioning goes through the full precision matrix in the
-measured mode's own frame (shared with ``verify``), and the chain channel
-comes from a plain 2x2 recursion.
+measured mode's own frame, and the chain channel comes from a plain 2x2
+recursion.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import expm
 
 import cvcluster as cv
-from cvcluster import checks, engine, protocols
+from cvcluster import engine, protocols
 
 
 def blockwise_J(n_modes: int) -> np.ndarray:
@@ -38,21 +38,56 @@ def condition_on_functional_oracle(
     state: cv.GaussianState, quad: cv.Quadrature, outcome: float
 ) -> tuple[float, cv.GaussianState]:
     """What ``homodyne(state, quad, forced=outcome)`` returns, by conditioning
-    through the precision matrix in the measured mode's own frame
-    (``checks._oracle_condition``, which ``verify`` runs too). The two
-    inverses leave the covariance symmetric only to rounding, so it is
-    symmetrized for ``GaussianState``, as ``homodyne`` does."""
-    mean, cov = checks._oracle_condition([state], [quad], [outcome])
-    return outcome, cv.GaussianState(mean[0], 0.5 * (cov[0] + cov[0].T))
+    through the precision matrix in the measured mode's own frame: the
+    measured functional c / |c|, its complement (-c_p, c_x) / |c| on the same
+    mode, and every other quadrature unchanged and in order. The conditional
+    moments are read from the precision blocks with the functional pinned at
+    outcome / |c|, and the complement is dropped. The two inverses leave the
+    covariance symmetric only to rounding, so it is symmetrized for
+    ``GaussianState``, as ``homodyne`` does."""
+    dim, x = 2 * state.n_modes, 2 * quad.mode
+    norm = math.hypot(quad.c_x, quad.c_p)
+    u_x, u_p = quad.c_x / norm, quad.c_p / norm
+    L = np.zeros((dim, dim))
+    L[0, x], L[0, x + 1], L[1, x], L[1, x + 1] = u_x, u_p, -u_p, u_x
+    for row, k in enumerate([k for k in range(dim) if k not in (x, x + 1)], start=2):
+        L[row, k] = 1.0
+    mu_t = L @ state.mean
+    lam = np.linalg.inv(L @ state.cov @ L.T)
+    cov_cond = np.linalg.inv(lam[1:, 1:])
+    mean = mu_t[1:] - cov_cond @ lam[1:, 0] * (outcome / norm - mu_t[0])
+    cov = cov_cond[1:, 1:]
+    return outcome, cv.GaussianState(mean[1:], 0.5 * (cov + cov.T))
 
 
 def random_gaussian_state(seed: int, n_modes: int, displaced: bool = True) -> cv.GaussianState:
-    """A well-conditioned random pure state built from bounded basic gates
-    (``checks._draw_states`` and ``checks._build_states``), seeded per call."""
+    """A well-conditioned random pure state built from bounded basic gates,
+    seeded per call: 3N gate slots, each with a mode, a kind (rotation,
+    squeezer, shear or CZ, an identity slot on one mode), an angle in
+    [-pi, pi), a squeezing in [-1, 1), a shear in [-1.5, 1.5) and a CZ partner
+    among the other modes, drawn one quantity at a time for every slot; then
+    a displacement ~ N(0, 1) of each quadrature. The gates are applied one
+    ``apply_gate`` at a time from the vacuum."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    state = checks._build_states(checks._draw_states(rng, np.array([n_modes])), np.arange(1))[0]
-    # the gates leave the mean at zero; the displacement is the last draw
-    return state if displaced else cv.GaussianState(np.zeros(2 * n_modes), state.cov)
+    slots = 3 * n_modes
+    mode = rng.integers(0, n_modes, size=slots).tolist()
+    kind = rng.integers(4, size=slots).tolist()
+    theta, r, shear = (rng.uniform(-high, high, size=slots).tolist() for high in (math.pi, 1, 1.5))
+    other = rng.integers(0, max(n_modes - 1, 1), size=slots).tolist()
+    displacement = rng.normal(0.0, 1.0, size=2 * n_modes)
+    state = cv.vacuum_state(n_modes)
+    for t in range(slots):
+        if kind[t] == 0:
+            state = cv.apply_gate(state, cv.rotation(theta[t]), [mode[t]])
+        elif kind[t] == 1:
+            state = cv.apply_gate(state, cv.squeezer(r[t]), [mode[t]])
+        elif kind[t] == 2:
+            state = cv.apply_gate(state, cv.shear(shear[t]), [mode[t]])
+        elif n_modes > 1:
+            partner = other[t] + (other[t] >= mode[t])
+            state = cv.apply_gate(state, cv.controlled_z(), [mode[t], partner])
+    # the gates leave the mean at zero
+    return cv.GaussianState(displacement if displaced else np.zeros(2 * n_modes), state.cov)
 
 
 def step_noise_oracle(kappas, r):

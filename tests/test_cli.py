@@ -604,194 +604,7 @@ class TestParser:
         assert created == []
 
 
-def _random_state_by_apply_gate(draws, b):
-    """State ``b`` of ``checks._draw_states`` draws, read one slot at a time
-    and built with one validated ``apply_gate`` state per gate; kept as the
-    reference for ``checks._build_states``."""
-    n_modes = int(draws.n_modes[b])
-    state = cv.vacuum_state(n_modes)
-    for t in range(3 * n_modes):
-        mode, kind = int(draws.mode[b, t]), int(draws.kind[b, t])
-        if kind == 0:
-            state = cv.apply_gate(state, cv.rotation(float(draws.theta[b, t])), [mode])
-        elif kind == 1:
-            state = cv.apply_gate(state, cv.squeezer(float(draws.r[b, t])), [mode])
-        elif kind == 2:
-            state = cv.apply_gate(state, cv.shear(float(draws.shear[b, t])), [mode])
-        elif n_modes > 1:
-            state = cv.apply_gate(state, cv.controlled_z(), [mode, int(draws.partner[b, t])])
-    mean = state.mean + draws.displacement[b, : 2 * n_modes]
-    return cv.GaussianState(mean, state.cov)
-
-
-def _draw_twice(seed, n_modes):
-    """``checks._draw_states`` on two equally seeded generators, after the
-    caller's draw of ``n_modes`` from each; asserts the documented shapes and
-    that both draws, and the generators they leave, are equal."""
-    rngs = [np.random.Generator(np.random.PCG64(seed)) for _ in range(2)]
-    draws, again = (checks._draw_states(rng, n_modes(rng)) for rng in rngs)
-    B, slots = draws.n_modes.size, 3 * int(draws.n_modes.max())
-    assert [field.shape for field in draws] == (
-        [(B,)] + [(B, slots)] * 6 + [(B, 2 * slots // 3)] + [(B,)] * 3
-    )
-    for field, expected in zip(draws, again, strict=True):
-        assert np.array_equal(field, expected)
-    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
-    return draws
-
-
-def _verify_draws():
-    """The homodyne oracle check's draws: its mode counts, then ``_draw_states``."""
-    rng = np.random.Generator(np.random.PCG64(checks.ORACLE_SEED))
-    return checks._draw_states(rng, rng.integers(2, 5, size=checks.ORACLE_STATES))
-
-
-def _homodyne_oracle_value_one_state_at_a_time():
-    """The homodyne oracle check's value with each state built in turn by the
-    ``apply_gate`` route and conditioned by ``_oracle_condition_one_state``."""
-    draws = _verify_draws()
-    worst = 0.0
-    for b in range(checks.ORACLE_STATES):
-        state = _random_state_by_apply_gate(draws, b)
-        angle = float(draws.angle[b])
-        quad = cv.Quadrature(int(draws.measured[b]), math.cos(angle), math.sin(angle))
-        outcome = float(draws.outcome[b])
-        _, conditioned = cv.homodyne(state, quad, forced=outcome)
-        mean, cov = _oracle_condition_one_state(state, quad, outcome)
-        worst = max(
-            worst,
-            float(np.max(np.abs(conditioned.mean - mean))),
-            float(np.max(np.abs(conditioned.cov - cov))),
-        )
-    return worst
-
-
-def _oracle_condition_one_state(state, quad, outcome):
-    """The precision-matrix route of the homodyne oracle for one state, in
-    the measured mode's own frame, with per-matrix calls; kept as the
-    reference for the stacked ``checks._oracle_condition``."""
-    dim, x = 2 * state.n_modes, 2 * quad.mode
-    norm = math.hypot(quad.c_x, quad.c_p)
-    u_x, u_p = quad.c_x / norm, quad.c_p / norm
-    L = np.zeros((dim, dim))
-    L[0, x], L[0, x + 1], L[1, x], L[1, x + 1] = u_x, u_p, -u_p, u_x
-    for row, k in enumerate([k for k in range(dim) if k not in (x, x + 1)], start=2):
-        L[row, k] = 1.0
-    mu_t = L @ state.mean
-    lam = np.linalg.inv(L @ state.cov @ L.T)
-    cov_cond = np.linalg.inv(lam[1:, 1:])
-    mu_cond = mu_t[1:] - cov_cond @ lam[1:, 0] * (outcome / norm - mu_t[0])
-    return mu_cond[1:], cov_cond[1:, 1:]
-
-
-def _assert_stacked_oracle_equals_one_state_route(states, quads, outcomes):
-    mean, cov = checks._oracle_condition(states, quads, outcomes)
-    for state, quad, outcome, mu, sigma in zip(states, quads, outcomes, mean, cov):
-        mu_ref, cov_ref = _oracle_condition_one_state(state, quad, outcome)
-        assert np.array_equal(mu, mu_ref)
-        assert np.array_equal(sigma, cov_ref)
-        single = checks._oracle_condition([state], [quad], [outcome])
-        assert np.array_equal(single[0][0], mu_ref) and np.array_equal(single[1][0], cov_ref)
-
-
-def _identity_draw_index(draws, count):
-    """The first ``count`` 1-mode states of ``draws`` that draw a CZ, an
-    identity slot, in every one of their three gate slots."""
-    index = np.flatnonzero((draws.n_modes == 1) & (draws.kind[:, :3] == 3).all(axis=1))
-    assert len(index) >= count
-    return index[:count]
-
-
-def _assert_states_equal_the_apply_gate_route(draws, index):
-    for b, state in zip(index, checks._build_states(draws, index)):
-        reference = _random_state_by_apply_gate(draws, b)
-        assert np.array_equal(state.mean, reference.mean)
-        assert np.array_equal(state.cov, reference.cov)
-
-
 class TestVerifySuite:
-    @pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
-    def test_oracle_states_equal_the_apply_gate_route(self, n_modes):
-        for seed in range(25):
-            draws = _draw_twice(seed, lambda rng: np.array([n_modes]))
-            _assert_states_equal_the_apply_gate_route(draws, np.arange(1))
-
-    @pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
-    def test_stacked_states_equal_the_apply_gate_route(self, n_modes):
-        # among mixed mode counts, so a stack's states leave the slots beyond 3N unread
-        draws = _draw_twice(n_modes, lambda rng: rng.integers(1, 5, size=120))
-        _assert_states_equal_the_apply_gate_route(draws, np.flatnonzero(draws.n_modes == n_modes))
-
-    def test_stacked_oracle_equals_the_one_state_route_on_every_verify_state(self):
-        stacks = list(checks._oracle_stacks())
-        assert [states[0].n_modes for states, _, _ in stacks] == [2, 3, 4]
-        assert sum(len(states) for states, _, _ in stacks) == checks.ORACLE_STATES
-        for states, quads, outcomes in stacks:
-            _assert_stacked_oracle_equals_one_state_route(states, quads, outcomes)
-
-    @pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
-    def test_stacked_oracle_equals_the_one_state_route_on_random_stacks(self, n_modes):
-        rng = np.random.Generator(np.random.PCG64(40 + n_modes))
-        states = checks._build_states(
-            checks._draw_states(rng, np.full(24, n_modes)), np.arange(24)
-        )
-        # exact axes make c_x or c_p an exact zero
-        axes = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
-        angles = rng.uniform(0.0, 2 * math.pi, size=len(states) - len(axes))
-        coefficients = axes + [(math.cos(a), math.sin(a)) for a in angles]
-        quads = [
-            cv.Quadrature(int(rng.integers(n_modes)), c_x, c_p) for c_x, c_p in coefficients
-        ]
-        outcomes = [float(x) for x in rng.normal(0.0, 1.0, size=len(states))]
-        _assert_stacked_oracle_equals_one_state_route(states, quads, outcomes)
-
-    def test_one_mode_stack_of_identity_slots_only(self):
-        draws = checks._draw_states(np.random.Generator(np.random.PCG64(3)), np.ones(400, int))
-        index = _identity_draw_index(draws, 3)
-        _assert_states_equal_the_apply_gate_route(draws, index)
-        states = checks._build_states(draws, index)
-        assert all(np.array_equal(s.cov, cv.vacuum_state(1).cov) for s in states)
-        quads = [cv.Quadrature(0, c_x, c_p) for c_x, c_p in ((1.0, 0.0), (0.0, -1.0), (0.6, 0.8))]
-        _assert_stacked_oracle_equals_one_state_route(states, quads, [0.3, -1.2, 2.0])
-
-    def test_verify_fixture_covers_every_gate_and_mode_count(self):
-        draws = _verify_draws()
-        n = draws.n_modes[:, None]
-        assert len(n) == checks.ORACLE_STATES and set(n.ravel()) == {2, 3, 4}
-        assert draws.kind.shape == (checks.ORACLE_STATES, 12)
-        used = np.arange(12) < 3 * n
-        for count in (2, 3, 4):
-            kinds = draws.kind[used & (n == count)]
-            assert set(kinds.tolist()) == {0, 1, 2, 3}
-        assert (draws.partner != draws.mode).all()
-        assert ((0 <= draws.mode) & (draws.mode < n)).all()
-        assert ((0 <= draws.partner) & (draws.partner < n)).all()
-        assert ((0 <= draws.kind) & (draws.kind < 4)).all()
-        for values, high in ((draws.theta, math.pi), (draws.r, 1.0), (draws.shear, 1.5)):
-            assert ((-high <= values) & (values < high)).all()
-        assert ((0 <= draws.measured) & (draws.measured < n[:, 0])).all()
-        assert ((0 <= draws.angle) & (draws.angle < 2 * math.pi)).all()
-        assert np.isfinite(draws.displacement).all() and np.isfinite(draws.outcome).all()
-        # another state's slots and displacement beyond 3N and 2N change nothing
-        assert not used.all()
-        kept = dict.fromkeys(("mode", "kind", "theta", "r", "shear", "partner"), used)
-        kept["displacement"] = np.arange(8) < 2 * n
-        swapped = draws._replace(**{
-            field: np.where(mask, getattr(draws, field), np.roll(getattr(draws, field), 1, axis=0))
-            for field, mask in kept.items()
-        })
-        for count in (2, 3, 4):
-            index = np.flatnonzero(draws.n_modes == count)
-            for state, other in zip(
-                checks._build_states(draws, index), checks._build_states(swapped, index)
-            ):
-                assert np.array_equal(state.mean, other.mean)
-                assert np.array_equal(state.cov, other.cov)
-
-    def test_oracle_value_equals_the_one_state_at_a_time_loop(self):
-        value = checks.homodyne_oracle_checks()[0].value
-        assert value == _homodyne_oracle_value_one_state_at_a_time()
-
     def test_all_checks_pass_on_fresh_build(self):
         results = checks.run_all_checks()
         failed = [r.name for r in results if not r.passed]
@@ -816,6 +629,36 @@ class TestVerifySuite:
         out = capsys.readouterr().out
         assert "bch_cubic_scaling_ratio_at_0.1" in out
         assert "four_step_deviation_ratio_at_0.1" in out
+
+
+
+# chains for the measurement picture beyond the two that verify runs
+PICTURE_CHAINS = {
+    "identity": [cv.StepPlan(0.0)] * 3,
+    "squeezer": protocols.squeezer_steps(0.5),
+    "mixed": [cv.StepPlan(kappa) for kappa in (0.4, 0.0, -0.7, 1.1)],
+    "one_step": [cv.StepPlan(-1.5)],
+}
+
+
+class TestMeasurementPicture:
+    @pytest.mark.parametrize("steps", PICTURE_CHAINS.values(), ids=PICTURE_CHAINS.keys())
+    def test_chain_channel_matches_the_picture(self, steps):
+        inputs = [
+            cv.vacuum_state(1),
+            cv.GaussianState(np.array([1.0, -2.0]), 0.75 * np.eye(2)),
+            cv.GaussianState(np.array([0.3, -0.2]), np.array([[0.4, 0.1], [0.1, 0.3]])),
+        ]
+        for db in (0.0, 3.0, 10.0, 20.0):
+            r = protocols.db_to_squeezing_r(db)
+            for state in inputs:
+                assert checks.measurement_picture_deviation(steps, r, state) <= 1e-10, (db, state)
+
+    def test_nan_frame_fails_the_row(self, monkeypatch):
+        nan_frame = cv.ByproductFrame(math.nan, math.nan)
+        monkeypatch.setattr(checks, "update_frame", lambda frame, s, kappa: nan_frame)
+        (row,) = checks.measurement_picture_checks()
+        assert not row.passed and math.isnan(row.value)
 
 
 class TestSchemaVersion:

@@ -356,6 +356,20 @@ class TestHomodyne:
         np.testing.assert_allclose(rest.mean, expected.mean, atol=1e-10)
         np.testing.assert_allclose(rest.cov, expected.cov, atol=1e-10)
 
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
+    def test_matches_conditioning_oracle_on_exact_axes(self, n_modes):
+        # exact axes make c_x or c_p an exact zero in both routes
+        rng = np.random.Generator(np.random.PCG64(40 + n_modes))
+        for c_x, c_p in ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)):
+            for _ in range(6):
+                state = random_gaussian_state(int(rng.integers(2**31)), n_modes)
+                quad = cv.Quadrature(int(rng.integers(n_modes)), c_x, c_p)
+                outcome = float(rng.normal())
+                _, rest = cv.homodyne(state, quad, forced=outcome)
+                _, expected = condition_on_functional_oracle(state, quad, outcome)
+                np.testing.assert_allclose(rest.mean, expected.mean, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(rest.cov, expected.cov, rtol=0, atol=1e-10)
+
     @pytest.mark.parametrize("scale", [-3.0, 1e-3, 1e3])
     def test_conditioning_oracle_is_invariant_under_scaling_the_functional(self, scale):
         # c -> scale c with outcome -> scale outcome is the same measurement;
@@ -482,3 +496,61 @@ class TestOverlapFidelity:
         noisy = cv.GaussianState(np.zeros(2), 0.3 * np.eye(2))
         with pytest.raises(ValueError):
             cv.overlap_fidelity(noisy, cv.vacuum_state(1))
+
+
+# per mode count, over seeds 0-99: the sums of the means' entries, of the
+# covariance traces and of the covariance entries
+RANDOM_STATE_SUMS = {
+    1: (13.551325472654472, 115.05457676053672, 117.45909622016552),
+    2: (-27.659748449683324, 478.14037411318753, 574.7520189519156),
+    3: (25.157367126634792, 659.1188474792751, 985.9559741336695),
+    4: (-30.730052014717188, 788.7607585410935, 1169.0055631464359),
+}
+
+
+class TestRandomGaussianState:
+    @pytest.mark.parametrize("n_modes", sorted(RANDOM_STATE_SUMS))
+    def test_states_are_pinned_to_their_draws(self, n_modes):
+        # other tests' seeds pick these states; a changed draw order moves every sum
+        states = [random_gaussian_state(seed, n_modes) for seed in range(100)]
+        sums = (
+            sum(float(s.mean.sum()) for s in states),
+            sum(float(np.trace(s.cov)) for s in states),
+            sum(float(s.cov.sum()) for s in states),
+        )
+        assert sums == pytest.approx(RANDOM_STATE_SUMS[n_modes], rel=1e-12, abs=1e-12)
+
+    def test_one_mode_cz_slots_leave_the_vacuum(self):
+        # a CZ slot on one mode is the identity; find seeds that draw three of them
+        seeds = []
+        for seed in range(1000):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            rng.integers(0, 1, size=3)
+            if (rng.integers(4, size=3) == 3).all():
+                seeds.append(seed)
+        assert len(seeds) >= 3
+        for seed in seeds[:3]:
+            state = random_gaussian_state(seed, 1)
+            assert np.array_equal(state.cov, cv.vacuum_state(1).cov)
+            undisplaced = random_gaussian_state(seed, 1, displaced=False)
+            assert np.array_equal(undisplaced.mean, np.zeros(2))
+
+
+# single-mode covariances whose a*c - b*b is zero and negative
+non_positive_determinant = pytest.mark.parametrize(
+    "cov",
+    [0.25 * np.ones((2, 2)), np.array([[0.25, 0.5], [0.5, 0.25]])],
+    ids=["zero", "negative"],
+)
+
+
+class TestNonPositiveDeterminantRefused:
+    @non_positive_determinant
+    def test_purity_names_the_determinant(self, cov):
+        with pytest.raises(ValueError, match="positive covariance determinant"):
+            cv.purity(cv.GaussianState(np.zeros(2), cov))
+
+    @non_positive_determinant
+    def test_overlap_fidelity_refuses_it_the_same_way(self, cov):
+        with pytest.raises(ValueError, match="positive covariance determinant"):
+            cv.overlap_fidelity(cv.GaussianState(np.zeros(2), cov), cv.vacuum_state(1))

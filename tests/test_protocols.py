@@ -901,6 +901,9 @@ class TestChannelFromAffineMap:
         rows = {row.name: row for row in checks.outcome_independence_checks()}
         for name in ("identity_chain_ideal", "identity_chain_10db", "squeezer_ideal", "squeezer_10db"):
             assert not rows[f"outcome_independent_{name}"].passed, name
+        # checks folds the outcomes with its own binding of the correct frame rule
+        (row,) = checks.measurement_picture_checks()
+        assert row.name == "chain_matches_measurement_picture" and not row.passed
 
     def test_cli_run_at_300_db_matches_step_budget(self, tmp_path):
         config = tmp_path / "run.json"
@@ -1106,15 +1109,15 @@ def _failed_rows_with_homodyne_moved(monkeypatch, mean_shift, cov_shift):
 
 
 class TestNamedChecksFailUnderMutation:
-    def test_homodyne_mean_off_by_1e_8_fails_the_oracle_check(self, monkeypatch):
+    def test_homodyne_mean_off_by_1e_8_fails_the_measurement_picture(self, monkeypatch):
         failed = _failed_rows_with_homodyne_moved(monkeypatch, mean_shift=1e-8, cov_shift=0.0)
-        assert [row.name for row in failed] == ["homodyne_matches_conditioning_oracle"]
-        assert failed[0].value == pytest.approx(1e-8, rel=1e-3)
+        assert [row.name for row in failed] == ["chain_matches_measurement_picture"]
+        assert failed[0].value > 1e-10
 
-    def test_homodyne_cov_off_by_1e_8_fails_the_oracle_check(self, monkeypatch):
+    def test_homodyne_cov_off_by_1e_8_fails_the_measurement_picture(self, monkeypatch):
         failed = _failed_rows_with_homodyne_moved(monkeypatch, mean_shift=0.0, cov_shift=1e-8)
-        assert [row.name for row in failed] == ["homodyne_matches_conditioning_oracle"]
-        assert failed[0].value == pytest.approx(1e-8, rel=1e-3)
+        assert [row.name for row in failed] == ["chain_matches_measurement_picture"]
+        assert failed[0].value > 1e-10
 
     @pytest.mark.parametrize("protocol", sorted(protocols.PROTOCOLS))
     def test_negative_squeezed_variance_fails_noise_psd(self, monkeypatch, protocol):
@@ -1282,14 +1285,11 @@ def _sub_vacuum_cluster_nodes(mp):
     )
 
 
-def _homodyne_mean_moved(mp):
-    homodyne = checks.homodyne
-
-    def moved(state, quad, **kwargs):
-        outcome, rest = homodyne(state, quad, **kwargs)
-        return outcome, cv.GaussianState(rest.mean + 1e-8, rest.cov)
-
-    mp.setattr(checks, "homodyne", moved)
+def _engine_squeezed_variance_doubled(mp):
+    # in the engine's channels only, not in the cluster states that verify
+    # assembles with phase_space's squeezed vacua
+    variances = engine.resource_variances
+    mp.setattr(engine, "resource_variances", lambda r: (variances(r)[0], 2 * variances(r)[1]))
 
 
 _frame_sign_flipped = lambda mp: mp.setattr(engine, "update_frame", _flipped_frame_sign)
@@ -1334,7 +1334,7 @@ VERIFY_CHECK_MUTATIONS = {
     "four_step_deviation_ratio_at_0.025": _one_sided_steps,
     "four_step_deviation_ratio_at_0.05": _one_sided_steps,
     "four_step_deviation_ratio_at_0.1": _one_sided_steps,
-    "homodyne_matches_conditioning_oracle": _homodyne_mean_moved,  # by 1e-8
+    "chain_matches_measurement_picture": _engine_squeezed_variance_doubled,
     "outcome_independent_identity_chain_ideal": _frame_sign_flipped,
     "outcome_independent_identity_chain_10db": _frame_sign_flipped,
     "outcome_independent_squeezer_ideal": _frame_sign_flipped,

@@ -57,7 +57,8 @@ def _route_fidelity(report, state):
     R = _fidelity_reference(report)
     ideal_cov = R @ state.cov @ R.T
     ideal = cv.GaussianState(R @ state.mean, 0.5 * (ideal_cov + ideal_cov.T))
-    if not np.linalg.det(ideal.cov) > 0 or abs(cv.purity(ideal) - 1.0) > 1e-9:
+    (a, b), (_, c) = ideal.cov.tolist()
+    if not a * c - b * b > 0 or abs(cv.purity(ideal) - 1.0) > 1e-9:
         return None
     return cv.overlap_fidelity(ideal, report.channel.apply(state))
 
