@@ -4,12 +4,12 @@ Each check returns a ProtocolCheck with the measured value, so the table the
 CLI prints doubles as a numerical record (in particular the cubic-scaling
 ratios). Gate constructors are injectable so a deliberately corrupted gate
 can be shown to fail. The measurement-picture row holds ``chain_channel`` to
-the paper's one-way computation: a cluster state assembled with
-``phase_space`` gates, measured node by node with ``homodyne`` and corrected
-with ``update_frame``, which is bound here at import so that a change to
-``engine`` alone shows as a disagreement. The protocol rows copy the verdict
-and value of a vacuum-input report's own named check, so their thresholds
-and closed forms live in ``protocols``.
+the paper's one-way computation: ``cluster``'s squeezed vacua joined by one
+CZ layer, the input attached by one more CZ, measured node by node with
+``homodyne`` and corrected with ``update_frame``, which is bound here at
+import so that a change to ``engine`` alone shows as a disagreement. The
+protocol rows copy the verdict and value of a vacuum-input report's own
+named check, so their thresholds and closed forms live in ``protocols``.
 """
 
 from __future__ import annotations
@@ -107,15 +107,11 @@ def cubic_identity_checks() -> list[ProtocolCheck]:
 
 
 def bch_checks() -> list[ProtocolCheck]:
-    results = [
-        ProtocolCheck(
-            "bch_residual_small_at_0.1",
-            algebra.bch_squeezer_residual(0.1) <= 1e-2,
-            algebra.bch_squeezer_residual(0.1),
-        )
-    ]
+    # doubling a float is exact, so each 2 * kappa below is one of these keys
+    residual = {kappa: algebra.bch_squeezer_residual(kappa) for kappa in (0.025, 0.05, 0.1, 0.2)}
+    results = [ProtocolCheck("bch_residual_small_at_0.1", residual[0.1] <= 1e-2, residual[0.1])]
     for kappa in (0.025, 0.05, 0.1):
-        ratio = algebra.bch_squeezer_residual(2 * kappa) / algebra.bch_squeezer_residual(kappa)
+        ratio = residual[2 * kappa] / residual[kappa]
         results.append(
             ProtocolCheck(f"bch_cubic_scaling_ratio_at_{kappa:g}", 7.0 <= ratio <= 9.0, ratio)
         )
@@ -123,16 +119,15 @@ def bch_checks() -> list[ProtocolCheck]:
 
 
 def squeezer_matrix_checks() -> list[ProtocolCheck]:
-    results = []
-    det_err = abs(float(np.linalg.det(algebra.squeezer_protocol_matrix(0.2))) - 1.0)
-    results.append(ProtocolCheck("four_step_matrix_det_one", det_err <= 1e-12, det_err))
+    matrix = {kappa: algebra.squeezer_protocol_matrix(kappa) for kappa in (0.025, 0.05, 0.1, 0.2)}
+    det_err = abs(float(np.linalg.det(matrix[0.2])) - 1.0)
+    results = [ProtocolCheck("four_step_matrix_det_one", det_err <= 1e-12, det_err)]
+    dev = {
+        k: float(np.linalg.norm(m - np.diag([1 - k**2, 1 + k**2]), "fro"))
+        for k, m in matrix.items()
+    }
     for kappa in (0.025, 0.05, 0.1):
-        dev = lambda k: float(
-            np.linalg.norm(
-                algebra.squeezer_protocol_matrix(k) - np.diag([1 - k**2, 1 + k**2]), "fro"
-            )
-        )
-        ratio = dev(2 * kappa) / dev(kappa)
+        ratio = dev[2 * kappa] / dev[kappa]
         results.append(
             ProtocolCheck(
                 f"four_step_deviation_ratio_at_{kappa:g}", 7.0 <= ratio <= 9.0, ratio
@@ -151,31 +146,42 @@ def measurement_picture_deviation(
     p + kappa_j x_j of the head mode with ``homodyne`` at forced outcomes
     s_j and folds them into the frame with ``update_frame``. The corrected
     conditional mean is affine in s, a + G s, so the zero probe and the
-    k unit probes give a and G; the conditional covariance Sigma_c is the
-    same for every outcome. The outcomes C q, C the rows p_j + kappa_j x_j
-    of the assembled state (mean mu, covariance V), then give the output
-    by the law of total covariance: mean a + G C mu and covariance
-    Sigma_c + G C V C^T G^T. The value is the worst of the mean's absolute
-    deviation and the covariance's deviation relative to its largest entry;
-    a NaN anywhere makes it NaN.
+    k unit probes give a and G. Unit probe e_i starts from the zero probe's
+    state and frame after its first i steps, which it would repeat exactly,
+    so the k + 1 probes take k + k(k+1)/2 ``homodyne`` calls. The
+    conditional covariance Sigma_c is the same for every outcome. The
+    outcomes C q, C the rows p_j + kappa_j x_j of the assembled state (mean
+    mu, covariance V), then give the output by the law of total covariance:
+    mean a + G C mu and covariance Sigma_c + G C V C^T G^T. The value is the
+    worst of the mean's absolute deviation and the covariance's deviation
+    relative to its largest entry; a NaN anywhere makes it NaN.
     """
     kappas = [step.kappa for step in steps]
     k = len(kappas)
     assembled = attach_input(state_in, linear_cluster(ClusterSpec(k, r)))
-    means = []
-    for outcomes in np.vstack([np.zeros(k), np.eye(k)]).tolist():
-        state, frame = assembled, ByproductFrame()
-        for s, kappa in zip(outcomes, kappas):
-            state = homodyne(state, Quadrature(0, kappa, 1.0), forced=s)[1]
-            frame = update_frame(frame, s, kappa)
-        means.append(state.mean - np.array([frame.u, frame.v]))
+
+    def measure(probe, s, kappa):
+        state, frame = probe
+        state = homodyne(state, Quadrature(0, kappa, 1.0), forced=s)[1]
+        return state, update_frame(frame, s, kappa)
+
+    zero = [(assembled, ByproductFrame())]
+    for kappa in kappas:
+        zero.append(measure(zero[-1], 0.0, kappa))
+    ends = [zero[-1]]
+    for i, kappa in enumerate(kappas):
+        probe = measure(zero[i], 1.0, kappa)
+        for later in kappas[i + 1 :]:
+            probe = measure(probe, 0.0, later)
+        ends.append(probe)
+    means = [state.mean - np.array([frame.u, frame.v]) for state, frame in ends]
     a, G = means[0], np.column_stack(means[1:]) - means[0][:, None]
     C = np.zeros((k, 2 * k + 2))
     for j, kappa in enumerate(kappas):
         C[j, 2 * j : 2 * j + 2] = kappa, 1.0
     mean = a + G @ (C @ assembled.mean)
     # the last probe's covariance is Sigma_c: it does not depend on the outcomes
-    cov = state.cov + G @ (C @ assembled.cov @ C.T) @ G.T
+    cov = ends[-1][0].cov + G @ (C @ assembled.cov @ C.T) @ G.T
     expected = chain_channel(steps, r)[0].apply(state_in)
     scale = float(np.max(np.abs(expected.cov)))
     deviations = [np.max(np.abs(mean - expected.mean)), np.max(np.abs(cov - expected.cov)) / scale]

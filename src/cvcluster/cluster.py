@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .phase_space import (
     GaussianState,
     apply_gate,
@@ -33,18 +35,17 @@ class ClusterSpec:
 
 
 def linear_cluster(spec: ClusterSpec) -> GaussianState:
-    """p-squeezed vacua chained by CZ gates between adjacent nodes.
+    """p-squeezed vacua joined by one layer of CZ gates between adjacent nodes.
 
-    The CZ gates all commute; they are applied left to right purely for
-    reproducibility.
+    The CZ gates all commute, so the layer is one symplectic: the identity
+    plus a 1 that adds x_i to p_{i+1} and x_{i+1} to p_i for each edge.
     """
-    state = squeezed_vacuum(spec.squeezing_r, axis="p")
-    for _ in range(spec.n_nodes - 1):
-        state = tensor(state, squeezed_vacuum(spec.squeezing_r, axis="p"))
-    cz = controlled_z()
-    for i in range(spec.n_nodes - 1):
-        state = apply_gate(state, cz, [i, i + 1])
-    return state
+    n, node = spec.n_nodes, squeezed_vacuum(spec.squeezing_r, axis="p")
+    S = np.eye(2 * n)
+    for i in range(n - 1):
+        S[2 * i + 1, 2 * i + 2] = S[2 * i + 3, 2 * i] = 1.0
+    cov = S @ np.kron(np.eye(n), node.cov) @ S.T
+    return GaussianState(S @ np.tile(node.mean, n), 0.5 * (cov + cov.T))
 
 
 def attach_input(input_state: GaussianState, cluster: GaussianState) -> GaussianState:

@@ -7,6 +7,9 @@ single run instead: ``apply_correction`` undoes the byproduct frame that
 ``dual_step`` runs the dual elementary circuit with one drawn outcome and
 returns the output that still carries its byproduct. The tests hold the
 library's channels against outputs corrected outcome by outcome.
+``independent_probe_deviation`` runs ``checks.measurement_picture_deviation``
+with k + 1 probes that each measure the whole chain from the assembled
+state, with no shared prefix.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import math
 import numpy as np
 
 import cvcluster as cv
-from cvcluster import engine
+from cvcluster import checks, engine
 from cvcluster.phase_space import _generator
 
 
@@ -64,3 +67,30 @@ def dual_step(
     corrected = channel.apply(input_state)
     output = cv.GaussianState(corrected.mean + np.array([0.0, -t]), corrected.cov)
     return output, cv.RecordColumns((0,), (0,), (0.0,), (-math.pi / 2,), (t,), (t,))
+
+
+def independent_probe_deviation(
+    steps: list[cv.StepPlan], r: float, state_in: cv.GaussianState
+) -> float:
+    """``checks.measurement_picture_deviation`` with the zero probe and the k
+    unit probes run independently: k(k+1) ``homodyne`` calls."""
+    kappas = [step.kappa for step in steps]
+    k = len(kappas)
+    assembled = cv.attach_input(state_in, cv.linear_cluster(cv.ClusterSpec(k, r)))
+    means = []
+    for outcomes in np.vstack([np.zeros(k), np.eye(k)]).tolist():
+        state, frame = assembled, cv.ByproductFrame()
+        for s, kappa in zip(outcomes, kappas):
+            state = cv.homodyne(state, cv.Quadrature(0, kappa, 1.0), forced=s)[1]
+            frame = checks.update_frame(frame, s, kappa)
+        means.append(state.mean - np.array([frame.u, frame.v]))
+    a, G = means[0], np.column_stack(means[1:]) - means[0][:, None]
+    C = np.zeros((k, 2 * k + 2))
+    for j, kappa in enumerate(kappas):
+        C[j, 2 * j : 2 * j + 2] = kappa, 1.0
+    mean = a + G @ (C @ assembled.mean)
+    cov = state.cov + G @ (C @ assembled.cov @ C.T) @ G.T
+    expected = engine.chain_channel(steps, r)[0].apply(state_in)
+    scale = float(np.max(np.abs(expected.cov)))
+    deviations = [np.max(np.abs(mean - expected.mean)), np.max(np.abs(cov - expected.cov)) / scale]
+    return float(np.max(deviations))

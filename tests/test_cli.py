@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import cvcluster as cv
 from cvcluster import checks, cli, protocols
 from conftest import step_noise_oracle
+from measurement_picture import independent_probe_deviation
 from reference import report_facts
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -641,18 +642,57 @@ PICTURE_CHAINS = {
 }
 
 
+PICTURE_INPUTS = [
+    cv.vacuum_state(1),
+    cv.GaussianState(np.array([1.0, -2.0]), 0.75 * np.eye(2)),
+    cv.GaussianState(np.array([0.3, -0.2]), np.array([[0.4, 0.1], [0.1, 0.3]])),
+]
+PICTURE_DB = (0.0, 3.0, 10.0, 20.0)
+
+
+def _cluster_edge_changed(edge, forward, backward):
+    """``linear_cluster`` whose CZ on nodes (i, i + 1), ``edge`` -1 the last,
+    adds ``forward`` x_{i+1} to p_i and ``backward`` x_i to p_{i+1}, not 1 and 1."""
+    original = checks.linear_cluster
+
+    def mutated(spec):
+        i = range(spec.n_nodes - 1)[edge]
+        # x-to-p couplings compose by adding, so this gate moves the 1s to the new weights
+        S = np.eye(4)
+        S[1, 2], S[3, 0] = forward - 1.0, backward - 1.0
+        return cv.apply_gate(original(spec), cv.SymplecticGate(S), [i, i + 1])
+
+    return lambda mp: mp.setattr(checks, "linear_cluster", mutated)
+
+
+CLUSTER_MUTATIONS = {
+    "last_edge_dropped": _cluster_edge_changed(-1, 0.0, 0.0),
+    "first_edge_sign_flipped": _cluster_edge_changed(0, -1.0, -1.0),
+    "one_coupling_sign_flipped": _cluster_edge_changed(1, -1.0, 1.0),
+}
+
+
 class TestMeasurementPicture:
     @pytest.mark.parametrize("steps", PICTURE_CHAINS.values(), ids=PICTURE_CHAINS.keys())
     def test_chain_channel_matches_the_picture(self, steps):
-        inputs = [
-            cv.vacuum_state(1),
-            cv.GaussianState(np.array([1.0, -2.0]), 0.75 * np.eye(2)),
-            cv.GaussianState(np.array([0.3, -0.2]), np.array([[0.4, 0.1], [0.1, 0.3]])),
-        ]
-        for db in (0.0, 3.0, 10.0, 20.0):
+        for db in PICTURE_DB:
             r = protocols.db_to_squeezing_r(db)
-            for state in inputs:
+            for state in PICTURE_INPUTS:
                 assert checks.measurement_picture_deviation(steps, r, state) <= 1e-10, (db, state)
+
+    @pytest.mark.parametrize("steps", PICTURE_CHAINS.values(), ids=PICTURE_CHAINS.keys())
+    def test_shared_prefix_equals_independent_probes(self, steps):
+        for db in PICTURE_DB:
+            r = protocols.db_to_squeezing_r(db)
+            for state in PICTURE_INPUTS:
+                shared = checks.measurement_picture_deviation(steps, r, state)
+                assert shared == independent_probe_deviation(steps, r, state), (db, state)
+
+    @pytest.mark.parametrize("name", CLUSTER_MUTATIONS)
+    def test_a_wrong_cz_layer_fails_the_row(self, monkeypatch, name):
+        assert checks.measurement_picture_checks()[0].passed
+        CLUSTER_MUTATIONS[name](monkeypatch)
+        assert not checks.measurement_picture_checks()[0].passed
 
     def test_nan_frame_fails_the_row(self, monkeypatch):
         nan_frame = cv.ByproductFrame(math.nan, math.nan)

@@ -18,7 +18,28 @@ def _embedded_cz(i, j, n_modes):
     return S
 
 
+def _gate_by_gate(n, r):
+    """The n nodes tensored, then one ``apply_gate`` CZ per edge, left to right."""
+    state = cv.squeezed_vacuum(r, "p")
+    for _ in range(n - 1):
+        state = cv.tensor(state, cv.squeezed_vacuum(r, "p"))
+    for i in range(n - 1):
+        state = cv.apply_gate(state, cv.controlled_z(), [i, i + 1])
+    return state
+
+
 class TestLinearCluster:
+    @pytest.mark.parametrize("n", range(1, 12))
+    @pytest.mark.parametrize(
+        "r",
+        [0.0, 0.5, cv.db_to_squeezing_r(10.0), cv.db_to_squeezing_r(50.0), IDEAL],
+        ids=["0", "0.5", "10dB", "50dB", "ideal"],
+    )
+    def test_one_cz_layer_equals_the_gates_bitwise(self, n, r):
+        state, expected = cv.linear_cluster(cv.ClusterSpec(n, r)), _gate_by_gate(n, r)
+        np.testing.assert_array_equal(state.mean, expected.mean)
+        np.testing.assert_array_equal(state.cov, expected.cov)
+
     def test_single_node_is_squeezed_mode(self):
         state = cv.linear_cluster(cv.ClusterSpec(1, 0.7))
         np.testing.assert_allclose(
