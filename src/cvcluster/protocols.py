@@ -9,7 +9,7 @@ fidelity reference and own checks (the off-line noise check through
 ``_noise_check``). Its family's helper, ``_chain_facts`` or
 ``_offline_facts``, refuses an input that is not one physical mode, reads the
 channel and leak once (a chain's from ``engine.chain_channel``; the off-line
-map is stated in ``_offline_facts`` alone and read through
+map is stated in closed form in ``_offline_facts`` alone and read through
 ``engine.affine_channel``), and reads the report's numbers off the
 channel once, in closed-form 2x2 arithmetic on Python floats (no ``np.linalg``
 call and no ``GaussianState``): the deviation from the target, the
@@ -26,7 +26,8 @@ with ``InputOverflowError``, raised with numpy's overflow warnings off in
 builders and record draws. The channel does not depend on the outcomes, so a
 report draws its records, one ``RecordColumns`` per trial from its integer
 seed, when they are first read (``record_columns``): a sweep point's report
-draws none. One table, ``PARAMETERS``, states each config-style parameter's
+draws none; an off-line report forms its readings' correctly rounded law
+only then. One table, ``PARAMETERS``, states each config-style parameter's
 default, cast, rule and largest value once; ``checked_parameter``,
 ``checked_sweep`` and ``document_records`` check a value, a sweep grid and a
 run's records. Every config rule, overflows included, is written here once
@@ -39,6 +40,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -46,15 +48,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import algebra
-from .phase_space import (
-    VACUUM_VARIANCE,
-    GaussianState,
-    _generator,
-    beamsplitter_5050,
-    embed_symplectic,
-    squeezer,
-    vacuum_state,
-)
+from .phase_space import VACUUM_VARIANCE, GaussianState, _generator, squeezer, vacuum_state
 from .engine import (
     GaussianChannel,
     RecordColumns,
@@ -466,29 +460,34 @@ def repeated_squeezer(
 
 
 # ---------------------------------------------------------------------------
-# off-line teleportation schemes
-#
-# The resource is prepared first (beamsplitter on oppositely squeezed vacua,
-# then the off-line gate on its second half); teleportation combines the
-# input with resource mode 1 at a second beamsplitter, reads u = x_in - x_1
-# and v = p_in + p_1 off the two output ports (each reading carries a
-# sqrt(2) beamsplitter factor), and corrects mode 2 by gain (u, v). The
-# corrected output, as for chains, is an affine map of the factored initial
-# moments, stated here once and read through ``affine_channel``.
+# off-line teleportation schemes: the input is teleported through a two-mode
+# squeezed resource whose second half carries the off-line gate G, and the
+# output is displaced by the gain K times the readings (u, v). The corrected
+# output, as for chains, is an affine map of the factored initial moments,
+# stated in closed form in ``_offline_facts`` and read through ``affine_channel``.
 
-
+_H = 1.0 / math.sqrt(2.0)  # beamsplitter_5050's float amplitude h; sqrt(2) h is 1.0
+_H_SQUARED = Fraction(_H) ** 2
 # the outcome-free record columns of an off-line trial: step index, mode,
 # kappa and theta of the x-port reading u, then of the p-port reading v
 _OFFLINE_COLUMNS = ((0, 1), (1, 0), (0.0, 0.0), (-math.pi / 2, 0.0))
 
 
-def _offline_trials(mean: np.ndarray, cov: np.ndarray, seeds: range) -> RecordTable:
+def _offline_trials(input_state: GaussianState, r: float, seeds: range) -> RecordTable:
     """Each trial's record columns, u from the x port and v from the p port,
-    drawn from the readings' law N(mean, cov): one Cholesky factor per call,
+    drawn from the readings' law: the input's mean and covariance, plus
+    e = h^2 (var_anti + var_squeezed) on the diagonal, each variance rounded
+    once from the exact sum of these floats. One Cholesky factor per call,
     and the trial with seed s draws with one generator of s."""
-    half, factor = 1.0 / math.sqrt(2.0), np.linalg.cholesky(cov)
+    e = _H_SQUARED * sum(map(Fraction, resource_variances(r)))
+    (a, b), (b_, c) = input_state.cov.tolist()
+    try:
+        var_u, var_v = float(Fraction(a) + e), float(Fraction(c) + e)
+    except OverflowError:  # past the largest float: the draws are not finite and refused
+        var_u = var_v = math.inf
+    mean, factor = input_state.mean, np.linalg.cholesky([[var_u, b], [b_, var_v]])
     draws = ((mean + factor @ _generator(s).standard_normal(2)).tolist() for s in seeds)
-    return tuple(RecordColumns(*_OFFLINE_COLUMNS, (u * half, v * half), (u, v)) for u, v in draws)
+    return tuple(RecordColumns(*_OFFLINE_COLUMNS, (u * _H, v * _H), (u, v)) for u, v in draws)
 
 
 def _noise_check(name: str, N: np.ndarray, r: float, r_gate: float = 0.0) -> ProtocolCheck:
@@ -507,28 +506,23 @@ def _offline_facts(
     trials: int,
 ) -> _ReportFacts:
     """The report facts of teleportation through the resource modified by
-    ``gate_S``, corrected by ``gain`` times (u, v); the gate is the target.
+    ``gate_S`` (G), corrected by ``gain`` (K) times (u, v); G is the target.
 
-    The rows are over the product state's quadratures (x, p) of the input,
+    The map is over the product state's quadratures (x_0, p_0) of the input,
     then x_1, p_1, x_2, p_2 of the resource, of which x_1 and p_2 are
-    anti-squeezed. The corrected output rows are out + gain (u, v), and
-    (u, v) is Gaussian with its rows' image of the product state's moments.
+    anti-squeezed. The readings are u = x_0 - h (x_1 + x_2) and
+    v = p_0 + h (p_1 + p_2), whatever the gate, and the uncorrected output is
+    h G (x_1 - x_2, p_1 - p_2). The corrected output thus weighs the input by
+    K, (x_1, p_2) by (h G[:, 0] - h K[:, 0], h K[:, 1] - h G[:, 1]) and
+    (p_1, x_2) by (h G[:, 1] + h K[:, 1], -h G[:, 0] - h K[:, 0]): each h g
+    rounded, then one add, the floats of the three-mode circuit's product.
     """
     seeds = _trial_seeds(input_state, seed, trials)
-    bs = beamsplitter_5050().S
-    S_big = (
-        embed_symplectic(bs, [0, 1], 3)
-        @ embed_symplectic(gate_S, [2], 3)
-        @ embed_symplectic(bs, [1, 2], 3)
-    )
-    uv_rows = math.sqrt(2.0) * np.vstack([S_big[2], S_big[1]])  # u = sqrt2 x_1', v = sqrt2 p_0'
-    applied = S_big[4:6] + gain @ uv_rows
-    channel, leak = affine_channel(applied[:, :2], applied[:, [2, 5]], applied[:, [3, 4]], r)
-    var_anti, var_squeezed = resource_variances(r)
-    cov0 = np.diag([0.0, 0.0, var_anti, var_squeezed, var_squeezed, var_anti])
-    cov0[:2, :2] = input_state.cov
-    mean = uv_rows @ np.concatenate([input_state.mean, np.zeros(4)])
-    draw = partial(_offline_trials, mean, uv_rows @ cov0 @ uv_rows.T, seeds)
+    hG, hK = _H * gate_S, _H * gain
+    anti = np.column_stack([hG[:, 0] - hK[:, 0], hK[:, 1] - hG[:, 1]])
+    squeezed = np.column_stack([hG[:, 1] + hK[:, 1], -hG[:, 0] - hK[:, 0]])
+    channel, leak = affine_channel(gain, anti, squeezed, r)
+    draw = partial(_offline_trials, input_state, r, seeds)
     return _channel_facts(channel, leak, draw, gate_S, input_state, "r_gate")
 
 

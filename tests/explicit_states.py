@@ -1,12 +1,17 @@
-"""Explicit resource states and displacements, a test oracle.
+"""Explicit resource states, displacements and circuits, a test oracle.
 
-The library reads the off-line channels off their affine maps and keeps a
-protocol's displacement in its channel's d. These constructions build the
-two-mode resources and displaced states themselves, so the tests can hold
-the channels and the byproduct frame against explicit states.
+The library reads the off-line channels off their affine maps, stated in
+closed form, and keeps a protocol's displacement in its channel's d. These
+constructions build the two-mode resources, the three-mode teleportation
+circuit and displaced states themselves, so the tests can hold the channels
+and the byproduct frame against explicit states and circuits.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 import cvcluster as cv
 
@@ -33,3 +38,19 @@ def displace(state: cv.GaussianState, mode: int, u: float, v: float) -> cv.Gauss
     mean[i] += u
     mean[j] += v
     return cv.GaussianState(mean, state.cov)
+
+
+def offline_circuit(gate_S: np.ndarray, gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the off-line teleporter's readings (u, v) and of its
+    corrected output, over the input's (x, p) and the resource's x_1, p_1,
+    x_2, p_2 (x_1 and p_2 anti-squeezed), from the three-mode circuit:
+    beamsplitter on the resource, the gate on mode 2, beamsplitter on the
+    input and mode 1, (u, v) = sqrt2 (x_1', p_0'), output mode 2 + gain (u, v)."""
+    bs = cv.beamsplitter_5050().S
+    S_big = (
+        cv.embed_symplectic(bs, [0, 1], 3)
+        @ cv.embed_symplectic(gate_S, [2], 3)
+        @ cv.embed_symplectic(bs, [1, 2], 3)
+    )
+    uv_rows = math.sqrt(2.0) * np.vstack([S_big[2], S_big[1]])
+    return uv_rows, S_big[4:6] + gain @ uv_rows

@@ -1,4 +1,5 @@
-"""A 60-digit reference for a report's facts and a chain's S and N, each with an a-priori bound.
+"""A 60-digit reference for a report's facts and a chain's S and N, each with an a-priori bound,
+and the exact law of the off-line readings.
 
 ``report_facts(S, N, d, target, R, mean, cov)`` evaluates, with the standard
 library's ``decimal`` at 60 significant digits, what a report reads off its
@@ -84,12 +85,19 @@ relative to the folds does not cover (a subnormal kappa does that).
 The re-pinning rule: a change may alter the bytes of a golden file under
 ``tests/data/golden`` only if every float it changes is no farther from
 this reference than the float it replaces.
+
+``readings_law_reference(uv_rows, cov0)`` gives the law of an off-line
+teleporter's readings (u, v), uv cov0 uv^T for the 2x6 reading rows and the
+6x6 covariance of the product state, exactly in ``fractions.Fraction`` from
+the code's own floats and rounded once per entry: the correctly rounded
+floats, with no bound to carry.
 """
 
 from __future__ import annotations
 
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from typing import NamedTuple
 
 U = Decimal(2) ** -53  # unit roundoff of a double
@@ -230,3 +238,14 @@ def chain_channel_reference(kappas, var) -> tuple[list[list[Fact]], list[list[Fa
             [[Fact(S[i][j], gamma(2 * k) * S_fold[i][j]) for j in range(2)] for i in range(2)],
             [[Fact(N[i][j], gamma(5 * k + 2) * N_fold[i][j]) for j in range(2)] for i in range(2)],
         )
+
+
+def readings_law_reference(uv_rows, cov0) -> list[list[float]]:
+    """uv_rows cov0 uv_rows^T of the floats given, exact, each entry rounded once."""
+    U = [[Fraction(float(v)) for v in row] for row in uv_rows]
+    C = [[Fraction(float(v)) for v in row] for row in cov0]
+    n = len(C)
+    return [
+        [float(sum(U[i][j] * C[j][k] * U[m][k] for j in range(n) for k in range(n))) for m in range(2)]
+        for i in range(2)
+    ]

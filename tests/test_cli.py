@@ -620,6 +620,15 @@ class TestVerifySuite:
         assert not all(r.passed for r in symplectic)
         assert not all(r.passed for r in composition)
 
+    @pytest.mark.parametrize("nan_first", [False, True])
+    def test_nan_gate_fails_the_symplectic_row(self, nan_first):
+        # Python's max keeps a NaN only where it comes first
+        nan_gate = {"nan": cv.SymplecticGate(np.array([[math.nan, 0.0], [0.0, 1.0]]))}
+        gates = checks.default_gates()
+        gates = {**nan_gate, **gates} if nan_first else {**gates, **nan_gate}
+        [row] = checks.symplectic_condition_checks(gates)
+        assert not row.passed and math.isnan(row.value)
+
     def test_verify_command_exit_code(self, capsys):
         assert cli.main(["verify", "--quiet"]) == 0
         out = capsys.readouterr().out

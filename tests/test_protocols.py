@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 import cvcluster as cv
 from cvcluster import algebra, checks, cli, cluster, engine, protocols
 from conftest import patch_squeezed_variance, step_noise_oracle
-from explicit_states import modified_resource
+from explicit_states import modified_resource, offline_circuit
 from measurement_picture import apply_correction
-from reference import report_facts
+from reference import readings_law_reference, report_facts
 from tomography import channel_tomography
 
 IDEAL = cv.IDEAL_SQUEEZING_R
@@ -966,14 +966,7 @@ def _offline_moments(state, r, gate_S, gain_applied):
     p-squeezed and an x-squeezed vacuum, then beamsplitter, gate on mode 2,
     beamsplitter, with (u, v) = sqrt2 (x_1', p_0')."""
     product = cv.tensor(state, cv.tensor(cv.squeezed_vacuum(r, "p"), cv.squeezed_vacuum(r, "x")))
-    bs = cv.beamsplitter_5050().S
-    S_big = (
-        cv.embed_symplectic(bs, [0, 1], 3)
-        @ cv.embed_symplectic(gate_S, [2], 3)
-        @ cv.embed_symplectic(bs, [1, 2], 3)
-    )
-    uv_rows = math.sqrt(2.0) * np.vstack([S_big[2], S_big[1]])
-    M = S_big[4:6] + gate_S @ uv_rows
+    uv_rows, M = offline_circuit(gate_S, gate_S)
     return product.mean, product.cov, uv_rows, M, gain_applied - gate_S
 
 
@@ -1086,6 +1079,39 @@ class TestOfflineChannelAgreesWithExplicitState:
         assert _max_abs(report.channel.N - expected.N) <= 1e-12 * n_scale
         assert _max_abs(report.channel.d - expected.d) <= 1e-12
 
+    @pytest.mark.parametrize("rescale_correction", [True, False])
+    @pytest.mark.parametrize("db", [0.0, 10.0, 100.0, 300.0])
+    @pytest.mark.parametrize(
+        "r_gate", [0.0, 0.04, -0.04, 0.3, -0.3, 5.0, -5.0, 354.0, -354.0, 354.89, -354.89]
+    )
+    def test_closed_form_equals_the_three_mode_circuit(
+        self, monkeypatch, rescale_correction, db, r_gate
+    ):
+        # bit for bit, near the r_gate limit too, where the control's channel
+        # overflows and is refused after it is read
+        read = []
+
+        def spy(*args):
+            read.append(engine.affine_channel(*args))
+            return read[-1]
+
+        monkeypatch.setattr(protocols, "affine_channel", spy)
+        r = cv.db_to_squeezing_r(db)
+        try:
+            cv.offline_squeezer(VAC, r, r_gate, rescale_correction=rescale_correction)
+        except protocols.ChannelOverflowError:
+            assert not rescale_correction
+        gate = cv.squeezer(r_gate).S
+        _, rows = offline_circuit(gate, gate if rescale_correction else np.eye(2))
+        with np.errstate(over="ignore", invalid="ignore"):  # as the builders read it
+            expected, expected_leak = engine.affine_channel(
+                rows[:, :2], rows[:, [2, 5]], rows[:, [3, 4]], r
+            )
+        [(channel, leak)] = read
+        assert np.array_equal(channel.S, expected.S)
+        assert np.array_equal(channel.N, expected.N, equal_nan=True)
+        assert leak == expected_leak
+
     @pytest.mark.parametrize("db", [150.0, 200.0])
     def test_teleport_noise_follows_resource_at_high_squeezing(self, db):
         r = cv.db_to_squeezing_r(db)
@@ -1093,6 +1119,49 @@ class TestOfflineChannelAgreesWithExplicitState:
         report = cv.offline_teleport(VAC, r)
         assert _max_abs(report.channel.N - expected) <= 1e-9 * _max_abs(expected)
         assert report.all_passed()
+
+
+# single-mode inputs of the off-line readings' law
+LAW_INPUTS = {
+    "vacuum": VAC,
+    "coherent": cv.coherent_state(0.6, -0.9),
+    "x_squeezed": cv.squeezed_vacuum(0.4, "x"),
+    "p_squeezed": cv.squeezed_vacuum(0.7, "p"),
+    "correlated": cv.GaussianState(np.array([0.3, -0.2]), np.array([[0.6, 0.2], [0.2, 0.2]])),
+}
+
+
+class TestOfflineReadingsLaw:
+    @pytest.mark.parametrize("protocol", ["offline_teleport", "offline_squeezer"])
+    @pytest.mark.parametrize("db", [0.0, 3.0, 10.0, 50.0, 100.0, 300.0])
+    @pytest.mark.parametrize("name", list(LAW_INPUTS))
+    def test_law_is_correctly_rounded(self, monkeypatch, name, db, protocol):
+        # the law the records are drawn from is the one its Cholesky factor is taken of;
+        # the reference is the circuit's readings' law of the code's floats, rounded once
+        laws = []
+        cholesky = np.linalg.cholesky
+
+        def spy(law):
+            laws.append(np.array(law, dtype=float))
+            return cholesky(law)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        state, r = LAW_INPUTS[name], cv.db_to_squeezing_r(db)
+        report = cv.run_named_protocol(protocol, {"squeezing_db": db, "input_state": state}, seed=5)
+        report.record_columns
+        uv_rows, _ = offline_circuit(report.target_S, report.target_S)
+        var_anti, var_squeezed = engine.resource_variances(r)
+        cov0 = np.diag([0.0, 0.0, var_anti, var_squeezed, var_squeezed, var_anti])
+        cov0[:2, :2] = state.cov
+        [law] = laws
+        assert law.tolist() == readings_law_reference(uv_rows, cov0)
+
+    def test_law_past_the_largest_float_is_refused_when_read(self):
+        # a library input whose x variance plus the readings' e^{2r}/8 passes the largest float
+        state = cv.GaussianState(np.zeros(2), np.diag([1.79e308, 1 / (16 * 1.79e308)]))
+        report = cv.offline_teleport(state, 354.0)
+        with pytest.raises(cv.InputOverflowError, match="an outcome record is not finite"):
+            report.record_columns
 
 
 def _failed_rows_with_homodyne_moved(monkeypatch, mean_shift, cov_shift):
