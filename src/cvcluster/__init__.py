@@ -30,7 +30,6 @@ from .phase_space import (
 )
 from .cluster import ClusterSpec, attach_input, linear_cluster
 from .algebra import (
-    ExponentPolynomial,
     bch_squeezer_residual,
     fourier_shear_step,
     squeezer_protocol_matrix,

@@ -2,90 +2,49 @@
 
 Gaussian relations (one corrected step, the four-step squeezer, the
 shear-pair splitting) are statements about 2x2 symplectic matrices. The
-cubic feedforward identity is verified on exponent
-polynomials: every factor involved is diagonal in x, so operator products
-reduce to adding exponents after the shift x -> x + s1, which makes the
-check exact (rational arithmetic) rather than numerical.
+cubic feedforward identity is verified on exponent polynomials, held as
+tuples of Fraction coefficients: every factor involved is diagonal in x, so
+operator products reduce to adding exponents after the shift x -> x + s1,
+which makes the check exact (rational arithmetic) rather than numerical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 import numpy as np
 
 from .phase_space import p_shear, rotation, shear, squeezer
 
 
-def _exactable(*values) -> bool:
-    return all(isinstance(v, Rational) for v in values)
+def _taylor_shift(coefficients: tuple, s) -> tuple:
+    """The coefficients of f(x + s), lowest degree first: the exponent after
+    conjugation by the position displacement X(s), by Horner's Taylor shift:
+    n(n - 1)/2 multiply-adds, exact for Fraction coefficients and shift."""
+    out = list(coefficients)
+    for low in range(len(out) - 1):
+        for k in range(len(out) - 2, low - 1, -1):
+            out[k] += s * out[k + 1]
+    return tuple(out)
 
 
-@dataclass(frozen=True)
-class ExponentPolynomial:
-    """The exponent f of a diagonal operator e^{i f(x)}, as a univariate
-    polynomial. Coefficients are stored lowest degree first and may be
-    Fractions (exact) or floats."""
-
-    coefficients: tuple
-
-    def __post_init__(self):
-        coeffs = tuple(self.coefficients)
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def coefficient(self, k: int):
-        if k < len(self.coefficients):
-            return self.coefficients[k]
-        zero = Fraction(0) if _exactable(*self.coefficients) else 0.0
-        return zero
-
-    def __sub__(self, other: "ExponentPolynomial") -> "ExponentPolynomial":
-        n = max(len(self.coefficients), len(other.coefficients))
-        return ExponentPolynomial(
-            tuple(self.coefficient(k) - other.coefficient(k) for k in range(n))
-        )
-
-    def shifted(self, s) -> "ExponentPolynomial":
-        """The polynomial f(x + s), i.e. the exponent after conjugation by
-        the position displacement X(s), by Horner's Taylor shift: n(n - 1)/2
-        multiply-adds, exact (the binomial expansion's rationals) for
-        Fraction coefficients and shift."""
-        out = list(self.coefficients)
-        for low in range(len(out) - 1):
-            for k in range(len(out) - 2, low - 1, -1):
-                out[k] += s * out[k + 1]
-        return ExponentPolynomial(tuple(out))
-
-
-def verify_cubic_feedforward(kappa, s1) -> ExponentPolynomial:
-    """Residual exponent of X(s1)^dag D2'(kappa, s1) X(s1) minus kappa x^3.
+def verify_cubic_feedforward(kappa, s1) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """Residual exponent of X(s1)^dag D2'(kappa, s1) X(s1) minus kappa x^3,
+    as its four coefficients, lowest degree first.
 
     D2'(kappa, s1) = e^{3 i kappa s1 x (s1 - x)} e^{i kappa x^3} is the
     measurement-basis modification that lets a cubic gate commute through an
     earlier position displacement. The identity
     D2'(kappa, s1) X(s1) = X(s1) D2(kappa) holds iff the residual returned
-    here is the constant kappa s1^3, which is a pure global phase.
+    here is (kappa s1^3, 0, 0, 0): a constant, which is a pure global phase.
 
-    With exact (int/Fraction) inputs the computation is exact.
+    Both inputs are cast to Fraction, exactly for ints, Fractions and every
+    finite float, so the computation is exact.
     """
-    if _exactable(kappa, s1):
-        kappa, s1 = Fraction(kappa), Fraction(s1)
-        zero = Fraction(0)
-    else:
-        kappa, s1 = float(kappa), float(s1)
-        zero = 0.0
+    kappa, s1 = Fraction(kappa), Fraction(s1)
     # exponent of D2': 3 kappa s1 x (s1 - x) + kappa x^3
-    d2_prime = ExponentPolynomial((zero, 3 * kappa * s1**2, -3 * kappa * s1, kappa))
-    cubic = ExponentPolynomial((zero, zero, zero, kappa))
-    return d2_prime.shifted(s1) - cubic
+    c0, c1, c2, c3 = _taylor_shift((0, 3 * kappa * s1**2, -3 * kappa * s1, kappa), s1)
+    return c0, c1, c2, c3 - kappa
 
 
 def bch_squeezer_residual(kappa: float) -> float:

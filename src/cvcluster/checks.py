@@ -2,8 +2,7 @@
 
 Each check returns a ProtocolCheck with the measured value, so the table the
 CLI prints doubles as a numerical record (in particular the cubic-scaling
-ratios). Gate constructors are injectable so a deliberately corrupted gate
-can be shown to fail. The measurement-picture row holds ``chain_channel`` to
+ratios). The measurement-picture row holds ``chain_channel`` to
 the paper's one-way computation: ``cluster``'s squeezed vacua joined by one
 CZ layer, the input attached by one more CZ, measured node by node with
 ``homodyne`` and corrected with ``update_frame``, which is bound here at
@@ -24,7 +23,6 @@ from .protocols import ProtocolCheck
 from .phase_space import (
     GaussianState,
     Quadrature,
-    SymplecticGate,
     beamsplitter_5050,
     controlled_z,
     controlled_z_pp,
@@ -43,29 +41,15 @@ from .cluster import ClusterSpec, attach_input, linear_cluster
 from .engine import ByproductFrame, StepPlan, chain_channel, update_frame
 
 
-def default_gates() -> dict[str, SymplecticGate]:
-    return {
-        "controlled_z": controlled_z(),
-        "controlled_z_pp": controlled_z_pp(),
-        "fourier": fourier(),
-        "rotation(0.7)": rotation(0.7),
-        "shear(0.3)": shear(0.3),
-        "p_shear(0.3)": p_shear(0.3),
-        "squeezer(0.5)": squeezer(0.5),
-        "beamsplitter_5050": beamsplitter_5050(),
-    }
-
-
-def symplectic_condition_checks(
-    gates: dict[str, SymplecticGate] | None = None,
-) -> list[ProtocolCheck]:
-    gates = default_gates() if gates is None else gates
-    worst = float(np.max([symplectic_defect(g.S) for g in gates.values()]))  # a NaN fails
+def symplectic_condition_checks() -> list[ProtocolCheck]:
+    gates = [controlled_z(), controlled_z_pp(), fourier(), rotation(0.7), shear(0.3)]
+    gates += [p_shear(0.3), squeezer(0.5), beamsplitter_5050()]
+    worst = float(np.max([symplectic_defect(g.S) for g in gates]))  # a NaN fails
     return [ProtocolCheck("symplectic_condition_all_gates", worst <= 1e-12, worst)]
 
 
-def gate_identity_checks(fourier_gate: SymplecticGate | None = None) -> list[ProtocolCheck]:
-    F = (fourier_gate or fourier()).S
+def gate_identity_checks() -> list[ProtocolCheck]:
+    F = fourier().S
     results = []
     dev = float(np.max(np.abs(rotation(math.pi / 2).S - F)))
     results.append(ProtocolCheck("rotation_half_pi_equals_fourier", dev <= 1e-12, dev))
@@ -94,10 +78,9 @@ def cubic_identity_checks() -> list[ProtocolCheck]:
     grid = [Fraction(v, 2) for v in (-2, -1, 0, 1, 2)]
     for kappa in grid:
         for s1 in grid:
-            residual = algebra.verify_cubic_feedforward(kappa, s1)
-            worst = max(worst, abs(residual.coefficient(0) - kappa * s1**3))
-            for deg in (1, 2, 3):
-                low_degree = max(low_degree, abs(residual.coefficient(deg)))
+            c0, *low = algebra.verify_cubic_feedforward(kappa, s1)
+            worst = max(worst, abs(c0 - kappa * s1**3))
+            low_degree = max(low_degree, *map(abs, low))
     return [
         ProtocolCheck("cubic_feedforward_constant_is_phase", worst == 0, float(worst)),
         ProtocolCheck(
@@ -106,34 +89,36 @@ def cubic_identity_checks() -> list[ProtocolCheck]:
     ]
 
 
-def bch_checks() -> list[ProtocolCheck]:
-    # doubling a float is exact, so each 2 * kappa below is one of these keys
-    residual = {kappa: algebra.bch_squeezer_residual(kappa) for kappa in (0.025, 0.05, 0.1, 0.2)}
-    results = [ProtocolCheck("bch_residual_small_at_0.1", residual[0.1] <= 1e-2, residual[0.1])]
+def _cubic_ratio_checks(name: str, residual: dict[float, float]) -> list[ProtocolCheck]:
+    """The rows ``name``_at_kappa for kappa 0.025, 0.05 and 0.1: a residual of
+    O(kappa^3) has residual(2 kappa) / residual(kappa) near 8, held to [7, 9]."""
+    rows = []
     for kappa in (0.025, 0.05, 0.1):
+        # doubling a float is exact, so 2 * kappa is a key of ``residual``
         ratio = residual[2 * kappa] / residual[kappa]
-        results.append(
-            ProtocolCheck(f"bch_cubic_scaling_ratio_at_{kappa:g}", 7.0 <= ratio <= 9.0, ratio)
-        )
-    return results
+        rows.append(ProtocolCheck(f"{name}_at_{kappa:g}", 7.0 <= ratio <= 9.0, ratio))
+    return rows
+
+
+def bch_checks() -> list[ProtocolCheck]:
+    residual = {kappa: algebra.bch_squeezer_residual(kappa) for kappa in (0.025, 0.05, 0.1, 0.2)}
+    return [
+        ProtocolCheck("bch_residual_small_at_0.1", residual[0.1] <= 1e-2, residual[0.1]),
+        *_cubic_ratio_checks("bch_cubic_scaling_ratio", residual),
+    ]
 
 
 def squeezer_matrix_checks() -> list[ProtocolCheck]:
     matrix = {kappa: algebra.squeezer_protocol_matrix(kappa) for kappa in (0.025, 0.05, 0.1, 0.2)}
     det_err = abs(float(np.linalg.det(matrix[0.2])) - 1.0)
-    results = [ProtocolCheck("four_step_matrix_det_one", det_err <= 1e-12, det_err)]
     dev = {
         k: float(np.linalg.norm(m - np.diag([1 - k**2, 1 + k**2]), "fro"))
         for k, m in matrix.items()
     }
-    for kappa in (0.025, 0.05, 0.1):
-        ratio = dev[2 * kappa] / dev[kappa]
-        results.append(
-            ProtocolCheck(
-                f"four_step_deviation_ratio_at_{kappa:g}", 7.0 <= ratio <= 9.0, ratio
-            )
-        )
-    return results
+    return [
+        ProtocolCheck("four_step_matrix_det_one", det_err <= 1e-12, det_err),
+        *_cubic_ratio_checks("four_step_deviation_ratio", dev),
+    ]
 
 
 def measurement_picture_deviation(

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -239,6 +239,24 @@ def chain_channel(steps: Sequence[StepPlan], cluster_r: float) -> tuple[Gaussian
     return affine_channel(np.column_stack([Wx[:, 0], Wp[:, 0]]), Wx[:, 1:], Wp[:, 1:], cluster_r)
 
 
+def pair_sampler(mean: Sequence[float], law) -> Callable[[float, float], tuple[float, float]]:
+    """The draw (u, v) = mean + L z from the 2x2 law [[a, b], [b, c]] of a
+    standard normal pair z, L the law's lower Cholesky factor in closed form:
+    l00 = sqrt(a), l10 = b / l00, l11 = sqrt(c - l10^2), b read below the
+    diagonal. In Python floats, so no BLAS kernel decides a draw's bits. A
+    pivot that is not > 0 (NaN included) is refused, as LAPACK refuses it.
+    """
+    m0, m1 = mean
+    (a, _), (b, c) = law
+    l00 = math.sqrt(a) if a > 0 else math.nan  # a refused first pivot makes the second NaN
+    l10 = b / l00
+    pivot = c - l10 * l10
+    if not pivot > 0:
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    l11 = math.sqrt(pivot)
+    return lambda z0, z1: (m0 + l00 * z0, m1 + (l10 * z0 + l11 * z1))
+
+
 def chain_records(
     input_state: GaussianState,
     steps: Sequence[StepPlan],
@@ -258,11 +276,11 @@ def chain_records(
     thetas, rescales = measurement_basis(kappas)
     indices, kappa_column, theta_column = range(k), kappas.tolist(), thetas.tolist()
     sd_x, sd_p = map(math.sqrt, resource_variances(cluster_r))
-    factor = np.linalg.cholesky(input_state.cov)
+    draw_input = pair_sampler(input_state.mean.tolist(), input_state.cov.tolist())
     trials = []
     for seed in seeds:
         z = _generator(seed).standard_normal(2 * (k + 1))
-        q_in = input_state.mean + factor @ z[:2]
+        q_in = draw_input(*z[:2].tolist())
         x = np.empty(k + 2)  # x[j + 1] = x_j, with x_{-1} = 0
         x[0] = 0.0
         x[1] = q_in[0]

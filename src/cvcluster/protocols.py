@@ -56,6 +56,7 @@ from .engine import (
     affine_channel,
     chain_channel,
     chain_records,
+    pair_sampler,
     resource_variances,
 )
 
@@ -477,7 +478,7 @@ def _offline_trials(input_state: GaussianState, r: float, seeds: range) -> Recor
     """Each trial's record columns, u from the x port and v from the p port,
     drawn from the readings' law: the input's mean and covariance, plus
     e = h^2 (var_anti + var_squeezed) on the diagonal, each variance rounded
-    once from the exact sum of these floats. One Cholesky factor per call,
+    once from the exact sum of these floats. One ``pair_sampler`` per call,
     and the trial with seed s draws with one generator of s."""
     e = _H_SQUARED * sum(map(Fraction, resource_variances(r)))
     (a, b), (b_, c) = input_state.cov.tolist()
@@ -485,8 +486,8 @@ def _offline_trials(input_state: GaussianState, r: float, seeds: range) -> Recor
         var_u, var_v = float(Fraction(a) + e), float(Fraction(c) + e)
     except OverflowError:  # past the largest float: the draws are not finite and refused
         var_u = var_v = math.inf
-    mean, factor = input_state.mean, np.linalg.cholesky([[var_u, b], [b_, var_v]])
-    draws = ((mean + factor @ _generator(s).standard_normal(2)).tolist() for s in seeds)
+    draw = pair_sampler(input_state.mean.tolist(), [[var_u, b], [b_, var_v]])
+    draws = (draw(*_generator(s).standard_normal(2).tolist()) for s in seeds)
     return tuple(RecordColumns(*_OFFLINE_COLUMNS, (u * _H, v * _H), (u, v)) for u, v in draws)
 
 

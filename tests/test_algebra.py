@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cvcluster as cv
+from cvcluster import algebra
 from conftest import random_gaussian_state
 from explicit_states import displace
 
@@ -32,35 +33,34 @@ class TestCliffordCommute:
 
 class TestCubicFeedforward:
     def test_unit_parameters_leave_unit_phase(self):
-        residual = cv.verify_cubic_feedforward(1, 1)
-        assert residual.degree == 0
-        assert residual.coefficient(0) == 1
+        assert cv.verify_cubic_feedforward(1, 1) == (1, 0, 0, 0)
 
     def test_zero_shift_vanishes(self):
-        residual = cv.verify_cubic_feedforward(Fraction(3, 2), 0)
-        assert residual.degree == 0
-        assert residual.coefficient(0) == 0
+        assert cv.verify_cubic_feedforward(Fraction(3, 2), 0) == (0, 0, 0, 0)
 
     def test_zero_kappa_vanishes(self):
-        residual = cv.verify_cubic_feedforward(0, Fraction(5, 3))
-        assert residual.degree == 0
-        assert residual.coefficient(0) == 0
+        assert cv.verify_cubic_feedforward(0, Fraction(5, 3)) == (0, 0, 0, 0)
 
     def test_exact_rational_grid(self):
         grid = [Fraction(k, 2) for k in (-2, -1, 0, 1, 2)]
         for kappa in grid:
             for s1 in grid:
                 residual = cv.verify_cubic_feedforward(kappa, s1)
-                assert residual.coefficient(0) == kappa * s1**3
-                for degree in (1, 2, 3):
-                    assert residual.coefficient(degree) == 0
+                assert residual == (kappa * s1**3, 0, 0, 0)
+                assert all(isinstance(c, Fraction) for c in residual)
 
     @given(st.floats(-3, 3), st.floats(-3, 3))
     @settings(max_examples=60)
     def test_float_inputs_low_degrees_vanish(self, kappa, s1):
+        # every finite float is a Fraction exactly, so the residual is exact
         residual = cv.verify_cubic_feedforward(kappa, s1)
-        for degree in (1, 2, 3):
-            assert abs(residual.coefficient(degree)) <= 1e-12 * (1 + abs(kappa) * (1 + abs(s1)) ** 3)
+        assert residual[1:] == (0, 0, 0)
+        assert residual[0] == Fraction(kappa) * Fraction(s1) ** 3
+
+    @pytest.mark.parametrize("kappa, s1", [(math.inf, 1.0), (1.0, -math.inf), (math.nan, 0.5)])
+    def test_non_finite_input_raises(self, kappa, s1):
+        with pytest.raises((OverflowError, ValueError)):
+            cv.verify_cubic_feedforward(kappa, s1)
 
 
 def _binomial_shift(coefficients, s):
@@ -76,15 +76,15 @@ VERIFY_GRID = [Fraction(v, 2) for v in (-2, -1, 0, 1, 2)]
 THIRDS_GRID = [Fraction(v, 3) for v in (-7, -4, -2, -1, 0, 1, 5)]
 
 
-class TestExponentPolynomial:
+class TestTaylorShift:
     def test_shift_equals_binomial_expansion_on_the_verify_grid(self):
         # the exponents of D2'(kappa, s1) that verify shifts by s1, at every grid point
         for kappa in VERIFY_GRID:
             for s1 in VERIFY_GRID:
                 coefficients = (Fraction(0), 3 * kappa * s1**2, -3 * kappa * s1, kappa)
-                shifted = cv.ExponentPolynomial(coefficients).shifted(s1)
-                assert shifted == cv.ExponentPolynomial(_binomial_shift(coefficients, s1))
-                assert all(isinstance(c, Fraction) for c in shifted.coefficients)
+                shifted = algebra._taylor_shift(coefficients, s1)
+                assert shifted == _binomial_shift(coefficients, s1)
+                assert all(isinstance(c, Fraction) for c in shifted)
 
     @pytest.mark.parametrize("length", [1, 2, 3, 4, 6])
     def test_shift_equals_binomial_expansion_on_thirds(self, length):
@@ -92,20 +92,15 @@ class TestExponentPolynomial:
         for s in THIRDS_GRID:
             for _ in range(5):
                 coefficients = tuple(THIRDS_GRID[i] for i in rng.integers(7, size=length))
-                shifted = cv.ExponentPolynomial(coefficients).shifted(s)
-                assert shifted == cv.ExponentPolynomial(_binomial_shift(coefficients, s))
+                assert algebra._taylor_shift(coefficients, s) == _binomial_shift(coefficients, s)
 
     def test_shift_matches_direct_evaluation(self):
-        poly = cv.ExponentPolynomial((1.0, -2.0, 0.5, 3.0))
-        shifted = poly.shifted(0.7)
+        coefficients = (1.0, -2.0, 0.5, 3.0)
+        shifted = algebra._taylor_shift(coefficients, 0.7)
         x = 1.3
-        direct = sum(c * (x + 0.7) ** k for k, c in enumerate(poly.coefficients))
-        via_shift = sum(c * x**k for k, c in enumerate(shifted.coefficients))
+        direct = sum(c * (x + 0.7) ** k for k, c in enumerate(coefficients))
+        via_shift = sum(c * x**k for k, c in enumerate(shifted))
         assert via_shift == pytest.approx(direct, rel=1e-12)
-
-    def test_trailing_zeros_trimmed(self):
-        poly = cv.ExponentPolynomial((1, 2, 0, 0))
-        assert poly.degree == 1
 
 
 class TestBchResidual:

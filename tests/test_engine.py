@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cvcluster as cv
-from cvcluster import engine
+from cvcluster import engine, protocols
 from conftest import random_gaussian_state, step_noise_oracle
 from explicit_states import displace
 from measurement_picture import apply_correction, dual_step
@@ -344,6 +344,79 @@ class TestChainRecords:
             cv.run_protocol(state, steps, TEN_DB_R, source)
         with refused:
             dual_step(state, TEN_DB_R, source)
+
+
+def _sampler_factor(law):
+    """``pair_sampler``'s lower factor, read off its draws at zero mean: z = (1, 0)
+    gives the first column and z = (0, 1) the second, each exactly."""
+    draw = engine.pair_sampler((0.0, 0.0), law)
+    (l00, l10), (_, l11) = draw(1.0, 0.0), draw(0.0, 1.0)
+    return np.array([[l00, 0.0], [l10, l11]])
+
+
+# the inputs a config can build: diagonal covariances, squeezed up to the largest r
+DIAGONAL_INPUTS = [cv.vacuum_state(1), cv.coherent_state(0.6, -0.9)] + [
+    cv.squeezed_vacuum(r, axis) for r in (0.4, 5.0, 50.0, 354.0) for axis in "xp"
+]
+
+
+class TestPairSampler:
+    @pytest.mark.parametrize("db", [0.0, 3.0, 10.0, 50.0, 100.0, 300.0])
+    def test_factor_equals_lapack_bit_for_bit_on_diagonal_laws(self, monkeypatch, db):
+        laws = [state.cov.tolist() for state in DIAGONAL_INPUTS]
+        sampler = protocols.pair_sampler
+
+        def spy(mean, law):  # the off-line readings' law of each input
+            laws.append(law)
+            return sampler(mean, law)
+
+        monkeypatch.setattr(protocols, "pair_sampler", spy)
+        for state in DIAGONAL_INPUTS:
+            cv.offline_teleport(state, cv.db_to_squeezing_r(db)).record_columns
+        assert len(laws) == 2 * len(DIAGONAL_INPUTS)
+        for law in laws:
+            assert _sampler_factor(law).tobytes() == np.linalg.cholesky(law).tobytes()
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_draw_is_the_mean_plus_the_factor_times_z(self, seed):
+        # correlated laws too, where the factor and the sum may round otherwise than LAPACK's
+        state = random_gaussian_state(seed, 1)
+        z = np.random.Generator(np.random.PCG64(seed)).standard_normal(2)
+        draw = engine.pair_sampler(state.mean.tolist(), state.cov.tolist())(*z.tolist())
+        expected = state.mean + np.linalg.cholesky(state.cov) @ z
+        np.testing.assert_allclose(draw, expected, rtol=1e-13, atol=1e-13 * np.abs(expected).max())
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            [[1e12, 1e12], [1e12, 1e12]],  # singular: the second pivot is 0
+            [[0.0, 0.0], [0.0, 1.0]],
+            [[-1.0, 0.0], [0.0, 1.0]],
+            [[math.nan, 0.0], [0.0, 1.0]],
+            [[1.0, 0.0], [0.0, -1.0]],
+            [[1.0, 0.0], [0.0, math.nan]],
+            [[1.0, 2.0], [2.0, 1.0]],
+        ],
+    )
+    def test_refuses_a_pivot_that_is_not_positive(self, law):
+        refused = pytest.raises(np.linalg.LinAlgError, match="Matrix is not positive definite")
+        with refused:
+            engine.pair_sampler((0.0, 0.0), law)
+        if not np.isnan(law).any():  # OpenBLAS's potrf lets a NaN pivot through
+            with refused:
+                np.linalg.cholesky(law)
+
+    @pytest.mark.parametrize(
+        "protocol", ["identity_chain", "squeezer_four_step", "repeated_squeezer"]
+    )
+    def test_singular_input_is_refused_when_read(self, protocol):
+        # it obeys the uncertainty relation, so the report is built; an off-line
+        # protocol's readings' law adds the resource noise to its diagonal
+        state = cv.GaussianState(np.zeros(2), np.full((2, 2), 1e12))
+        report = cv.run_named_protocol(protocol, {"input_state": state})
+        with pytest.raises(np.linalg.LinAlgError, match="Matrix is not positive definite"):
+            report.record_columns
 
 
 class TestMutationGuard:
