@@ -13,17 +13,17 @@ map is stated in closed form in ``_offline_facts`` alone and read through
 ``engine.affine_channel``), and reads the report's numbers off the
 channel once, in closed-form 2x2 arithmetic on Python floats (no ``np.linalg``
 call and no ``GaussianState``): the deviation from the target, the
-noise, the input's image and its ideal-output fidelity (formed again from
-images scaled by exact powers of two where its plain form overflows and the
-means do not). ``_report`` adds ``outcome_independent`` (or the negative
-control's ``outcome_dependence_detected``) and the noise's positivity, its
-smaller eigenvalue in LAPACK's closed form; every check holds a Python bool
-and a Python float or None, which ``cli`` writes into a run document as
-they are. A channel whose S, N or deviation is not
-finite is refused with ``ChannelOverflowError`` (naming ``kappa``, or
-``r_gate`` off-line), and one that carries the input past double precision
-with ``InputOverflowError``, raised with numpy's overflow warnings off in
-builders and record draws. The channel does not depend on the outcomes, so a
+noise, the input's image and its ideal-output fidelity (one overlap, in a
+frame of exact powers of two). ``_report`` adds ``outcome_independent`` (or
+the negative control's ``outcome_dependence_detected``) and the noise's
+positivity, its smaller eigenvalue in LAPACK's closed form; every check holds
+a Python bool and a Python float or None, which ``cli`` writes into a run
+document as they are. A channel whose S, N or deviation is not finite is
+refused with ``ChannelOverflowError`` (naming ``kappa``, or ``r_gate``
+off-line), and one that carries the input past double precision (an image
+mean or the fidelity not finite, among others) with ``InputOverflowError``,
+raised with numpy's overflow warnings off in builders and record draws. The
+channel does not depend on the outcomes, so a
 report draws its records, one ``RecordColumns`` per trial from its integer
 seed, when they are first read (``record_columns``): a sweep point's report
 draws none; an off-line report forms its readings' correctly rounded law
@@ -219,9 +219,9 @@ class _ReportFacts(NamedTuple):
 
 
 def _image(M: list, mean: list, cov: list, N=((0.0, 0.0), (0.0, 0.0)), d=(0.0, 0.0)) -> _Moments:
-    """M mean + d and M cov M^T + N for symmetric cov and N, as numpy orders them; a
-    variance is 0.5 (c + c), as ``GaussianChannel.apply`` symmetrizes, so that one
-    past half the largest float overflows here too."""
+    """M mean + d and M cov M^T + N for symmetric cov and N, in plain float products
+    (not bitwise ``GaussianChannel.apply``'s BLAS ones); a variance is 0.5 (c + c), as
+    ``apply`` symmetrizes, so that one past half the largest float overflows here too."""
     (m00, m01), (m10, m11) = M
     (v00, v01), (v10, v11) = cov
     t00, t01 = m00 * v00 + m01 * v10, m00 * v01 + m01 * v11
@@ -293,20 +293,20 @@ def _channel_facts(channel: GaussianChannel, leak: float, draw: Callable[[], Rec
     det = ideal.var_x * ideal.var_p - ideal.cov_xp * ideal.cov_xp
     fidelity = None
     if det > 0 and abs(VACUUM_VARIANCE / math.sqrt(det) - 1.0) <= 1e-9:
-        fidelity = _overlap(ideal, output)
-        if not math.isfinite(fidelity) and all(map(math.isfinite, [*ideal[:2], *output[:2]])):
-            # a variance of the output or of T can pass the largest float while the fidelity
-            # does not, as for the off-line squeezer near its r_gate limit: both images again,
-            # x scaled by 2^-e[0] and p by 2^-e[1] to bring each quadrature's ideal and noise
-            # variance near 1, and the fidelity, so scaled by 2^(e[0] + e[1]), unscaled
-            e = [math.frexp(max(v, abs(n)))[1] // 2
-                 for v, n in ((ideal.var_x, N[0][0]), (ideal.var_p, N[1][1]))]
-            try:
-                scaled = _image(_scaled(S, e), mean, cov, _scaled(N, e, e), _scaled([d], [0], e)[0])
-                fidelity = math.ldexp(_overlap(_image(_scaled(R, e), mean, cov), scaled), -sum(e))
-            except OverflowError:  # a scaled entry past the largest float: refused below
-                pass
-        _require_finite([fidelity], "the fidelity")
+        # one frame: quadrature i of both images scaled by 2^-e[i], exact away from subnormals;
+        # e[i] brings the larger of its ideal and noise variance near 1 outside 2^-500..2^500
+        # (inside, where a product of two stays normal, e[i] is 0), but no image mean past 2^1020
+        e = [max(k // 2 if abs(k) > 500 else 0, math.frexp(max(abs(a), abs(b)))[1] - 1020)
+             for k, a, b in ((math.frexp(max(ideal.var_x, abs(N[0][0])))[1], ideal.x, output.x),
+                             (math.frexp(max(ideal.var_p, abs(N[1][1])))[1], ideal.p, output.p))]
+        try:  # the images in the frame e: the plain ones where e is 0
+            framed = (ideal, output) if not any(e) else (
+                _image(_scaled(R, e), mean, cov),
+                _image(_scaled(S, e), mean, cov, _scaled(N, e, e), _scaled([d], [0], e)[0]))
+            fidelity = math.ldexp(_overlap(*framed), -sum(e))
+        except OverflowError:  # a scaled entry or the fidelity past the largest float
+            fidelity = math.inf
+        _require_finite([*ideal[:2], *output[:2], fidelity], "the fidelity")
     noise_trace = N[0][0] + N[1][1]
     return _ReportFacts(channel, target_S, leak, draw, deviation, noise_trace, output, fidelity)
 

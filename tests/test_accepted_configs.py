@@ -9,7 +9,9 @@ Each goes through ``cli.main`` as ``run`` or ``sweep``, with every warning
 an error. It must exit 0 and write a document, or exit 2, write nothing and
 print one error line that names a field of the config, ``input`` or
 ``sweep.*``; never exit 1. A channel-overflow line must name a parameter the
-protocol reads.
+protocol reads. A run document's fidelity must lie within the bound of
+``reference.report_facts``, taken from the document's own floats, wherever
+that first-order bound is below its value.
 
 By default chains have at most ``DEFAULT_MAX_STEPS`` steps and a run at most
 3 trials, which keeps the test to a few seconds. ``CVCLUSTER_FUZZ=full``
@@ -26,9 +28,10 @@ import re
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from cvcluster import cli, protocols
+from cvcluster import algebra, cli, protocols
+from reference import report_facts
 
 FULL = os.environ.get("CVCLUSTER_FUZZ") == "full"
 DEFAULT_MAX_STEPS = 2000
@@ -113,12 +116,37 @@ def _outcome(command: str, config: dict) -> tuple[int, str, str | None]:
     return code, err.getvalue(), written
 
 
+def _assert_fidelity_meets_the_reference(doc: dict, config: dict) -> None:
+    """The run document's fidelity within ``report_facts``' bound, where that bound
+    is below its value. Elsewhere the first-order bound does not hold: an input mean
+    near 1e238 turns a last-bit difference of S from the reference into an exponent q
+    near 1e443, so the floats taken as exact give 0 where the rounded means agree."""
+    if doc["fidelity"] is None:
+        return
+    state = cli.build_input_state(config.get("input", {"kind": "vacuum"}))
+    (a, b, c), S, target = doc["channel"]["N"], doc["channel"]["S"], doc["target_S"]
+    target = [target[:2], target[2:]]
+    R = target  # the fidelity's pure reference: the target but for the four-step squeezer
+    if doc["name"] == "squeezer_four_step":
+        R = algebra.squeezer_protocol_matrix(doc["parameters"]["kappa"]).tolist()
+    fact = report_facts([S[:2], S[2:]], [[a, b], [b, c]], doc["channel"]["d"], target, R,
+                        state.mean.tolist(), state.cov.tolist()).get("fidelity")
+    if fact is not None and fact.bound < fact.value:
+        assert fact.holds(doc["fidelity"]), (doc["fidelity"], fact)
+
+
 def test_every_parameter_is_drawn():
     assert set(VALUES) == set(protocols.PARAMETERS)
 
 
+# det T passes the largest float while the fidelity, 3.5e-155, does not
+OVERFLOWING_DET = {"protocol": "identity_chain", "n_nodes": 400, "squeezing_db": 10.0,
+                   "input": {"kind": "squeezed", "r": 354.5, "axis": "p"}}
+
+
 @pytest.mark.filterwarnings("error")
 @given(configs())
+@example(("run", OVERFLOWING_DET))
 @settings(max_examples=2000 if FULL else 120, deadline=None)
 def test_accepted_config_gives_a_document_or_a_clean_refusal(drawn):
     command, config = drawn
@@ -127,7 +155,9 @@ def test_accepted_config_gives_a_document_or_a_clean_refusal(drawn):
     if code == 0:
         assert err == "" and written is not None
         if command == "run":
-            assert json.loads(written)["name"] == config["protocol"]
+            doc = json.loads(written)
+            assert doc["name"] == config["protocol"]
+            _assert_fidelity_meets_the_reference(doc, config)
         else:
             assert len(written.splitlines()) == 1 + len(config["sweep"]["values"])
         return

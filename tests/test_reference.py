@@ -63,13 +63,19 @@ def _route_fidelity(report, state):
     return cv.overlap_fidelity(ideal, report.channel.apply(state))
 
 
+def _report_facts(report, state) -> dict:
+    """``report_facts`` of the report's own floats."""
+    S, N, d = (a.tolist() for a in (report.channel.S, report.channel.N, report.channel.d))
+    return report_facts(S, N, d, report.target_S.tolist(), _fidelity_reference(report).tolist(),
+                        state.mean.tolist(), state.cov.tolist())
+
+
 def assert_facts_meet_reference(report, state) -> None:
     """Each fact of ``report`` within its reference bound, and the fidelity
     through ``_route_fidelity`` where that resolves it."""
     S, N, d = (a.tolist() for a in (report.channel.S, report.channel.N, report.channel.d))
     mean, cov = state.mean.tolist(), state.cov.tolist()
-    facts = report_facts(S, N, d, report.target_S.tolist(), _fidelity_reference(report).tolist(),
-                         mean, cov)
+    facts = _report_facts(report, state)
     got = {
         "deviation": report.deviation,
         "noise_trace": report.noise_trace,
@@ -128,6 +134,32 @@ def test_negative_control_reports_meet_the_reference(r_gate):
         report = cv.offline_squeezer(state, cv.db_to_squeezing_r(db), r_gate, rescale_correction=False)
         assert report.fidelity is not None
         assert_facts_meet_reference(report, state)
+
+
+def _assert_fidelity_meets_the_reference(report, state) -> None:
+    """Only the fidelity: at these edges of double precision an output variance is not
+    finite (at 0 dB), and the route through ``GaussianChannel.apply`` and
+    ``overlap_fidelity`` can give 0.0."""
+    fact = _report_facts(report, state)["fidelity"]
+    assert fact.holds(report.fidelity), (report.fidelity, fact)
+
+
+@pytest.mark.parametrize("n_nodes", [350, 400, 1000, 1998])
+def test_identity_chain_fidelity_past_an_overflowing_det_meets_the_reference(n_nodes):
+    # an ideal p variance of e^709/4, near 2^1021, beside a noise that grows with the
+    # chain: det T passes the largest float from 400 nodes, the fidelity does not
+    state = cv.squeezed_vacuum(354.5, "p")
+    report = cv.identity_chain(n_nodes, cv.db_to_squeezing_r(10.0), state)
+    _assert_fidelity_meets_the_reference(report, state)
+
+
+@pytest.mark.parametrize("db", [0.0, 10.0, 100.0])
+@pytest.mark.parametrize("r_gate", [354.73, -354.73, 354.89, -354.89])
+def test_offline_squeezer_fidelity_near_the_r_gate_limit_meets_the_reference(r_gate, db):
+    # the ideal variances e^{+-2 r_gate}/4 lie near 2^1021 and 2^-1026, a subnormal
+    state = cv.vacuum_state(1)
+    report = cv.offline_squeezer(state, cv.db_to_squeezing_r(db), r_gate)
+    _assert_fidelity_meets_the_reference(report, state)
 
 
 GRID_INPUTS = {
