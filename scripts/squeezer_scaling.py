@@ -30,7 +30,7 @@ def main() -> None:
         cluster = cv.squeezer_four_step(kappa, r, vac)
         offline = cv.offline_squeezer(vac, r, kappa**2)
         gap = np.linalg.norm(cluster.channel.S - offline.channel.S, ord="fro")
-        var_x = cluster.check("output_var_x").value
+        var_x = cluster.channel.apply(vac).cov[0, 0]
         print(
             f"{kappa:8.3f} {cluster.deviation:12.3e} "
             f"{cluster.deviation / kappa**3:10.4f} {gap:12.3e} {var_x:11.6f}"

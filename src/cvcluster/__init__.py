@@ -15,9 +15,7 @@ from .phase_space import (
     embed_symplectic,
     fourier,
     homodyne,
-    overlap_fidelity,
     p_shear,
-    purity,
     rotation,
     shear,
     squeezed_vacuum,

@@ -130,24 +130,6 @@ def symplectic_defect(S: np.ndarray) -> float:
     return float(np.max(np.abs(S @ J @ S.T - J)))
 
 
-def _det(cov: np.ndarray) -> float:
-    """det cov, as a*c - b*b for one mode: numpy's det is exp(log |det|), which
-    adds about u |ln det| of relative error."""
-    if cov.shape == (2, 2):
-        (a, b), (_, c) = cov.tolist()
-        return a * c - b * b
-    return float(np.linalg.det(cov))
-
-
-def purity(state: GaussianState) -> float:
-    """Tr rho^2 = (1/4)^N / sqrt(det cov); a determinant that is not positive,
-    as rounding leaves for a (nearly) singular covariance, is refused."""
-    det = _det(state.cov)
-    if not det > 0.0:
-        raise ValueError(f"purity needs a positive covariance determinant, got {det!r}")
-    return float(VACUUM_VARIANCE**state.n_modes / math.sqrt(det))
-
-
 def uncertainty_defect(state: GaussianState) -> float:
     """Violation of cov + (i/4)J >= 0, normalized by the spectral scale.
 
@@ -320,7 +302,7 @@ def apply_gate(state: GaussianState, gate: SymplecticGate, modes: Sequence[int])
 
 
 # ---------------------------------------------------------------------------
-# measurement and overlap
+# measurement
 
 
 def _generator(seed) -> np.random.Generator:
@@ -331,24 +313,21 @@ def _generator(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _as_generator(rng) -> np.random.Generator:
-    return rng if isinstance(rng, np.random.Generator) else _generator(rng)
-
-
 def homodyne(
     state: GaussianState,
     quad: Quadrature,
     *,
-    forced: float | None = None,
-    rng: np.random.Generator | int | None = None,
+    forced: float,
 ) -> tuple[float, GaussianState]:
     """Measure one quadrature and condition the remaining modes on the result.
 
-    The outcome is the value of the linear functional ``c_x x + c_p p`` of the
-    measured mode: sampled when ``rng`` (a Generator or an integer seed) is given,
-    or set to ``forced``, which must be finite. The remaining modes are updated by exact Gaussian
-    conditioning on that functional (Schur complement), after which the
-    measured mode is dropped entirely.
+    The outcome is ``forced``, which must be finite: the value of the linear
+    functional ``c_x x + c_p p`` of the measured mode. The remaining modes are
+    updated by exact Gaussian conditioning on that functional (Schur
+    complement), after which the measured mode is dropped entirely. A
+    quadrature of (near) zero variance is not conditioned on, and a forced
+    outcome away from its deterministic value is refused with
+    ``DegenerateMeasurementError``.
 
     Returns ``(outcome, conditional state on the remaining modes)``.
 
@@ -360,8 +339,9 @@ def homodyne(
     """
     if state.n_modes < 1:
         raise ValueError("state must have at least one mode")
-    if forced is not None and not math.isfinite(forced):
+    if not math.isfinite(forced):
         raise ValueError(f"forced outcome must be finite, got {forced}")
+    outcome = float(forced)
     i, j = state.mode_indices(quad.mode)
     c = np.zeros(2 * state.n_modes)
     c[i], c[j] = quad.c_x, quad.c_p
@@ -373,19 +353,12 @@ def homodyne(
 
     if degenerate:
         # pseudoinverse of the scalar variance: no conditioning update
-        if forced is not None and abs(forced - mu_c) > _DEGENERATE_OUTCOME_ATOL:
+        if abs(forced - mu_c) > _DEGENERATE_OUTCOME_ATOL:
             raise DegenerateMeasurementError(
                 f"forced outcome {forced} inconsistent with deterministic value {mu_c}"
             )
-        outcome = mu_c if forced is None else float(forced)
         mean, cov = state.mean.copy(), state.cov.copy()
     else:
-        if forced is not None:
-            outcome = float(forced)
-        elif rng is not None:
-            outcome = float(_as_generator(rng).normal(mu_c, math.sqrt(var)))
-        else:
-            raise ValueError("an outcome source is required: pass forced= or rng=")
         gain = state.cov @ c / var
         mean = state.mean + gain * (outcome - mu_c)
         cov = state.cov - np.outer(gain, c @ state.cov)
@@ -393,19 +366,3 @@ def homodyne(
     keep = [k for k in range(2 * state.n_modes) if k not in (i, j)]
     cov_rem = cov[keep][:, keep]
     return outcome, GaussianState(mean[keep], 0.5 * (cov_rem + cov_rem.T))
-
-
-def overlap_fidelity(pure: GaussianState, rho: GaussianState) -> float:
-    """Tr[|psi><psi| rho] for a pure single-mode ``pure`` against any ``rho``.
-
-    Closed form in these units (vacuum = I/4):
-    (1/2) exp(-delta^T (A+B)^{-1} delta / 2) / sqrt(det(A+B)).
-    """
-    if pure.n_modes != 1 or rho.n_modes != 1:
-        raise ValueError("overlap_fidelity is defined for single-mode states")
-    if abs(purity(pure) - 1.0) > 1e-9:
-        raise ValueError("first argument must be a pure state")
-    total = pure.cov + rho.cov
-    delta = pure.mean - rho.mean
-    quad = float(delta @ np.linalg.solve(total, delta))
-    return float(0.5 * math.exp(-0.5 * quad) / math.sqrt(_det(total)))

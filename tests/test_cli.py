@@ -450,6 +450,30 @@ class TestCommandErrors:
         error = f"error: field 'input.{key}': expected a number, got a string\n"
         assert capsys.readouterr() == ("", error)
 
+    @pytest.mark.parametrize(
+        "payload, error",
+        [
+            ([], "config root must be a JSON object"),
+            ({**BASE_RUN, "sweep": 5}, "field 'sweep': expected {param, values}"),
+            ({**BASE_RUN, "input": 5}, "field 'input': expected an object with a 'kind'"),
+            ({**BASE_RUN, "input": {"kind": "coherent", "re": 0.5}},
+             "field 'input': coherent input needs 'im'"),
+            ({**BASE_RUN, "input": {"kind": "coherent", "re": None, "im": 0.0}},
+             "field 'input': coherent re and im must be numbers"),
+            ({**BASE_RUN, "input": {"kind": "coherent", "re": math.inf, "im": 0.0}},
+             "field 'input': coherent re and im must be finite"),
+            ({**BASE_RUN, "input": {"kind": "squeezed", "r": 0.5}},
+             "field 'input': squeezed input needs 'axis'"),
+        ],
+        ids=["root_list", "sweep_number", "input_number", "coherent_no_im", "coherent_re_null",
+             "coherent_re_infinity", "squeezed_no_axis"],
+    )
+    def test_config_shape_refusal_exits_2_with_its_line(self, tmp_path, capsys, payload, error):
+        # json.dumps writes math.inf as the JavaScript literal Infinity, which json.loads reads
+        code, out = main_on(tmp_path, "run", payload)
+        assert (code, out.exists()) == (2, False)
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
 
 class TestSweepCommand:
     def test_fidelity_sweep_rows(self, tmp_path):
@@ -803,11 +827,12 @@ INPUT_OVERFLOWING = {
         "protocol": "squeezer_four_step", "squeezing_db": 10.0, "kappa": 0.2,
         "input": {"kind": "coherent", "re": 1.7e308, "im": 1.6e308},
     },
-    # the reported output variances are not finite
-    "four_step_squeezed_output_variance": {
-        "protocol": "squeezer_four_step", "squeezing_db": 0.0, "kappa": 10.0,
-        "input": {"kind": "squeezed", "r": 350.0, "axis": "x"},
-    },
+}
+
+# the output's p variance passes the largest float, but no number a document writes does
+FOUR_STEP_OUTPUT_VARIANCE_PAST_THE_LARGEST_FLOAT = {
+    "protocol": "squeezer_four_step", "squeezing_db": 0.0, "kappa": 10.0,
+    "input": {"kind": "squeezed", "r": 350.0, "axis": "x"},
 }
 
 
@@ -854,6 +879,23 @@ class TestInputOverflow:
         code, out = main_on(tmp_path, "run", payload, "--quiet")
         assert code == 0
         assert math.isfinite(json.loads(out.read_text())["fidelity"])
+
+    def test_an_output_variance_past_the_largest_float_gives_a_document(self, tmp_path, capsys):
+        # no number of the document is not finite: the fidelity is null (its reference's
+        # ideal output is not resolved as pure), and at kappa 10 the cubic check fails
+        code, out = main_on(
+            tmp_path, "run", FOUR_STEP_OUTPUT_VARIANCE_PAST_THE_LARGEST_FLOAT, "--quiet"
+        )
+        assert (code, capsys.readouterr().err) == (0, "")
+        doc = json.loads(out.read_text(), parse_constant=pytest.fail)  # Infinity or NaN fails
+        assert doc["fidelity"] is None
+        passed = {check["name"]: check["passed"] for check in doc["checks"]}
+        assert passed == {
+            "outcome_independent": True,
+            "channel_noise_psd": True,
+            "matches_exact_four_step_matrix": True,
+            "within_cubic_error_of_target": False,
+        }
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 
 import cvcluster as cv
 from explicit_states import epr_resource, modified_resource
+from state_oracles import purity
 
 IDEAL = cv.IDEAL_SQUEEZING_R
 
@@ -57,7 +58,7 @@ class TestLinearCluster:
     @pytest.mark.parametrize("r", [0.0, 1.0, 3.0])
     def test_purity(self, n, r):
         state = cv.linear_cluster(cv.ClusterSpec(n, r))
-        assert cv.purity(state) == pytest.approx(1.0, abs=1e-9)
+        assert purity(state) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 4.0, 8.0])
     def test_nullifier_variances(self, r):
@@ -139,7 +140,7 @@ class TestEprResource:
         assert corr == pytest.approx(1.0, abs=1e-9)
 
     def test_purity(self):
-        assert cv.purity(epr_resource(1.2)) == pytest.approx(1.0, abs=1e-9)
+        assert purity(epr_resource(1.2)) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestModifiedResource:

@@ -60,7 +60,7 @@ class TestSqueezerFourStep:
     def test_vacuum_output_x_variance(self):
         report = cv.squeezer_four_step(0.2, IDEAL, VAC)
         expected = 0.25 * (0.9616**2 + 0.008**2)
-        assert report.check("output_var_x").value == pytest.approx(expected, abs=1e-6)
+        assert report.channel.apply(VAC).cov[0, 0] == pytest.approx(expected, abs=1e-6)
 
     def test_kappa_zero_matches_identity_chain(self):
         squeezer = cv.squeezer_four_step(0.0, TEN_DB_R, VAC)
@@ -89,15 +89,14 @@ class TestSqueezerFourStep:
         "state", [VAC, cv.coherent_state(0.4, -1.2), cv.squeezed_vacuum(0.7, "p")]
     )
     def test_output_variances_are_the_channels_image_of_the_input(self, state):
-        # the report's closed form and numpy's matmul, which may fuse a multiply-add,
-        # round differently: both are held to the 60-digit image and its bound
+        # numpy's matmul may fuse a multiply-add, so apply's variances are held to
+        # the 60-digit image within its bound, not to its bits
         report = cv.squeezer_four_step(0.3, TEN_DB_R, state)
         out = report.channel.apply(state)
         channel = [a.tolist() for a in (report.channel.S, report.channel.N, report.channel.d)]
         facts = report_facts(*channel, report.target_S.tolist(), np.eye(2).tolist(),
                              state.mean.tolist(), state.cov.tolist())
         for name, i in (("var_x", 0), ("var_p", 1)):
-            assert facts[name].holds(report.check(f"output_{name}").value)
             assert facts[name].holds(out.cov[i, i])
 
 
@@ -656,6 +655,14 @@ class TestOneReportPerDocument:
     def test_rejects_zero_trials(self, protocol):
         with pytest.raises(ValueError, match="trials"):
             cv.run_named_protocol(protocol, {}, trials=0)
+
+    @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
+    def test_builder_rejects_zero_trials(self, protocol):
+        # the builder's own precondition, which run_named_protocol's rule keeps a config from
+        builder, names = protocols.PROTOCOLS[protocol]
+        args = {name: protocols.PARAMETER_DEFAULTS[name] for name in names}
+        with pytest.raises(ValueError, match=r"^trials must be >= 1$"):
+            builder(r=TEN_DB_R, input_state=VAC, seed=0, trials=0, **args)
 
 
 class TestRecordsDrawnWhenRead:
@@ -1240,9 +1247,8 @@ def _unscaled_control():
 
 
 # document check name -> (a report at 10 dB with the other parameters at their
-# defaults and a vacuum input, a mutation that turns the check red); None for
-# the reported values that are built passed and cannot fail (ROADMAP item 7
-# moves them out of the checks)
+# defaults and a vacuum input, a mutation that turns the check red): every
+# check a document writes must be able to fail
 DOCUMENT_CHECK_MUTATIONS = {
     "outcome_independent": (
         _report_at_ten_db("identity_chain"),
@@ -1258,8 +1264,6 @@ DOCUMENT_CHECK_MUTATIONS = {
     ),
     "matches_exact_four_step_matrix": (_report_at_ten_db("squeezer_four_step"), _chain_S_shifted(1e-3)),
     "within_cubic_error_of_target": (_report_at_ten_db("squeezer_four_step"), _chain_S_shifted(0.1)),
-    "output_var_x": None,
-    "output_var_p": None,
     "matches_exact_segment_power": (_report_at_ten_db("repeated_squeezer"), _chain_S_shifted(1e-3)),
     "noise_is_isotropic_teleportation_noise": (
         _report_at_ten_db("offline_teleport"),
@@ -1288,9 +1292,7 @@ DOCUMENT_CHECK_MUTATIONS = {
 
 
 class TestEveryDocumentCheckCanFail:
-    @pytest.mark.parametrize(
-        "name", [name for name, row in DOCUMENT_CHECK_MUTATIONS.items() if row is not None]
-    )
+    @pytest.mark.parametrize("name", DOCUMENT_CHECK_MUTATIONS)
     def test_each_document_check_fails_under_its_mutation(self, monkeypatch, name):
         build, mutate = DOCUMENT_CHECK_MUTATIONS[name]
         assert build().check(name).passed
@@ -1304,7 +1306,7 @@ class TestEveryDocumentCheckCanFail:
         r, r_gate = cv.db_to_squeezing_r(100.0), protocols.PARAMETER_DEFAULTS["r_gate"]
         reports.append(cv.offline_squeezer(VAC, r, r_gate, rescale_correction=False))
         names = {check.name for report in reports for check in report.checks}
-        assert len(names) == 13
+        assert len(names) == 11
         assert names == set(DOCUMENT_CHECK_MUTATIONS)
 
 
