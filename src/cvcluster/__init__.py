@@ -5,8 +5,6 @@ from .phase_space import (
     VACUUM_VARIANCE,
     DegenerateMeasurementError,
     GaussianState,
-    Quadrature,
-    SymplecticGate,
     apply_gate,
     beamsplitter_5050,
     coherent_state,
@@ -26,7 +24,7 @@ from .phase_space import (
     uncertainty_defect,
     vacuum_state,
 )
-from .cluster import ClusterSpec, attach_input, linear_cluster
+from .cluster import attach_input, linear_cluster
 from .algebra import (
     bch_squeezer_residual,
     fourier_shear_step,

@@ -53,8 +53,8 @@ def bch_squeezer_residual(kappa: float) -> float:
     Quantifies the O(kappa^3) error in splitting the combined shear pair
     into a rotation times a squeezer.
     """
-    lhs = p_shear(kappa).S @ shear(kappa).S
-    rhs = rotation(kappa).S @ squeezer(kappa**2 / 2).S
+    lhs = p_shear(kappa) @ shear(kappa)
+    rhs = rotation(kappa) @ squeezer(kappa**2 / 2)
     return float(np.linalg.norm(lhs - rhs, ord="fro"))
 
 

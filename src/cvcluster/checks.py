@@ -22,10 +22,10 @@ from . import algebra, protocols
 from .protocols import ProtocolCheck
 from .phase_space import (
     GaussianState,
-    Quadrature,
     beamsplitter_5050,
     controlled_z,
     controlled_z_pp,
+    embed_symplectic,
     fourier,
     homodyne,
     uncertainty_defect,
@@ -37,34 +37,31 @@ from .phase_space import (
     vacuum_state,
     IDEAL_SQUEEZING_R,
 )
-from .cluster import ClusterSpec, attach_input, linear_cluster
+from .cluster import attach_input, linear_cluster
 from .engine import ByproductFrame, StepPlan, chain_channel, update_frame
 
 
 def symplectic_condition_checks() -> list[ProtocolCheck]:
     gates = [controlled_z(), controlled_z_pp(), fourier(), rotation(0.7), shear(0.3)]
     gates += [p_shear(0.3), squeezer(0.5), beamsplitter_5050()]
-    worst = float(np.max([symplectic_defect(g.S) for g in gates]))  # a NaN fails
+    worst = float(np.max([symplectic_defect(g) for g in gates]))  # a NaN fails
     return [ProtocolCheck("symplectic_condition_all_gates", worst <= 1e-12, worst)]
 
 
 def gate_identity_checks() -> list[ProtocolCheck]:
-    F = fourier().S
+    F = fourier()
     results = []
-    dev = float(np.max(np.abs(rotation(math.pi / 2).S - F)))
+    dev = float(np.max(np.abs(rotation(math.pi / 2) - F)))
     results.append(ProtocolCheck("rotation_half_pi_equals_fourier", dev <= 1e-12, dev))
-    dev = float(np.max(np.abs(F @ shear(0.4).S @ np.linalg.inv(F) - p_shear(0.4).S)))
+    dev = float(np.max(np.abs(F @ shear(0.4) @ np.linalg.inv(F) - p_shear(0.4))))
     results.append(ProtocolCheck("fourier_conjugates_shear_to_p_shear", dev <= 1e-12, dev))
-    FF = np.zeros((4, 4))
-    FF[:2, :2] = F
-    FF[2:, 2:] = F
-    conj = FF @ controlled_z().S @ np.linalg.inv(FF)
-    dev = float(np.max(np.abs(conj - controlled_z_pp().S)))
+    FF = embed_symplectic(F, [0], 2) @ embed_symplectic(F, [1], 2)
+    conj = FF @ controlled_z() @ np.linalg.inv(FF)
+    dev = float(np.max(np.abs(conj - controlled_z_pp())))
     results.append(ProtocolCheck("fourier_pair_conjugates_cz_to_cz_pp", dev <= 1e-12, dev))
-    cz = controlled_z().S
+    cz = controlled_z()
     for mode in (0, 1):
-        emb = np.eye(4)
-        emb[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = shear(0.7).S
+        emb = embed_symplectic(shear(0.7), [mode], 2)
         dev = float(np.max(np.abs(cz @ emb - emb @ cz)))
         results.append(
             ProtocolCheck(f"cz_commutes_with_shear_on_mode_{mode}", dev == 0.0, dev)
@@ -143,11 +140,11 @@ def measurement_picture_deviation(
     """
     kappas = [step.kappa for step in steps]
     k = len(kappas)
-    assembled = attach_input(state_in, linear_cluster(ClusterSpec(k, r)))
+    assembled = attach_input(state_in, linear_cluster(k, r))
 
     def measure(probe, s, kappa):
         state, frame = probe
-        state = homodyne(state, Quadrature(0, kappa, 1.0), forced=s)[1]
+        state = homodyne(state, 0, kappa, 1.0, forced=s)[1]
         return state, update_frame(frame, s, kappa)
 
     zero = [(assembled, ByproductFrame())]
@@ -206,7 +203,7 @@ def outcome_independence_checks() -> list[ProtocolCheck]:
 def uncertainty_checks() -> list[ProtocolCheck]:
     worst = 0.0
     for n, r in ((1, 0.0), (3, 1.0), (5, protocols.db_to_squeezing_r(10.0)), (4, IDEAL_SQUEEZING_R)):
-        cluster = linear_cluster(ClusterSpec(n, r))
+        cluster = linear_cluster(n, r)
         worst = max(worst, uncertainty_defect(cluster))
         worst = max(worst, uncertainty_defect(attach_input(vacuum_state(1), cluster)))
     for steps in ([StepPlan(0.0)] * 4, protocols.squeezer_steps(0.2)):

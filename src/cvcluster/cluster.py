@@ -7,8 +7,6 @@ two-mode squeezed (EPR) resource off their affine maps (``protocols``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .phase_space import (
@@ -20,27 +18,18 @@ from .phase_space import (
 )
 
 
-@dataclass(frozen=True)
-class ClusterSpec:
-    """Chain length and the (uniform) squeezing of every node."""
-
-    n_nodes: int
-    squeezing_r: float
-
-    def __post_init__(self):
-        if self.n_nodes < 1:
-            raise ValueError("n_nodes must be >= 1")
-        if self.squeezing_r < 0:
-            raise ValueError("squeezing_r must be >= 0")
-
-
-def linear_cluster(spec: ClusterSpec) -> GaussianState:
-    """p-squeezed vacua joined by one layer of CZ gates between adjacent nodes.
+def linear_cluster(n_nodes: int, squeezing_r: float) -> GaussianState:
+    """``n_nodes`` p-squeezed vacua, each squeezed by ``squeezing_r``, joined
+    by one layer of CZ gates between adjacent nodes.
 
     The CZ gates all commute, so the layer is one symplectic: the identity
     plus a 1 that adds x_i to p_{i+1} and x_{i+1} to p_i for each edge.
     """
-    n, node = spec.n_nodes, squeezed_vacuum(spec.squeezing_r, axis="p")
+    if n_nodes < 1:
+        raise ValueError("n_nodes must be >= 1")
+    if squeezing_r < 0:
+        raise ValueError("squeezing_r must be >= 0")
+    n, node = n_nodes, squeezed_vacuum(squeezing_r, axis="p")
     S = np.eye(2 * n)
     for i in range(n - 1):
         S[2 * i + 1, 2 * i + 2] = S[2 * i + 3, 2 * i] = 1.0

@@ -7,14 +7,15 @@ Conventions used throughout the package:
 * quadratures are interleaved per mode, ``(x1, p1, x2, p2, ...)``;
 * a gate acts forward on moments, ``mu -> S mu`` and ``cov -> S cov S^T``;
   the rows of ``S`` coincide with the Heisenberg transforms of the
-  quadratures written in the old operators. Gates carry no displacement;
-  a protocol's channel keeps its own ``d``.
+  quadratures written in the old operators;
+* a gate is its read-only 2k x 2k symplectic matrix ``S`` on k modes. Gates
+  carry no displacement; a protocol's channel keeps its own ``d``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +34,7 @@ class DegenerateMeasurementError(ValueError):
     """A forced outcome conflicts with a (near) zero-variance quadrature."""
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def _readonly(a) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
@@ -73,46 +74,6 @@ class GaussianState:
         if not 0 <= mode < self.n_modes:
             raise ValueError(f"mode {mode} out of range for {self.n_modes} modes")
         return 2 * mode, 2 * mode + 1
-
-
-@dataclass(frozen=True)
-class SymplecticGate:
-    """A Gaussian unitary as a linear phase-space map ``q -> S q``."""
-
-    S: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        S = _readonly(self.S)
-        if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] % 2 != 0:
-            raise ValueError(f"S must be square of even size, got {S.shape}")
-        object.__setattr__(self, "S", S)
-
-    @property
-    def n_modes(self) -> int:
-        return self.S.shape[0] // 2
-
-
-@dataclass(frozen=True)
-class Quadrature:
-    """The homodyne observable ``c_x * x + c_p * p`` of one mode."""
-
-    mode: int
-    c_x: float
-    c_p: float
-
-    def __post_init__(self):
-        for name, value in (("c_x", self.c_x), ("c_p", self.c_p)):
-            if not math.isfinite(value):
-                raise ValueError(f"quadrature coefficient {name} must be finite, got {value}")
-        # homodyne divides by the squared norm, so it must neither be zero
-        # nor overflow (both zero, or finite but beyond about 1e154 or below 1e-162)
-        norm2 = self.c_x * self.c_x + self.c_p * self.c_p
-        if not 0.0 < norm2 < math.inf:
-            raise ValueError(
-                f"quadrature coefficients (c_x, c_p) = ({self.c_x!r}, {self.c_p!r}) must have "
-                f"a positive finite squared norm c_x^2 + c_p^2, got {norm2!r}"
-            )
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -189,7 +150,7 @@ def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
 # gate constructors
 
 
-def controlled_z() -> SymplecticGate:
+def controlled_z() -> np.ndarray:
     """QND coupling e^{2i x(x)x}: adds each mode's x to the other's p."""
     S = np.array(
         [
@@ -199,10 +160,10 @@ def controlled_z() -> SymplecticGate:
             [1.0, 0.0, 0.0, 1.0],
         ]
     )
-    return SymplecticGate(S, label="CZ")
+    return _readonly(S)
 
 
-def controlled_z_pp() -> SymplecticGate:
+def controlled_z_pp() -> np.ndarray:
     """Momentum-coupled variant e^{2i p(x)p}: subtracts momenta from positions."""
     S = np.array(
         [
@@ -212,38 +173,36 @@ def controlled_z_pp() -> SymplecticGate:
             [0.0, 0.0, 0.0, 1.0],
         ]
     )
-    return SymplecticGate(S, label="CZ_pp")
+    return _readonly(S)
 
 
-def fourier() -> SymplecticGate:
+def fourier() -> np.ndarray:
     """Quarter rotation: x -> -p, p -> x."""
-    return SymplecticGate(np.array([[0.0, -1.0], [1.0, 0.0]]), label="F")
+    return _readonly([[0.0, -1.0], [1.0, 0.0]])
 
 
-def rotation(theta: float) -> SymplecticGate:
+def rotation(theta: float) -> np.ndarray:
     """Phase-space rotation e^{i theta (x^2 + p^2)}; theta = pi/2 is fourier()."""
     c, s = math.cos(theta), math.sin(theta)
-    return SymplecticGate(np.array([[c, -s], [s, c]]), label=f"R({theta:g})")
+    return _readonly([[c, -s], [s, c]])
 
 
-def shear(kappa: float) -> SymplecticGate:
+def shear(kappa: float) -> np.ndarray:
     """Quadratic phase gate e^{i kappa x^2}: p -> p + kappa x."""
-    return SymplecticGate(np.array([[1.0, 0.0], [kappa, 1.0]]), label=f"D({kappa:g})")
+    return _readonly([[1.0, 0.0], [kappa, 1.0]])
 
 
-def p_shear(kappa: float) -> SymplecticGate:
+def p_shear(kappa: float) -> np.ndarray:
     """Momentum-quadratic phase e^{i kappa p^2}: x -> x - kappa p."""
-    return SymplecticGate(np.array([[1.0, -kappa], [0.0, 1.0]]), label=f"Dp({kappa:g})")
+    return _readonly([[1.0, -kappa], [0.0, 1.0]])
 
 
-def squeezer(r: float) -> SymplecticGate:
+def squeezer(r: float) -> np.ndarray:
     """Single-mode squeezer e^{i r (xp + px)}: x -> e^{-r} x, p -> e^{+r} p."""
-    return SymplecticGate(
-        np.diag([math.exp(-r), math.exp(r)]), label=f"S({r:g})"
-    )
+    return _readonly(np.diag([math.exp(-r), math.exp(r)]))
 
 
-def beamsplitter_5050() -> SymplecticGate:
+def beamsplitter_5050() -> np.ndarray:
     """Symmetric beamsplitter; mode 1 takes the + combination.
 
     Acts as (q1, q2) -> ((q1+q2)/sqrt2, (q1-q2)/sqrt2) on both the x and p
@@ -260,7 +219,7 @@ def beamsplitter_5050() -> SymplecticGate:
             [0.0, h, 0.0, -h],
         ]
     )
-    return SymplecticGate(S, label="BS50")
+    return _readonly(S)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +233,8 @@ def embed_symplectic(S: np.ndarray, modes: Sequence[int], n_modes: int) -> np.nd
     each in range; block (a, b) of ``S`` goes to the 2x2 block of modes
     (modes[a], modes[b]), and the rest of the result is the identity.
     """
-    k = S.shape[0] // 2
+    S = np.asarray(S, dtype=float)
+    k = S.shape[0] // 2 if S.ndim else 0
     if S.shape != (2 * k, 2 * k):
         raise ValueError(f"S must have shape (2k, 2k), got {S.shape}")
     if len(modes) != k:
@@ -293,10 +253,10 @@ def embed_symplectic(S: np.ndarray, modes: Sequence[int], n_modes: int) -> np.nd
     return full
 
 
-def apply_gate(state: GaussianState, gate: SymplecticGate, modes: Sequence[int]) -> GaussianState:
+def apply_gate(state: GaussianState, gate: np.ndarray, modes: Sequence[int]) -> GaussianState:
     """mu -> S mu and cov -> S cov S^T, the covariance symmetrized, with the
-    gate embedded on ``modes`` by ``embed_symplectic``."""
-    S = embed_symplectic(gate.S, modes, state.n_modes)
+    gate's matrix embedded on ``modes`` by ``embed_symplectic``."""
+    S = embed_symplectic(gate, modes, state.n_modes)
     cov = S @ state.cov @ S.T
     return GaussianState(S @ state.mean, 0.5 * (cov + cov.T))
 
@@ -315,14 +275,18 @@ def _generator(seed) -> np.random.Generator:
 
 def homodyne(
     state: GaussianState,
-    quad: Quadrature,
+    mode: int,
+    c_x: float,
+    c_p: float,
     *,
     forced: float,
 ) -> tuple[float, GaussianState]:
-    """Measure one quadrature and condition the remaining modes on the result.
+    """Measure the quadrature ``c_x x + c_p p`` of ``mode`` and condition the
+    remaining modes on the result.
 
-    The outcome is ``forced``, which must be finite: the value of the linear
-    functional ``c_x x + c_p p`` of the measured mode. The remaining modes are
+    The coefficients must be finite, with a positive finite squared norm
+    ``c_x^2 + c_p^2``. The outcome is ``forced``, which must be finite: the
+    value of that functional of the measured mode. The remaining modes are
     updated by exact Gaussian conditioning on that functional (Schur
     complement), after which the measured mode is dropped entirely. A
     quadrature of (near) zero variance is not conditioned on, and a forced
@@ -337,15 +301,25 @@ def homodyne(
     for their corrected outputs; see ``engine.chain_channel`` for that, and
     ``checks.measurement_picture_checks``, which holds the two to each other.
     """
+    for name, value in (("c_x", c_x), ("c_p", c_p)):
+        if not math.isfinite(value):
+            raise ValueError(f"quadrature coefficient {name} must be finite, got {value}")
+    # the squared norm divides the variance, so it must neither be zero nor
+    # overflow (both zero, or finite but beyond about 1e154 or below 1e-162)
+    norm2 = c_x * c_x + c_p * c_p
+    if not 0.0 < norm2 < math.inf:
+        raise ValueError(
+            f"quadrature coefficients (c_x, c_p) = ({c_x!r}, {c_p!r}) must have "
+            f"a positive finite squared norm c_x^2 + c_p^2, got {norm2!r}"
+        )
     if state.n_modes < 1:
         raise ValueError("state must have at least one mode")
     if not math.isfinite(forced):
         raise ValueError(f"forced outcome must be finite, got {forced}")
     outcome = float(forced)
-    i, j = state.mode_indices(quad.mode)
+    i, j = state.mode_indices(mode)
     c = np.zeros(2 * state.n_modes)
-    c[i], c[j] = quad.c_x, quad.c_p
-    norm2 = quad.c_x**2 + quad.c_p**2
+    c[i], c[j] = c_x, c_p
 
     mu_c = float(c @ state.mean)
     var = float(c @ state.cov @ c)

@@ -375,7 +375,7 @@ def _chain_facts(
     return _channel_facts(channel, leak, draw, target_S, input_state, "kappa", reference_S)
 
 
-# F^n for n mod 4, the bytes np.linalg.matrix_power(fourier().S, n) gives
+# F^n for n mod 4, the bytes np.linalg.matrix_power(fourier(), n) gives
 _FOURIER_POWERS = [np.array(m) for m in ([[1.0, 0.0], [0.0, 1.0]], [[0.0, -1.0], [1.0, 0.0]],
                                          [[-1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [-1.0, 0.0]])]
 
@@ -569,7 +569,7 @@ def offline_squeezer(
     """
     # the gate maps the byproduct X(-u)Z(-v) to the displacement with
     # coefficients gate (u, v): the gate is also the gain and the target
-    gate = squeezer(r_gate).S
+    gate = squeezer(r_gate)
     gain = gate if rescale_correction else np.eye(2)
     facts = _offline_facts(input_state, r, gate, gain, seed, trials)
     target_ok = facts.deviation <= _bound(1e-6, _max_abs(gate))

@@ -35,9 +35,9 @@ def heisenberg_oracle(G: np.ndarray) -> np.ndarray:
 
 
 def condition_on_functional_oracle(
-    state: cv.GaussianState, quad: cv.Quadrature, outcome: float
+    state: cv.GaussianState, mode: int, c_x: float, c_p: float, outcome: float
 ) -> tuple[float, cv.GaussianState]:
-    """What ``homodyne(state, quad, forced=outcome)`` returns, by conditioning
+    """What ``homodyne(state, mode, c_x, c_p, forced=outcome)`` returns, by conditioning
     through the precision matrix in the measured mode's own frame: the
     measured functional c / |c|, its complement (-c_p, c_x) / |c| on the same
     mode, and every other quadrature unchanged and in order. The conditional
@@ -45,9 +45,9 @@ def condition_on_functional_oracle(
     outcome / |c|, and the complement is dropped. The two inverses leave the
     covariance symmetric only to rounding, so it is symmetrized for
     ``GaussianState``, as ``homodyne`` does."""
-    dim, x = 2 * state.n_modes, 2 * quad.mode
-    norm = math.hypot(quad.c_x, quad.c_p)
-    u_x, u_p = quad.c_x / norm, quad.c_p / norm
+    dim, x = 2 * state.n_modes, 2 * mode
+    norm = math.hypot(c_x, c_p)
+    u_x, u_p = c_x / norm, c_p / norm
     L = np.zeros((dim, dim))
     L[0, x], L[0, x + 1], L[1, x], L[1, x + 1] = u_x, u_p, -u_p, u_x
     for row, k in enumerate([k for k in range(dim) if k not in (x, x + 1)], start=2):

@@ -23,10 +23,10 @@ def epr_resource(r: float) -> cv.GaussianState:
     return cv.apply_gate(pair, cv.beamsplitter_5050(), [0, 1])
 
 
-def modified_resource(r: float, u_gate: cv.SymplecticGate) -> cv.GaussianState:
-    """EPR resource with a single-mode gate applied to its second half,
-    so that teleporting through it applies the gate to the input."""
-    if u_gate.n_modes != 1:
+def modified_resource(r: float, u_gate: np.ndarray) -> cv.GaussianState:
+    """EPR resource with a single-mode gate (its 2 x 2 matrix) applied to its
+    second half, so that teleporting through it applies the gate to the input."""
+    if np.shape(u_gate) != (2, 2):
         raise ValueError("u_gate must be a single-mode gate")
     return cv.apply_gate(epr_resource(r), u_gate, [1])
 
@@ -46,7 +46,7 @@ def offline_circuit(gate_S: np.ndarray, gain: np.ndarray) -> tuple[np.ndarray, n
     x_2, p_2 (x_1 and p_2 anti-squeezed), from the three-mode circuit:
     beamsplitter on the resource, the gate on mode 2, beamsplitter on the
     input and mode 1, (u, v) = sqrt2 (x_1', p_0'), output mode 2 + gain (u, v)."""
-    bs = cv.beamsplitter_5050().S
+    bs = cv.beamsplitter_5050()
     S_big = (
         cv.embed_symplectic(bs, [0, 1], 3)
         @ cv.embed_symplectic(gate_S, [2], 3)

@@ -50,7 +50,7 @@ def dual_step(
     """
     if input_state.n_modes != 1:
         raise ValueError("input must be a single-mode state")
-    S = cv.controlled_z_pp().S
+    S = cv.controlled_z_pp()
     # over (x, p, x_a, p_a): the output is mode 1 and t reads x of mode 0;
     # the corrected p row absorbs +1 times it, undoing Z(-t)
     measured = S[0]
@@ -76,12 +76,12 @@ def independent_probe_deviation(
     unit probes run independently: k(k+1) ``homodyne`` calls."""
     kappas = [step.kappa for step in steps]
     k = len(kappas)
-    assembled = cv.attach_input(state_in, cv.linear_cluster(cv.ClusterSpec(k, r)))
+    assembled = cv.attach_input(state_in, cv.linear_cluster(k, r))
     means = []
     for outcomes in np.vstack([np.zeros(k), np.eye(k)]).tolist():
         state, frame = assembled, cv.ByproductFrame()
         for s, kappa in zip(outcomes, kappas):
-            state = cv.homodyne(state, cv.Quadrature(0, kappa, 1.0), forced=s)[1]
+            state = cv.homodyne(state, 0, kappa, 1.0, forced=s)[1]
             frame = checks.update_frame(frame, s, kappa)
         means.append(state.mean - np.array([frame.u, frame.v]))
     a, G = means[0], np.column_stack(means[1:]) - means[0][:, None]

@@ -154,10 +154,10 @@ def test_09_homodyne_oracle_equivalence():
         state = random_gaussian_state(int(rng.integers(2**31)), n_modes)
         mode = int(rng.integers(n_modes))
         angle = float(rng.uniform(0, 2 * math.pi))
-        quad = cv.Quadrature(mode, math.cos(angle), math.sin(angle))
+        quad = (mode, math.cos(angle), math.sin(angle))
         outcome = float(rng.normal())
-        _, conditioned = cv.homodyne(state, quad, forced=outcome)
-        _, expected = condition_on_functional_oracle(state, quad, outcome)
+        _, conditioned = cv.homodyne(state, *quad, forced=outcome)
+        _, expected = condition_on_functional_oracle(state, *quad, outcome)
         worst = max(
             worst,
             float(np.max(np.abs(conditioned.mean - expected.mean))),
@@ -173,7 +173,7 @@ def test_09_homodyne_oracle_equivalence():
 
 def test_10_symplectic_and_uncertainty_suite():
     gate_defect = max(
-        cv.symplectic_defect(g.S)
+        cv.symplectic_defect(g)
         for g in (
             cv.controlled_z(),
             cv.controlled_z_pp(),
@@ -187,7 +187,7 @@ def test_10_symplectic_and_uncertainty_suite():
     )
     worst_defect = 0.0
     for r in (TEN_DB_R, IDEAL):
-        cluster = cv.linear_cluster(cv.ClusterSpec(4, r))
+        cluster = cv.linear_cluster(4, r)
         attached = cv.attach_input(VAC, cluster)
         steps = [cv.StepPlan(0.2), cv.StepPlan(0.2), cv.StepPlan(-0.2), cv.StepPlan(-0.2)]
         out, _, frame = cv.run_protocol(VAC, steps, r, 5)

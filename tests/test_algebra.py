@@ -24,7 +24,7 @@ class TestCliffordCommute:
         # gate then displace-by-(u', v') == displace-by-(u, v) then gate
         state = random_gaussian_state(seed, 1)
         for gate in (cv.rotation(param * math.pi), cv.squeezer(param), cv.shear(param)):
-            up, vp = gate.S @ np.array([u, v])
+            up, vp = gate @ np.array([u, v])
             after = displace(cv.apply_gate(state, gate, [0]), 0, up, vp)
             before = cv.apply_gate(displace(state, 0, u, v), gate, [0])
             np.testing.assert_allclose(after.mean, before.mean, atol=1e-12)
@@ -154,5 +154,5 @@ class TestSqueezerProtocolMatrix:
 
     def test_fourier_shear_step(self):
         np.testing.assert_allclose(
-            cv.fourier_shear_step(0.4), cv.fourier().S @ cv.shear(0.4).S, atol=1e-15
+            cv.fourier_shear_step(0.4), cv.fourier() @ cv.shear(0.4), atol=1e-15
         )

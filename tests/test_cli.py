@@ -636,7 +636,7 @@ class TestVerifySuite:
         assert failed == []
 
     def test_injected_fourier_sign_error_is_caught(self, monkeypatch):
-        broken = cv.SymplecticGate(np.array([[0.0, 1.0], [1.0, 0.0]]), label="F_broken")
+        broken = np.array([[0.0, 1.0], [1.0, 0.0]])
         monkeypatch.setattr(checks, "fourier", lambda: broken)
         symplectic = checks.symplectic_condition_checks()
         composition = checks.gate_identity_checks()
@@ -646,7 +646,7 @@ class TestVerifySuite:
     @pytest.mark.parametrize("constructor", ["controlled_z", "beamsplitter_5050"])
     def test_nan_gate_fails_the_symplectic_row(self, monkeypatch, constructor):
         # Python's max keeps a NaN only where it comes first: the first gate and the last
-        nan_gate = cv.SymplecticGate(np.array([[math.nan, 0.0], [0.0, 1.0]]))
+        nan_gate = np.array([[math.nan, 0.0], [0.0, 1.0]])
         monkeypatch.setattr(checks, constructor, lambda: nan_gate)
         [row] = checks.symplectic_condition_checks()
         assert not row.passed and math.isnan(row.value)
@@ -686,12 +686,12 @@ def _cluster_edge_changed(edge, forward, backward):
     adds ``forward`` x_{i+1} to p_i and ``backward`` x_i to p_{i+1}, not 1 and 1."""
     original = checks.linear_cluster
 
-    def mutated(spec):
-        i = range(spec.n_nodes - 1)[edge]
+    def mutated(n_nodes, squeezing_r):
+        i = range(n_nodes - 1)[edge]
         # x-to-p couplings compose by adding, so this gate moves the 1s to the new weights
         S = np.eye(4)
         S[1, 2], S[3, 0] = forward - 1.0, backward - 1.0
-        return cv.apply_gate(original(spec), cv.SymplecticGate(S), [i, i + 1])
+        return cv.apply_gate(original(n_nodes, squeezing_r), S, [i, i + 1])
 
     return lambda mp: mp.setattr(checks, "linear_cluster", mutated)
 
@@ -1080,6 +1080,26 @@ def test_importing_the_cli_loads_every_layer():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
+PUBLIC_NAMES = """
+    ByproductFrame DegenerateMeasurementError GaussianChannel GaussianState IDEAL_SQUEEZING_R
+    InputOverflowError ProtocolCheck ProtocolReport RecordColumns StepPlan VACUUM_VARIANCE
+    affine_channel algebra apply_gate attach_input bch_squeezer_residual beamsplitter_5050
+    chain_channel chain_records cluster coherent_state controlled_z controlled_z_pp
+    db_to_squeezing_r embed_symplectic engine fourier fourier_shear_step homodyne identity_chain
+    linear_cluster measurement_basis offline_squeezer offline_teleport p_shear phase_space
+    protocol_parameters protocols repeated_squeezer rotation run_named_protocol run_protocol
+    shear squeezed_vacuum squeezer squeezer_four_step squeezer_protocol_matrix sweep
+    symplectic_defect symplectic_form tensor uncertainty_defect update_frame vacuum_state
+    verify_cubic_feedforward
+""".split()
+
+
+def test_public_names_are_pinned():
+    # adding or removing a name of the package's API is a change to this list
+    assert len(PUBLIC_NAMES) == 55
+    assert sorted(cv.__all__) == PUBLIC_NAMES
 
 
 class TestSizeBounds:

@@ -37,18 +37,18 @@ class TestLinearCluster:
         ids=["0", "0.5", "10dB", "50dB", "ideal"],
     )
     def test_one_cz_layer_equals_the_gates_bitwise(self, n, r):
-        state, expected = cv.linear_cluster(cv.ClusterSpec(n, r)), _gate_by_gate(n, r)
+        state, expected = cv.linear_cluster(n, r), _gate_by_gate(n, r)
         np.testing.assert_array_equal(state.mean, expected.mean)
         np.testing.assert_array_equal(state.cov, expected.cov)
 
     def test_single_node_is_squeezed_mode(self):
-        state = cv.linear_cluster(cv.ClusterSpec(1, 0.7))
+        state = cv.linear_cluster(1, 0.7)
         np.testing.assert_allclose(
             state.cov, cv.squeezed_vacuum(0.7, "p").cov, atol=1e-15
         )
 
     def test_three_nodes_unsqueezed_cov(self):
-        state = cv.linear_cluster(cv.ClusterSpec(3, 0.0))
+        state = cv.linear_cluster(3, 0.0)
         S = _embedded_cz(1, 2, 3) @ _embedded_cz(0, 1, 3)
         expected = S @ (0.25 * np.eye(6)) @ S.T
         np.testing.assert_allclose(state.cov, expected, atol=1e-14)
@@ -57,7 +57,7 @@ class TestLinearCluster:
     @pytest.mark.parametrize("n", range(1, 11))
     @pytest.mark.parametrize("r", [0.0, 1.0, 3.0])
     def test_purity(self, n, r):
-        state = cv.linear_cluster(cv.ClusterSpec(n, r))
+        state = cv.linear_cluster(n, r)
         assert purity(state) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 4.0, 8.0])
@@ -66,7 +66,7 @@ class TestLinearCluster:
         # r <= 8 keeps the antisqueezed entries small enough that the check
         # is not dominated by rounding in the assembled covariance
         n = 6
-        state = cv.linear_cluster(cv.ClusterSpec(n, r))
+        state = cv.linear_cluster(n, r)
         for j in range(1, n - 1):
             c = np.zeros(2 * n)
             c[2 * j + 1] = 1.0
@@ -75,7 +75,7 @@ class TestLinearCluster:
             assert c @ state.cov @ c <= 0.75 * math.exp(-2 * r)
 
     def test_two_node_cluster_is_epr_up_to_local_fourier(self):
-        cluster = cv.linear_cluster(cv.ClusterSpec(2, IDEAL))
+        cluster = cv.linear_cluster(2, IDEAL)
         rotated = cv.apply_gate(cluster, cv.rotation(-math.pi / 2), [0])
         epr = epr_resource(IDEAL)
 
@@ -86,21 +86,21 @@ class TestLinearCluster:
         assert abs(xx_correlation(rotated)) == pytest.approx(1.0, abs=1e-9)
 
     def test_invalid_specs_rejected(self):
-        with pytest.raises(ValueError):
-            cv.ClusterSpec(0, 1.0)
-        with pytest.raises(ValueError):
-            cv.ClusterSpec(3, -0.1)
+        with pytest.raises(ValueError, match="n_nodes must be >= 1"):
+            cv.linear_cluster(0, 1.0)
+        with pytest.raises(ValueError, match="squeezing_r must be >= 0"):
+            cv.linear_cluster(3, -0.1)
 
     @pytest.mark.parametrize("n,r", [(1, 0.0), (4, 1.0), (7, 3.0)])
     def test_outputs_satisfy_state_invariants(self, n, r):
-        state = cv.linear_cluster(cv.ClusterSpec(n, r))
+        state = cv.linear_cluster(n, r)
         assert np.max(np.abs(state.cov - state.cov.T)) <= 1e-12
         assert cv.uncertainty_defect(state) <= 1e-12
 
 
 class TestAttachInput:
     def test_elementary_configuration(self):
-        state = cv.attach_input(cv.vacuum_state(1), cv.linear_cluster(cv.ClusterSpec(1, IDEAL)))
+        state = cv.attach_input(cv.vacuum_state(1), cv.linear_cluster(1, IDEAL))
         assert state.n_modes == 2
         expected = _embedded_cz(0, 1, 2) @ np.diag(
             [0.25, 0.25, math.exp(2 * IDEAL) / 4, math.exp(-2 * IDEAL) / 4]
@@ -109,16 +109,16 @@ class TestAttachInput:
 
     def test_input_x_marginal_unchanged(self):
         input_state = cv.squeezed_vacuum(0.4, "x")
-        attached = cv.attach_input(input_state, cv.linear_cluster(cv.ClusterSpec(3, 1.0)))
+        attached = cv.attach_input(input_state, cv.linear_cluster(3, 1.0))
         assert attached.cov[0, 0] == pytest.approx(input_state.cov[0, 0], rel=1e-12)
 
     def test_five_mode_configuration(self):
-        attached = cv.attach_input(cv.vacuum_state(1), cv.linear_cluster(cv.ClusterSpec(4, 1.0)))
+        attached = cv.attach_input(cv.vacuum_state(1), cv.linear_cluster(4, 1.0))
         assert attached.n_modes == 5
 
     def test_rejects_multimode_input(self):
         with pytest.raises(ValueError):
-            cv.attach_input(cv.vacuum_state(2), cv.linear_cluster(cv.ClusterSpec(1, 1.0)))
+            cv.attach_input(cv.vacuum_state(2), cv.linear_cluster(1, 1.0))
 
 
 class TestEprResource:
@@ -145,9 +145,8 @@ class TestEprResource:
 
 class TestModifiedResource:
     def test_identity_gate_gives_plain_resource(self):
-        ident = cv.SymplecticGate(np.eye(2), label="I")
         np.testing.assert_allclose(
-            modified_resource(0.9, ident).cov, epr_resource(0.9).cov, atol=1e-15
+            modified_resource(0.9, np.eye(2)).cov, epr_resource(0.9).cov, atol=1e-15
         )
 
     def test_squeezer_scales_second_mode_x(self):

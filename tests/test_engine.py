@@ -182,7 +182,7 @@ class TestRunProtocol:
         out, _, frame = cv.run_protocol(state, steps, r, 8)
         corrected = apply_correction(out, frame)
 
-        big = cv.attach_input(state, cv.linear_cluster(cv.ClusterSpec(k, r)))
+        big = cv.attach_input(state, cv.linear_cluster(k, r))
         n = big.n_modes
         C = np.zeros((k, 2 * n))
         for j, kappa in enumerate(kappas):
@@ -247,7 +247,7 @@ class TestRunProtocol:
         # input-plus-cluster state has mean C mu and covariance C cov C^T
         kappas, r = [0.5, -0.3, 0.8], 0.4
         state = random_gaussian_state(3, 1)
-        big = cv.attach_input(state, cv.linear_cluster(cv.ClusterSpec(3, r)))
+        big = cv.attach_input(state, cv.linear_cluster(3, r))
         C = np.zeros((3, 2 * big.n_modes))
         for j, kappa in enumerate(kappas):
             C[j, 2 * j] = kappa
@@ -507,7 +507,7 @@ class TestDualStep:
 
         dual = channel_tomography(dual_runner)
         primal = channel_tomography(primal_runner)
-        F = cv.fourier().S
+        F = cv.fourier()
         np.testing.assert_allclose(dual.S, F @ primal.S @ np.linalg.inv(F), atol=1e-9)
         np.testing.assert_allclose(dual.N, F @ primal.N @ F.T, atol=1e-9)
 

@@ -23,7 +23,7 @@ VAC = cv.vacuum_state(1)
 class TestIdentityChain:
     def test_two_modes_ideal_is_single_fourier(self):
         report = cv.identity_chain(2, IDEAL, VAC)
-        np.testing.assert_allclose(report.channel.S, cv.fourier().S, atol=1e-9)
+        np.testing.assert_allclose(report.channel.S, cv.fourier(), atol=1e-9)
         np.testing.assert_allclose(report.channel.N, np.zeros((2, 2)), atol=1e-9)
 
     def test_noise_trace_at_ten_db(self):
@@ -511,7 +511,7 @@ class TestReportsAndSweep:
 class TestProtocolStatesPhysical:
     def test_intermediate_and_output_states_satisfy_uncertainty(self):
         for r in (TEN_DB_R, IDEAL):
-            cluster = cv.linear_cluster(cv.ClusterSpec(4, r))
+            cluster = cv.linear_cluster(4, r)
             attached = cv.attach_input(VAC, cluster)
             assert cv.uncertainty_defect(cluster) <= 1e-12
             assert cv.uncertainty_defect(attached) <= 1e-12
@@ -1008,7 +1008,7 @@ def _conditioned_state_channel(r, r_gate, rescale_correction):
     rounding of it.
     """
     gate = cv.squeezer(r_gate)
-    gain = math.sqrt(2.0) * (gate.S if rescale_correction else np.eye(2))
+    gain = math.sqrt(2.0) * (gate if rescale_correction else np.eye(2))
     measured, out = [2, 1], [4, 5]
 
     def moments(state):
@@ -1062,7 +1062,7 @@ class TestChannelAgreesWithTomography:
             expected = channel_tomography(_offline_runner(r, np.eye(2)))
         elif name == "offline_squeezer":
             report = cv.offline_squeezer(VAC, r, r_gate)
-            expected = channel_tomography(_offline_runner(r, cv.squeezer(r_gate).S))
+            expected = channel_tomography(_offline_runner(r, cv.squeezer(r_gate)))
         else:
             report = cv.offline_squeezer(VAC, r, r_gate, rescale_correction=False)
             expected, _ = _conditioned_state_channel(r, r_gate, rescale_correction=False)
@@ -1113,7 +1113,7 @@ class TestOfflineChannelAgreesWithExplicitState:
             cv.offline_squeezer(VAC, r, r_gate, rescale_correction=rescale_correction)
         except protocols.ChannelOverflowError:
             assert not rescale_correction
-        gate = cv.squeezer(r_gate).S
+        gate = cv.squeezer(r_gate)
         _, rows = offline_circuit(gate, gate if rescale_correction else np.eye(2))
         with np.errstate(over="ignore", invalid="ignore"):  # as the builders read it
             expected, expected_leak = engine.affine_channel(
@@ -1181,8 +1181,8 @@ def _failed_rows_with_homodyne_moved(monkeypatch, mean_shift, cov_shift):
     ``verify``'s ``homodyne`` returns has its mean and covariance moved."""
     homodyne = checks.homodyne
 
-    def moved(state, quad, **kwargs):
-        outcome, rest = homodyne(state, quad, **kwargs)
+    def moved(state, *quad, **kwargs):
+        outcome, rest = homodyne(state, *quad, **kwargs)
         return outcome, cv.GaussianState(rest.mean + mean_shift, rest.cov + cov_shift)
 
     monkeypatch.setattr(checks, "homodyne", moved)
@@ -1314,7 +1314,7 @@ def _gate_changed(name, change):
     """Build ``checks.<name>``'s gates with ``change`` applied to their matrices."""
     original = getattr(checks, name)
     return lambda mp: mp.setattr(
-        checks, name, lambda *args: cv.SymplecticGate(change(original(*args).S))
+        checks, name, lambda *args: change(original(*args))
     )
 
 
@@ -1520,7 +1520,7 @@ class TestUnphysicalInputRefused:
     @pytest.mark.parametrize("scale", [1.0, 1.5, 1.0 - 1e-3, 0.5])
     def test_refuses_what_uncertainty_defect_refuses(self, r, theta, scale):
         # the report path's closed form for one mode against phase_space's eigensolver
-        R = cv.rotation(theta).S
+        R = cv.rotation(theta)
         cov = R @ (scale * np.diag([math.exp(2 * r) / 4, math.exp(-2 * r) / 4])) @ R.T
         state = cv.GaussianState(np.zeros(2), 0.5 * (cov + cov.T))
         if cv.uncertainty_defect(state) > 1e-12:
