@@ -2,10 +2,10 @@
 
 Gaussian relations (one corrected step, the four-step squeezer, the
 shear-pair splitting) are statements about 2x2 symplectic matrices. The
-cubic feedforward identity is verified on exponent polynomials, held as
-tuples of Fraction coefficients: every factor involved is diagonal in x, so
-operator products reduce to adding exponents after the shift x -> x + s1,
-which makes the check exact (rational arithmetic) rather than numerical.
+cubic feedforward identity is verified on exponent polynomials, scaled to
+integer coefficients: every factor involved is diagonal in x, so operator
+products reduce to adding exponents after the shift x -> x + s1, which makes
+the check one exact integer Taylor shift rather than a numerical one.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .phase_space import p_shear, rotation, shear, squeezer
 def _taylor_shift(coefficients: tuple, s) -> tuple:
     """The coefficients of f(x + s), lowest degree first: the exponent after
     conjugation by the position displacement X(s), by Horner's Taylor shift:
-    n(n - 1)/2 multiply-adds, exact for Fraction coefficients and shift."""
+    n(n - 1)/2 multiply-adds, exact for int or Fraction coefficients and shift."""
     out = list(coefficients)
     for low in range(len(out) - 1):
         for k in range(len(out) - 2, low - 1, -1):
@@ -39,12 +39,16 @@ def verify_cubic_feedforward(kappa, s1) -> tuple[Fraction, Fraction, Fraction, F
     here is (kappa s1^3, 0, 0, 0): a constant, which is a pure global phase.
 
     Both inputs are cast to Fraction, exactly for ints, Fractions and every
-    finite float, so the computation is exact.
+    finite float: kappa = a/b, s1 = c/d. b d^3 times the exponent of D2',
+    3 kappa s1 x (s1 - x) + kappa x^3, at x = X/d is the integer cubic
+    a (X^3 - 3 c X^2 + 3 c^2 X). It is shifted by c in ints, and its X^k
+    coefficient n_k gives the exact coefficient n_k d^k / (b d^3) of x^k.
     """
     kappa, s1 = Fraction(kappa), Fraction(s1)
-    # exponent of D2': 3 kappa s1 x (s1 - x) + kappa x^3
-    c0, c1, c2, c3 = _taylor_shift((0, 3 * kappa * s1**2, -3 * kappa * s1, kappa), s1)
-    return c0, c1, c2, c3 - kappa
+    a, b, c, d = kappa.numerator, kappa.denominator, s1.numerator, s1.denominator
+    n0, n1, n2, n3 = _taylor_shift((0, 3 * a * c * c, -3 * a * c, a), c)
+    bd3 = b * d**3
+    return Fraction(n0, bd3), Fraction(n1 * d, bd3), Fraction(n2 * d * d, bd3), Fraction(n3 - a, b)
 
 
 def bch_squeezer_residual(kappa: float) -> float:

@@ -70,14 +70,16 @@ def gate_identity_checks() -> list[ProtocolCheck]:
 
 
 def cubic_identity_checks() -> list[ProtocolCheck]:
-    worst = Fraction(0)
-    low_degree = Fraction(0)
+    worst = low_degree = Fraction(0)
     grid = [Fraction(v, 2) for v in (-2, -1, 0, 1, 2)]
     for kappa in grid:
         for s1 in grid:
             c0, *low = algebra.verify_cubic_feedforward(kappa, s1)
-            worst = max(worst, abs(c0 - kappa * s1**3))
-            low_degree = max(low_degree, *map(abs, low))
+            phase = kappa * s1**3
+            if c0 != phase:
+                worst = max(worst, abs(c0 - phase))
+            if any(low):
+                low_degree = max(low_degree, *map(abs, low))
     return [
         ProtocolCheck("cubic_feedforward_constant_is_phase", worst == 0, float(worst)),
         ProtocolCheck(

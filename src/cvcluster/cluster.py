@@ -33,7 +33,7 @@ def linear_cluster(n_nodes: int, squeezing_r: float) -> GaussianState:
     S = np.eye(2 * n)
     for i in range(n - 1):
         S[2 * i + 1, 2 * i + 2] = S[2 * i + 3, 2 * i] = 1.0
-    cov = S @ np.kron(np.eye(n), node.cov) @ S.T
+    cov = S @ np.diag(np.tile(np.diag(node.cov), n)) @ S.T  # each node's cov is diagonal
     return GaussianState(S @ np.tile(node.mean, n), 0.5 * (cov + cov.T))
 
 

@@ -111,6 +111,11 @@ class GaussianChannel:
         object.__setattr__(self, "N", np.array(self.N, dtype=float))
         object.__setattr__(self, "d", np.array(self.d, dtype=float))
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(map(np.array_equal, (self.S, self.N, self.d), (other.S, other.N, other.d)))
+
     def apply(self, state: GaussianState) -> GaussianState:
         cov = self.S @ state.cov @ self.S.T + self.N
         return GaussianState(self.S @ state.mean + self.d, 0.5 * (cov + cov.T))

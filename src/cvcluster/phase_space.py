@@ -53,8 +53,8 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = _readonly(np.atleast_1d(self.mean))
-        cov = _readonly(np.atleast_2d(self.cov) if np.ndim(self.cov) else self.cov)
+        mean = np.array(self.mean, dtype=float, ndmin=1)
+        cov = np.array(self.cov, dtype=float, ndmin=2 if np.ndim(self.cov) else 0)
         if mean.ndim != 1 or mean.size % 2 != 0:
             raise ValueError(f"mean must have even length, got shape {mean.shape}")
         if cov.shape != (mean.size, mean.size):
@@ -63,8 +63,15 @@ class GaussianState:
             )
         if cov.size and abs(cov - cov.T).max() > _SYMMETRY_TOL:
             raise ValueError("covariance matrix is not symmetric")
+        mean.setflags(write=False)
+        cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.mean, other.mean) and np.array_equal(self.cov, other.cov)
 
     @property
     def n_modes(self) -> int:
@@ -78,10 +85,10 @@ class GaussianState:
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Block-diagonal J with per-mode blocks [[0, 1], [-1, 0]]."""
-    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
     J = np.zeros((2 * n_modes, 2 * n_modes))
-    for m in range(n_modes):
-        J[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = j
+    # row-major, the entries (2m, 2m + 1) and (2m + 1, 2m) recur every 4n + 2
+    flat, step = J.ravel(), 4 * n_modes + 2
+    flat[1::step], flat[2 * n_modes :: step] = 1.0, -1.0
     return J
 
 
@@ -100,7 +107,7 @@ def uncertainty_defect(state: GaussianState) -> float:
     states regardless of scale.
     """
     J = symplectic_form(state.n_modes)
-    eig = np.linalg.eigvalsh(state.cov.astype(complex) + 0.25j * J)
+    eig = np.linalg.eigvalsh(state.cov + 0.25j * J)
     scale = max(1.0, float(eig[-1].real))
     return max(0.0, -float(eig[0].real)) / scale
 
@@ -286,9 +293,9 @@ def homodyne(
 
     The coefficients must be finite, with a positive finite squared norm
     ``c_x^2 + c_p^2``. The outcome is ``forced``, which must be finite: the
-    value of that functional of the measured mode. The remaining modes are
-    updated by exact Gaussian conditioning on that functional (Schur
-    complement), after which the measured mode is dropped entirely. A
+    value of that functional of the measured mode. The measured mode is
+    dropped, and only the quadratures of the remaining modes are updated, by
+    exact Gaussian conditioning on that functional (Schur complement). A
     quadrature of (near) zero variance is not conditioned on, and a forced
     outcome away from its deterministic value is refused with
     ``DegenerateMeasurementError``.
@@ -322,21 +329,22 @@ def homodyne(
     c[i], c[j] = c_x, c_p
 
     mu_c = float(c @ state.mean)
-    var = float(c @ state.cov @ c)
+    c_cov = c @ state.cov
+    var = float(c_cov @ c)
     degenerate = var / norm2 <= _DEGENERATE_VARIANCE_TOL
 
+    # the quadratures of the other modes, the only ones conditioned
+    keep = np.arange(2 * state.n_modes - 2)
+    keep[i:] += 2
+    mean, cov = state.mean[keep], state.cov[keep[:, None], keep]
     if degenerate:
         # pseudoinverse of the scalar variance: no conditioning update
         if abs(forced - mu_c) > _DEGENERATE_OUTCOME_ATOL:
             raise DegenerateMeasurementError(
                 f"forced outcome {forced} inconsistent with deterministic value {mu_c}"
             )
-        mean, cov = state.mean.copy(), state.cov.copy()
     else:
-        gain = state.cov @ c / var
-        mean = state.mean + gain * (outcome - mu_c)
-        cov = state.cov - np.outer(gain, c @ state.cov)
-
-    keep = [k for k in range(2 * state.n_modes) if k not in (i, j)]
-    cov_rem = cov[keep][:, keep]
-    return outcome, GaussianState(mean[keep], 0.5 * (cov_rem + cov_rem.T))
+        gain = (state.cov @ c / var)[keep]
+        mean += gain * (outcome - mu_c)
+        cov -= np.outer(gain, c_cov[keep])
+    return outcome, GaussianState(mean, 0.5 * (cov + cov.T))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cvcluster as cv
 from cvcluster import algebra
@@ -61,6 +61,46 @@ class TestCubicFeedforward:
     def test_non_finite_input_raises(self, kappa, s1):
         with pytest.raises((OverflowError, ValueError)):
             cv.verify_cubic_feedforward(kappa, s1)
+
+
+def _fraction_residual(kappa, s1):
+    """The residual from the exponent of D2' shifted Fraction by Fraction:
+    the route ``verify_cubic_feedforward`` took before it scaled the
+    coefficients to integers, kept as its reference."""
+    kappa, s1 = Fraction(kappa), Fraction(s1)
+    c0, c1, c2, c3 = _binomial_shift((0, 3 * kappa * s1**2, -3 * kappa * s1, kappa), s1)
+    return c0, c1, c2, c3 - kappa
+
+
+def _assert_same_fractions(residual, expected):
+    # both sides are normalised, so equal Fractions have equal numerators and denominators
+    assert residual == expected
+    assert all(type(c) is Fraction for c in residual)
+
+
+EXACT_NUMBERS = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.fractions(max_denominator=10**6),
+)
+
+
+class TestIntegerShiftEqualsTheFractionShift:
+    def test_on_the_verify_grid(self):
+        for kappa in VERIFY_GRID:
+            for s1 in VERIFY_GRID:
+                residual = cv.verify_cubic_feedforward(kappa, s1)
+                _assert_same_fractions(residual, _fraction_residual(kappa, s1))
+
+    @given(EXACT_NUMBERS, EXACT_NUMBERS)
+    @example(0, 0)
+    @example(-3, Fraction(-7, 2))
+    @example(-0.0, 5e-324)
+    @example(Fraction(-1, 3), -1e300)
+    @settings(max_examples=200, deadline=None)
+    def test_on_ints_floats_and_fractions(self, kappa, s1):
+        residual = cv.verify_cubic_feedforward(kappa, s1)
+        _assert_same_fractions(residual, _fraction_residual(kappa, s1))
 
 
 def _binomial_shift(coefficients, s):

@@ -419,6 +419,42 @@ class TestPairSampler:
             report.record_columns
 
 
+def _channel(d=(0.0, 0.0), noise=0.1):
+    return engine.GaussianChannel(cv.shear(0.4), noise * np.eye(2), np.array(d))
+
+
+class TestChannelEquality:
+    def test_distinct_equal_channels_compare_equal(self):
+        a, b = _channel(), _channel()
+        assert a is not b
+        assert a == b and not a != b
+
+    def test_chain_channels_of_the_same_chain_compare_equal(self):
+        steps = protocols.squeezer_steps(0.2)
+        assert engine.chain_channel(steps, 1.0)[0] == engine.chain_channel(steps, 1.0)[0]
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            engine.GaussianChannel(cv.shear(0.5), 0.1 * np.eye(2), np.zeros(2)),
+            _channel(noise=0.2),
+            _channel(d=(0.0, 1.0)),
+            engine.GaussianChannel(np.eye(4), np.zeros((4, 4)), np.zeros(4)),
+        ],
+        ids=["S", "N", "d", "modes"],
+    )
+    def test_a_different_field_compares_unequal(self, other):
+        assert _channel() != other and not _channel() == other
+
+    @pytest.mark.parametrize("other", [None, 1.0, cv.vacuum_state(1), (np.eye(2),) * 3])
+    def test_a_non_channel_compares_unequal(self, other):
+        assert _channel() != other and not _channel() == other
+
+    def test_stays_unhashable(self):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(_channel())
+
+
 class TestMutationGuard:
     def test_flipped_frame_sign_breaks_the_step_budget(self, monkeypatch):
         # the engine derives its correction from update_frame, so a wrong

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,72 @@ class TestStateConstructors:
     def test_state_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             cv.GaussianState(np.zeros(2), 0.25 * np.eye(4))
+
+
+class TestGaussianStateContract:
+    @pytest.mark.parametrize(
+        "mean, cov, message",
+        [
+            (np.zeros(3), np.eye(3), "mean must have even length, got shape (3,)"),
+            (np.zeros((2, 2)), np.eye(4), "mean must have even length, got shape (2, 2)"),
+            (np.zeros(2), np.array(0.25), "cov shape () inconsistent with mean length 2"),
+            (np.zeros(2), np.full(2, 0.25), "cov shape (1, 2) inconsistent with mean length 2"),
+            (np.zeros(2), [[0.25, 0.1], [0.0, 0.25]], "covariance matrix is not symmetric"),
+        ],
+    )
+    def test_refusal_texts(self, mean, cov, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cv.GaussianState(mean, cov)
+
+    @pytest.mark.parametrize(
+        "kind",
+        [list, lambda v: np.array(v, dtype=np.int64), lambda v: np.array(v, dtype=float)],
+        ids=["list", "int_array", "float_array"],
+    )
+    def test_fields_are_read_only_float_copies(self, kind):
+        mean, cov = kind([1, -2]), kind([[3, 1], [1, 2]])
+        state = cv.GaussianState(mean, cov)
+        for field, given_value in ((state.mean, mean), (state.cov, cov)):
+            assert type(field) is np.ndarray and field.dtype == np.float64
+            assert not field.flags.writeable
+            assert not np.shares_memory(field, np.asarray(given_value))
+        mean[0], cov[0][0] = 7, 7
+        assert state.mean.tolist() == [1.0, -2.0]
+        assert state.cov.tolist() == [[3.0, 1.0], [1.0, 2.0]]
+
+    def test_a_nan_entry_is_accepted(self):
+        # NaN > tolerance is False, so the symmetry check lets a NaN entry through
+        state = cv.GaussianState([math.nan, 0.0], [[math.nan, 0.0], [0.0, 0.25]])
+        assert math.isnan(state.mean[0]) and math.isnan(state.cov[0, 0])
+
+
+class TestStateEquality:
+    def test_distinct_equal_states_compare_equal(self):
+        a, b = cv.coherent_state(0.1, 0.2), cv.coherent_state(0.1, 0.2)
+        assert a is not b
+        assert a == b and not a != b
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            cv.coherent_state(0.1, 0.3),
+            cv.GaussianState([0.1, 0.2], [[0.25, 0.0], [0.0, 0.5]]),
+            cv.tensor(cv.coherent_state(0.1, 0.2), cv.vacuum_state(1)),
+        ],
+        ids=["mean", "cov", "modes"],
+    )
+    def test_a_different_field_compares_unequal(self, other):
+        state = cv.coherent_state(0.1, 0.2)
+        assert state != other and not state == other
+
+    @pytest.mark.parametrize("other", [None, 0, (np.array([0.1, 0.2]), 0.25 * np.eye(2)), "state"])
+    def test_a_non_state_compares_unequal(self, other):
+        state = cv.coherent_state(0.1, 0.2)
+        assert state != other and not state == other
+
+    def test_stays_unhashable(self):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(cv.coherent_state(0.1, 0.2))
 
 
 # H = q^T G q for each gate constructor, in interleaved (x1, p1, x2, p2) order
@@ -346,6 +413,49 @@ class TestApplyAndDisplace:
         assert purity(state) == pytest.approx(1.0, abs=1e-9)
 
 
+class TestSymplecticForm:
+    @pytest.mark.parametrize("n_modes", range(0, 9))
+    def test_equals_the_block_loop_bitwise(self, n_modes):
+        J, expected = cv.symplectic_form(n_modes), blockwise_J(n_modes)
+        assert J.dtype == expected.dtype and J.shape == expected.shape
+        assert J.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_modes", range(1, 6))
+    def test_uncertainty_defect_equals_the_complex_cast_route(self, n_modes):
+        for seed in range(10):
+            state = random_gaussian_state(100 * n_modes + seed, n_modes)
+            J = cv.symplectic_form(n_modes)
+            eig = np.linalg.eigvalsh(state.cov.astype(complex) + 0.25j * J)
+            expected = max(0.0, -float(eig[0].real)) / max(1.0, float(eig[-1].real))
+            assert cv.uncertainty_defect(state) == expected
+
+
+def _update_then_drop(state, mode, c_x, c_p, outcome):
+    """Condition every quadrature on c_x x + c_p p of ``mode``, then drop the
+    mode: the route ``homodyne`` took before it conditioned only the kept
+    block, kept as its bitwise reference. Returns (mean, cov)."""
+    i, j = 2 * mode, 2 * mode + 1
+    c = np.zeros(2 * state.n_modes)
+    c[i], c[j] = c_x, c_p
+    mu_c = float(c @ state.mean)
+    var = float(c @ state.cov @ c)
+    if var / (c_x * c_x + c_p * c_p) <= 1e-12:
+        mean, cov = state.mean.copy(), state.cov.copy()
+    else:
+        gain = state.cov @ c / var
+        mean = state.mean + gain * (outcome - mu_c)
+        cov = state.cov - np.outer(gain, c @ state.cov)
+    keep = [k for k in range(2 * state.n_modes) if k not in (i, j)]
+    cov_rem = cov[keep][:, keep]
+    return mean[keep], 0.5 * (cov_rem + cov_rem.T)
+
+
+def _assert_same_bits(state, mean, cov):
+    assert state.mean.shape == mean.shape and state.cov.shape == cov.shape
+    assert state.mean.tobytes() == mean.tobytes()
+    assert state.cov.tobytes() == cov.tobytes()
+
+
 class TestHomodyne:
     def test_product_state_unaffected(self):
         outcome, rest = cv.homodyne(cv.vacuum_state(2), 0, 1.0, 0.0, forced=0.3)
@@ -466,6 +576,31 @@ class TestHomodyne:
         state = random_gaussian_state(3, 2)
         with pytest.raises(ValueError, match="forced outcome must be finite"):
             cv.homodyne(state, 0, 1.0, 0.0, forced=forced)
+
+    @pytest.mark.parametrize("n_modes", range(1, 6))
+    def test_equals_update_then_drop_bitwise(self, n_modes):
+        rng = np.random.Generator(np.random.PCG64(60 + n_modes))
+        for seed in rng.integers(2**31, size=4).tolist():
+            state = random_gaussian_state(seed, n_modes)
+            for mode in range(n_modes):
+                angle, outcome = float(rng.uniform(0, 2 * math.pi)), float(rng.normal())
+                quad = (mode, math.cos(angle), math.sin(angle))
+                measured, rest = cv.homodyne(state, *quad, forced=outcome)
+                assert measured == outcome
+                _assert_same_bits(rest, *_update_then_drop(state, *quad, outcome))
+
+    @pytest.mark.parametrize("n_modes", range(1, 6))
+    def test_degenerate_branch_equals_update_then_drop_bitwise(self, n_modes):
+        # each mode's x given zero variance and no correlations: measuring x
+        # there takes the branch that conditions on nothing
+        state = random_gaussian_state(70 + n_modes, n_modes)
+        for mode in range(n_modes):
+            cov = state.cov.copy()
+            cov[2 * mode, :] = cov[:, 2 * mode] = 0.0
+            frozen = cv.GaussianState(state.mean, cov)
+            outcome = float(frozen.mean[2 * mode])
+            _, rest = cv.homodyne(frozen, mode, 1.0, 0.0, forced=outcome)
+            _assert_same_bits(rest, *_update_then_drop(frozen, mode, 1.0, 0.0, outcome))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
