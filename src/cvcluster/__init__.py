@@ -32,7 +32,6 @@ from .algebra import (
     verify_cubic_feedforward,
 )
 from .engine import (
-    ByproductFrame,
     GaussianChannel,
     RecordColumns,
     StepPlan,

@@ -38,7 +38,7 @@ from .phase_space import (
     IDEAL_SQUEEZING_R,
 )
 from .cluster import attach_input, linear_cluster
-from .engine import ByproductFrame, StepPlan, chain_channel, update_frame
+from .engine import chain_channel, update_frame
 
 
 def symplectic_condition_checks() -> list[ProtocolCheck]:
@@ -120,10 +120,8 @@ def squeezer_matrix_checks() -> list[ProtocolCheck]:
     ]
 
 
-def measurement_picture_deviation(
-    steps: list[StepPlan], r: float, state_in: GaussianState
-) -> float:
-    """How far ``chain_channel(steps, r)`` sends ``state_in`` from the paper's
+def measurement_picture_deviation(kappas: list[float], r: float, state_in: GaussianState) -> float:
+    """How far ``chain_channel(kappas, r)`` sends ``state_in`` from the paper's
     measurement picture of the same chain.
 
     The input is attached to a linear cluster, and each probe measures
@@ -140,7 +138,6 @@ def measurement_picture_deviation(
     worst of the mean's absolute deviation and the covariance's deviation
     relative to its largest entry; a NaN anywhere makes it NaN.
     """
-    kappas = [step.kappa for step in steps]
     k = len(kappas)
     assembled = attach_input(state_in, linear_cluster(k, r))
 
@@ -149,7 +146,7 @@ def measurement_picture_deviation(
         state = homodyne(state, 0, kappa, 1.0, forced=s)[1]
         return state, update_frame(frame, s, kappa)
 
-    zero = [(assembled, ByproductFrame())]
+    zero = [(assembled, (0.0, 0.0))]
     for kappa in kappas:
         zero.append(measure(zero[-1], 0.0, kappa))
     ends = [zero[-1]]
@@ -158,7 +155,7 @@ def measurement_picture_deviation(
         for later in kappas[i + 1 :]:
             probe = measure(probe, 0.0, later)
         ends.append(probe)
-    means = [state.mean - np.array([frame.u, frame.v]) for state, frame in ends]
+    means = [state.mean - np.array(frame) for state, frame in ends]
     a, G = means[0], np.column_stack(means[1:]) - means[0][:, None]
     C = np.zeros((k, 2 * k + 2))
     for j, kappa in enumerate(kappas):
@@ -166,7 +163,7 @@ def measurement_picture_deviation(
     mean = a + G @ (C @ assembled.mean)
     # the last probe's covariance is Sigma_c: it does not depend on the outcomes
     cov = ends[-1][0].cov + G @ (C @ assembled.cov @ C.T) @ G.T
-    expected = chain_channel(steps, r)[0].apply(state_in)
+    expected = chain_channel(kappas, r)[0].apply(state_in)
     scale = float(np.max(np.abs(expected.cov)))
     deviations = [np.max(np.abs(mean - expected.mean)), np.max(np.abs(cov - expected.cov)) / scale]
     return float(np.max(deviations))
@@ -178,8 +175,8 @@ def measurement_picture_checks() -> list[ProtocolCheck]:
     non-vacuum input; a NaN fails the row."""
     r = protocols.db_to_squeezing_r(10.0)
     state_in = GaussianState(np.array([0.3, -0.2]), np.array([[0.4, 0.1], [0.1, 0.3]]))
-    chains = (protocols.squeezer_steps(0.2), [StepPlan(v) for v in (0.4, 0.0, -0.7, 1.1)])
-    worst = float(np.max([measurement_picture_deviation(steps, r, state_in) for steps in chains]))
+    chains = (protocols.squeezer_steps(0.2), [0.4, 0.0, -0.7, 1.1])
+    worst = float(np.max([measurement_picture_deviation(kappas, r, state_in) for kappas in chains]))
     return [ProtocolCheck("chain_matches_measurement_picture", worst <= 1e-10, worst)]
 
 
@@ -208,8 +205,8 @@ def uncertainty_checks() -> list[ProtocolCheck]:
         cluster = linear_cluster(n, r)
         worst = max(worst, uncertainty_defect(cluster))
         worst = max(worst, uncertainty_defect(attach_input(vacuum_state(1), cluster)))
-    for steps in ([StepPlan(0.0)] * 4, protocols.squeezer_steps(0.2)):
-        out = chain_channel(steps, protocols.db_to_squeezing_r(10.0))[0].apply(vacuum_state(1))
+    for kappas in ([0.0] * 4, protocols.squeezer_steps(0.2)):
+        out = chain_channel(kappas, protocols.db_to_squeezing_r(10.0))[0].apply(vacuum_state(1))
         worst = max(worst, uncertainty_defect(out))
     return [ProtocolCheck("uncertainty_relation_protocol_states", worst <= 1e-12, worst)]
 

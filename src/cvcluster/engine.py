@@ -34,8 +34,10 @@ O(k) in the number of steps:
   the resource deviations, the input's factor) once per call.
 
 This makes the corrected output exactly outcome- and seed-independent, with
-finite squeezing entering only as additive noise. ``run_protocol`` alone
-folds one trial's outcomes through ``update_frame`` into a byproduct frame.
+finite squeezing entering only as additive noise. A chain is its list of
+kappas and a byproduct frame its pair (u, v); ``run_protocol`` alone folds one
+trial's outcomes through ``update_frame`` into a frame, and alone takes its
+steps as ``StepPlan``.
 
 This module holds the cluster chain's map. The off-line protocols' map is
 stated in ``protocols`` and read through the same ``affine_channel``;
@@ -61,22 +63,10 @@ from .phase_space import VACUUM_VARIANCE, GaussianState, _generator
 
 @dataclass(frozen=True)
 class StepPlan:
-    """One cluster step: measure p + kappa x (kappa = 0 is a plain p
-    detection that just propagates the state)."""
+    """One cluster step of ``run_protocol``: measure p + kappa x (kappa = 0 is
+    a plain p detection that just propagates the state)."""
 
     kappa: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.kappa):
-            raise ValueError("kappa must be finite")
-
-
-@dataclass(frozen=True)
-class ByproductFrame:
-    """Pending displacement X(u)Z(v) accumulated from measurement outcomes."""
-
-    u: float = 0.0
-    v: float = 0.0
 
 
 class RecordColumns(NamedTuple):
@@ -100,25 +90,23 @@ class RecordColumns(NamedTuple):
 
 @dataclass(frozen=True)
 class GaussianChannel:
-    """Affine channel mu -> S mu + d, cov -> S cov S^T + N."""
+    """Channel mu -> S mu, cov -> S cov S^T + N; zero-mean resources displace nothing."""
 
     S: np.ndarray
     N: np.ndarray
-    d: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "S", np.array(self.S, dtype=float))
         object.__setattr__(self, "N", np.array(self.N, dtype=float))
-        object.__setattr__(self, "d", np.array(self.d, dtype=float))
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return all(map(np.array_equal, (self.S, self.N, self.d), (other.S, other.N, other.d)))
+        return np.array_equal(self.S, other.S) and np.array_equal(self.N, other.N)
 
     def apply(self, state: GaussianState) -> GaussianState:
         cov = self.S @ state.cov @ self.S.T + self.N
-        return GaussianState(self.S @ state.mean + self.d, 0.5 * (cov + cov.T))
+        return GaussianState(self.S @ state.mean, 0.5 * (cov + cov.T))
 
 
 def measurement_basis(kappa):
@@ -131,14 +119,15 @@ def measurement_basis(kappa):
     return np.arctan(-kappa), np.sqrt(1.0 + kappa * kappa)
 
 
-def update_frame(frame: ByproductFrame, s: float, kappa: float) -> ByproductFrame:
-    """Push the frame through one step and absorb the new outcome
-    (elementwise, for arrays of frames, outcomes and kappas).
+def update_frame(frame: tuple, s: float, kappa: float) -> tuple:
+    """Push the frame (u, v), the pending X(u)Z(v), through one step and absorb
+    the new outcome (elementwise, for arrays of u, v, outcomes and kappas).
 
     One step applies X(s) F D(kappa); commuting the existing X(u)Z(v)
     through gives X(s) F D X(u)Z(v) = X(s - kappa u - v) Z(u) F D.
     """
-    return ByproductFrame(s - kappa * frame.u - frame.v, frame.u)
+    u, v = frame
+    return s - kappa * u - v, u
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +157,8 @@ def _corrected_weights(kappas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = kappas.size
     # probe 0 is (s, u, v) = (1, 0, 0), probe 1 is (0, 1, 0), probe 2 is (0, 0, 1)
     s, u, v = np.repeat(np.eye(3)[:, :, None], k, axis=2)
-    step = update_frame(ByproductFrame(u, v), s, kappas)
-    (bu, a0u, a1u), (bv, a0v, a1v) = step.u.tolist(), step.v.tolist()
+    step_u, step_v = update_frame((u, v), s, kappas)
+    (bu, a0u, a1u), (bv, a0v, a1v) = step_u.tolist(), step_v.tolist()
     T0, T1 = [0.0] * (k + 3), [0.0] * (k + 3)  # entry j + 1 holds T_j; T_{-1} = T_k = T_{k+1} = 0
     g00, g01, g10, g11 = 1.0, 0.0, 0.0, 1.0  # A_{k-1} ... A_{j+1}
     for j in range(k - 1, -1, -1):
@@ -195,10 +184,13 @@ def _corrected_weights(kappas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return Wx, Wp
 
 
-def _kappas(steps: Sequence[StepPlan]) -> np.ndarray:
-    if len(steps) < 1:
+def _kappas(steps: Sequence[float]) -> np.ndarray:
+    kappas = np.array(steps, dtype=float)
+    if kappas.size < 1:
         raise ValueError("at least one step is required")
-    return np.array([s.kappa for s in steps], dtype=float)
+    if not all(map(math.isfinite, kappas.tolist())):
+        raise ValueError("kappa must be finite")
+    return kappas
 
 
 def resource_variances(r: float) -> tuple[float, float]:
@@ -221,7 +213,7 @@ def affine_channel(
     """The channel of a corrected protocol, an outcome-free affine map of a
     product state (Heisenberg picture), read off the map's weights on the
     input (S), on the anti-squeezed resource quadratures (variance
-    e^{2r}/4) and on the squeezed ones (e^{-2r}/4): d = 0 and
+    e^{2r}/4) and on the squeezed ones (e^{-2r}/4):
     N = var_anti anti anti^T + var_squeezed squeezed squeezed^T.
 
     Also returns the leak, the largest anti-squeezed weight: a correction
@@ -234,12 +226,12 @@ def affine_channel(
         # the off-line squeezer's weights e^{r_gate} near its limit
         N = _scaled_noise(var_anti, anti) + _scaled_noise(var_squeezed, squeezed)
     leak = float(np.max(np.abs(anti)))
-    return GaussianChannel(S=S, N=0.5 * (N + N.T), d=np.zeros(2)), leak
+    return GaussianChannel(S=S, N=0.5 * (N + N.T)), leak
 
 
-def chain_channel(steps: Sequence[StepPlan], cluster_r: float) -> tuple[GaussianChannel, float]:
-    """The corrected channel and leak of a cluster chain (``affine_channel``);
-    of its resource quadratures, x_1..x_k are anti-squeezed."""
+def chain_channel(steps: Sequence[float], cluster_r: float) -> tuple[GaussianChannel, float]:
+    """The corrected channel and leak of the cluster chain of kappas ``steps``
+    (``affine_channel``); of its resource quadratures, x_1..x_k are anti-squeezed."""
     Wx, Wp = _corrected_weights(_kappas(steps))
     return affine_channel(np.column_stack([Wx[:, 0], Wp[:, 0]]), Wx[:, 1:], Wp[:, 1:], cluster_r)
 
@@ -264,7 +256,7 @@ def pair_sampler(mean: Sequence[float], law) -> Callable[[float, float], tuple[f
 
 def chain_records(
     input_state: GaussianState,
-    steps: Sequence[StepPlan],
+    steps: Sequence[float],
     cluster_r: float,
     seeds: Iterable,
 ) -> tuple[RecordColumns, ...]:
@@ -308,7 +300,7 @@ def run_protocol(
     steps: Sequence[StepPlan],
     cluster_r: float,
     seed: int,
-) -> tuple[GaussianState, RecordColumns, ByproductFrame]:
+) -> tuple[GaussianState, RecordColumns, tuple[float, float]]:
     """Teleport an input through a linear cluster, one measured node per step.
 
     The input is attached as mode 0 to a len(steps)-node cluster at squeezing
@@ -317,14 +309,15 @@ def run_protocol(
     ``seed``.
 
     Returns the uncorrected output state (byproduct displacement still in its
-    mean), the trial's record columns, and the accumulated byproduct frame.
+    mean), the trial's record columns, and the accumulated byproduct frame (u, v).
     """
-    # no report calls this; it stays while the benchmark's k_exponent probe
-    # (perfbench/workload.py) and CI's traced benchmark run call it
-    (columns,) = chain_records(input_state, steps, cluster_r, [seed])
-    frame = ByproductFrame()
+    # no report calls this; it and StepPlan stay while the benchmark's k_exponent
+    # probe (perfbench/workload.py) and CI's traced benchmark run call it
+    kappas = [step.kappa for step in steps]
+    (columns,) = chain_records(input_state, kappas, cluster_r, [seed])
+    frame = (0.0, 0.0)
     for value, kappa in zip(columns.rescaled_outcome, columns.kappa):
         frame = update_frame(frame, value, kappa)
-    corrected = chain_channel(steps, cluster_r)[0].apply(input_state)
-    uncorrected = GaussianState(corrected.mean + np.array([frame.u, frame.v]), corrected.cov)
+    corrected = chain_channel(kappas, cluster_r)[0].apply(input_state)
+    uncorrected = GaussianState(corrected.mean + np.array(frame), corrected.cov)
     return uncorrected, columns, frame

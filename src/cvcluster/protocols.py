@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain
+from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -53,7 +54,6 @@ from .phase_space import VACUUM_VARIANCE, GaussianState, _generator, squeezer, v
 from .engine import (
     GaussianChannel,
     RecordColumns,
-    StepPlan,
     affine_channel,
     chain_channel,
     chain_records,
@@ -164,8 +164,7 @@ def checked_parameter(name: str, raw, label: str | None = None):
     return value
 
 
-@dataclass(frozen=True)
-class ProtocolCheck:
+class ProtocolCheck(NamedTuple):
     name: str
     passed: bool
     value: float | None = None
@@ -198,6 +197,13 @@ class ProtocolReport:
         _require_finite(outcomes, "an outcome record")
         return table
 
+    def __eq__(self, other):  # target_S by its entries, draw_records not at all, the rest by value
+        if type(other) is not type(self):
+            return NotImplemented
+        same = attrgetter("name", "parameters", "channel", "deviation", "noise_trace", "fidelity",
+                          "checks")
+        return same(self) == same(other) and np.array_equal(self.target_S, other.target_S)
+
     def check(self, name: str) -> ProtocolCheck:
         return {c.name: c for c in self.checks}[name]  # names are unique in a report
 
@@ -218,8 +224,8 @@ class _ReportFacts(NamedTuple):
     fidelity: float | None
 
 
-def _image(M: list, mean: list, cov: list, N=((0.0, 0.0), (0.0, 0.0)), d=(0.0, 0.0)) -> _Moments:
-    """M mean + d and M cov M^T + N for symmetric cov and N, in plain float products
+def _image(M: list, mean: list, cov: list, N=((0.0, 0.0), (0.0, 0.0))) -> _Moments:
+    """M mean and M cov M^T + N for symmetric cov and N, in plain float products
     (not bitwise ``GaussianChannel.apply``'s BLAS ones); a variance is 0.5 (c + c), as
     ``apply`` symmetrizes, so that one past half the largest float overflows here too."""
     (m00, m01), (m10, m11) = M
@@ -228,7 +234,7 @@ def _image(M: list, mean: list, cov: list, N=((0.0, 0.0), (0.0, 0.0)), d=(0.0, 0
     t10, t11 = m10 * v00 + m11 * v10, m10 * v01 + m11 * v11
     c00, c11 = t00 * m00 + t01 * m01 + N[0][0], t10 * m10 + t11 * m11 + N[1][1]
     x, p = mean
-    return _Moments(m00 * x + m01 * p + d[0], m10 * x + m11 * p + d[1], 0.5 * (c00 + c00),
+    return _Moments(m00 * x + m01 * p, m10 * x + m11 * p, 0.5 * (c00 + c00),
                     t00 * m10 + t01 * m11 + N[0][1], 0.5 * (c11 + c11))
 
 
@@ -281,8 +287,8 @@ def _channel_facts(channel: GaussianChannel, leak: float, draw: Callable[[], Rec
             f"field {overflow_field!r}: the channel overflows double precision: "
             "S, N or deviation not finite"
         )
-    mean, cov, d = input_state.mean.tolist(), input_state.cov.tolist(), channel.d.tolist()
-    output = _image(S, mean, cov, N, d)
+    mean, cov = input_state.mean.tolist(), input_state.cov.tolist()
+    output = _image(S, mean, cov, N)
     # fidelity needs a pure reference, so it is taken against a symplectic
     # matrix even when the protocol's comparison target is an approximation
     R = (target_S if reference_S is None else reference_S).tolist()
@@ -302,7 +308,7 @@ def _channel_facts(channel: GaussianChannel, leak: float, draw: Callable[[], Rec
         try:  # the images in the frame e: the plain ones where e is 0
             framed = (ideal, output) if not any(e) else (
                 _image(_scaled(R, e), mean, cov),
-                _image(_scaled(S, e), mean, cov, _scaled(N, e, e), _scaled([d], [0], e)[0]))
+                _image(_scaled(S, e), mean, cov, _scaled(N, e, e)))
             fidelity = math.ldexp(_overlap(*framed), -sum(e))
         except OverflowError:  # a scaled entry or the fidelity past the largest float
             fidelity = math.inf
@@ -353,13 +359,13 @@ def _trial_seeds(input_state: GaussianState, seed: int, trials: int) -> range:
     return range(seed, seed + trials)
 
 
-def squeezer_steps(kappa: float) -> list[StepPlan]:
+def squeezer_steps(kappa: float) -> list[float]:
     """The four-step squeezer pattern: shears (kappa, kappa, -kappa, -kappa)."""
-    return [StepPlan(kappa), StepPlan(kappa), StepPlan(-kappa), StepPlan(-kappa)]
+    return [kappa, kappa, -kappa, -kappa]
 
 
 def _chain_facts(
-    steps: Sequence[StepPlan],
+    steps: Sequence[float],
     r: float,
     input_state: GaussianState,
     seed: int,
@@ -367,8 +373,8 @@ def _chain_facts(
     target_S: np.ndarray,
     reference_S=None,
 ) -> _ReportFacts:
-    """The report facts of a cluster chain: its channel and leak, the
-    per-trial record draw and the numbers read off the channel."""
+    """The report facts of the cluster chain of kappas ``steps``: its channel
+    and leak, the per-trial record draw and the numbers read off the channel."""
     seeds = _trial_seeds(input_state, seed, trials)
     channel, leak = chain_channel(steps, r)
     draw = partial(chain_records, input_state, steps, r, seeds)
@@ -392,7 +398,7 @@ def identity_chain(
     if n_nodes < 2:
         raise ValueError("n_nodes must be >= 2")
     target = _FOURIER_POWERS[(n_nodes - 1) % 4]
-    facts = _chain_facts([StepPlan(0.0)] * (n_nodes - 1), r, input_state, seed, trials, target)
+    facts = _chain_facts([0.0] * (n_nodes - 1), r, input_state, seed, trials, target)
     expected_trace = (n_nodes - 1) * math.exp(-2 * r) * VACUUM_VARIANCE
     err = abs(facts.noise_trace - expected_trace)
     return _report(

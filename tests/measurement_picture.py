@@ -23,11 +23,12 @@ from cvcluster import checks, engine
 from cvcluster.phase_space import _generator
 
 
-def apply_correction(state: cv.GaussianState, frame: cv.ByproductFrame) -> cv.GaussianState:
-    """Undo the pending byproduct: displace the (single-mode) state by (-u, -v)."""
+def apply_correction(state: cv.GaussianState, frame: tuple[float, float]) -> cv.GaussianState:
+    """Undo the pending byproduct of the frame (u, v): displace the
+    (single-mode) state by (-u, -v)."""
     if state.n_modes != 1:
         raise ValueError("apply_correction expects a single-mode state")
-    return cv.GaussianState(state.mean - np.array([frame.u, frame.v]), state.cov)
+    return cv.GaussianState(state.mean - np.array(frame), state.cov)
 
 
 def dual_step(
@@ -69,28 +70,25 @@ def dual_step(
     return output, cv.RecordColumns((0,), (0,), (0.0,), (-math.pi / 2,), (t,), (t,))
 
 
-def independent_probe_deviation(
-    steps: list[cv.StepPlan], r: float, state_in: cv.GaussianState
-) -> float:
+def independent_probe_deviation(kappas: list[float], r: float, state_in: cv.GaussianState) -> float:
     """``checks.measurement_picture_deviation`` with the zero probe and the k
     unit probes run independently: k(k+1) ``homodyne`` calls."""
-    kappas = [step.kappa for step in steps]
     k = len(kappas)
     assembled = cv.attach_input(state_in, cv.linear_cluster(k, r))
     means = []
     for outcomes in np.vstack([np.zeros(k), np.eye(k)]).tolist():
-        state, frame = assembled, cv.ByproductFrame()
+        state, frame = assembled, (0.0, 0.0)
         for s, kappa in zip(outcomes, kappas):
             state = cv.homodyne(state, 0, kappa, 1.0, forced=s)[1]
             frame = checks.update_frame(frame, s, kappa)
-        means.append(state.mean - np.array([frame.u, frame.v]))
+        means.append(state.mean - np.array(frame))
     a, G = means[0], np.column_stack(means[1:]) - means[0][:, None]
     C = np.zeros((k, 2 * k + 2))
     for j, kappa in enumerate(kappas):
         C[j, 2 * j : 2 * j + 2] = kappa, 1.0
     mean = a + G @ (C @ assembled.mean)
     cov = state.cov + G @ (C @ assembled.cov @ C.T) @ G.T
-    expected = engine.chain_channel(steps, r)[0].apply(state_in)
+    expected = engine.chain_channel(kappas, r)[0].apply(state_in)
     scale = float(np.max(np.abs(expected.cov)))
     deviations = [np.max(np.abs(mean - expected.mean)), np.max(np.abs(cov - expected.cov)) / scale]
     return float(np.max(deviations))

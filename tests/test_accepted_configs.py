@@ -4,7 +4,8 @@ Configs are drawn from the schema's own rules, ``protocols.PARAMETERS`` (each
 value passes its rule and largest value) and ``cli._INPUT_KEYS``, weighted
 toward the edges where a channel or an input leaves double precision: dB up
 to 3082, |kappa| up to 1e200, ``r_gate`` within 0.5 of its limit +-354.89,
-coherent amplitudes up to 1.7e308 and squeezed inputs up to the same limit.
+coherent amplitudes up to 1.7e308 and squeezed inputs up to the same limit,
+and integer input numbers past the largest float.
 Each goes through ``cli.main`` as ``run`` or ``sweep``, with every warning
 an error. It must exit 0 and write a document, or exit 2, write nothing and
 print one error line that names a field of the config, ``input`` or
@@ -70,10 +71,12 @@ _VALUES = {
     "trials": st.integers(1, 3) | st.integers(1, protocols.MAX_RECORDS + 1 if FULL else 3),
 }
 VALUES = {name: values.filter(_accepted(name)) for name, values in _VALUES.items()}
+# JSON integer literals that no float holds: |n| from 2^1024 to 10^400
+_past_float = st.integers(2**1024, 10**400) | st.integers(-(10**400), -(2**1024))
 _INPUT_VALUES = {
-    "re": st.floats(-3.0, 3.0) | _log_uniform(-3.0, 308.25),
-    "im": st.floats(-3.0, 3.0) | _log_uniform(-3.0, 308.25),
-    "r": (st.floats(-3.0, 3.0) | _near_r_limit).filter(lambda r: abs(r) <= R_LIMIT),
+    "re": st.floats(-3.0, 3.0) | _log_uniform(-3.0, 308.25) | _past_float,
+    "im": st.floats(-3.0, 3.0) | _log_uniform(-3.0, 308.25) | _past_float,
+    "r": (st.floats(-3.0, 3.0) | _near_r_limit).filter(lambda r: abs(r) <= R_LIMIT) | _past_float,
     "axis": st.sampled_from(["x", "p"]),
 }
 INPUTS = st.one_of(
@@ -147,6 +150,10 @@ OVERFLOWING_DET = {"protocol": "identity_chain", "n_nodes": 400, "squeezing_db":
 @pytest.mark.filterwarnings("error")
 @given(configs())
 @example(("run", OVERFLOWING_DET))
+@example(("run", {"protocol": "offline_teleport",
+                  "input": {"kind": "coherent", "re": 10**400, "im": 0}}))
+@example(("sweep", {"protocol": "identity_chain", "sweep": {"param": "n_nodes", "values": [3]},
+                    "input": {"kind": "squeezed", "r": -(10**400), "axis": "x"}}))
 @settings(max_examples=2000 if FULL else 120, deadline=None)
 def test_accepted_config_gives_a_document_or_a_clean_refusal(drawn):
     command, config = drawn

@@ -464,12 +464,23 @@ class TestCommandErrors:
              "field 'input': coherent re and im must be finite"),
             ({**BASE_RUN, "input": {"kind": "squeezed", "r": 0.5}},
              "field 'input': squeezed input needs 'axis'"),
+            ({"protocol": "offline_teleport", "input": {"kind": "coherent", "re": 10**400, "im": 0}},
+             "field 'input': coherent re and im must be finite"),
+            ({**BASE_RUN, "input": {"kind": "coherent", "re": 0.5, "im": -(10**400)}},
+             "field 'input': coherent re and im must be finite"),
+            ({**BASE_RUN, "input": {"kind": "squeezed", "r": 10**400, "axis": "x"}},
+             "field 'input': squeezed r must be finite, with e^{2|r|} finite"),
+            ({**BASE_RUN, "input": {"kind": "squeezed", "r": -(10**400), "axis": "p"}},
+             "field 'input': squeezed r must be finite, with e^{2|r|} finite"),
         ],
         ids=["root_list", "sweep_number", "input_number", "coherent_no_im", "coherent_re_null",
-             "coherent_re_infinity", "squeezed_no_axis"],
+             "coherent_re_infinity", "squeezed_no_axis", "coherent_re_integer_past_float",
+             "coherent_im_integer_past_float", "squeezed_r_integer_past_float",
+             "squeezed_negative_r_integer_past_float"],
     )
     def test_config_shape_refusal_exits_2_with_its_line(self, tmp_path, capsys, payload, error):
-        # json.dumps writes math.inf as the JavaScript literal Infinity, which json.loads reads
+        # json.dumps writes math.inf as the JavaScript literal Infinity, which json.loads reads,
+        # and an int as an integer literal, which json.loads reads as an int past any float
         code, out = main_on(tmp_path, "run", payload)
         assert (code, out.exists()) == (2, False)
         assert capsys.readouterr() == ("", f"error: {error}\n")
@@ -666,10 +677,10 @@ class TestVerifySuite:
 
 # chains for the measurement picture beyond the two that verify runs
 PICTURE_CHAINS = {
-    "identity": [cv.StepPlan(0.0)] * 3,
+    "identity": [0.0] * 3,
     "squeezer": protocols.squeezer_steps(0.5),
-    "mixed": [cv.StepPlan(kappa) for kappa in (0.4, 0.0, -0.7, 1.1)],
-    "one_step": [cv.StepPlan(-1.5)],
+    "mixed": [0.4, 0.0, -0.7, 1.1],
+    "one_step": [-1.5],
 }
 
 
@@ -704,20 +715,20 @@ CLUSTER_MUTATIONS = {
 
 
 class TestMeasurementPicture:
-    @pytest.mark.parametrize("steps", PICTURE_CHAINS.values(), ids=PICTURE_CHAINS.keys())
-    def test_chain_channel_matches_the_picture(self, steps):
+    @pytest.mark.parametrize("kappas", PICTURE_CHAINS.values(), ids=PICTURE_CHAINS.keys())
+    def test_chain_channel_matches_the_picture(self, kappas):
         for db in PICTURE_DB:
             r = protocols.db_to_squeezing_r(db)
             for state in PICTURE_INPUTS:
-                assert checks.measurement_picture_deviation(steps, r, state) <= 1e-10, (db, state)
+                assert checks.measurement_picture_deviation(kappas, r, state) <= 1e-10, (db, state)
 
-    @pytest.mark.parametrize("steps", PICTURE_CHAINS.values(), ids=PICTURE_CHAINS.keys())
-    def test_shared_prefix_equals_independent_probes(self, steps):
+    @pytest.mark.parametrize("kappas", PICTURE_CHAINS.values(), ids=PICTURE_CHAINS.keys())
+    def test_shared_prefix_equals_independent_probes(self, kappas):
         for db in PICTURE_DB:
             r = protocols.db_to_squeezing_r(db)
             for state in PICTURE_INPUTS:
-                shared = checks.measurement_picture_deviation(steps, r, state)
-                assert shared == independent_probe_deviation(steps, r, state), (db, state)
+                shared = checks.measurement_picture_deviation(kappas, r, state)
+                assert shared == independent_probe_deviation(kappas, r, state), (db, state)
 
     @pytest.mark.parametrize("name", CLUSTER_MUTATIONS)
     def test_a_wrong_cz_layer_fails_the_row(self, monkeypatch, name):
@@ -726,8 +737,7 @@ class TestMeasurementPicture:
         assert not checks.measurement_picture_checks()[0].passed
 
     def test_nan_frame_fails_the_row(self, monkeypatch):
-        nan_frame = cv.ByproductFrame(math.nan, math.nan)
-        monkeypatch.setattr(checks, "update_frame", lambda frame, s, kappa: nan_frame)
+        monkeypatch.setattr(checks, "update_frame", lambda frame, s, kappa: (math.nan, math.nan))
         (row,) = checks.measurement_picture_checks()
         assert not row.passed and math.isnan(row.value)
 
@@ -1083,7 +1093,7 @@ def test_importing_the_cli_loads_every_layer():
 
 
 PUBLIC_NAMES = """
-    ByproductFrame DegenerateMeasurementError GaussianChannel GaussianState IDEAL_SQUEEZING_R
+    DegenerateMeasurementError GaussianChannel GaussianState IDEAL_SQUEEZING_R
     InputOverflowError ProtocolCheck ProtocolReport RecordColumns StepPlan VACUUM_VARIANCE
     affine_channel algebra apply_gate attach_input bch_squeezer_residual beamsplitter_5050
     chain_channel chain_records cluster coherent_state controlled_z controlled_z_pp
@@ -1098,7 +1108,7 @@ PUBLIC_NAMES = """
 
 def test_public_names_are_pinned():
     # adding or removing a name of the package's API is a change to this list
-    assert len(PUBLIC_NAMES) == 55
+    assert len(PUBLIC_NAMES) == 54
     assert sorted(cv.__all__) == PUBLIC_NAMES
 
 

@@ -59,24 +59,58 @@ class TestMeasurementBasis:
 
 class TestUpdateFrame:
     def test_first_step(self):
-        frame = cv.update_frame(cv.ByproductFrame(), 1.7, 0.4)
-        assert (frame.u, frame.v) == (1.7, 0.0)
+        assert cv.update_frame((0.0, 0.0), 1.7, 0.4) == (1.7, 0.0)
 
     def test_second_step_matches_two_step_correction(self):
         # running outcomes (s1, s2) leaves X(s2 - kappa s1) Z(s1)
         s1, s2, kappa = 0.9, -0.4, 0.6
-        frame = cv.update_frame(cv.ByproductFrame(), s1, 0.0)
-        frame = cv.update_frame(frame, s2, kappa)
-        assert frame.u == pytest.approx(s2 - kappa * s1)
-        assert frame.v == pytest.approx(s1)
+        frame = cv.update_frame((0.0, 0.0), s1, 0.0)
+        u, v = cv.update_frame(frame, s2, kappa)
+        assert u == pytest.approx(s2 - kappa * s1)
+        assert v == pytest.approx(s1)
 
     def test_kappa_zero_is_fourier_rotation(self):
-        frame = cv.update_frame(cv.ByproductFrame(0.3, -0.8), 2.0, 0.0)
-        assert (frame.u, frame.v) == (2.0 + 0.8, 0.3)
+        assert cv.update_frame((0.3, -0.8), 2.0, 0.0) == (2.0 + 0.8, 0.3)
 
-    def test_rejects_nothing_finite(self):
-        with pytest.raises(ValueError):
-            cv.StepPlan(math.inf)
+
+class TestKappaRule:
+    """Every entry that takes a chain refuses it by the one rule, with its text."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda: cv.chain_channel([math.nan], 1.0),
+            lambda: cv.chain_channel([0.2, math.inf], 1.0),
+            lambda: cv.chain_records(cv.vacuum_state(1), [0.1, math.nan], 1.0, [0]),
+            lambda: cv.squeezer_four_step(math.inf, 1.0, cv.vacuum_state(1)),
+            lambda: cv.repeated_squeezer(2, -math.inf, 1.0, cv.vacuum_state(1)),
+            lambda: cv.run_protocol(cv.vacuum_state(1), [cv.StepPlan(math.inf)], 1.0, 0),
+        ],
+        ids=["chain_channel", "chain_channel_inf", "chain_records", "squeezer_four_step",
+             "repeated_squeezer", "run_protocol"],
+    )
+    def test_refuses_a_kappa_that_is_not_finite(self, entry):
+        with pytest.raises(ValueError, match=r"^kappa must be finite$"):
+            entry()
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda: cv.chain_channel([], 1.0),
+            lambda: cv.chain_records(cv.vacuum_state(1), [], 1.0, [0]),
+            lambda: cv.run_protocol(cv.vacuum_state(1), [], 1.0, 0),
+        ],
+        ids=["chain_channel", "chain_records", "run_protocol"],
+    )
+    def test_refuses_an_empty_chain(self, entry):
+        with pytest.raises(ValueError, match=r"^at least one step is required$"):
+            entry()
+
+    def test_a_chain_is_its_list_of_kappas(self):
+        kappas = [0.2, 0.2, -0.2, -0.2]
+        report = cv.squeezer_four_step(0.2, 1.0, cv.vacuum_state(1))
+        assert report.channel == cv.chain_channel(kappas, 1.0)[0]
+        assert cv.chain_channel(np.array(kappas), 1.0) == cv.chain_channel(kappas, 1.0)
 
 
 def _frame_weights_reference(kappas):
@@ -87,16 +121,16 @@ def _frame_weights_reference(kappas):
     g00, g01, g10, g11 = 1.0, 0.0, 0.0, 1.0  # A_{k-1} ... A_{j+1}
     for j in range(k - 1, -1, -1):
         kappa = float(kappas[j])
-        b = cv.update_frame(cv.ByproductFrame(), 1.0, kappa)
-        a0 = cv.update_frame(cv.ByproductFrame(1.0, 0.0), 0.0, kappa)
-        a1 = cv.update_frame(cv.ByproductFrame(0.0, 1.0), 0.0, kappa)
-        T[0, j] = g00 * b.u + g01 * b.v
-        T[1, j] = g10 * b.u + g11 * b.v
+        bu, bv = cv.update_frame((0.0, 0.0), 1.0, kappa)
+        a0u, a0v = cv.update_frame((1.0, 0.0), 0.0, kappa)
+        a1u, a1v = cv.update_frame((0.0, 1.0), 0.0, kappa)
+        T[0, j] = g00 * bu + g01 * bv
+        T[1, j] = g10 * bu + g11 * bv
         g00, g01, g10, g11 = (
-            g00 * a0.u + g01 * a0.v,
-            g00 * a1.u + g01 * a1.v,
-            g10 * a0.u + g11 * a0.v,
-            g10 * a1.u + g11 * a1.v,
+            g00 * a0u + g01 * a0v,
+            g00 * a1u + g01 * a1v,
+            g10 * a0u + g11 * a0v,
+            g10 * a1u + g11 * a1v,
         )
     return T
 
@@ -139,7 +173,7 @@ class TestFrameWeights:
 class TestRunProtocol:
     def test_single_fourier_step_ideal(self):
         out, records, frame = cv.run_protocol(cv.vacuum_state(1), [cv.StepPlan(0.0)], IDEAL, 3)
-        assert (frame.u, frame.v) == (records.rescaled_outcome[0], 0.0)
+        assert frame == (records.rescaled_outcome[0], 0.0)
         corrected = apply_correction(out, frame)
         np.testing.assert_allclose(corrected.mean, [0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(corrected.cov, 0.25 * np.eye(2), atol=1e-9)
@@ -190,10 +224,10 @@ class TestRunProtocol:
             C[j, 2 * j + 1] = 1.0
         T = np.zeros((2, k))
         for j in range(k):
-            frame_j = cv.ByproductFrame()
+            frame_j = (0.0, 0.0)
             for i, kappa in enumerate(kappas):
                 frame_j = cv.update_frame(frame_j, 1.0 if i == j else 0.0, kappa)
-            T[:, j] = (frame_j.u, frame_j.v)
+            T[:, j] = frame_j
         P = np.zeros((2, 2 * n))
         P[0, 2 * k] = 1.0
         P[1, 2 * k + 1] = 1.0
@@ -220,13 +254,13 @@ class TestRunProtocol:
 
         # apply_correction subtracts the frame, so the mean is good to the
         # frame's rounding; the covariance to that of S cov S^T + N
-        mean_tol = 1e-9 * (scale(S) * scale(state.mean) + abs(frame.u) + abs(frame.v))
+        mean_tol = 1e-9 * (scale(S) * scale(state.mean) + abs(frame[0]) + abs(frame[1]))
         assert scale(corrected.mean - S @ state.mean) <= mean_tol
         expected_cov = S @ state.cov @ S.T + N
         assert scale(corrected.cov - expected_cov) <= 1e-9 * scale(expected_cov)
 
         # N alone, as an input without covariance would carry it, at its own scale
-        assert scale(cv.chain_channel(steps, r)[0].N - N) <= 1e-9 * scale(N)
+        assert scale(cv.chain_channel(kappas, r)[0].N - N) <= 1e-9 * scale(N)
 
     def test_five_thousand_step_chain_matches_oracle(self):
         # far beyond what a dense 2n x 2n chain assembly could finish
@@ -269,7 +303,7 @@ class TestRunProtocol:
         )
         corrected = apply_correction(out, frame)
         np.testing.assert_allclose(
-            out.mean - corrected.mean, [frame.u, frame.v], atol=1e-12
+            out.mean - corrected.mean, frame, atol=1e-12
         )
         np.testing.assert_allclose(out.cov, corrected.cov, atol=1e-15)
 
@@ -277,10 +311,10 @@ class TestRunProtocol:
         out, records, frame = cv.run_protocol(
             cv.vacuum_state(1), [cv.StepPlan(0.5)] * 3, 1.0, 99
         )
-        refolded = cv.ByproductFrame()
+        refolded = (0.0, 0.0)
         for value, kappa in zip(records.rescaled_outcome, records.kappa):
             refolded = cv.update_frame(refolded, value, kappa)
-        assert (frame.u, frame.v) == pytest.approx((refolded.u, refolded.v))
+        assert frame == pytest.approx(refolded)
 
     def test_sampled_outcome_variance(self):
         # raw p-readings of the first step are dominated by the antisqueezed
@@ -300,10 +334,6 @@ class TestRunProtocol:
         events = zip(records.theta, records.raw_outcome, records.rescaled_outcome)
         for theta, raw, rescaled in events:
             assert rescaled * math.cos(theta) == pytest.approx(raw, abs=1e-12)
-
-    def test_rejects_empty_steps(self):
-        with pytest.raises(ValueError):
-            cv.run_protocol(cv.vacuum_state(1), [], 1.0, 0)
 
     def test_rejects_multimode_input(self):
         with pytest.raises(ValueError):
@@ -327,7 +357,7 @@ NOT_SEEDS = [[1, 2, 3], True, 0.5, np.random.Generator(np.random.PCG64(9))]
 class TestChainRecords:
     def test_seeds_in_one_call_equal_one_call_per_seed(self):
         state = random_gaussian_state(4, 1)
-        steps = [cv.StepPlan(k) for k in (0.3, -0.7, 1.1)]
+        steps = [0.3, -0.7, 1.1]
         together = cv.chain_records(state, steps, TEN_DB_R, [5, 9, 6])
         alone = tuple(cv.chain_records(state, steps, TEN_DB_R, [s])[0] for s in (5, 9, 6))
         assert len(together) == 3
@@ -336,12 +366,12 @@ class TestChainRecords:
 
     @pytest.mark.parametrize("source", NOT_SEEDS, ids=["list", "bool", "float", "Generator"])
     def test_every_draw_refuses_a_source_that_is_not_an_integer_seed(self, source):
-        state, steps = cv.vacuum_state(1), [cv.StepPlan(0.3), cv.StepPlan(-0.2)]
+        state, kappas = cv.vacuum_state(1), [0.3, -0.2]
         refused = pytest.raises(TypeError, match="an outcome seed must be an integer")
         with refused:
-            cv.chain_records(state, steps, TEN_DB_R, [source])
+            cv.chain_records(state, kappas, TEN_DB_R, [source])
         with refused:
-            cv.run_protocol(state, steps, TEN_DB_R, source)
+            cv.run_protocol(state, [cv.StepPlan(k) for k in kappas], TEN_DB_R, source)
         with refused:
             dual_step(state, TEN_DB_R, source)
 
@@ -419,8 +449,8 @@ class TestPairSampler:
             report.record_columns
 
 
-def _channel(d=(0.0, 0.0), noise=0.1):
-    return engine.GaussianChannel(cv.shear(0.4), noise * np.eye(2), np.array(d))
+def _channel(noise=0.1):
+    return engine.GaussianChannel(cv.shear(0.4), noise * np.eye(2))
 
 
 class TestChannelEquality:
@@ -436,17 +466,18 @@ class TestChannelEquality:
     @pytest.mark.parametrize(
         "other",
         [
-            engine.GaussianChannel(cv.shear(0.5), 0.1 * np.eye(2), np.zeros(2)),
+            engine.GaussianChannel(cv.shear(0.5), 0.1 * np.eye(2)),
             _channel(noise=0.2),
-            _channel(d=(0.0, 1.0)),
-            engine.GaussianChannel(np.eye(4), np.zeros((4, 4)), np.zeros(4)),
+            engine.GaussianChannel(np.eye(4), np.zeros((4, 4))),
         ],
-        ids=["S", "N", "d", "modes"],
+        ids=["S", "N", "modes"],
     )
     def test_a_different_field_compares_unequal(self, other):
         assert _channel() != other and not _channel() == other
 
-    @pytest.mark.parametrize("other", [None, 1.0, cv.vacuum_state(1), (np.eye(2),) * 3])
+    @pytest.mark.parametrize(
+        "other", [None, 1.0, cv.vacuum_state(1), (cv.shear(0.4), 0.1 * np.eye(2))]
+    )
     def test_a_non_channel_compares_unequal(self, other):
         assert _channel() != other and not _channel() == other
 
@@ -460,7 +491,8 @@ class TestMutationGuard:
         # the engine derives its correction from update_frame, so a wrong
         # frame rule must show up as noise from the anti-squeezed quadratures
         def flipped(frame, s, kappa):
-            return cv.ByproductFrame(s - kappa * frame.u + frame.v, frame.u)
+            u, v = frame
+            return s - kappa * u + v, u
 
         monkeypatch.setattr(engine, "update_frame", flipped)
         report = cv.identity_chain(5, cv.db_to_squeezing_r(100.0), cv.vacuum_state(1))
@@ -471,10 +503,15 @@ class TestMutationGuard:
 
 class TestChannelTomography:
     def test_pass_through(self):
-        channel = channel_tomography(lambda state, seed: state)
+        channel, d = channel_tomography(lambda state, seed: state)
         np.testing.assert_allclose(channel.S, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(channel.N, np.zeros((2, 2)), atol=1e-12)
-        np.testing.assert_allclose(channel.d, np.zeros(2), atol=1e-12)
+        np.testing.assert_allclose(d, np.zeros(2), atol=1e-12)
+
+    def test_measures_a_displacement(self):
+        channel, d = channel_tomography(lambda state, seed: displace(state, 0, 0.3, -0.5))
+        np.testing.assert_allclose(channel.S, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(d, [0.3, -0.5], atol=1e-12)
 
     def _runner(self, kappas, r):
         steps = [cv.StepPlan(k) for k in kappas]
@@ -487,22 +524,24 @@ class TestChannelTomography:
 
     def test_single_step_ideal(self):
         kappa = 0.8
-        channel = channel_tomography(self._runner([kappa], IDEAL))
+        channel, d = channel_tomography(self._runner([kappa], IDEAL))
         np.testing.assert_allclose(channel.S, cv.fourier_shear_step(kappa), atol=1e-9)
         np.testing.assert_allclose(channel.N, np.zeros((2, 2)), atol=1e-9)
+        np.testing.assert_allclose(d, np.zeros(2), atol=1e-9)
 
     def test_single_step_finite_noise(self):
-        channel = channel_tomography(self._runner([0.0], TEN_DB_R))
+        channel, _ = channel_tomography(self._runner([0.0], TEN_DB_R))
         np.testing.assert_allclose(channel.N, np.diag([0.0, 0.025]), atol=1e-12)
 
     def test_two_step_channel_composes(self):
-        single = channel_tomography(self._runner([0.4], IDEAL))
-        double = channel_tomography(self._runner([0.4, 0.4], IDEAL))
+        (single, _), (double, _) = (
+            channel_tomography(self._runner(kappas, IDEAL)) for kappas in ([0.4], [0.4, 0.4])
+        )
         np.testing.assert_allclose(double.S, single.S @ single.S, atol=1e-8)
 
     def test_channel_apply_reproduces_protocol_action(self):
         runner = self._runner([0.3, -0.5], 1.0)
-        channel = channel_tomography(runner)
+        channel, _ = channel_tomography(runner)
         for seed in range(10):
             state = random_gaussian_state(seed, 1)
             direct = runner(state, 0)
@@ -512,7 +551,7 @@ class TestChannelTomography:
 
     def test_noise_psd(self):
         for kappas, r in (([0.6], IDEAL), ([0.2, -0.9, 0.4], TEN_DB_R)):
-            channel = channel_tomography(self._runner(kappas, r))
+            channel, _ = channel_tomography(self._runner(kappas, r))
             assert np.linalg.eigvalsh(channel.N)[0] >= -1e-10
 
     def test_refuses_seed_dependent_protocol(self):
@@ -541,8 +580,8 @@ class TestDualStep:
             out, _, frame = cv.run_protocol(state, [cv.StepPlan(0.0)], IDEAL, seed)
             return apply_correction(out, frame)
 
-        dual = channel_tomography(dual_runner)
-        primal = channel_tomography(primal_runner)
+        dual, _ = channel_tomography(dual_runner)
+        primal, _ = channel_tomography(primal_runner)
         F = cv.fourier()
         np.testing.assert_allclose(dual.S, F @ primal.S @ np.linalg.inv(F), atol=1e-9)
         np.testing.assert_allclose(dual.N, F @ primal.N @ F.T, atol=1e-9)

@@ -93,8 +93,8 @@ class TestSqueezerFourStep:
         # the 60-digit image within its bound, not to its bits
         report = cv.squeezer_four_step(0.3, TEN_DB_R, state)
         out = report.channel.apply(state)
-        channel = [a.tolist() for a in (report.channel.S, report.channel.N, report.channel.d)]
-        facts = report_facts(*channel, report.target_S.tolist(), np.eye(2).tolist(),
+        channel = [a.tolist() for a in (report.channel.S, report.channel.N)]
+        facts = report_facts(*channel, (0.0, 0.0), report.target_S.tolist(), np.eye(2).tolist(),
                              state.mean.tolist(), state.cov.tolist())
         for name, i in (("var_x", 0), ("var_p", 1)):
             assert facts[name].holds(out.cov[i, i])
@@ -259,7 +259,7 @@ class TestNoChainSqueezesMoreThanItsResource:
     )
     def test_chain_noise_is_at_least_the_resources(self, kappas, db):
         r = cv.db_to_squeezing_r(db)
-        channel, _ = cv.chain_channel([cv.StepPlan(kappa) for kappa in kappas], r)
+        channel, _ = cv.chain_channel(kappas, r)
         lam, bound = _below_the_resource_floor(channel.N, r)
         assert lam >= -bound
 
@@ -294,7 +294,7 @@ class TestReportsAndSweep:
         assert doc["target_S"] == report.target_S.ravel().tolist()
         assert [len(trial.step_index) for trial in report.record_columns] == [records]
         assert len(doc["records"]) == records
-        assert doc["checks"] == [dataclasses.asdict(c) for c in report.checks]
+        assert doc["checks"] == [c._asdict() for c in report.checks]
 
     def test_every_protocol_outcome_independent_at_ten_db(self):
         reports = [
@@ -367,7 +367,7 @@ class TestReportsAndSweep:
     @pytest.mark.filterwarnings("error")
     def test_report_refuses_a_finite_channel_with_infinite_deviation(self):
         kappa = 1e39  # S is about kappa^4 = 1e156, so |S - target|^2 overflows
-        channel, _ = cv.chain_channel([cv.StepPlan(k) for k in (kappa, kappa, -kappa, -kappa)], 0.0)
+        channel, _ = cv.chain_channel([kappa, kappa, -kappa, -kappa], 0.0)
         assert np.isfinite(channel.S).all() and np.isfinite(channel.N).all()
         with pytest.raises(OverflowError, match="overflows"):
             cv.squeezer_four_step(kappa, 0.0, VAC)
@@ -753,13 +753,48 @@ class TestRecordsDrawnWhenRead:
             report.record_columns
         copy = pickle.loads(pickle.dumps(report))
         assert copy.record_columns == report.record_columns
-        # every field, the arrays elementwise
-        assert dataclasses.replace(copy, channel=None, target_S=None) == dataclasses.replace(
-            report, channel=None, target_S=None
-        )
-        for got, want in ((copy.channel.S, report.channel.S), (copy.channel.N, report.channel.N),
-                          (copy.channel.d, report.channel.d), (copy.target_S, report.target_S)):
-            assert np.array_equal(got, want)
+        assert copy == report  # every field, the arrays elementwise
+
+
+def _identity_report():
+    return cv.identity_chain(3, 1.0, cv.vacuum_state(1))
+
+
+class TestReportEquality:
+    def test_distinct_equal_reports_compare_equal(self):
+        a, b = _identity_report(), _identity_report()
+        assert a is not b and a.target_S is not b.target_S
+        assert a == b and not a != b
+
+    def test_the_record_draw_is_not_compared(self):
+        report = _identity_report()
+        assert dataclasses.replace(report, draw_records=lambda: ()) == report
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"target_S": np.eye(2)},
+            {"channel": cv.GaussianChannel(np.eye(2), np.zeros((2, 2)))},
+            {"name": "other"},
+            {"parameters": {}},
+            {"deviation": 1.0},
+            {"fidelity": None},
+            {"checks": ()},
+        ],
+        ids=["target_S", "channel", "name", "parameters", "deviation", "fidelity", "checks"],
+    )
+    def test_a_different_field_compares_unequal(self, change):
+        report = _identity_report()
+        other = dataclasses.replace(report, **change)
+        assert report != other and not report == other
+
+    @pytest.mark.parametrize("other", [None, 1.0, cv.vacuum_state(1)])
+    def test_a_non_report_compares_unequal(self, other):
+        assert _identity_report() != other
+
+    def test_stays_unhashable(self):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(_identity_report())
 
 
 class TestFrameRuleOncePerReport:
@@ -887,7 +922,7 @@ class TestMatrixCheckBounds:
 
         def skewed(steps, r):
             channel, leak = chain_channel(steps, r)
-            return cv.GaussianChannel(channel.S * (1.0 + 1e-6), channel.N, channel.d), leak
+            return cv.GaussianChannel(channel.S * (1.0 + 1e-6), channel.N), leak
 
         monkeypatch.setattr(protocols, "chain_channel", skewed)
         report = cv.repeated_squeezer(50, 1.0, TEN_DB_R, VAC)
@@ -895,7 +930,8 @@ class TestMatrixCheckBounds:
 
 
 def _flipped_frame_sign(frame, s, kappa):
-    return cv.ByproductFrame(s - kappa * frame.u + frame.v, frame.u)
+    u, v = frame
+    return s - kappa * u + v, u
 
 
 class TestChannelFromAffineMap:
@@ -957,7 +993,6 @@ class TestChannelFromAffineMap:
         assert scale(report.channel.S - S) <= 1e-9 * scale(S)
         assert scale(report.channel.N - N) <= 1e-9 * scale(N)
         assert report.noise_trace == pytest.approx(float(np.trace(N)), rel=1e-9)
-        assert np.array_equal(report.channel.d, np.zeros(2))
         check = report.check("outcome_independent")
         assert check.passed and check.value <= protocols.INDEPENDENCE_TOL
         # the checks' bounds follow the scale of S and N
@@ -1003,9 +1038,9 @@ def _conditioned_state_channel(r, r_gate, rescale_correction):
     output mode is conditioned on the measured (x_1', p_0') by the Gaussian
     rule, and the correction (mode 2 displaced by gain (u, v), with
     (u, v) = sqrt2 (x_1', p_0')) is averaged over the outcomes by the law of
-    total variance. Also returns the largest entry of the state's
-    covariance: the oracle works at that scale and resolves N only to
-    rounding of it.
+    total variance. Also returns the displacement, the vacuum's output mean,
+    and the largest entry of the state's covariance: the oracle works at
+    that scale and resolves N only to rounding of it.
     """
     gate = cv.squeezer(r_gate)
     gain = math.sqrt(2.0) * (gate if rescale_correction else np.eye(2))
@@ -1029,7 +1064,7 @@ def _conditioned_state_channel(r, r_gate, rescale_correction):
     m_p, _, _ = moments(cv.coherent_state(0.0, 1.0))
     S = np.column_stack([m_x - m_vac, m_p - m_vac])
     N = c_vac - 0.25 * S @ S.T
-    return cv.GaussianChannel(S=S, N=0.5 * (N + N.T), d=m_vac), scale
+    return cv.GaussianChannel(S=S, N=0.5 * (N + N.T)), m_vac, scale
 
 
 class TestChannelAgreesWithTomography:
@@ -1050,25 +1085,26 @@ class TestChannelAgreesWithTomography:
         repeated_steps = [cv.StepPlan(k) for k in (0.1, 0.1, -0.1, -0.1)] * 2
         if name == "identity_chain":
             report = cv.identity_chain(5, r, VAC)
-            expected = channel_tomography(_cluster_runner([cv.StepPlan(0.0)] * 4, r))
+            expected, d = channel_tomography(_cluster_runner([cv.StepPlan(0.0)] * 4, r))
         elif name == "squeezer_four_step":
             report = cv.squeezer_four_step(0.2, r, VAC)
-            expected = channel_tomography(_cluster_runner(squeezer_steps, r))
+            expected, d = channel_tomography(_cluster_runner(squeezer_steps, r))
         elif name == "repeated_squeezer":
             report = cv.repeated_squeezer(2, 0.1, r, VAC)
-            expected = channel_tomography(_cluster_runner(repeated_steps, r))
+            expected, d = channel_tomography(_cluster_runner(repeated_steps, r))
         elif name == "offline_teleport":
             report = cv.offline_teleport(VAC, r)
-            expected = channel_tomography(_offline_runner(r, np.eye(2)))
+            expected, d = channel_tomography(_offline_runner(r, np.eye(2)))
         elif name == "offline_squeezer":
             report = cv.offline_squeezer(VAC, r, r_gate)
-            expected = channel_tomography(_offline_runner(r, cv.squeezer(r_gate)))
+            expected, d = channel_tomography(_offline_runner(r, cv.squeezer(r_gate)))
         else:
             report = cv.offline_squeezer(VAC, r, r_gate, rescale_correction=False)
-            expected, _ = _conditioned_state_channel(r, r_gate, rescale_correction=False)
+            expected, d, _ = _conditioned_state_channel(r, r_gate, rescale_correction=False)
         np.testing.assert_allclose(report.channel.S, expected.S, rtol=0, atol=1e-12)
         np.testing.assert_allclose(report.channel.N, expected.N, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(report.channel.d, expected.d, rtol=0, atol=1e-12)
+        # the corrected output is undisplaced, as the report's channel has it
+        np.testing.assert_allclose(d, np.zeros(2), rtol=0, atol=1e-12)
 
 
 def _max_abs(a):
@@ -1085,11 +1121,11 @@ class TestOfflineChannelAgreesWithExplicitState:
         # displacement included
         r = cv.db_to_squeezing_r(db)
         report = cv.offline_squeezer(VAC, r, r_gate, rescale_correction=rescale_correction)
-        expected, state_scale = _conditioned_state_channel(r, r_gate, rescale_correction)
+        expected, d, state_scale = _conditioned_state_channel(r, r_gate, rescale_correction)
         assert _max_abs(report.channel.S - expected.S) <= 1e-12 * _max_abs(expected.S)
         n_scale = max(_max_abs(expected.N), state_scale)
         assert _max_abs(report.channel.N - expected.N) <= 1e-12 * n_scale
-        assert _max_abs(report.channel.d - expected.d) <= 1e-12
+        assert _max_abs(d) <= 1e-12
 
     @pytest.mark.parametrize("rescale_correction", [True, False])
     @pytest.mark.parametrize("db", [0.0, 10.0, 100.0, 300.0])
@@ -1228,7 +1264,7 @@ def _wrapped(monkeypatch, module, name, change):
 
 
 def _shifted(channel, delta):
-    return cv.GaussianChannel(channel.S + delta * np.eye(2), channel.N, channel.d)
+    return cv.GaussianChannel(channel.S + delta * np.eye(2), channel.N)
 
 
 def _chain_S_shifted(delta):
@@ -1470,7 +1506,7 @@ class TestVerifyRowsHaveOneOwner:
             if len(reports) != 2:
                 return report
             failed = tuple(
-                dataclasses.replace(c, passed=False)
+                c._replace(passed=False)
                 if c.name == "vacuum_fidelity_matches_closed_form" else c
                 for c in report.checks
             )

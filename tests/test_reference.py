@@ -67,23 +67,24 @@ def _route_fidelity(report, state):
 
 
 def _report_facts(report, state) -> dict:
-    """``report_facts`` of the report's own floats."""
-    S, N, d = (a.tolist() for a in (report.channel.S, report.channel.N, report.channel.d))
-    return report_facts(S, N, d, report.target_S.tolist(), _fidelity_reference(report).tolist(),
-                        state.mean.tolist(), state.cov.tolist())
+    """``report_facts`` of the report's own floats; its channel displaces nothing."""
+    S, N = report.channel.S.tolist(), report.channel.N.tolist()
+    R = _fidelity_reference(report).tolist()
+    return report_facts(S, N, (0.0, 0.0), report.target_S.tolist(), R, state.mean.tolist(),
+                        state.cov.tolist())
 
 
 def assert_facts_meet_reference(report, state) -> None:
     """Each fact of ``report`` within its reference bound, and the fidelity
     through ``_route_fidelity`` where that resolves it."""
-    S, N, d = (a.tolist() for a in (report.channel.S, report.channel.N, report.channel.d))
+    S, N = report.channel.S.tolist(), report.channel.N.tolist()
     mean, cov = state.mean.tolist(), state.cov.tolist()
     facts = _report_facts(report, state)
     got = {
         "deviation": report.deviation,
         "noise_trace": report.noise_trace,
         "lambda_min": report.check("channel_noise_psd").value,
-        **protocols._image(S, mean, cov, N, d)._asdict(),
+        **protocols._image(S, mean, cov, N)._asdict(),
     }
     if report.fidelity is not None:
         got["fidelity"] = report.fidelity
@@ -204,7 +205,7 @@ def _config_chains(monkeypatch, raw: dict) -> list:
 
     def spy(steps, r):
         channel, leak = chain_channel(steps, r)
-        chains.append(([step.kappa for step in steps], r, channel))
+        chains.append((list(steps), r, channel))
         return channel, leak
 
     with monkeypatch.context() as patched:
@@ -254,7 +255,7 @@ NORMAL_KAPPA = st.floats(-1.0, 1.0).filter(lambda kappa: kappa == 0 or abs(kappa
 @example(kappas=[1.0, -1.0] * 150, db=300.0)
 def test_chain_channel_meets_the_chain_reference(kappas, db):
     r = cv.db_to_squeezing_r(db)
-    channel, _ = engine.chain_channel([cv.StepPlan(kappa) for kappa in kappas], r)
+    channel, _ = engine.chain_channel(kappas, r)
     assert _chain_misses(kappas, r, channel) == []
 
 

@@ -2,8 +2,9 @@
 
 The library reads every protocol's channel off its affine map. These tools
 take the other route: they see a corrected protocol only as a runner from
-(input state, seed) to output state, and reconstruct (S, N, d) from probe
-runs, so the tests can hold the affine-map readout against them.
+(input state, seed) to output state, and reconstruct (S, N) and the
+displacement d from probe runs, so the tests can hold the affine-map readout
+against them and see that a corrected protocol displaces nothing.
 """
 
 from __future__ import annotations
@@ -31,12 +32,12 @@ def _state_distance(a: cv.GaussianState, b: cv.GaussianState) -> float:
     )
 
 
-def channel_tomography(protocol: ProtocolRunner) -> cv.GaussianChannel:
-    """Reconstruct (S, N, d) of a corrected single-mode protocol from its
-    outputs alone.
+def channel_tomography(protocol: ProtocolRunner) -> tuple[cv.GaussianChannel, np.ndarray]:
+    """Reconstruct the channel (S, N) of a corrected single-mode protocol and
+    its displacement d, the vacuum's output mean, from its outputs alone.
 
     Three mean probes (vacuum, coherent(1,0), coherent(0,1)) determine the
-    affine mean map; the vacuum output covariance then gives
+    affine mean map S mu + d; the vacuum output covariance then gives
     N = cov_out - S (I/4) S^T. Refuses with NonDeterministicChannelError if
     two differently seeded runs disagree, since the channel is only defined
     for outcome-independent (corrected Clifford) protocols.
@@ -53,7 +54,7 @@ def channel_tomography(protocol: ProtocolRunner) -> cv.GaussianChannel:
     out_p = protocol(cv.coherent_state(0.0, 1.0), _PROBE_SEEDS[0])
     S = np.column_stack([out_x.mean - d, out_p.mean - d])
     N = out_a.cov - cv.VACUUM_VARIANCE * S @ S.T
-    return cv.GaussianChannel(S=S, N=0.5 * (N + N.T), d=d)
+    return cv.GaussianChannel(S=S, N=0.5 * (N + N.T)), d
 
 
 def outcome_independence_check(
