@@ -6,10 +6,11 @@ table, ``verify`` runs the invariant and identity suite and prints a
 pass/fail table.
 
 Configs and result documents are JSON with a ``schema_version`` field.
-The protocol name, numeric fields, the sweep grid, a run's record count and
-an overflowing channel or input are refused by the library's own rules in
-``protocols`` with ``ConfigError`` naming the field; this module checks only
-the config's shape and its input, and keeps no copy of those rules.
+``checked_config`` parses a config into the dict that a run document echoes
+under ``"config"``, every field present. The protocol name, numeric fields,
+the sweep grid, a run's record count and an overflowing channel or input are
+refused by the library's rules in ``protocols`` with ``ConfigError`` naming
+the field; this module checks only the config's shape and its input.
 Floats are serialized with Python's shortest round-trip repr, so identical
 config + seed produce byte-identical documents and parsing a document and
 re-emitting it is the identity; printed summaries quote values to 12
@@ -20,9 +21,8 @@ fact but the records, taken here from the report's own fields, with
 ``"records": null``, and ``_records_text`` writes the records, one template
 per record straight from the report's columns, into that place. A sweep's
 CSV is the rows of ``protocols.sweep`` as they are, the header from their
-keys. Randomness comes from numpy's PCG64 generator
-seeded from the config (CLI --seed overrides), which is stable across
-platforms.
+keys. Randomness comes from numpy's PCG64 generator seeded from the config
+(CLI --seed overrides), which is stable across platforms.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 from . import checks, protocols
@@ -44,75 +42,50 @@ SCHEMA_VERSION = 1
 
 # input kind -> the keys besides "kind" that it reads
 _INPUT_KEYS = {"vacuum": (), "coherent": ("re", "im"), "squeezed": ("r", "axis")}
-_KNOWN_FIELDS = {
-    "schema_version", "protocol", *protocols.PARAMETERS, "input", "sweep", "output_path",
+# config field -> its default: a checked config is a copy of this dict with the
+# config's own values, every field present, and a run document echoes it
+_CONFIG_FIELDS = {
+    "schema_version": SCHEMA_VERSION, "protocol": None,
+    **{name: parameter.default for name, parameter in protocols.PARAMETERS.items()},
+    "input": {"kind": "vacuum"}, "sweep": None, "output_path": None,
 }
 
 
-@dataclass
-class ExperimentConfig:
-    protocol: str
-    params: dict = field(default_factory=lambda: dict(protocols.PARAMETER_DEFAULTS))
-    input: dict = field(default_factory=lambda: {"kind": "vacuum"})
-    seed: int = protocols.PARAMETERS["seed"].default
-    trials: int = protocols.PARAMETERS["trials"].default
-    sweep: dict | None = None
-    output_path: str | None = None
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        for key in raw:
-            if key not in _KNOWN_FIELDS:
-                raise ConfigError(f"unknown config field {key!r}")
-        if "protocol" not in raw:
-            raise ConfigError("missing required field 'protocol'")
-        version = raw.get("schema_version", SCHEMA_VERSION)
-        if isinstance(version, bool) or version != SCHEMA_VERSION:
-            raise ConfigError(f"field 'schema_version': must be {SCHEMA_VERSION}, got {version!r}")
-        cfg = cls(protocol=str(raw["protocol"]))
-        protocols.protocol_parameters(cfg.protocol)  # refuses an unknown protocol
-        checked = {name: protocols.checked_parameter(name, raw[name])
-                   for name in protocols.PARAMETERS if name in raw}
-        cfg.seed, cfg.trials = checked.pop("seed", cfg.seed), checked.pop("trials", cfg.trials)
-        cfg.params.update(checked)
-        if "input" in raw:
-            cfg.input = raw["input"]
-            cfg.input_state  # validate eagerly
-        if "output_path" in raw and raw["output_path"] is not None:
-            if not isinstance(raw["output_path"], str):
-                raise ConfigError("field 'output_path': expected a string")
-            cfg.output_path = raw["output_path"]
-        if "sweep" in raw and raw["sweep"] is not None:
-            sweep = raw["sweep"]
-            if not isinstance(sweep, dict) or "param" not in sweep or "values" not in sweep:
-                raise ConfigError("field 'sweep': expected {param, values}")
-            for key in sweep:
-                if key not in ("param", "values"):
-                    raise ConfigError(f"field 'sweep.{key}': a sweep does not read it")
-            protocols.checked_sweep(cfg.protocol, sweep["param"], sweep["values"])
-            # the raw values are kept: they are echoed verbatim in the CSV
-            cfg.sweep = {"param": sweep["param"], "values": list(sweep["values"])}
-        return cfg
-
-    @cached_property
-    def input_state(self) -> GaussianState:
-        """The state ``input`` describes, built (and validated) at the first
-        read and kept: ``from_dict`` sets ``input`` before reading it."""
-        return build_input_state(self.input)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "protocol": self.protocol,
-            **self.params,
-            "input": self.input,
-            "seed": int(self.seed),
-            "trials": int(self.trials),
-            "sweep": self.sweep,
-            "output_path": self.output_path,
-        }
+def checked_config(raw) -> tuple[dict, GaussianState]:
+    """The config ``raw`` describes, as the dict a run document echoes under
+    ``"config"``, and the input state it describes, built once here. The
+    first field that breaks a rule is refused with ``ConfigError``."""
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a JSON object")
+    for key in raw:
+        if key not in _CONFIG_FIELDS:
+            raise ConfigError(f"unknown config field {key!r}")
+    if "protocol" not in raw:
+        raise ConfigError("missing required field 'protocol'")
+    version = raw.get("schema_version", SCHEMA_VERSION)
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
+        raise ConfigError(f"field 'schema_version': must be {SCHEMA_VERSION}, got {version!r}")
+    cfg = {**_CONFIG_FIELDS, "protocol": str(raw["protocol"])}
+    protocols.protocol_parameters(cfg["protocol"])  # refuses an unknown protocol
+    cfg.update((name, protocols.checked_parameter(name, raw[name]))
+               for name in protocols.PARAMETERS if name in raw)
+    cfg["input"] = raw["input"] if "input" in raw else dict(cfg["input"])  # a dict per config
+    input_state = build_input_state(cfg["input"])
+    if "output_path" in raw and raw["output_path"] is not None:
+        if not isinstance(raw["output_path"], str):
+            raise ConfigError("field 'output_path': expected a string")
+        cfg["output_path"] = raw["output_path"]
+    if "sweep" in raw and raw["sweep"] is not None:
+        sweep = raw["sweep"]
+        if not isinstance(sweep, dict) or "param" not in sweep or "values" not in sweep:
+            raise ConfigError("field 'sweep': expected {param, values}")
+        for key in sweep:
+            if key not in ("param", "values"):
+                raise ConfigError(f"field 'sweep.{key}': a sweep does not read it")
+        protocols.checked_sweep(cfg["protocol"], sweep["param"], sweep["values"])
+        # the raw values are kept: they are echoed verbatim in the CSV
+        cfg["sweep"] = {"param": sweep["param"], "values": list(sweep["values"])}
+    return cfg, input_state
 
 
 def build_input_state(spec: dict) -> GaussianState:
@@ -154,13 +127,8 @@ def build_input_state(spec: dict) -> GaussianState:
         raise ConfigError(f"field 'input': {bad}")
 
 
-def _protocol_params(cfg: ExperimentConfig) -> dict:
-    return {**cfg.params, "input_state": cfg.input_state}
-
-
-def run_document(cfg: ExperimentConfig) -> str:
-    """The text of one result document."""
-    return _run_output(cfg, quiet=True)[0]
+def _protocol_params(cfg: dict, input_state: GaussianState) -> dict:
+    return {**{n: cfg[n] for n in protocols.PARAMETER_DEFAULTS}, "input_state": input_state}
 
 
 def emit_json(doc: dict) -> str:
@@ -217,7 +185,7 @@ def _sig12(v) -> str:
     return "None" if v is None else format(v, ".12g")
 
 
-def _load_config(path: str, seed_override: int | None) -> ExperimentConfig:
+def _load_config(path: str, seed_override: int | None) -> tuple[dict, GaussianState]:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -225,14 +193,14 @@ def _load_config(path: str, seed_override: int | None) -> ExperimentConfig:
         raw = json.loads(p.read_text(encoding="utf-8"))
     except UnicodeDecodeError as bad:
         raise ConfigError(f"config is not valid UTF-8: {bad}")
-    except json.JSONDecodeError as bad:
+    except (json.JSONDecodeError, RecursionError) as bad:  # RecursionError: nested too deep
         raise ConfigError(f"config is not valid JSON: {bad}")
-    cfg = ExperimentConfig.from_dict(raw)
+    cfg, input_state = checked_config(raw)
     # a seed override changes the experiment and is echoed in the document;
     # --output only redirects the write and must not perturb the bytes
     if seed_override is not None:
-        cfg.seed = protocols.checked_parameter("seed", seed_override, "--seed")
-    return cfg
+        cfg["seed"] = protocols.checked_parameter("seed", seed_override, "--seed")
+    return cfg, input_state
 
 
 def _summary(label: str, values: dict) -> str:
@@ -240,19 +208,19 @@ def _summary(label: str, values: dict) -> str:
     return f"{label}: {' '.join(quoted)}"
 
 
-def _run_output(cfg: ExperimentConfig, quiet: bool) -> tuple[str, list[str]]:
+def _run_output(cfg: dict, input_state: GaussianState, quiet: bool) -> tuple[str, list[str]]:
     """The run document's text and, unless ``quiet``, its summary line: the
-    report of cfg.trials seeded trials, whose channel and checks are built
+    report of the config's seeded trials, whose channel and checks are built
     once, with the config echoed. Trials that would overfill it are refused by
     ``run_named_protocol`` before anything is built, and a non-finite outcome
     when the records are read, before any text is written."""
     report = protocols.run_named_protocol(
-        cfg.protocol, _protocol_params(cfg), seed=cfg.seed, trials=cfg.trials
+        cfg["protocol"], _protocol_params(cfg, input_state), seed=cfg["seed"], trials=cfg["trials"]
     )
     records = _records_text(report.record_columns)
     (n_xx, n_xp), (_, n_pp) = report.channel.N.tolist()
     envelope = {
-        "schema_version": SCHEMA_VERSION, "config": cfg.to_dict(),
+        "schema_version": SCHEMA_VERSION, "config": cfg,
         "name": report.name, "parameters": report.parameters,
         "channel": {"S": report.channel.S.ravel().tolist(), "N": [n_xx, n_xp, n_pp],
                     "d": [0.0, 0.0]},
@@ -262,14 +230,14 @@ def _run_output(cfg: ExperimentConfig, quiet: bool) -> tuple[str, list[str]]:
         "records": None,
     }
     text = emit_json(envelope).replace(_RECORDS_SLOT, '"records": ' + records, 1)
-    return text, [] if quiet else [_summary(cfg.protocol, envelope)]
+    return text, [] if quiet else [_summary(cfg["protocol"], envelope)]
 
 
-def _sweep_output(cfg: ExperimentConfig, quiet: bool) -> tuple[str, list[str]]:
+def _sweep_output(cfg: dict, input_state: GaussianState, quiet: bool) -> tuple[str, list[str]]:
     """The sweep CSV's text and, unless ``quiet``, one summary line per row."""
-    if cfg.sweep is None:
+    if cfg["sweep"] is None:
         raise ConfigError("field 'sweep': required for the sweep command")
-    rows = protocols.sweep(cfg.protocol, _protocol_params(cfg), **cfg.sweep)
+    rows = protocols.sweep(cfg["protocol"], _protocol_params(cfg, input_state), **cfg["sweep"])
     summary = [] if quiet else [_summary(f"{row['param']}={row['value']}", row) for row in rows]
     return emit_csv(rows), summary
 
@@ -279,15 +247,15 @@ def cmd_write(path: str, seed: int | None, output: str | None, quiet: bool, buil
     """Load a config, build its output text and, unless ``quiet``, its summary
     lines with ``build``, write the text and print the summary."""
     try:
-        cfg = _load_config(path, seed)
-        text, summary = build(cfg, quiet)
+        cfg, input_state = _load_config(path, seed)
+        text, summary = build(cfg, input_state, quiet)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # a failure that no rule refused
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
-    out_path = output or cfg.output_path or default_output
+    out_path = output or cfg["output_path"] or default_output
     try:
         Path(out_path).write_text(text)
     except OSError as err:  # the text is finished: print one error line instead

@@ -185,7 +185,10 @@ def _corrected_weights(kappas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _kappas(steps: Sequence[float]) -> np.ndarray:
-    kappas = np.array(steps, dtype=float)
+    try:
+        kappas = np.array(steps, dtype=float)
+    except OverflowError:  # a Python int past the largest float: not finite
+        kappas = np.array([math.inf])
     if kappas.size < 1:
         raise ValueError("at least one step is required")
     if not all(map(math.isfinite, kappas.tolist())):

@@ -49,7 +49,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import algebra
+from . import algebra, engine
 from .phase_space import VACUUM_VARIANCE, GaussianState, _generator, squeezer, vacuum_state
 from .engine import (
     GaussianChannel,
@@ -361,6 +361,7 @@ def _trial_seeds(input_state: GaussianState, seed: int, trials: int) -> range:
 
 def squeezer_steps(kappa: float) -> list[float]:
     """The four-step squeezer pattern: shears (kappa, kappa, -kappa, -kappa)."""
+    kappa = engine._kappas([kappa]).item()  # refused by the kappa rule before any target is formed
     return [kappa, kappa, -kappa, -kappa]
 
 

@@ -9,13 +9,29 @@ recursion.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import expm
 
 import cvcluster as cv
-from cvcluster import engine, protocols
+from cvcluster import cli, engine, protocols
+
+
+def benchmark_decks():
+    """The benchmark's deck module, ``perfbench/decks.py``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "decks.py"
+    spec = importlib.util.spec_from_file_location("decks", path)
+    decks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(decks)
+    return decks
+
+
+def run_document(raw: dict) -> str:
+    """The text of the run document that ``cvcluster run`` writes for the config ``raw``."""
+    return cli._run_output(*cli.checked_config(raw), quiet=True)[0]
 
 
 def blockwise_J(n_modes: int) -> np.ndarray:

@@ -14,11 +14,15 @@ from hypothesis import given, settings, strategies as st
 
 import cvcluster as cv
 from cvcluster import checks, cli, protocols
-from conftest import step_noise_oracle
+from conftest import benchmark_decks, run_document, step_noise_oracle
 from measurement_picture import independent_probe_deviation
 from reference import report_facts
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN_RUNS = sorted(
+    p for p in (Path(__file__).resolve().parent / "data" / "golden").glob("run_*.json")
+    if not p.name.endswith(".config.json")
+)
 
 
 def write_config(tmp_path, name, payload):
@@ -38,26 +42,35 @@ BASE_RUN = {
 
 
 class TestConfigParsing:
-    def test_round_trip(self):
-        cfg = cli.ExperimentConfig.from_dict(BASE_RUN)
-        again = cli.ExperimentConfig.from_dict(cfg.to_dict())
-        assert cfg.to_dict() == again.to_dict()
+    @pytest.mark.parametrize("source", ["golden", "protocol_mix"])
+    def test_checked_config_is_the_config_a_document_echoes(self, source):
+        # the golden run documents, and the run documents of the protocol_mix deck at seed 1
+        if source == "golden":
+            docs = [json.loads(p.read_text()) for p in GOLDEN_RUNS]
+        else:
+            deck = benchmark_decks().make_deck("protocol_mix", 1)
+            docs = [json.loads(run_document(entry["config"])) for entry in deck]
+        assert len(docs) == (5 if source == "golden" else 39)
+        for doc in docs:
+            cfg, _ = cli.checked_config(doc["config"])
+            assert cfg == doc["config"]
+            assert cli.emit_json(cfg) == cli.emit_json(doc["config"])
 
     def test_unknown_protocol_names_field(self):
         with pytest.raises(cli.ConfigError, match="protocol"):
-            cli.ExperimentConfig.from_dict({"protocol": "warp_drive"})
+            cli.checked_config({"protocol": "warp_drive"})
 
     def test_missing_protocol(self):
         with pytest.raises(cli.ConfigError, match="protocol"):
-            cli.ExperimentConfig.from_dict({"seed": 1})
+            cli.checked_config({"seed": 1})
 
     def test_unknown_field_rejected(self):
         with pytest.raises(cli.ConfigError, match="wibble"):
-            cli.ExperimentConfig.from_dict({"protocol": "offline_teleport", "wibble": 1})
+            cli.checked_config({"protocol": "offline_teleport", "wibble": 1})
 
     def test_empty_sweep_values_rejected(self):
         with pytest.raises(cli.ConfigError, match="sweep.values"):
-            cli.ExperimentConfig.from_dict(
+            cli.checked_config(
                 {
                     "protocol": "offline_teleport",
                     "sweep": {"param": "squeezing_db", "values": []},
@@ -66,7 +79,7 @@ class TestConfigParsing:
 
     def test_negative_squeezing_rejected(self):
         with pytest.raises(cli.ConfigError, match="squeezing_db"):
-            cli.ExperimentConfig.from_dict(
+            cli.checked_config(
                 {"protocol": "offline_teleport", "squeezing_db": -3}
             )
 
@@ -82,13 +95,13 @@ class TestConfigParsing:
     )
     def test_nonfinite_or_overflowing_squeezing_rejected(self, field, value):
         with pytest.raises(cli.ConfigError, match=field):
-            cli.ExperimentConfig.from_dict({"protocol": "offline_squeezer", field: value})
+            cli.checked_config({"protocol": "offline_squeezer", field: value})
 
     def test_largest_representable_squeezing_accepted(self):
-        cfg = cli.ExperimentConfig.from_dict(
+        cfg, _ = cli.checked_config(
             {"protocol": "identity_chain", "squeezing_db": 3000.0, "r_gate": -300.0}
         )
-        assert (cfg.params["squeezing_db"], cfg.params["r_gate"]) == (3000.0, -300.0)
+        assert (cfg["squeezing_db"], cfg["r_gate"]) == (3000.0, -300.0)
 
     @pytest.mark.parametrize(
         "param, values, bad_index",
@@ -105,7 +118,7 @@ class TestConfigParsing:
     )
     def test_sweep_values_go_through_field_validators(self, param, values, bad_index):
         with pytest.raises(cli.ConfigError, match=rf"sweep\.values\[{bad_index}\]"):
-            cli.ExperimentConfig.from_dict(
+            cli.checked_config(
                 {"protocol": "identity_chain", "sweep": {"param": param, "values": values}}
             )
 
@@ -114,7 +127,7 @@ class TestConfigParsing:
     def test_booleans_rejected_in_every_scalar_field(self, field, value):
         # a boolean is not a number here, although Python casts it to 0 or 1
         with pytest.raises(cli.ConfigError, match=rf"{field}.*boolean"):
-            cli.ExperimentConfig.from_dict({"protocol": "repeated_squeezer", field: value})
+            cli.checked_config({"protocol": "repeated_squeezer", field: value})
 
     @pytest.mark.parametrize("field", sorted(protocols.PARAMETERS))
     @pytest.mark.parametrize("value", [" 3 ", "1_0", "inf"])
@@ -123,7 +136,7 @@ class TestConfigParsing:
         cast = protocols.PARAMETERS[field].cast.__name__
         message = f"field '{field}': expected {cast}, got a string"
         with pytest.raises(cli.ConfigError) as refused:
-            cli.ExperimentConfig.from_dict({"protocol": "repeated_squeezer", field: value})
+            cli.checked_config({"protocol": "repeated_squeezer", field: value})
         assert str(refused.value) == message
 
     @pytest.mark.parametrize(
@@ -131,13 +144,13 @@ class TestConfigParsing:
     )
     def test_non_integral_float_rejected_in_integer_fields(self, field, value):
         with pytest.raises(cli.ConfigError, match=rf"{field}.*integer"):
-            cli.ExperimentConfig.from_dict({"protocol": "identity_chain", field: value})
+            cli.checked_config({"protocol": "identity_chain", field: value})
 
     def test_integral_float_accepted_in_integer_fields(self):
-        cfg = cli.ExperimentConfig.from_dict(
+        cfg, _ = cli.checked_config(
             {"protocol": "identity_chain", "n_nodes": 4.0, "segments": 2.0, "seed": 3.0, "trials": 2.0}
         )
-        values = (cfg.params["n_nodes"], cfg.params["segments"], cfg.seed, cfg.trials)
+        values = (cfg["n_nodes"], cfg["segments"], cfg["seed"], cfg["trials"])
         assert values == (4, 2, 3, 2)
         assert all(type(v) is int for v in values)
 
@@ -153,11 +166,18 @@ class TestConfigParsing:
         monkeypatch.setattr(cli, "build_input_state", spy)
         spec = {"kind": "coherent", "re": 0.5, "im": -1.0}
         payload = {**BASE_RUN, "input": spec, "sweep": {"param": "kappa", "values": [0.1, 0.3]}}
-        cfg = cli.ExperimentConfig.from_dict(payload)
+        cfg, input_state = cli.checked_config(payload)
         assert calls == [spec]  # validated eagerly
-        cli.run_document(cfg) if command == "run" else cli._sweep_output(cfg, quiet=True)
+        build = cli._run_output if command == "run" else cli._sweep_output
+        build(cfg, input_state, quiet=True)
         assert calls == [spec]
-        assert set(cfg.to_dict()) == set(cli._KNOWN_FIELDS)
+        assert set(cfg) == set(cli._CONFIG_FIELDS)
+
+    def test_each_config_has_its_own_default_input(self):
+        first, _ = cli.checked_config({"protocol": "identity_chain"})
+        first["input"]["kind"] = "coherent"
+        second, _ = cli.checked_config({"protocol": "identity_chain"})
+        assert second["input"] == cli._CONFIG_FIELDS["input"] == {"kind": "vacuum"}
 
     def test_nonfinite_input_rejected(self):
         with pytest.raises(cli.ConfigError, match="input"):
@@ -305,14 +325,14 @@ class TestJsonWriter:
     @given(_RUN_CONFIGS)
     @settings(max_examples=60, deadline=None)
     def test_run_document_is_what_json_dumps_writes(self, payload):
-        cfg = cli.ExperimentConfig.from_dict(payload)
-        text = cli.run_document(cfg)
+        cfg, input_state = cli.checked_config(payload)
+        text, _ = cli._run_output(cfg, input_state, quiet=True)
         doc = json.loads(text)
         assert text == _reference_json(doc)
         assert doc["config"]["output_path"] == payload.get("output_path")
         # the spliced records hold the report's values, not a rounding of them
-        params = cli._protocol_params(cfg)
-        report = cv.run_named_protocol(cfg.protocol, params, cfg.seed, cfg.trials)
+        params = cli._protocol_params(cfg, input_state)
+        report = cv.run_named_protocol(cfg["protocol"], params, cfg["seed"], cfg["trials"])
         keys = ("trial", "step_index", "mode", "kappa", "theta", "raw_outcome", "rescaled_outcome")
         assert [tuple(record[key] for key in keys) for record in doc["records"]] == [
             (t, *event) for t, trial in enumerate(report.record_columns) for event in zip(*trial)
@@ -329,9 +349,9 @@ class TestJsonWriter:
     def test_non_finite_record_anywhere_is_refused_before_any_text(
         self, payload, value, column, trial, index
     ):
-        cfg = cli.ExperimentConfig.from_dict(payload)
-        params = cli._protocol_params(cfg)
-        report = cv.run_named_protocol(cfg.protocol, params, cfg.seed, cfg.trials)
+        cfg, input_state = cli.checked_config(payload)
+        params = cli._protocol_params(cfg, input_state)
+        report = cv.run_named_protocol(cfg["protocol"], params, cfg["seed"], cfg["trials"])
         table = list(report.record_columns)
         trial %= len(table)
         events = list(getattr(table[trial], column))
@@ -343,16 +363,14 @@ class TestJsonWriter:
             mp.setattr(protocols, "run_named_protocol", lambda *args, **kwargs: broken)
             mp.setattr(cli, "emit_json", lambda doc: emitted.append(doc))
             with pytest.raises(cv.InputOverflowError, match="an outcome record is not finite"):
-                cli.run_document(cfg)
+                cli._run_output(cfg, input_state, quiet=True)
         assert emitted == []
 
     def test_long_run_document_is_pinned(self):
         # 250 segments, 2 trials: 2000 records; the length and hash are those
         # of the text that json.dumps writes for this document
-        cfg = cli.ExperimentConfig.from_dict(
-            {"protocol": "repeated_squeezer", "segments": 250, "trials": 2, "seed": 7}
-        )
-        text = cli.run_document(cfg)
+        payload = {"protocol": "repeated_squeezer", "segments": 250, "trials": 2, "seed": 7}
+        text = run_document(payload)
         assert len(text) == 436142
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "7cd950f1399133a1e4aa4a00ad96168ca4d6e51a6415c6db862d24af0051c5b6"
@@ -370,6 +388,66 @@ class TestCommandErrors:
         assert cli.main([command, str(path), "--output", str(out), "--quiet"]) == 2
         assert capsys.readouterr().err.startswith("error: config is not valid UTF-8: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("prefix, suffix", [('{"protocol": "identity_chain", "input": ', "}"),
+                                                ("", "")], ids=["input", "root"])
+    def test_config_nested_too_deep_exits_2(self, tmp_path, capsys, command, prefix, suffix):
+        # json.loads raises RecursionError, not JSONDecodeError, past its nesting limit
+        path = tmp_path / "deep.json"
+        path.write_text(prefix + "[" * 10**5 + "]" * 10**5 + suffix)
+        out = tmp_path / "out"
+        assert cli.main([command, str(path), "--output", str(out), "--quiet"]) == 2
+        error = ("error: config is not valid JSON: maximum recursion depth exceeded "
+                 "while decoding a JSON array from a unicode string\n")
+        assert capsys.readouterr() == ("", error)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize(
+        "payload, error",
+        [
+            ([{"protocol": "identity_chain"}], "config root must be a JSON object"),
+            ({"wibble": 1}, "unknown config field 'wibble'"),
+            ({"schema_version": 2}, "missing required field 'protocol'"),
+            ({"protocol": "nope", "schema_version": 2}, "field 'schema_version': must be 1, got 2"),
+            ({"squeezing_db": -1, "protocol": "nope"},
+             "field 'protocol': unknown protocol 'nope'; known: identity_chain, "
+             "squeezer_four_step, repeated_squeezer, offline_teleport, offline_squeezer"),
+            ({"protocol": "identity_chain", "kappa": "x", "squeezing_db": -1},
+             "field 'squeezing_db': must be finite and >= 0, with e^{2r} finite"),
+            ({"protocol": "identity_chain", "n_nodes": 1, "kappa": True},
+             "field 'kappa': expected float, got a boolean"),
+            ({"protocol": "identity_chain", "segments": 0, "n_nodes": 1},
+             "field 'n_nodes': must be >= 2"),
+            ({"protocol": "identity_chain", "r_gate": "x", "segments": 0},
+             "field 'segments': must be >= 1"),
+            ({"protocol": "identity_chain", "seed": -5, "r_gate": "x"},
+             "field 'r_gate': expected float, got a string"),
+            ({"protocol": "identity_chain", "trials": 0, "seed": -5},
+             "field 'seed': must be a non-negative integer"),
+            ({"protocol": "identity_chain", "input": None, "trials": 0},
+             "field 'trials': must be >= 1"),
+            ({"protocol": "identity_chain", "output_path": 3, "input": {"kind": "thermal"}},
+             "field 'input.kind': unknown kind 'thermal'"),
+            ({"protocol": "identity_chain", "sweep": 5, "output_path": 3},
+             "field 'output_path': expected a string"),
+            ({"protocol": "identity_chain", "sweep": {"param": "kappa", "values": []}},
+             "field 'sweep.values': must be a nonempty list"),
+            ({"protocol": "identity_chain"}, "field '--seed': must be a non-negative integer"),
+        ],
+        ids=["root", "unknown_field", "missing_protocol", "schema_version", "unknown_protocol",
+             "squeezing_db", "kappa", "n_nodes", "segments", "r_gate", "seed", "trials", "input",
+             "output_path", "sweep", "--seed"],
+    )
+    def test_first_fault_in_check_order_is_the_one_refused(
+        self, tmp_path, capsys, command, payload, error
+    ):
+        # each config breaks its own step and the next one (its key written first),
+        # and --seed -1, the step after every config check, breaks the last
+        code, out = main_on(tmp_path, command, payload, "--seed", "-1")
+        assert (code, out.exists()) == (2, False)
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
     @pytest.mark.parametrize("via", ["--output", "output_path"])
     @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -755,8 +833,8 @@ class TestSchemaVersion:
 
     @pytest.mark.parametrize("payload", [{}, {"schema_version": 1}])
     def test_version_1_or_none_given_is_accepted(self, payload):
-        cfg = cli.ExperimentConfig.from_dict({**payload, "protocol": "offline_teleport"})
-        assert cfg.to_dict()["schema_version"] == cli.SCHEMA_VERSION == 1
+        cfg, _ = cli.checked_config({**payload, "protocol": "offline_teleport"})
+        assert cfg["schema_version"] == cli.SCHEMA_VERSION == 1
 
 
 def main_on(tmp_path, command, payload, *flags):
@@ -874,8 +952,8 @@ class TestInputOverflow:
 
     def test_library_refuses_when_the_records_are_read(self):
         payload = INPUT_OVERFLOWING["four_step_first_record"]
-        cfg = cli.ExperimentConfig.from_dict(payload)
-        report = cv.run_named_protocol(cfg.protocol, cli._protocol_params(cfg))
+        cfg, input_state = cli.checked_config(payload)
+        report = cv.run_named_protocol(cfg["protocol"], cli._protocol_params(cfg, input_state))
         assert math.isfinite(report.fidelity)
         with pytest.raises(cv.InputOverflowError) as refused:
             report.record_columns
@@ -1154,21 +1232,21 @@ class TestSizeBounds:
         [("n_nodes", protocols.MAX_CHAIN_STEPS + 1), ("segments", protocols.MAX_CHAIN_STEPS // 4)],
     )
     def test_chain_bound_is_max_chain_steps(self, field, largest):
-        cfg = cli.ExperimentConfig.from_dict({"protocol": "identity_chain", field: largest})
-        assert cfg.params[field] == largest
+        cfg, _ = cli.checked_config({"protocol": "identity_chain", field: largest})
+        assert cfg[field] == largest
         with pytest.raises(cli.ConfigError, match=field):
-            cli.ExperimentConfig.from_dict({"protocol": "identity_chain", field: largest + 1})
+            cli.checked_config({"protocol": "identity_chain", field: largest + 1})
 
     def test_record_bound_is_max_records(self):
         # 10 steps a trial: 10^4 trials fill the document exactly
-        cfg = cli.ExperimentConfig.from_dict(
+        cfg, input_state = cli.checked_config(
             {"protocol": "identity_chain", "n_nodes": 11, "trials": protocols.MAX_RECORDS // 10}
         )
         with pytest.raises(AssertionError, match="reached the protocols"):
-            cli.run_document(cfg)
-        cfg.trials += 1
+            cli._run_output(cfg, input_state, quiet=True)
+        cfg["trials"] += 1
         with pytest.raises(cli.ConfigError, match="trials"):
-            cli.run_document(cfg)
+            cli._run_output(cfg, input_state, quiet=True)
 
 
 @pytest.mark.parametrize("protocol", sorted(cv.protocols.PROTOCOLS))
@@ -1176,12 +1254,13 @@ def test_records_per_trial_counts_the_document_records(protocol):
     # at 1-3 trials, the records block is json.dumps's text of one dict per
     # record, built from the report's columns: a numpy float in a column would show
     for trials in (1, 2, 3):
-        cfg = cli.ExperimentConfig.from_dict(
+        cfg, input_state = cli.checked_config(
             {"protocol": protocol, "n_nodes": 4, "segments": 2, "trials": trials}
         )
-        text = cli.run_document(cfg)
+        text, _ = cli._run_output(cfg, input_state, quiet=True)
         report = cv.run_named_protocol(
-            cfg.protocol, cli._protocol_params(cfg), seed=cfg.seed, trials=cfg.trials
+            cfg["protocol"], cli._protocol_params(cfg, input_state), seed=cfg["seed"],
+            trials=cfg["trials"],
         )
         records = [
             {"trial": t, "step_index": step_index, "mode": mode, "kappa": kappa, "theta": theta,
@@ -1189,5 +1268,5 @@ def test_records_per_trial_counts_the_document_records(protocol):
             for t, trial in enumerate(report.record_columns)
             for step_index, mode, kappa, theta, raw, rescaled in zip(*trial)
         ]
-        assert len(records) == protocols.document_records(cfg.protocol, cfg.params, cfg.trials)
+        assert len(records) == protocols.document_records(cfg["protocol"], cfg, cfg["trials"])
         assert text == _reference_json({**json.loads(text), "records": records})

@@ -85,9 +85,16 @@ class TestKappaRule:
             lambda: cv.squeezer_four_step(math.inf, 1.0, cv.vacuum_state(1)),
             lambda: cv.repeated_squeezer(2, -math.inf, 1.0, cv.vacuum_state(1)),
             lambda: cv.run_protocol(cv.vacuum_state(1), [cv.StepPlan(math.inf)], 1.0, 0),
+            # a Python int past the largest float, which np.array refuses with OverflowError
+            lambda: cv.chain_channel([10**400], 1.0),
+            lambda: cv.chain_records(cv.vacuum_state(1), [0.1, -(10**400)], 1.0, [0]),
+            lambda: cv.squeezer_four_step(10**400, 1.0, cv.vacuum_state(1)),
+            lambda: cv.repeated_squeezer(1, -(10**400), 1.0, cv.vacuum_state(1)),
+            lambda: cv.run_protocol(cv.vacuum_state(1), [cv.StepPlan(10**400)], 1.0, 0),
         ],
         ids=["chain_channel", "chain_channel_inf", "chain_records", "squeezer_four_step",
-             "repeated_squeezer", "run_protocol"],
+             "repeated_squeezer", "run_protocol", "chain_channel_int", "chain_records_int",
+             "squeezer_four_step_int", "repeated_squeezer_int", "run_protocol_int"],
     )
     def test_refuses_a_kappa_that_is_not_finite(self, entry):
         with pytest.raises(ValueError, match=r"^kappa must be finite$"):

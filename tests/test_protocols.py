@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import cvcluster as cv
 from cvcluster import algebra, checks, cli, cluster, engine, protocols
-from conftest import patch_squeezed_variance, step_noise_oracle
+from conftest import patch_squeezed_variance, run_document, step_noise_oracle
 from explicit_states import modified_resource, offline_circuit
 from measurement_picture import apply_correction
 from reference import readings_law_reference, report_facts
@@ -285,9 +285,8 @@ class TestReportsAndSweep:
         ],
     )
     def test_report_serialization_round_trip(self, protocol, params, records):
-        cfg = cli.ExperimentConfig.from_dict({"protocol": protocol, **params, "seed": 5})
         report = cv.run_named_protocol(protocol, params, seed=5)
-        doc = json.loads(cli.run_document(cfg))
+        doc = json.loads(run_document({"protocol": protocol, **params, "seed": 5}))
         assert doc["channel"]["S"] == report.channel.S.ravel().tolist()
         (n_xx, n_xp), (_, n_pp) = report.channel.N.tolist()
         assert doc["channel"]["N"] == [n_xx, n_xp, n_pp]
@@ -389,7 +388,7 @@ class TestReportsAndSweep:
         value = protocols.PARAMETER_DEFAULTS.get(param, 1)
         payload = {"protocol": protocol, "sweep": {"param": param, "values": [value]}}
         if param in protocols.protocol_parameters(protocol):
-            cli.ExperimentConfig.from_dict(payload)
+            cli.checked_config(payload)
             assert len(cv.sweep(protocol, {}, param, [value])) == 1
             return
         if param in protocols.PARAMETER_DEFAULTS:
@@ -397,7 +396,7 @@ class TestReportsAndSweep:
         else:
             expected = f"field 'sweep.param': cannot sweep {param!r}"
         for call in (
-            lambda: cli.ExperimentConfig.from_dict(payload),
+            lambda: cli.checked_config(payload),
             lambda: cv.sweep(protocol, {}, param, [value]),
         ):
             with pytest.raises(cli.ConfigError) as refused:
@@ -493,8 +492,7 @@ class TestReportsAndSweep:
         for command in ("run", "sweep"):
             assert cli.main([command, str(config), "--output", str(tmp_path / command)]) == 0
             assert capsys.readouterr().err == ""
-        cfg = cli.ExperimentConfig.from_dict(payload)
-        assert (tmp_path / "run").read_text() == cli.run_document(cfg)
+        assert (tmp_path / "run").read_text() == run_document(payload)
         report = cv.run_named_protocol("offline_squeezer", {"r_gate": 354.8})
         assert report.all_passed()
         rows = cv.sweep("offline_squeezer", {}, "r_gate", [0.1, 354.8])
@@ -614,13 +612,11 @@ class TestOneReportPerDocument:
             "input": {"kind": "coherent", "re": 0.3, "im": -0.8},
             "seed": 40,
         }
-        doc = json.loads(cli.run_document(cli.ExperimentConfig.from_dict({**base, "trials": 3})))
+        doc = json.loads(run_document({**base, "trials": 3}))
         assert len(calls) == 1
         assert sorted({rec["trial"] for rec in doc["records"]}) == [0, 1, 2]
         for t in range(3):
-            single = json.loads(
-                cli.run_document(cli.ExperimentConfig.from_dict({**base, "seed": 40 + t}))
-            )
+            single = json.loads(run_document({**base, "seed": 40 + t}))
             expected = [{**rec, "trial": t} for rec in single["records"]]
             assert [rec for rec in doc["records"] if rec["trial"] == t] == expected
             for key in ("channel", "checks", "fidelity", "deviation", "noise_trace"):
@@ -691,20 +687,18 @@ class TestRecordsDrawnWhenRead:
         ],
     )
     def test_sweep_draws_no_records(self, draws, protocol, param, values):
-        cfg = cli.ExperimentConfig.from_dict(
+        cfg, input_state = cli.checked_config(
             {"protocol": protocol, "squeezing_db": 10.0, "sweep": {"param": param, "values": values}}
         )
-        text, _ = cli._sweep_output(cfg, quiet=True)
+        text, _ = cli._sweep_output(cfg, input_state, quiet=True)
         assert len(text.splitlines()) == 1 + len(values)
         assert draws == []
 
     @pytest.mark.parametrize("trials", [1, 3])
     @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
     def test_run_draws_once_per_trial(self, draws, protocol, trials):
-        cfg = cli.ExperimentConfig.from_dict(
-            {"protocol": protocol, "squeezing_db": 10.0, "trials": trials}
-        )
-        doc = json.loads(cli.run_document(cfg))
+        payload = {"protocol": protocol, "squeezing_db": 10.0, "trials": trials}
+        doc = json.loads(run_document(payload))
         assert draws == list(range(trials))
         assert {rec["trial"] for rec in doc["records"]} == set(range(trials))
 
@@ -865,8 +859,7 @@ class TestOneParameterTable:
         # seed and trials are refused at the call, not when records are read,
         # and so are trials that would overfill a run document
         try:
-            cfg = cli.ExperimentConfig.from_dict({"protocol": "identity_chain", name: raw})
-            cli.run_document(cfg)
+            run_document({"protocol": "identity_chain", name: raw})
         except cli.ConfigError as err:
             def refuse(**kwargs):
                 raise AssertionError(f"a refused {name} reached the builder")

@@ -20,7 +20,6 @@ forward fold of the per-step channels.
 
 from __future__ import annotations
 
-import importlib.util
 import itertools
 import json
 from pathlib import Path
@@ -32,19 +31,12 @@ from hypothesis import example, given, settings, strategies as st
 import cvcluster as cv
 from cvcluster import algebra, cli, engine, protocols
 from cvcluster.engine import resource_variances  # unpatched: the reference's own variance
-from conftest import patch_squeezed_variance
+from conftest import benchmark_decks, patch_squeezed_variance
 from reference import chain_channel_reference, report_facts
 from state_oracles import overlap_fidelity, purity
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_CONFIGS = sorted((ROOT / "tests" / "data" / "golden").glob("*.config.json"))
-
-
-def _decks():
-    spec = importlib.util.spec_from_file_location("decks", ROOT / "perfbench" / "decks.py")
-    decks = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(decks)
-    return decks
 
 
 def _fidelity_reference(report) -> np.ndarray:
@@ -101,10 +93,11 @@ def assert_facts_meet_reference(report, state) -> None:
 
 def _config_reports(raw: dict):
     """Each report a run or sweep config builds, with its input state."""
-    cfg = cli.ExperimentConfig.from_dict(raw)
-    params = {**cfg.params, "input_state": cfg.input_state}
-    points = [{}] if cfg.sweep is None else [{cfg.sweep["param"]: v} for v in cfg.sweep["values"]]
-    return [(protocols.run_named_protocol(cfg.protocol, {**params, **point}), cfg.input_state)
+    cfg, state = cli.checked_config(raw)
+    params = cli._protocol_params(cfg, state)
+    sweep = cfg["sweep"]
+    points = [{}] if sweep is None else [{sweep["param"]: v} for v in sweep["values"]]
+    return [(protocols.run_named_protocol(cfg["protocol"], {**params, **point}), state)
             for point in points]
 
 
@@ -117,7 +110,7 @@ def test_golden_reports_meet_the_reference(config):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("workload", ["protocol_mix", "long_chain"])
 def test_deck_reports_meet_the_reference(workload, seed):
-    for entry in _decks().make_deck(workload, seed):
+    for entry in benchmark_decks().make_deck(workload, seed):
         for report, state in _config_reports(entry["config"]):
             assert_facts_meet_reference(report, state)
 
@@ -234,7 +227,7 @@ def test_golden_chains_meet_the_chain_reference(monkeypatch, config):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("workload", ["protocol_mix", "long_chain"])
 def test_deck_chains_meet_the_chain_reference(monkeypatch, workload, seed):
-    decks = _decks()
+    decks = benchmark_decks()
     for entry in decks.make_deck(workload, seed) + decks.known_misses(workload, seed):
         for kappas, r, channel in _config_chains(monkeypatch, entry["config"]):
             assert _chain_misses(kappas, r, channel) == [], (entry, len(kappas))
