@@ -10,7 +10,8 @@ Configs and result documents are JSON with a ``schema_version`` field.
 under ``"config"``, every field present. The protocol name, numeric fields,
 the sweep grid, a run's record count and an overflowing channel or input are
 refused by the library's rules in ``protocols`` with ``ConfigError`` naming
-the field; this module checks only the config's shape and its input.
+the field; this module checks only the config's shape, its input and its
+output path, which must name a file.
 Floats are serialized with Python's shortest round-trip repr, so identical
 config + seed produce byte-identical documents and parsing a document and
 re-emitting it is the identity; printed summaries quote values to 12
@@ -30,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -72,9 +74,18 @@ def checked_config(raw) -> tuple[dict, GaussianState]:
     cfg["input"] = raw["input"] if "input" in raw else dict(cfg["input"])  # a dict per config
     input_state = build_input_state(cfg["input"])
     if "output_path" in raw and raw["output_path"] is not None:
-        if not isinstance(raw["output_path"], str):
+        path = raw["output_path"]
+        if not isinstance(path, str):
             raise ConfigError("field 'output_path': expected a string")
-        cfg["output_path"] = raw["output_path"]
+        if not path:
+            raise ConfigError("field 'output_path': expected a nonempty path")
+        try:  # a file name holds no NUL, and the file system's encoding must carry it
+            valid = "\0" not in path and os.fsencode(path)
+        except UnicodeEncodeError:  # a lone surrogate, for one
+            valid = False
+        if not valid:
+            raise ConfigError("field 'output_path': not a valid file path")
+        cfg["output_path"] = path
     if "sweep" in raw and raw["sweep"] is not None:
         sweep = raw["sweep"]
         if not isinstance(sweep, dict) or "param" not in sweep or "values" not in sweep:
@@ -248,6 +259,8 @@ def cmd_write(path: str, seed: int | None, output: str | None, quiet: bool, buil
     lines with ``build``, write the text and print the summary."""
     try:
         cfg, input_state = _load_config(path, seed)
+        if output == "":  # after every config check and --seed, before any report
+            raise ConfigError("--output: expected a nonempty path")
         text, summary = build(cfg, input_state, quiet)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)

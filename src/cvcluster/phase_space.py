@@ -214,7 +214,7 @@ def beamsplitter_5050() -> np.ndarray:
 
     Acts as (q1, q2) -> ((q1+q2)/sqrt2, (q1-q2)/sqrt2) on both the x and p
     quadratures. This sign choice is the one the off-line teleporter's closed
-    form in ``protocols._offline_facts`` is derived from; the tests hold that
+    form in ``protocols._offline_report`` is derived from; the tests hold that
     form to the three-mode circuit built of this gate.
     """
     h = 1.0 / math.sqrt(2.0)

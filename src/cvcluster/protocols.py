@@ -6,18 +6,20 @@ resource. Every corrected protocol is an affine map of its initial product
 state, and every report takes one path. A builder states only its steps
 (``squeezer_steps`` is the four-step pattern) or off-line gate, its target,
 fidelity reference and own checks (the off-line noise check through
-``_noise_check``). Its family's helper, ``_chain_facts`` or
-``_offline_facts``, refuses an input that is not one physical mode, reads the
-channel and leak once (a chain's from ``engine.chain_channel``; the off-line
-map is stated in closed form in ``_offline_facts`` alone and read through
-``engine.affine_channel``), and reads the report's numbers off the
-channel once, in closed-form 2x2 arithmetic on Python floats (no ``np.linalg``
-call and no ``GaussianState``): the deviation from the target, the
-noise and the fidelity of the input's image to its ideal output (one
-overlap, in a frame of exact powers of two). ``_report`` adds
-``outcome_independent`` (or the negative control's
-``outcome_dependence_detected``) and the noise's positivity, its smaller
-eigenvalue in LAPACK's closed form; every check holds
+``_noise_check``). Its family's helper, ``_chain_report`` or
+``_offline_report``, refuses an input that is not one physical mode and reads
+the channel and leak once (a chain's from ``engine.chain_channel``; the
+off-line map is stated in closed form in ``_offline_report`` alone and read
+through ``engine.affine_channel``). ``_report`` then builds the report, once.
+It reads the report's numbers off the channel in closed-form 2x2 arithmetic
+on Python floats (no ``np.linalg`` call and no ``GaussianState``): the
+deviation from the target, the noise and the fidelity of the input's image to
+its ideal output (one overlap, in a frame of exact powers of two). It reads
+the leak once, into the first check, ``outcome_independent`` (or the negative
+control's ``outcome_dependence_detected``), and adds the noise's positivity,
+its smaller eigenvalue in LAPACK's closed form. The builder reads the
+report's fields for its own checks and appends them with
+``dataclasses.replace``; every check holds
 a Python bool and a Python float or None, which ``cli`` writes into a run
 document as they are. A channel whose S, N or deviation is not finite is
 refused with ``ChannelOverflowError`` (naming ``kappa``, or ``r_gate``
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain
@@ -214,16 +216,6 @@ class ProtocolReport:
 _Moments = namedtuple("_Moments", "x p var_x cov_xp var_p")  # one mode's, as floats
 
 
-class _ReportFacts(NamedTuple):
-    channel: GaussianChannel
-    target_S: np.ndarray
-    leak: float
-    draw_records: Callable[[], RecordTable]
-    deviation: float
-    noise_trace: float
-    fidelity: float | None
-
-
 def _image(M: list, mean: list, cov: list, N=((0.0, 0.0), (0.0, 0.0))) -> _Moments:
     """M mean and M cov M^T + N for symmetric cov and N, in plain float products
     (not bitwise ``GaussianChannel.apply``'s BLAS ones); a variance is 0.5 (c + c), as
@@ -274,12 +266,15 @@ def _overlap(ideal: _Moments, output: _Moments) -> float:
     return 0.5 * math.exp(-0.5 * max(q, 0.0)) / math.sqrt(det_total)
 
 
-def _channel_facts(channel: GaussianChannel, leak: float, draw: Callable[[], RecordTable],
-                   target_S: np.ndarray, input_state: GaussianState, overflow_field: str,
-                   reference_S=None) -> _ReportFacts:
-    """A report's channel, leak, record draw and target with the numbers read
-    off them once, in closed-form 2x2 arithmetic on floats: the deviation
-    |S - target|_F, tr N and the fidelity of the input's image to its ideal output."""
+def _report(name: str, parameters: dict, channel: GaussianChannel, leak: float,
+            draw: Callable[[], RecordTable], target_S: np.ndarray, input_state: GaussianState,
+            overflow_field: str, reference_S=None, control: bool = False) -> ProtocolReport:
+    """The report of a channel, its leak, record draw and target, with the numbers
+    read off them once, in closed-form 2x2 arithmetic on floats: the deviation
+    |S - target|_F, tr N and the fidelity of the input's image to its ideal output.
+    Its checks are the two every report holds: ``outcome_independent`` of the leak
+    (with ``control``, the negative control's ``outcome_dependence_detected``),
+    then ``channel_noise_psd``."""
     S, N = channel.S.tolist(), channel.N.tolist()
     deviation = _frobenius(S, target_S.tolist())
     if not all(map(math.isfinite, [*S[0], *S[1], *N[0], *N[1], deviation])):
@@ -313,35 +308,16 @@ def _channel_facts(channel: GaussianChannel, leak: float, draw: Callable[[], Rec
         except OverflowError:  # a scaled entry or the fidelity past the largest float
             fidelity = math.inf
         _require_finite([*ideal[:2], *output[:2], fidelity], "the fidelity")
-    noise_trace = N[0][0] + N[1][1]
-    return _ReportFacts(channel, target_S, leak, draw, deviation, noise_trace, fidelity)
-
-
-def _report(
-    name: str,
-    parameters: dict,
-    facts: _ReportFacts,
-    checks: Sequence[ProtocolCheck],
-    independence: ProtocolCheck | None = None,
-) -> ProtocolReport:
-    """The report of ``facts``; its independence check is ``outcome_independent`` by default."""
-    if independence is None:
-        leak = facts.leak
+    if control:
+        independence = ProtocolCheck("outcome_dependence_detected", leak > DEPENDENCE_MIN, leak)
+    else:
         independence = ProtocolCheck("outcome_independent", leak <= INDEPENDENCE_TOL, leak)
-    (a, b), (_, c) = facts.channel.N.tolist()
+    (a, b), (_, c) = N
     lam_min = _smallest_eigenvalue(a, b, c)
     psd_ok = lam_min >= -_bound(NOISE_PSD_TOL, max(abs(a), abs(b), abs(c)))
-    return ProtocolReport(
-        name=name,
-        parameters=parameters,
-        channel=facts.channel,
-        target_S=np.array(facts.target_S, dtype=float),
-        deviation=facts.deviation,
-        noise_trace=facts.noise_trace,
-        fidelity=facts.fidelity,
-        checks=(independence, ProtocolCheck("channel_noise_psd", psd_ok, lam_min), *checks),
-        draw_records=facts.draw_records,
-    )
+    checks = (independence, ProtocolCheck("channel_noise_psd", psd_ok, lam_min))
+    return ProtocolReport(name, parameters, channel, np.array(target_S, dtype=float), deviation,
+                          N[0][0] + N[1][1], fidelity, checks, draw)
 
 
 def _trial_seeds(input_state: GaussianState, seed: int, trials: int) -> range:
@@ -365,21 +341,16 @@ def squeezer_steps(kappa: float) -> list[float]:
     return [kappa, kappa, -kappa, -kappa]
 
 
-def _chain_facts(
-    steps: Sequence[float],
-    r: float,
-    input_state: GaussianState,
-    seed: int,
-    trials: int,
-    target_S: np.ndarray,
-    reference_S=None,
-) -> _ReportFacts:
-    """The report facts of the cluster chain of kappas ``steps``: its channel
-    and leak, the per-trial record draw and the numbers read off the channel."""
+def _chain_report(name: str, parameters: dict, steps: Sequence[float], r: float,
+                  input_state: GaussianState, seed: int, trials: int, target_S: np.ndarray,
+                  reference_S=None) -> ProtocolReport:
+    """The report of the cluster chain of kappas ``steps``, from its channel
+    and leak and the per-trial record draw."""
     seeds = _trial_seeds(input_state, seed, trials)
     channel, leak = chain_channel(steps, r)
     draw = partial(chain_records, input_state, steps, r, seeds)
-    return _channel_facts(channel, leak, draw, target_S, input_state, "kappa", reference_S)
+    return _report(name, parameters, channel, leak, draw, target_S, input_state, "kappa",
+                   reference_S)
 
 
 # F^n for n mod 4, the bytes np.linalg.matrix_power(fourier(), n) gives
@@ -399,15 +370,13 @@ def identity_chain(
     if n_nodes < 2:
         raise ValueError("n_nodes must be >= 2")
     target = _FOURIER_POWERS[(n_nodes - 1) % 4]
-    facts = _chain_facts([0.0] * (n_nodes - 1), r, input_state, seed, trials, target)
+    parameters = {"n_nodes": n_nodes, "squeezing_r": r, "seed": seed}
+    report = _chain_report("identity_chain", parameters, [0.0] * (n_nodes - 1), r, input_state,
+                           seed, trials, target)
     expected_trace = (n_nodes - 1) * math.exp(-2 * r) * VACUUM_VARIANCE
-    err = abs(facts.noise_trace - expected_trace)
-    return _report(
-        "identity_chain",
-        {"n_nodes": n_nodes, "squeezing_r": r, "seed": seed},
-        facts,
-        [ProtocolCheck("noise_trace_matches_step_budget", err <= 1e-9, err)],
-    )
+    err = abs(report.noise_trace - expected_trace)
+    check = ProtocolCheck("noise_trace_matches_step_budget", err <= 1e-9, err)
+    return replace(report, checks=(*report.checks, check))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -424,19 +393,20 @@ def squeezer_four_step(
     kappa2 = np.float64(kappa) ** 2  # the pow of kappa**2, but inf, not OverflowError
     target = np.diag([1.0 - kappa2, 1.0 + kappa2])
     exact = algebra.squeezer_protocol_matrix(kappa)
-    facts = _chain_facts(steps, r, input_state, seed, trials, target, reference_S=exact)
-    exact_dev = _frobenius(facts.channel.S.tolist(), exact.tolist())
+    parameters = {"kappa": kappa, "squeezing_r": r, "seed": seed}
+    report = _chain_report("squeezer_four_step", parameters, steps, r, input_state, seed, trials,
+                           target, reference_S=exact)
+    exact_dev = _frobenius(report.channel.S.tolist(), exact.tolist())
     exact_ok = exact_dev <= _bound(1e-6, len(steps) * _max_abs(exact))
-    checks = [
+    checks = (
         ProtocolCheck("matches_exact_four_step_matrix", exact_ok, exact_dev),
         ProtocolCheck(
             "within_cubic_error_of_target",
-            facts.deviation <= 2.0 * abs(kappa) ** 3 + 1e-12,
-            facts.deviation,
+            report.deviation <= 2.0 * abs(kappa) ** 3 + 1e-12,
+            report.deviation,
         ),
-    ]
-    parameters = {"kappa": kappa, "squeezing_r": r, "seed": seed}
-    return _report("squeezer_four_step", parameters, facts, checks)
+    )
+    return replace(report, checks=(*report.checks, *checks))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -453,14 +423,12 @@ def repeated_squeezer(
         raise ValueError("segments must be >= 1")
     steps = squeezer_steps(kappa) * segments
     target = np.linalg.matrix_power(algebra.squeezer_protocol_matrix(kappa), segments)
-    facts = _chain_facts(steps, r, input_state, seed, trials, target)
-    ok = facts.deviation <= _bound(1e-6, len(steps) * _max_abs(target))
-    return _report(
-        "repeated_squeezer",
-        {"segments": segments, "kappa": kappa, "squeezing_r": r, "seed": seed},
-        facts,
-        [ProtocolCheck("matches_exact_segment_power", ok, facts.deviation)],
-    )
+    parameters = {"segments": segments, "kappa": kappa, "squeezing_r": r, "seed": seed}
+    report = _chain_report("repeated_squeezer", parameters, steps, r, input_state, seed, trials,
+                           target)
+    ok = report.deviation <= _bound(1e-6, len(steps) * _max_abs(target))
+    check = ProtocolCheck("matches_exact_segment_power", ok, report.deviation)
+    return replace(report, checks=(*report.checks, check))
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +436,7 @@ def repeated_squeezer(
 # squeezed resource whose second half carries the off-line gate G, and the
 # output is displaced by the gain K times the readings (u, v). The corrected
 # output, as for chains, is an affine map of the factored initial moments,
-# stated in closed form in ``_offline_facts`` and read through ``affine_channel``.
+# stated in closed form in ``_offline_report`` and read through ``affine_channel``.
 
 _H = 1.0 / math.sqrt(2.0)  # beamsplitter_5050's float amplitude h; sqrt(2) h is 1.0
 _H_SQUARED = Fraction(_H) ** 2
@@ -501,16 +469,12 @@ def _noise_check(name: str, N: np.ndarray, r: float, r_gate: float = 0.0) -> Pro
     return ProtocolCheck(name, err <= _bound(1e-9, _max_abs(N)), err)
 
 
-def _offline_facts(
-    input_state: GaussianState,
-    r: float,
-    gate_S: np.ndarray,
-    gain: np.ndarray,
-    seed: int,
-    trials: int,
-) -> _ReportFacts:
-    """The report facts of teleportation through the resource modified by
-    ``gate_S`` (G), corrected by ``gain`` (K) times (u, v); G is the target.
+def _offline_report(name: str, parameters: dict, input_state: GaussianState, r: float,
+                    gate_S: np.ndarray, gain: np.ndarray, seed: int, trials: int,
+                    control: bool = False) -> ProtocolReport:
+    """The report of teleportation through the resource modified by ``gate_S``
+    (G), corrected by ``gain`` (K) times (u, v); G is the target. ``control``
+    marks the negative control, whose leak must show outcome dependence.
 
     The map is over the product state's quadratures (x_0, p_0) of the input,
     then x_1, p_1, x_2, p_2 of the resource, of which x_1 and p_2 are
@@ -527,7 +491,8 @@ def _offline_facts(
     squeezed = np.column_stack([hG[:, 1] + hK[:, 1], -hG[:, 0] - hK[:, 0]])
     channel, leak = affine_channel(gain, anti, squeezed, r)
     draw = partial(_offline_trials, input_state, r, seeds)
-    return _channel_facts(channel, leak, draw, gate_S, input_state, "r_gate")
+    return _report(name, parameters, channel, leak, draw, gate_S, input_state, "r_gate",
+                   control=control)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -540,20 +505,21 @@ def offline_teleport(
     per quadrature; a pure vacuum input's fidelity is 1/(1 + e^{-2r}).
     """
     identity = np.eye(2)
-    facts = _offline_facts(input_state, r, identity, identity, seed, trials)
-    checks = [_noise_check("noise_is_isotropic_teleportation_noise", facts.channel.N, r)]
+    report = _offline_report("offline_teleport", {"squeezing_r": r, "seed": seed}, input_state, r,
+                             identity, identity, seed, trials)
+    checks = [_noise_check("noise_is_isotropic_teleportation_noise", report.channel.N, r)]
     # np.allclose's test of the vacuum's moments, |a - b| <= 1e-8 + 1e-5 |b|, on floats
     (x, p), ((a, b), (b_, c)) = input_state.mean.tolist(), input_state.cov.tolist()
     vacuum = zip((x, p, a, b, b_, c), (0.0, 0.0, VACUUM_VARIANCE, 0.0, 0.0, VACUUM_VARIANCE))
-    is_vacuum = facts.fidelity is not None and all(
+    is_vacuum = report.fidelity is not None and all(
         abs(got - want) <= 1e-8 + 1e-5 * abs(want) for got, want in vacuum
     )
     if is_vacuum:
-        fid_err = abs(facts.fidelity - 1.0 / (1.0 + math.exp(-2 * r)))
+        fid_err = abs(report.fidelity - 1.0 / (1.0 + math.exp(-2 * r)))
         checks.append(
             ProtocolCheck("vacuum_fidelity_matches_closed_form", fid_err <= 1e-6, fid_err)
         )
-    return _report("offline_teleport", {"squeezing_r": r, "seed": seed}, facts, checks)
+    return replace(report, checks=(*report.checks, *checks))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -578,25 +544,16 @@ def offline_squeezer(
     # coefficients gate (u, v): the gate is also the gain and the target
     gate = squeezer(r_gate)
     gain = gate if rescale_correction else np.eye(2)
-    facts = _offline_facts(input_state, r, gate, gain, seed, trials)
-    target_ok = facts.deviation <= _bound(1e-6, _max_abs(gate))
-    checks = [
-        ProtocolCheck("channel_matches_target_squeezer", target_ok, facts.deviation),
-        _noise_check("noise_is_squeezed_teleportation_noise", facts.channel.N, r, r_gate),
-    ]
-    control = ProtocolCheck("outcome_dependence_detected", facts.leak > DEPENDENCE_MIN, facts.leak)
-    return _report(
-        "offline_squeezer",
-        {
-            "r_resource": r,
-            "r_gate": r_gate,
-            "seed": seed,
-            "rescale_correction": rescale_correction,
-        },
-        facts,
-        checks,
-        None if rescale_correction else control,
+    parameters = {"r_resource": r, "r_gate": r_gate, "seed": seed,
+                  "rescale_correction": rescale_correction}
+    report = _offline_report("offline_squeezer", parameters, input_state, r, gate, gain, seed,
+                             trials, control=not rescale_correction)
+    target_ok = report.deviation <= _bound(1e-6, _max_abs(gate))
+    checks = (
+        ProtocolCheck("channel_matches_target_squeezer", target_ok, report.deviation),
+        _noise_check("noise_is_squeezed_teleportation_noise", report.channel.N, r, r_gate),
     )
+    return replace(report, checks=(*report.checks, *checks))
 
 
 # ---------------------------------------------------------------------------

@@ -286,10 +286,13 @@ def _reference_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-# strings with non-ASCII characters, escapes, a lone surrogate and the text of
-# the envelope's records slot, which the config echoes before that slot
-_STRINGS = st.text(max_size=10) | st.sampled_from(
-    ['"', "\\", "\n\t\x00", "é", "\u2028", "\ud800", "𝜅", "", cli._RECORDS_SLOT]
+# output paths that name a file: non-ASCII characters, escapes, a lone surrogate
+# that the file system's encoding carries and the text of the envelope's records
+# slot, which the config echoes before that slot; the refused ones are
+# TestCommandErrors' subject
+_PATHS = st.text(st.characters(exclude_categories=["Cs"], exclude_characters="\x00"),
+                 min_size=1, max_size=10) | st.sampled_from(
+    ['"', "\\", "\n\t", "é", "\u2028", "\udc80", "𝜅", cli._RECORDS_SLOT]
 )
 _AMPLITUDES = st.floats(-3.0, 3.0) | st.floats(-1e100, 1e100)
 _INPUTS = st.one_of(
@@ -299,7 +302,7 @@ _INPUTS = st.one_of(
         {"kind": st.just("squeezed"), "r": st.floats(0.0, 2.0), "axis": st.sampled_from(["x", "p"])}
     ),
 )
-# run configs over every protocol and input kind, echoing any output_path string
+# run configs over every protocol and input kind, echoing any accepted output_path
 _RUN_CONFIGS = st.fixed_dictionaries(
     {
         "protocol": st.sampled_from(sorted(protocols.PROTOCOLS)),
@@ -313,7 +316,7 @@ _RUN_CONFIGS = st.fixed_dictionaries(
         "n_nodes": st.integers(2, 9),
         "segments": st.integers(1, 3),
         "r_gate": st.floats(-3.0, 3.0),
-        "output_path": _STRINGS,
+        "output_path": _PATHS,
     },
 )
 
@@ -432,22 +435,32 @@ class TestCommandErrors:
              "field 'input.kind': unknown kind 'thermal'"),
             ({"protocol": "identity_chain", "sweep": 5, "output_path": 3},
              "field 'output_path': expected a string"),
+            ({"protocol": "identity_chain", "sweep": 5, "output_path": ""},
+             "field 'output_path': expected a nonempty path"),
+            ({"protocol": "identity_chain", "sweep": 5, "output_path": "\x00"},
+             "field 'output_path': not a valid file path"),
             ({"protocol": "identity_chain", "sweep": {"param": "kappa", "values": []}},
              "field 'sweep.values': must be a nonempty list"),
             ({"protocol": "identity_chain"}, "field '--seed': must be a non-negative integer"),
+            ({"protocol": "identity_chain", "seed": 3}, "--output: expected a nonempty path"),
         ],
         ids=["root", "unknown_field", "missing_protocol", "schema_version", "unknown_protocol",
              "squeezing_db", "kappa", "n_nodes", "segments", "r_gate", "seed", "trials", "input",
-             "output_path", "sweep", "--seed"],
+             "output_path", "output_path_empty", "output_path_nul", "sweep", "--seed", "--output"],
     )
     def test_first_fault_in_check_order_is_the_one_refused(
-        self, tmp_path, capsys, command, payload, error
+        self, tmp_path, monkeypatch, capsys, command, payload, error
     ):
-        # each config breaks its own step and the next one (its key written first),
-        # and --seed -1, the step after every config check, breaks the last
-        code, out = main_on(tmp_path, command, payload, "--seed", "-1")
-        assert (code, out.exists()) == (2, False)
+        # each config breaks its own step and the next one (its key written first);
+        # --seed -1, the step after every config check, breaks the last, and
+        # --output "", the step after --seed, breaks the one after it. The
+        # --output case keeps the config's seed, and so reaches that step
+        monkeypatch.chdir(tmp_path)
+        seed = [] if error.startswith("--output") else ["--seed", "-1"]
+        code, _ = main_on(tmp_path, command, payload, *seed, "--output", "")
+        assert code == 2
         assert capsys.readouterr() == ("", f"error: {error}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]  # no default output either
 
     @pytest.mark.parametrize("via", ["--output", "output_path"])
     @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -491,6 +504,37 @@ class TestCommandErrors:
         assert captured.out == ""
         assert captured.err == "error: field 'output_path': expected a string\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize(
+        "path, error",
+        [
+            ("", "expected a nonempty path"),
+            ("\x00", "not a valid file path"),
+            ("out\x00.json", "not a valid file path"),
+            ("\ud800", "not a valid file path"),  # a lone surrogate that UTF-8 cannot carry
+        ],
+        ids=["empty", "nul", "embedded_nul", "surrogate"],
+    )
+    def test_output_path_that_names_no_file_exits_2(
+        self, tmp_path, monkeypatch, capsys, command, path, error
+    ):
+        # "" used to write the default file, and the others to raise while writing
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, "cfg.json", {**self.PAYLOAD, "output_path": path})
+        assert cli.main([command, cfg]) == 2
+        assert capsys.readouterr() == ("", f"error: field 'output_path': {error}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("output_path", [None, "named.out"])
+    def test_empty_output_flag_exits_2(self, tmp_path, monkeypatch, capsys, command, output_path):
+        # it used to fall back to the config's output_path or the default file
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, "cfg.json", {**self.PAYLOAD, "output_path": output_path})
+        assert cli.main([command, cfg, "--output", ""]) == 2
+        assert capsys.readouterr() == ("", "error: --output: expected a nonempty path\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     @pytest.mark.parametrize(
         "spec, key",

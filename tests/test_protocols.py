@@ -754,6 +754,46 @@ def _identity_report():
     return cv.identity_chain(3, 1.0, cv.vacuum_state(1))
 
 
+# a builder -> its report of one input, and the names of the checks it holds, in order;
+# every report starts with the leak's check and the noise's positivity
+_CHECKED = ("outcome_independent", "channel_noise_psd")
+BUILDER_CHECK_NAMES = {
+    "identity_chain": (lambda state: cv.identity_chain(5, TEN_DB_R, state),
+                       (*_CHECKED, "noise_trace_matches_step_budget")),
+    "squeezer_four_step": (lambda state: cv.squeezer_four_step(0.2, TEN_DB_R, state),
+                           (*_CHECKED, "matches_exact_four_step_matrix",
+                            "within_cubic_error_of_target")),
+    "repeated_squeezer": (lambda state: cv.repeated_squeezer(2, 0.2, TEN_DB_R, state),
+                          (*_CHECKED, "matches_exact_segment_power")),
+    "offline_teleport": (lambda state: cv.offline_teleport(state, TEN_DB_R),
+                         (*_CHECKED, "noise_is_isotropic_teleportation_noise")),
+    "offline_squeezer": (lambda state: cv.offline_squeezer(state, TEN_DB_R, 0.3),
+                         (*_CHECKED, "channel_matches_target_squeezer",
+                          "noise_is_squeezed_teleportation_noise")),
+    "offline_squeezer_control": (
+        lambda state: cv.offline_squeezer(state, TEN_DB_R, 0.3, rescale_correction=False),
+        ("outcome_dependence_detected", "channel_noise_psd", "channel_matches_target_squeezer",
+         "noise_is_squeezed_teleportation_noise"),
+    ),
+}
+# one input of each kind a config can name
+INPUT_KINDS = {"vacuum": VAC, "coherent": cv.coherent_state(0.6, -0.9),
+               "squeezed": cv.squeezed_vacuum(0.4, "p")}
+
+
+class TestCheckNames:
+    @pytest.mark.parametrize("kind", list(INPUT_KINDS))
+    @pytest.mark.parametrize("builder", list(BUILDER_CHECK_NAMES))
+    def test_each_builder_holds_its_checks_in_order(self, builder, kind):
+        build, names = BUILDER_CHECK_NAMES[builder]
+        if builder == "offline_teleport" and kind == "vacuum":  # only a vacuum's has a closed form
+            names = (*names, "vacuum_fidelity_matches_closed_form")
+        assert [check.name for check in build(INPUT_KINDS[kind]).checks] == list(names)
+
+    def test_every_protocol_has_a_row(self):
+        assert set(protocols.PROTOCOLS) < set(BUILDER_CHECK_NAMES)
+
+
 class TestReportEquality:
     def test_distinct_equal_reports_compare_equal(self):
         a, b = _identity_report(), _identity_report()
@@ -1197,6 +1237,19 @@ class TestOfflineReadingsLaw:
         [law] = laws
         assert law.tolist() == readings_law_reference(uv_rows, cov0)
 
+    @pytest.mark.parametrize("protocol", ["offline_teleport", "offline_squeezer"])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40])
+    @pytest.mark.parametrize("name", list(LAW_INPUTS))
+    def test_raw_outcomes_are_the_rescaled_ones_over_sqrt_2(self, name, seed, protocol):
+        # a raw reading is its port's quadrature; the rescaled (u, v) is sqrt 2 times it
+        params = {"squeezing_db": 10.0, "input_state": LAW_INPUTS[name]}
+        table = cv.run_named_protocol(protocol, params, seed=seed, trials=3).record_columns
+        assert len(table) == 3
+        h = 1 / math.sqrt(2)
+        for trial in table:
+            u, v = trial.rescaled_outcome
+            assert trial.raw_outcome == (u * h, v * h)
+
     def test_law_past_the_largest_float_is_refused_when_read(self):
         # a library input whose x variance plus the readings' e^{2r}/8 passes the largest float
         state = cv.GaussianState(np.zeros(2), np.diag([1.79e308, 1 / (16 * 1.79e308)]))
@@ -1375,10 +1428,11 @@ def _shift_sign_flipped(mp):
 
 def _ungained_offline_squeezer(mp):
     # the feedforward applied without the gate's rescaling
-    offline_facts = protocols._offline_facts
+    offline_report = protocols._offline_report
     mp.setattr(
-        protocols, "_offline_facts",
-        lambda state, r, gate, gain, *rest: offline_facts(state, r, gate, np.eye(2), *rest),
+        protocols, "_offline_report",
+        lambda name, parameters, state, r, gate, gain, *rest, **control: offline_report(
+            name, parameters, state, r, gate, np.eye(2), *rest, **control),
     )
 
 
