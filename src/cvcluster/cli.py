@@ -15,15 +15,18 @@ output path, which must name a file.
 Floats are serialized with Python's shortest round-trip repr, so identical
 config + seed produce byte-identical documents and parsing a document and
 re-emitting it is the identity; printed summaries quote values to 12
-significant digits. A run document's text is byte for byte that of
-``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)``, and each
-byte has one writer: ``emit_json`` (that call) writes the envelope, every
-fact but the records, taken here from the report's own fields, with
-``"records": null``, and ``_records_text`` writes the records, one template
-per record straight from the report's columns, into that place. A sweep's
-CSV is the rows of ``protocols.sweep`` as they are, the header from their
-keys. Randomness comes from numpy's PCG64 generator seeded from the config
-(CLI --seed overrides), which is stable across platforms.
+significant digits. A run document's text is byte for byte what
+``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)`` writes, and
+the tests hold it to that call, but this module writes it from fixed
+templates: ``_DOCUMENT`` for the envelope, with a slot for each of the
+report's facts and the config's fields, one per check and one per record,
+each leaf written as json writes it; a NaN or an infinity raises json's
+``ValueError``. A sweep's CSV is the rows of ``protocols.sweep`` as they
+are, the header from their keys. Randomness comes from numpy's PCG64
+generator seeded from the config (CLI --seed overrides), which is stable
+across platforms. ``main`` reads an argv that is a command followed only by
+exact tokens without argparse, which reads every other argv and alone
+writes usage, help and error text.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import checks, protocols
@@ -142,11 +146,47 @@ def _protocol_params(cfg: dict, input_state: GaussianState) -> dict:
     return {**{n: cfg[n] for n in protocols.PARAMETER_DEFAULTS}, "input_state": input_state}
 
 
-def emit_json(doc: dict) -> str:
-    """The document's text; a NaN or an infinity anywhere raises ``ValueError``."""
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+def _leaf(value) -> str:
+    """A string, number, bool or None as json.dumps writes it; a NaN or an
+    infinity raises json's ``ValueError``."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    return "true" if value is True else "false" if value is False else int.__repr__(value)
 
 
+def _object(obj: dict, indent: str) -> str:
+    """A nonempty dict of scalars and nonempty lists of scalars as json.dumps
+    writes it at ``indent``, its keys sorted: the values whose keys vary."""
+    inner = indent + "  "
+    items = (
+        f"{inner}{_leaf(key)}: " + (
+            f"[\n{inner}  " + f",\n{inner}  ".join(map(_leaf, value)) + f"\n{inner}]"
+            if isinstance(value, list) else _leaf(value)
+        )
+        for key, value in sorted(obj.items())
+    )
+    return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+
+
+# a run document as json.dumps writes it, with a "%s" slot for each fact but
+# the constant d and schema_version; json.dumps writes the template itself, so
+# the slots come in the document's order: the channel's N (3) and S (4), the
+# checks, the config's fields in sorted order, deviation, fidelity, name,
+# noise_trace, parameters, records and target_S (4)
+_DOCUMENT = json.dumps({
+    "channel": {"N": ["%s"] * 3, "S": ["%s"] * 4, "d": [0.0, 0.0]},
+    "checks": "%s", "config": dict.fromkeys(_CONFIG_FIELDS, "%s"),
+    **dict.fromkeys(["deviation", "fidelity", "name", "noise_trace", "parameters"], "%s"),
+    "records": "%s", "schema_version": SCHEMA_VERSION, "target_S": ["%s"] * 4,
+}, sort_keys=True, indent=2).replace('"%s"', "%s") + "\n"
+_CONFIG_KEYS = sorted(_CONFIG_FIELDS)
+_CHECK = '    {\n      "name": %s,\n      "passed": %s,\n      "value": %s\n    }'
 # one record as json.dumps writes it in a run document, its keys sorted
 _RECORD = (
     "    {\n"
@@ -159,9 +199,6 @@ _RECORD = (
     '      "trial": %r\n'
     "    }"
 )
-# the envelope's placeholder for the records: every '"' inside a JSON string is
-# escaped, so this text occurs once, as the top-level key
-_RECORDS_SLOT = '"records": null'
 
 
 def _records_text(table: protocols.RecordTable) -> str:
@@ -204,7 +241,9 @@ def _load_config(path: str, seed_override: int | None) -> tuple[dict, GaussianSt
         raw = json.loads(p.read_text(encoding="utf-8"))
     except UnicodeDecodeError as bad:
         raise ConfigError(f"config is not valid UTF-8: {bad}")
-    except (json.JSONDecodeError, RecursionError) as bad:  # RecursionError: nested too deep
+    # JSONDecodeError is a ValueError, as is an integer past int's digit limit;
+    # RecursionError: nested too deep
+    except (ValueError, RecursionError) as bad:
         raise ConfigError(f"config is not valid JSON: {bad}")
     cfg, input_state = checked_config(raw)
     # a seed override changes the experiment and is echoed in the document;
@@ -224,24 +263,23 @@ def _run_output(cfg: dict, input_state: GaussianState, quiet: bool) -> tuple[str
     report of the config's seeded trials, whose channel and checks are built
     once, with the config echoed. Trials that would overfill it are refused by
     ``run_named_protocol`` before anything is built, and a non-finite outcome
-    when the records are read, before any text is written."""
+    when the records are read, before any text is written; any other NaN or
+    infinity raises json's ``ValueError`` before the text is returned."""
     report = protocols.run_named_protocol(
         cfg["protocol"], _protocol_params(cfg, input_state), seed=cfg["seed"], trials=cfg["trials"]
     )
     records = _records_text(report.record_columns)
     (n_xx, n_xp), (_, n_pp) = report.channel.N.tolist()
-    envelope = {
-        "schema_version": SCHEMA_VERSION, "config": cfg,
-        "name": report.name, "parameters": report.parameters,
-        "channel": {"S": report.channel.S.ravel().tolist(), "N": [n_xx, n_xp, n_pp],
-                    "d": [0.0, 0.0]},
-        "target_S": report.target_S.ravel().tolist(), "fidelity": report.fidelity,
-        "deviation": report.deviation, "noise_trace": report.noise_trace,
-        "checks": [{"name": c.name, "passed": c.passed, "value": c.value} for c in report.checks],
-        "records": None,
-    }
-    text = emit_json(envelope).replace(_RECORDS_SLOT, '"records": ' + records, 1)
-    return text, [] if quiet else [_summary(cfg["protocol"], envelope)]
+    checks = (_CHECK % (_leaf(c.name), _leaf(c.passed), _leaf(c.value)) for c in report.checks)
+    config = (_object(v, "    ") if isinstance(v, dict) else _leaf(v)
+              for v in map(cfg.__getitem__, _CONFIG_KEYS))
+    text = _DOCUMENT % (  # each slot's text in turn, as json.dumps meets them
+        *map(_leaf, (n_xx, n_xp, n_pp, *report.channel.S.ravel().tolist())),
+        "[\n" + ",\n".join(checks) + "\n  ]", *config,
+        *map(_leaf, (report.deviation, report.fidelity, report.name, report.noise_trace)),
+        _object(report.parameters, "  "), records, *map(_leaf, report.target_S.ravel().tolist()),
+    )
+    return text, [] if quiet else [_summary(cfg["protocol"], vars(report))]
 
 
 def _sweep_output(cfg: dict, input_state: GaussianState, quiet: bool) -> tuple[str, list[str]]:
@@ -316,8 +354,44 @@ _OUTPUTS = {"run": (_run_output, "result.json"), "sweep": (_sweep_output, "sweep
 _PARSER = _build_parser()  # built once per process: parse_args keeps no state
 
 
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``_PARSER.parse_args(argv)`` returns, read without argparse
+    when argv is a command followed only by exact tokens: for run and sweep, one
+    config path and any of --quiet, --seed V and --output V, where no path or V
+    starts with "-" and int reads --seed's V; for verify, --quiet. None for any
+    other argv, whose usage, help and errors only argparse writes."""
+    command, *tokens = argv or [None]
+    if command not in ("run", "sweep", "verify"):
+        return None
+    args = {"command": command, "quiet": False}
+    if command != "verify":
+        args.update(config=None, seed=None, output=None)
+    tokens = iter(tokens)
+    for token in tokens:
+        if token == "--quiet":
+            args["quiet"] = True
+        elif command == "verify":
+            return None
+        elif token in ("--seed", "--output"):
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+            try:
+                args[token[2:]] = int(value) if token == "--seed" else value
+            except ValueError:
+                return None
+        elif args["config"] is None and not token.startswith("-"):
+            args["config"] = token
+        else:
+            return None
+    if command != "verify" and args["config"] is None:
+        return None
+    return argparse.Namespace(**args)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _plain_args(argv) or _PARSER.parse_args(argv)
     if args.command == "verify":
         return cmd_verify(args.quiet)
     build, default_output = _OUTPUTS[args.command]

@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cvcluster as cv
 from cvcluster import checks, cli, protocols
@@ -54,7 +56,7 @@ class TestConfigParsing:
         for doc in docs:
             cfg, _ = cli.checked_config(doc["config"])
             assert cfg == doc["config"]
-            assert cli.emit_json(cfg) == cli.emit_json(doc["config"])
+            assert _reference_json(cfg) == _reference_json(doc["config"])
 
     def test_unknown_protocol_names_field(self):
         with pytest.raises(cli.ConfigError, match="protocol"):
@@ -185,9 +187,7 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError, match="input"):
             cli.build_input_state({"kind": "squeezed", "r": 1e9, "axis": "x"})
 
-    def test_emitters_refuse_nan(self):
-        with pytest.raises(ValueError):
-            cli.emit_json({"value": float("nan")})
+    def test_csv_refuses_infinity(self):
         with pytest.raises(ValueError):
             cli.emit_csv([{"value": float("inf")}])
 
@@ -236,7 +236,7 @@ class TestRunCommand:
         out = tmp_path / "result.json"
         cli.main(["run", cfg, "--output", str(out), "--quiet"])
         text = out.read_text()
-        assert cli.emit_json(json.loads(text)) == text
+        assert _reference_json(json.loads(text)) == text
 
     def test_missing_config_file(self, capsys):
         assert cli.main(["run", "/nonexistent/cfg.json", "--quiet"]) == 2
@@ -292,17 +292,18 @@ def _reference_json(doc) -> str:
 # TestCommandErrors' subject
 _PATHS = st.text(st.characters(exclude_categories=["Cs"], exclude_characters="\x00"),
                  min_size=1, max_size=10) | st.sampled_from(
-    ['"', "\\", "\n\t", "é", "\u2028", "\udc80", "𝜅", cli._RECORDS_SLOT]
+    ['"', "\\", "\n\t", "é", "\u2028", "\udc80", "𝜅", '"records": null']
 )
-_AMPLITUDES = st.floats(-3.0, 3.0) | st.floats(-1e100, 1e100)
+_AMPLITUDES = st.floats(-3.0, 3.0) | st.floats(-1e100, 1e100) | st.integers(-3, 3)
 _INPUTS = st.one_of(
     st.just({"kind": "vacuum"}),
     st.fixed_dictionaries({"kind": st.just("coherent"), "re": _AMPLITUDES, "im": _AMPLITUDES}),
-    st.fixed_dictionaries(
-        {"kind": st.just("squeezed"), "r": st.floats(0.0, 2.0), "axis": st.sampled_from(["x", "p"])}
-    ),
+    st.fixed_dictionaries({"kind": st.just("squeezed"),
+                           "r": st.floats(0.0, 2.0) | st.integers(0, 2),
+                           "axis": st.sampled_from(["x", "p"])}),
 )
 # run configs over every protocol and input kind, echoing any accepted output_path
+# or a null one, and a sweep block, which a run echoes but does not read
 _RUN_CONFIGS = st.fixed_dictionaries(
     {
         "protocol": st.sampled_from(sorted(protocols.PROTOCOLS)),
@@ -316,16 +317,25 @@ _RUN_CONFIGS = st.fixed_dictionaries(
         "n_nodes": st.integers(2, 9),
         "segments": st.integers(1, 3),
         "r_gate": st.floats(-3.0, 3.0),
-        "output_path": _PATHS,
+        "output_path": st.none() | _PATHS,
+        "sweep": st.fixed_dictionaries({
+            "param": st.just("squeezing_db"),
+            "values": st.lists(st.integers(0, 120) | st.floats(0.0, 120.0), min_size=1, max_size=3),
+        }),
     },
 )
 
 
 class TestJsonWriter:
-    """A run document is json.dumps's text, though ``cli`` writes the records
-    itself and splices them into the envelope's slot."""
+    """A run document is json.dumps's text, though ``cli`` writes it from
+    templates."""
 
     @given(_RUN_CONFIGS)
+    # an output variance past the largest float: the fidelity is null
+    @example({"protocol": "squeezer_four_step", "squeezing_db": 0, "kappa": 10, "seed": 0,
+              "trials": 1, "input": {"kind": "squeezed", "r": 350, "axis": "x"}})
+    @example({"protocol": "squeezer_four_step", "kappa": -0.0, "seed": 0, "trials": 1,
+              "input": {"kind": "vacuum"}})
     @settings(max_examples=60, deadline=None)
     def test_run_document_is_what_json_dumps_writes(self, payload):
         cfg, input_state = cli.checked_config(payload)
@@ -364,10 +374,75 @@ class TestJsonWriter:
         emitted = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(protocols, "run_named_protocol", lambda *args, **kwargs: broken)
-            mp.setattr(cli, "emit_json", lambda doc: emitted.append(doc))
+            mp.setattr(cli, "_leaf", emitted.append)
             with pytest.raises(cv.InputOverflowError, match="an outcome record is not finite"):
                 cli._run_output(cfg, input_state, quiet=True)
         assert emitted == []
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_slot_raises_what_json_dumps_raises(self, value):
+        # every float slot of the document but the records, one at a time: the
+        # report's facts and the config's floats, down to input and sweep
+        payload = {"protocol": "offline_squeezer", "kappa": 0.3, "seed": 3,
+                   "input": {"kind": "coherent", "re": 0.5, "im": 1},
+                   "sweep": {"param": "r_gate", "values": [0.1, 2]}}
+        cfg, input_state = cli.checked_config(payload)
+        report = cv.run_named_protocol(cfg["protocol"], cli._protocol_params(cfg, input_state),
+                                       cfg["seed"], cfg["trials"])
+        table = report.record_columns
+        doc = json.loads(cli._run_output(cfg, input_state, quiet=True)[0])
+
+        def paths(node, path=()):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for key, child in items:
+                if isinstance(child, (dict, list)):
+                    yield from paths(child, (*path, key))
+                elif isinstance(child, float):
+                    yield (*path, key)
+
+        def replaced(node, path):  # a copy of node, the leaf at path set to value
+            key, *rest = path
+            copy = dict(node) if isinstance(node, dict) else list(node)
+            copy[key] = replaced(node[key], rest) if rest else value
+            return copy
+
+        def broken(path):  # the report and config whose document has value at path
+            field, *rest = path
+            if field == "config":
+                return report, replaced(cfg, rest)
+            if field == "channel":
+                name, k = rest
+                matrix = getattr(report.channel, name).copy()
+                matrix[[(0, 0), (0, 1), (1, 1)][k] if name == "N" else divmod(k, 2)] = value
+                changed = {"channel": dataclasses.replace(report.channel, **{name: matrix})}
+            elif field == "target_S":
+                target = report.target_S.copy()
+                target[divmod(rest[0], 2)] = value
+                changed = {"target_S": target}
+            elif field == "checks":
+                checks = list(report.checks)
+                checks[rest[0]] = checks[rest[0]]._replace(value=value)
+                changed = {"checks": tuple(checks)}
+            elif field == "parameters":
+                changed = {"parameters": replaced(report.parameters, rest)}
+            else:
+                changed = {field: value}
+            return dataclasses.replace(report, draw_records=lambda: table, **changed), cfg
+
+        slots = [path for path in paths(doc)
+                 if path[0] != "records" and path[:2] != ("channel", "d")]
+        assert len(slots) == 25  # 11 channel and target, 3 facts, 4 checks, 2 parameters, 5 config
+        for path in slots:
+            with pytest.raises(ValueError) as expected:
+                _reference_json(replaced(doc, path))
+            changed_report, changed_cfg = broken(path)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(protocols, "run_named_protocol", lambda *args, **kwargs: changed_report)
+                with pytest.raises(ValueError) as raised:
+                    cli._run_output(changed_cfg, input_state, quiet=True)
+            assert str(raised.value) == str(expected.value) == (
+                f"Out of range float values are not JSON compliant: {value!r}"
+            ), path
 
     def test_long_run_document_is_pinned(self):
         # 250 segments, 2 trials: 2000 records; the length and hash are those
@@ -404,6 +479,26 @@ class TestCommandErrors:
         error = ("error: config is not valid JSON: maximum recursion depth exceeded "
                  "while decoding a JSON array from a unicode string\n")
         assert capsys.readouterr() == ("", error)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("template", [
+        '{"protocol": "offline_teleport", "seed": %s}',
+        '{"protocol": "offline_teleport", "input": {"kind": "coherent", "re": %s, "im": 0}}',
+        '{"protocol": "identity_chain", "sweep": {"param": "n_nodes", "values": [3, %s]}}',
+        '{"protocol": "identity_chain", "wibble": %s}',
+    ], ids=["seed", "input", "sweep", "unknown_field"])
+    def test_integer_past_the_digit_limit_exits_2(self, tmp_path, capsys, command, template):
+        # json.loads raises int's plain ValueError for an integer literal past
+        # its 4300-digit limit
+        digits = "1" + "0" * 5000
+        path = tmp_path / "digits.json"
+        path.write_text(template % digits)
+        out = tmp_path / "out"
+        assert cli.main([command, str(path), "--output", str(out), "--quiet"]) == 2
+        with pytest.raises(ValueError, match=r"^Exceeds the limit \(4300") as limit:
+            int(digits)
+        assert capsys.readouterr() == ("", f"error: config is not valid JSON: {limit.value}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -760,6 +855,58 @@ class TestParser:
             out = tmp_path / f"{command}.out"
             assert cli.main([command, cfg, "--output", str(out), "--quiet"]) == 0
         assert created == []
+
+
+    # the tokens of argv that the pre-pass reads, and of spellings only argparse reads
+    TOKENS = ["run", "sweep", "verify", "c.json", "out", "--quiet", "--seed", "--output",
+              "--seed=4", "--out", "--q", "-h", "--", "-3", "", "1e3", "\u0663", "7"]
+
+    @staticmethod
+    def parsed(argv):
+        """``_PARSER.parse_args(argv)``, or None where argparse exits."""
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                return cli._PARSER.parse_args(argv)
+            except SystemExit:
+                return None
+
+    @given(st.lists(st.sampled_from(TOKENS), max_size=7))
+    @settings(max_examples=400, deadline=None)
+    def test_pre_pass_gives_argparses_answer_or_none(self, argv):
+        plain = cli._plain_args(argv)
+        assert plain is None or plain == self.parsed(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "c.json", "--output", "out", "--quiet"],
+        ["sweep", "c.json", "--output", "out", "--quiet"],
+        ["run", "c.json", "--seed", "11", "--output", "out", "--quiet"],
+        ["sweep", "c.json", "--output", "out", "--quiet", "--seed", "11"],
+        ["verify", "--quiet"],
+        ["verify"],
+    ])
+    def test_benchmark_argv_takes_the_pre_pass(self, argv):
+        plain = cli._plain_args(argv)
+        assert plain is not None and plain == cli._PARSER.parse_args(argv)
+
+    @pytest.mark.parametrize("quiet", [[], ["--quiet"]])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_spellings_only_argparse_reads_give_the_same_run(
+        self, tmp_path, capsys, command, quiet
+    ):
+        payload = {**BASE_RUN, "sweep": {"param": "kappa", "values": [0.1, 0.2]}}
+        cfg = write_config(tmp_path, "run.json", payload)
+        out = tmp_path / "out"
+        plain = [command, cfg, "--seed", "11", "--output", str(out), *quiet]
+        spellings = [[command, cfg, "--seed=11", "--out", str(out), *quiet],
+                     [command, *quiet, "--output", str(out), "--seed", "11", cfg]]
+        assert cli._plain_args(spellings[0]) is None
+        results = []
+        for argv in (plain, *spellings):
+            code = cli.main(argv)
+            results.append((code, capsys.readouterr(), out.read_bytes()))
+            out.unlink()
+        assert results[0][0] == 0
+        assert results[1:] == [results[0]] * 2
 
 
 class TestVerifySuite:
