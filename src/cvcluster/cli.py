@@ -11,7 +11,7 @@ under ``"config"``, every field present. The protocol name, numeric fields,
 the sweep grid, a run's record count and an overflowing channel or input are
 refused by the library's rules in ``protocols`` with ``ConfigError`` naming
 the field; this module checks only the config's shape, its input and its
-output path, which must name a file.
+output path, which must name a file, as ``--output`` must (``_checked_path``).
 Floats are serialized with Python's shortest round-trip repr, so identical
 config + seed produce byte-identical documents and parsing a document and
 re-emitting it is the identity; printed summaries quote values to 12
@@ -78,18 +78,7 @@ def checked_config(raw) -> tuple[dict, GaussianState]:
     cfg["input"] = raw["input"] if "input" in raw else dict(cfg["input"])  # a dict per config
     input_state = build_input_state(cfg["input"])
     if "output_path" in raw and raw["output_path"] is not None:
-        path = raw["output_path"]
-        if not isinstance(path, str):
-            raise ConfigError("field 'output_path': expected a string")
-        if not path:
-            raise ConfigError("field 'output_path': expected a nonempty path")
-        try:  # a file name holds no NUL, and the file system's encoding must carry it
-            valid = "\0" not in path and os.fsencode(path)
-        except UnicodeEncodeError:  # a lone surrogate, for one
-            valid = False
-        if not valid:
-            raise ConfigError("field 'output_path': not a valid file path")
-        cfg["output_path"] = path
+        cfg["output_path"] = _checked_path(raw["output_path"], "field 'output_path'")
     if "sweep" in raw and raw["sweep"] is not None:
         sweep = raw["sweep"]
         if not isinstance(sweep, dict) or "param" not in sweep or "values" not in sweep:
@@ -101,6 +90,21 @@ def checked_config(raw) -> tuple[dict, GaussianState]:
         # the raw values are kept: they are echoed verbatim in the CSV
         cfg["sweep"] = {"param": sweep["param"], "values": list(sweep["values"])}
     return cfg, input_state
+
+
+def _checked_path(path, label: str) -> str:
+    """``path`` if it names a file, else a ``ConfigError`` naming ``label``."""
+    if not isinstance(path, str):
+        raise ConfigError(f"{label}: expected a string")
+    if not path:
+        raise ConfigError(f"{label}: expected a nonempty path")
+    try:  # a file name holds no NUL, and the file system's encoding must carry it
+        valid = "\0" not in path and os.fsencode(path)
+    except UnicodeEncodeError:  # a lone surrogate, for one
+        valid = False
+    if not valid:
+        raise ConfigError(f"{label}: not a valid file path")
+    return path
 
 
 def build_input_state(spec: dict) -> GaussianState:
@@ -297,8 +301,8 @@ def cmd_write(path: str, seed: int | None, output: str | None, quiet: bool, buil
     lines with ``build``, write the text and print the summary."""
     try:
         cfg, input_state = _load_config(path, seed)
-        if output == "":  # after every config check and --seed, before any report
-            raise ConfigError("--output: expected a nonempty path")
+        if output is not None:  # after every config check and --seed, before any report
+            _checked_path(output, "--output")
         text, summary = build(cfg, input_state, quiet)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)

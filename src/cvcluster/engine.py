@@ -37,7 +37,7 @@ This makes the corrected output exactly outcome- and seed-independent, with
 finite squeezing entering only as additive noise. A chain is its list of
 kappas and a byproduct frame its pair (u, v); ``run_protocol`` alone folds one
 trial's outcomes through ``update_frame`` into a frame, and alone takes its
-steps as ``StepPlan``.
+steps as ``StepPlan`` tuples. A channel's S and N are read-only.
 
 This module holds the cluster chain's map. The off-line protocols' map is
 stated in ``protocols`` and read through the same ``affine_channel``;
@@ -58,11 +58,10 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .phase_space import VACUUM_VARIANCE, GaussianState, _generator
+from .phase_space import VACUUM_VARIANCE, GaussianState, _generator, _readonly, _value_eq
 
 
-@dataclass(frozen=True)
-class StepPlan:
+class StepPlan(NamedTuple):
     """One cluster step of ``run_protocol``: measure p + kappa x (kappa = 0 is
     a plain p detection that just propagates the state)."""
 
@@ -71,8 +70,8 @@ class StepPlan:
 
 class RecordColumns(NamedTuple):
     """Homodyne events as columns of Python numbers: entry j of every column
-    is event j. A chain trial has one event per step; columns that do not
-    depend on the outcomes are shared by every trial of a report.
+    is event j. A chain trial has one event per step; the columns that do not
+    depend on the outcomes are tuples or ranges that every trial shares.
 
     ``theta`` is the local-oscillator angle; for cluster steps the raw
     reading of (p cos(theta) - x sin(theta)) is rescaled by 1/cos(theta) to
@@ -96,13 +95,10 @@ class GaussianChannel:
     N: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "S", np.array(self.S, dtype=float))
-        object.__setattr__(self, "N", np.array(self.N, dtype=float))
+        object.__setattr__(self, "S", _readonly(self.S))
+        object.__setattr__(self, "N", _readonly(self.N))
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return np.array_equal(self.S, other.S) and np.array_equal(self.N, other.N)
+    __eq__ = _value_eq
 
     def apply(self, state: GaussianState) -> GaussianState:
         cov = self.S @ state.cov @ self.S.T + self.N
@@ -274,7 +270,7 @@ def chain_records(
     kappas = _kappas(steps)
     k = kappas.size
     thetas, rescales = measurement_basis(kappas)
-    indices, kappa_column, theta_column = range(k), kappas.tolist(), thetas.tolist()
+    indices, kappa_column, theta_column = range(k), tuple(kappas.tolist()), tuple(thetas.tolist())
     sd_x, sd_p = map(math.sqrt, resource_variances(cluster_r))
     draw_input = pair_sampler(input_state.mean.tolist(), input_state.cov.tolist())
     trials = []

@@ -15,7 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -34,10 +34,19 @@ class DegenerateMeasurementError(ValueError):
     """A forced outcome conflicts with a (near) zero-variance quadrature."""
 
 
-def _readonly(a) -> np.ndarray:
-    a = np.array(a, dtype=float)
+def _readonly(a, ndmin: int = 0) -> np.ndarray:
+    a = np.array(a, dtype=float, ndmin=ndmin)
     a.setflags(write=False)
     return a
+
+
+def _value_eq(self, other):
+    """``==`` of a dataclass's compared fields, arrays by their entries."""
+    if type(other) is not type(self):
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
+    return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a is b or a == b
+               for a, b in pairs)
 
 
 @dataclass(frozen=True)
@@ -53,8 +62,8 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.array(self.mean, dtype=float, ndmin=1)
-        cov = np.array(self.cov, dtype=float, ndmin=2 if np.ndim(self.cov) else 0)
+        mean = _readonly(self.mean, ndmin=1)
+        cov = _readonly(self.cov, ndmin=2 if np.ndim(self.cov) else 0)
         if mean.ndim != 1 or mean.size % 2 != 0:
             raise ValueError(f"mean must have even length, got shape {mean.shape}")
         if cov.shape != (mean.size, mean.size):
@@ -63,15 +72,10 @@ class GaussianState:
             )
         if cov.size and abs(cov - cov.T).max() > _SYMMETRY_TOL:
             raise ValueError("covariance matrix is not symmetric")
-        mean.setflags(write=False)
-        cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return np.array_equal(self.mean, other.mean) and np.array_equal(self.cov, other.cov)
+    __eq__ = _value_eq
 
     @property
     def n_modes(self) -> int:

@@ -11,31 +11,31 @@ fidelity reference and own checks (the off-line noise check through
 the channel and leak once (a chain's from ``engine.chain_channel``; the
 off-line map is stated in closed form in ``_offline_report`` alone and read
 through ``engine.affine_channel``). ``_report`` then builds the report, once.
-It reads the report's numbers off the channel in closed-form 2x2 arithmetic
-on Python floats (no ``np.linalg`` call and no ``GaussianState``): the
-deviation from the target, the noise and the fidelity of the input's image to
-its ideal output (one overlap, in a frame of exact powers of two). It reads
-the leak once, into the first check, ``outcome_independent`` (or the negative
-control's ``outcome_dependence_detected``), and adds the noise's positivity,
-its smaller eigenvalue in LAPACK's closed form. The builder reads the
-report's fields for its own checks and appends them with
-``dataclasses.replace``; every check holds
-a Python bool and a Python float or None, which ``cli`` writes into a run
-document as they are. A channel whose S, N or deviation is not finite is
+It reads the report's numbers off the channel in closed-form 2x2 arithmetic on
+Python floats (no ``np.linalg`` call and no ``GaussianState``): the deviation
+from the target, the noise and the fidelity of the input's image to its ideal
+output (one overlap, in a frame of exact powers of two). It reads the leak
+once, into the first check, ``outcome_independent`` (or the negative control's
+``outcome_dependence_detected``), and adds the noise's positivity, its smaller
+eigenvalue in LAPACK's closed form. The builder reads the report's fields for
+its own checks and appends them with ``dataclasses.replace``; every check
+holds a Python bool and a Python float or None, which ``cli`` writes into a
+run document as they are. A channel whose S, N or deviation is not finite is
 refused with ``ChannelOverflowError`` (naming ``kappa``, or ``r_gate``
-off-line), and one that carries the input past double precision (an image
-mean or the fidelity not finite, among others) with ``InputOverflowError``,
-raised with numpy's overflow warnings off in builders and record draws. The
-channel does not depend on the outcomes, so a
-report draws its records, one ``RecordColumns`` per trial from its integer
-seed, when they are first read (``record_columns``): a sweep point's report
-draws none; an off-line report forms its readings' correctly rounded law
-only then. One table, ``PARAMETERS``, states each config-style parameter's
-default, cast, rule and largest value once; ``checked_parameter``,
-``checked_sweep`` and ``document_records`` check a value, a sweep grid and a
-run's records. Every config rule, overflows included, is written here once
-and refuses with a ``ConfigError`` whose text the CLI prints; builder
-preconditions stay ``ValueError``.
+off-line), and one that carries the input past double precision (an image mean
+or the fidelity not finite, among others) with ``InputOverflowError``, raised
+with numpy's overflow warnings off in builders and record draws. The channel
+does not depend on the outcomes, so a report draws its records, one
+``RecordColumns`` per trial from its integer seed, when they are first read
+(``record_columns``): a sweep point's report draws none; an off-line report
+forms its readings' correctly rounded law only then. A report's target is
+read-only. A protocol id is its builder's name here, and ``PROTOCOLS`` maps it
+to the parameters it reads. One table, ``PARAMETERS``, states each
+config-style parameter's default, cast, rule and largest value once;
+``checked_parameter``, ``checked_sweep`` and ``document_records`` check a
+value, a sweep grid and a run's records. Every config rule, overflows
+included, is written here once and refuses with a ``ConfigError`` whose text
+the CLI prints; builder preconditions stay ``ValueError``.
 """
 
 from __future__ import annotations
@@ -46,12 +46,11 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain
-from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import algebra, engine
+from . import algebra, engine, phase_space
 from .phase_space import VACUUM_VARIANCE, GaussianState, _generator, squeezer, vacuum_state
 from .engine import (
     GaussianChannel,
@@ -199,12 +198,7 @@ class ProtocolReport:
         _require_finite(outcomes, "an outcome record")
         return table
 
-    def __eq__(self, other):  # target_S by its entries, draw_records not at all, the rest by value
-        if type(other) is not type(self):
-            return NotImplemented
-        same = attrgetter("name", "parameters", "channel", "deviation", "noise_trace", "fidelity",
-                          "checks")
-        return same(self) == same(other) and np.array_equal(self.target_S, other.target_S)
+    __eq__ = phase_space._value_eq  # target_S by its entries, draw_records not at all
 
     def check(self, name: str) -> ProtocolCheck:
         return {c.name: c for c in self.checks}[name]  # names are unique in a report
@@ -316,7 +310,7 @@ def _report(name: str, parameters: dict, channel: GaussianChannel, leak: float,
     lam_min = _smallest_eigenvalue(a, b, c)
     psd_ok = lam_min >= -_bound(NOISE_PSD_TOL, max(abs(a), abs(b), abs(c)))
     checks = (independence, ProtocolCheck("channel_noise_psd", psd_ok, lam_min))
-    return ProtocolReport(name, parameters, channel, np.array(target_S, dtype=float), deviation,
+    return ProtocolReport(name, parameters, channel, phase_space._readonly(target_S), deviation,
                           N[0][0] + N[1][1], fidelity, checks, draw)
 
 
@@ -559,14 +553,14 @@ def offline_squeezer(
 # ---------------------------------------------------------------------------
 # protocol table and sweeps
 
-# protocol id -> (builder, the PARAMETERS names it reads besides the
-# squeezing, which every protocol reads)
+# protocol id, which is its builder's name in this module -> the PARAMETERS
+# names it reads besides the squeezing, which every protocol reads
 PROTOCOLS = {
-    "identity_chain": (identity_chain, ("n_nodes",)),
-    "squeezer_four_step": (squeezer_four_step, ("kappa",)),
-    "repeated_squeezer": (repeated_squeezer, ("segments", "kappa")),
-    "offline_teleport": (offline_teleport, ()),
-    "offline_squeezer": (offline_squeezer, ("r_gate",)),
+    "identity_chain": ("n_nodes",),
+    "squeezer_four_step": ("kappa",),
+    "repeated_squeezer": ("segments", "kappa"),
+    "offline_teleport": (),
+    "offline_squeezer": ("r_gate",),
 }
 
 
@@ -576,7 +570,7 @@ def protocol_parameters(protocol_id: str) -> tuple[str, ...]:
     if protocol_id not in PROTOCOLS:
         known = ", ".join(PROTOCOLS)
         raise ConfigError(f"field 'protocol': unknown protocol {protocol_id!r}; known: {known}")
-    return ("squeezing_db", *PROTOCOLS[protocol_id][1])
+    return ("squeezing_db", *PROTOCOLS[protocol_id])
 
 
 def checked_sweep(protocol_id: str, param, values) -> None:
@@ -631,7 +625,7 @@ def run_named_protocol(
     document_records(protocol_id, values, trials)
     r = db_to_squeezing_r(values["squeezing_db"])
     args = {name: values[name] for name in names}
-    builder = PROTOCOLS[protocol_id][0]
+    builder = globals()[protocol_id]  # the module's one binding of the builder
     return builder(r=r, input_state=input_state, seed=seed, trials=trials, **args)
 
 

@@ -631,6 +631,24 @@ class TestCommandErrors:
         assert capsys.readouterr() == ("", "error: --output: expected a nonempty path\n")
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    # a lone surrogate is a str that UTF-8 cannot carry
+    @pytest.mark.parametrize("output", ["a\x00b", "\ud800x"], ids=["embedded_nul", "surrogate"])
+    def test_output_flag_that_names_no_file_exits_2_before_any_report(
+        self, tmp_path, monkeypatch, capsys, command, output
+    ):
+        # the config's output_path rule, under the flag's name; both used to
+        # raise out of main once the report was built
+        def refuse(*args, **kwargs):
+            raise AssertionError("a report was built")
+
+        monkeypatch.setattr(protocols, "run_named_protocol", refuse)
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, "cfg.json", self.PAYLOAD)
+        assert cli.main([command, cfg, "--output", output, "--quiet"]) == 2
+        assert capsys.readouterr() == ("", "error: --output: not a valid file path\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     @pytest.mark.parametrize(
         "spec, key",
         [
@@ -1076,7 +1094,7 @@ class TestChannelOverflow:
         def overflowing(**_):
             raise OverflowError("math range error")
 
-        monkeypatch.setitem(protocols.PROTOCOLS, "offline_teleport", (overflowing, ()))
+        monkeypatch.setattr(protocols, "offline_teleport", overflowing)
         code, out = main_on(tmp_path, "run", {"protocol": "offline_teleport"})
         assert (code, capsys.readouterr().err) == (1, "error: OverflowError: math range error\n")
         assert not out.exists()
@@ -1375,6 +1393,17 @@ PUBLIC_NAMES = """
 """.split()
 
 
+def test_the_package_defines_three_dataclasses():
+    # the values that hold arrays; every other record is a NamedTuple or a dict
+    modules = [m for name, m in sys.modules.items() if name.startswith("cvcluster.")]
+    defined = {
+        name for m in modules for name, value in vars(m).items()
+        if dataclasses.is_dataclass(value) and value.__module__ == m.__name__
+    }
+    assert defined == {"GaussianState", "GaussianChannel", "ProtocolReport"}
+    assert issubclass(cv.StepPlan, tuple) and cv.StepPlan(0.2) == (0.2,)
+
+
 def test_public_names_are_pinned():
     # adding or removing a name of the package's API is a change to this list
     assert len(PUBLIC_NAMES) == 54
@@ -1389,8 +1418,8 @@ class TestSizeBounds:
         def refuse(*args, **kwargs):
             raise AssertionError("a refused config reached the protocols")
 
-        for name, (_, reads) in list(protocols.PROTOCOLS.items()):
-            monkeypatch.setitem(protocols.PROTOCOLS, name, (refuse, reads))
+        for name in protocols.PROTOCOLS:
+            monkeypatch.setattr(protocols, name, refuse)
 
     @pytest.mark.parametrize(
         "command, payload, field",

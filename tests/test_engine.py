@@ -460,6 +460,15 @@ def _channel(noise=0.1):
     return engine.GaussianChannel(cv.shear(0.4), noise * np.eye(2))
 
 
+def test_a_channel_holds_read_only_copies():
+    S, N = np.eye(2), np.zeros((2, 2))
+    channel = engine.GaussianChannel(S, N)
+    assert channel.S is not S and S.flags.writeable
+    for array in (channel.S, channel.N):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 2.0
+
+
 class TestChannelEquality:
     def test_distinct_equal_channels_compare_equal(self):
         a, b = _channel(), _channel()

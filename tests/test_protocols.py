@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import pickle
@@ -348,7 +349,7 @@ class TestReportsAndSweep:
         def refuse(**_):
             raise AssertionError("a point of a refused grid ran")
 
-        monkeypatch.setitem(protocols.PROTOCOLS, "identity_chain", (refuse, ("n_nodes",)))
+        monkeypatch.setattr(protocols, "identity_chain", refuse)
         with pytest.raises(cli.ConfigError) as refused:
             cv.sweep("identity_chain", {}, "n_nodes", [100001, "x"])
         assert str(refused.value) == "field 'sweep.values[1]': expected int, got a string"
@@ -655,7 +656,7 @@ class TestOneReportPerDocument:
     @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
     def test_builder_rejects_zero_trials(self, protocol):
         # the builder's own precondition, which run_named_protocol's rule keeps a config from
-        builder, names = protocols.PROTOCOLS[protocol]
+        builder, names = getattr(protocols, protocol), protocols.PROTOCOLS[protocol]
         args = {name: protocols.PARAMETER_DEFAULTS[name] for name in names}
         with pytest.raises(ValueError, match=r"^trials must be >= 1$"):
             builder(r=TEN_DB_R, input_state=VAC, seed=0, trials=0, **args)
@@ -831,6 +832,26 @@ class TestReportEquality:
             hash(_identity_report())
 
 
+class TestReportValuesAreReadOnly:
+    # every trial of a report shares its channel, its target and its outcome-free
+    # record columns, and cli writes them: a write through any of them is refused
+    @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
+    def test_channel_and_target_refuse_a_write(self, protocol):
+        report = cv.run_named_protocol(protocol, {"squeezing_db": 10.0})
+        for array in (report.channel.S, report.channel.N, report.target_S):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+        assert report == cv.run_named_protocol(protocol, {"squeezing_db": 10.0})
+
+    @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
+    def test_outcome_free_record_columns_refuse_a_write(self, protocol):
+        first, second = cv.run_named_protocol(protocol, {}, trials=2).record_columns
+        for name in ("step_index", "mode", "kappa", "theta"):
+            with pytest.raises(TypeError, match="does not support item assignment"):
+                getattr(first, name)[0] = 1.0
+            assert getattr(first, name) == getattr(second, name)
+
+
 class TestFrameRuleOncePerReport:
     @pytest.mark.parametrize(
         "protocol, params, k",
@@ -866,7 +887,7 @@ class TestProtocolTable:
     def test_table_parameters_reach_the_builder(self, protocol):
         # each listed parameter, set away from its default, shows up in the
         # report's parameters (off-line squeezer: r_gate) or its channel
-        builder, names = protocols.PROTOCOLS[protocol]
+        builder, names = getattr(protocols, protocol), protocols.PROTOCOLS[protocol]
         changed = {"n_nodes": 3, "segments": 2, "kappa": 0.35, "r_gate": 0.3}
         default = cv.run_named_protocol(protocol, {"squeezing_db": 10.0})
         for name in names:
@@ -878,6 +899,34 @@ class TestProtocolTable:
             **{name: protocols.PARAMETER_DEFAULTS[name] for name in names},
         )
         np.testing.assert_array_equal(direct.channel.S, default.channel.S)
+
+    @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
+    def test_each_id_names_its_builder(self, protocol):
+        # the builder takes the row's names plus the run's, by keyword; any other
+        # parameter (offline_squeezer's rescale_correction) has a default
+        params = inspect.signature(getattr(protocols, protocol)).parameters
+        expected = {*protocols.PROTOCOLS[protocol], "r", "input_state", "seed", "trials"}
+        assert expected <= set(params)
+        assert all(params[name].default is not inspect.Parameter.empty
+                   for name in set(params) - expected)
+
+    @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
+    def test_the_module_binding_of_a_builder_is_the_one_that_runs(self, monkeypatch, protocol):
+        # a builder rebound on the module, as a tracer or a test rebinds it, is the
+        # one that run_named_protocol and every sweep point call
+        calls = []
+        original = getattr(protocols, protocol)
+
+        def spy(**kwargs):
+            calls.append(kwargs)
+            return original(**kwargs)
+
+        monkeypatch.setattr(protocols, protocol, spy)
+        cv.run_named_protocol(protocol, {"squeezing_db": 10.0})
+        rows = cv.sweep(protocol, {}, "squeezing_db", [10.0, 20.0])
+        assert len(calls) == 1 + len(rows) == 3
+        expected = [cv.db_to_squeezing_r(db) for db in (10.0, 10.0, 20.0)]
+        assert [call["r"] for call in calls] == expected
 
 
 def _named_run(name: str, raw):
@@ -904,7 +953,7 @@ class TestOneParameterTable:
             def refuse(**kwargs):
                 raise AssertionError(f"a refused {name} reached the builder")
 
-            monkeypatch.setitem(protocols.PROTOCOLS, "identity_chain", (refuse, ("n_nodes",)))
+            monkeypatch.setattr(protocols, "identity_chain", refuse)
             with pytest.raises(ValueError) as refused:
                 _named_run(name, raw)
             assert str(refused.value) == str(err)
@@ -932,7 +981,7 @@ class TestOneParameterTable:
         def refuse(**kwargs):
             raise AssertionError("an oversized run reached the builder")
 
-        monkeypatch.setitem(protocols.PROTOCOLS, "identity_chain", (refuse, ("n_nodes",)))
+        monkeypatch.setattr(protocols, "identity_chain", refuse)
         with pytest.raises(ValueError) as refused:
             cv.run_named_protocol("identity_chain", {"n_nodes": 3}, trials=10**6)
         assert error == f"error: {refused.value}\n"

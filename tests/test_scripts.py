@@ -48,7 +48,7 @@ def test_readme_used_by_column_matches_protocol_table():
         if name == "squeezing_db":  # every protocol reads the resource squeezing
             expected = every
         else:
-            expected = {pid for pid, (_, names) in protocols.PROTOCOLS.items() if name in names}
+            expected = {pid for pid, names in protocols.PROTOCOLS.items() if name in names}
         assert listed == expected, name
 
 
