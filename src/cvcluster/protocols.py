@@ -3,39 +3,42 @@
 Cluster protocols run the measurement engine on a linear chain; the off-line
 protocols teleport through a (possibly gate-modified) two-mode squeezed
 resource. Every corrected protocol is an affine map of its initial product
-state, and every report takes one path. A builder states only its steps
-(``squeezer_steps`` is the four-step pattern) or off-line gate, its target,
-fidelity reference and own checks (the off-line noise check through
-``_noise_check``). Its family's helper, ``_chain_report`` or
-``_offline_report``, refuses an input that is not one physical mode and reads
-the channel and leak once (a chain's from ``engine.chain_channel``; the
-off-line map is stated in closed form in ``_offline_report`` alone and read
-through ``engine.affine_channel``). ``_report`` then builds the report, once.
-It reads the report's numbers off the channel in closed-form 2x2 arithmetic on
-Python floats (no ``np.linalg`` call and no ``GaussianState``): the deviation
-from the target, the noise and the fidelity of the input's image to its ideal
-output (one overlap, in a frame of exact powers of two). It reads the leak
-once, into the first check, ``outcome_independent`` (or the negative control's
+state, and every report takes one path. A builder states only its step program
+(segment, repeats), in ``_CHAIN_PROGRAMS`` (``squeezer_steps`` is the
+four-step pattern), or off-line gate, its target, fidelity reference and own
+checks. Its family's helper, ``_chain_report`` or ``_offline_report``, refuses
+an input that is not one physical mode and reads the channel and leak once (a
+chain's from ``engine.chain_channel``; the off-line map is stated in closed
+form in ``_offline_report`` alone and read through ``engine.affine_channel``).
+``_report`` then builds the report, once. It reads the report's numbers off
+the channel in closed-form 2x2 arithmetic on Python floats (no ``np.linalg``
+call and no ``GaussianState``): the deviation from the target, the noise and
+the fidelity of the input's image to its ideal output (one overlap, in a frame
+of exact powers of two). It reads the leak once, into the first check,
+``outcome_independent`` (or the negative control's
 ``outcome_dependence_detected``), and adds the noise's positivity, its smaller
-eigenvalue in LAPACK's closed form. The builder reads the report's fields for
-its own checks and appends them with ``dataclasses.replace``; every check
-holds a Python bool and a Python float or None, which ``cli`` writes into a
-run document as they are. A channel whose S, N or deviation is not finite is
-refused with ``ChannelOverflowError`` (naming ``kappa``, or ``r_gate``
-off-line), and one that carries the input past double precision (an image mean
-or the fidelity not finite, among others) with ``InputOverflowError``, raised
-with numpy's overflow warnings off in builders and record draws. The channel
-does not depend on the outcomes, so a report draws its records, one
-``RecordColumns`` per trial from its integer seed, when they are first read
-(``record_columns``): a sweep point's report draws none; an off-line report
-forms its readings' correctly rounded law only then. A report's target is
-read-only. A protocol id is its builder's name here, and ``PROTOCOLS`` maps it
-to the parameters it reads. One table, ``PARAMETERS``, states each
-config-style parameter's default, cast, rule and largest value once;
-``checked_parameter``, ``checked_sweep`` and ``document_records`` check a
-value, a sweep grid and a run's records. Every config rule, overflows
-included, is written here once and refuses with a ``ConfigError`` whose text
-the CLI prints; builder preconditions stay ``ValueError``.
+eigenvalue in LAPACK's closed form; ``_chain_report`` adds S against the exact
+matrix and N against a second route, ``_program_noise``. Every noise bound,
+the positivity's and ``_noise_check``'s, is relative to the noise it holds.
+The builder reads the report's fields for its own checks and appends them with
+``dataclasses.replace``; every check holds a Python bool and a Python float or
+None, which ``cli`` writes into a run document as they are. A channel whose S,
+N or deviation is not finite is refused with ``ChannelOverflowError`` (naming
+``kappa``, or ``r_gate`` off-line), and one that carries the input past double
+precision (an image mean or the fidelity not finite, among others) with
+``InputOverflowError``, raised with numpy's overflow warnings off in builders
+and record draws. The channel does not depend on the outcomes, so a report
+draws its records, one ``RecordColumns`` per trial from its integer seed, when
+they are first read (``record_columns``): a sweep point's report draws none;
+an off-line report forms its readings' correctly rounded law only then. A
+report's target is read-only. A protocol id is its builder's name here, and
+``PROTOCOLS`` maps it to the parameters it reads. One table, ``PARAMETERS``,
+states each config-style parameter's default, cast, rule and largest value
+once; ``checked_parameter``, ``checked_sweep`` and ``document_records`` check
+a value, a sweep grid and a run's records (a chain's from its program). Every
+config rule, overflows included, is written here once and refuses with a
+``ConfigError`` whose text the CLI prints; builder preconditions stay
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -64,7 +67,6 @@ from .engine import (
 
 INDEPENDENCE_TOL = 1e-9
 DEPENDENCE_MIN = 1e-3
-NOISE_PSD_TOL = 1e-10
 ROUNDING_TOL = 64 * float(np.finfo(float).eps)
 # the longest chain a parameter may ask for, and the most records a run document may
 # hold: each keeps a document within a few hundred MB
@@ -73,15 +75,14 @@ MAX_RECORDS = 10**5
 
 
 def _bound(absolute: float, scale: float) -> float:
-    """An absolute check bound, no tighter than the rounding of a quantity of
-    size ``scale``: |N|max for a noise matrix, k |target|max for a matrix
-    that a k-step chain multiplies up (each step's rounding is carried to the
-    end), |target|max for a matrix formed in one step."""
+    """An S check's absolute bound, no tighter than the rounding of a matrix of size
+    ``scale``: k |R|max for the exact R of a k-step chain (each step's rounding is carried
+    to the end), |target|max for one step. A noise bound is ``ROUNDING_TOL`` times its scale."""
     return max(absolute, ROUNDING_TOL * scale)
 
 
-def _max_abs(a: np.ndarray) -> float:
-    return max(abs(v) for row in a.tolist() for v in row)
+def _max_abs(rows: list) -> float:
+    return max(abs(v) for row in rows for v in row)
 
 
 class ConfigError(ValueError):
@@ -308,7 +309,7 @@ def _report(name: str, parameters: dict, channel: GaussianChannel, leak: float,
         independence = ProtocolCheck("outcome_independent", leak <= INDEPENDENCE_TOL, leak)
     (a, b), (_, c) = N
     lam_min = _smallest_eigenvalue(a, b, c)
-    psd_ok = lam_min >= -_bound(NOISE_PSD_TOL, max(abs(a), abs(b), abs(c)))
+    psd_ok = lam_min >= -ROUNDING_TOL * max(abs(a), abs(b), abs(c))
     checks = (independence, ProtocolCheck("channel_noise_psd", psd_ok, lam_min))
     return ProtocolReport(name, parameters, channel, phase_space._readonly(target_S), deviation,
                           N[0][0] + N[1][1], fidelity, checks, draw)
@@ -335,16 +336,67 @@ def squeezer_steps(kappa: float) -> list[float]:
     return [kappa, kappa, -kappa, -kappa]
 
 
-def _chain_report(name: str, parameters: dict, steps: Sequence[float], r: float,
+# chain protocol id -> its step program (segment, repeats) from its PROTOCOLS parameters
+_CHAIN_PROGRAMS = {
+    "identity_chain": lambda n_nodes: ([0.0], n_nodes - 1),
+    "squeezer_four_step": lambda kappa: (squeezer_steps(kappa), 1),
+    "repeated_squeezer": lambda segments, kappa: (squeezer_steps(kappa), segments),
+}
+# an affine pair (S, G) is S row by row, then G's g00, g01, g11; this one is (I, 0)
+_UNIT_PAIR = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+
+
+def _then(first: tuple, second: tuple) -> tuple:
+    """The affine pair of ``first`` and then ``second``: (S2 S1, S2 G1 S2^T + G2)."""
+    a, b, c, d, p, q, s = first
+    A, B, C, D, P, Q, S = second
+    t00, t01, t10, t11 = A * p + B * q, A * q + B * s, C * p + D * q, C * q + D * s
+    return (A * a + B * c, A * b + B * d, C * a + D * c, C * b + D * d,
+            t00 * A + t01 * B + P, t00 * C + t01 * D + Q, t10 * C + t11 * D + S)
+
+
+def _program_noise(segment: Sequence[float], repeats: int, r: float) -> list:
+    """N of the chain of ``segment`` run ``repeats`` times, by a route that reads
+    neither the frame rule, the engine's weights nor ``resource_variances``: step
+    kappa is the affine pair (A(kappa), v e_p e_p^T), A(kappa) = [[-kappa, -1], [1, 0]]
+    and v = e^{-2r}/4, composed in Python floats, and the repeats are taken by binary
+    powering. v rides in every step's pair, so that G is finite wherever N is."""
+    v = math.exp(-2 * r) / 4
+    pair = power = _UNIT_PAIR
+    for kappa in segment:
+        pair = _then(pair, (-kappa, -1.0, 1.0, 0.0, 0.0, 0.0, v))
+    while repeats:  # the last squaring is not read, so it may overflow
+        if repeats & 1:
+            power = _then(power, pair)
+        pair, repeats = _then(pair, pair), repeats >> 1
+    *_, g00, g01, g11 = power
+    return [[g00, g01], [g01, g11]]
+
+
+def _noise_check(name: str, N: np.ndarray, oracle: list, steps: int = 1) -> ProtocolCheck:
+    """``name``: N against ``oracle``, within the rounding of ``steps`` steps at the
+    oracle's size and no absolute floor, which N (5e-11 at 100 dB) could sit under."""
+    err = _max_abs([[n - o for n, o in zip(*rows)] for rows in zip(N.tolist(), oracle)])
+    return ProtocolCheck(name, err <= ROUNDING_TOL * steps * _max_abs(oracle), err)
+
+
+def _chain_report(name: str, parameters: dict, program: tuple[list[float], int], r: float,
                   input_state: GaussianState, seed: int, trials: int, target_S: np.ndarray,
                   reference_S=None) -> ProtocolReport:
-    """The report of the cluster chain of kappas ``steps``, from its channel
-    and leak and the per-trial record draw."""
-    seeds = _trial_seeds(input_state, seed, trials)
+    """The report of the chain of ``program``, (segment, repeats), with the two
+    checks every chain holds: S against R, the builder's exact matrix (``reference_S``,
+    else ``target_S``), and N against ``_program_noise``'s, each within k steps' rounding."""
+    steps = program[0] * program[1]  # the segment's kappas, repeats times over
+    draw = partial(chain_records, input_state, steps, r, _trial_seeds(input_state, seed, trials))
     channel, leak = chain_channel(steps, r)
-    draw = partial(chain_records, input_state, steps, r, seeds)
-    return _report(name, parameters, channel, leak, draw, target_S, input_state, "kappa",
-                   reference_S)
+    R = target_S if reference_S is None else reference_S
+    report = _report(name, parameters, channel, leak, draw, target_S, input_state, "kappa", R)
+    k, R = len(steps), R.tolist()
+    deviation, noise = _frobenius(channel.S.tolist(), R), _program_noise(*program, r)
+    checks = (ProtocolCheck("matches_exact_chain_product",
+                            deviation <= _bound(1e-6, k * _max_abs(R)), deviation),
+              _noise_check("noise_matches_step_budget", channel.N, noise, k))
+    return replace(report, checks=(*report.checks, *checks))
 
 
 # F^n for n mod 4, the bytes np.linalg.matrix_power(fourier(), n) gives
@@ -363,14 +415,9 @@ def identity_chain(
     """
     if n_nodes < 2:
         raise ValueError("n_nodes must be >= 2")
-    target = _FOURIER_POWERS[(n_nodes - 1) % 4]
     parameters = {"n_nodes": n_nodes, "squeezing_r": r, "seed": seed}
-    report = _chain_report("identity_chain", parameters, [0.0] * (n_nodes - 1), r, input_state,
-                           seed, trials, target)
-    expected_trace = (n_nodes - 1) * math.exp(-2 * r) * VACUUM_VARIANCE
-    err = abs(report.noise_trace - expected_trace)
-    check = ProtocolCheck("noise_trace_matches_step_budget", err <= 1e-9, err)
-    return replace(report, checks=(*report.checks, check))
+    return _chain_report("identity_chain", parameters, _CHAIN_PROGRAMS["identity_chain"](n_nodes),
+                         r, input_state, seed, trials, _FOURIER_POWERS[(n_nodes - 1) % 4])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -383,24 +430,15 @@ def squeezer_four_step(
     diag(1 - kappa^2, 1 + kappa^2) up to O(kappa^3); the channel is also
     compared against the exact four-step product matrix.
     """
-    steps = squeezer_steps(kappa)
+    program = _CHAIN_PROGRAMS["squeezer_four_step"](kappa)
     kappa2 = np.float64(kappa) ** 2  # the pow of kappa**2, but inf, not OverflowError
     target = np.diag([1.0 - kappa2, 1.0 + kappa2])
-    exact = algebra.squeezer_protocol_matrix(kappa)
     parameters = {"kappa": kappa, "squeezing_r": r, "seed": seed}
-    report = _chain_report("squeezer_four_step", parameters, steps, r, input_state, seed, trials,
-                           target, reference_S=exact)
-    exact_dev = _frobenius(report.channel.S.tolist(), exact.tolist())
-    exact_ok = exact_dev <= _bound(1e-6, len(steps) * _max_abs(exact))
-    checks = (
-        ProtocolCheck("matches_exact_four_step_matrix", exact_ok, exact_dev),
-        ProtocolCheck(
-            "within_cubic_error_of_target",
-            report.deviation <= 2.0 * abs(kappa) ** 3 + 1e-12,
-            report.deviation,
-        ),
-    )
-    return replace(report, checks=(*report.checks, *checks))
+    report = _chain_report("squeezer_four_step", parameters, program, r, input_state, seed, trials,
+                           target, reference_S=algebra.squeezer_protocol_matrix(kappa))
+    cubic = ProtocolCheck("within_cubic_error_of_target",
+                          report.deviation <= 2.0 * abs(kappa) ** 3 + 1e-12, report.deviation)
+    return replace(report, checks=(*report.checks, cubic))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -415,14 +453,11 @@ def repeated_squeezer(
     """Repeat the four-step squeezer pattern to accumulate squeezing."""
     if segments < 1:
         raise ValueError("segments must be >= 1")
-    steps = squeezer_steps(kappa) * segments
+    program = _CHAIN_PROGRAMS["repeated_squeezer"](segments, kappa)
     target = np.linalg.matrix_power(algebra.squeezer_protocol_matrix(kappa), segments)
     parameters = {"segments": segments, "kappa": kappa, "squeezing_r": r, "seed": seed}
-    report = _chain_report("repeated_squeezer", parameters, steps, r, input_state, seed, trials,
-                           target)
-    ok = report.deviation <= _bound(1e-6, len(steps) * _max_abs(target))
-    check = ProtocolCheck("matches_exact_segment_power", ok, report.deviation)
-    return replace(report, checks=(*report.checks, check))
+    return _chain_report("repeated_squeezer", parameters, program, r, input_state, seed, trials,
+                         target)
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +489,6 @@ def _offline_trials(input_state: GaussianState, r: float, seeds: range) -> Recor
     draw = pair_sampler(input_state.mean.tolist(), [[var_u, b], [b_, var_v]])
     draws = (draw(*_generator(s).standard_normal(2).tolist()) for s in seeds)
     return tuple(RecordColumns(*_OFFLINE_COLUMNS, (u * _H, v * _H), (u, v)) for u, v in draws)
-
-
-def _noise_check(name: str, N: np.ndarray, r: float, r_gate: float = 0.0) -> ProtocolCheck:
-    """``name``: N against the off-line noise (e^{-2r}/2) diag(e^{-2 r_gate}, e^{2 r_gate})."""
-    oracle = 0.5 * math.exp(-2 * r) * np.diag([math.exp(-2 * r_gate), math.exp(2 * r_gate)])
-    err = _max_abs(N - oracle)
-    return ProtocolCheck(name, err <= _bound(1e-9, _max_abs(N)), err)
 
 
 def _offline_report(name: str, parameters: dict, input_state: GaussianState, r: float,
@@ -501,7 +529,8 @@ def offline_teleport(
     identity = np.eye(2)
     report = _offline_report("offline_teleport", {"squeezing_r": r, "seed": seed}, input_state, r,
                              identity, identity, seed, trials)
-    checks = [_noise_check("noise_is_isotropic_teleportation_noise", report.channel.N, r)]
+    noise = (0.5 * math.exp(-2 * r) * identity).tolist()  # e^{-2r}/2 per quadrature
+    checks = [_noise_check("noise_is_isotropic_teleportation_noise", report.channel.N, noise)]
     # np.allclose's test of the vacuum's moments, |a - b| <= 1e-8 + 1e-5 |b|, on floats
     (x, p), ((a, b), (b_, c)) = input_state.mean.tolist(), input_state.cov.tolist()
     vacuum = zip((x, p, a, b, b_, c), (0.0, 0.0, VACUUM_VARIANCE, 0.0, 0.0, VACUUM_VARIANCE))
@@ -542,10 +571,11 @@ def offline_squeezer(
                   "rescale_correction": rescale_correction}
     report = _offline_report("offline_squeezer", parameters, input_state, r, gate, gain, seed,
                              trials, control=not rescale_correction)
-    target_ok = report.deviation <= _bound(1e-6, _max_abs(gate))
+    target_ok = report.deviation <= _bound(1e-6, _max_abs(gate.tolist()))
+    noise = 0.5 * math.exp(-2 * r) * np.diag([math.exp(-2 * r_gate), math.exp(2 * r_gate)])
     checks = (
         ProtocolCheck("channel_matches_target_squeezer", target_ok, report.deviation),
-        _noise_check("noise_is_squeezed_teleportation_noise", report.channel.N, r, r_gate),
+        _noise_check("noise_is_squeezed_teleportation_noise", report.channel.N, noise.tolist()),
     )
     return replace(report, checks=(*report.checks, *checks))
 
@@ -591,9 +621,10 @@ def checked_sweep(protocol_id: str, param, values) -> None:
 def document_records(protocol_id: str, values: dict, trials: int) -> int:
     """The records a run document of ``trials`` trials holds, one per chain step
     and two per off-line trial; more than ``MAX_RECORDS`` is a ``ConfigError``."""
-    chains = {"identity_chain": values["n_nodes"] - 1, "squeezer_four_step": 4,
-              "repeated_squeezer": 4 * values["segments"]}
-    records = trials * chains.get(protocol_id, 2)
+    program, records = _CHAIN_PROGRAMS.get(protocol_id), trials * 2
+    if program is not None:
+        segment, repeats = program(*(values[name] for name in PROTOCOLS[protocol_id]))
+        records = trials * len(segment) * repeats
     if records > MAX_RECORDS:
         raise ConfigError(
             f"field 'trials': {trials} trials write {records} records, "

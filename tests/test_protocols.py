@@ -30,7 +30,7 @@ class TestIdentityChain:
     def test_noise_trace_at_ten_db(self):
         report = cv.identity_chain(5, TEN_DB_R, VAC)
         assert report.noise_trace == pytest.approx(0.1, abs=1e-9)
-        assert report.check("noise_trace_matches_step_budget").passed
+        assert report.check("noise_matches_step_budget").passed
 
     def test_five_modes_ideal_closes_fourier_period(self):
         report = cv.identity_chain(5, IDEAL, VAC)
@@ -56,7 +56,7 @@ class TestSqueezerFourStep:
         np.testing.assert_allclose(
             report.channel.S, [[0.9616, 0.008], [0.008, 1.04]], atol=1e-6
         )
-        assert report.check("matches_exact_four_step_matrix").passed
+        assert report.check("matches_exact_chain_product").passed
 
     def test_vacuum_output_x_variance(self):
         report = cv.squeezer_four_step(0.2, IDEAL, VAC)
@@ -83,7 +83,7 @@ class TestSqueezerFourStep:
 
     def test_finite_squeezing_report_still_exact_mean_map(self):
         report = cv.squeezer_four_step(0.2, TEN_DB_R, VAC)
-        assert report.check("matches_exact_four_step_matrix").passed
+        assert report.check("matches_exact_chain_product").passed
         assert report.noise_trace > 0.09  # four steps of 0.025 conjugated
 
     @pytest.mark.parametrize(
@@ -239,7 +239,7 @@ def _below_the_resource_floor(N, r):
     the scale of N / v."""
     scaled = N / (math.exp(-2 * r) * cv.VACUUM_VARIANCE)
     lam = float(np.linalg.eigvalsh(scaled - np.eye(2))[0])
-    return lam, protocols._bound(protocols.NOISE_PSD_TOL, _max_abs(scaled))
+    return lam, protocols.ROUNDING_TOL * _max_abs(scaled)
 
 
 class TestNoChainSqueezesMoreThanItsResource:
@@ -756,16 +756,16 @@ def _identity_report():
 
 
 # a builder -> its report of one input, and the names of the checks it holds, in order;
-# every report starts with the leak's check and the noise's positivity
+# every report starts with the leak's check and the noise's positivity, and every
+# chain's goes on with its S and N held to a second route
 _CHECKED = ("outcome_independent", "channel_noise_psd")
+_CHAIN_CHECKED = (*_CHECKED, "matches_exact_chain_product", "noise_matches_step_budget")
 BUILDER_CHECK_NAMES = {
-    "identity_chain": (lambda state: cv.identity_chain(5, TEN_DB_R, state),
-                       (*_CHECKED, "noise_trace_matches_step_budget")),
+    "identity_chain": (lambda state: cv.identity_chain(5, TEN_DB_R, state), _CHAIN_CHECKED),
     "squeezer_four_step": (lambda state: cv.squeezer_four_step(0.2, TEN_DB_R, state),
-                           (*_CHECKED, "matches_exact_four_step_matrix",
-                            "within_cubic_error_of_target")),
+                           (*_CHAIN_CHECKED, "within_cubic_error_of_target")),
     "repeated_squeezer": (lambda state: cv.repeated_squeezer(2, 0.2, TEN_DB_R, state),
-                          (*_CHECKED, "matches_exact_segment_power")),
+                          _CHAIN_CHECKED),
     "offline_teleport": (lambda state: cv.offline_teleport(state, TEN_DB_R),
                          (*_CHECKED, "noise_is_isotropic_teleportation_noise")),
     "offline_squeezer": (lambda state: cv.offline_squeezer(state, TEN_DB_R, 0.3),
@@ -999,7 +999,7 @@ class TestMatrixCheckBounds:
         # the rounding of a 200-step chain, far below a relative 1e-6 of S
         chain_channel = protocols.chain_channel
         assert cv.repeated_squeezer(50, 1.0, TEN_DB_R, VAC).check(
-            "matches_exact_segment_power"
+            "matches_exact_chain_product"
         ).passed
 
         def skewed(steps, r):
@@ -1008,7 +1008,7 @@ class TestMatrixCheckBounds:
 
         monkeypatch.setattr(protocols, "chain_channel", skewed)
         report = cv.repeated_squeezer(50, 1.0, TEN_DB_R, VAC)
-        assert not report.check("matches_exact_segment_power").passed
+        assert not report.check("matches_exact_chain_product").passed
 
 
 def _flipped_frame_sign(frame, s, kappa):
@@ -1368,8 +1368,8 @@ def _chain_S_shifted(delta):
     )
 
 
-def _report_at_ten_db(protocol, **params):
-    return lambda: cv.run_named_protocol(protocol, {"squeezing_db": 10.0, **params})
+def _report_at(protocol, db=10.0, **params):
+    return lambda: cv.run_named_protocol(protocol, {"squeezing_db": db, **params})
 
 
 def _unscaled_control():
@@ -1377,58 +1377,81 @@ def _unscaled_control():
     return cv.offline_squeezer(VAC, TEN_DB_R, r_gate, rescale_correction=False)
 
 
-# document check name -> (a report at 10 dB with the other parameters at their
-# defaults and a vacuum input, a mutation that turns the check red): every
-# check a document writes must be able to fail
+def _fourier_target_shifted(mp):
+    # identity_chain's target F^((n_nodes + 1) % 4) = -F^(n_nodes - 1), which the
+    # route's S would never see: it does not read the target
+    powers = protocols._FOURIER_POWERS
+    mp.setattr(protocols, "_FOURIER_POWERS", powers[2:] + powers[:2])
+
+
+def _squeezed_weight_column_scaled(mp):
+    # the engine's weights on the first resource's squeezed p, x 1.01: N moves by
+    # a part of one step's noise, and S and the leak do not move
+    _wrapped(mp, engine, "_corrected_weights", lambda Wx, Wp: (
+        Wx, np.column_stack([Wp[:, 0], 1.01 * Wp[:, 1], Wp[:, 2:]])))
+
+
+def _noise_rows(protocols_, *mutations):
+    """A row per protocol, mutation and squeezing: 10 dB and the default 100 dB,
+    where N is 5e-11 and only a bound relative to N sees it move."""
+    return [(_report_at(protocol, db), mutate)
+            for protocol in protocols_ for mutate in mutations for db in (10.0, 100.0)]
+
+
+# document check name -> its rows (a report with the other parameters at their
+# defaults and a vacuum input, a mutation that turns the check red): every check a
+# document writes must be able to fail, and every row's report passes it unmutated
 DOCUMENT_CHECK_MUTATIONS = {
-    "outcome_independent": (
-        _report_at_ten_db("identity_chain"),
+    "outcome_independent": [(
+        _report_at("identity_chain"),
         lambda mp: mp.setattr(engine, "update_frame", _flipped_frame_sign),
+    )],
+    "channel_noise_psd": _noise_rows(
+        ["identity_chain"], lambda mp: patch_squeezed_variance(mp, -1.0)
     ),
-    "channel_noise_psd": (
-        _report_at_ten_db("identity_chain"),
-        lambda mp: patch_squeezed_variance(mp, -1.0),
+    "matches_exact_chain_product": [
+        (_report_at("identity_chain"), _fourier_target_shifted),
+        (_report_at("identity_chain"), _chain_S_shifted(1e-3)),
+        (_report_at("squeezer_four_step"), _chain_S_shifted(1e-3)),
+        (_report_at("repeated_squeezer"), _chain_S_shifted(1e-3)),
+    ],
+    "noise_matches_step_budget": _noise_rows(
+        CHAIN_PROTOCOLS, lambda mp: patch_squeezed_variance(mp, 2.0),
+        _squeezed_weight_column_scaled,
     ),
-    "noise_trace_matches_step_budget": (
-        _report_at_ten_db("identity_chain"),
+    "within_cubic_error_of_target": [(_report_at("squeezer_four_step"), _chain_S_shifted(0.1))],
+    "noise_is_isotropic_teleportation_noise": _noise_rows(
+        ["offline_teleport"], lambda mp: patch_squeezed_variance(mp, 1.01)
+    ),
+    "vacuum_fidelity_matches_closed_form": [(
+        _report_at("offline_teleport"),
         lambda mp: patch_squeezed_variance(mp, 1.01),
-    ),
-    "matches_exact_four_step_matrix": (_report_at_ten_db("squeezer_four_step"), _chain_S_shifted(1e-3)),
-    "within_cubic_error_of_target": (_report_at_ten_db("squeezer_four_step"), _chain_S_shifted(0.1)),
-    "matches_exact_segment_power": (_report_at_ten_db("repeated_squeezer"), _chain_S_shifted(1e-3)),
-    "noise_is_isotropic_teleportation_noise": (
-        _report_at_ten_db("offline_teleport"),
-        lambda mp: patch_squeezed_variance(mp, 1.01),
-    ),
-    "vacuum_fidelity_matches_closed_form": (
-        _report_at_ten_db("offline_teleport"),
-        lambda mp: patch_squeezed_variance(mp, 1.01),
-    ),
-    "channel_matches_target_squeezer": (
-        _report_at_ten_db("offline_squeezer"),
+    )],
+    "channel_matches_target_squeezer": [(
+        _report_at("offline_squeezer"),
         lambda mp: _wrapped(
             mp, protocols, "affine_channel", lambda ch, leak: (_shifted(ch, 1e-3), leak)
         ),
-    ),
-    "noise_is_squeezed_teleportation_noise": (
-        _report_at_ten_db("offline_squeezer"),
-        lambda mp: patch_squeezed_variance(mp, 1.01),
+    )],
+    "noise_is_squeezed_teleportation_noise": _noise_rows(
+        ["offline_squeezer"], lambda mp: patch_squeezed_variance(mp, 1.01)
     ),
     # a leak readout that reads zero hides the control's outcome dependence
-    "outcome_dependence_detected": (
+    "outcome_dependence_detected": [(
         _unscaled_control,
         lambda mp: _wrapped(mp, protocols, "affine_channel", lambda ch, leak: (ch, 0.0)),
-    ),
+    )],
 }
 
 
 class TestEveryDocumentCheckCanFail:
     @pytest.mark.parametrize("name", DOCUMENT_CHECK_MUTATIONS)
     def test_each_document_check_fails_under_its_mutation(self, monkeypatch, name):
-        build, mutate = DOCUMENT_CHECK_MUTATIONS[name]
-        assert build().check(name).passed
-        mutate(monkeypatch)
-        assert not build().check(name).passed
+        for i, (build, mutate) in enumerate(DOCUMENT_CHECK_MUTATIONS[name]):
+            with monkeypatch.context() as mp:
+                assert build().check(name).passed, i
+                mutate(mp)
+                assert not build().check(name).passed, i
 
     def test_every_document_check_has_a_mutation_row(self):
         # the checks the five reports emit at the defaults with a vacuum
@@ -1437,8 +1460,34 @@ class TestEveryDocumentCheckCanFail:
         r, r_gate = cv.db_to_squeezing_r(100.0), protocols.PARAMETER_DEFAULTS["r_gate"]
         reports.append(cv.offline_squeezer(VAC, r, r_gate, rescale_correction=False))
         names = {check.name for report in reports for check in report.checks}
-        assert len(names) == 11
+        assert len(names) == 10
         assert names == set(DOCUMENT_CHECK_MUTATIONS)
+
+    @pytest.mark.parametrize("scale", [-1.0, 2.0])
+    @pytest.mark.parametrize("protocol", sorted(protocols.PROTOCOLS))
+    def test_a_wrong_squeezed_variance_fails_a_check_of_every_document(
+        self, monkeypatch, protocol, scale
+    ):
+        # at the default 100 dB, where N is 5e-11; the checks are the document's, read
+        # off the report, as a chain's records cannot be drawn with a negative variance
+        patch_squeezed_variance(monkeypatch, scale)
+        assert not cv.run_named_protocol(protocol, {}).all_passed()
+
+
+class TestChainChecksAtTheEdges:
+    @pytest.mark.parametrize("protocol, params", [
+        # N reaches 2.2e278 here and N / v passes the largest float: the route's noise
+        # would overflow if v = e^{-2r}/4 multiplied it at the end, not in each step
+        ("repeated_squeezer", {"kappa": 1.0, "segments": 370, "squeezing_db": 300.0}),
+        ("repeated_squeezer", {"kappa": 0.2, "segments": 4, "squeezing_db": 3082.0}),  # N subnormal
+        ("identity_chain", {"n_nodes": protocols.MAX_CHAIN_STEPS + 1, "squeezing_db": 10.0}),
+    ])
+    def test_passes_every_check_with_finite_values(self, protocol, params):
+        report = cv.run_named_protocol(protocol, params)
+        assert [(c.name, c.passed) for c in report.checks] == [
+            (name, True) for name in _CHAIN_CHECKED
+        ]
+        assert all(math.isfinite(c.value) for c in report.checks)
 
 
 def _gate_changed(name, change):
