@@ -41,7 +41,7 @@ from pathlib import Path
 
 from . import checks, protocols
 from .phase_space import GaussianState, coherent_state, squeezed_vacuum, vacuum_state
-from .protocols import ConfigError
+from .protocols import ConfigError, json_kind
 
 SCHEMA_VERSION = 1
 
@@ -71,7 +71,9 @@ def checked_config(raw) -> tuple[dict, GaussianState]:
     version = raw.get("schema_version", SCHEMA_VERSION)
     if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise ConfigError(f"field 'schema_version': must be {SCHEMA_VERSION}, got {version!r}")
-    cfg = {**_CONFIG_FIELDS, "protocol": str(raw["protocol"])}
+    if not isinstance(raw["protocol"], str):
+        raise ConfigError(f"field 'protocol': expected a string, got {json_kind(raw['protocol'])}")
+    cfg = {**_CONFIG_FIELDS, "protocol": raw["protocol"]}
     protocols.protocol_parameters(cfg["protocol"])  # refuses an unknown protocol
     cfg.update((name, protocols.checked_parameter(name, raw[name]))
                for name in protocols.PARAMETERS if name in raw)
@@ -117,8 +119,9 @@ def build_input_state(spec: dict) -> GaussianState:
         if key != "kind" and key not in _INPUT_KEYS[kind]:
             raise ConfigError(f"field 'input.{key}': a {kind} input does not read it")
         if isinstance(value, (bool, str)) and key in ("re", "im", "r"):
-            got = "a boolean" if isinstance(value, bool) else "a string"
-            raise ConfigError(f"field 'input.{key}': expected a number, got {got}")
+            raise ConfigError(f"field 'input.{key}': expected a number, got {json_kind(value)}")
+        if key == "axis" and not isinstance(value, str):
+            raise ConfigError(f"field 'input.axis': expected a string, got {json_kind(value)}")
     if kind == "vacuum":
         return vacuum_state(1)
     if kind == "coherent":
@@ -137,7 +140,7 @@ def build_input_state(spec: dict) -> GaussianState:
         r = float(spec["r"])
         if not protocols._finite_squeezing(r):
             raise ValueError("squeezed r must be finite, with e^{2|r|} finite")
-        return squeezed_vacuum(r, str(spec["axis"]))
+        return squeezed_vacuum(r, spec["axis"])
     except KeyError as missing:
         raise ConfigError(f"field 'input': squeezed input needs {missing}")
     except OverflowError:  # an integer past the largest float

@@ -31,11 +31,12 @@ and record draws. The channel does not depend on the outcomes, so a report
 draws its records, one ``RecordColumns`` per trial from its integer seed, when
 they are first read (``record_columns``): a sweep point's report draws none;
 an off-line report forms its readings' correctly rounded law only then. A
-report's target is read-only. A protocol id is its builder's name here, and
-``PROTOCOLS`` maps it to the parameters it reads. One table, ``PARAMETERS``,
-states each config-style parameter's default, cast, rule and largest value
-once; ``checked_parameter``, ``checked_sweep`` and ``document_records`` check
-a value, a sweep grid and a run's records (a chain's from its program). Every
+report's target and parameters are read-only. A protocol id is its builder's
+name here, and ``PROTOCOLS`` maps it to the parameters it reads. One table,
+``PARAMETERS``, states each config-style parameter's default, cast, rule and
+largest value once; ``checked_parameter``, ``checked_sweep`` and
+``document_records`` check a value, a sweep grid and a run's records (a
+chain's from its program). Every
 config rule, overflows included, is written here once and refuses with a
 ``ConfigError`` whose text the CLI prints; builder preconditions stay
 ``ValueError``.
@@ -49,7 +50,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain
-from typing import Callable, Iterable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -143,6 +145,15 @@ PARAMETERS = {
 PARAMETER_DEFAULTS = {n: p.default for n, p in PARAMETERS.items() if n not in ("seed", "trials")}
 
 
+# a JSON value's type -> what a refusal says it got: "expected a string, got a list"
+_JSON_KINDS = {bool: "a boolean", type(None): "null", int: "a number", float: "a number",
+               str: "a string", list: "a list", dict: "an object"}
+
+
+def json_kind(value) -> str:
+    return _JSON_KINDS.get(type(value), type(value).__name__)
+
+
 def checked_parameter(name: str, raw, label: str | None = None):
     """``raw`` cast by ``PARAMETERS[name]``, its condition and bound checked; a
     refusal is a ``ConfigError`` naming ``label`` (default ``name``). Booleans and
@@ -150,8 +161,7 @@ def checked_parameter(name: str, raw, label: str | None = None):
     _, cast, condition, rule, largest = PARAMETERS[name]
     label = label or name
     if isinstance(raw, (bool, str)):
-        got = "a boolean" if isinstance(raw, bool) else "a string"
-        raise ConfigError(f"field {label!r}: expected {cast.__name__}, got {got}")
+        raise ConfigError(f"field {label!r}: expected {cast.__name__}, got {json_kind(raw)}")
     try:
         value = cast(raw)
     except (TypeError, ValueError, OverflowError):
@@ -178,7 +188,7 @@ RecordTable = tuple[RecordColumns, ...]  # one set of columns per trial
 @dataclass(frozen=True)
 class ProtocolReport:
     name: str
-    parameters: dict
+    parameters: Mapping[str, object]  # read-only; a dict passed in is copied
     channel: GaussianChannel
     target_S: np.ndarray
     deviation: float
@@ -198,6 +208,16 @@ class ProtocolReport:
         )
         _require_finite(outcomes, "an outcome record")
         return table
+
+    def __post_init__(self):
+        object.__setattr__(self, "parameters", MappingProxyType(dict(self.parameters)))
+
+    # a mapping proxy does not pickle: the state holds a plain copy of the parameters
+    def __getstate__(self):
+        return {**vars(self), "parameters": dict(self.parameters)}
+
+    def __setstate__(self, state):
+        vars(self).update(state, parameters=MappingProxyType(state["parameters"]))
 
     __eq__ = phase_space._value_eq  # target_S by its entries, draw_records not at all
 
@@ -534,14 +554,16 @@ def offline_teleport(
     # np.allclose's test of the vacuum's moments, |a - b| <= 1e-8 + 1e-5 |b|, on floats
     (x, p), ((a, b), (b_, c)) = input_state.mean.tolist(), input_state.cov.tolist()
     vacuum = zip((x, p, a, b, b_, c), (0.0, 0.0, VACUUM_VARIANCE, 0.0, 0.0, VACUUM_VARIANCE))
+    # and pure to rounding: a mixed input's fidelity is off the closed form by
+    # its 1 - Tr rho^2, which the bound below (1e-6 (1 - F), 1e-16 at 100 dB) would hold
     is_vacuum = report.fidelity is not None and all(
         abs(got - want) <= 1e-8 + 1e-5 * abs(want) for got, want in vacuum
-    )
-    if is_vacuum:
-        fid_err = abs(report.fidelity - 1.0 / (1.0 + math.exp(-2 * r)))
-        checks.append(
-            ProtocolCheck("vacuum_fidelity_matches_closed_form", fid_err <= 1e-6, fid_err)
-        )
+    ) and abs(VACUUM_VARIANCE / math.sqrt(a * c - b * b_) - 1.0) <= ROUNDING_TOL / 2
+    if is_vacuum:  # held relative to 1 - F, which is 1e-10 at 100 dB, with a rounding floor
+        closed_form = 1.0 / (1.0 + math.exp(-2 * r))
+        fid_err = abs(report.fidelity - closed_form)
+        fid_ok = fid_err <= max(1e-6 * (1.0 - closed_form), ROUNDING_TOL)
+        checks.append(ProtocolCheck("vacuum_fidelity_matches_closed_form", fid_ok, fid_err))
     return replace(report, checks=(*report.checks, *checks))
 
 

@@ -424,7 +424,7 @@ class TestJsonWriter:
                 checks[rest[0]] = checks[rest[0]]._replace(value=value)
                 changed = {"checks": tuple(checks)}
             elif field == "parameters":
-                changed = {"parameters": replaced(report.parameters, rest)}
+                changed = {"parameters": replaced(dict(report.parameters), rest)}
             else:
                 changed = {field: value}
             return dataclasses.replace(report, draw_records=lambda: table, **changed), cfg
@@ -465,40 +465,6 @@ class TestCommandErrors:
         out = tmp_path / "out"
         assert cli.main([command, str(path), "--output", str(out), "--quiet"]) == 2
         assert capsys.readouterr().err.startswith("error: config is not valid UTF-8: ")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["run", "sweep"])
-    @pytest.mark.parametrize("prefix, suffix", [('{"protocol": "identity_chain", "input": ', "}"),
-                                                ("", "")], ids=["input", "root"])
-    def test_config_nested_too_deep_exits_2(self, tmp_path, capsys, command, prefix, suffix):
-        # json.loads raises RecursionError, not JSONDecodeError, past its nesting limit
-        path = tmp_path / "deep.json"
-        path.write_text(prefix + "[" * 10**5 + "]" * 10**5 + suffix)
-        out = tmp_path / "out"
-        assert cli.main([command, str(path), "--output", str(out), "--quiet"]) == 2
-        error = ("error: config is not valid JSON: maximum recursion depth exceeded "
-                 "while decoding a JSON array from a unicode string\n")
-        assert capsys.readouterr() == ("", error)
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["run", "sweep"])
-    @pytest.mark.parametrize("template", [
-        '{"protocol": "offline_teleport", "seed": %s}',
-        '{"protocol": "offline_teleport", "input": {"kind": "coherent", "re": %s, "im": 0}}',
-        '{"protocol": "identity_chain", "sweep": {"param": "n_nodes", "values": [3, %s]}}',
-        '{"protocol": "identity_chain", "wibble": %s}',
-    ], ids=["seed", "input", "sweep", "unknown_field"])
-    def test_integer_past_the_digit_limit_exits_2(self, tmp_path, capsys, command, template):
-        # json.loads raises int's plain ValueError for an integer literal past
-        # its 4300-digit limit
-        digits = "1" + "0" * 5000
-        path = tmp_path / "digits.json"
-        path.write_text(template % digits)
-        out = tmp_path / "out"
-        assert cli.main([command, str(path), "--output", str(out), "--quiet"]) == 2
-        with pytest.raises(ValueError, match=r"^Exceeds the limit \(4300") as limit:
-            int(digits)
-        assert capsys.readouterr() == ("", f"error: config is not valid JSON: {limit.value}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -582,55 +548,6 @@ class TestCommandErrors:
         assert (code, captured.out, out.exists()) == (2, "", False)
         assert captured.err.startswith("error: field 'sweep.param': ")
 
-    def test_unread_sweep_key_exits_2(self, tmp_path, capsys):
-        payload = {**BASE_RUN, "sweep": {"param": "kappa", "values": [0.1], "step": 0.1}}
-        code, out = main_on(tmp_path, "sweep", payload)
-        captured = capsys.readouterr()
-        assert (code, captured.out, out.exists()) == (2, "", False)
-        assert captured.err == "error: field 'sweep.step': a sweep does not read it\n"
-
-    @pytest.mark.parametrize("command", ["run", "sweep"])
-    @pytest.mark.parametrize("path", [["a"], 3, {"a": "b"}])
-    def test_non_string_output_path_exits_2(self, tmp_path, monkeypatch, capsys, command, path):
-        monkeypatch.chdir(tmp_path)
-        cfg = write_config(tmp_path, "cfg.json", {**self.PAYLOAD, "output_path": path})
-        assert cli.main([command, cfg, "--quiet"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: field 'output_path': expected a string\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
-
-    @pytest.mark.parametrize("command", ["run", "sweep"])
-    @pytest.mark.parametrize(
-        "path, error",
-        [
-            ("", "expected a nonempty path"),
-            ("\x00", "not a valid file path"),
-            ("out\x00.json", "not a valid file path"),
-            ("\ud800", "not a valid file path"),  # a lone surrogate that UTF-8 cannot carry
-        ],
-        ids=["empty", "nul", "embedded_nul", "surrogate"],
-    )
-    def test_output_path_that_names_no_file_exits_2(
-        self, tmp_path, monkeypatch, capsys, command, path, error
-    ):
-        # "" used to write the default file, and the others to raise while writing
-        monkeypatch.chdir(tmp_path)
-        cfg = write_config(tmp_path, "cfg.json", {**self.PAYLOAD, "output_path": path})
-        assert cli.main([command, cfg]) == 2
-        assert capsys.readouterr() == ("", f"error: field 'output_path': {error}\n")
-        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
-
-    @pytest.mark.parametrize("command", ["run", "sweep"])
-    @pytest.mark.parametrize("output_path", [None, "named.out"])
-    def test_empty_output_flag_exits_2(self, tmp_path, monkeypatch, capsys, command, output_path):
-        # it used to fall back to the config's output_path or the default file
-        monkeypatch.chdir(tmp_path)
-        cfg = write_config(tmp_path, "cfg.json", {**self.PAYLOAD, "output_path": output_path})
-        assert cli.main([command, cfg, "--output", ""]) == 2
-        assert capsys.readouterr() == ("", "error: --output: expected a nonempty path\n")
-        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
-
     @pytest.mark.parametrize("command", ["run", "sweep"])
     # a lone surrogate is a str that UTF-8 cannot carry
     @pytest.mark.parametrize("output", ["a\x00b", "\ud800x"], ids=["embedded_nul", "surrogate"])
@@ -670,55 +587,6 @@ class TestCommandErrors:
         assert captured.err.startswith(f"error: field 'input.{key}': ")
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "spec, key",
-        [
-            ({"kind": "coherent", "re": "1_0", "im": 0.0}, "re"),
-            ({"kind": "coherent", "re": 0.5, "im": " 2 "}, "im"),
-            ({"kind": "squeezed", "r": "0.5", "axis": "x"}, "r"),
-        ],
-    )
-    def test_input_number_given_as_a_string_exits_2(self, tmp_path, capsys, spec, key):
-        # float() would parse these, "1_0" as a coherent amplitude of 10
-        code, out = main_on(tmp_path, "run", {"protocol": "identity_chain", "input": spec})
-        assert (code, out.exists()) == (2, False)
-        error = f"error: field 'input.{key}': expected a number, got a string\n"
-        assert capsys.readouterr() == ("", error)
-
-    @pytest.mark.parametrize(
-        "payload, error",
-        [
-            ([], "config root must be a JSON object"),
-            ({**BASE_RUN, "sweep": 5}, "field 'sweep': expected {param, values}"),
-            ({**BASE_RUN, "input": 5}, "field 'input': expected an object with a 'kind'"),
-            ({**BASE_RUN, "input": {"kind": "coherent", "re": 0.5}},
-             "field 'input': coherent input needs 'im'"),
-            ({**BASE_RUN, "input": {"kind": "coherent", "re": None, "im": 0.0}},
-             "field 'input': coherent re and im must be numbers"),
-            ({**BASE_RUN, "input": {"kind": "coherent", "re": math.inf, "im": 0.0}},
-             "field 'input': coherent re and im must be finite"),
-            ({**BASE_RUN, "input": {"kind": "squeezed", "r": 0.5}},
-             "field 'input': squeezed input needs 'axis'"),
-            ({"protocol": "offline_teleport", "input": {"kind": "coherent", "re": 10**400, "im": 0}},
-             "field 'input': coherent re and im must be finite"),
-            ({**BASE_RUN, "input": {"kind": "coherent", "re": 0.5, "im": -(10**400)}},
-             "field 'input': coherent re and im must be finite"),
-            ({**BASE_RUN, "input": {"kind": "squeezed", "r": 10**400, "axis": "x"}},
-             "field 'input': squeezed r must be finite, with e^{2|r|} finite"),
-            ({**BASE_RUN, "input": {"kind": "squeezed", "r": -(10**400), "axis": "p"}},
-             "field 'input': squeezed r must be finite, with e^{2|r|} finite"),
-        ],
-        ids=["root_list", "sweep_number", "input_number", "coherent_no_im", "coherent_re_null",
-             "coherent_re_infinity", "squeezed_no_axis", "coherent_re_integer_past_float",
-             "coherent_im_integer_past_float", "squeezed_r_integer_past_float",
-             "squeezed_negative_r_integer_past_float"],
-    )
-    def test_config_shape_refusal_exits_2_with_its_line(self, tmp_path, capsys, payload, error):
-        # json.dumps writes math.inf as the JavaScript literal Infinity, which json.loads reads,
-        # and an int as an integer literal, which json.loads reads as an int past any float
-        code, out = main_on(tmp_path, "run", payload)
-        assert (code, out.exists()) == (2, False)
-        assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 class TestSweepCommand:
@@ -948,17 +816,6 @@ class TestVerifySuite:
         monkeypatch.setattr(checks, constructor, lambda: nan_gate)
         [row] = checks.symplectic_condition_checks()
         assert not row.passed and math.isnan(row.value)
-
-    def test_verify_command_exit_code(self, capsys):
-        assert cli.main(["verify", "--quiet"]) == 0
-        out = capsys.readouterr().out
-        assert "checks passed" in out
-
-    def test_verify_output_includes_scaling_ratios(self, capsys):
-        cli.main(["verify"])
-        out = capsys.readouterr().out
-        assert "bch_cubic_scaling_ratio_at_0.1" in out
-        assert "four_step_deviation_ratio_at_0.1" in out
 
 
 
@@ -1270,11 +1127,6 @@ class TestOfflineSqueezerNearTheRGateLimit:
         large = doc["channel"]["N"][2 if r_gate > 0 else 0]
         assert abs(large - expected) <= 4 * np.finfo(float).eps * expected
 
-    def test_console_run_at_the_limit_prints_no_error(self, tmp_path):
-        result, out = _console_run(tmp_path, {"protocol": "offline_squeezer", "r_gate": 354.89})
-        assert (result.returncode, result.stderr) == (0, "")
-        assert all(check["passed"] for check in json.loads(out.read_text())["checks"])
-
 
 # the fidelity's band: at low squeezing, the output's p variance (x for a negative
 # r_gate), and so that entry of the covariance sum T, passes the largest float
@@ -1322,14 +1174,6 @@ class TestOfflineFidelityNearTheRGateLimit:
         rows = _sweep_rows(out.read_text())
         assert [row["checks_passed"] for row in rows] == ["true"] * len(values)
         assert all(abs(float(row["fidelity"]) - 0.5) <= 4 * np.finfo(float).eps for row in rows)
-
-    def test_console_run_at_the_limit_prints_no_error(self, tmp_path):
-        payload = {"protocol": "offline_squeezer", "squeezing_db": 0, "r_gate": 354.89}
-        result, out = _console_run(tmp_path, payload)
-        assert (result.returncode, result.stderr) == (0, "")
-        doc = json.loads(out.read_text())
-        assert all(check["passed"] for check in doc["checks"])
-        assert abs(doc["fidelity"] - 0.5) <= 1e-12
 
 
 # repeated_squeezer chains whose plain W W^T overflows while N does not: their

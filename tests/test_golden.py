@@ -11,39 +11,23 @@ only when read. They pin those changes to the bytes. Beside each config,
 ``.stdout`` holds the summary the command printed (without ``--quiet``,
 writing to its default file) before ``run`` and ``sweep`` shared one command
 path.
+
+The console corpus (``tests/console_corpus.py``) makes the byte checks: it
+runs each golden config to ``--output``, and without ``--quiet`` to its
+default file in a fresh directory, and each run document's echoed config
+again.
 """
 
 from pathlib import Path
 
-import pytest
-
-from cvcluster import cli, protocols
+from cvcluster import protocols
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
-CONFIGS = sorted(GOLDEN.glob("*.config.json"))
-
-
-def _name(config: Path) -> str:
-    return config.name.removesuffix(".config.json")
+NAMES = sorted(c.name.removesuffix(".config.json") for c in GOLDEN.glob("*.config.json"))
 
 
 def test_every_protocol_has_a_golden_run():
-    runs = {_name(c).removeprefix("run_") for c in CONFIGS if _name(c).startswith("run_")}
+    runs = {name.removeprefix("run_") for name in NAMES if name.startswith("run_")}
     assert runs == set(protocols.PROTOCOLS)
-    assert any(_name(c).startswith("sweep_") for c in CONFIGS)
+    assert any(name.startswith("sweep_") for name in NAMES)
 
-
-@pytest.mark.parametrize("config", CONFIGS, ids=_name)
-def test_cli_reproduces_golden_output(tmp_path, config):
-    command = _name(config).split("_", 1)[0]
-    expected = GOLDEN / (_name(config) + (".csv" if command == "sweep" else ".json"))
-    out = tmp_path / expected.name
-    assert cli.main([command, str(config), "--output", str(out), "--quiet"]) == 0
-    assert out.read_bytes() == expected.read_bytes()
-
-
-@pytest.mark.parametrize("config", CONFIGS, ids=_name)
-def test_cli_prints_golden_summary(tmp_path, monkeypatch, capsys, config):
-    monkeypatch.chdir(tmp_path)
-    assert cli.main([_name(config).split("_", 1)[0], str(config)]) == 0
-    assert capsys.readouterr().out.encode() == (GOLDEN / (_name(config) + ".stdout")).read_bytes()

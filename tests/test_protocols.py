@@ -152,6 +152,22 @@ class TestOfflineTeleport:
         assert report.fidelity is None
         assert "vacuum_fidelity_matches_closed_form" not in {c.name for c in report.checks}
 
+    @pytest.mark.parametrize("db", [0.0, 100.0])
+    def test_mixed_input_near_vacuum_with_a_fidelity_has_no_vacuum_check(self, db):
+        # pure to the fidelity's 1e-9, so it has one, but its 1 - Tr rho^2 of
+        # 1e-10 moves it that far off the closed form: past the bound at 100 dB
+        mixed = cv.GaussianState(np.zeros(2), 0.25 * (1 + 1e-10) * np.eye(2))
+        report = cv.offline_teleport(mixed, db / (20 * math.log10(math.e)))
+        assert report.fidelity is not None
+        assert "vacuum_fidelity_matches_closed_form" not in {c.name for c in report.checks}
+        assert all(c.passed for c in report.checks)
+
+    @pytest.mark.parametrize("variance", [0.25 * (1 + 2**-52), 0.25 * (1 - 2**-53)])
+    def test_vacuum_to_rounding_keeps_its_check_at_100_db(self, variance):
+        state = cv.GaussianState(np.zeros(2), np.diag([variance, 0.25]))
+        report = cv.offline_teleport(state, 100.0 / (20 * math.log10(math.e)))
+        assert report.check("vacuum_fidelity_matches_closed_form").passed
+
     def test_ideal_limit_is_replica(self):
         input_state = cv.coherent_state(0.7, -1.2)
         report = cv.offline_teleport(input_state, IDEAL)
@@ -844,6 +860,22 @@ class TestReportValuesAreReadOnly:
         assert report == cv.run_named_protocol(protocol, {"squeezing_db": 10.0})
 
     @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
+    def test_parameters_refuse_a_write(self, protocol):
+        report = cv.run_named_protocol(protocol, {"squeezing_db": 10.0})
+        with pytest.raises(TypeError, match="does not support item assignment"):
+            report.parameters["seed"] = 99
+        assert report == cv.run_named_protocol(protocol, {"squeezing_db": 10.0})
+
+    def test_replace_copies_a_plain_dict_read_only(self):
+        report = _identity_report()
+        given = {**report.parameters, "seed": 5}
+        changed = dataclasses.replace(report, parameters=given)
+        given["seed"] = 6  # the report holds its own copy
+        assert changed.parameters == {**report.parameters, "seed": 5}
+        with pytest.raises(TypeError, match="does not support item assignment"):
+            changed.parameters["seed"] = 7
+
+    @pytest.mark.parametrize("protocol", list(protocols.PROTOCOLS))
     def test_outcome_free_record_columns_refuse_a_write(self, protocol):
         first, second = cv.run_named_protocol(protocol, {}, trials=2).record_columns
         for name in ("step_index", "mode", "kappa", "theta"):
@@ -1423,10 +1455,12 @@ DOCUMENT_CHECK_MUTATIONS = {
     "noise_is_isotropic_teleportation_noise": _noise_rows(
         ["offline_teleport"], lambda mp: patch_squeezed_variance(mp, 1.01)
     ),
-    "vacuum_fidelity_matches_closed_form": [(
-        _report_at("offline_teleport"),
-        lambda mp: patch_squeezed_variance(mp, 1.01),
-    )],
+    # at 100 dB 1 - F is 1e-10, and the x2 variance moves F by 1e-10: only a bound
+    # relative to 1 - F sees it
+    "vacuum_fidelity_matches_closed_form": [
+        (_report_at("offline_teleport"), lambda mp: patch_squeezed_variance(mp, 1.01)),
+        (_report_at("offline_teleport", 100.0), lambda mp: patch_squeezed_variance(mp, 2.0)),
+    ],
     "channel_matches_target_squeezer": [(
         _report_at("offline_squeezer"),
         lambda mp: _wrapped(
