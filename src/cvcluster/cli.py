@@ -113,7 +113,9 @@ def build_input_state(spec: dict) -> GaussianState:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("field 'input': expected an object with a 'kind'")
     kind = spec["kind"]
-    if not isinstance(kind, str) or kind not in _INPUT_KEYS:
+    if not isinstance(kind, str):
+        raise ConfigError(f"field 'input.kind': expected a string, got {json_kind(kind)}")
+    if kind not in _INPUT_KEYS:
         raise ConfigError(f"field 'input.kind': unknown kind {kind!r}")
     for key, value in spec.items():
         if key != "kind" and key not in _INPUT_KEYS[kind]:

@@ -4,39 +4,41 @@ Cluster protocols run the measurement engine on a linear chain; the off-line
 protocols teleport through a (possibly gate-modified) two-mode squeezed
 resource. Every corrected protocol is an affine map of its initial product
 state, and every report takes one path. A builder states only its step program
-(segment, repeats), in ``_CHAIN_PROGRAMS`` (``squeezer_steps`` is the
-four-step pattern), or off-line gate, its target, fidelity reference and own
-checks. Its family's helper, ``_chain_report`` or ``_offline_report``, refuses
-an input that is not one physical mode and reads the channel and leak once (a
-chain's from ``engine.chain_channel``; the off-line map is stated in closed
-form in ``_offline_report`` alone and read through ``engine.affine_channel``).
-``_report`` then builds the report, once. It reads the report's numbers off
-the channel in closed-form 2x2 arithmetic on Python floats (no ``np.linalg``
-call and no ``GaussianState``): the deviation from the target, the noise and
-the fidelity of the input's image to its ideal output (one overlap, in a frame
-of exact powers of two). It reads the leak once, into the first check,
-``outcome_independent`` (or the negative control's
-``outcome_dependence_detected``), and adds the noise's positivity, its smaller
-eigenvalue in LAPACK's closed form; ``_chain_report`` adds S against the exact
-matrix and N against a second route, ``_program_noise``. Every noise bound,
-the positivity's and ``_noise_check``'s, is relative to the noise it holds.
-The builder reads the report's fields for its own checks and appends them with
-``dataclasses.replace``; every check holds a Python bool and a Python float or
-None, which ``cli`` writes into a run document as they are. A channel whose S,
-N or deviation is not finite is refused with ``ChannelOverflowError`` (naming
-``kappa``, or ``r_gate`` off-line), and one that carries the input past double
-precision (an image mean or the fidelity not finite, among others) with
-``InputOverflowError``, raised with numpy's overflow warnings off in builders
-and record draws. The channel does not depend on the outcomes, so a report
-draws its records, one ``RecordColumns`` per trial from its integer seed, when
-they are first read (``record_columns``): a sweep point's report draws none;
-an off-line report forms its readings' correctly rounded law only then. A
-report's target and parameters are read-only. A protocol id is its builder's
-name here, and ``PROTOCOLS`` maps it to the parameters it reads. One table,
-``PARAMETERS``, states each config-style parameter's default, cast, rule and
-largest value once; ``checked_parameter``, ``checked_sweep`` and
-``document_records`` check a value, a sweep grid and a run's records (a
-chain's from its program). Every
+(segment, repeats), in ``_CHAIN_PROGRAMS`` (``squeezer_steps`` is the four-step
+pattern), or off-line ``r_gate`` (teleportation is the squeezer at r_gate 0),
+its target, fidelity reference and own checks. Its family's helper,
+``_chain_report`` or ``_offline_report``, refuses an input that is not one
+physical mode and reads the channel and leak once (a chain's from
+``engine.chain_channel``; the off-line map is stated in closed form in
+``_offline_report`` alone and read through ``engine.affine_channel``), and
+gives N by a second route: a chain's ``_program_noise``, or off-line the closed
+form (e^{-2r}/2) diag(e^{-2 r_gate}, e^{2 r_gate}). ``_report`` then builds the
+report, once. It reads the report's numbers off the channel in closed-form 2x2
+arithmetic on Python floats (no ``np.linalg`` call and no ``GaussianState``):
+the deviation from the target, the noise and the fidelity of the input's image
+to its ideal output (one overlap, in a frame of exact powers of two). It makes
+the four checks every report holds, once: the leak's, ``outcome_independent``
+(or the negative control's ``outcome_dependence_detected``); the noise's
+positivity, its smaller eigenvalue in LAPACK's closed form;
+``matches_exact_matrix``, S against the builder's exact matrix; and
+``noise_matches_oracle``, N against the helper's second route. Every noise
+bound is relative to the noise it holds. The builder reads the report's fields
+for its own checks and appends them with ``dataclasses.replace``; every check
+holds a Python bool and a Python float or None, which ``cli`` writes into a run
+document as they are. A channel whose S, N or deviation is not finite is
+refused with ``ChannelOverflowError`` (naming ``kappa``, or ``r_gate``
+off-line), and one that carries the input past double precision (an image mean
+or the fidelity not finite, among others) with ``InputOverflowError``, raised
+with numpy's overflow warnings off in builders and record draws. The channel
+does not depend on the outcomes, so a report draws its records, one
+``RecordColumns`` per trial from its integer seed, when they are first read
+(``record_columns``): a sweep point's report draws none; an off-line report
+forms its readings' correctly rounded law only then. A report's target and
+parameters are read-only. A protocol id is its builder's name here, and
+``PROTOCOLS`` maps it to the parameters it reads. One table, ``PARAMETERS``,
+states each config-style parameter's default, cast, rule and largest value
+once; ``checked_parameter``, ``checked_sweep`` and ``document_records`` check a
+value, a sweep grid and a run's records (a chain's from its program). Every
 config rule, overflows included, is written here once and refuses with a
 ``ConfigError`` whose text the CLI prints; builder preconditions stay
 ``ValueError``.
@@ -74,13 +76,6 @@ ROUNDING_TOL = 64 * float(np.finfo(float).eps)
 # hold: each keeps a document within a few hundred MB
 MAX_CHAIN_STEPS = 10**5
 MAX_RECORDS = 10**5
-
-
-def _bound(absolute: float, scale: float) -> float:
-    """An S check's absolute bound, no tighter than the rounding of a matrix of size
-    ``scale``: k |R|max for the exact R of a k-step chain (each step's rounding is carried
-    to the end), |target|max for one step. A noise bound is ``ROUNDING_TOL`` times its scale."""
-    return max(absolute, ROUNDING_TOL * scale)
 
 
 def _max_abs(rows: list) -> float:
@@ -283,13 +278,18 @@ def _overlap(ideal: _Moments, output: _Moments) -> float:
 
 def _report(name: str, parameters: dict, channel: GaussianChannel, leak: float,
             draw: Callable[[], RecordTable], target_S: np.ndarray, input_state: GaussianState,
-            overflow_field: str, reference_S=None, control: bool = False) -> ProtocolReport:
+            overflow_field: str, route: list, steps: int = 1, reference_S=None,
+            control: bool = False) -> ProtocolReport:
     """The report of a channel, its leak, record draw and target, with the numbers
     read off them once, in closed-form 2x2 arithmetic on floats: the deviation
     |S - target|_F, tr N and the fidelity of the input's image to its ideal output.
-    Its checks are the two every report holds: ``outcome_independent`` of the leak
+    Its checks are the four every report holds: ``outcome_independent`` of the leak
     (with ``control``, the negative control's ``outcome_dependence_detected``),
-    then ``channel_noise_psd``."""
+    ``channel_noise_psd``, ``matches_exact_matrix`` (S against R, ``reference_S`` else
+    ``target_S``) and ``noise_matches_oracle`` (N against ``route``, N by a second route),
+    the last two within ``steps`` steps' rounding at R's or the route's size (each step's
+    rounding is carried to the end). S's bound is at least an absolute 1e-6; the noise's
+    has no absolute floor, which N (5e-11 at 100 dB) could sit under."""
     S, N = channel.S.tolist(), channel.N.tolist()
     deviation = _frobenius(S, target_S.tolist())
     if not all(map(math.isfinite, [*S[0], *S[1], *N[0], *N[1], deviation])):
@@ -330,7 +330,13 @@ def _report(name: str, parameters: dict, channel: GaussianChannel, leak: float,
     (a, b), (_, c) = N
     lam_min = _smallest_eigenvalue(a, b, c)
     psd_ok = lam_min >= -ROUNDING_TOL * max(abs(a), abs(b), abs(c))
-    checks = (independence, ProtocolCheck("channel_noise_psd", psd_ok, lam_min))
+    exact = deviation if reference_S is None else _frobenius(S, R)
+    noise_err = _max_abs([[n - o for n, o in zip(*rows)] for rows in zip(N, route)])
+    checks = (independence, ProtocolCheck("channel_noise_psd", psd_ok, lam_min),
+              ProtocolCheck("matches_exact_matrix",
+                            exact <= max(1e-6, ROUNDING_TOL * (steps * _max_abs(R))), exact),
+              ProtocolCheck("noise_matches_oracle",
+                            noise_err <= ROUNDING_TOL * steps * _max_abs(route), noise_err))
     return ProtocolReport(name, parameters, channel, phase_space._readonly(target_S), deviation,
                           N[0][0] + N[1][1], fidelity, checks, draw)
 
@@ -393,30 +399,16 @@ def _program_noise(segment: Sequence[float], repeats: int, r: float) -> list:
     return [[g00, g01], [g01, g11]]
 
 
-def _noise_check(name: str, N: np.ndarray, oracle: list, steps: int = 1) -> ProtocolCheck:
-    """``name``: N against ``oracle``, within the rounding of ``steps`` steps at the
-    oracle's size and no absolute floor, which N (5e-11 at 100 dB) could sit under."""
-    err = _max_abs([[n - o for n, o in zip(*rows)] for rows in zip(N.tolist(), oracle)])
-    return ProtocolCheck(name, err <= ROUNDING_TOL * steps * _max_abs(oracle), err)
-
-
 def _chain_report(name: str, parameters: dict, program: tuple[list[float], int], r: float,
                   input_state: GaussianState, seed: int, trials: int, target_S: np.ndarray,
                   reference_S=None) -> ProtocolReport:
-    """The report of the chain of ``program``, (segment, repeats), with the two
-    checks every chain holds: S against R, the builder's exact matrix (``reference_S``,
-    else ``target_S``), and N against ``_program_noise``'s, each within k steps' rounding."""
+    """The report of the chain of ``program``, (segment, repeats): S is held to the
+    builder's exact matrix and N to ``_program_noise``'s, each within k steps' rounding."""
     steps = program[0] * program[1]  # the segment's kappas, repeats times over
     draw = partial(chain_records, input_state, steps, r, _trial_seeds(input_state, seed, trials))
     channel, leak = chain_channel(steps, r)
-    R = target_S if reference_S is None else reference_S
-    report = _report(name, parameters, channel, leak, draw, target_S, input_state, "kappa", R)
-    k, R = len(steps), R.tolist()
-    deviation, noise = _frobenius(channel.S.tolist(), R), _program_noise(*program, r)
-    checks = (ProtocolCheck("matches_exact_chain_product",
-                            deviation <= _bound(1e-6, k * _max_abs(R)), deviation),
-              _noise_check("noise_matches_step_budget", channel.N, noise, k))
-    return replace(report, checks=(*report.checks, *checks))
+    return _report(name, parameters, channel, leak, draw, target_S, input_state, "kappa",
+                   _program_noise(*program, r), len(steps), reference_S)
 
 
 # F^n for n mod 4, the bytes np.linalg.matrix_power(fourier(), n) gives
@@ -512,11 +504,11 @@ def _offline_trials(input_state: GaussianState, r: float, seeds: range) -> Recor
 
 
 def _offline_report(name: str, parameters: dict, input_state: GaussianState, r: float,
-                    gate_S: np.ndarray, gain: np.ndarray, seed: int, trials: int,
-                    control: bool = False) -> ProtocolReport:
-    """The report of teleportation through the resource modified by ``gate_S``
-    (G), corrected by ``gain`` (K) times (u, v); G is the target. ``control``
-    marks the negative control, whose leak must show outcome dependence.
+                    r_gate: float, seed: int, trials: int, control: bool = False) -> ProtocolReport:
+    """The report of teleportation through the resource modified by the gate
+    G = ``squeezer(r_gate)``, corrected by the gain K times (u, v): K is G, or I for
+    ``control``, the negative control, whose leak must show outcome dependence. G is
+    the target, and N is held to (e^{-2r}/2) diag(e^{-2 r_gate}, e^{2 r_gate}).
 
     The map is over the product state's quadratures (x_0, p_0) of the input,
     then x_1, p_1, x_2, p_2 of the resource, of which x_1 and p_2 are
@@ -528,12 +520,18 @@ def _offline_report(name: str, parameters: dict, input_state: GaussianState, r: 
     rounded, then one add, the floats of the three-mode circuit's product.
     """
     seeds = _trial_seeds(input_state, seed, trials)
-    hG, hK = _H * gate_S, _H * gain
+    # the gate maps the byproduct X(-u)Z(-v) to the displacement with
+    # coefficients gate (u, v): the gate is also the gain and the target
+    gate = squeezer(r_gate)
+    gain = np.eye(2) if control else gate
+    hG, hK = _H * gate, _H * gain
     anti = np.column_stack([hG[:, 0] - hK[:, 0], hK[:, 1] - hG[:, 1]])
     squeezed = np.column_stack([hG[:, 1] + hK[:, 1], -hG[:, 0] - hK[:, 0]])
     channel, leak = affine_channel(gain, anti, squeezed, r)
     draw = partial(_offline_trials, input_state, r, seeds)
-    return _report(name, parameters, channel, leak, draw, gate_S, input_state, "r_gate",
+    v = 0.5 * math.exp(-2 * r)
+    noise = [[v * math.exp(-2 * r_gate), 0.0], [0.0, v * math.exp(2 * r_gate)]]
+    return _report(name, parameters, channel, leak, draw, gate, input_state, "r_gate", noise,
                    control=control)
 
 
@@ -541,16 +539,14 @@ def _offline_report(name: str, parameters: dict, input_state: GaussianState, r: 
 def offline_teleport(
     input_state: GaussianState, r: float, seed: int = 0, trials: int = 1
 ) -> ProtocolReport:
-    """Unity-gain teleportation through the two-mode squeezed resource.
+    """Unity-gain teleportation through the two-mode squeezed resource: the
+    off-line squeezer at r_gate 0, whose gate ``squeezer(0.0)`` is the identity.
 
     The corrected output reproduces the input with e^{-2r}/2 of added noise
     per quadrature; a pure vacuum input's fidelity is 1/(1 + e^{-2r}).
     """
-    identity = np.eye(2)
     report = _offline_report("offline_teleport", {"squeezing_r": r, "seed": seed}, input_state, r,
-                             identity, identity, seed, trials)
-    noise = (0.5 * math.exp(-2 * r) * identity).tolist()  # e^{-2r}/2 per quadrature
-    checks = [_noise_check("noise_is_isotropic_teleportation_noise", report.channel.N, noise)]
+                             0.0, seed, trials)
     # np.allclose's test of the vacuum's moments, |a - b| <= 1e-8 + 1e-5 |b|, on floats
     (x, p), ((a, b), (b_, c)) = input_state.mean.tolist(), input_state.cov.tolist()
     vacuum = zip((x, p, a, b, b_, c), (0.0, 0.0, VACUUM_VARIANCE, 0.0, 0.0, VACUUM_VARIANCE))
@@ -563,8 +559,9 @@ def offline_teleport(
         closed_form = 1.0 / (1.0 + math.exp(-2 * r))
         fid_err = abs(report.fidelity - closed_form)
         fid_ok = fid_err <= max(1e-6 * (1.0 - closed_form), ROUNDING_TOL)
-        checks.append(ProtocolCheck("vacuum_fidelity_matches_closed_form", fid_ok, fid_err))
-    return replace(report, checks=(*report.checks, *checks))
+        check = ProtocolCheck("vacuum_fidelity_matches_closed_form", fid_ok, fid_err)
+        report = replace(report, checks=(*report.checks, check))
+    return report
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -585,21 +582,10 @@ def offline_squeezer(
     report's checks flag as the expected behavior of this negative control.
     Its channel is then the outcome-averaged one.
     """
-    # the gate maps the byproduct X(-u)Z(-v) to the displacement with
-    # coefficients gate (u, v): the gate is also the gain and the target
-    gate = squeezer(r_gate)
-    gain = gate if rescale_correction else np.eye(2)
     parameters = {"r_resource": r, "r_gate": r_gate, "seed": seed,
                   "rescale_correction": rescale_correction}
-    report = _offline_report("offline_squeezer", parameters, input_state, r, gate, gain, seed,
-                             trials, control=not rescale_correction)
-    target_ok = report.deviation <= _bound(1e-6, _max_abs(gate.tolist()))
-    noise = 0.5 * math.exp(-2 * r) * np.diag([math.exp(-2 * r_gate), math.exp(2 * r_gate)])
-    checks = (
-        ProtocolCheck("channel_matches_target_squeezer", target_ok, report.deviation),
-        _noise_check("noise_is_squeezed_teleportation_noise", report.channel.N, noise.tolist()),
-    )
-    return replace(report, checks=(*report.checks, *checks))
+    return _offline_report("offline_squeezer", parameters, input_state, r, r_gate, seed, trials,
+                           control=not rescale_correction)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +618,9 @@ def checked_sweep(protocol_id: str, param, values) -> None:
     reads = protocol_parameters(protocol_id)
     if not isinstance(values, list) or len(values) == 0:
         raise ConfigError("field 'sweep.values': must be a nonempty list")
-    if not isinstance(param, str) or param not in PARAMETER_DEFAULTS:
+    if not isinstance(param, str):
+        raise ConfigError(f"field 'sweep.param': expected a string, got {json_kind(param)}")
+    if param not in PARAMETER_DEFAULTS:
         raise ConfigError(f"field 'sweep.param': cannot sweep {param!r}")
     for i, value in enumerate(values):
         checked_parameter(param, value, f"sweep.values[{i}]")

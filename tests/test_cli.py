@@ -449,9 +449,9 @@ class TestJsonWriter:
         # of the text that json.dumps writes for this document
         payload = {"protocol": "repeated_squeezer", "segments": 250, "trials": 2, "seed": 7}
         text = run_document(payload)
-        assert len(text) == 436257
+        assert len(text) == 436245
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "0f2b624cb66a07107cdcd0ad0bbabb5b4f2fddefb90dfdd95c1dcb2c1c524b17"
+            "4715ab5942df4aebc2daadd2664edb7e12ca6d59db7283194f5d52c8de39b679"
         )
 
 
@@ -1047,8 +1047,8 @@ class TestInputOverflow:
         assert passed == {
             "outcome_independent": True,
             "channel_noise_psd": True,
-            "matches_exact_chain_product": True,
-            "noise_matches_step_budget": True,
+            "matches_exact_matrix": True,
+            "noise_matches_oracle": True,
             "within_cubic_error_of_target": False,
         }
 

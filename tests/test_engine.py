@@ -512,7 +512,7 @@ class TestMutationGuard:
 
         monkeypatch.setattr(engine, "update_frame", flipped)
         report = cv.identity_chain(5, cv.db_to_squeezing_r(100.0), cv.vacuum_state(1))
-        check = report.check("noise_matches_step_budget")
+        check = report.check("noise_matches_oracle")
         assert not check.passed
         assert check.value > 1e9
 

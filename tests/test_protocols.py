@@ -30,7 +30,7 @@ class TestIdentityChain:
     def test_noise_trace_at_ten_db(self):
         report = cv.identity_chain(5, TEN_DB_R, VAC)
         assert report.noise_trace == pytest.approx(0.1, abs=1e-9)
-        assert report.check("noise_matches_step_budget").passed
+        assert report.check("noise_matches_oracle").passed
 
     def test_five_modes_ideal_closes_fourier_period(self):
         report = cv.identity_chain(5, IDEAL, VAC)
@@ -56,7 +56,7 @@ class TestSqueezerFourStep:
         np.testing.assert_allclose(
             report.channel.S, [[0.9616, 0.008], [0.008, 1.04]], atol=1e-6
         )
-        assert report.check("matches_exact_chain_product").passed
+        assert report.check("matches_exact_matrix").passed
 
     def test_vacuum_output_x_variance(self):
         report = cv.squeezer_four_step(0.2, IDEAL, VAC)
@@ -83,7 +83,7 @@ class TestSqueezerFourStep:
 
     def test_finite_squeezing_report_still_exact_mean_map(self):
         report = cv.squeezer_four_step(0.2, TEN_DB_R, VAC)
-        assert report.check("matches_exact_chain_product").passed
+        assert report.check("matches_exact_matrix").passed
         assert report.noise_trace > 0.09  # four steps of 0.025 conjugated
 
     @pytest.mark.parametrize(
@@ -209,7 +209,7 @@ class TestOfflineSqueezer:
             report.channel.S, np.diag([math.exp(-0.04), math.exp(0.04)]), atol=1e-6
         )
         np.testing.assert_allclose(report.channel.N, np.zeros((2, 2)), atol=1e-9)
-        assert report.check("channel_matches_target_squeezer").passed
+        assert report.check("matches_exact_matrix").passed
 
     def test_gate_zero_reduces_to_teleport(self):
         squeezer = cv.offline_squeezer(VAC, 1.0, 0.0)
@@ -226,7 +226,7 @@ class TestOfflineSqueezer:
             * np.diag([math.exp(-2 * r_gate), math.exp(2 * r_gate)])
         )
         np.testing.assert_allclose(report.channel.N, expected, atol=1e-9)
-        assert report.check("noise_is_squeezed_teleportation_noise").passed
+        assert report.check("noise_matches_oracle").passed
         # at 150 dB with r_gate = 30, N reaches 5.7e10 and its check is held
         # to the rounding of that scale
         assert cv.offline_squeezer(VAC, cv.db_to_squeezing_r(150.0), 30.0).all_passed()
@@ -771,26 +771,21 @@ def _identity_report():
     return cv.identity_chain(3, 1.0, cv.vacuum_state(1))
 
 
-# a builder -> its report of one input, and the names of the checks it holds, in order;
-# every report starts with the leak's check and the noise's positivity, and every
-# chain's goes on with its S and N held to a second route
-_CHECKED = ("outcome_independent", "channel_noise_psd")
-_CHAIN_CHECKED = (*_CHECKED, "matches_exact_chain_product", "noise_matches_step_budget")
+# a builder -> its report of one input, and the names of the checks it holds, in order:
+# the four every report holds (the leak's, the noise's positivity, S against the exact
+# matrix and N against a second route), then the builder's own
+_CHECKED = ("outcome_independent", "channel_noise_psd", "matches_exact_matrix",
+            "noise_matches_oracle")
 BUILDER_CHECK_NAMES = {
-    "identity_chain": (lambda state: cv.identity_chain(5, TEN_DB_R, state), _CHAIN_CHECKED),
+    "identity_chain": (lambda state: cv.identity_chain(5, TEN_DB_R, state), _CHECKED),
     "squeezer_four_step": (lambda state: cv.squeezer_four_step(0.2, TEN_DB_R, state),
-                           (*_CHAIN_CHECKED, "within_cubic_error_of_target")),
-    "repeated_squeezer": (lambda state: cv.repeated_squeezer(2, 0.2, TEN_DB_R, state),
-                          _CHAIN_CHECKED),
-    "offline_teleport": (lambda state: cv.offline_teleport(state, TEN_DB_R),
-                         (*_CHECKED, "noise_is_isotropic_teleportation_noise")),
-    "offline_squeezer": (lambda state: cv.offline_squeezer(state, TEN_DB_R, 0.3),
-                         (*_CHECKED, "channel_matches_target_squeezer",
-                          "noise_is_squeezed_teleportation_noise")),
+                           (*_CHECKED, "within_cubic_error_of_target")),
+    "repeated_squeezer": (lambda state: cv.repeated_squeezer(2, 0.2, TEN_DB_R, state), _CHECKED),
+    "offline_teleport": (lambda state: cv.offline_teleport(state, TEN_DB_R), _CHECKED),
+    "offline_squeezer": (lambda state: cv.offline_squeezer(state, TEN_DB_R, 0.3), _CHECKED),
     "offline_squeezer_control": (
         lambda state: cv.offline_squeezer(state, TEN_DB_R, 0.3, rescale_correction=False),
-        ("outcome_dependence_detected", "channel_noise_psd", "channel_matches_target_squeezer",
-         "noise_is_squeezed_teleportation_noise"),
+        ("outcome_dependence_detected", *_CHECKED[1:]),
     ),
 }
 # one input of each kind a config can name
@@ -1030,9 +1025,7 @@ class TestMatrixCheckBounds:
         # kappa = 1 and 50 segments give |S| = 5.7e20: the check is held to
         # the rounding of a 200-step chain, far below a relative 1e-6 of S
         chain_channel = protocols.chain_channel
-        assert cv.repeated_squeezer(50, 1.0, TEN_DB_R, VAC).check(
-            "matches_exact_chain_product"
-        ).passed
+        assert cv.repeated_squeezer(50, 1.0, TEN_DB_R, VAC).check("matches_exact_matrix").passed
 
         def skewed(steps, r):
             channel, leak = chain_channel(steps, r)
@@ -1040,7 +1033,7 @@ class TestMatrixCheckBounds:
 
         monkeypatch.setattr(protocols, "chain_channel", skewed)
         report = cv.repeated_squeezer(50, 1.0, TEN_DB_R, VAC)
-        assert not report.check("matches_exact_chain_product").passed
+        assert not report.check("matches_exact_matrix").passed
 
 
 def _flipped_frame_sign(frame, s, kappa):
@@ -1374,11 +1367,9 @@ class TestNamedChecksFailUnderMutation:
         assert check.value < 0.0
 
     def test_squeezed_variance_scaled_by_1_01_fails_isotropic_noise(self, monkeypatch):
-        assert cv.offline_teleport(VAC, TEN_DB_R).check(
-            "noise_is_isotropic_teleportation_noise"
-        ).passed
+        assert cv.offline_teleport(VAC, TEN_DB_R).check("noise_matches_oracle").passed
         patch_squeezed_variance(monkeypatch, 1.01)
-        check = cv.offline_teleport(VAC, TEN_DB_R).check("noise_is_isotropic_teleportation_noise")
+        check = cv.offline_teleport(VAC, TEN_DB_R).check("noise_matches_oracle")
         assert not check.passed
         # N = 1.01 e^{-2r}/2 I, so the error is 0.01 e^{-2r}/2
         assert check.value == pytest.approx(0.01 * 0.1 / 2, rel=1e-9)
@@ -1397,6 +1388,12 @@ def _shifted(channel, delta):
 def _chain_S_shifted(delta):
     return lambda mp: _wrapped(
         mp, protocols, "chain_channel", lambda channel, leak: (_shifted(channel, delta), leak)
+    )
+
+
+def _offline_S_shifted(delta):
+    return lambda mp: _wrapped(
+        mp, protocols, "affine_channel", lambda channel, leak: (_shifted(channel, delta), leak)
     )
 
 
@@ -1441,35 +1438,27 @@ DOCUMENT_CHECK_MUTATIONS = {
     "channel_noise_psd": _noise_rows(
         ["identity_chain"], lambda mp: patch_squeezed_variance(mp, -1.0)
     ),
-    "matches_exact_chain_product": [
+    "matches_exact_matrix": [
         (_report_at("identity_chain"), _fourier_target_shifted),
         (_report_at("identity_chain"), _chain_S_shifted(1e-3)),
         (_report_at("squeezer_four_step"), _chain_S_shifted(1e-3)),
         (_report_at("repeated_squeezer"), _chain_S_shifted(1e-3)),
+        (_report_at("offline_teleport"), _offline_S_shifted(1e-3)),
+        (_report_at("offline_squeezer"), _offline_S_shifted(1e-3)),
     ],
-    "noise_matches_step_budget": _noise_rows(
-        CHAIN_PROTOCOLS, lambda mp: patch_squeezed_variance(mp, 2.0),
-        _squeezed_weight_column_scaled,
-    ),
+    "noise_matches_oracle": [
+        *_noise_rows(CHAIN_PROTOCOLS, lambda mp: patch_squeezed_variance(mp, 2.0),
+                     _squeezed_weight_column_scaled),
+        *_noise_rows(["offline_teleport", "offline_squeezer"],
+                     lambda mp: patch_squeezed_variance(mp, 1.01)),
+    ],
     "within_cubic_error_of_target": [(_report_at("squeezer_four_step"), _chain_S_shifted(0.1))],
-    "noise_is_isotropic_teleportation_noise": _noise_rows(
-        ["offline_teleport"], lambda mp: patch_squeezed_variance(mp, 1.01)
-    ),
     # at 100 dB 1 - F is 1e-10, and the x2 variance moves F by 1e-10: only a bound
     # relative to 1 - F sees it
     "vacuum_fidelity_matches_closed_form": [
         (_report_at("offline_teleport"), lambda mp: patch_squeezed_variance(mp, 1.01)),
         (_report_at("offline_teleport", 100.0), lambda mp: patch_squeezed_variance(mp, 2.0)),
     ],
-    "channel_matches_target_squeezer": [(
-        _report_at("offline_squeezer"),
-        lambda mp: _wrapped(
-            mp, protocols, "affine_channel", lambda ch, leak: (_shifted(ch, 1e-3), leak)
-        ),
-    )],
-    "noise_is_squeezed_teleportation_noise": _noise_rows(
-        ["offline_squeezer"], lambda mp: patch_squeezed_variance(mp, 1.01)
-    ),
     # a leak readout that reads zero hides the control's outcome dependence
     "outcome_dependence_detected": [(
         _unscaled_control,
@@ -1494,7 +1483,7 @@ class TestEveryDocumentCheckCanFail:
         r, r_gate = cv.db_to_squeezing_r(100.0), protocols.PARAMETER_DEFAULTS["r_gate"]
         reports.append(cv.offline_squeezer(VAC, r, r_gate, rescale_correction=False))
         names = {check.name for report in reports for check in report.checks}
-        assert len(names) == 10
+        assert len(names) == 7
         assert names == set(DOCUMENT_CHECK_MUTATIONS)
 
     @pytest.mark.parametrize("scale", [-1.0, 2.0])
@@ -1519,7 +1508,7 @@ class TestChainChecksAtTheEdges:
     def test_passes_every_check_with_finite_values(self, protocol, params):
         report = cv.run_named_protocol(protocol, params)
         assert [(c.name, c.passed) for c in report.checks] == [
-            (name, True) for name in _CHAIN_CHECKED
+            (name, True) for name in _CHECKED
         ]
         assert all(math.isfinite(c.value) for c in report.checks)
 
@@ -1559,13 +1548,13 @@ def _shift_sign_flipped(mp):
 
 
 def _ungained_offline_squeezer(mp):
-    # the feedforward applied without the gate's rescaling
-    offline_report = protocols._offline_report
-    mp.setattr(
-        protocols, "_offline_report",
-        lambda name, parameters, state, r, gate, gain, *rest, **control: offline_report(
-            name, parameters, state, r, gate, np.eye(2), *rest, **control),
-    )
+    # the feedforward applied without the gate's rescaling: every off-line report
+    # takes the control's gain I, and only a report of the control is held as one
+    offline_report, report = protocols._offline_report, protocols._report
+    mp.setattr(protocols, "_offline_report",
+               lambda *args, control=False: offline_report(*args, control=True))
+    mp.setattr(protocols, "_report", lambda name, parameters, *rest, control=False: report(
+        name, parameters, *rest, control=parameters.get("rescale_correction") is False))
 
 
 def _sub_vacuum_cluster_nodes(mp):
