@@ -1486,6 +1486,12 @@ class TestEveryDocumentCheckCanFail:
         assert len(names) == 7
         assert names == set(DOCUMENT_CHECK_MUTATIONS)
 
+    @pytest.mark.parametrize("name", ["matches_exact_matrix", "noise_matches_oracle"])
+    def test_each_shared_check_has_a_row_for_every_protocol(self, name):
+        # the checks every report holds are turned red on each protocol's own report
+        covered = {build().name for build, _ in DOCUMENT_CHECK_MUTATIONS[name]}
+        assert covered == set(protocols.PROTOCOLS)
+
     @pytest.mark.parametrize("scale", [-1.0, 2.0])
     @pytest.mark.parametrize("protocol", sorted(protocols.PROTOCOLS))
     def test_a_wrong_squeezed_variance_fails_a_check_of_every_document(
