@@ -6,7 +6,9 @@ ratios). The measurement-picture row holds ``chain_channel`` to
 the paper's one-way computation: ``cluster``'s squeezed vacua joined by one
 CZ layer, the input attached by one more CZ, measured node by node with
 ``homodyne`` and corrected with ``update_frame``, which is bound here at
-import so that a change to ``engine`` alone shows as a disagreement. The
+import so that a change to ``engine`` alone shows as a disagreement. Its two
+four-step chains share one input, cluster and squeezing, so the row
+assembles that state once and measures both chains on it. The
 protocol rows copy the verdict and value of a vacuum-input report's own
 named check, so their thresholds and closed forms live in ``protocols``.
 """
@@ -138,8 +140,15 @@ def measurement_picture_deviation(kappas: list[float], r: float, state_in: Gauss
     worst of the mean's absolute deviation and the covariance's deviation
     relative to its largest entry; a NaN anywhere makes it NaN.
     """
+    assembled = attach_input(state_in, linear_cluster(len(kappas), r))
+    return _picture_deviation(kappas, r, state_in, assembled)
+
+
+def _picture_deviation(kappas: list[float], r: float, state_in: GaussianState,
+                       assembled: GaussianState) -> float:
+    """``measurement_picture_deviation`` on ``assembled``, ``state_in``
+    attached to the len(kappas)-node cluster at ``r``."""
     k = len(kappas)
-    assembled = attach_input(state_in, linear_cluster(k, r))
 
     def measure(probe, s, kappa):
         state, frame = probe
@@ -172,11 +181,13 @@ def measurement_picture_deviation(kappas: list[float], r: float, state_in: Gauss
 def measurement_picture_checks() -> list[ProtocolCheck]:
     """``measurement_picture_deviation`` on the four-step squeezer at kappa
     0.2 and a four-step chain of mixed kappas at 10 dB, for one fixed
-    non-vacuum input; a NaN fails the row."""
+    non-vacuum input; a NaN fails the row. Both chains have four steps, so
+    both are measured on one assembled state."""
     r = protocols.db_to_squeezing_r(10.0)
     state_in = GaussianState(np.array([0.3, -0.2]), np.array([[0.4, 0.1], [0.1, 0.3]]))
+    assembled = attach_input(state_in, linear_cluster(4, r))
     chains = (protocols.squeezer_steps(0.2), [0.4, 0.0, -0.7, 1.1])
-    worst = float(np.max([measurement_picture_deviation(kappas, r, state_in) for kappas in chains]))
+    worst = float(np.max([_picture_deviation(kappas, r, state_in, assembled) for kappas in chains]))
     return [ProtocolCheck("chain_matches_measurement_picture", worst <= 1e-10, worst)]
 
 
@@ -200,13 +211,13 @@ def outcome_independence_checks() -> list[ProtocolCheck]:
 
 
 def uncertainty_checks() -> list[ProtocolCheck]:
-    worst = 0.0
+    worst, vac = 0.0, vacuum_state(1)
     for n, r in ((1, 0.0), (3, 1.0), (5, protocols.db_to_squeezing_r(10.0)), (4, IDEAL_SQUEEZING_R)):
         cluster = linear_cluster(n, r)
         worst = max(worst, uncertainty_defect(cluster))
-        worst = max(worst, uncertainty_defect(attach_input(vacuum_state(1), cluster)))
+        worst = max(worst, uncertainty_defect(attach_input(vac, cluster)))
     for kappas in ([0.0] * 4, protocols.squeezer_steps(0.2)):
-        out = chain_channel(kappas, protocols.db_to_squeezing_r(10.0))[0].apply(vacuum_state(1))
+        out = chain_channel(kappas, protocols.db_to_squeezing_r(10.0))[0].apply(vac)
         worst = max(worst, uncertainty_defect(out))
     return [ProtocolCheck("uncertainty_relation_protocol_states", worst <= 1e-12, worst)]
 

@@ -23,7 +23,10 @@ def linear_cluster(n_nodes: int, squeezing_r: float) -> GaussianState:
     by one layer of CZ gates between adjacent nodes.
 
     The CZ gates all commute, so the layer is one symplectic: the identity
-    plus a 1 that adds x_i to p_{i+1} and x_{i+1} to p_i for each edge.
+    plus a 1 that adds x_i to p_{i+1} and x_{i+1} to p_i for each edge. The
+    nodes' product covariance is diagonal, so S times it is S with column j
+    scaled by the j-th node variance: the node's diagonal and mean are
+    repeated as lists, with no diagonal matrix formed.
     """
     if n_nodes < 1:
         raise ValueError("n_nodes must be >= 1")
@@ -33,8 +36,8 @@ def linear_cluster(n_nodes: int, squeezing_r: float) -> GaussianState:
     S = np.eye(2 * n)
     for i in range(n - 1):
         S[2 * i + 1, 2 * i + 2] = S[2 * i + 3, 2 * i] = 1.0
-    cov = S @ np.diag(np.tile(np.diag(node.cov), n)) @ S.T  # each node's cov is diagonal
-    return GaussianState(S @ np.tile(node.mean, n), 0.5 * (cov + cov.T))
+    cov = (S * (node.cov.diagonal().tolist() * n)) @ S.T  # each node's cov is diagonal
+    return GaussianState(S @ (node.mean.tolist() * n), 0.5 * (cov + cov.T))
 
 
 def attach_input(input_state: GaussianState, cluster: GaussianState) -> GaussianState:

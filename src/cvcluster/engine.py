@@ -167,7 +167,8 @@ def _corrected_weights(kappas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             g10 * a1u[j] + g11 * a1v[j],
         )
     padded = np.array([T0, T1])
-    kappa_x = np.append(kappas, 0.0)
+    kappa_x = np.zeros(k + 1)  # kappa_k = 0: the output mode k is not measured
+    kappa_x[:k] = kappas
     # kappa_j T_j + T_{j+1} is summed in the order the backward pass folds
     # it into T_{j-1}, so a correct frame rule cancels the weights on the
     # anti-squeezed x_1..x_k exactly rather than to rounding: at 300 dB their
@@ -207,7 +208,7 @@ def _scaled_noise(var: float, W: np.ndarray) -> np.ndarray:
 
 
 def affine_channel(
-    S: np.ndarray, anti: np.ndarray, squeezed: np.ndarray, r: float
+    S: Sequence | np.ndarray, anti: np.ndarray, squeezed: np.ndarray, r: float
 ) -> tuple[GaussianChannel, float]:
     """The channel of a corrected protocol, an outcome-free affine map of a
     product state (Heisenberg picture), read off the map's weights on the
@@ -232,7 +233,8 @@ def chain_channel(steps: Sequence[float], cluster_r: float) -> tuple[GaussianCha
     """The corrected channel and leak of the cluster chain of kappas ``steps``
     (``affine_channel``); of its resource quadratures, x_1..x_k are anti-squeezed."""
     Wx, Wp = _corrected_weights(_kappas(steps))
-    return affine_channel(np.column_stack([Wx[:, 0], Wp[:, 0]]), Wx[:, 1:], Wp[:, 1:], cluster_r)
+    (x0, x1), (p0, p1) = Wx[:, 0].tolist(), Wp[:, 0].tolist()  # the input's weights are S
+    return affine_channel([[x0, p0], [x1, p1]], Wx[:, 1:], Wp[:, 1:], cluster_r)
 
 
 def pair_sampler(mean: Sequence[float], law) -> Callable[[float, float], tuple[float, float]]:

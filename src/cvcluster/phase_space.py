@@ -350,5 +350,5 @@ def homodyne(
     else:
         gain = (state.cov @ c / var)[keep]
         mean += gain * (outcome - mu_c)
-        cov -= np.outer(gain, c_cov[keep])
+        cov -= gain[:, None] * c_cov[keep]
     return outcome, GaussianState(mean, 0.5 * (cov + cov.T))

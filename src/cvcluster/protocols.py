@@ -27,7 +27,8 @@ for its own checks and appends them with ``dataclasses.replace``; every check
 holds a Python bool and a Python float or None, which ``cli`` writes into a run
 document as they are. A channel whose S, N or deviation is not finite is
 refused with ``ChannelOverflowError`` (naming ``kappa``, or ``r_gate``
-off-line), and one that carries the input past double precision (an image mean
+off-line, where an r_gate past the config rule is refused before any gate is
+formed), and one that carries the input past double precision (an image mean
 or the fidelity not finite, among others) with ``InputOverflowError``, raised
 with numpy's overflow warnings off in builders and record draws. The channel
 does not depend on the outcomes, so a report draws its records, one
@@ -519,14 +520,19 @@ def _offline_report(name: str, parameters: dict, input_state: GaussianState, r: 
     (p_1, x_2) by (h G[:, 1] + h K[:, 1], -h G[:, 0] - h K[:, 0]): each h g
     rounded, then one add, the floats of the three-mode circuit's product.
     """
+    if not _finite_squeezing(r_gate):  # before squeezer's or the closed form's math.exp
+        raise ChannelOverflowError(
+            f"field 'r_gate': the channel overflows double precision: e^{{2|r_gate|}} of "
+            f"{r_gate!r} is not finite"
+        )
     seeds = _trial_seeds(input_state, seed, trials)
     # the gate maps the byproduct X(-u)Z(-v) to the displacement with
     # coefficients gate (u, v): the gate is also the gain and the target
     gate = squeezer(r_gate)
     gain = np.eye(2) if control else gate
-    hG, hK = _H * gate, _H * gain
-    anti = np.column_stack([hG[:, 0] - hK[:, 0], hK[:, 1] - hG[:, 1]])
-    squeezed = np.column_stack([hG[:, 1] + hK[:, 1], -hG[:, 0] - hK[:, 0]])
+    hG, hK = (_H * gate).tolist(), (_H * gain).tolist()
+    anti = np.array([[g[0] - k[0], k[1] - g[1]] for g, k in zip(hG, hK)])
+    squeezed = np.array([[g[1] + k[1], -g[0] - k[0]] for g, k in zip(hG, hK)])
     channel, leak = affine_channel(gain, anti, squeezed, r)
     draw = partial(_offline_trials, input_state, r, seeds)
     v = 0.5 * math.exp(-2 * r)

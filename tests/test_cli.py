@@ -874,6 +874,16 @@ class TestMeasurementPicture:
                 shared = checks.measurement_picture_deviation(kappas, r, state)
                 assert shared == independent_probe_deviation(kappas, r, state), (db, state)
 
+    def test_row_equals_its_chains_assembled_one_by_one_bitwise(self):
+        # the row assembles its state once for both chains; each chain
+        # assembled on its own must give the same worst deviation, bit for bit
+        r = protocols.db_to_squeezing_r(10.0)
+        state_in = cv.GaussianState([0.3, -0.2], [[0.4, 0.1], [0.1, 0.3]])
+        chains = (protocols.squeezer_steps(0.2), [0.4, 0.0, -0.7, 1.1])
+        (row,) = checks.measurement_picture_checks()
+        per_chain = max(checks.measurement_picture_deviation(k, r, state_in) for k in chains)
+        assert row.passed and row.value.hex() == per_chain.hex()
+
     @pytest.mark.parametrize("name", CLUSTER_MUTATIONS)
     def test_a_wrong_cz_layer_fails_the_row(self, monkeypatch, name):
         assert checks.measurement_picture_checks()[0].passed

@@ -248,6 +248,14 @@ class TestOfflineSqueezer:
         report = cv.offline_squeezer(VAC, IDEAL, 0.04)
         assert report.check("outcome_independent").value <= 1e-9
 
+    # e^{2|r_gate|} past the largest float: refused by the r_gate rule that
+    # configs meet, before squeezer's or the closed form's math.exp overflows
+    @pytest.mark.parametrize("r, r_gate", [(11.5, 360.0), (0.0, 400.0), (1.0, 800.0), (1.0, -400.0)])
+    def test_r_gate_past_the_rule_is_refused_naming_r_gate(self, r, r_gate):
+        assert not protocols.PARAMETERS["r_gate"].condition(r_gate)
+        with pytest.raises(protocols.ChannelOverflowError, match="^field 'r_gate': "):
+            cv.offline_squeezer(VAC, r, r_gate)
+
 
 def _below_the_resource_floor(N, r):
     """The smaller eigenvalue of N / v - I, v = e^{-2r}/4 the noise of one
