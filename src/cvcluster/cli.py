@@ -120,7 +120,8 @@ def build_input_state(spec: dict) -> GaussianState:
     for key, value in spec.items():
         if key != "kind" and key not in _INPUT_KEYS[kind]:
             raise ConfigError(f"field 'input.{key}': a {kind} input does not read it")
-        if isinstance(value, (bool, str)) and key in ("re", "im", "r"):
+        # every JSON value but a number, by type: a library caller's numpy float passes
+        if isinstance(value, (bool, str, list, dict, type(None))) and key in ("re", "im", "r"):
             raise ConfigError(f"field 'input.{key}': expected a number, got {json_kind(value)}")
         if key == "axis" and not isinstance(value, str):
             raise ConfigError(f"field 'input.axis': expected a string, got {json_kind(value)}")
@@ -133,8 +134,6 @@ def build_input_state(spec: dict) -> GaussianState:
             raise ConfigError(f"field 'input': coherent input needs {missing}")
         except OverflowError:  # an integer past the largest float
             re = im = math.inf
-        except (TypeError, ValueError):
-            raise ConfigError("field 'input': coherent re and im must be numbers")
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ConfigError("field 'input': coherent re and im must be finite")
         return coherent_state(re, im)

@@ -9,7 +9,7 @@ Conventions used throughout the package:
   the rows of ``S`` coincide with the Heisenberg transforms of the
   quadratures written in the old operators;
 * a gate is its read-only 2k x 2k symplectic matrix ``S`` on k modes. Gates
-  carry no displacement; a protocol's channel keeps its own ``d``.
+  carry no displacement, and a protocol's channel (S, N) displaces nothing.
 """
 
 from __future__ import annotations

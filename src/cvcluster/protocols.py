@@ -3,10 +3,11 @@
 Cluster protocols run the measurement engine on a linear chain; the off-line
 protocols teleport through a (possibly gate-modified) two-mode squeezed
 resource. Every corrected protocol is an affine map of its initial product
-state, and every report takes one path. A builder states only its step program
-(segment, repeats), in ``_CHAIN_PROGRAMS`` (``squeezer_steps`` is the four-step
-pattern), or off-line ``r_gate`` (teleportation is the squeezer at r_gate 0),
-its target, fidelity reference and own checks. Its family's helper,
+state, and every report takes one path. A chain protocol is a row of
+``_CHAIN_PROGRAMS`` (its step program (segment, repeats), then its target and
+exact matrix) and a builder that calls ``_chain_report`` once; an off-line
+builder states its ``r_gate`` (teleportation is the squeezer at r_gate 0),
+target, fidelity reference and own checks. Each family's helper,
 ``_chain_report`` or ``_offline_report``, refuses an input that is not one
 physical mode and reads the channel and leak once (a chain's from
 ``engine.chain_channel``; the off-line map is stated in closed form in
@@ -20,7 +21,7 @@ to its ideal output (one overlap, in a frame of exact powers of two). It makes
 the four checks every report holds, once: the leak's, ``outcome_independent``
 (or the negative control's ``outcome_dependence_detected``); the noise's
 positivity, its smaller eigenvalue in LAPACK's closed form;
-``matches_exact_matrix``, S against the builder's exact matrix; and
+``matches_exact_matrix``, S against the exact matrix; and
 ``noise_matches_oracle``, N against the helper's second route. Every noise
 bound is relative to the noise it holds. The builder reads the report's fields
 for its own checks and appends them with ``dataclasses.replace``; every check
@@ -28,21 +29,21 @@ holds a Python bool and a Python float or None, which ``cli`` writes into a run
 document as they are. A channel whose S, N or deviation is not finite is
 refused with ``ChannelOverflowError`` (naming ``kappa``, or ``r_gate``
 off-line, where an r_gate past the config rule is refused before any gate is
-formed), and one that carries the input past double precision (an image mean
-or the fidelity not finite, among others) with ``InputOverflowError``, raised
-with numpy's overflow warnings off in builders and record draws. The channel
-does not depend on the outcomes, so a report draws its records, one
-``RecordColumns`` per trial from its integer seed, when they are first read
-(``record_columns``): a sweep point's report draws none; an off-line report
-forms its readings' correctly rounded law only then. A report's target and
-parameters are read-only. A protocol id is its builder's name here, and
-``PROTOCOLS`` maps it to the parameters it reads. One table, ``PARAMETERS``,
-states each config-style parameter's default, cast, rule and largest value
-once; ``checked_parameter``, ``checked_sweep`` and ``document_records`` check a
-value, a sweep grid and a run's records (a chain's from its program). Every
-config rule, overflows included, is written here once and refuses with a
-``ConfigError`` whose text the CLI prints; builder preconditions stay
-``ValueError``.
+formed), and one that carries the input past double precision (an image mean or
+the fidelity not finite, among others) with ``InputOverflowError``, raised with
+numpy's overflow warnings off in ``_chain_report``, the off-line builders and
+record draws. The channel does not depend on the outcomes, so a report draws
+its records, one ``RecordColumns`` per trial from its integer seed, when they
+are first read (``record_columns``): a sweep point's report draws none; an
+off-line report forms its readings' correctly rounded law only then. A report's
+target and parameters are read-only. A protocol id is its builder's name here,
+and ``PROTOCOLS`` maps it to the parameters it reads. One table,
+``PARAMETERS``, states each config-style parameter's default, cast, rule and
+largest value once; ``checked_parameter``, ``checked_sweep`` and
+``document_records`` check a value, a sweep grid and a run's records (a chain's
+from its program). Every config rule, overflows included, is written here once
+and refuses with a ``ConfigError`` whose text the CLI prints; builder
+preconditions stay ``ValueError``.
 """
 
 from __future__ import annotations
@@ -363,12 +364,6 @@ def squeezer_steps(kappa: float) -> list[float]:
     return [kappa, kappa, -kappa, -kappa]
 
 
-# chain protocol id -> its step program (segment, repeats) from its PROTOCOLS parameters
-_CHAIN_PROGRAMS = {
-    "identity_chain": lambda n_nodes: ([0.0], n_nodes - 1),
-    "squeezer_four_step": lambda kappa: (squeezer_steps(kappa), 1),
-    "repeated_squeezer": lambda segments, kappa: (squeezer_steps(kappa), segments),
-}
 # an affine pair (S, G) is S row by row, then G's g00, g01, g11; this one is (I, 0)
 _UNIT_PAIR = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
 
@@ -400,24 +395,46 @@ def _program_noise(segment: Sequence[float], repeats: int, r: float) -> list:
     return [[g00, g01], [g01, g11]]
 
 
-def _chain_report(name: str, parameters: dict, program: tuple[list[float], int], r: float,
-                  input_state: GaussianState, seed: int, trials: int, target_S: np.ndarray,
-                  reference_S=None) -> ProtocolReport:
-    """The report of the chain of ``program``, (segment, repeats): S is held to the
-    builder's exact matrix and N to ``_program_noise``'s, each within k steps' rounding."""
-    steps = program[0] * program[1]  # the segment's kappas, repeats times over
-    draw = partial(chain_records, input_state, steps, r, _trial_seeds(input_state, seed, trials))
-    channel, leak = chain_channel(steps, r)
-    return _report(name, parameters, channel, leak, draw, target_S, input_state, "kappa",
-                   _program_noise(*program, r), len(steps), reference_S)
-
-
 # F^n for n mod 4, the bytes np.linalg.matrix_power(fourier(), n) gives
 _FOURIER_POWERS = [np.array(m) for m in ([[1.0, 0.0], [0.0, 1.0]], [[0.0, -1.0], [1.0, 0.0]],
                                          [[-1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [-1.0, 0.0]])]
+# chain protocol id -> its row: from its PROTOCOLS parameters, its step program (segment,
+# repeats), then its target and the exact matrix its S is held to (None: the target)
+_CHAIN_PROGRAMS = {
+    "identity_chain": (lambda n_nodes: ([0.0], n_nodes - 1),
+                       lambda n_nodes: (_FOURIER_POWERS[(n_nodes - 1) % 4], None)),
+    "squeezer_four_step": (
+        lambda kappa: (squeezer_steps(kappa), 1),
+        # kappa^2 as a numpy float: inf past the largest float, not OverflowError
+        lambda kappa: (np.diag([1.0 - np.float64(kappa) ** 2, 1.0 + np.float64(kappa) ** 2]),
+                       algebra.squeezer_protocol_matrix(kappa))),
+    "repeated_squeezer": (lambda segments, kappa: (squeezer_steps(kappa), segments),
+                          lambda segments, kappa: (np.linalg.matrix_power(
+                              algebra.squeezer_protocol_matrix(kappa), segments), None)),
+}
 
 
 @np.errstate(over="ignore", invalid="ignore")
+def _chain_report(name: str, r: float, input_state: GaussianState, seed: int, trials: int,
+                  **named) -> ProtocolReport:
+    """The report of chain protocol ``name`` at its ``PROTOCOLS`` parameters ``named``,
+    each held to its ``PARAMETERS`` condition. Its row's program, (segment, repeats), is
+    formed first, so that the kappa rule refuses before any matrix is; S is held to the
+    row's exact matrix and N to ``_program_noise``'s, each within k steps' rounding."""
+    program, matrices = _CHAIN_PROGRAMS[name]
+    segment, repeats = program(**named)
+    for key, value in named.items():
+        if not PARAMETERS[key].condition(value):
+            raise ValueError(f"{key} {PARAMETERS[key].rule}")
+    target_S, reference_S = matrices(**named)
+    steps = segment * repeats  # the segment's kappas, repeats times over
+    draw = partial(chain_records, input_state, steps, r, _trial_seeds(input_state, seed, trials))
+    channel, leak = chain_channel(steps, r)
+    return _report(name, {**named, "squeezing_r": r, "seed": seed}, channel, leak, draw,
+                   target_S, input_state, "kappa", _program_noise(segment, repeats, r),
+                   len(steps), reference_S)
+
+
 def identity_chain(
     n_nodes: int, r: float, input_state: GaussianState, seed: int = 0, trials: int = 1
 ) -> ProtocolReport:
@@ -426,14 +443,9 @@ def identity_chain(
     ``n_nodes`` counts the input mode plus the cluster nodes, so the run
     makes n_nodes - 1 steps and the target is the (n_nodes - 1)-fold Fourier.
     """
-    if n_nodes < 2:
-        raise ValueError("n_nodes must be >= 2")
-    parameters = {"n_nodes": n_nodes, "squeezing_r": r, "seed": seed}
-    return _chain_report("identity_chain", parameters, _CHAIN_PROGRAMS["identity_chain"](n_nodes),
-                         r, input_state, seed, trials, _FOURIER_POWERS[(n_nodes - 1) % 4])
+    return _chain_report("identity_chain", r, input_state, seed, trials, n_nodes=n_nodes)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def squeezer_four_step(
     kappa: float, r: float, input_state: GaussianState, seed: int = 0, trials: int = 1
 ) -> ProtocolReport:
@@ -443,18 +455,12 @@ def squeezer_four_step(
     diag(1 - kappa^2, 1 + kappa^2) up to O(kappa^3); the channel is also
     compared against the exact four-step product matrix.
     """
-    program = _CHAIN_PROGRAMS["squeezer_four_step"](kappa)
-    kappa2 = np.float64(kappa) ** 2  # the pow of kappa**2, but inf, not OverflowError
-    target = np.diag([1.0 - kappa2, 1.0 + kappa2])
-    parameters = {"kappa": kappa, "squeezing_r": r, "seed": seed}
-    report = _chain_report("squeezer_four_step", parameters, program, r, input_state, seed, trials,
-                           target, reference_S=algebra.squeezer_protocol_matrix(kappa))
+    report = _chain_report("squeezer_four_step", r, input_state, seed, trials, kappa=kappa)
     cubic = ProtocolCheck("within_cubic_error_of_target",
                           report.deviation <= 2.0 * abs(kappa) ** 3 + 1e-12, report.deviation)
     return replace(report, checks=(*report.checks, cubic))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def repeated_squeezer(
     segments: int,
     kappa: float,
@@ -464,13 +470,8 @@ def repeated_squeezer(
     trials: int = 1,
 ) -> ProtocolReport:
     """Repeat the four-step squeezer pattern to accumulate squeezing."""
-    if segments < 1:
-        raise ValueError("segments must be >= 1")
-    program = _CHAIN_PROGRAMS["repeated_squeezer"](segments, kappa)
-    target = np.linalg.matrix_power(algebra.squeezer_protocol_matrix(kappa), segments)
-    parameters = {"segments": segments, "kappa": kappa, "squeezing_r": r, "seed": seed}
-    return _chain_report("repeated_squeezer", parameters, program, r, input_state, seed, trials,
-                         target)
+    return _chain_report("repeated_squeezer", r, input_state, seed, trials, segments=segments,
+                         kappa=kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -637,9 +638,9 @@ def checked_sweep(protocol_id: str, param, values) -> None:
 def document_records(protocol_id: str, values: dict, trials: int) -> int:
     """The records a run document of ``trials`` trials holds, one per chain step
     and two per off-line trial; more than ``MAX_RECORDS`` is a ``ConfigError``."""
-    program, records = _CHAIN_PROGRAMS.get(protocol_id), trials * 2
-    if program is not None:
-        segment, repeats = program(*(values[name] for name in PROTOCOLS[protocol_id]))
+    row, records = _CHAIN_PROGRAMS.get(protocol_id), trials * 2
+    if row is not None:  # its program only: no matrix is formed here
+        segment, repeats = row[0](*(values[name] for name in PROTOCOLS[protocol_id]))
         records = trials * len(segment) * repeats
     if records > MAX_RECORDS:
         raise ConfigError(

@@ -1,10 +1,10 @@
 """Explicit resource states, displacements and circuits, a test oracle.
 
 The library reads the off-line channels off their affine maps, stated in
-closed form, and keeps a protocol's displacement in its channel's d. These
-constructions build the two-mode resources, the three-mode teleportation
-circuit and displaced states themselves, so the tests can hold the channels
-and the byproduct frame against explicit states and circuits.
+closed form; a protocol's channel holds only S and N, and displaces nothing.
+These constructions build the two-mode resources, the three-mode
+teleportation circuit and displaced states themselves, so the tests can hold
+the channels and the byproduct frame against explicit states and circuits.
 """
 
 from __future__ import annotations

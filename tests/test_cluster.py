@@ -120,6 +120,11 @@ class TestAttachInput:
         with pytest.raises(ValueError):
             cv.attach_input(cv.vacuum_state(2), cv.linear_cluster(1, 1.0))
 
+    def test_rejects_empty_cluster(self):
+        empty = cv.GaussianState(np.zeros(0), np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="^cluster must be nonempty$"):
+            cv.attach_input(cv.vacuum_state(1), empty)
+
 
 class TestEprResource:
     def test_r_zero_is_two_mode_vacuum(self):

@@ -571,6 +571,11 @@ class TestHomodyne:
         _, rest = cv.homodyne(cv.vacuum_state(2), 0, 1e-160, 0.0, forced=0.0)
         np.testing.assert_array_equal(rest.cov, 0.25 * np.eye(2))
 
+    def test_rejects_a_state_of_no_modes(self):
+        empty = cv.GaussianState(np.zeros(0), np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="^state must have at least one mode$"):
+            cv.homodyne(empty, 0, 1.0, 0.0, forced=0.0)
+
     @pytest.mark.parametrize("forced", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_forced_outcome(self, forced):
         state = random_gaussian_state(3, 2)

@@ -257,6 +257,16 @@ class TestOfflineSqueezer:
             cv.offline_squeezer(VAC, r, r_gate)
 
 
+@pytest.mark.parametrize(
+    "a, b, c", [(1.0, 0.0, -1.0), (0.0, 1.0, 0.0), (2.0, 3.0, -2.0), (0.0, 0.0, 0.0)]
+)
+def test_smallest_eigenvalue_of_a_traceless_matrix_is_eigvalsh_s(a, b, c):
+    # a + c = 0 takes dlae2's branch -rt / 2, with no det / rt1 to divide: within an
+    # ulp of eigvalsh's (bitwise equal on this numpy), and 0 for the zero matrix
+    want = float(np.linalg.eigvalsh([[a, b], [b, c]])[0])
+    assert abs(protocols._smallest_eigenvalue(a, b, c) - want) <= np.spacing(abs(want))
+
+
 def _below_the_resource_floor(N, r):
     """The smaller eigenvalue of N / v - I, v = e^{-2r}/4 the noise of one
     squeezed resource quadrature, and the channel_noise_psd check's bound at
